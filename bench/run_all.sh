@@ -19,7 +19,8 @@
 # corruption-proving ablation; BENCH_aio.json, produced by the async
 # completion-ring campaign with the queue-depth sweep, the journal-over-ring
 # counters, the stack-composition matrix, and the sendfile vs read+send
-# copied-bytes ablation).
+# copied-bytes ablation; BENCH_size.json, produced by table3_sizes with the
+# filtered source lines of every library).
 #
 # After the benches, every BENCH_*.json is compared against the checked-in
 # baselines (bench/baselines/) by bench/check_regression: a metric outside
@@ -75,7 +76,7 @@ run_bench table1_bandwidth 2048 --json "$BENCH_DIR/BENCH_sg.json"
 run_bench table2_latency   4000
 run_bench napi_rx          2048 --json "$BENCH_DIR/BENCH_napi.json"
 run_bench c10k             --hosts 4 --per-host 150 --json "$BENCH_DIR/BENCH_c10k.json"
-run_bench table3_sizes
+run_bench table3_sizes   --json "$BENCH_DIR/BENCH_size.json"
 run_bench fig_footprint
 run_bench fig_javapc
 run_bench ablation_glue    4000 --json "$BENCH_DIR/BENCH_trace.json"
@@ -88,7 +89,7 @@ run_bench http_campaign    --json "$BENCH_DIR/BENCH_http.json"
 run_bench monitor_campaign --seeds 5 --seed-base 1 --json "$BENCH_DIR/BENCH_monitor.json"
 run_bench aio_campaign     --json "$BENCH_DIR/BENCH_aio.json"
 
-for json in trace fault sg crash napi c10k tenant http monitor aio; do
+for json in trace fault sg crash napi c10k tenant http monitor aio size; do
     out="$BENCH_DIR/BENCH_$json.json"
     if [ -f "$out" ]; then
         echo "wrote $out"

@@ -7,8 +7,9 @@
 //
 // A simulated PC assembles the full storage stack from separable components
 // bound at run time (§4.2.2): simulated IDE disk -> encapsulated Linux IDE
-// driver (BlkIo) -> MBR partition view -> offs filesystem -> per-credential
-// security wrapper.  A second PC talks to it over TCP with a trivial
+// driver (BlkIo) -> MBR partition view -> offs filesystem -> per-uid
+// security wrapper (secure::MakeSecureFs under a principal that carries the
+// caller's Unix identity).  A second PC talks to it over TCP with a trivial
 // full-pathname protocol:  "<uid> GET <path>\n" -> contents or an error.
 
 #include <cstdio>
@@ -19,8 +20,8 @@
 #include "src/dev/linux/linux_ide.h"
 #include "src/fs/ffs.h"
 #include "src/fs/fsck.h"
-#include "src/fs/secure.h"
 #include "src/libc/posix.h"
+#include "src/secure/wrap.h"
 #include "src/testbed/testbed.h"
 
 using namespace oskit;
@@ -30,8 +31,10 @@ namespace {
 
 constexpr uint16_t kPort = 9000;
 
-// Serves one request line against a credential-wrapped root.
-std::string HandleRequest(fs::FsPolicy* policy, const ComPtr<Dir>& raw_root,
+// Serves one request line through the caller's wrapped view of the
+// filesystem: one principal per uid, carrying that uid's Unix identity.
+std::string HandleRequest(secure::PrincipalRegistry* principals,
+                          const ComPtr<FileSystem>& filesystem,
                           const std::string& line) {
   std::istringstream in(line);
   uint32_t uid = 0;
@@ -41,10 +44,20 @@ std::string HandleRequest(fs::FsPolicy* policy, const ComPtr<Dir>& raw_root,
   if (verb != "GET" || path.empty() || path[0] != '/') {
     return "ERR bad request\n";
   }
-  // The wrapper is built per request with the caller's credentials; path
-  // walking below goes one component at a time through the checked Dir.
-  fs::Credentials creds{.uid = uid, .gid = uid};
-  ComPtr<Dir> root = fs::MakeSecureDir(raw_root, policy, creds);
+  std::string name = "uid" + std::to_string(uid);
+  secure::Principal* who = principals->Find(name);
+  if (who == nullptr) {
+    who = principals->Create(name, {}, {},
+                             {.uid = uid, .gid = uid, .superuser = false});
+  }
+  // Path walking below goes one component at a time through the checked
+  // Dir the wrapper hands out.
+  ComPtr<FileSystem> view = secure::MakeSecureFs(filesystem, who, principals);
+  ComPtr<Dir> root;
+  Error err = view->GetRoot(root.Receive());
+  if (!Ok(err)) {
+    return std::string("ERR ") + ErrorName(err) + "\n";
+  }
   libc::PosixIo posix;
   posix.SetRoot(std::move(root));
   int fd = posix.Open(path.c_str(), libc::kORdOnly);
@@ -124,7 +137,7 @@ int main() {
       OSKIT_ASSERT(Ok(offs->WriteInode(st.ino, inode)));
     }
 
-    fs::UnixFsPolicy policy;
+    secure::PrincipalRegistry principals(&server.trace);
 
     // --- the network half: full pathnames on the wire, components inside ---
     ComPtr<Socket> listener = server.MakeSocket(SockType::kStream);
@@ -140,15 +153,14 @@ int main() {
       while (Ok(conn->Recv(&c, 1, &n)) && n == 1 && c != '\n') {
         line.push_back(c);
       }
-      std::string reply = HandleRequest(&policy, root, line);
+      std::string reply = HandleRequest(&principals, filesystem, line);
       size_t sent = 0;
       conn->Send(reply.data(), reply.size(), &sent);
       conn->Shutdown(SockShutdown::kWrite);
       ++requests_served;
     }
-    std::printf("filesrv: policy ran %llu checks, denied %llu\n",
-                static_cast<unsigned long long>(policy.checks_performed()),
-                static_cast<unsigned long long>(policy.denials()));
+    std::printf("filesrv: %zu principals, %llu denials\n", principals.size(),
+                static_cast<unsigned long long>(principals.TotalDenied()));
     root.Reset();
     OSKIT_ASSERT(Ok(filesystem->Unmount()));
     fs::FsckReport report = fs::Fsck(part.get());

@@ -513,8 +513,10 @@ class OffsDir final : public Dir, public RefCounted<OffsDir> {
     if (!ValidComponent(old_name) || !ValidComponent(new_name)) {
       return Error::kInval;
     }
-    auto* dest = static_cast<OffsDir*>(new_dir);
-    if (dest->fs_.get() != fs_.get()) {
+    // The destination may be any Dir implementation (a wrapper, another
+    // filesystem's directory): only an OffsDir of this mount qualifies.
+    auto* dest = dynamic_cast<OffsDir*>(new_dir);
+    if (dest == nullptr || dest->fs_.get() != fs_.get()) {
       return Error::kXDev;
     }
     uint64_t ino = 0;

@@ -92,9 +92,9 @@ Error BsdSelector::Query(const Guid& iid, void** out) {
 
 Error BsdSelector::Add(Socket* socket, uint32_t interest, bool edge,
                        void* token) {
-  // The stack only ever hands out BsdSockets, so the downcast is safe for
-  // any socket of this stack; a foreign socket is rejected below.
-  auto* so = static_cast<BsdSocket*>(socket);
+  // Only a BsdSocket of this stack can register; any other Socket
+  // implementation (a wrapper, another stack's socket) is rejected.
+  auto* so = dynamic_cast<BsdSocket*>(socket);
   if (so == nullptr || so->stack_ != stack_) {
     return Error::kInval;
   }
@@ -112,7 +112,7 @@ Error BsdSelector::Add(Socket* socket, uint32_t interest, bool edge,
 }
 
 Error BsdSelector::Modify(Socket* socket, uint32_t interest, bool edge) {
-  auto it = regs_.find(static_cast<BsdSocket*>(socket));
+  auto it = regs_.find(dynamic_cast<BsdSocket*>(socket));
   if (it == regs_.end()) {
     return Error::kInval;
   }
@@ -124,7 +124,7 @@ Error BsdSelector::Modify(Socket* socket, uint32_t interest, bool edge) {
 }
 
 Error BsdSelector::Remove(Socket* socket) {
-  auto* so = static_cast<BsdSocket*>(socket);
+  auto* so = dynamic_cast<BsdSocket*>(socket);
   auto it = regs_.find(so);
   if (it == regs_.end()) {
     return Error::kInval;

@@ -53,8 +53,10 @@ const QuotaNames& Names() {
 }  // namespace
 
 Principal::Principal(uint32_t id, std::string name, const Budget& budget,
-                     const Acl& acl, trace::TraceEnv* trace)
-    : id_(id), name_(std::move(name)), budget_(budget), acl_(acl) {
+                     const Acl& acl, const UnixIdentity& unix_id,
+                     trace::TraceEnv* trace)
+    : id_(id), name_(std::move(name)), budget_(budget), acl_(acl),
+      unix_id_(unix_id) {
   std::initializer_list<trace::CounterBlock::Item> items = {
       {Names().charged[0].c_str(), &charged_[0], /*gauge=*/true},
       {Names().charged[1].c_str(), &charged_[1], /*gauge=*/true},
@@ -117,9 +119,10 @@ PrincipalRegistry::PrincipalRegistry(trace::TraceEnv* trace)
 PrincipalRegistry::~PrincipalRegistry() = default;
 
 Principal* PrincipalRegistry::Create(const std::string& name,
-                                     const Budget& budget, const Acl& acl) {
+                                     const Budget& budget, const Acl& acl,
+                                     const UnixIdentity& unix_id) {
   principals_.emplace_back(
-      new Principal(next_id_++, name, budget, acl, trace_));
+      new Principal(next_id_++, name, budget, acl, unix_id, trace_));
   return principals_.back().get();
 }
 

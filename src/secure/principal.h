@@ -74,6 +74,15 @@ struct Acl {
   bool allow_blkio_write = true;  // may write through a raw BlkIo wrapper
 };
 
+// The Unix identity the filesystem wrapper checks mode bits against (the
+// paper's §3.8 file server).  The default is the superuser, which consults
+// no mode bits at all.
+struct UnixIdentity {
+  uint32_t uid = 0;
+  uint32_t gid = 0;
+  bool superuser = true;
+};
+
 class PrincipalRegistry;
 
 // One tenant.  Created and owned by a PrincipalRegistry; wrappers hold a
@@ -84,6 +93,7 @@ class Principal {
   uint32_t id() const { return id_; }
   const Acl& acl() const { return acl_; }
   const Budget& budget() const { return budget_; }
+  const UnixIdentity& unix_id() const { return unix_id_; }
 
   // Debits `n` units of `r`.  Over budget: nothing is charged, the denial
   // counter bumps, and kQuotaExceeded comes back for the wrapper to return.
@@ -121,7 +131,7 @@ class Principal {
   friend class PrincipalRegistry;
   friend struct std::default_delete<Principal>;  // registry's unique_ptr
   Principal(uint32_t id, std::string name, const Budget& budget, const Acl& acl,
-            trace::TraceEnv* trace);
+            const UnixIdentity& unix_id, trace::TraceEnv* trace);
   ~Principal();
   Principal(const Principal&) = delete;
   Principal& operator=(const Principal&) = delete;
@@ -130,6 +140,7 @@ class Principal {
   std::string name_;
   Budget budget_;
   Acl acl_;
+  UnixIdentity unix_id_;
   bool killed_ = false;
   trace::Counter charged_[kResourceCount];  // gauges
   trace::Counter denied_[kResourceCount];
@@ -153,7 +164,7 @@ class PrincipalRegistry {
   PrincipalRegistry& operator=(const PrincipalRegistry&) = delete;
 
   Principal* Create(const std::string& name, const Budget& budget = {},
-                    const Acl& acl = {});
+                    const Acl& acl = {}, const UnixIdentity& unix_id = {});
 
   Principal* Find(const std::string& name);
   Principal* FindById(uint32_t id);

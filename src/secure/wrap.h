@@ -1,14 +1,16 @@
 // The §3.8 COM interposers: uniform security wrappers for the high-value
 // interfaces, enforcing ACLs and per-principal quotas at call boundaries.
 //
-// Every wrapper follows the same delegation contract (the one
-// src/fs/secure.cc established):
+// Every wrapper follows the same delegation contract, owned by the one
+// Interposer base (src/secure/interposer.h):
 //
 //   * delegation goes through an owned reference on the inner object;
 //   * Query exposes exactly the interfaces the wrapper interposes on —
 //     unknown GUIDs return kNoInterface and are NEVER forwarded to the
 //     inner object (a forwarded extension interface would hand the caller
 //     an unwrapped path around the checks);
+//   * a wrapper passed back in as a peer argument (a Rename destination, a
+//     socket handed to a selector) is unwrapped before the inner call;
 //   * objects returned by wrapped methods (accepted sockets, Lookup/Create
 //     results) come back wrapped under the same principal, so protection
 //     follows every traversal;
@@ -84,7 +86,11 @@ ComPtr<Socket> MakeSecureSocket(ComPtr<Socket> inner, Principal* p,
 ComPtr<NetSelector> MakeSecureSelector(ComPtr<NetSelector> inner,
                                        Principal* p);
 
-// Filesystem wrapper: live File/Dir wrappers charge Resource::kOpenFiles,
+// Filesystem wrapper (the §3.8 per-component checks): one wrapper class for
+// files and directories, answering Dir only for directories.  The ACL and,
+// for a principal with a non-superuser UnixIdentity, the Unix mode bits of
+// each object admit every call.  Live File/Dir wrappers charge
+// Resource::kOpenFiles,
 // data growth charges Resource::kFsBlocks (512-byte st_blocks units,
 // estimated before the op for the denial path and reconciled against the
 // real stat delta after), Unlink/Rmdir/shrink credit back.  Delegated calls

@@ -9,48 +9,30 @@
 
 #include <utility>
 
+#include "src/secure/interposer.h"
 #include "src/secure/wrap.h"
 
 namespace oskit::secure {
 
 namespace {
 
-class SecureBufIo final : public BufIo, public RefCounted<SecureBufIo> {
+class SecureBufIo final : public Interposer<SecureBufIo, BlkIo, BufIo> {
  public:
   SecureBufIo(ComPtr<BlkIo> inner, Principal* p)
-      : inner_(std::move(inner)), principal_(p) {
-    inner_buf_ = ComPtr<BufIo>::FromQuery(inner_.get());
-  }
+      : Interposer(std::move(inner)), principal_(p) {}
 
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == BlkIo::kIid) {
-      AddRef();
-      *out = static_cast<BlkIo*>(this);
-      return Error::kOk;
-    }
-    if (iid == BufIo::kIid && inner_buf_) {
-      AddRef();
-      *out = static_cast<BufIo*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-
-  uint32_t AddRef() override { return AddRefImpl(); }
-  uint32_t Release() override {
-    if (ref_count() == 1 && map_charged_ > 0) {
+  void OnLastRelease() {
+    if (map_charged_ > 0) {
       principal_->Credit(Resource::kMemBytes, map_charged_);
       map_charged_ = 0;
     }
-    return ReleaseImpl();
   }
 
   // BlkIo
-  uint32_t GetBlockSize() override { return inner_->GetBlockSize(); }
+  uint32_t GetBlockSize() override { return inner()->GetBlockSize(); }
   Error Read(void* buf, off_t64 offset, size_t amount,
              size_t* out_actual) override {
-    return inner_->Read(buf, offset, amount, out_actual);
+    return inner()->Read(buf, offset, amount, out_actual);
   }
   Error Write(const void* buf, off_t64 offset, size_t amount,
               size_t* out_actual) override {
@@ -58,28 +40,28 @@ class SecureBufIo final : public BufIo, public RefCounted<SecureBufIo> {
       principal_->CountDenial(Resource::kMemBytes);
       return Error::kAccess;
     }
-    return inner_->Write(buf, offset, amount, out_actual);
+    return inner()->Write(buf, offset, amount, out_actual);
   }
-  Error GetSize(off_t64* out_size) override { return inner_->GetSize(out_size); }
+  Error GetSize(off_t64* out_size) override { return inner()->GetSize(out_size); }
   Error SetSize(off_t64 new_size) override {
     if (!principal_->acl().allow_blkio_write) {
       principal_->CountDenial(Resource::kMemBytes);
       return Error::kAccess;
     }
-    return inner_->SetSize(new_size);
+    return inner()->SetSize(new_size);
   }
 
   // BufIo (reachable via Query only when the inner object has it)
   Error Map(void** out_addr, off_t64 offset, size_t amount) override {
     *out_addr = nullptr;
-    if (!inner_buf_) {
+    if (buf() == nullptr) {
       return Error::kNotImpl;
     }
     Error err = principal_->Charge(Resource::kMemBytes, amount);
     if (!Ok(err)) {
       return err;
     }
-    err = inner_buf_->Map(out_addr, offset, amount);
+    err = buf()->Map(out_addr, offset, amount);
     if (!Ok(err)) {
       principal_->Credit(Resource::kMemBytes, amount);
       return err;
@@ -89,10 +71,10 @@ class SecureBufIo final : public BufIo, public RefCounted<SecureBufIo> {
   }
 
   Error Unmap(void* addr, off_t64 offset, size_t amount) override {
-    if (!inner_buf_) {
+    if (buf() == nullptr) {
       return Error::kNotImpl;
     }
-    Error err = inner_buf_->Unmap(addr, offset, amount);
+    Error err = buf()->Unmap(addr, offset, amount);
     if (Ok(err)) {
       size_t n = amount < map_charged_ ? amount : map_charged_;
       principal_->Credit(Resource::kMemBytes, n);
@@ -101,17 +83,12 @@ class SecureBufIo final : public BufIo, public RefCounted<SecureBufIo> {
     return err;
   }
 
-  Error Wire() override { return inner_buf_ ? inner_buf_->Wire() : Error::kNotImpl; }
-  Error Unwire() override {
-    return inner_buf_ ? inner_buf_->Unwire() : Error::kNotImpl;
-  }
+  Error Wire() override { return buf() ? buf()->Wire() : Error::kNotImpl; }
+  Error Unwire() override { return buf() ? buf()->Unwire() : Error::kNotImpl; }
 
  private:
-  friend class RefCounted<SecureBufIo>;
-  ~SecureBufIo() = default;
+  BufIo* buf() const { return ext<BufIo>(); }
 
-  ComPtr<BlkIo> inner_;
-  ComPtr<BufIo> inner_buf_;  // null when the inner object lacks BufIo
   Principal* principal_;
   size_t map_charged_ = 0;  // bytes currently pinned through this wrapper
 };

@@ -1,4 +1,17 @@
-// Filesystem security wrappers and the FFS journal-admission hook.
+// Filesystem security wrapper and the FFS journal-admission hook.
+//
+// One wrapper class, TenantNode, serves files and directories alike: it
+// answers Dir only when the inner object is a directory, and Lookup/Create
+// results come back as TenantNodes of the same graph.  Every guarded call
+// first passes one admission step (Admit):
+//
+//   ACL        allow_fs_write gates every call that needs the write bit
+//   Unix mode  for a principal with a non-superuser identity, the owner,
+//              group or other triplet of the object's mode must grant the
+//              bit: read for Read/ReadDir, search for Lookup, write for
+//              every mutation (and on a wrapped Rename destination too) —
+//              the paper's §3.8 per-component check.  The superuser, every
+//              principal's default, consults no mode bits.
 //
 // Charge points and their symmetric credits:
 //
@@ -26,11 +39,17 @@
 #include <utility>
 #include <vector>
 
+#include "src/secure/interposer.h"
 #include "src/secure/wrap.h"
 
 namespace oskit::secure {
 
 namespace {
+
+// The mode bit each guarded call needs (within one rwx triplet).
+constexpr uint32_t kModeRead = 4;
+constexpr uint32_t kModeWrite = 2;
+constexpr uint32_t kModeSearch = 1;
 
 // Books shared by every wrapper in one MakeSecureFs graph.
 struct FsBooks {
@@ -43,221 +62,76 @@ struct FsBooks {
 
 using FsBooksPtr = std::shared_ptr<FsBooks>;
 
-File* WrapFileOrDir(ComPtr<File> child, const FsBooksPtr& books);
-
-// Reconciles a pre-charged growth `estimate` against the real st_blocks
-// delta once the inner operation has run.
-void ReconcileBlocks(const FsBooksPtr& books, uint64_t ino,
-                     uint64_t before_blocks, File* inner, uint64_t estimate) {
-  FileStat after{};
-  uint64_t after_blocks = before_blocks;
-  if (Ok(inner->GetStat(&after))) {
-    after_blocks = after.blocks;
-  }
-  Principal* p = books->principal;
-  if (after_blocks >= before_blocks) {
-    uint64_t delta = after_blocks - before_blocks;
-    if (delta > estimate) {
-      p->ForceCharge(Resource::kFsBlocks, delta - estimate);
-    } else {
-      p->Credit(Resource::kFsBlocks, estimate - delta);
-    }
-    if (delta > 0) {
-      books->blocks[ino] += delta;
-    }
-    return;
-  }
-  // Shrink: the estimate was never used, and freed blocks are credited —
-  // but only up to what this tenant actually charged for the inode.
-  uint64_t freed = before_blocks - after_blocks;
-  p->Credit(Resource::kFsBlocks, estimate);
-  auto it = books->blocks.find(ino);
-  if (it != books->blocks.end()) {
-    uint64_t credit = freed < it->second ? freed : it->second;
-    p->Credit(Resource::kFsBlocks, credit);
-    it->second -= credit;
-  }
-}
-
-// Shared File-surface implementation for TenantFile and TenantDir.
-Error GuardedWrite(const FsBooksPtr& books, File* inner, uint64_t ino,
-                   const void* buf, uint64_t offset, size_t amount,
-                   size_t* out_actual) {
-  *out_actual = 0;
-  Principal* p = books->principal;
-  if (!p->acl().allow_fs_write) {
-    p->CountDenial(Resource::kFsBlocks);
-    return Error::kAccess;
-  }
-  FileStat before{};
-  Error err = inner->GetStat(&before);
-  if (!Ok(err)) {
-    return err;
-  }
-  uint64_t end = offset + amount;
-  uint64_t have = before.blocks * 512;
-  uint64_t estimate = end > have ? (end - have + 511) / 512 : 0;
-  if (estimate > 0) {
-    err = p->Charge(Resource::kFsBlocks, estimate);
-    if (!Ok(err)) {
-      return err;
-    }
-  }
-  {
-    ScopedPrincipal scope(books->registry, p);
-    err = inner->Write(buf, offset, amount, out_actual);
-  }
-  ReconcileBlocks(books, ino, before.blocks, inner, estimate);
-  return err;
-}
-
-Error GuardedSetSize(const FsBooksPtr& books, File* inner, uint64_t ino,
-                     uint64_t new_size) {
-  Principal* p = books->principal;
-  if (!p->acl().allow_fs_write) {
-    p->CountDenial(Resource::kFsBlocks);
-    return Error::kAccess;
-  }
-  FileStat before{};
-  Error err = inner->GetStat(&before);
-  if (!Ok(err)) {
-    return err;
-  }
-  uint64_t new_units = (new_size + 511) / 512;
-  uint64_t estimate = new_units > before.blocks ? new_units - before.blocks : 0;
-  if (estimate > 0) {
-    err = p->Charge(Resource::kFsBlocks, estimate);
-    if (!Ok(err)) {
-      return err;
-    }
-  }
-  {
-    ScopedPrincipal scope(books->registry, p);
-    err = inner->SetSize(new_size);
-  }
-  ReconcileBlocks(books, ino, before.blocks, inner, estimate);
-  return err;
-}
-
-class TenantFile final : public File, public RefCounted<TenantFile> {
+class TenantNode final : public Interposer<TenantNode, File, Dir> {
  public:
-  TenantFile(ComPtr<File> inner, FsBooksPtr books, uint64_t ino)
-      : inner_(std::move(inner)), books_(std::move(books)), ino_(ino) {}
+  TenantNode(ComPtr<File> inner, FsBooksPtr books, uint64_t ino)
+      : Interposer(std::move(inner)), books_(std::move(books)), ino_(ino) {}
 
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == File::kIid) {
-      AddRef();
-      *out = static_cast<File*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
+  void OnLastRelease() { books_->principal->Credit(Resource::kOpenFiles, 1); }
 
-  uint32_t AddRef() override { return AddRefImpl(); }
-  uint32_t Release() override {
-    if (ref_count() == 1) {
-      books_->principal->Credit(Resource::kOpenFiles, 1);
-    }
-    return ReleaseImpl();
-  }
-
+  // File surface (directories answer it too: reads and writes are the inner
+  // filesystem's error to report, but admission still gates them).
   Error Read(void* buf, uint64_t offset, size_t amount,
              size_t* out_actual) override {
-    return inner_->Read(buf, offset, amount, out_actual);
+    *out_actual = 0;
+    Error err = Admit(kModeRead);
+    return Ok(err) ? inner()->Read(buf, offset, amount, out_actual) : err;
   }
   Error Write(const void* buf, uint64_t offset, size_t amount,
               size_t* out_actual) override {
-    return GuardedWrite(books_, inner_.get(), ino_, buf, offset, amount,
-                        out_actual);
+    *out_actual = 0;
+    uint64_t end = offset + amount;
+    return Grow(
+        [&](const FileStat& before) {
+          uint64_t have = before.blocks * 512;
+          return end > have ? (end - have + 511) / 512 : 0;
+        },
+        [&] { return inner()->Write(buf, offset, amount, out_actual); });
   }
-  Error GetStat(FileStat* out_stat) override { return inner_->GetStat(out_stat); }
+  Error GetStat(FileStat* out_stat) override { return inner()->GetStat(out_stat); }
   Error SetSize(uint64_t new_size) override {
-    return GuardedSetSize(books_, inner_.get(), ino_, new_size);
+    return Grow(
+        [&](const FileStat& before) {
+          uint64_t new_units = (new_size + 511) / 512;
+          return new_units > before.blocks ? new_units - before.blocks : 0;
+        },
+        [&] { return inner()->SetSize(new_size); });
   }
   Error Sync() override {
     ScopedPrincipal scope(books_->registry, books_->principal);
-    return inner_->Sync();
+    return inner()->Sync();
   }
 
- private:
-  friend class RefCounted<TenantFile>;
-  ~TenantFile() = default;
-
-  ComPtr<File> inner_;
-  FsBooksPtr books_;
-  uint64_t ino_;
-};
-
-class TenantDir final : public Dir, public RefCounted<TenantDir> {
- public:
-  TenantDir(ComPtr<Dir> inner, FsBooksPtr books, uint64_t ino)
-      : inner_(std::move(inner)), books_(std::move(books)), ino_(ino) {}
-
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == File::kIid || iid == Dir::kIid) {
-      AddRef();
-      *out = static_cast<Dir*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-
-  uint32_t AddRef() override { return AddRefImpl(); }
-  uint32_t Release() override {
-    if (ref_count() == 1) {
-      books_->principal->Credit(Resource::kOpenFiles, 1);
-    }
-    return ReleaseImpl();
-  }
-
-  // File surface (directories answer stat/read; writes are the inner
-  // filesystem's error to report, but the ACL still gates them).
-  Error Read(void* buf, uint64_t offset, size_t amount,
-             size_t* out_actual) override {
-    return inner_->Read(buf, offset, amount, out_actual);
-  }
-  Error Write(const void* buf, uint64_t offset, size_t amount,
-              size_t* out_actual) override {
-    return GuardedWrite(books_, inner_.get(), ino_, buf, offset, amount,
-                        out_actual);
-  }
-  Error GetStat(FileStat* out_stat) override { return inner_->GetStat(out_stat); }
-  Error SetSize(uint64_t new_size) override {
-    return GuardedSetSize(books_, inner_.get(), ino_, new_size);
-  }
-  Error Sync() override {
-    ScopedPrincipal scope(books_->registry, books_->principal);
-    return inner_->Sync();
-  }
-
-  // Dir surface
+  // Dir surface (reachable only through Query, so only when dir() exists)
   Error Lookup(const char* name, File** out_file) override {
     *out_file = nullptr;
     Principal* p = books_->principal;
-    Error err = p->Charge(Resource::kOpenFiles, 1);
+    Error err = Admit(kModeSearch);
+    if (Ok(err)) {
+      err = p->Charge(Resource::kOpenFiles, 1);
+    }
     if (!Ok(err)) {
       return err;
     }
     ComPtr<File> child;
-    err = inner_->Lookup(name, child.Receive());
+    err = dir()->Lookup(name, child.Receive());
     if (!Ok(err)) {
       p->Credit(Resource::kOpenFiles, 1);
       return err;
     }
-    *out_file = WrapFileOrDir(std::move(child), books_);
+    FileStat st{};
+    child->GetStat(&st);  // best effort; an ino of 0 never books blocks
+    *out_file = new TenantNode(std::move(child), books_, st.ino);
     return Error::kOk;
   }
 
   Error Create(const char* name, uint32_t mode, File** out_file) override {
     *out_file = nullptr;
     Principal* p = books_->principal;
-    if (!p->acl().allow_fs_write) {
-      p->CountDenial(Resource::kFsBlocks);
-      return Error::kAccess;
+    Error err = Admit(kModeWrite);
+    if (Ok(err)) {
+      err = p->Charge(Resource::kOpenFiles, 1);
     }
-    Error err = p->Charge(Resource::kOpenFiles, 1);
     if (!Ok(err)) {
       return err;
     }
@@ -270,7 +144,7 @@ class TenantDir final : public Dir, public RefCounted<TenantDir> {
     ComPtr<File> child;
     {
       ScopedPrincipal scope(books_->registry, p);
-      err = inner_->Create(name, mode, child.Receive());
+      err = dir()->Create(name, mode, child.Receive());
     }
     if (!Ok(err)) {
       p->Credit(Resource::kOpenFiles, 1);
@@ -283,23 +157,22 @@ class TenantDir final : public Dir, public RefCounted<TenantDir> {
       p->ForceCharge(Resource::kFsBlocks, st.blocks);
     }
     books_->blocks[st.ino] = 1 + st.blocks;
-    *out_file = new TenantFile(std::move(child), books_, st.ino);
+    *out_file = new TenantNode(std::move(child), books_, st.ino);
     return Error::kOk;
   }
 
   Error Mkdir(const char* name, uint32_t mode) override {
     Principal* p = books_->principal;
-    if (!p->acl().allow_fs_write) {
-      p->CountDenial(Resource::kFsBlocks);
-      return Error::kAccess;
+    Error err = Admit(kModeWrite);
+    if (Ok(err)) {
+      err = p->Charge(Resource::kFsBlocks, 1);  // the name unit
     }
-    Error err = p->Charge(Resource::kFsBlocks, 1);  // the name unit
     if (!Ok(err)) {
       return err;
     }
     {
       ScopedPrincipal scope(books_->registry, p);
-      err = inner_->Mkdir(name, mode);
+      err = dir()->Mkdir(name, mode);
     }
     if (!Ok(err)) {
       p->Credit(Resource::kFsBlocks, 1);
@@ -307,7 +180,7 @@ class TenantDir final : public Dir, public RefCounted<TenantDir> {
     }
     // No handle comes back from Mkdir: stat the child to book its blocks.
     ComPtr<File> child;
-    if (Ok(inner_->Lookup(name, child.Receive()))) {
+    if (Ok(dir()->Lookup(name, child.Receive()))) {
       FileStat st{};
       if (Ok(child->GetStat(&st))) {
         if (st.blocks > 0) {
@@ -324,49 +197,143 @@ class TenantDir final : public Dir, public RefCounted<TenantDir> {
 
   Error Rename(const char* old_name, Dir* new_dir,
                const char* new_name) override {
-    Principal* p = books_->principal;
-    if (!p->acl().allow_fs_write) {
-      p->CountDenial(Resource::kFsBlocks);
-      return Error::kAccess;
+    // A destination from a wrapped graph must admit the new entry too, and
+    // the inner filesystem needs its own Dir object.
+    TenantNode* dest = Unwrap(new_dir);
+    Error err = Admit(kModeWrite);
+    if (Ok(err) && dest != nullptr) {
+      err = dest->CheckMode(kModeWrite);
     }
-    // The destination may be a wrapper from this graph; the inner
-    // filesystem needs its own Dir object.
-    TenantDir* wrapped = dynamic_cast<TenantDir*>(new_dir);
-    Dir* target = wrapped != nullptr ? wrapped->inner_.get() : new_dir;
-    ScopedPrincipal scope(books_->registry, p);
-    return inner_->Rename(old_name, target, new_name);
+    if (!Ok(err)) {
+      return err;
+    }
+    ScopedPrincipal scope(books_->registry, books_->principal);
+    return dir()->Rename(old_name, dest != nullptr ? dest->dir() : new_dir,
+                         new_name);
   }
 
   Error ReadDir(uint64_t* inout_offset, DirEntry* entries, size_t capacity,
                 size_t* out_count) override {
-    return inner_->ReadDir(inout_offset, entries, capacity, out_count);
+    *out_count = 0;
+    Error err = Admit(kModeRead);
+    return Ok(err) ? dir()->ReadDir(inout_offset, entries, capacity, out_count)
+                   : err;
   }
 
  private:
-  friend class RefCounted<TenantDir>;
-  ~TenantDir() = default;
+  Dir* dir() const { return ext<Dir>(); }
+
+  // The one admission step in front of every guarded call: the ACL, then
+  // the Unix mode bits.
+  Error Admit(uint32_t bit) {
+    Principal* p = books_->principal;
+    if (bit == kModeWrite && !p->acl().allow_fs_write) {
+      p->CountDenial(Resource::kFsBlocks);
+      return Error::kAccess;
+    }
+    return CheckMode(bit);
+  }
+
+  Error CheckMode(uint32_t bit) {
+    Principal* p = books_->principal;
+    const UnixIdentity& who = p->unix_id();
+    if (who.superuser) {
+      return Error::kOk;
+    }
+    FileStat st{};
+    Error err = inner()->GetStat(&st);
+    if (!Ok(err)) {
+      return err;
+    }
+    uint32_t shift = who.uid == st.uid ? 6 : who.gid == st.gid ? 3 : 0;
+    if (((st.mode >> shift) & bit) != 0) {
+      return Error::kOk;
+    }
+    p->CountDenial(bit == kModeWrite ? Resource::kFsBlocks
+                                     : Resource::kOpenFiles);
+    return Error::kAccess;
+  }
+
+  // Write/SetSize: charges `estimate(before)` blocks ahead of `op`, then
+  // reconciles against the real st_blocks delta.
+  template <typename Estimate, typename Op>
+  Error Grow(Estimate estimate_of, Op op) {
+    Principal* p = books_->principal;
+    Error err = Admit(kModeWrite);
+    if (!Ok(err)) {
+      return err;
+    }
+    FileStat before{};
+    err = inner()->GetStat(&before);
+    if (!Ok(err)) {
+      return err;
+    }
+    uint64_t estimate = estimate_of(before);
+    if (estimate > 0) {
+      err = p->Charge(Resource::kFsBlocks, estimate);
+      if (!Ok(err)) {
+        return err;
+      }
+    }
+    {
+      ScopedPrincipal scope(books_->registry, p);
+      err = op();
+    }
+    Reconcile(before.blocks, estimate);
+    return err;
+  }
+
+  void Reconcile(uint64_t before_blocks, uint64_t estimate) {
+    FileStat after{};
+    uint64_t after_blocks = before_blocks;
+    if (Ok(inner()->GetStat(&after))) {
+      after_blocks = after.blocks;
+    }
+    Principal* p = books_->principal;
+    if (after_blocks >= before_blocks) {
+      uint64_t delta = after_blocks - before_blocks;
+      if (delta > estimate) {
+        p->ForceCharge(Resource::kFsBlocks, delta - estimate);
+      } else {
+        p->Credit(Resource::kFsBlocks, estimate - delta);
+      }
+      if (delta > 0) {
+        books_->blocks[ino_] += delta;
+      }
+      return;
+    }
+    // Shrink: the estimate was never used, and freed blocks are credited —
+    // but only up to what this tenant actually charged for the inode.
+    uint64_t freed = before_blocks - after_blocks;
+    p->Credit(Resource::kFsBlocks, estimate);
+    auto it = books_->blocks.find(ino_);
+    if (it != books_->blocks.end()) {
+      uint64_t credit = freed < it->second ? freed : it->second;
+      p->Credit(Resource::kFsBlocks, credit);
+      it->second -= credit;
+    }
+  }
 
   Error RemoveEntry(const char* name, bool is_dir) {
     Principal* p = books_->principal;
-    if (!p->acl().allow_fs_write) {
-      p->CountDenial(Resource::kFsBlocks);
-      return Error::kAccess;
+    Error err = Admit(kModeWrite);
+    if (!Ok(err)) {
+      return err;
     }
     // The inode number must be captured before the entry disappears.
     uint64_t ino = 0;
     {
       ComPtr<File> child;
-      if (Ok(inner_->Lookup(name, child.Receive()))) {
+      if (Ok(dir()->Lookup(name, child.Receive()))) {
         FileStat st{};
         if (Ok(child->GetStat(&st))) {
           ino = st.ino;
         }
       }
     }
-    Error err;
     {
       ScopedPrincipal scope(books_->registry, p);
-      err = is_dir ? inner_->Rmdir(name) : inner_->Unlink(name);
+      err = is_dir ? dir()->Rmdir(name) : dir()->Unlink(name);
     }
     if (Ok(err) && ino != 0) {
       auto it = books_->blocks.find(ino);
@@ -378,36 +345,14 @@ class TenantDir final : public Dir, public RefCounted<TenantDir> {
     return err;
   }
 
-  ComPtr<Dir> inner_;
   FsBooksPtr books_;
   uint64_t ino_;
 };
 
-File* WrapFileOrDir(ComPtr<File> child, const FsBooksPtr& books) {
-  FileStat st{};
-  child->GetStat(&st);  // best effort; an ino of 0 never books blocks
-  ComPtr<Dir> as_dir = ComPtr<Dir>::FromQuery(child.get());
-  if (as_dir) {
-    return new TenantDir(std::move(as_dir), books, st.ino);
-  }
-  return new TenantFile(std::move(child), books, st.ino);
-}
-
-class TenantFs final : public FileSystem, public RefCounted<TenantFs> {
+class TenantFs final : public Interposer<TenantFs, FileSystem> {
  public:
   TenantFs(ComPtr<FileSystem> inner, FsBooksPtr books)
-      : inner_(std::move(inner)), books_(std::move(books)) {}
-
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == FileSystem::kIid) {
-      AddRef();
-      *out = static_cast<FileSystem*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-  OSKIT_REFCOUNTED_BOILERPLATE()
+      : Interposer(std::move(inner)), books_(std::move(books)) {}
 
   Error GetRoot(Dir** out_root) override {
     *out_root = nullptr;
@@ -421,22 +366,22 @@ class TenantFs final : public FileSystem, public RefCounted<TenantFs> {
       return err;
     }
     ComPtr<Dir> root;
-    err = inner_->GetRoot(root.Receive());
+    err = inner()->GetRoot(root.Receive());
     if (!Ok(err)) {
       p->Credit(Resource::kOpenFiles, 1);
       return err;
     }
     FileStat st{};
     root->GetStat(&st);
-    *out_root = new TenantDir(std::move(root), books_, st.ino);
+    *out_root = new TenantNode(ComPtr<File>(root.Detach()), books_, st.ino);
     return Error::kOk;
   }
 
-  Error StatFs(FsStat* out_stat) override { return inner_->StatFs(out_stat); }
+  Error StatFs(FsStat* out_stat) override { return inner()->StatFs(out_stat); }
 
   Error Sync() override {
     ScopedPrincipal scope(books_->registry, books_->principal);
-    return inner_->Sync();
+    return inner()->Sync();
   }
 
   Error Unmount() override {
@@ -446,14 +391,10 @@ class TenantFs final : public FileSystem, public RefCounted<TenantFs> {
       books_->principal->CountDenial(Resource::kOpenFiles);
       return Error::kAccess;
     }
-    return inner_->Unmount();
+    return inner()->Unmount();
   }
 
  private:
-  friend class RefCounted<TenantFs>;
-  ~TenantFs() = default;
-
-  ComPtr<FileSystem> inner_;
   FsBooksPtr books_;
 };
 

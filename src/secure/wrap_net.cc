@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/secure/interposer.h"
 #include "src/secure/wrap.h"
 
 namespace oskit::secure {
@@ -76,52 +77,27 @@ namespace {
 
 class SecureSelector;
 
-class SecureSocket final : public Socket,
-                           public SocketExt,
-                           public RefCounted<SecureSocket> {
+class SecureSocket final
+    : public Interposer<SecureSocket, Socket, SocketExt> {
  public:
   // Adopts `inner` (its kSockets unit already charged by the caller).
   SecureSocket(ComPtr<Socket> inner, Principal* p, NetGuard* guard)
-      : inner_(std::move(inner)), principal_(p), guard_(guard) {
-    ext_ = ComPtr<SocketExt>::FromQuery(inner_.get());
-    guard_->RegisterSocket(inner_.get(), principal_);
+      : Interposer(std::move(inner)), principal_(p), guard_(guard) {
+    guard_->RegisterSocket(this->inner(), principal_);
   }
 
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == Socket::kIid) {
-      AddRef();
-      *out = static_cast<Socket*>(this);
-      return Error::kOk;
-    }
-    if (iid == SocketExt::kIid && ext_) {
-      AddRef();
-      *out = static_cast<SocketExt*>(this);
-      return Error::kOk;
-    }
-    // Unknown GUIDs are NOT forwarded to the inner socket: a forwarded
-    // extension interface would be an unwrapped path around the checks.
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-
-  uint32_t AddRef() override { return AddRefImpl(); }
-  uint32_t Release() override {
-    if (ref_count() == 1) {
-      Teardown();
-    }
-    return ReleaseImpl();
-  }
+  void OnLastRelease();
 
   // Socket
   Error Bind(const SockAddr& addr) override {
     if (addr.port == 0) {
-      return inner_->Bind(addr);  // binds an address, not a port
+      return inner()->Bind(addr);  // binds an address, not a port
     }
     Error err = EnsurePortCharge();
     if (!Ok(err)) {
       return err;
     }
-    err = inner_->Bind(addr);
+    err = inner()->Bind(addr);
     if (!Ok(err)) {
       ReleasePortChargeIfUnbound();
     }
@@ -133,7 +109,7 @@ class SecureSocket final : public Socket,
     if (!Ok(err)) {
       return err;
     }
-    err = inner_->Connect(addr);
+    err = inner()->Connect(addr);
     // kWouldBlock is an in-flight handshake: the port is consumed.  Other
     // failures keep the charge only if a port really was bound (refused
     // connections still hold their ephemeral port until close).
@@ -143,7 +119,7 @@ class SecureSocket final : public Socket,
     return err;
   }
 
-  Error Listen(int backlog) override { return inner_->Listen(backlog); }
+  Error Listen(int backlog) override { return inner()->Listen(backlog); }
 
   Error Accept(SockAddr* out_peer, Socket** out_socket) override {
     // Charge AFTER the inner accept, not before: a blocking Accept can park
@@ -153,7 +129,7 @@ class SecureSocket final : public Socket,
     // the backstop for connections that slipped in under a lower charge.
     *out_socket = nullptr;
     ComPtr<Socket> child;
-    Error err = inner_->Accept(out_peer, child.Receive());
+    Error err = inner()->Accept(out_peer, child.Receive());
     if (!Ok(err)) {
       return err;
     }
@@ -167,10 +143,10 @@ class SecureSocket final : public Socket,
   }
 
   Error Send(const void* buf, size_t amount, size_t* out_actual) override {
-    return inner_->Send(buf, amount, out_actual);
+    return inner()->Send(buf, amount, out_actual);
   }
   Error Recv(void* buf, size_t amount, size_t* out_actual) override {
-    return inner_->Recv(buf, amount, out_actual);
+    return inner()->Recv(buf, amount, out_actual);
   }
 
   Error SendTo(const void* buf, size_t amount, const SockAddr& to,
@@ -179,7 +155,7 @@ class SecureSocket final : public Socket,
     if (!Ok(err)) {
       return err;
     }
-    err = inner_->SendTo(buf, amount, to, out_actual);
+    err = inner()->SendTo(buf, amount, to, out_actual);
     if (!Ok(err)) {
       ReleasePortChargeIfUnbound();
     }
@@ -188,31 +164,28 @@ class SecureSocket final : public Socket,
 
   Error RecvFrom(void* buf, size_t amount, SockAddr* out_from,
                  size_t* out_actual) override {
-    return inner_->RecvFrom(buf, amount, out_from, out_actual);
+    return inner()->RecvFrom(buf, amount, out_from, out_actual);
   }
 
-  Error Shutdown(SockShutdown how) override { return inner_->Shutdown(how); }
+  Error Shutdown(SockShutdown how) override { return inner()->Shutdown(how); }
   Error GetSockName(SockAddr* out_addr) override {
-    return inner_->GetSockName(out_addr);
+    return inner()->GetSockName(out_addr);
   }
   Error GetPeerName(SockAddr* out_addr) override {
-    return inner_->GetPeerName(out_addr);
+    return inner()->GetPeerName(out_addr);
   }
 
   // SocketExt (exposed via Query only when the inner socket has it)
   Error SetNonBlocking(bool on) override {
-    return ext_ ? ext_->SetNonBlocking(on) : Error::kNotImpl;
+    return ext<SocketExt>() != nullptr ? ext<SocketExt>()->SetNonBlocking(on)
+                                       : Error::kNotImpl;
   }
   Error AcceptBatch(SockAddr* out_peers, Socket** out_sockets, size_t capacity,
                     size_t* out_count) override;
 
-  Socket* inner() const { return inner_.get(); }
   void set_selector(SecureSelector* sel) { selector_ = sel; }
 
  private:
-  friend class RefCounted<SecureSocket>;
-  ~SecureSocket() = default;
-
   Error EnsurePortCharge() {
     if (port_charged_) {
       return Error::kOk;
@@ -229,44 +202,32 @@ class SecureSocket final : public Socket,
       return;
     }
     SockAddr local{};
-    if (Ok(inner_->GetSockName(&local)) && local.port == 0) {
+    if (Ok(inner()->GetSockName(&local)) && local.port == 0) {
       principal_->Credit(Resource::kPorts, 1);
       port_charged_ = false;
     }
   }
 
-  void Teardown();
-
-  ComPtr<Socket> inner_;
-  ComPtr<SocketExt> ext_;  // null when the inner socket lacks SocketExt
   Principal* principal_;
   NetGuard* guard_;
   SecureSelector* selector_ = nullptr;  // set while registered with one
   bool port_charged_ = false;
 };
 
-class SecureSelector final : public NetSelector,
-                             public RefCounted<SecureSelector> {
+class SecureSelector final : public Interposer<SecureSelector, NetSelector> {
  public:
   SecureSelector(ComPtr<NetSelector> inner, Principal* p)
-      : inner_(std::move(inner)), principal_(p) {}
+      : Interposer(std::move(inner)), principal_(p) {}
 
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == NetSelector::kIid) {
-      AddRef();
-      *out = static_cast<NetSelector*>(this);
-      return Error::kOk;
+  // Teardown: every registration still standing is credited back.
+  void OnLastRelease() {
+    for (auto& [inner_socket, wrapper] : registrations_) {
+      if (wrapper != nullptr) {
+        wrapper->set_selector(nullptr);
+      }
+      principal_->Credit(Resource::kSelectorRegs, 1);
     }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-
-  uint32_t AddRef() override { return AddRefImpl(); }
-  uint32_t Release() override {
-    if (ref_count() == 1) {
-      Teardown();
-    }
-    return ReleaseImpl();
+    registrations_.clear();
   }
 
   Error Add(Socket* socket, uint32_t interest, bool edge,
@@ -275,9 +236,9 @@ class SecureSelector final : public NetSelector,
     if (!Ok(err)) {
       return err;
     }
-    SecureSocket* wrapper = dynamic_cast<SecureSocket*>(socket);
+    SecureSocket* wrapper = SecureSocket::Unwrap(socket);
     Socket* target = wrapper != nullptr ? wrapper->inner() : socket;
-    err = inner_->Add(target, interest, edge, token);
+    err = inner()->Add(target, interest, edge, token);
     if (!Ok(err)) {
       principal_->Credit(Resource::kSelectorRegs, 1);
       return err;
@@ -290,11 +251,11 @@ class SecureSelector final : public NetSelector,
   }
 
   Error Modify(Socket* socket, uint32_t interest, bool edge) override {
-    return inner_->Modify(Unwrap(socket), interest, edge);
+    return inner()->Modify(InnerOf(socket), interest, edge);
   }
 
   Error Remove(Socket* socket) override {
-    Socket* target = Unwrap(socket);
+    Socket* target = InnerOf(socket);
     auto it = registrations_.find(target);
     if (it != registrations_.end()) {
       if (it->second != nullptr) {
@@ -303,12 +264,12 @@ class SecureSelector final : public NetSelector,
       registrations_.erase(it);
       principal_->Credit(Resource::kSelectorRegs, 1);
     }
-    return inner_->Remove(target);
+    return inner()->Remove(target);
   }
 
   Error Wait(NetReadyEvent* out_events, size_t capacity, bool block,
              size_t* out_count) override {
-    Error err = inner_->Wait(out_events, capacity, block, out_count);
+    Error err = inner()->Wait(out_events, capacity, block, out_count);
     if (!Ok(err)) {
       return err;
     }
@@ -332,30 +293,15 @@ class SecureSelector final : public NetSelector,
     }
     registrations_.erase(it);
     principal_->Credit(Resource::kSelectorRegs, 1);
-    inner_->Remove(inner_socket);  // weak reg: already gone is fine
+    inner()->Remove(inner_socket);  // weak reg: already gone is fine
   }
 
  private:
-  friend class RefCounted<SecureSelector>;
-  ~SecureSelector() = default;
-
-  static Socket* Unwrap(Socket* socket) {
-    SecureSocket* wrapper = dynamic_cast<SecureSocket*>(socket);
+  static Socket* InnerOf(Socket* socket) {
+    SecureSocket* wrapper = SecureSocket::Unwrap(socket);
     return wrapper != nullptr ? wrapper->inner() : socket;
   }
 
-  void Teardown() {
-    for (auto& [inner_socket, wrapper] : registrations_) {
-      if (wrapper != nullptr) {
-        wrapper->set_selector(nullptr);
-      }
-      principal_->Credit(Resource::kSelectorRegs, 1);
-    }
-    registrations_.clear();
-    inner_.Reset();
-  }
-
-  ComPtr<NetSelector> inner_;
   Principal* principal_;
   // inner socket -> the wrapper the tenant registered (null: pass-through).
   std::unordered_map<Socket*, SecureSocket*> registrations_;
@@ -364,7 +310,7 @@ class SecureSelector final : public NetSelector,
 Error SecureSocket::AcceptBatch(SockAddr* out_peers, Socket** out_sockets,
                                 size_t capacity, size_t* out_count) {
   *out_count = 0;
-  if (!ext_) {
+  if (ext<SocketExt>() == nullptr) {
     return Error::kNotImpl;
   }
   // Admit only as many children as the socket budget has headroom for.  At
@@ -384,7 +330,8 @@ Error SecureSocket::AcceptBatch(SockAddr* out_peers, Socket** out_sockets,
       allowed = static_cast<size_t>(headroom);
     }
   }
-  Error err = ext_->AcceptBatch(out_peers, out_sockets, allowed, out_count);
+  Error err =
+      ext<SocketExt>()->AcceptBatch(out_peers, out_sockets, allowed, out_count);
   if (!Ok(err)) {
     return err;
   }
@@ -398,42 +345,31 @@ Error SecureSocket::AcceptBatch(SockAddr* out_peers, Socket** out_sockets,
   return Error::kOk;
 }
 
-void SecureSocket::Teardown() {
+// Teardown; the inner socket's last reference goes right after, and with it
+// the inner socket detaches from its pcb.
+void SecureSocket::OnLastRelease() {
   if (selector_ != nullptr) {
-    selector_->NoteSocketDead(inner_.get());
+    selector_->NoteSocketDead(inner());
     selector_ = nullptr;
   }
-  guard_->UnregisterSocket(inner_.get());
+  guard_->UnregisterSocket(inner());
   if (port_charged_) {
     principal_->Credit(Resource::kPorts, 1);
     port_charged_ = false;
   }
   principal_->Credit(Resource::kSockets, 1);
-  ext_.Reset();
-  inner_.Reset();  // last reference: the inner socket detaches from its pcb
 }
 
 // ---------------------------------------------------------------------------
 // SecureSocketFactory
 // ---------------------------------------------------------------------------
 
-class SecureSocketFactory final : public SocketFactory,
-                                  public RefCounted<SecureSocketFactory> {
+class SecureSocketFactory final
+    : public Interposer<SecureSocketFactory, SocketFactory> {
  public:
   SecureSocketFactory(ComPtr<SocketFactory> inner, Principal* p,
                       NetGuard* guard)
-      : inner_(std::move(inner)), principal_(p), guard_(guard) {}
-
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == SocketFactory::kIid) {
-      AddRef();
-      *out = static_cast<SocketFactory*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-  OSKIT_REFCOUNTED_BOILERPLATE()
+      : Interposer(std::move(inner)), principal_(p), guard_(guard) {}
 
   Error Create(SockDomain domain, SockType type,
                Socket** out_socket) override {
@@ -447,7 +383,7 @@ class SecureSocketFactory final : public SocketFactory,
       return err;
     }
     ComPtr<Socket> inner_socket;
-    err = inner_->Create(domain, type, inner_socket.Receive());
+    err = inner()->Create(domain, type, inner_socket.Receive());
     if (!Ok(err)) {
       principal_->Credit(Resource::kSockets, 1);
       return err;
@@ -457,10 +393,6 @@ class SecureSocketFactory final : public SocketFactory,
   }
 
  private:
-  friend class RefCounted<SecureSocketFactory>;
-  ~SecureSocketFactory() = default;
-
-  ComPtr<SocketFactory> inner_;
   Principal* principal_;
   NetGuard* guard_;
 };

@@ -242,5 +242,76 @@ TEST(ComConformanceTest, SecureStorageWrapperDoesNotForwardUnknownGuids) {
   ASSERT_EQ(Error::kOk, tfs->Unmount());
 }
 
+// The filesystem wrapper under a principal with a non-superuser Unix
+// identity (the §3.8 mode checks on every call): the same Query and
+// ref-pairing rules on every node it hands out, Dir only for directories,
+// and a Rename between two of its directories reaching the inner
+// filesystem with the inner destination.
+TEST(ComConformanceTest, SecureFsWrapperWithUnixIdentity) {
+  PrincipalRegistry principals;
+  Principal* user = principals.Create(
+      "user", {}, {}, {.uid = 1000, .gid = 1000, .superuser = false});
+
+  ComPtr<MemBlkIo> disk = MemBlkIo::Create(4 * 1024 * 1024, 512);
+  ASSERT_EQ(Error::kOk, fs::Mkfs(disk.get()));
+  ComPtr<FileSystem> fs;
+  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), fs.Receive()));
+  {
+    // Populated as uid 0: two directories the user may write into.
+    ComPtr<Dir> raw_root;
+    ASSERT_EQ(Error::kOk, fs->GetRoot(raw_root.Receive()));
+    ASSERT_EQ(Error::kOk, raw_root->Mkdir("a", 0777));
+    ASSERT_EQ(Error::kOk, raw_root->Mkdir("b", 0777));
+    ComPtr<File> a;
+    ASSERT_EQ(Error::kOk, raw_root->Lookup("a", a.Receive()));
+    ComPtr<File> plain;
+    ASSERT_EQ(Error::kOk, ComPtr<Dir>::FromQuery(a.get())->Create(
+                              "plain", 0644, plain.Receive()));
+  }
+
+  ComPtr<FileSystem> tfs = secure::MakeSecureFs(fs, user, &principals);
+  SweepCommon(tfs.get());
+  ExpectQueryRoundTrip<FileSystem>(tfs.get());
+
+  ComPtr<Dir> root;
+  ASSERT_EQ(Error::kOk, tfs->GetRoot(root.Receive()));
+  SweepCommon(root.get());
+  ExpectQueryRoundTrip<Dir>(root.get());
+  ExpectQueryRoundTrip<File>(root.get());
+  // Mode bits apply: the root is 0755 and owned by uid 0.
+  EXPECT_EQ(Error::kAccess, root->Mkdir("denied", 0755));
+
+  ComPtr<File> a_file;
+  ASSERT_EQ(Error::kOk, root->Lookup("a", a_file.Receive()));
+  SweepCommon(a_file.get());
+  ExpectQueryRoundTrip<Dir>(a_file.get());  // a looked-up subdirectory
+  ExpectQueryRoundTrip<File>(a_file.get());
+  ComPtr<Dir> a = ComPtr<Dir>::FromQuery(a_file.get());
+
+  ComPtr<File> plain;
+  ASSERT_EQ(Error::kOk, a->Lookup("plain", plain.Receive()));
+  SweepCommon(plain.get());
+  ExpectQueryRoundTrip<File>(plain.get());
+  ExpectNoInterface<Dir>(plain.get());  // a looked-up plain file
+
+  ComPtr<File> b_file;
+  ASSERT_EQ(Error::kOk, root->Lookup("b", b_file.Receive()));
+  ComPtr<Dir> b = ComPtr<Dir>::FromQuery(b_file.get());
+  ASSERT_EQ(Error::kOk, a->Rename("plain", b.get(), "moved"));
+  ComPtr<File> moved;
+  EXPECT_EQ(Error::kOk, b->Lookup("moved", moved.Receive()));
+  EXPECT_EQ(Error::kNoEnt, a->Lookup("plain", moved.Receive()));
+
+  moved.Reset();
+  plain.Reset();
+  a.Reset();
+  a_file.Reset();
+  b.Reset();
+  b_file.Reset();
+  root.Reset();
+  EXPECT_EQ(0u, user->charged(secure::Resource::kOpenFiles));
+  ASSERT_EQ(Error::kOk, tfs->Unmount());
+}
+
 }  // namespace
 }  // namespace oskit::testbed

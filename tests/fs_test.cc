@@ -13,7 +13,7 @@
 #include "src/com/memblkio.h"
 #include "src/fs/ffs.h"
 #include "src/fs/fsck.h"
-#include "src/fs/secure.h"
+#include "src/secure/wrap.h"
 #include "tests/bounds_abuse.h"
 
 namespace oskit::fs {
@@ -348,8 +348,10 @@ TEST_F(FsTest, OutOfSpaceIsReportedNotCorrupting) {
   ExpectFsckClean();
 }
 
-// The secure fileserver experiment (§3.8): per-component permission checks.
+// The secure fileserver experiment (§3.8): per-component permission checks,
+// by the filesystem wrapper under principals that carry Unix identities.
 TEST_F(FsTest, SecurityWrapperEnforcesPermissions) {
+  secure::PrincipalRegistry principals;
   // Root creates a world-readable file and a private one.
   ComPtr<File> pub;
   ASSERT_EQ(Error::kOk, root_->Create("public", 0644, pub.Receive()));
@@ -359,9 +361,11 @@ TEST_F(FsTest, SecurityWrapperEnforcesPermissions) {
   ASSERT_EQ(Error::kOk, root_->Create("private", 0600, priv.Receive()));
   priv->Write("secret", 0, 6, &actual);
 
-  UnixFsPolicy policy;
-  Credentials alice{.uid = 1000, .gid = 1000};
-  ComPtr<Dir> secure_root = MakeSecureDir(root_, &policy, alice);
+  secure::Principal* alice = principals.Create(
+      "alice", {}, {}, {.uid = 1000, .gid = 1000, .superuser = false});
+  ComPtr<FileSystem> alice_fs = secure::MakeSecureFs(fs_, alice, &principals);
+  ComPtr<Dir> secure_root;
+  ASSERT_EQ(Error::kOk, alice_fs->GetRoot(secure_root.Receive()));
 
   // Readable file: lookup + read succeed.
   ComPtr<File> f;
@@ -381,12 +385,30 @@ TEST_F(FsTest, SecurityWrapperEnforcesPermissions) {
   ComPtr<File> nf;
   EXPECT_EQ(Error::kAccess, secure_root->Create("mine", 0644, nf.Receive()));
 
-  // The superuser passes everything.
-  Credentials su{.superuser = true};
-  ComPtr<Dir> su_root = MakeSecureDir(root_, &policy, su);
+  // The superuser (a principal's default identity) passes everything.
+  secure::Principal* su = principals.Create("root");
+  ComPtr<FileSystem> su_fs = secure::MakeSecureFs(fs_, su, &principals);
+  ComPtr<Dir> su_root;
+  ASSERT_EQ(Error::kOk, su_fs->GetRoot(su_root.Receive()));
   ASSERT_EQ(Error::kOk, su_root->Create("made-by-su", 0644, nf.Receive()));
-  EXPECT_GT(policy.checks_performed(), 4u);
-  EXPECT_GT(policy.denials(), 2u);
+  EXPECT_GT(alice->denied_total(), 2u);
+  EXPECT_EQ(0u, su->denied_total());
+}
+
+// A Dir that is not one of this mount's own (here the security wrapper's
+// view of the same root) is refused as a rename destination with kXDev —
+// checked, never downcast.
+TEST_F(FsTest, RenameIntoForeignDirIsCrossDevice) {
+  secure::PrincipalRegistry principals;
+  ComPtr<File> f;
+  ASSERT_EQ(Error::kOk, root_->Create("src", 0644, f.Receive()));
+  ComPtr<FileSystem> wrapped =
+      secure::MakeSecureFs(fs_, principals.Create("tenant"), &principals);
+  ComPtr<Dir> wrapped_root;
+  ASSERT_EQ(Error::kOk, wrapped->GetRoot(wrapped_root.Receive()));
+  EXPECT_EQ(Error::kXDev, root_->Rename("src", wrapped_root.get(), "dst"));
+  ComPtr<File> still;
+  EXPECT_EQ(Error::kOk, root_->Lookup("src", still.Receive()));
 }
 
 TEST_F(FsTest, RenameIntoOwnSubtreeIsRefused) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/kern/kmon.h"
+#include "src/secure/wrap.h"
 #include "src/testbed/testbed.h"
 
 namespace oskit::testbed {
@@ -183,6 +184,28 @@ TEST(SelectorTest, RegistrationLifecycleAndErrors) {
   sel.Reset();
   EXPECT_EQ(0u, a.trace.registry.Value("net.select.registered"));
   ASSERT_EQ(Error::kOk, sel2->Add(sock2.get(), kNetWritable, false, nullptr));
+}
+
+// A Socket that is not one of this stack's own (here a security wrapper
+// around one) is refused by a raw selector with kInval — checked, never
+// downcast.
+TEST(SelectorTest, ForeignSocketObjectIsRejected) {
+  World world;
+  Host& a = world.AddHost("a", NetConfig::kNativeBsd);
+  secure::PrincipalRegistry principals(&a.trace);
+  secure::NetGuard guard(&principals);
+  ComPtr<SocketFactory> factory = secure::MakeSecureSocketFactory(
+      a.stack->CreateSocketFactory(), principals.Create("tenant"), &guard);
+  ComPtr<Socket> wrapped;
+  ASSERT_EQ(Error::kOk, factory->Create(SockDomain::kInet, SockType::kDgram,
+                                        wrapped.Receive()));
+
+  ComPtr<NetSelector> sel = a.stack->CreateSelector();
+  EXPECT_EQ(Error::kInval,
+            sel->Add(wrapped.get(), kNetReadable, false, nullptr));
+  EXPECT_EQ(Error::kInval, sel->Modify(wrapped.get(), kNetReadable, false));
+  EXPECT_EQ(Error::kInval, sel->Remove(wrapped.get()));
+  EXPECT_EQ(0u, a.trace.registry.Value("net.select.registered"));
 }
 
 TEST(SelectorTest, NonblockingConnectCompletesThroughSelector) {
