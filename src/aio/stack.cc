@@ -8,15 +8,53 @@ namespace oskit::aio {
 
 namespace {
 
-// Local FNV-1a (the journal uses the same function; src/aio cannot link
-// src/fs — layering — so the 6 lines are duplicated rather than exported).
-uint64_t Fnv64(const uint8_t* data, size_t len) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ull;
+// The checksum layer's digest.  It is kept only in the layer's volatile
+// table (see stack.h), so it is no on-disk format and need not match the
+// journal's FNV-1a.  Four independent lanes consume the granule a 64-bit
+// word at a time (word i feeds lane i % 4), so their multiplies overlap
+// instead of one dependent multiply per byte.  A lane step
+//   lane -> rotl(lane + word * kP2, 31) * kP1
+// is a bijection of the lane for a fixed word and of the word for a fixed
+// lane, and the merge is a bijection of each lane with the others fixed.
+// So two equal-length buffers that differ in exactly one 8-byte word (or
+// in the zero-padded tail) always digest differently.
+constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
+constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+
+uint64_t LaneStep(uint64_t lane, uint64_t word) {
+  lane += word * kP2;
+  lane = (lane << 31) | (lane >> 33);
+  return lane * kP1;
+}
+
+uint64_t LoadWord(const uint8_t* p) {
+  uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+uint64_t Digest(const uint8_t* data, size_t len) {
+  uint64_t lanes[4] = {1, 2, 3, 4};
+  size_t i = 0;
+  for (; i + 32 <= len; i += 32) {
+    for (int k = 0; k < 4; ++k) {
+      lanes[k] = LaneStep(lanes[k], LoadWord(data + i + 8 * k));
+    }
   }
-  return hash;
+  int k = 0;
+  for (; i + 8 <= len; i += 8, ++k) {
+    lanes[k] = LaneStep(lanes[k], LoadWord(data + i));
+  }
+  if (i < len) {
+    uint64_t tail = 0;
+    std::memcpy(&tail, data + i, len - i);
+    lanes[k] = LaneStep(lanes[k], tail);
+  }
+  uint64_t digest = len;
+  for (uint64_t lane : lanes) {
+    digest = (digest ^ LaneStep(0, lane)) * kP1;
+  }
+  return digest;
 }
 
 }  // namespace
@@ -294,7 +332,7 @@ Error ChecksumBlkIo::Read(void* buf, off_t64 offset, size_t amount,
       continue;  // unchecked: no write observed this power cycle
     }
     const uint8_t* granule_data = data + (g * granule_ - offset);
-    if (Fnv64(granule_data, granule_) != it->second) {
+    if (Digest(granule_data, granule_) != it->second) {
       ++mismatches_;
       return Error::kIo;
     }
@@ -321,7 +359,7 @@ Error ChecksumBlkIo::Write(const void* buf, off_t64 offset, size_t amount,
   for (off_t64 g = begin; g < end; ++g) {
     off_t64 g_start = g * granule_;
     if (g_start >= offset && g_start + granule_ <= offset + actual) {
-      table_[g] = Fnv64(data + (g_start - offset), granule_);
+      table_[g] = Digest(data + (g_start - offset), granule_);
       ++updates_;
     } else {
       // Partial edge: the layer does not read-to-merge, so the granule's

@@ -184,7 +184,7 @@ class ChecksumBlkIo final : public BlkIo,
   ComPtr<BlkIo> below_;
   ComPtr<BlkIoBarrier> barrier_;
   uint32_t granule_;
-  std::unordered_map<uint64_t, uint64_t> table_;  // granule -> Fnv64
+  std::unordered_map<uint64_t, uint64_t> table_;  // granule -> Digest
   trace::Counter updates_;
   trace::Counter verified_;
   trace::Counter mismatches_;

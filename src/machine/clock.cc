@@ -1,5 +1,7 @@
 #include "src/machine/clock.h"
 
+#include <algorithm>
+
 #include "src/base/panic.h"
 
 namespace oskit {
@@ -9,7 +11,8 @@ SimClock::EventId SimClock::ScheduleAt(SimTime when, std::function<void()> fn) {
     when = now_;
   }
   EventId id = next_id_++;
-  queue_.push(Event{when, id, std::move(fn)});
+  queue_.push_back(Event{when, id, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
   live_.insert(id);
   return id;
 }
@@ -25,12 +28,18 @@ bool SimClock::Cancel(EventId id) {
   return true;
 }
 
+SimClock::Event SimClock::PopEarliest() {
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event ev = std::move(queue_.back());
+  queue_.pop_back();
+  return ev;
+}
+
 SimTime SimClock::NextEventTime() {
   while (!queue_.empty()) {
-    const Event& ev = queue_.top();
-    if (cancelled_.count(ev.id) > 0) {
-      cancelled_.erase(ev.id);
-      queue_.pop();
+    const Event& ev = queue_.front();
+    if (cancelled_.erase(ev.id) > 0) {
+      PopEarliest();
       continue;
     }
     return ev.when;
@@ -40,8 +49,7 @@ SimTime SimClock::NextEventTime() {
 
 bool SimClock::RunOne() {
   while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
+    Event ev = PopEarliest();
     if (cancelled_.erase(ev.id) > 0) {
       continue;
     }
@@ -56,12 +64,8 @@ bool SimClock::RunOne() {
 }
 
 void SimClock::RunUntil(SimTime deadline) {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    if (ev.when > deadline) {
-      break;
-    }
-    queue_.pop();
+  while (!queue_.empty() && queue_.front().when <= deadline) {
+    Event ev = PopEarliest();
     if (cancelled_.erase(ev.id) > 0) {
       continue;
     }

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -65,7 +64,7 @@ class SimClock {
     std::function<void()> fn;
   };
 
-  struct Later {
+  struct Later {  // heap order: earliest (when, id) at the front
     bool operator()(const Event& a, const Event& b) const {
       if (a.when != b.when) {
         return a.when > b.when;
@@ -74,10 +73,15 @@ class SimClock {
     }
   };
 
+  // Removes and returns the earliest queued event (cancelled or not).
+  Event PopEarliest();
+
   SimTime now_ = 0;
   EventId next_id_ = 1;
   size_t events_run_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // Binary heap under Later (std::push_heap/pop_heap), so the earliest
+  // event can be moved out rather than copied from a const top().
+  std::vector<Event> queue_;
   std::unordered_set<EventId> live_;       // scheduled, not yet run/cancelled
   std::unordered_set<EventId> cancelled_;  // lazy-deletion tombstones
 };

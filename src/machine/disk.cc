@@ -86,15 +86,17 @@ void DiskHw::SubmitWrite(uint64_t lba, uint32_t sectors, const uint8_t* buf) {
   pending_ = clock_->ScheduleAfter(
       EffectiveDelay(TransferDelay(sectors)),
       [this, lba, sectors, offset, bytes, buf] {
-        std::memcpy(store_.data() + offset, buf, bytes);
+        uint8_t* dst = store_.data() + offset;
         if (wcache_enabled_) {
           CachedWrite w;
           w.lba = lba;
           w.sectors = sectors;
           w.data.assign(buf, buf + bytes);
+          w.pre.assign(dst, dst + bytes);
           wcache_.push_back(std::move(w));
           ++wcache_writes_;
         }
+        std::memcpy(dst, buf, bytes);
         ++writes_completed_;
         write_log_.push_back({lba, sectors});
         if (cut_armed_ && writes_completed_ >= cut_at_writes_) {
@@ -132,12 +134,7 @@ void DiskHw::SubmitFlush() {
     return;
   }
   pending_ = clock_->ScheduleAfter(EffectiveDelay(delay), [this] {
-    if (wcache_enabled_) {
-      for (const CachedWrite& w : wcache_) {
-        ApplyToDurable(w, w.sectors);
-      }
-      wcache_.clear();
-    }
+    wcache_.clear();  // the store already holds every write: now durable
     ++flushes_completed_;
     ++wcache_flushes_;
     Complete(Error::kOk);
@@ -159,21 +156,14 @@ void DiskHw::EnableWriteCache(bool on) {
   if (on == wcache_enabled_) {
     return;
   }
-  if (on) {
-    durable_ = store_;  // everything written so far is durable
-  } else {
-    for (const CachedWrite& w : wcache_) {
-      ApplyToDurable(w, w.sectors);
-    }
-    wcache_.clear();
-    durable_.clear();
-    durable_.shrink_to_fit();
-  }
+  // On: everything written so far is durable.  Off: so is everything cached.
+  wcache_.clear();
   wcache_enabled_ = on;
 }
 
-void DiskHw::ApplyToDurable(const CachedWrite& w, uint32_t sectors) {
-  std::memcpy(durable_.data() + w.lba * kSectorSize, w.data.data(),
+void DiskHw::Apply(uint64_t lba, const std::vector<uint8_t>& bytes,
+                   uint32_t sectors) {
+  std::memcpy(store_.data() + lba * kSectorSize, bytes.data(),
               static_cast<size_t>(sectors) * kSectorSize);
 }
 
@@ -184,6 +174,11 @@ void DiskHw::PowerCut(CutPolicy policy, uint64_t seed) {
     pending_ = SimClock::kInvalidEvent;
   }
   if (wcache_enabled_) {
+    // Roll the store back to the durable image, newest write first so an
+    // overlapped range ends at its oldest pre-image.
+    for (auto it = wcache_.rbegin(); it != wcache_.rend(); ++it) {
+      Apply(it->lba, it->pre, it->sectors);
+    }
     Rng rng(seed);
     switch (policy) {
       case CutPolicy::kDropAll:
@@ -192,7 +187,7 @@ void DiskHw::PowerCut(CutPolicy policy, uint64_t seed) {
       case CutPolicy::kDropSubset:
         for (const CachedWrite& w : wcache_) {
           if (rng.Percent(50)) {
-            ApplyToDurable(w, w.sectors);
+            Apply(w.lba, w.data, w.sectors);
           } else {
             ++wcache_dropped_;
           }
@@ -208,7 +203,7 @@ void DiskHw::PowerCut(CutPolicy policy, uint64_t seed) {
         }
         for (size_t idx : order) {
           if (rng.Percent(75)) {
-            ApplyToDurable(wcache_[idx], wcache_[idx].sectors);
+            Apply(wcache_[idx].lba, wcache_[idx].data, wcache_[idx].sectors);
           } else {
             ++wcache_dropped_;
           }
@@ -219,18 +214,17 @@ void DiskHw::PowerCut(CutPolicy policy, uint64_t seed) {
         // Everything but the last write survives; the last lands only a
         // sector prefix — the transfer the power failure interrupted.
         for (size_t i = 0; i + 1 < wcache_.size(); ++i) {
-          ApplyToDurable(wcache_[i], wcache_[i].sectors);
+          Apply(wcache_[i].lba, wcache_[i].data, wcache_[i].sectors);
         }
         if (!wcache_.empty()) {
           const CachedWrite& last = wcache_.back();
           auto kept = static_cast<uint32_t>(rng.Below(last.sectors));
-          ApplyToDurable(last, kept);
+          Apply(last.lba, last.data, kept);
           ++wcache_torn_;
         }
         break;
     }
-    wcache_.clear();
-    store_ = durable_;  // the visible image IS the post-crash image now
+    wcache_.clear();  // the visible image IS the post-crash image now
   }
   powered_off_ = true;
   busy_ = false;

@@ -3,8 +3,9 @@
 // One outstanding request at a time (like a 1997 IDE controller in PIO/DMA
 // mode): the driver programs a read, write or cache-flush, the disk completes
 // it after a simulated seek+transfer delay and raises IRQ 14.  The backing
-// store is a host memory buffer; tests and the boot-image builder can access
-// it directly to install filesystem images.
+// store is zero-on-demand host memory (src/machine/zero_pages.h), so a
+// fresh disk reads as zeros and costs only the sectors written to it; the
+// host can read it directly to capture images.
 //
 // Volatile write cache (the durability model): with EnableWriteCache(true)
 // the disk behaves like real drives of the era — a completed write is
@@ -16,6 +17,13 @@
 // dead (every further request completes with kIo).  With the cache disabled
 // (the default, and the pre-flush-capable 1997 baseline) every completed
 // write is durable at once and Flush is a timed no-op.
+//
+// The durable image is never stored separately.  Each cached write is an
+// undo-log entry that keeps the bytes it overwrote; a Flush drops the log,
+// and PowerCut rolls the store back to the durable image by restoring the
+// pre-images newest-first before it applies the survivors.  That is exact
+// only because completed writes are the one way the store changes, so
+// raw() is read-only.
 //
 // Fault injection (src/fault): with an environment bound, the disk honours
 //   disk.read.error / disk.write.error — complete the request with kIo,
@@ -37,6 +45,7 @@
 #include "src/machine/clock.h"
 #include "src/machine/physmem.h"
 #include "src/machine/pic.h"
+#include "src/machine/zero_pages.h"
 #include "src/trace/trace.h"
 
 namespace oskit {
@@ -68,7 +77,7 @@ class DiskHw {
 
   DiskHw(SimClock* clock, Pic* pic, uint64_t sector_count, int irq = kDefaultIrq)
       : clock_(clock), pic_(pic), irq_(irq),
-        store_(sector_count * kSectorSize, 0), sector_count_(sector_count) {}
+        store_(sector_count * kSectorSize), sector_count_(sector_count) {}
 
   uint64_t sector_count() const { return sector_count_; }
   int irq() const { return irq_; }
@@ -107,7 +116,7 @@ class DiskHw {
   uint64_t resets() const { return resets_; }
 
   // ---- Durability model ----
-  // Turning the cache on snapshots the current store as the durable image;
+  // Turning the cache on makes the current store the durable image;
   // turning it off flushes (everything becomes durable).
   void EnableWriteCache(bool on);
   bool write_cache_enabled() const { return wcache_enabled_; }
@@ -129,9 +138,9 @@ class DiskHw {
   const std::vector<WriteRecord>& write_log() const { return write_log_; }
   void ClearWriteLog() { write_log_.clear(); }
 
-  // ---- Host-side direct access (image installation, test assertions) ----
+  // ---- Host-side read access (image capture, test assertions) ----
   // After a PowerCut this IS the post-crash image.
-  uint8_t* raw() { return store_.data(); }
+  const uint8_t* raw() const { return store_.data(); }
   size_t raw_size() const { return store_.size(); }
 
   uint64_t reads_completed() const { return reads_completed_; }
@@ -147,12 +156,14 @@ class DiskHw {
   trace::Counter& wcache_torn_counter() { return wcache_torn_; }
 
  private:
-  // A completed-but-unflushed write: the data as transferred, so the
-  // post-crash image can be reconstructed per request.
+  // A completed-but-unflushed write (one undo-log entry): the data as
+  // transferred, so survivors can be replayed per request, and the bytes
+  // it overwrote, so the store can be rolled back to the durable image.
   struct CachedWrite {
     uint64_t lba = 0;
     uint32_t sectors = 0;
     std::vector<uint8_t> data;
+    std::vector<uint8_t> pre;
   };
 
   void Complete(Error status);
@@ -161,13 +172,14 @@ class DiskHw {
   SimTime TransferDelay(uint32_t sectors) const {
     return timing_.seek_ns + timing_.per_byte_ns * sectors * kSectorSize;
   }
-  void ApplyToDurable(const CachedWrite& w, uint32_t sectors);
+  // Writes the first `sectors` sectors of `bytes` at `lba` into the store.
+  void Apply(uint64_t lba, const std::vector<uint8_t>& bytes, uint32_t sectors);
 
   SimClock* clock_;
   Pic* pic_;
   int irq_;
   Timing timing_;
-  std::vector<uint8_t> store_;
+  ZeroPages store_;
   uint64_t sector_count_;
   bool busy_ = false;
   bool done_ = false;
@@ -184,8 +196,7 @@ class DiskHw {
   // Durability model state.
   bool wcache_enabled_ = false;
   bool powered_off_ = false;
-  std::vector<uint8_t> durable_;     // last-flushed image (cache enabled only)
-  std::vector<CachedWrite> wcache_;  // completed, not yet durable, in order
+  std::vector<CachedWrite> wcache_;  // undo log: completed, not yet durable
   std::vector<WriteRecord> write_log_;
   bool cut_armed_ = false;
   uint64_t cut_at_writes_ = 0;  // absolute writes_completed_ threshold

@@ -13,7 +13,10 @@ thread_local FiberScheduler* g_trampoline_scheduler = nullptr;
 }  // namespace
 
 Fiber::Fiber(std::string name, std::function<void()> entry, size_t stack_size)
-    : name_(std::move(name)), entry_(std::move(entry)), stack_(stack_size) {}
+    : name_(std::move(name)),
+      entry_(std::move(entry)),
+      stack_(std::make_unique_for_overwrite<uint8_t[]>(stack_size)),
+      stack_size_(stack_size) {}
 
 Fiber* FiberScheduler::Spawn(std::string name, std::function<void()> entry,
                              size_t stack_size) {
@@ -22,8 +25,8 @@ Fiber* FiberScheduler::Spawn(std::string name, std::function<void()> entry,
   Fiber* raw = fiber.get();
   raw->scheduler_ = this;
   getcontext(&raw->context_);
-  raw->context_.uc_stack.ss_sp = raw->stack_.data();
-  raw->context_.uc_stack.ss_size = raw->stack_.size();
+  raw->context_.uc_stack.ss_sp = raw->stack_.get();
+  raw->context_.uc_stack.ss_size = raw->stack_size_;
   raw->context_.uc_link = &scheduler_context_;
   // The target is latched in SwitchTo just before the first switch.
   makecontext(&raw->context_, &FiberScheduler::Trampoline, 0);

@@ -44,7 +44,10 @@ class Fiber {
 
   std::string name_;
   std::function<void()> entry_;
-  std::vector<uint8_t> stack_;
+  // Default-initialized: a fiber writes its stack before reading it, so
+  // the bytes are never zero-filled.
+  std::unique_ptr<uint8_t[]> stack_;
+  size_t stack_size_;
   ucontext_t context_;
   State state_ = State::kRunnable;
   FiberScheduler* scheduler_ = nullptr;

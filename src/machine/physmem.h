@@ -5,16 +5,20 @@
 // LMM manage typed regions (the first 16 MB is DMA-reachable for the ISA
 // DMA controller — the paper's motivating example in §3.3) and lets device
 // models check that DMA buffers really are reachable.
+//
+// The arena's pages are zero-on-demand (src/machine/zero_pages.h): every
+// byte reads as zero until written, and a machine costs host memory only
+// for the pages its kernel and devices actually touch.
 
 #ifndef OSKIT_SRC_MACHINE_PHYSMEM_H_
 #define OSKIT_SRC_MACHINE_PHYSMEM_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/base/error.h"
 #include "src/base/panic.h"
+#include "src/machine/zero_pages.h"
 
 namespace oskit {
 
@@ -32,10 +36,8 @@ class PhysMem {
   // The arena is page-aligned so that "physical" offsets and host pointers
   // agree about page boundaries (page tables, DMA and the LMM's AllocPage
   // all rely on this).
-  explicit PhysMem(size_t size) : storage_(size + kPageAlign, 0), size_(size) {
+  explicit PhysMem(size_t size) : arena_(size), base_(arena_.data()), size_(size) {
     OSKIT_ASSERT_MSG(size >= 2 * 1024 * 1024, "machine needs at least 2 MB");
-    uintptr_t raw = reinterpret_cast<uintptr_t>(storage_.data());
-    base_ = reinterpret_cast<uint8_t*>((raw + kPageAlign - 1) & ~(kPageAlign - 1));
   }
 
   size_t size() const { return size_; }
@@ -80,8 +82,8 @@ class PhysMem {
   MemMonitor* monitor() const { return monitor_; }
 
  private:
-  std::vector<uint8_t> storage_;
-  uint8_t* base_ = nullptr;
+  ZeroPages arena_;
+  uint8_t* base_;
   size_t size_;
   MemMonitor* monitor_ = nullptr;
 };

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/aio/stack.h"
@@ -200,6 +202,53 @@ TEST(ChecksumBlkIoTest, DetectsScribbledSector) {
   // A granule no write covered is unchecked: scribble passes through there.
   ASSERT_EQ(Error::kOk, mem->Write(&evil, 5 * 512, 1, &actual));
   EXPECT_EQ(Error::kOk, sums->Read(readback.data(), 5 * 512, 512, &actual));
+}
+
+TEST(ChecksumBlkIoTest, EverySingleBitFlipIsDetected) {
+  for (uint32_t granule : {512u, 4096u}) {
+    SCOPED_TRACE(::testing::Message() << "granule " << granule);
+    auto mem = MemBlkIo::Create(4 * granule, granule);
+    auto sums = aio::ChecksumBlkIo::Create(mem.get());
+    auto block = Pattern(granule, 5);
+    size_t actual = 0;
+    ASSERT_EQ(Error::kOk, sums->Write(block.data(), granule, granule, &actual));
+
+    std::vector<uint8_t> readback(granule);
+    for (size_t bit = 0; bit < granule * 8; ++bit) {
+      size_t at = bit / 8;
+      uint8_t flipped = block[at] ^ static_cast<uint8_t>(1u << (bit % 8));
+      ASSERT_EQ(Error::kOk, mem->Write(&flipped, granule + at, 1, &actual));
+      EXPECT_EQ(Error::kIo, sums->Read(readback.data(), granule, granule, &actual))
+          << "bit " << bit;
+      ASSERT_EQ(Error::kOk, mem->Write(&block[at], granule + at, 1, &actual));
+    }
+    EXPECT_EQ(granule * 8u, sums->mismatches());
+    // Restored, the granule verifies again.
+    ASSERT_EQ(Error::kOk, sums->Read(readback.data(), granule, granule, &actual));
+    EXPECT_EQ(block, readback);
+  }
+}
+
+TEST(ChecksumBlkIoTest, SwappedWordsAreDetected) {
+  auto mem = MemBlkIo::Create(16 * 512, 512);
+  auto sums = aio::ChecksumBlkIo::Create(mem.get());
+  auto block = Pattern(512, 17);
+  size_t actual = 0;
+  ASSERT_EQ(Error::kOk, sums->Write(block.data(), 0, 512, &actual));
+
+  // Word pairs feeding the same digest lane (3, 7) and different lanes (2, 9).
+  std::vector<uint8_t> readback(512);
+  uint64_t mismatches = 0;
+  for (auto [a, b] : {std::pair<size_t, size_t>{3, 7}, {2, 9}}) {
+    auto swapped = block;
+    std::swap_ranges(swapped.begin() + 8 * a, swapped.begin() + 8 * a + 8,
+                     swapped.begin() + 8 * b);
+    ASSERT_NE(block, swapped);
+    ASSERT_EQ(Error::kOk, mem->Write(swapped.data(), 0, 512, &actual));
+    EXPECT_EQ(Error::kIo, sums->Read(readback.data(), 0, 512, &actual))
+        << "words " << a << " and " << b;
+    EXPECT_EQ(++mismatches, sums->mismatches());
+  }
 }
 
 TEST(ChecksumBlkIoTest, PartialWriteInvalidatesEdgeGranule) {

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/base/random.h"
 #include "src/machine/machine.h"
 
 namespace oskit {
@@ -760,6 +763,136 @@ TEST(DiskTest, FlushErrorFaultLeavesCacheVolatile) {
   rig.disk->PowerCut(DiskHw::CutPolicy::kDropAll, 4);
   EXPECT_EQ(0, memcmp(rig.disk->raw() + 6 * DiskHw::kSectorSize, sector,
                       sizeof(sector)));
+}
+
+// Reference model of the write cache as a full durable-image copy: a
+// flush applies every cached write to the copy, and a power cut applies the
+// survivors to it with the same RNG draws as the disk.  The disk keeps only
+// an undo log, so the two must agree byte for byte after every cut.
+class SnapshotModel {
+ public:
+  explicit SnapshotModel(const DiskHw& disk)
+      : durable_(disk.raw(), disk.raw() + disk.raw_size()) {}
+
+  void Write(uint64_t lba, uint32_t sectors, const uint8_t* buf) {
+    cached_.push_back(
+        {lba, sectors,
+         std::vector<uint8_t>(buf, buf + sectors * DiskHw::kSectorSize)});
+  }
+
+  void Flush() {
+    for (const Cached& w : cached_) {
+      Apply(w, w.sectors);
+    }
+    cached_.clear();
+  }
+
+  size_t cached_writes() const { return cached_.size(); }
+
+  const std::vector<uint8_t>& Cut(DiskHw::CutPolicy policy, uint64_t seed) {
+    Rng rng(seed);
+    switch (policy) {
+      case DiskHw::CutPolicy::kDropAll:
+        break;
+      case DiskHw::CutPolicy::kDropSubset:
+        for (const Cached& w : cached_) {
+          if (rng.Percent(50)) {
+            Apply(w, w.sectors);
+          }
+        }
+        break;
+      case DiskHw::CutPolicy::kReorder: {
+        std::vector<size_t> order(cached_.size());
+        for (size_t i = 0; i < order.size(); ++i) {
+          order[i] = i;
+        }
+        for (size_t i = order.size(); i > 1; --i) {
+          std::swap(order[i - 1], order[rng.Below(i)]);
+        }
+        for (size_t idx : order) {
+          if (rng.Percent(75)) {
+            Apply(cached_[idx], cached_[idx].sectors);
+          }
+        }
+        break;
+      }
+      case DiskHw::CutPolicy::kTear:
+        for (size_t i = 0; i + 1 < cached_.size(); ++i) {
+          Apply(cached_[i], cached_[i].sectors);
+        }
+        if (!cached_.empty()) {
+          const Cached& last = cached_.back();
+          Apply(last, static_cast<uint32_t>(rng.Below(last.sectors)));
+        }
+        break;
+    }
+    cached_.clear();
+    return durable_;
+  }
+
+ private:
+  struct Cached {
+    uint64_t lba;
+    uint32_t sectors;
+    std::vector<uint8_t> data;
+  };
+
+  void Apply(const Cached& w, uint32_t sectors) {
+    std::memcpy(durable_.data() + w.lba * DiskHw::kSectorSize, w.data.data(),
+                sectors * DiskHw::kSectorSize);
+  }
+
+  std::vector<uint8_t> durable_;
+  std::vector<Cached> cached_;
+};
+
+TEST(DiskTest, UndoLogMatchesSnapshotModelUnderEveryCutPolicy) {
+  constexpr uint64_t kSectors = 64;
+  constexpr uint32_t kMaxRun = 8;
+  for (DiskHw::CutPolicy policy :
+       {DiskHw::CutPolicy::kDropAll, DiskHw::CutPolicy::kDropSubset,
+        DiskHw::CutPolicy::kReorder, DiskHw::CutPolicy::kTear}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy)
+                                      << " seed " << seed);
+      DiskRig rig(kSectors);
+      Rng ops(seed);
+      std::vector<uint8_t> buf(kMaxRun * DiskHw::kSectorSize);
+      auto random_write = [&] {
+        uint64_t lba = ops.Below(kSectors - 1);
+        auto sectors = static_cast<uint32_t>(
+            ops.Range(1, std::min<uint64_t>(kMaxRun, kSectors - lba)));
+        for (size_t i = 0; i < sectors * DiskHw::kSectorSize; ++i) {
+          buf[i] = static_cast<uint8_t>(ops.Next());
+        }
+        EXPECT_EQ(Error::kOk, rig.Write(lba, sectors, buf.data()));
+        return std::pair<uint64_t, uint32_t>(lba, sectors);
+      };
+      // Writes before the cache is on are durable at once.
+      for (int i = 0; i < 4; ++i) {
+        random_write();
+      }
+      rig.disk->EnableWriteCache(true);
+      SnapshotModel model(*rig.disk);
+      // Overlapping multi-sector writes with interleaved flushes; the last
+      // operation is always a write, so every policy has an at-risk set.
+      for (int i = 0; i < 48; ++i) {
+        if (i + 1 < 48 && ops.Percent(15)) {
+          EXPECT_EQ(Error::kOk, rig.Flush());
+          model.Flush();
+        } else {
+          auto [lba, sectors] = random_write();
+          model.Write(lba, sectors, buf.data());
+        }
+        ASSERT_EQ(model.cached_writes(), rig.disk->cached_writes());
+      }
+      uint64_t cut_seed = seed * 0x9e3779b97f4a7c15ull;
+      rig.disk->PowerCut(policy, cut_seed);
+      const std::vector<uint8_t>& want = model.Cut(policy, cut_seed);
+      ASSERT_EQ(want.size(), rig.disk->raw_size());
+      EXPECT_EQ(0, std::memcmp(want.data(), rig.disk->raw(), want.size()));
+    }
+  }
 }
 
 TEST(PhysMemTest, DmaReachability) {
