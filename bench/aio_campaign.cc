@@ -548,7 +548,7 @@ HttpRun RunHttp(bool sendfile) {
   });
 
   world.sim().Spawn("client", [&] {
-    world.sim().PollWait([&] { return listening; });
+    world.sim().WaitUntil([&] { return listening; });
     ComPtr<Socket> sock = client.MakeSocket(SockType::kStream);
     if (!Ok(sock->Connect(SockAddr{server.addr, kPort}))) {
       return;

@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
     auto sel = std::make_shared<ComPtr<NetSelector>>();
 
     world.sim().Spawn("launcher", [&, h, sel] {
-      world.sim().PollWait([&] { return listening; });
+      world.sim().WaitUntil([&] { return listening; });
       // Warm the ARP cache before the storm: the one-deep ARP pending
       // queue would otherwise swallow SYN bursts into 6 s retransmits.
       SimTime rtt = 0;
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
     });
 
     world.sim().Spawn("harvester", [&, h, sel] {
-      world.sim().PollWait([&] { return sel->get() != nullptr; });
+      world.sim().WaitUntil([&] { return sel->get() != nullptr; });
       NetReadyEvent events[64];
       while (st.done < opt.per_host) {
         size_t n = 0;
@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
         }
       }
       ++hosts_done;
-      world.sim().PollWait([&] { return hosts_done >= opt.hosts; });
+      world.sim().WaitUntil([&] { return hosts_done >= opt.hosts; });
       // Everyone reached the barrier while every connection was still
       // established; now release them all (FIN storm, server drains EOFs).
       for (Conn& conn : st.conns) {

@@ -468,7 +468,7 @@ void RunTcpCase(uint64_t run_id, uint64_t arm_at, DiskHw::CutPolicy policy,
   });
 
   world.sim().Spawn("stream-source", [&] {
-    world.sim().PollWait([&] { return listening; });
+    world.sim().WaitUntil([&] { return listening; });
     ComPtr<Socket> conn = src_host.MakeSocket(SockType::kStream);
     if (!Ok(conn->Connect(SockAddr{fs_host.addr, kPort}))) {
       return;

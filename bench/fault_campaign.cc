@@ -161,7 +161,7 @@ void RunTcpPhase(uint64_t seed, Aggregate* agg) {
   });
 
   world.sim().Spawn("client", [&] {
-    world.sim().PollWait([&] { return listening; });
+    world.sim().WaitUntil([&] { return listening; });
     ComPtr<Socket> conn = b.MakeSocket(SockType::kStream);
     if (!Ok(conn->Connect(SockAddr{a.addr, kPort}))) {
       client_error = true;

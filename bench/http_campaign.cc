@@ -384,7 +384,7 @@ void RunHttpPhase(const PhaseOptions& opt, PhaseResult* r) {
     auto sel = std::make_shared<ComPtr<NetSelector>>();
 
     world.sim().Spawn("launcher", [&, h, sel] {
-      world.sim().PollWait([&] { return listening; });
+      world.sim().WaitUntil([&] { return listening; });
       // Warm the ARP cache: the one-deep pending queue would otherwise
       // swallow the SYN storm into 6 s retransmits.
       SimTime rtt = 0;
@@ -423,7 +423,7 @@ void RunHttpPhase(const PhaseOptions& opt, PhaseResult* r) {
     });
 
     world.sim().Spawn("harvester", [&, h, sel] {
-      world.sim().PollWait([&] { return sel->get() != nullptr; });
+      world.sim().WaitUntil([&] { return sel->get() != nullptr; });
       Rng rng(opt.seed ^ (0xabcd0000 + static_cast<uint64_t>(h)));
       // Stages the next request round on an established connection.  The
       // requests are tiny; the send buffer always takes them whole.
@@ -585,19 +585,17 @@ void RunHttpPhase(const PhaseOptions& opt, PhaseResult* r) {
       ++hosts_done;
       // The concurrency barrier: every host keeps its holders established
       // until everyone (including the slow readers) is finished.
-      world.sim().PollWait(
-          [&] {
-            if (hosts_done < opt.hosts) {
-              return false;
-            }
-            for (const auto& s : states) {
-              if (s->slow_done < opt.slow) {
-                return false;
-              }
-            }
-            return true;
-          },
-          kNsPerMs);
+      world.sim().WaitUntil([&] {
+        if (hosts_done < opt.hosts) {
+          return false;
+        }
+        for (const auto& s : states) {
+          if (s->slow_done < opt.slow) {
+            return false;
+          }
+        }
+        return true;
+      });
       for (CConn& conn : st.conns) {
         conn.sock.Reset();
       }
@@ -606,7 +604,7 @@ void RunHttpPhase(const PhaseOptions& opt, PhaseResult* r) {
 
     for (int s = 0; s < opt.slow; ++s) {
       world.sim().Spawn("slow", [&, h, s] {
-        world.sim().PollWait([&] { return st.warm; });
+        world.sim().WaitUntil([&] { return st.warm; });
         world.sim().SleepFor((1 + static_cast<SimTime>(s)) * kNsPerMs);
         constexpr int kSlowTotal = kSlowPipeline + 1;
         ComPtr<Socket> sock = lg.MakeSocket(SockType::kStream);
@@ -683,7 +681,7 @@ void RunHttpPhase(const PhaseOptions& opt, PhaseResult* r) {
   // The quit fiber: after every host has torn down, one clean request
   // drains the server loop.
   world.sim().Spawn("quit", [&] {
-    world.sim().PollWait([&] { return hosts_torn >= opt.hosts; }, kNsPerMs);
+    world.sim().WaitUntil([&] { return hosts_torn >= opt.hosts; });
     Host& lg = world.host(1);
     ComPtr<Socket> sock = lg.MakeSocket(SockType::kStream);
     OSKIT_ASSERT(Ok(sock->Connect(SockAddr{server.addr, kPort})));
@@ -803,7 +801,7 @@ void RunSecurePhase(uint64_t seed, SecureResult* out) {
   // request header on each, and parks.  The quota caps the grab at its
   // budget; every further Create is a counted kQuotaExceeded, not a hang.
   world.sim().Spawn("loris", [&] {
-    world.sim().PollWait([&] { return listening; });
+    world.sim().WaitUntil([&] { return listening; });
     SimTime rtt = 0;
     tenants.stack->Ping(server.addr, kNsPerSec, &rtt);
     ComPtr<SocketFactory> net = secure::MakeSecureSocketFactory(
@@ -827,7 +825,7 @@ void RunSecurePhase(uint64_t seed, SecureResult* out) {
     }
     out->loris_held = static_cast<int>(hoard.size());
     loris_parked = true;
-    world.sim().PollWait([&] { return victims_done >= kVictims; }, kNsPerMs);
+    world.sim().WaitUntil([&] { return victims_done >= kVictims; });
     hoard.clear();
   });
 
@@ -835,7 +833,7 @@ void RunSecurePhase(uint64_t seed, SecureResult* out) {
   // wrappers, which must complete untouched while the loris squats.
   for (int v = 0; v < kVictims; ++v) {
     world.sim().Spawn("victim", [&, v] {
-      world.sim().PollWait([&] { return loris_parked; });
+      world.sim().WaitUntil([&] { return loris_parked; });
       Rng rng(seed + static_cast<uint64_t>(v));
       ComPtr<SocketFactory> net = secure::MakeSecureSocketFactory(
           tenants.stack->CreateSocketFactory(), victim, &guard);
@@ -863,7 +861,7 @@ void RunSecurePhase(uint64_t seed, SecureResult* out) {
   }
 
   world.sim().Spawn("quit", [&] {
-    world.sim().PollWait([&] { return victims_done >= kVictims; }, kNsPerMs);
+    world.sim().WaitUntil([&] { return victims_done >= kVictims; });
     ComPtr<Socket> sock = tenants.MakeSocket(SockType::kStream);
     OSKIT_ASSERT(Ok(sock->Connect(SockAddr{server.addr, kPort})));
     std::vector<http::Response> resp;

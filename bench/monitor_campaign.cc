@@ -252,8 +252,7 @@ void RunCampaign(bool enforce, uint64_t seed, const Options& opt,
   });
 
   sim.Spawn("coordinator", [&] {
-    sim.PollWait([&] { return victims_done >= kVictims && hostile_done; },
-                 kNsPerMs);
+    sim.WaitUntil([&] { return victims_done >= kVictims && hostile_done; });
   });
 
   if (sim.Run() != Simulation::RunResult::kAllDone) {

@@ -70,8 +70,7 @@ run_bench() {
 }
 
 # Smoke sizes: enough traffic for every shape check, seconds per bench.
-# These invocations must match .github/workflows/ci.yml and the baselines
-# in bench/baselines/ — the emitted numbers are compared against them.
+# The baselines in bench/baselines/ were taken at these sizes.
 run_bench table1_bandwidth 2048 --json "$BENCH_DIR/BENCH_sg.json"
 run_bench table2_latency   4000
 run_bench napi_rx          2048 --json "$BENCH_DIR/BENCH_napi.json"
@@ -80,8 +79,8 @@ run_bench table3_sizes   --json "$BENCH_DIR/BENCH_size.json"
 run_bench fig_footprint
 run_bench fig_javapc
 run_bench ablation_glue    4000 --json "$BENCH_DIR/BENCH_trace.json"
-run_bench ablation_alloc
-run_bench ablation_bufio
+run_bench ablation_alloc   --benchmark_min_time=0.02
+run_bench ablation_bufio   --benchmark_min_time=0.02
 run_bench fault_campaign   --seeds 8 --json "$BENCH_DIR/BENCH_fault.json"
 run_bench crash_campaign   --seeds 2 --json "$BENCH_DIR/BENCH_crash.json"
 run_bench tenant_campaign  --seeds 5 --json "$BENCH_DIR/BENCH_tenant.json"

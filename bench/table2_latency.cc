@@ -13,6 +13,7 @@
 // that software overhead.  A wire-limited column shows the simulated RTT
 // with a 100 Mbps / 5 us wire for scale.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -77,10 +78,23 @@ int main(int argc, char** argv) {
                 wire.UsecPerRoundTripSim());
   }
 
-  double overhead = us[2] / us[1];
-  std::printf("\nShape check: rtt(OSKit)/rtt(FreeBSD) = %.2f  (paper: > 1 — "
-              "'the OSKit imposes significant overhead' from glue code)  %s\n",
-              overhead, overhead > 1.02 ? "PASS" : "FAIL");
+  // One wall-clock ratio is at the mercy of host noise; the check uses the
+  // median of interleaved FreeBSD/OSKit pairs so a stall hits one pair only.
+  constexpr int kPairs = 5;
+  double ratios[kPairs];
+  for (int p = 0; p < kPairs; ++p) {
+    RtcpResult bsd =
+        RunOne(NetConfig::kNativeBsd, /*wire_limited=*/false, round_trips);
+    RtcpResult oskit =
+        RunOne(NetConfig::kOskit, /*wire_limited=*/false, round_trips);
+    ratios[p] = oskit.UsecPerRoundTripWall() / bsd.UsecPerRoundTripWall();
+  }
+  std::sort(ratios, ratios + kPairs);
+  double overhead = ratios[kPairs / 2];
+  std::printf("\nShape check: rtt(OSKit)/rtt(FreeBSD) = %.2f, median of %d "
+              "interleaved pairs  (paper: > 1 — 'the OSKit imposes significant "
+              "overhead' from glue code)  %s\n",
+              overhead, kPairs, overhead > 1.02 ? "PASS" : "FAIL");
   std::printf("The delta is the COM boundary crossings, bufio conversions and "
               "emulated-process glue per packet (see bench/ablation_glue).\n");
   std::printf("Note: the coalesced+polled row pays the 1 ms holdoff per "

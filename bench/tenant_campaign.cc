@@ -96,8 +96,7 @@ double Percentile(std::vector<double> v, double p) {
 }
 
 // One full campaign world.  Builds everything, runs to completion, fills
-// `out`.  Every blocking operation lives inside a fiber; sends are paced;
-// PollWaits use a millisecond quantum so multi-second waits stay cheap.
+// `out`.  Every blocking operation lives inside a fiber; sends are paced.
 void RunCampaign(Mode mode, uint64_t seed, const Options& opt,
                  RunResult* out) {
   VirtualSwitch::Config sw;
@@ -242,8 +241,7 @@ void RunCampaign(Mode mode, uint64_t seed, const Options& opt,
   for (int v = 0; v < kVictims; ++v) {
     world.sim().Spawn("victim", [&, v] {
       Rng rng(seed * 6700417 + static_cast<uint64_t>(v) * 131);
-      world.sim().PollWait([&] { return listening && attackers_ready; },
-                           kNsPerMs);
+      world.sim().WaitUntil([&] { return listening && attackers_ready; });
       ComPtr<Dir> root;
       if (!Ok(victim_fs[v]->GetRoot(root.Receive()))) {
         std::abort();
@@ -324,8 +322,7 @@ void RunCampaign(Mode mode, uint64_t seed, const Options& opt,
           hoard.push_back(std::move(s));
         }
       }
-      world.sim().PollWait([&] { return victims_done >= kVictims; },
-                           kNsPerMs);
+      world.sim().WaitUntil([&] { return victims_done >= kVictims; });
       hoard.clear();
       ++attackers_done;
     });
@@ -360,8 +357,7 @@ void RunCampaign(Mode mode, uint64_t seed, const Options& opt,
           hoard.push_back(std::move(s));
         }
       }
-      world.sim().PollWait([&] { return victims_done >= kVictims; },
-                           kNsPerMs);
+      world.sim().WaitUntil([&] { return victims_done >= kVictims; });
       hoard.clear();
       ++attackers_done;
     });
@@ -381,8 +377,7 @@ void RunCampaign(Mode mode, uint64_t seed, const Options& opt,
                          sink.Receive()))) {
         sink->Bind(SockAddr{kInetAny, kHogPort});
       }
-      world.sim().PollWait([&] { return victims_done >= kVictims; },
-                           kNsPerMs);
+      world.sim().WaitUntil([&] { return victims_done >= kVictims; });
       sink.Reset();  // parked bytes credit back here
       ++attackers_done;
     });
@@ -418,8 +413,7 @@ void RunCampaign(Mode mode, uint64_t seed, const Options& opt,
         off += n;
       }
       f.Reset();
-      world.sim().PollWait([&] { return victims_done >= kVictims; },
-                           kNsPerMs);
+      world.sim().WaitUntil([&] { return victims_done >= kVictims; });
       root->Unlink("junk");
       root.Reset();
       tfs->Sync();  // journal-txn charges credit at commit
@@ -455,8 +449,7 @@ void RunCampaign(Mode mode, uint64_t seed, const Options& opt,
         }
         socks.push_back(std::move(s));
       }
-      world.sim().PollWait([&] { return victims_done >= kVictims; },
-                           kNsPerMs);
+      world.sim().WaitUntil([&] { return victims_done >= kVictims; });
       for (Socket* s : registered) {
         sel->Remove(s);
       }
@@ -473,7 +466,7 @@ void RunCampaign(Mode mode, uint64_t seed, const Options& opt,
   // exhauster has taken whatever ports it can and the filler is done
   // eating the disk.
   world.sim().Spawn("starter", [&] {
-    world.sim().PollWait([&] { return listening; }, kNsPerMs);
+    world.sim().WaitUntil([&] { return listening; });
     SimTime rtt = 0;
     a.stack->Ping(b.addr, kNsPerSec, &rtt);
     if (attack) {
@@ -484,11 +477,9 @@ void RunCampaign(Mode mode, uint64_t seed, const Options& opt,
 
   // ---- coordinator: tears the world down once everyone is done ----
   world.sim().Spawn("coordinator", [&] {
-    world.sim().PollWait(
-        [&] {
-          return victims_done >= kVictims && attackers_done >= n_attackers;
-        },
-        kNsPerMs);
+    world.sim().WaitUntil([&] {
+      return victims_done >= kVictims && attackers_done >= n_attackers;
+    });
     world.sim().SleepFor(50 * kNsPerMs);  // let FINs and retransmits drain
     stop = true;
   });

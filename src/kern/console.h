@@ -34,9 +34,9 @@ class BaseConsole {
   // Non-blocking: -1 when no byte is pending.
   int TryGetchar() { return uart_->RxReady() ? uart_->ReadByte() : -1; }
 
-  // Blocking read (process-level: polls while the simulated world runs).
+  // Blocking read (process-level: the fiber waits until a byte arrives).
   int Getchar() {
-    sim_->PollWait([this] { return uart_->RxReady(); });
+    sim_->WaitUntil([this] { return uart_->RxReady(); });
     return uart_->ReadByte();
   }
 

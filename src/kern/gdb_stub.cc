@@ -83,7 +83,7 @@ void GdbStub::AttachDefaultTraps(Cpu* cpu) {
 int GdbStub::ReadByteBlocking() {
   if (!uart_->RxReady()) {
     if (machine_->sim().scheduler().current() != nullptr) {
-      machine_->sim().PollWait([this] { return uart_->RxReady(); });
+      machine_->sim().WaitUntil([this] { return uart_->RxReady(); });
     } else {
       Panic("gdb stub: debugger link idle with no way to wait");
     }

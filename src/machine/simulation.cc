@@ -8,6 +8,9 @@ Simulation::RunResult Simulation::Run(SimTime deadline) {
   OSKIT_ASSERT_MSG(scheduler_.current() == nullptr, "Run() called from a fiber");
   for (;;) {
     scheduler_.RunReady();
+    if (!waiters_.empty() && WakeWaiters()) {
+      continue;
+    }
     if (scheduler_.live_count() == 0) {
       return RunResult::kAllDone;
     }
@@ -29,16 +32,26 @@ void Simulation::SleepFor(SimTime ns) {
   scheduler_.BlockCurrent();
 }
 
-bool Simulation::PollWait(const std::function<bool()>& pred, SimTime quantum,
-                          SimTime timeout) {
-  SimTime start = clock_.Now();
-  while (!pred()) {
-    if (clock_.Now() - start >= timeout) {
+void Simulation::WaitUntil(const std::function<bool()>& pred) {
+  if (pred()) {
+    return;
+  }
+  Fiber* self = scheduler_.current();
+  OSKIT_ASSERT_MSG(self != nullptr, "WaitUntil outside any fiber");
+  waiters_.push_back({self, &pred});
+  scheduler_.BlockCurrent();
+}
+
+bool Simulation::WakeWaiters() {
+  size_t before = waiters_.size();
+  std::erase_if(waiters_, [this](const Waiter& w) {
+    if (!(*w.pred)()) {
       return false;
     }
-    SleepFor(quantum);
-  }
-  return true;
+    scheduler_.Unblock(w.fiber);
+    return true;
+  });
+  return waiters_.size() != before;
 }
 
 }  // namespace oskit

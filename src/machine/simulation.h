@@ -8,6 +8,9 @@
 #ifndef OSKIT_SRC_MACHINE_SIMULATION_H_
 #define OSKIT_SRC_MACHINE_SIMULATION_H_
 
+#include <functional>
+#include <vector>
+
 #include "src/machine/clock.h"
 #include "src/machine/fiber.h"
 
@@ -28,9 +31,10 @@ class Simulation {
     return scheduler_.Spawn(std::move(name), std::move(entry));
   }
 
-  // Drives the world: runs runnable fibers, then clock events, until all
-  // fibers finish, no event can unblock anyone, or `deadline` is reached.
-  // Must be called from outside any fiber.
+  // Drives the world: runs runnable fibers, wakes WaitUntil waiters whose
+  // predicates now hold, then runs clock events, until all fibers finish,
+  // nothing can unblock anyone, or `deadline` is reached.  Must be called
+  // from outside any fiber.
   RunResult Run(SimTime deadline = ~static_cast<SimTime>(0));
 
   // ---- Fiber-side conveniences (call only from inside a fiber) ----
@@ -38,14 +42,28 @@ class Simulation {
   // Blocks the calling fiber for `ns` of simulated time.
   void SleepFor(SimTime ns);
 
-  // Polls `pred` every `quantum` of simulated time until it holds or
-  // `timeout` elapses.  Returns true when the predicate became true.
-  bool PollWait(const std::function<bool()>& pred, SimTime quantum = kNsPerUs,
-                SimTime timeout = ~static_cast<SimTime>(0));
+  // Blocks the calling fiber until `pred` holds; returns at once if it
+  // already does.  `pred` must be a side-effect-free read that stays true
+  // once true (a flag, a non-null check, a counter that only grows).  Run
+  // checks it whenever the runnable fibers have drained, before the next
+  // clock event, so the waiter resumes at the simulated instant its
+  // predicate became true.  Waiters released together resume in the order
+  // they started waiting.  Producers need not notify anyone.
+  void WaitUntil(const std::function<bool()>& pred);
 
  private:
+  struct Waiter {
+    Fiber* fiber;
+    const std::function<bool()>* pred;  // lives on the waiter's stack
+  };
+
+  // Unblocks, in registration order, every waiter whose predicate holds.
+  // Returns true if any woke.
+  bool WakeWaiters();
+
   SimClock clock_;
   FiberScheduler scheduler_;
+  std::vector<Waiter> waiters_;
 };
 
 }  // namespace oskit

@@ -80,8 +80,8 @@ struct LTcpPcb {
     sk_buff* skb;      // owns the payload bytes
     uint32_t seq;      // first payload byte's sequence number
     uint32_t len;      // payload length
-    bool fin;          // segment carries FIN after its data
-    bool transmitted;
+    bool fin = false;  // segment carries FIN after its data
+    bool transmitted = false;
   };
   std::list<TxSeg> txq;
   size_t txq_bytes = 0;

@@ -461,7 +461,7 @@ TEST(HttpServerWorldTest, ServesStaticDynamicAndDrainsOnQuit) {
   });
 
   world.sim().Spawn("client", [&] {
-    world.sim().PollWait([&] { return listening; });
+    world.sim().WaitUntil([&] { return listening; });
     SimTime rtt = 0;
     client.stack->Ping(server.addr, kNsPerSec, &rtt);
 

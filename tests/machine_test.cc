@@ -112,6 +112,82 @@ TEST(FiberTest, BlockAndUnblockFromEvent) {
   EXPECT_TRUE(resumed);
 }
 
+TEST(FiberTest, WaitUntilWakesAtTheEventThatMadeItTrue) {
+  Simulation sim;
+  bool flag = false;
+  SimTime woke_at = 0;
+  sim.Spawn("waiter", [&] {
+    sim.WaitUntil([&] { return flag; });
+    woke_at = sim.clock().Now();
+  });
+  sim.clock().ScheduleAt(1500, [&] { flag = true; });
+  EXPECT_EQ(Simulation::RunResult::kAllDone, sim.Run());
+  EXPECT_EQ(1500u, woke_at);
+  EXPECT_LE(sim.clock().events_run(), 2u);
+}
+
+TEST(FiberTest, WaitUntilWakesOnAFlagSetByAnotherFiber) {
+  Simulation sim;
+  bool flag = false;
+  SimTime set_at = 0;
+  SimTime woke_at = 0;
+  sim.Spawn("waiter", [&] {
+    sim.WaitUntil([&] { return flag; });
+    woke_at = sim.clock().Now();
+  });
+  sim.Spawn("setter", [&] {
+    set_at = sim.clock().Now();
+    flag = true;
+  });
+  EXPECT_EQ(Simulation::RunResult::kAllDone, sim.Run());
+  EXPECT_EQ(set_at, woke_at);
+  EXPECT_EQ(0u, sim.clock().events_run());
+}
+
+TEST(FiberTest, WaitUntilReleasesWaitersInRegistrationOrder) {
+  Simulation sim;
+  int count = 0;
+  std::string order;
+  std::vector<SimTime> woke_at;
+  // Spawned a, b, c but registered c, b, a: registration order wins.
+  for (int i = 0; i < 3; ++i) {
+    sim.Spawn("waiter", [&, i] {
+      sim.SleepFor(static_cast<SimTime>(2 - i) * 300);
+      sim.WaitUntil([&] { return count > 0; });
+      order.push_back(static_cast<char>('a' + i));
+      woke_at.push_back(sim.clock().Now());
+    });
+  }
+  sim.clock().ScheduleAt(1500, [&] { ++count; });
+  EXPECT_EQ(Simulation::RunResult::kAllDone, sim.Run());
+  EXPECT_EQ("cba", order);
+  EXPECT_EQ((std::vector<SimTime>{1500, 1500, 1500}), woke_at);
+}
+
+TEST(FiberTest, WaitUntilThatNeverHoldsIsADeadlock) {
+  Simulation sim;
+  bool reached = false;
+  sim.Spawn("waiter", [&] {
+    sim.WaitUntil([] { return false; });
+    reached = true;
+  });
+  EXPECT_EQ(Simulation::RunResult::kDeadlock, sim.Run(kNsPerSec));
+  EXPECT_EQ(0u, sim.clock().events_run());
+  EXPECT_FALSE(reached);
+}
+
+TEST(FiberTest, WaitUntilAlreadyTrueDoesNotBlock) {
+  Simulation sim;
+  std::string order;
+  sim.Spawn("first", [&] {
+    sim.WaitUntil([] { return true; });
+    order.push_back('a');
+  });
+  sim.Spawn("second", [&] { order.push_back('b'); });
+  EXPECT_EQ(Simulation::RunResult::kAllDone, sim.Run());
+  EXPECT_EQ("ab", order);
+}
+
 TEST(CpuTest, TrapDispatchesToHandlerWithFallbackChain) {
   Cpu cpu;
   int custom = 0;

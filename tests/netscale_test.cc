@@ -352,14 +352,14 @@ TEST(SelectorTest, EchoServerServicesSixtyConnectionsOverSwitch) {
     // Warm the ARP cache before the storm: the one-deep ARP pending queue
     // would otherwise swallow most of a simultaneous SYN burst.
     world.sim().Spawn("prewarm", [&, h] {
-      world.sim().PollWait([&] { return listening; });
+      world.sim().WaitUntil([&] { return listening; });
       SimTime rtt = 0;
       ASSERT_EQ(Error::kOk, lg.stack->Ping(server.addr, kNsPerSec, &rtt));
       host_ready[h] = true;
     });
     for (int c = 0; c < kPerHost; ++c) {
       world.sim().Spawn("client", [&, h, c] {
-        world.sim().PollWait([&] { return host_ready[h]; });
+        world.sim().WaitUntil([&] { return host_ready[h]; });
         ComPtr<Socket> conn = lg.MakeSocket(SockType::kStream);
         ASSERT_EQ(Error::kOk, conn->Connect(SockAddr{server.addr, kPort}));
         char msg[16];
@@ -431,7 +431,7 @@ TEST(TcpListenTest, SynOverflowIsCountedAndServiceRecovers) {
   });
   for (int c = 0; c < kClients; ++c) {
     world.sim().Spawn("client", [&] {
-      world.sim().PollWait([&] { return listening; });
+      world.sim().WaitUntil([&] { return listening; });
       ComPtr<Socket> conn = b.MakeSocket(SockType::kStream);
       ASSERT_EQ(Error::kOk, conn->Connect(SockAddr{a.addr, kPort}));
     });

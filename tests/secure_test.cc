@@ -161,7 +161,7 @@ TEST(SecureQuotaTest, AcceptChargesChildrenAndSynAdmissionSheds) {
     // at admission (counted on the stack AND on the principal), so the
     // attacker-side connect hangs on retransmits instead of ever consuming
     // tenant resources — and the non-blocking accept sees an empty queue.
-    world.sim().PollWait([&] { return connected >= 2; }, kNsPerMs);
+    world.sim().WaitUntil([&] { return connected >= 2; });
     world.sim().SleepFor(2 * kNsPerSec);  // let the third SYN arrive + retry
     EXPECT_GT(a.stack->counters().tcp_syn_admission_shed.value(), 0u);
     EXPECT_GT(tenant->denied(Resource::kSockets), 0u);
@@ -178,12 +178,12 @@ TEST(SecureQuotaTest, AcceptChargesChildrenAndSynAdmissionSheds) {
     ASSERT_EQ(Error::kOk, lext->SetNonBlocking(false));
     lext->Release();
     ASSERT_EQ(Error::kOk, listener->Accept(&peer, extra.Receive()));
-    world.sim().PollWait([&] { return connected >= 3; }, kNsPerMs);
+    world.sim().WaitUntil([&] { return connected >= 3; });
   });
 
   for (int c = 0; c < 3; ++c) {
     world.sim().Spawn("client", [&, c] {
-      world.sim().PollWait([&] { return listening; }, kNsPerMs);
+      world.sim().WaitUntil([&] { return listening; });
       // Serialize the handshakes so exactly two land inside the budget.
       world.sim().SleepFor(static_cast<SimTime>(c) * 300 * kNsPerMs);
       ComPtr<Socket> conn = b.MakeSocket(SockType::kStream);
@@ -244,7 +244,7 @@ TEST(SecureQuotaTest, TcpRxShedRecoversByRetransmitWithoutDataLoss) {
     drained = true;
   });
   world.sim().Spawn("sender", [&] {
-    world.sim().PollWait([&] { return listening; }, kNsPerMs);
+    world.sim().WaitUntil([&] { return listening; });
     ComPtr<Socket> conn = b.MakeSocket(SockType::kStream);
     ASSERT_EQ(Error::kOk, conn->Connect(SockAddr{a.addr, kPort}));
     std::string payload(kTotal, '\0');
@@ -257,7 +257,7 @@ TEST(SecureQuotaTest, TcpRxShedRecoversByRetransmitWithoutDataLoss) {
     // Hold the connection open until the receiver has drained everything:
     // closing with retransmissions still in flight would abort with a RST
     // and turn flow control into data loss.
-    world.sim().PollWait([&] { return drained; }, kNsPerMs);
+    world.sim().WaitUntil([&] { return drained; });
   });
   world.RunToCompletion();
 
@@ -306,7 +306,7 @@ TEST(SecureQuotaTest, UdpRxShedDropsOverBudgetDatagramsAndBalances) {
     blast_done = true;
   });
   world.sim().Spawn("audit", [&] {
-    world.sim().PollWait([&] { return blast_done; }, kNsPerMs);
+    world.sim().WaitUntil([&] { return blast_done; });
     world.sim().SleepFor(50 * kNsPerMs);  // let the last datagram land
 
     // The books hold exactly the admitted datagrams; the rest were shed

@@ -161,7 +161,7 @@ TEST_F(TcpEdgeTest, BacklogOverflowDropsSynsButServiceRecovers) {
   });
   for (int c = 0; c < kClients; ++c) {
     world_->sim().Spawn("client", [&, c] {
-      world_->sim().PollWait([&] { return listening; });
+      world_->sim().WaitUntil([&] { return listening; });
       ComPtr<Socket> conn = b().MakeSocket(SockType::kStream);
       ASSERT_EQ(Error::kOk, conn->Connect(SockAddr{a().addr, kPort}));
       char buf[4];
@@ -424,7 +424,7 @@ TEST(TcpFaultTest, AbortAnnouncesResetToPeer) {
     uint8_t buf[4096] = {};
     size_t n = 0;
     ASSERT_EQ(Error::kOk, conn->Send(buf, sizeof(buf), &n));
-    world.sim().PollWait([&] { return server_got >= sizeof(buf); });
+    world.sim().WaitUntil([&] { return server_got >= sizeof(buf); });
 
     fault::FaultSpec mute;
     mute.probability_percent = 100;
