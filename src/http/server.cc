@@ -101,7 +101,6 @@ Error Server::Start() {
 
 void Server::Run() {
   NetReadyEvent events[kMaxEvents];
-  std::vector<Conn*> graveyard;
   while (!stopping_ || !conns_.empty()) {
     size_t count = 0;
     {
@@ -118,25 +117,20 @@ void Server::Run() {
       }
       Conn* conn = static_cast<Conn*>(events[i].token);
       // A connection closed earlier in this batch may still appear in a
-      // later event slot; its Conn outlives the batch in `conns_` as a
-      // tombstone (dead flag) and is reaped below.
+      // later event slot; its Conn outlives the batch as a tombstone (dead
+      // flag) on `reap_` and is freed below.
       if (conn->dead) {
         continue;
       }
       HandleConn(conn, events[i].events);
     }
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      if ((*it)->dead) {
-        graveyard.push_back(*it);
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (Conn* conn : graveyard) {
+    // Free only what this batch closed: the cost tracks closes, not the
+    // number of open connections.
+    for (Conn* conn : reap_) {
+      conns_.erase(conn);
       delete conn;
     }
-    graveyard.clear();
+    reap_.clear();
   }
 }
 
@@ -522,6 +516,7 @@ void Server::CloseConn(Conn* conn) {
   selector_->Remove(conn->sock.get());
   conn->sock->Shutdown(SockShutdown::kBoth);
   conn->dead = true;
+  reap_.push_back(conn);
   closed_ += 1;
   open_ -= 1;
 }

@@ -119,7 +119,7 @@ class Server {
     uint32_t interest = 0;  // mask currently registered with the selector
     bool close_after = false;  // close once output drains
     bool saw_eof = false;
-    bool dead = false;  // unregistered, awaiting delete
+    bool dead = false;  // unregistered, on reap_ awaiting delete
   };
 
   void HandleListener();
@@ -147,7 +147,8 @@ class Server {
   ComPtr<Socket> listener_;
   ComPtr<SocketExt> listener_ext_;
   bool listener_registered_ = false;
-  std::unordered_set<Conn*> conns_;
+  std::unordered_set<Conn*> conns_;  // every allocated Conn, dead or alive
+  std::vector<Conn*> reap_;  // closed during the current batch
   std::vector<std::pair<std::string, DynHandler>> dyn_routes_;
   bool stopping_ = false;
 

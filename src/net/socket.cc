@@ -475,17 +475,12 @@ void NetStack::SoDetach(BsdSocket* so) {
     if (pcb == nullptr) {
       return;
     }
-    for (auto it = udp_pcbs_.begin(); it != udp_pcbs_.end(); ++it) {
-      if (it->get() == pcb) {
-        AcctCreditRx(&pcb->rx_charged, pcb->acct_tag, pcb->rx_charged);
-        for (auto& dg : pcb->rcv_queue) {
-          pool_.FreeChain(dg.data);
-        }
-        UdpIndexRemove(pcb);
-        udp_pcbs_.erase(it);
-        break;
-      }
+    AcctCreditRx(&pcb->rx_charged, pcb->acct_tag, pcb->rx_charged);
+    for (auto& dg : pcb->rcv_queue) {
+      pool_.FreeChain(dg.data);
     }
+    UdpIndexRemove(pcb);
+    udp_pcbs_.erase(pcb->self);
     return;
   }
 
@@ -559,14 +554,12 @@ BsdSocket::BsdSocket(NetStack* stack, SockType type) : stack_(stack), type_(type
   if (type == SockType::kStream) {
     auto pcb = std::make_unique<TcpPcb>();
     pcb->socket = this;
-    tcp_ = pcb.get();
-    stack->tcp_pcbs_.push_back(std::move(pcb));
+    tcp_ = stack->AddTcpPcb(std::move(pcb));
     stack->TcpBindWheelTimers(tcp_);
   } else {
     auto pcb = std::make_unique<UdpPcb>();
     pcb->socket = this;
-    udp_ = pcb.get();
-    stack->udp_pcbs_.push_back(std::move(pcb));
+    udp_ = stack->AddUdpPcb(std::move(pcb));
   }
 }
 

@@ -111,6 +111,13 @@ struct SockBuf {
 class NetStack;
 class BsdSocket;
 class BsdSelector;
+struct TcpPcb;
+struct UdpPcb;
+
+// NetStack's pcb lists, in creation order: the order the linear-mode sweeps
+// and Netstat walk.
+using TcpPcbList = std::list<std::unique_ptr<TcpPcb>>;
+using UdpPcbList = std::list<std::unique_ptr<UdpPcb>>;
 
 enum class TcpState {
   kClosed,
@@ -212,6 +219,10 @@ struct TcpPcb {
   size_t rx_charged = 0;
   void* acct_tag = nullptr;
 
+  // This pcb's node in NetStack::tcp_pcbs_ (set by AddTcpPcb).  Last, so it
+  // shifts none of the fields the segment path touches.
+  TcpPcbList::iterator self;
+
   int RtoTicks() const {
     int rto = (srtt >> 3) + rttvar;
     if (rto < 2) {
@@ -243,6 +254,8 @@ struct UdpPcb {
   // Per-principal accounting, as in TcpPcb.
   size_t rx_charged = 0;
   void* acct_tag = nullptr;
+
+  UdpPcbList::iterator self;  // node in NetStack::udp_pcbs_
 };
 
 // ---------------------------------------------------------------------------
@@ -575,6 +588,19 @@ class NetStack {
   void UdpIndexInsert(UdpPcb* pcb);
   void UdpIndexRemove(UdpPcb* pcb);
 
+  // Append a new pcb to its list and record its node there, so teardown
+  // (TcpCloseDone, SoDetach) erases it without a search.
+  TcpPcb* AddTcpPcb(std::unique_ptr<TcpPcb> pcb) {
+    TcpPcb* raw = pcb.get();
+    raw->self = tcp_pcbs_.insert(tcp_pcbs_.end(), std::move(pcb));
+    return raw;
+  }
+  UdpPcb* AddUdpPcb(std::unique_ptr<UdpPcb> pcb) {
+    UdpPcb* raw = pcb.get();
+    raw->self = udp_pcbs_.insert(udp_pcbs_.end(), std::move(pcb));
+    return raw;
+  }
+
   // ---- connection timer plumbing ----
   // The helpers keep the legacy int fields and the wheel handles in sync:
   // linear mode writes only the fields (the sweeps do the rest), wheel mode
@@ -657,8 +683,8 @@ class NetStack {
   // pcbs' intrusive WheelTimers self-cancel against a live wheel.
   TimerWheel wheel_;
 
-  std::list<std::unique_ptr<TcpPcb>> tcp_pcbs_;
-  std::list<std::unique_ptr<UdpPcb>> udp_pcbs_;
+  TcpPcbList tcp_pcbs_;
+  UdpPcbList udp_pcbs_;
 
   // Demux indices (see "PCB lookup indices" above).
   std::unordered_map<TcpKey, TcpPcb*, TcpKeyHash> tcp_conn_;
@@ -672,8 +698,8 @@ class NetStack {
   std::vector<BsdSelector*> selectors_;
 
   // Connections touched while an RX batch is open, with the strongest
-  // force_ack seen; flushed (after a liveness check against tcp_pcbs_ —
-  // input inside the batch may have freed a pcb) by EndRxBatch.
+  // force_ack seen; flushed by EndRxBatch.  Every entry is live: input
+  // inside the batch may free a pcb, and TcpCloseDone scrubs it from here.
   void RxBatchDefer(TcpPcb* pcb, bool force_ack);
   struct RxBatchEntry {
     TcpPcb* pcb;

@@ -640,8 +640,7 @@ void NetStack::TcpInput(const Ipv4Header& ip, MBuf* payload) {
     child->snd.hiwat = default_sock_buf_;
     child->rcv.hiwat = default_sock_buf_;
     child->state = TcpState::kSynReceived;
-    TcpPcb* child_raw = child.get();
-    tcp_pcbs_.push_back(std::move(child));
+    TcpPcb* child_raw = AddTcpPcb(std::move(child));
     TcpIndexInsert(child_raw);
     TcpBindWheelTimers(child_raw);
     TcpArmConn(child_raw, kConnTimeoutTicks);
@@ -1280,30 +1279,20 @@ void NetStack::TcpCloseDone(TcpPcb* pcb) {
     return;  // the socket still references it; freed on SoDetach
   }
   TcpIndexRemove(pcb);
-  for (auto it = tcp_pcbs_.begin(); it != tcp_pcbs_.end(); ++it) {
-    if (it->get() == pcb) {
-      // Credit whatever RX charge the application never drained, so a
-      // tenant's books drain to zero at teardown.
-      AcctCreditRx(&pcb->rx_charged, pcb->acct_tag, pcb->rx_charged);
-      SbFlush(&pcb->snd);
-      SbFlush(&pcb->rcv);
-      for (auto& seg : pcb->reass) {
-        pool_.FreeChain(seg.data);
-      }
-      pcb->reass.clear();
-      // Drop any output pass an open RX batch deferred for this pcb: the
-      // pointer dies here, and a later allocation could reuse the address.
-      for (auto bit = rx_batch_.begin(); bit != rx_batch_.end();) {
-        if (bit->pcb == pcb) {
-          bit = rx_batch_.erase(bit);
-        } else {
-          ++bit;
-        }
-      }
-      tcp_pcbs_.erase(it);
-      return;
-    }
+  // Credit whatever RX charge the application never drained, so a tenant's
+  // books drain to zero at teardown.
+  AcctCreditRx(&pcb->rx_charged, pcb->acct_tag, pcb->rx_charged);
+  SbFlush(&pcb->snd);
+  SbFlush(&pcb->rcv);
+  for (auto& seg : pcb->reass) {
+    pool_.FreeChain(seg.data);
   }
+  pcb->reass.clear();
+  // Drop any output pass an open RX batch deferred for this pcb: the
+  // pointer dies here, and a later allocation could reuse the address.
+  std::erase_if(rx_batch_,
+                [pcb](const RxBatchEntry& entry) { return entry.pcb == pcb; });
+  tcp_pcbs_.erase(pcb->self);
 }
 
 }  // namespace oskit::net

@@ -560,5 +560,180 @@ TEST(HttpServerWorldTest, ServesStaticDynamicAndDrainsOnQuit) {
   httpd.reset();
 }
 
+// ---------------------------------------------------------------------------
+// Connection teardown under a held population
+// ---------------------------------------------------------------------------
+
+// Forwards to a real selector but reports every harvested event twice in
+// the same batch: all the originals, then the copies.  A connection closed
+// while its first slot is handled therefore reappears in a later slot of
+// that batch, which is the case the server's dead-flag tombstone covers.
+// Were a Conn freed before its batch ended, the repeat would touch freed
+// memory (an ASan report in the sanitizer job).
+class RepeatingSelector final : public NetSelector,
+                                public RefCounted<RepeatingSelector> {
+ public:
+  explicit RepeatingSelector(ComPtr<NetSelector> inner)
+      : inner_(std::move(inner)) {}
+
+  Error Query(const Guid& iid, void** out) override {
+    if (iid == IUnknown::kIid || iid == NetSelector::kIid) {
+      AddRef();
+      *out = static_cast<NetSelector*>(this);
+      return Error::kOk;
+    }
+    *out = nullptr;
+    return Error::kNoInterface;
+  }
+  OSKIT_REFCOUNTED_BOILERPLATE()
+
+  Error Add(Socket* socket, uint32_t interest, bool edge,
+            void* token) override {
+    return inner_->Add(socket, interest, edge, token);
+  }
+  Error Modify(Socket* socket, uint32_t interest, bool edge) override {
+    return inner_->Modify(socket, interest, edge);
+  }
+  Error Remove(Socket* socket) override { return inner_->Remove(socket); }
+  Error Wait(NetReadyEvent* out_events, size_t capacity, bool block,
+             size_t* out_count) override {
+    size_t n = 0;
+    Error err = inner_->Wait(out_events, capacity / 2, block, &n);
+    for (size_t i = 0; i < n; ++i) {
+      out_events[n + i] = out_events[i];
+    }
+    repeated_ += n;
+    *out_count = 2 * n;
+    return err;
+  }
+
+  uint64_t repeated() const { return repeated_; }
+
+ private:
+  friend class RefCounted<RepeatingSelector>;
+  ~RepeatingSelector() = default;
+
+  ComPtr<NetSelector> inner_;
+  uint64_t repeated_ = 0;
+};
+
+TEST(HttpServerWorldTest, TeardownReapsOnlyClosedConnsUnderHeldPopulation) {
+  constexpr int kHolders = 300;
+  constexpr int kChurners = 4;
+  constexpr int kRounds = 25;  // per churner: 100 churned connections
+
+  VirtualSwitch::Config sw;
+  World world(sw);
+  Host& server = world.AddHost("www", NetConfig::kOskit);
+  Host& client = world.AddHost("client", NetConfig::kNativeBsd);
+
+  bool listening = false;
+  bool done = false;
+  std::unique_ptr<Server> httpd;
+  RepeatingSelector* repeater = nullptr;
+  auto reg = [&](const char* name) {
+    return server.trace.registry.Value(name);
+  };
+
+  world.sim().Spawn("www/httpd", [&] {
+    Server::Config cfg;
+    cfg.bind = SockAddr{kInetAny, kPort};
+    cfg.trace = &server.trace;
+    repeater = new RepeatingSelector(server.stack->CreateSelector());
+    ComPtr<NetSelector> selector(repeater);  // adopts the birth reference
+    httpd = std::make_unique<Server>(server.socket_factory, selector,
+                                     /*root=*/ComPtr<Dir>(), cfg);
+    httpd->AddDynRoute("/dyn", [](const Request&, std::string* body,
+                                  std::string*) {
+      *body = "ok";
+      return 200;
+    });
+    ASSERT_TRUE(Ok(httpd->Start()));
+    listening = true;
+    httpd->Run();
+  });
+
+  std::vector<ComPtr<Socket>> holders;
+  int churners_done = 0;
+  for (int c = 0; c < kChurners; ++c) {
+    world.sim().Spawn("churn", [&, c] {
+      world.sim().WaitUntil(
+          [&] { return holders.size() == static_cast<size_t>(kHolders); });
+      for (int r = 0; r < kRounds; ++r) {
+        ComPtr<Socket> sock = client.MakeSocket(SockType::kStream);
+        ASSERT_TRUE(Ok(sock->Connect(SockAddr{server.addr, kPort})));
+        // Alternate who closes: the server after a Connection: close
+        // response, or the client after a keep-alive one.
+        const char* wire =
+            (r + c) % 2 == 0
+                ? "GET /dyn HTTP/1.1\r\nConnection: close\r\n\r\n"
+                : "GET /dyn HTTP/1.1\r\n\r\n";
+        std::vector<Response> got;
+        ASSERT_TRUE(Exchange(sock, wire, 1, &got));
+        EXPECT_EQ(200, got[0].status);
+      }
+      ++churners_done;
+    });
+  }
+
+  world.sim().Spawn("client", [&] {
+    world.sim().WaitUntil([&] { return listening; });
+    SimTime rtt = 0;
+    client.stack->Ping(server.addr, kNsPerSec, &rtt);
+    for (int i = 0; i < kHolders; ++i) {
+      ComPtr<Socket> sock = client.MakeSocket(SockType::kStream);
+      ASSERT_TRUE(Ok(sock->Connect(SockAddr{server.addr, kPort})));
+      std::vector<Response> got;
+      ASSERT_TRUE(Exchange(sock, "GET /dyn HTTP/1.1\r\n\r\n", 1, &got));
+      holders.push_back(std::move(sock));
+    }
+    world.sim().WaitUntil([&] { return churners_done == kChurners; });
+    // Quiesce: every churned connection has been closed on the server side
+    // and reaped, while every holder is still open.
+    world.sim().WaitUntil([&] {
+      return reg("http.conns.closed") == kChurners * kRounds;
+    });
+    world.sim().SleepFor(10 * kNsPerMs);
+    EXPECT_EQ(static_cast<size_t>(kHolders), httpd->open_conns());
+    EXPECT_EQ(static_cast<uint64_t>(kHolders + kChurners * kRounds),
+              reg("http.conns.accepted"));
+    EXPECT_EQ(static_cast<uint64_t>(kChurners * kRounds),
+              reg("http.conns.closed"));
+    EXPECT_EQ(static_cast<uint64_t>(kHolders), reg("http.conns.open"));
+
+    // Quit on one holder: the server closes every other idle holder from
+    // inside the batch, then drains the quit response and returns.
+    std::vector<Response> got;
+    ASSERT_TRUE(Exchange(
+        holders[0], "GET /__quit HTTP/1.1\r\nConnection: close\r\n\r\n",
+        1, &got));
+    EXPECT_EQ(200, got[0].status);
+    // Each holder sees its orderly close.
+    for (ComPtr<Socket>& sock : holders) {
+      char buf[64];
+      size_t n = 1;
+      EXPECT_TRUE(Ok(sock->Recv(buf, sizeof(buf), &n)));
+      EXPECT_EQ(0u, n);
+      sock.Reset();
+    }
+    done = true;
+  });
+
+  world.RunToCompletion(120 * kNsPerSec);
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(httpd->stopping());
+  const uint64_t total = kHolders + kChurners * kRounds;
+  EXPECT_EQ(0u, httpd->open_conns());
+  EXPECT_EQ(total, reg("http.conns.accepted"));
+  EXPECT_EQ(total, reg("http.conns.closed"));
+  EXPECT_EQ(0u, reg("http.conns.open"));
+  EXPECT_EQ(total + 1, httpd->requests());
+  // Every batch was reported twice, so each close made by an event met its
+  // own repeat later in that batch.
+  ASSERT_NE(nullptr, repeater);
+  EXPECT_GE(repeater->repeated(), total);
+  httpd.reset();
+}
+
 }  // namespace
 }  // namespace oskit::http

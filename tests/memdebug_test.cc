@@ -31,8 +31,10 @@ class MemDebugTest : public ::testing::Test {
     return false;
   }
 
-  std::unique_ptr<MemDebug> debug_;
+  // Declared before debug_ so it outlives it: ~MemDebug's final fence
+  // check still reports into this vector.
   std::vector<MemDebug::Fault> faults_;
+  std::unique_ptr<MemDebug> debug_;
 };
 
 TEST_F(MemDebugTest, CleanUsageReportsNothing) {

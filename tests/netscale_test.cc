@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/kern/kmon.h"
@@ -587,6 +589,162 @@ TEST(TcpInternalsEquivalenceTest, HashWheelMatchesLinearByteForByte) {
           << "payload corrupt at offset " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// PCB teardown: every kind of close returns the pcb lists to baseline
+// ---------------------------------------------------------------------------
+
+std::string NetstatText(net::NetStack& stack) {
+  std::string text;
+  stack.Netstat([&](const char* line) {
+    text += line;
+    text += '\n';
+  });
+  return text;
+}
+
+// The tcp_pcbs= / udp_pcbs= counts from Netstat's header line.
+std::pair<size_t, size_t> NetstatPcbs(net::NetStack& stack) {
+  std::string text = NetstatText(stack);
+  size_t tcp = 0;
+  size_t udp = 0;
+  size_t at = text.find("tcp_pcbs=");
+  EXPECT_NE(std::string::npos, at);
+  EXPECT_EQ(2, std::sscanf(text.c_str() + at, "tcp_pcbs=%zu udp_pcbs=%zu",
+                           &tcp, &udp));
+  return {tcp, udp};
+}
+
+TEST(PcbTeardownTest, EveryCloseKindReturnsPcbListsToBaseline) {
+  constexpr int kCycles = 6;
+  constexpr int kQueued = 3;  // children left on a closing listener
+  World world;
+  Host& a = world.AddHost("a", NetConfig::kNativeBsd);  // passive side
+  Host& b = world.AddHost("b", NetConfig::kNativeBsd);  // active side
+  const auto base_a = NetstatPcbs(*a.stack);
+  const auto base_b = NetstatPcbs(*b.stack);
+
+  bool done = false;
+  world.sim().Spawn("cycles", [&] {
+    SimTime rtt = 0;
+    ASSERT_EQ(Error::kOk, b.stack->Ping(a.addr, kNsPerSec, &rtt));
+    ComPtr<Socket> listener = a.MakeSocket(SockType::kStream);
+    ASSERT_EQ(Error::kOk, listener->Bind(SockAddr{kInetAny, kPort}));
+    ASSERT_EQ(Error::kOk, listener->Listen(kCycles));
+    auto connect = [&](uint16_t port) {
+      ComPtr<Socket> c = b.MakeSocket(SockType::kStream);
+      EXPECT_EQ(Error::kOk, c->Connect(SockAddr{a.addr, port}));
+      return c;
+    };
+    auto accept = [&] {
+      SockAddr peer;
+      ComPtr<Socket> s;
+      EXPECT_EQ(Error::kOk, listener->Accept(&peer, s.Receive()));
+      return s;
+    };
+    auto expect_eof = [](const ComPtr<Socket>& s) {
+      char buf[8];
+      size_t n = 1;
+      EXPECT_EQ(Error::kOk, s->Recv(buf, sizeof(buf), &n));
+      EXPECT_EQ(0u, n);
+    };
+
+    for (int i = 0; i < kCycles; ++i) {
+      // Client close: the active side sends the first FIN.
+      ComPtr<Socket> c = connect(kPort);
+      ComPtr<Socket> s = accept();
+      c.Reset();
+      expect_eof(s);
+      s.Reset();
+
+      // Server close: the passive side sends the first FIN.
+      c = connect(kPort);
+      s = accept();
+      s.Reset();
+      expect_eof(c);
+      c.Reset();
+    }
+
+    // RST: data reaching a socket its owner has closed aborts the
+    // connection; the server's pcb dies on the RST it sends, the client's
+    // on the RST it receives (segments still in flight then draw more).
+    uint64_t rst_a = a.stack->counters().tcp_rst_out.value();
+    for (int i = 0; i < kCycles; ++i) {
+      ComPtr<Socket> c = connect(kPort);
+      ComPtr<Socket> s = accept();
+      s.Reset();
+      size_t sent = 0;
+      EXPECT_EQ(Error::kOk, c->Send("x", 1, &sent));
+      world.sim().SleepFor(50 * kNsPerMs);
+      c.Reset();
+    }
+    EXPECT_GE(a.stack->counters().tcp_rst_out.value() - rst_a,
+              static_cast<uint64_t>(kCycles));
+
+    // Half-open abort: the client gives up before the handshake completes,
+    // so its stack answers the SYN-ACK with a RST and the listener's
+    // SYN_RCVD child dies off the SYN queue.
+    uint64_t rst_b = b.stack->counters().tcp_rst_out.value();
+    for (int i = 0; i < kCycles; ++i) {
+      ComPtr<Socket> c = b.MakeSocket(SockType::kStream);
+      auto ext = ComPtr<SocketExt>::FromQuery(c.get());
+      ASSERT_TRUE(ext);
+      ASSERT_EQ(Error::kOk, ext->SetNonBlocking(true));
+      EXPECT_EQ(Error::kWouldBlock, c->Connect(SockAddr{a.addr, kPort}));
+      ext.Reset();
+      c.Reset();
+      world.sim().SleepFor(50 * kNsPerMs);
+    }
+    EXPECT_EQ(static_cast<uint64_t>(kCycles),
+              b.stack->counters().tcp_rst_out.value() - rst_b);
+    EXPECT_NE(std::string::npos, NetstatText(*a.stack).find("synq=0 "));
+    listener.Reset();
+
+    // A listener closed with established children still on its accept
+    // queue: each orphan gets an orderly FIN close.  A fresh port per
+    // cycle, since the previous orphans hold theirs through TIME_WAIT.
+    for (int i = 0; i < kCycles; ++i) {
+      const uint16_t port = static_cast<uint16_t>(kPort + 1 + i);
+      ComPtr<Socket> orphanage = a.MakeSocket(SockType::kStream);
+      ASSERT_EQ(Error::kOk, orphanage->Bind(SockAddr{kInetAny, port}));
+      ASSERT_EQ(Error::kOk, orphanage->Listen(kQueued));
+      std::vector<ComPtr<Socket>> clients;
+      for (int k = 0; k < kQueued; ++k) {
+        clients.push_back(connect(port));
+      }
+      world.sim().SleepFor(10 * kNsPerMs);
+      EXPECT_NE(std::string::npos,
+                NetstatText(*a.stack).find("acceptq=" +
+                                           std::to_string(kQueued)));
+      orphanage.Reset();
+      for (ComPtr<Socket>& c : clients) {
+        expect_eof(c);
+        c.Reset();
+      }
+    }
+
+    // UDP: bound receivers released with a datagram still queued.
+    for (int i = 0; i < kCycles; ++i) {
+      ComPtr<Socket> rx = a.MakeSocket(SockType::kDgram);
+      ASSERT_EQ(Error::kOk, rx->Bind(SockAddr{kInetAny, 7000}));
+      ComPtr<Socket> tx = b.MakeSocket(SockType::kDgram);
+      size_t sent = 0;
+      ASSERT_EQ(Error::kOk, tx->SendTo("dg", 2, SockAddr{a.addr, 7000}, &sent));
+      world.sim().SleepFor(5 * kNsPerMs);
+      EXPECT_EQ(base_a.second + 1, NetstatPcbs(*a.stack).second);
+      rx.Reset();
+      tx.Reset();
+    }
+
+    // Past 2MSL every TIME_WAIT pcb has expired.
+    world.sim().SleepFor(10 * kNsPerSec);
+    done = true;
+  });
+  world.RunToCompletion();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(base_a, NetstatPcbs(*a.stack));
+  EXPECT_EQ(base_b, NetstatPcbs(*b.stack));
 }
 
 // ---------------------------------------------------------------------------
