@@ -5,7 +5,7 @@
 namespace oskit {
 
 MemBlkIo::MemBlkIo(size_t size, uint32_t block_size)
-    : data_(size, 0), block_size_(block_size) {
+    : store_(size), block_size_(block_size) {
   OSKIT_ASSERT(block_size >= 1);
 }
 
@@ -16,7 +16,19 @@ ComPtr<MemBlkIo> MemBlkIo::Create(size_t size, uint32_t block_size) {
 ComPtr<MemBlkIo> MemBlkIo::CreateFrom(const void* data, size_t size,
                                       uint32_t block_size) {
   auto io = Create(size, block_size);
-  std::memcpy(io->data_.data(), data, size);
+  if (size != 0) {
+    std::memcpy(io->data(), data, size);
+  }
+  return io;
+}
+
+ComPtr<MemBlkIo> MemBlkIo::CreateFrom(const SparseImage& image, size_t size,
+                                      uint32_t block_size) {
+  OSKIT_ASSERT_MSG(size <= image.size(), "copy past the end of the image");
+  auto io = Create(size, block_size);
+  image.written().ForEachRun(size, [&](size_t offset, size_t len) {
+    std::memcpy(io->data() + offset, image.data() + offset, len);
+  });
   return io;
 }
 
@@ -43,15 +55,17 @@ Error MemBlkIo::Query(const Guid& iid, void** out) {
 
 Error MemBlkIo::Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) {
   *out_actual = 0;
-  if (offset > data_.size()) {
+  if (offset > size()) {
     return Error::kOutOfRange;
   }
-  size_t avail = data_.size() - static_cast<size_t>(offset);
+  size_t avail = size() - static_cast<size_t>(offset);
   if (amount > avail && offset + amount < offset) {
     return Error::kInval;
   }
   size_t n = amount < avail ? amount : avail;
-  std::memcpy(buf, data_.data() + offset, n);
+  if (n != 0) {  // a size-0 object has no mapping: never copy through null
+    std::memcpy(buf, data() + offset, n);
+  }
   *out_actual = n;
   return Error::kOk;
 }
@@ -59,21 +73,23 @@ Error MemBlkIo::Read(void* buf, off_t64 offset, size_t amount, size_t* out_actua
 Error MemBlkIo::Write(const void* buf, off_t64 offset, size_t amount,
                       size_t* out_actual) {
   *out_actual = 0;
-  if (offset > data_.size()) {
+  if (offset > size()) {
     return Error::kOutOfRange;
   }
-  size_t avail = data_.size() - static_cast<size_t>(offset);
+  size_t avail = size() - static_cast<size_t>(offset);
   if (amount > avail && offset + amount < offset) {
     return Error::kInval;
   }
   size_t n = amount < avail ? amount : avail;
-  std::memcpy(data_.data() + offset, buf, n);
+  if (n != 0) {
+    std::memcpy(data() + offset, buf, n);
+  }
   *out_actual = n;
   return Error::kOk;
 }
 
 Error MemBlkIo::GetSize(off_t64* out_size) {
-  *out_size = data_.size();
+  *out_size = size();
   return Error::kOk;
 }
 
@@ -82,19 +98,18 @@ Error MemBlkIo::SetSize(off_t64 new_size) {
     // Resizing would invalidate mapped pointers.
     return Error::kBusy;
   }
-  data_.resize(new_size, 0);
-  return Error::kOk;
+  return store_.Resize(new_size) ? Error::kOk : Error::kNoMem;
 }
 
 Error MemBlkIo::Map(void** out_addr, off_t64 offset, size_t amount) {
-  if (offset > data_.size()) {
+  if (offset > size()) {
     return Error::kOutOfRange;
   }
-  if (amount > data_.size() - static_cast<size_t>(offset)) {
+  if (amount > size() - static_cast<size_t>(offset)) {
     return offset + amount < offset ? Error::kInval : Error::kOutOfRange;
   }
   ++maps_outstanding_;
-  *out_addr = data_.data() + offset;
+  *out_addr = data() + offset;
   return Error::kOk;
 }
 

@@ -4,13 +4,20 @@
 // (§6.2.2), provides the buffered-object example from §4.4.2 (supports the
 // extended BufIo interface where a raw disk driver supports only BlkIo), and
 // is the workhorse storage object in tests.
+//
+// The bytes live on zero-on-demand pages (src/base/zero_pages.h): creating
+// an object of any size is one mapping, resizing is one mremap, and a page
+// costs host memory only once written.  CreateFrom a SparseImage copies
+// only the pages its source wrote — how a post-crash disk image becomes a
+// MemBlkIo without a pass over the whole platter.
 
 #ifndef OSKIT_SRC_COM_MEMBLKIO_H_
 #define OSKIT_SRC_COM_MEMBLKIO_H_
 
 #include <cstdint>
-#include <vector>
 
+#include "src/base/sparse_image.h"
+#include "src/base/zero_pages.h"
 #include "src/com/bufio.h"
 
 namespace oskit {
@@ -21,8 +28,14 @@ class MemBlkIo final : public BufIo, public BlkIoBarrier, public RefCounted<MemB
   // granularity (1 for byte-addressable RAM objects).
   static ComPtr<MemBlkIo> Create(size_t size, uint32_t block_size = 1);
 
-  // Creates an object holding a copy of [data, data+size).
+  // Creates an object holding a copy of [data, data+size), for buffers the
+  // caller owns.
   static ComPtr<MemBlkIo> CreateFrom(const void* data, size_t size,
+                                     uint32_t block_size = 1);
+
+  // Creates an object holding a copy of the image's first `size` bytes
+  // (size <= image.size()), copying only the image's written pages.
+  static ComPtr<MemBlkIo> CreateFrom(const SparseImage& image, size_t size,
                                      uint32_t block_size = 1);
 
   // IUnknown
@@ -47,15 +60,15 @@ class MemBlkIo final : public BufIo, public BlkIoBarrier, public RefCounted<MemB
   Error Flush() override { return Error::kOk; }
 
   // Direct access for owners (open implementation, §4.6).
-  uint8_t* data() { return data_.data(); }
-  size_t size() const { return data_.size(); }
+  uint8_t* data() { return store_.data(); }
+  size_t size() const { return store_.size(); }
 
  private:
   friend class RefCounted<MemBlkIo>;
   MemBlkIo(size_t size, uint32_t block_size);
   ~MemBlkIo() = default;
 
-  std::vector<uint8_t> data_;
+  ZeroPages store_;
   uint32_t block_size_;
   uint32_t maps_outstanding_ = 0;
 };

@@ -43,7 +43,7 @@ Error Mkfs(BlkIo* device, const MkfsOptions& options) {
   sb.bitmap_start = 1;
   sb.bitmap_blocks = (total_blocks + kBlockSize * 8 - 1) / (kBlockSize * 8);
   sb.itable_start = sb.bitmap_start + sb.bitmap_blocks;
-  sb.itable_blocks = sb.inode_count / kInodesPerBlock;
+  sb.itable_blocks = (sb.inode_count + kInodesPerBlock - 1) / kInodesPerBlock;
   // Journal region between the inode table and the data area (still inside
   // the metadata zone fsck treats as implicitly in-use).
   uint32_t journal_blocks = options.journal_blocks;
@@ -173,9 +173,7 @@ Error Mkfs(BlkIo* device, const MkfsOptions& options) {
 // Mount / superblock
 // ---------------------------------------------------------------------------
 
-namespace {
-
-Error LoadSuperBlockRaw(BlkIo* device, SuperBlock* out) {
+Error ReadSuperBlock(BlkIo* device, SuperBlock* out) {
   uint8_t block[kBlockSize];
   size_t actual = 0;
   Error err = device->Read(block, 0, kBlockSize, &actual);
@@ -191,15 +189,16 @@ Error LoadSuperBlockRaw(BlkIo* device, SuperBlock* out) {
     return Error::kCorrupt;
   }
   off_t64 device_bytes = 0;
-  err = device->GetSize(&device_bytes);
-  if (!Ok(err) ||
-      static_cast<off_t64>(out->total_blocks) * kBlockSize > device_bytes) {
-    return Error::kCorrupt;
-  }
-  return Error::kOk;
+  uint64_t total = out->total_blocks;
+  bool fits = Ok(device->GetSize(&device_bytes)) && total * kBlockSize <= device_bytes &&
+              out->bitmap_start >= 1 &&
+              uint64_t{out->bitmap_blocks} * kBlockSize * 8 >= total &&
+              uint64_t{out->bitmap_start} + out->bitmap_blocks <= out->itable_start &&
+              uint64_t{out->itable_start} + out->itable_blocks <= out->data_start &&
+              out->data_start <= total &&
+              out->inode_count <= uint64_t{out->itable_blocks} * kInodesPerBlock;
+  return fits ? Error::kOk : Error::kCorrupt;
 }
-
-}  // namespace
 
 Offs::Offs(ComPtr<BlkIo> device, const SuperBlock& sb, trace::TraceEnv* trace)
     : device_(std::move(device)), sb_(sb) {
@@ -225,7 +224,7 @@ Error Offs::Mount(BlkIo* device, FileSystem** out_fs) {
 Error Offs::Mount(BlkIo* device, const MountOptions& options, FileSystem** out_fs) {
   *out_fs = nullptr;
   SuperBlock sb;
-  Error err = LoadSuperBlockRaw(device, &sb);
+  Error err = ReadSuperBlock(device, &sb);
   if (!Ok(err)) {
     return err;
   }
@@ -236,7 +235,7 @@ Error Offs::Mount(BlkIo* device, const MountOptions& options, FileSystem** out_f
       return err;
     }
     // Block 0 may itself have been a replay target; trust the redone image.
-    err = LoadSuperBlockRaw(device, &sb);
+    err = ReadSuperBlock(device, &sb);
     if (!Ok(err)) {
       return err;
     }

@@ -36,6 +36,12 @@ struct MkfsOptions {
 // Formats the device.  Destroys all content.
 Error Mkfs(BlkIo* device, const MkfsOptions& options = {});
 
+// Reads block 0 into *out and validates it: magic, version and block size,
+// and a geometry whose regions (bitmap, inode table, data) lie in order
+// inside a volume that fits the device.  kCorrupt otherwise, so mount and
+// fsck only ever walk structures bounded by the image.
+Error ReadSuperBlock(BlkIo* device, SuperBlock* out);
+
 struct MountOptions {
   // Observability environment for the cache and journal counters; null
   // binds the process-global default.

@@ -1,9 +1,11 @@
 #include "src/fs/fsck.h"
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <map>
 
+#include "src/fs/ffs.h"
 #include "src/fs/format.h"
 #include "src/fs/journal.h"
 #include "src/libc/format.h"
@@ -12,6 +14,12 @@
 namespace oskit::fs {
 
 namespace {
+
+unsigned long long Ull(uint64_t v) { return v; }  // for Problem's %llu
+
+// File blocks the single-indirect and double-indirect tables end at.
+constexpr uint64_t kIndirectEnd = kDirectBlocks + kPointersPerBlock;
+constexpr uint64_t kMapEnd = kIndirectEnd + uint64_t{kPointersPerBlock} * kPointersPerBlock;
 
 class Checker {
  public:
@@ -62,16 +70,8 @@ class Checker {
   }
 
   bool LoadSuperBlock() {
-    uint8_t block[kBlockSize];
-    size_t actual = 0;
-    if (!Ok(device_->Read(block, 0, kBlockSize, &actual)) || actual != kBlockSize) {
-      report_.problems.emplace_back("cannot read superblock");
-      return false;
-    }
-    std::memcpy(&sb_, block, sizeof(sb_));
-    if (sb_.magic != kFsMagic || sb_.version != kFsVersion ||
-        sb_.block_size != kBlockSize) {
-      report_.problems.emplace_back("bad superblock magic/version");
+    if (!Ok(ReadSuperBlock(device_, &sb_))) {
+      report_.problems.emplace_back("bad or unreadable superblock");
       return false;
     }
     return true;
@@ -135,13 +135,11 @@ class Checker {
   // Claims a block for `ino`; reports double-claims and range errors.
   bool Claim(uint64_t ino, uint32_t block) {
     if (block < sb_.data_start || block >= sb_.total_blocks) {
-      Problem("inode %llu references out-of-range block %u",
-              static_cast<unsigned long long>(ino), block);
+      Problem("inode %llu references out-of-range block %u", Ull(ino), block);
       return false;
     }
     if (block_seen_[block]) {
-      Problem("block %u multiply claimed (by inode %llu)", block,
-              static_cast<unsigned long long>(ino));
+      Problem("block %u multiply claimed (by inode %llu)", block, Ull(ino));
       return false;
     }
     block_seen_[block] = true;
@@ -158,18 +156,8 @@ class Checker {
         ++held;
       }
     }
-    uint8_t table[kBlockSize];
     if (inode.indirect != 0 && Claim(ino, inode.indirect)) {
-      ++held;
-      if (ReadBlockRaw(inode.indirect, table)) {
-        for (uint32_t i = 0; i < kPointersPerBlock; ++i) {
-          uint32_t slot = 0;
-          std::memcpy(&slot, table + i * 4, 4);
-          if (slot != 0 && Claim(ino, slot)) {
-            ++held;
-          }
-        }
-      }
+      held += 1 + ClaimSlots(ino, inode.indirect);
     }
     if (inode.double_indirect != 0 && Claim(ino, inode.double_indirect)) {
       ++held;
@@ -178,25 +166,29 @@ class Checker {
         for (uint32_t o = 0; o < kPointersPerBlock; ++o) {
           uint32_t mid = 0;
           std::memcpy(&mid, outer + o * 4, 4);
-          if (mid == 0) {
-            continue;
-          }
-          if (Claim(ino, mid)) {
-            ++held;
-          }
-          if (ReadBlockRaw(mid, table)) {
-            for (uint32_t i = 0; i < kPointersPerBlock; ++i) {
-              uint32_t slot = 0;
-              std::memcpy(&slot, table + i * 4, 4);
-              if (slot != 0 && Claim(ino, slot)) {
-                ++held;
-              }
-            }
+          if (mid != 0) {
+            held += (Claim(ino, mid) ? 1 : 0) + ClaimSlots(ino, mid);
           }
         }
       }
     }
     return held;
+  }
+
+  // Claims every block a pointer table names; returns how many it claimed.
+  uint32_t ClaimSlots(uint64_t ino, uint32_t table_block) {
+    uint8_t table[kBlockSize];
+    uint32_t claimed = 0;
+    if (ReadBlockRaw(table_block, table)) {
+      for (uint32_t i = 0; i < kPointersPerBlock; ++i) {
+        uint32_t slot = 0;
+        std::memcpy(&slot, table + i * 4, 4);
+        if (slot != 0 && Claim(ino, slot)) {
+          ++claimed;
+        }
+      }
+    }
+    return claimed;
   }
 
   void WalkTree() {
@@ -213,32 +205,24 @@ class Checker {
 
       DiskInode inode;
       if (!ReadInodeRaw(ino, &inode)) {
-        Problem("unreadable inode %llu", static_cast<unsigned long long>(ino));
+        Problem("unreadable inode %llu", Ull(ino));
         continue;
       }
       uint16_t type = inode.mode & kModeTypeMask;
       if (type == kModeFree) {
-        Problem("directory references free inode %llu",
-                static_cast<unsigned long long>(ino));
+        Problem("directory references free inode %llu", Ull(ino));
         continue;
       }
       ++report_.inodes_in_use;
       uint32_t held = ClaimInodeBlocks(ino, inode);
       if (held != inode.blocks) {
         Problem("inode %llu holds %u blocks but records %u",
-                static_cast<unsigned long long>(ino), held, inode.blocks);
-      }
-      uint64_t max_size = static_cast<uint64_t>(held) * kBlockSize;
-      if (inode.size > max_size &&
-          // Sparse files legitimately exceed held*block; only flag when a
-          // fully dense file would be impossible for the held count.
-          inode.blocks >= kDirectBlocks) {
-        // Heuristic only: keep quiet for sparse files.
+                Ull(ino), held, inode.blocks);
       }
 
       if (type == kModeDirectory) {
         ++report_.directories;
-        ScanDirectory(ino, inode, &queue);
+        ScanDirectory(ino, inode, held, &queue);
       } else {
         ++report_.regular_files;
         inode_links_[ino] += 0;  // ensure presence; counted via dir scan
@@ -253,115 +237,130 @@ class Checker {
       }
       if ((inode.mode & kModeTypeMask) == kModeRegular && inode.nlink != links) {
         Problem("inode %llu nlink=%u but %u directory references",
-                static_cast<unsigned long long>(ino), inode.nlink, links);
+                Ull(ino), inode.nlink, links);
       }
     }
   }
 
-  void ScanDirectory(uint64_t ino, const DiskInode& inode, std::deque<uint64_t>* queue) {
+  // Walks a directory's entries block by block.  A corrupt size must not
+  // turn the walk into a hang, so every step is O(1) per block: a hole
+  // (all-zero entries) is skipped whole, the walk stops at the end of the
+  // double-indirect range, and it stops after `held` mapped blocks, since a
+  // directory never maps more blocks than it holds.
+  void ScanDirectory(uint64_t ino, const DiskInode& inode, uint32_t held,
+                     std::deque<uint64_t>* queue) {
+    constexpr uint64_t kEntriesPerBlock = kBlockSize / kDirEntrySize;
     uint64_t entries = inode.size / kDirEntrySize;
     if (inode.size % kDirEntrySize != 0) {
       Problem("directory %llu size %llu not a multiple of the entry size",
-              static_cast<unsigned long long>(ino),
-              static_cast<unsigned long long>(inode.size));
+              Ull(ino), Ull(inode.size));
     }
     bool saw_dot = false;
     bool saw_dotdot = false;
-    for (uint64_t i = 0; i < entries; ++i) {
-      DiskDirEntry entry;
-      if (!ReadFileBytes(inode, i * kDirEntrySize, &entry, sizeof(entry))) {
-        Problem("directory %llu unreadable at entry %llu",
-                static_cast<unsigned long long>(ino),
-                static_cast<unsigned long long>(i));
+    uint32_t mapped = 0;
+    uint8_t block_data[kBlockSize];
+    for (uint64_t i = 0; i < entries;) {
+      uint64_t fb = i / kEntriesPerBlock;
+      if (fb >= kMapEnd) {
+        Problem("directory %llu size %llu is past the block map's range",
+                Ull(ino), Ull(inode.size));
+        break;
+      }
+      uint32_t block = 0;
+      uint64_t hole = 0;
+      if (!MapFileBlock(inode, fb, &block, &hole)) {
+        Problem("directory %llu unreadable at entry %llu", Ull(ino), Ull(i));
         return;
       }
-      if (entry.ino == 0) {
+      if (block == 0) {
+        i = std::min(entries, (fb + hole) * kEntriesPerBlock);
         continue;
       }
-      if (entry.name[kMaxNameLen] != '\0' ||
-          entry.name_len != libc::Strlen(entry.name)) {
-        Problem("directory %llu entry %llu has corrupt name",
-                static_cast<unsigned long long>(ino),
-                static_cast<unsigned long long>(i));
-        continue;
+      if (++mapped > held) {
+        Problem("directory %llu maps more than the %u blocks it holds", Ull(ino), held);
+        break;
       }
-      if (libc::Strcmp(entry.name, ".") == 0) {
-        saw_dot = true;
-        if (entry.ino != ino) {
-          Problem("directory %llu: '.' points to %llu",
-                  static_cast<unsigned long long>(ino),
-                  static_cast<unsigned long long>(entry.ino));
+      for (uint64_t end = std::min(entries, (fb + 1) * kEntriesPerBlock); i < end; ++i) {
+        DiskDirEntry entry;
+        if (!ReadBlockRaw(block, block_data)) {
+          Problem("directory %llu unreadable at entry %llu", Ull(ino), Ull(i));
+          return;
         }
-        continue;
+        std::memcpy(&entry, block_data + (i % kEntriesPerBlock) * kDirEntrySize,
+                    sizeof(entry));
+        if (entry.ino == 0) {
+          continue;
+        }
+        if (entry.name[kMaxNameLen] != '\0' ||
+            entry.name_len != libc::Strlen(entry.name)) {
+          Problem("directory %llu entry %llu has corrupt name", Ull(ino), Ull(i));
+          continue;
+        }
+        if (libc::Strcmp(entry.name, ".") == 0) {
+          saw_dot = true;
+          if (entry.ino != ino) {
+            Problem("directory %llu: '.' points to %llu", Ull(ino), Ull(entry.ino));
+          }
+          continue;
+        }
+        if (libc::Strcmp(entry.name, "..") == 0) {
+          saw_dotdot = true;
+          continue;
+        }
+        inode_links_[entry.ino] += 1;
+        queue->push_back(entry.ino);
       }
-      if (libc::Strcmp(entry.name, "..") == 0) {
-        saw_dotdot = true;
-        continue;
-      }
-      inode_links_[entry.ino] += 1;
-      queue->push_back(entry.ino);
     }
     if (!saw_dot || !saw_dotdot) {
-      Problem("directory %llu missing '.' or '..'",
-              static_cast<unsigned long long>(ino));
+      Problem("directory %llu missing '.' or '..'", Ull(ino));
     }
   }
 
-  // Raw file read via the inode's block map (no cache, read-only).
-  bool ReadFileBytes(const DiskInode& inode, uint64_t offset, void* out, size_t len) {
-    auto* dst = static_cast<uint8_t*>(out);
-    uint8_t block_data[kBlockSize];
-    while (len > 0) {
-      uint32_t fb = static_cast<uint32_t>(offset / kBlockSize);
-      uint32_t in_block = static_cast<uint32_t>(offset % kBlockSize);
-      uint32_t block = 0;
-      if (fb < kDirectBlocks) {
-        block = inode.direct[fb];
-      } else if (fb < kDirectBlocks + kPointersPerBlock) {
-        if (inode.indirect == 0) {
-          block = 0;
-        } else {
-          if (!ReadBlockRaw(inode.indirect, block_data)) {
-            return false;
-          }
-          std::memcpy(&block, block_data + (fb - kDirectBlocks) * 4, 4);
-        }
-      } else {
-        uint32_t index = fb - kDirectBlocks - kPointersPerBlock;
-        if (inode.double_indirect == 0) {
-          block = 0;
-        } else {
-          if (!ReadBlockRaw(inode.double_indirect, block_data)) {
-            return false;
-          }
-          uint32_t mid = 0;
-          std::memcpy(&mid, block_data + (index / kPointersPerBlock) * 4, 4);
-          if (mid == 0) {
-            block = 0;
-          } else {
-            if (!ReadBlockRaw(mid, block_data)) {
-              return false;
-            }
-            std::memcpy(&block, block_data + (index % kPointersPerBlock) * 4, 4);
-          }
-        }
-      }
-      size_t n = kBlockSize - in_block;
-      if (n > len) {
-        n = len;
-      }
-      if (block == 0) {
-        std::memset(dst, 0, n);
-      } else {
-        if (!ReadBlockRaw(block, block_data)) {
-          return false;
-        }
-        std::memcpy(dst, block_data + in_block, n);
-      }
-      dst += n;
-      offset += n;
-      len -= n;
+  // Maps file block `fb` through the inode's block map (no cache,
+  // read-only): *block is the disk block, 0 for a hole.  For a hole,
+  // *hole counts the file blocks from fb on that the same missing pointer
+  // leaves unmapped.  Returns false for a block past the double-indirect
+  // range or an unreadable table.
+  bool MapFileBlock(const DiskInode& inode, uint64_t fb, uint32_t* block, uint64_t* hole) {
+    *block = 0;
+    *hole = 1;
+    if (fb < kDirectBlocks) {
+      *block = inode.direct[fb];
+      return true;
     }
+    if (fb < kIndirectEnd) {
+      if (inode.indirect == 0) {
+        *hole = kIndirectEnd - fb;
+        return true;
+      }
+      return ReadSlot(inode.indirect, fb - kDirectBlocks, block);
+    }
+    if (fb >= kMapEnd) {
+      return false;
+    }
+    if (inode.double_indirect == 0) {
+      *hole = kMapEnd - fb;
+      return true;
+    }
+    uint64_t index = fb - kIndirectEnd;
+    uint32_t mid = 0;
+    if (!ReadSlot(inode.double_indirect, index / kPointersPerBlock, &mid)) {
+      return false;
+    }
+    if (mid == 0) {
+      *hole = kPointersPerBlock - index % kPointersPerBlock;
+      return true;
+    }
+    return ReadSlot(mid, index % kPointersPerBlock, block);
+  }
+
+  // Reads pointer `slot` (< kPointersPerBlock) of a pointer table.
+  bool ReadSlot(uint32_t table_block, uint64_t slot, uint32_t* out) {
+    uint8_t table[kBlockSize];
+    if (!ReadBlockRaw(table_block, table)) {
+      return false;
+    }
+    std::memcpy(out, table + slot * 4, 4);
     return true;
   }
 
@@ -379,12 +378,11 @@ class Checker {
     uint64_t expected_free = sb_.inode_count - 1 - used;  // ino 0 reserved
     if (sb_.free_inodes != expected_free) {
       Problem("superblock free_inodes=%u, table says %llu", sb_.free_inodes,
-              static_cast<unsigned long long>(expected_free));
+              Ull(expected_free));
     }
     if (used != report_.inodes_in_use) {
       Problem("%llu inodes allocated but %llu reachable from the root",
-              static_cast<unsigned long long>(used),
-              static_cast<unsigned long long>(report_.inodes_in_use));
+              Ull(used), Ull(report_.inodes_in_use));
     }
   }
 
@@ -412,7 +410,7 @@ class Checker {
     uint64_t expected_free = sb_.total_blocks - bitmap_used;
     if (sb_.free_blocks != expected_free) {
       Problem("superblock free_blocks=%u, bitmap says %llu", sb_.free_blocks,
-              static_cast<unsigned long long>(expected_free));
+              Ull(expected_free));
     }
   }
 

@@ -88,15 +88,13 @@ void DiskHw::SubmitWrite(uint64_t lba, uint32_t sectors, const uint8_t* buf) {
       [this, lba, sectors, offset, bytes, buf] {
         uint8_t* dst = store_.data() + offset;
         if (wcache_enabled_) {
-          CachedWrite w;
-          w.lba = lba;
-          w.sectors = sectors;
-          w.data.assign(buf, buf + bytes);
-          w.pre.assign(dst, dst + bytes);
-          wcache_.push_back(std::move(w));
+          wcache_.push_back({lba, sectors, undo_arena_.size()});
+          undo_arena_.insert(undo_arena_.end(), buf, buf + bytes);
+          undo_arena_.insert(undo_arena_.end(), dst, dst + bytes);
           ++wcache_writes_;
         }
         std::memcpy(dst, buf, bytes);
+        written_.Mark(offset, bytes);
         ++writes_completed_;
         write_log_.push_back({lba, sectors});
         if (cut_armed_ && writes_completed_ >= cut_at_writes_) {
@@ -122,10 +120,7 @@ void DiskHw::SubmitFlush() {
   if (fault_->ShouldFail("disk.stuck")) {
     return;  // controller hang: no completion until Reset()
   }
-  size_t cached_bytes = 0;
-  for (const CachedWrite& w : wcache_) {
-    cached_bytes += w.data.size();
-  }
+  size_t cached_bytes = undo_arena_.size() / 2;  // each entry: data + pre-image
   SimTime delay = timing_.seek_ns + timing_.per_byte_ns * cached_bytes;
   if (fault_->ShouldFail("disk.flush.error")) {
     // The command fails and the cache stays volatile; the driver must retry.
@@ -134,7 +129,7 @@ void DiskHw::SubmitFlush() {
     return;
   }
   pending_ = clock_->ScheduleAfter(EffectiveDelay(delay), [this] {
-    wcache_.clear();  // the store already holds every write: now durable
+    DropUndoLog();  // the store already holds every write: now durable
     ++flushes_completed_;
     ++wcache_flushes_;
     Complete(Error::kOk);
@@ -157,14 +152,20 @@ void DiskHw::EnableWriteCache(bool on) {
     return;
   }
   // On: everything written so far is durable.  Off: so is everything cached.
-  wcache_.clear();
+  DropUndoLog();
   wcache_enabled_ = on;
 }
 
-void DiskHw::Apply(uint64_t lba, const std::vector<uint8_t>& bytes,
-                   uint32_t sectors) {
-  std::memcpy(store_.data() + lba * kSectorSize, bytes.data(),
-              static_cast<size_t>(sectors) * kSectorSize);
+void DiskHw::Apply(uint64_t lba, const uint8_t* bytes, uint32_t sectors) {
+  size_t offset = lba * kSectorSize;
+  size_t n = static_cast<size_t>(sectors) * kSectorSize;
+  std::memcpy(store_.data() + offset, bytes, n);
+  written_.Mark(offset, n);
+}
+
+void DiskHw::DropUndoLog() {
+  wcache_.clear();
+  undo_arena_.clear();  // keeps its capacity for the next epoch of writes
 }
 
 void DiskHw::PowerCut(CutPolicy policy, uint64_t seed) {
@@ -177,7 +178,7 @@ void DiskHw::PowerCut(CutPolicy policy, uint64_t seed) {
     // Roll the store back to the durable image, newest write first so an
     // overlapped range ends at its oldest pre-image.
     for (auto it = wcache_.rbegin(); it != wcache_.rend(); ++it) {
-      Apply(it->lba, it->pre, it->sectors);
+      Apply(it->lba, PreImage(*it), it->sectors);
     }
     Rng rng(seed);
     switch (policy) {
@@ -187,7 +188,7 @@ void DiskHw::PowerCut(CutPolicy policy, uint64_t seed) {
       case CutPolicy::kDropSubset:
         for (const CachedWrite& w : wcache_) {
           if (rng.Percent(50)) {
-            Apply(w.lba, w.data, w.sectors);
+            Apply(w.lba, WriteData(w), w.sectors);
           } else {
             ++wcache_dropped_;
           }
@@ -203,7 +204,7 @@ void DiskHw::PowerCut(CutPolicy policy, uint64_t seed) {
         }
         for (size_t idx : order) {
           if (rng.Percent(75)) {
-            Apply(wcache_[idx].lba, wcache_[idx].data, wcache_[idx].sectors);
+            Apply(wcache_[idx].lba, WriteData(wcache_[idx]), wcache_[idx].sectors);
           } else {
             ++wcache_dropped_;
           }
@@ -214,17 +215,17 @@ void DiskHw::PowerCut(CutPolicy policy, uint64_t seed) {
         // Everything but the last write survives; the last lands only a
         // sector prefix — the transfer the power failure interrupted.
         for (size_t i = 0; i + 1 < wcache_.size(); ++i) {
-          Apply(wcache_[i].lba, wcache_[i].data, wcache_[i].sectors);
+          Apply(wcache_[i].lba, WriteData(wcache_[i]), wcache_[i].sectors);
         }
         if (!wcache_.empty()) {
           const CachedWrite& last = wcache_.back();
           auto kept = static_cast<uint32_t>(rng.Below(last.sectors));
-          Apply(last.lba, last.data, kept);
+          Apply(last.lba, WriteData(last), kept);
           ++wcache_torn_;
         }
         break;
     }
-    wcache_.clear();  // the visible image IS the post-crash image now
+    DropUndoLog();  // the visible image IS the post-crash image now
   }
   powered_off_ = true;
   busy_ = false;

@@ -3,9 +3,11 @@
 // One outstanding request at a time (like a 1997 IDE controller in PIO/DMA
 // mode): the driver programs a read, write or cache-flush, the disk completes
 // it after a simulated seek+transfer delay and raises IRQ 14.  The backing
-// store is zero-on-demand host memory (src/machine/zero_pages.h), so a
-// fresh disk reads as zeros and costs only the sectors written to it; the
-// host can read it directly to capture images.
+// store is zero-on-demand host memory (src/base/zero_pages.h), so a fresh
+// disk reads as zeros and costs only the sectors written to it; the host
+// can read it directly to capture images.  The disk records which 4 KB
+// pages of the store it ever wrote (a PageSet), so raw() is a SparseImage
+// and an image capture copies only those pages.
 //
 // Volatile write cache (the durability model): with EnableWriteCache(true)
 // the disk behaves like real drives of the era — a completed write is
@@ -21,9 +23,12 @@
 // The durable image is never stored separately.  Each cached write is an
 // undo-log entry that keeps the bytes it overwrote; a Flush drops the log,
 // and PowerCut rolls the store back to the durable image by restoring the
-// pre-images newest-first before it applies the survivors.  That is exact
-// only because completed writes are the one way the store changes, so
-// raw() is read-only.
+// pre-images newest-first before it applies the survivors.  Entries keep
+// their data and pre-image side by side in one per-disk arena, so logging
+// a write is two appends and a flush keeps the arena's capacity.  Both the
+// rollback and the written-page set are exact only because write
+// completion and PowerCut are the one way the store changes, so raw() is
+// read-only.
 //
 // Fault injection (src/fault): with an environment bound, the disk honours
 //   disk.read.error / disk.write.error — complete the request with kIo,
@@ -41,11 +46,12 @@
 #include <vector>
 
 #include "src/base/error.h"
+#include "src/base/sparse_image.h"
+#include "src/base/zero_pages.h"
 #include "src/fault/fault.h"
 #include "src/machine/clock.h"
 #include "src/machine/physmem.h"
 #include "src/machine/pic.h"
-#include "src/machine/zero_pages.h"
 #include "src/trace/trace.h"
 
 namespace oskit {
@@ -77,7 +83,8 @@ class DiskHw {
 
   DiskHw(SimClock* clock, Pic* pic, uint64_t sector_count, int irq = kDefaultIrq)
       : clock_(clock), pic_(pic), irq_(irq),
-        store_(sector_count * kSectorSize), sector_count_(sector_count) {}
+        store_(sector_count * kSectorSize), written_(sector_count * kSectorSize),
+        sector_count_(sector_count) {}
 
   uint64_t sector_count() const { return sector_count_; }
   int irq() const { return irq_; }
@@ -139,8 +146,10 @@ class DiskHw {
   void ClearWriteLog() { write_log_.clear(); }
 
   // ---- Host-side read access (image capture, test assertions) ----
-  // After a PowerCut this IS the post-crash image.
-  const uint8_t* raw() const { return store_.data(); }
+  // After a PowerCut this IS the post-crash image.  Converts to the bare
+  // byte pointer; MemBlkIo::CreateFrom(raw(), ...) copies only the pages
+  // the disk ever wrote.
+  SparseImage raw() const { return SparseImage(store_.data(), store_.size(), &written_); }
   size_t raw_size() const { return store_.size(); }
 
   uint64_t reads_completed() const { return reads_completed_; }
@@ -156,14 +165,15 @@ class DiskHw {
   trace::Counter& wcache_torn_counter() { return wcache_torn_; }
 
  private:
-  // A completed-but-unflushed write (one undo-log entry): the data as
-  // transferred, so survivors can be replayed per request, and the bytes
-  // it overwrote, so the store can be rolled back to the durable image.
+  // A completed-but-unflushed write (one undo-log entry).  Its bytes sit
+  // in undo_arena_ at [at, at + 2n) for n = sectors * kSectorSize: first
+  // the data as transferred, so survivors can be replayed per request, then
+  // the bytes it overwrote, so the store can be rolled back to the durable
+  // image.
   struct CachedWrite {
     uint64_t lba = 0;
     uint32_t sectors = 0;
-    std::vector<uint8_t> data;
-    std::vector<uint8_t> pre;
+    size_t at = 0;
   };
 
   void Complete(Error status);
@@ -172,14 +182,20 @@ class DiskHw {
   SimTime TransferDelay(uint32_t sectors) const {
     return timing_.seek_ns + timing_.per_byte_ns * sectors * kSectorSize;
   }
+  const uint8_t* WriteData(const CachedWrite& w) const { return undo_arena_.data() + w.at; }
+  const uint8_t* PreImage(const CachedWrite& w) const {
+    return WriteData(w) + static_cast<size_t>(w.sectors) * kSectorSize;
+  }
   // Writes the first `sectors` sectors of `bytes` at `lba` into the store.
-  void Apply(uint64_t lba, const std::vector<uint8_t>& bytes, uint32_t sectors);
+  void Apply(uint64_t lba, const uint8_t* bytes, uint32_t sectors);
+  void DropUndoLog();
 
   SimClock* clock_;
   Pic* pic_;
   int irq_;
   Timing timing_;
   ZeroPages store_;
+  PageSet written_;  // every page of store_ a completion or PowerCut wrote
   uint64_t sector_count_;
   bool busy_ = false;
   bool done_ = false;
@@ -197,6 +213,7 @@ class DiskHw {
   bool wcache_enabled_ = false;
   bool powered_off_ = false;
   std::vector<CachedWrite> wcache_;  // undo log: completed, not yet durable
+  std::vector<uint8_t> undo_arena_;  // the undo log's data and pre-images
   std::vector<WriteRecord> write_log_;
   bool cut_armed_ = false;
   uint64_t cut_at_writes_ = 0;  // absolute writes_completed_ threshold

@@ -6,7 +6,7 @@
 // DMA controller — the paper's motivating example in §3.3) and lets device
 // models check that DMA buffers really are reachable.
 //
-// The arena's pages are zero-on-demand (src/machine/zero_pages.h): every
+// The arena's pages are zero-on-demand (src/base/zero_pages.h): every
 // byte reads as zero until written, and a machine costs host memory only
 // for the pages its kernel and devices actually touch.
 
@@ -18,7 +18,7 @@
 
 #include "src/base/error.h"
 #include "src/base/panic.h"
-#include "src/machine/zero_pages.h"
+#include "src/base/zero_pages.h"
 
 namespace oskit {
 

@@ -1,10 +1,12 @@
 // Foundation-library tests: the Internet checksum (including the
 // odd-boundary chaining the mbuf walkers rely on), byte-order helpers, the
-// intrusive list, the deterministic RNG, error names, and panic plumbing.
+// intrusive list, the deterministic RNG, the written-page set, error names,
+// and panic plumbing.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/byteorder.h"
@@ -13,6 +15,7 @@
 #include "src/base/intrusive_list.h"
 #include "src/base/panic.h"
 #include "src/base/random.h"
+#include "src/base/sparse_image.h"
 
 namespace oskit {
 namespace {
@@ -166,6 +169,31 @@ TEST(RngTest, RangesRespectBounds) {
     ASSERT_FALSE(rng.Percent(0));
     ASSERT_TRUE(rng.Percent(100));
   }
+}
+
+TEST(PageSetTest, RunsAreMaximalAscendingAndClipped) {
+  constexpr size_t kPage = PageSet::kPageSize;
+  PageSet set(200 * kPage);
+  std::vector<std::pair<size_t, size_t>> runs;
+  auto collect = [&](size_t limit) {
+    runs.clear();
+    set.ForEachRun(limit, [&](size_t at, size_t len) { runs.emplace_back(at, len); });
+  };
+  collect(200 * kPage);
+  EXPECT_TRUE(runs.empty());
+  set.Mark(62 * kPage + 10, kPage);  // pages 62-63: up to a word boundary
+  set.Mark(64 * kPage, 1);           // page 64 starts the next word
+  set.Mark(130 * kPage, 0);          // empty: marks nothing
+  set.Mark(199 * kPage + 5, 1);
+  EXPECT_TRUE(set.Contains(63));
+  EXPECT_FALSE(set.Contains(130));
+  collect(200 * kPage);
+  EXPECT_EQ((std::vector<std::pair<size_t, size_t>>{{62 * kPage, 3 * kPage},
+                                                     {199 * kPage, kPage}}),
+            runs);
+  // A limit inside a run clips it; runs past the limit are left out.
+  collect(63 * kPage + 100);
+  EXPECT_EQ((std::vector<std::pair<size_t, size_t>>{{62 * kPage, kPage + 100}}), runs);
 }
 
 TEST(ErrorTest, NamesAreStable) {

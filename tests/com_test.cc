@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "src/com/bufio.h"
 #include "src/com/memblkio.h"
@@ -126,11 +127,87 @@ TEST(MemBlkIoTest, MapGivesDirectAccess) {
 
 TEST(MemBlkIoTest, SetSizeWhileMappedIsRefused) {
   auto io = MemBlkIo::Create(64);
+  size_t actual = 0;
+  ASSERT_EQ(Error::kOk, io->Write("abc", 0, 3, &actual));
   void* addr = nullptr;
   ASSERT_EQ(Error::kOk, io->Map(&addr, 0, 64));
   EXPECT_EQ(Error::kBusy, io->SetSize(128));
+  EXPECT_EQ(Error::kBusy, io->SetSize(0));
+  // Refused means untouched: the mapping neither moved nor changed.
+  EXPECT_EQ(addr, io->data());
+  EXPECT_EQ(0, memcmp(addr, "abc", 3));
   ASSERT_EQ(Error::kOk, io->Unmap(addr, 0, 64));
   EXPECT_EQ(Error::kOk, io->SetSize(128));
+}
+
+TEST(MemBlkIoTest, SetSizeKeepsPrefixAndZeroTail) {
+  constexpr size_t kStart = 5000;  // not a page multiple: a partial last page
+  auto io = MemBlkIo::Create(kStart);
+  std::vector<uint8_t> pattern(kStart);
+  for (size_t i = 0; i < kStart; ++i) {
+    pattern[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  size_t actual = 0;
+  ASSERT_EQ(Error::kOk, io->Write(pattern.data(), 0, kStart, &actual));
+  auto expect = [&](size_t size, size_t prefix) {
+    ASSERT_EQ(size, io->size());
+    EXPECT_EQ(0, memcmp(io->data(), pattern.data(), prefix));
+    for (size_t i = prefix; i < size; ++i) {
+      ASSERT_EQ(0, io->data()[i]) << "byte " << i;
+    }
+  };
+  ASSERT_EQ(Error::kOk, io->SetSize(3 * 4096 + 10));  // grow across pages
+  expect(3 * 4096 + 10, kStart);
+  ASSERT_EQ(Error::kOk, io->SetSize(4500));  // shrink inside the second page
+  expect(4500, 4500);
+  ASSERT_EQ(Error::kOk, io->SetSize(100));  // shrink into the first page
+  expect(100, 100);
+  ASSERT_EQ(Error::kOk, io->SetSize(64 * 1024));  // the given-up bytes stay zero
+  expect(64 * 1024, 100);
+}
+
+TEST(MemBlkIoTest, SizeZeroObject) {
+  auto io = MemBlkIo::Create(0, 512);
+  off_t64 size = 1;
+  ASSERT_EQ(Error::kOk, io->GetSize(&size));
+  EXPECT_EQ(0u, size);
+  uint8_t buf[16] = {};
+  size_t actual = 1;
+  EXPECT_EQ(Error::kOk, io->Read(buf, 0, sizeof(buf), &actual));
+  EXPECT_EQ(0u, actual);
+  EXPECT_EQ(Error::kOk, io->Write(buf, 0, sizeof(buf), &actual));
+  EXPECT_EQ(0u, actual);
+  EXPECT_EQ(Error::kOutOfRange, io->Read(buf, 1, 1, &actual));
+  void* addr = nullptr;
+  ASSERT_EQ(Error::kOk, io->Map(&addr, 0, 0));
+  ASSERT_EQ(Error::kOk, io->Unmap(addr, 0, 0));
+  EXPECT_EQ(0u, MemBlkIo::CreateFrom(nullptr, 0)->size());
+  // Growing from nothing and shrinking back to nothing.
+  ASSERT_EQ(Error::kOk, io->SetSize(4096));
+  ASSERT_EQ(Error::kOk, io->Write("x", 4095, 1, &actual));
+  EXPECT_EQ('x', io->data()[4095]);
+  ASSERT_EQ(Error::kOk, io->SetSize(0));
+  EXPECT_EQ(nullptr, io->data());
+}
+
+TEST(MemBlkIoTest, HugeSetSizeFailsCleanly) {
+  auto io = MemBlkIo::CreateFrom("abc", 3);
+  EXPECT_EQ(Error::kNoMem, io->SetSize(~off_t64{0} - 100));  // rounding overflows
+  EXPECT_EQ(Error::kNoMem, io->SetSize(off_t64{1} << 50));    // past the address space
+  EXPECT_EQ(3u, io->size());
+  EXPECT_EQ(0, memcmp(io->data(), "abc", 3));
+  // The failed remap left the guard page in place and the object usable.
+  ASSERT_EQ(Error::kOk, io->SetSize(8192));
+  EXPECT_EQ(0, memcmp(io->data(), "abc", 3));
+}
+
+TEST(MemBlkIoDeathTest, WriteOnePastMappedEndFaults) {
+  auto io = MemBlkIo::Create(2 * 4096, 512);
+  void* addr = nullptr;
+  ASSERT_EQ(Error::kOk, io->Map(&addr, 0, 2 * 4096));
+  volatile uint8_t* end = static_cast<uint8_t*>(addr) + 2 * 4096;
+  EXPECT_DEATH(*end = 1, "");
+  ASSERT_EQ(Error::kOk, io->Unmap(addr, 0, 2 * 4096));
 }
 
 TEST(MemBlkIoTest, MapOutOfRangeFails) {

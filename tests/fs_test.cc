@@ -12,6 +12,7 @@
 #include "src/base/random.h"
 #include "src/com/memblkio.h"
 #include "src/fs/ffs.h"
+#include "src/fs/format.h"
 #include "src/fs/fsck.h"
 #include "src/secure/wrap.h"
 #include "tests/bounds_abuse.h"
@@ -582,6 +583,148 @@ TEST_P(FsPropertyTest, RandomOpsMatchModelAndFsck) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FsPropertyTest, ::testing::Values(101, 202, 303, 404));
+
+bool HasProblem(const FsckReport& report, const std::string& needle) {
+  for (const std::string& p : report.problems) {
+    if (p.find(needle) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Hand-built corruptions of the root directory's inode.  fsck runs on
+// every crash recovery, so each must end with a reported problem, and
+// quickly: no walk over a 2^40-byte size, no index past a block table.
+class FsckBoundsTest : public ::testing::Test {
+ protected:
+  // File blocks the block map addresses: direct, single and double indirect.
+  static constexpr uint64_t kMapBlocks =
+      kDirectBlocks + kPointersPerBlock + uint64_t{kPointersPerBlock} * kPointersPerBlock;
+
+  void SetUp() override {
+    disk_ = MemBlkIo::Create(16 * 1024 * 1024, 512);
+    ASSERT_EQ(Error::kOk, Mkfs(disk_.get()));
+    std::memcpy(&sb_, disk_->data(), sizeof(sb_));
+    std::memcpy(&root_, RootSlot(), sizeof(root_));
+  }
+
+  uint8_t* Block(uint32_t block) { return disk_->data() + uint64_t{block} * kBlockSize; }
+  uint8_t* RootSlot() { return Block(sb_.itable_start) + kRootIno * kInodeSize; }
+  void StoreRoot() { std::memcpy(RootSlot(), &root_, sizeof(root_)); }
+  void SetPointer(uint32_t table, uint32_t slot, uint32_t block) {
+    std::memcpy(Block(table) + slot * 4, &block, 4);
+  }
+
+  ComPtr<MemBlkIo> disk_;
+  SuperBlock sb_;
+  DiskInode root_;
+};
+
+TEST_F(FsckBoundsTest, DirectoryOfTwoToTheFortyBytesIsReported) {
+  root_.size = uint64_t{1} << 40;
+  StoreRoot();
+  FsckReport report = Fsck(disk_.get());
+  EXPECT_TRUE(report.superblock_valid);
+  EXPECT_FALSE(report.consistent);
+  EXPECT_TRUE(HasProblem(report, "past the block map's range"));
+}
+
+TEST_F(FsckBoundsTest, DirectoryReadPastDoubleIndirectRangeIsReported) {
+  // The last block the map can address, reached through the last slot of
+  // the double-indirect table and of its last middle table, holds a copy
+  // of the root's first block with '.' pointing elsewhere, so the report
+  // shows it was read; the size reaches one block past it.
+  uint32_t outer = sb_.total_blocks - 1;
+  uint32_t mid = sb_.total_blocks - 2;
+  uint32_t last = sb_.total_blocks - 3;
+  std::memcpy(Block(last), Block(root_.direct[0]), kBlockSize);
+  uint64_t stray_ino = 7;
+  std::memcpy(Block(last), &stray_ino, sizeof(stray_ino));
+  SetPointer(outer, kPointersPerBlock - 1, mid);
+  SetPointer(mid, kPointersPerBlock - 1, last);
+  root_.double_indirect = outer;
+  root_.size = (kMapBlocks + 1) * kBlockSize;
+  StoreRoot();
+  FsckReport report = Fsck(disk_.get());
+  EXPECT_FALSE(report.consistent);
+  EXPECT_TRUE(HasProblem(report, "'.' points to 7"));
+  EXPECT_TRUE(HasProblem(report, "past the block map's range"));
+}
+
+TEST_F(FsckBoundsTest, DirectoryMappingMoreBlocksThanItHoldsIsReported) {
+  // Every direct slot names the same block: it is claimed once, so the
+  // directory holds one block but maps ten.
+  for (uint32_t i = 1; i < kDirectBlocks; ++i) {
+    root_.direct[i] = root_.direct[0];
+  }
+  root_.size = uint64_t{kDirectBlocks} * kBlockSize;
+  StoreRoot();
+  FsckReport report = Fsck(disk_.get());
+  EXPECT_FALSE(report.consistent);
+  EXPECT_TRUE(HasProblem(report, "maps more than the 1 blocks it holds"));
+}
+
+// Mutated images from a byte-scribbling probe of fsck: a 4 MB volume with
+// three directories of five files each, with the stored (offset, byte)
+// pairs written over its first 64 KB.  Before the bounds, the first kept
+// fsck walking a root directory whose size grew to about 2^40 bytes, and
+// the second crashed indexing its block map with a data_start past the
+// volume.
+struct Scribble {
+  uint32_t offset;
+  uint8_t byte;
+};
+
+FsckReport FsckScribbledImage(const std::vector<Scribble>& scribbles) {
+  auto disk = MemBlkIo::Create(4 * 1024 * 1024, 512);
+  EXPECT_EQ(Error::kOk, Mkfs(disk.get()));
+  FileSystem* raw = nullptr;
+  EXPECT_EQ(Error::kOk, Offs::Mount(disk.get(), &raw));
+  ComPtr<FileSystem> fs(raw);
+  ComPtr<Dir> root;
+  EXPECT_EQ(Error::kOk, fs->GetRoot(root.Receive()));
+  for (int d = 0; d < 3; ++d) {
+    std::string dir_name = "d" + std::to_string(d);
+    EXPECT_EQ(Error::kOk, root->Mkdir(dir_name.c_str(), 0755));
+    ComPtr<File> node;
+    EXPECT_EQ(Error::kOk, root->Lookup(dir_name.c_str(), node.Receive()));
+    auto dir = ComPtr<Dir>::FromQuery(node.get());
+    for (int f = 0; f < 5; ++f) {
+      std::string file_name = "f" + std::to_string(f);
+      ComPtr<File> file;
+      EXPECT_EQ(Error::kOk, dir->Create(file_name.c_str(), 0644, file.Receive()));
+      std::vector<char> data(3000 * (f + 1), static_cast<char>('a' + f));
+      size_t actual = 0;
+      EXPECT_EQ(Error::kOk, file->Write(data.data(), 0, data.size(), &actual));
+    }
+  }
+  root.Reset();
+  EXPECT_EQ(Error::kOk, fs->Unmount());
+  for (const Scribble& s : scribbles) {
+    disk->data()[s.offset] = s.byte;
+  }
+  return Fsck(disk.get());
+}
+
+TEST(FsckScribbleTest, RootSizeNearTwoToTheFortyIsReported) {
+  FsckReport report = FsckScribbledImage(
+      {{7354, 0xb5}, {47467, 0xd0}, {58804, 0x2f}, {47120, 0xcc}, {46171, 0x48},
+       {48195, 0xa5}, {41238, 0x9d}, {35829, 0xa5}, {8340, 0xcf}, {7799, 0x68},
+       {26617, 0x6e}, {19851, 0x85}});
+  EXPECT_FALSE(report.consistent);
+  EXPECT_TRUE(HasProblem(report, "directory 1 size"));
+}
+
+TEST(FsckScribbleTest, DataStartPastTheVolumeIsReported) {
+  FsckReport report = FsckScribbledImage(
+      {{4068, 0xfa}, {2843, 0x80}, {43151, 0xeb}, {47780, 0x7a}, {2315, 0xc3},
+       {4790, 0x44}, {22507, 0x9a}, {42793, 0xe2}, {38, 0xbe}, {24280, 0x4a},
+       {14360, 0xeb}, {52584, 0xf3}, {21204, 0x15}, {59060, 0x61}, {53336, 0xcc}});
+  EXPECT_FALSE(report.superblock_valid);
+  ASSERT_EQ(1u, report.problems.size());
+  EXPECT_EQ("bad or unreadable superblock", report.problems[0]);
+}
 
 }  // namespace
 }  // namespace oskit::fs

@@ -326,7 +326,7 @@ CrashRun RunCutWorkload(bool journaled, uint64_t arm_writes,
   });
   EXPECT_EQ(Simulation::RunResult::kAllDone, sim.Run());
   run.cut_fired = disk->powered_off();
-  run.image.assign(disk->raw(), disk->raw() + disk->raw_size());
+  run.image.assign(disk->raw().data(), disk->raw().data() + disk->raw_size());
   return run;
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/base/random.h"
+#include "src/com/memblkio.h"
 #include "src/machine/machine.h"
 
 namespace oskit {
@@ -717,8 +718,8 @@ TEST(DiskTest, PowerCutPoliciesDeterministicPerSeed) {
         EXPECT_EQ(Error::kOk, rig.Write(tag * 2, 4, sector));
       }
       rig.disk->PowerCut(policy, seed);
-      return std::vector<uint8_t>(rig.disk->raw(),
-                                  rig.disk->raw() + rig.disk->raw_size());
+      return std::vector<uint8_t>(rig.disk->raw().data(),
+                                  rig.disk->raw().data() + rig.disk->raw_size());
     };
     EXPECT_EQ(run(42), run(42));
     EXPECT_NE(run(42), run(43));
@@ -848,7 +849,7 @@ TEST(DiskTest, FlushErrorFaultLeavesCacheVolatile) {
 class SnapshotModel {
  public:
   explicit SnapshotModel(const DiskHw& disk)
-      : durable_(disk.raw(), disk.raw() + disk.raw_size()) {}
+      : durable_(disk.raw().data(), disk.raw().data() + disk.raw_size()) {}
 
   void Write(uint64_t lba, uint32_t sectors, const uint8_t* buf) {
     cached_.push_back(
@@ -967,6 +968,80 @@ TEST(DiskTest, UndoLogMatchesSnapshotModelUnderEveryCutPolicy) {
       const std::vector<uint8_t>& want = model.Cut(policy, cut_seed);
       ASSERT_EQ(want.size(), rig.disk->raw_size());
       EXPECT_EQ(0, std::memcmp(want.data(), rig.disk->raw(), want.size()));
+    }
+  }
+}
+
+// The sparse copy of raw() must equal a dense copy of its bytes, byte for
+// byte, whatever sequence of writes, flushes, resets and cuts built it.
+void ExpectSparseCopyMatchesDense(const DiskHw& disk) {
+  auto sparse = MemBlkIo::CreateFrom(disk.raw(), disk.raw_size(), 512);
+  ASSERT_EQ(disk.raw_size(), sparse->size());
+  EXPECT_EQ(0, std::memcmp(sparse->data(), disk.raw().data(), disk.raw_size()));
+}
+
+TEST(DiskTest, WrittenPagesAreExactlyThePagesWritten) {
+  DiskRig rig(256);  // 32 pages of 4 KB
+  std::vector<std::pair<size_t, size_t>> runs;
+  auto collect = [&] {
+    runs.clear();
+    rig.disk->raw().written().ForEachRun(
+        rig.disk->raw_size(), [&](size_t at, size_t len) { runs.emplace_back(at, len); });
+  };
+  collect();
+  EXPECT_TRUE(runs.empty());
+  // Sectors 7..9 straddle pages 0 and 1; sector 40 is page 5; an all-zero
+  // payload still counts as written.
+  uint8_t buf[3 * DiskHw::kSectorSize] = {};
+  ASSERT_EQ(Error::kOk, rig.Write(7, 3, buf));
+  ASSERT_EQ(Error::kOk, rig.Write(40, 1, buf));
+  collect();
+  EXPECT_EQ((std::vector<std::pair<size_t, size_t>>{{0, 8192}, {20480, 4096}}), runs);
+  // A write aborted by Reset never lands, so it marks nothing.
+  rig.disk->SubmitWrite(100, 1, buf);
+  rig.disk->Reset();
+  collect();
+  EXPECT_EQ(2u, runs.size());
+}
+
+TEST(DiskTest, SparseImageCopyMatchesDenseCopy) {
+  constexpr uint64_t kSectors = 192;  // 24 pages of 4 KB
+  constexpr uint32_t kMaxRun = 20;    // runs up to 2.5 pages straddle pages
+  for (bool cache : {false, true}) {
+    for (DiskHw::CutPolicy policy :
+         {DiskHw::CutPolicy::kDropAll, DiskHw::CutPolicy::kDropSubset,
+          DiskHw::CutPolicy::kReorder, DiskHw::CutPolicy::kTear}) {
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(testing::Message() << "cache " << cache << " policy "
+                                        << static_cast<int>(policy) << " seed " << seed);
+        DiskRig rig(kSectors);
+        rig.disk->EnableWriteCache(cache);
+        Rng ops(seed);
+        std::vector<uint8_t> buf(kMaxRun * DiskHw::kSectorSize);
+        for (int i = 0; i < 40; ++i) {
+          uint64_t lba = ops.Below(kSectors);
+          auto sectors = static_cast<uint32_t>(
+              ops.Range(1, std::min<uint64_t>(kMaxRun, kSectors - lba)));
+          bool zeros = ops.Percent(20);
+          for (size_t b = 0; b < sectors * DiskHw::kSectorSize; ++b) {
+            buf[b] = zeros ? 0 : static_cast<uint8_t>(ops.Next() | 1);
+          }
+          if (ops.Percent(10)) {
+            // A request the controller reset aborts: none of it may land.
+            rig.disk->SubmitWrite(lba, sectors, buf.data());
+            rig.disk->Reset();
+          } else if (ops.Percent(10)) {
+            EXPECT_EQ(Error::kOk, rig.Flush());
+          } else {
+            EXPECT_EQ(Error::kOk, rig.Write(lba, sectors, buf.data()));
+          }
+          if (i % 10 == 0) {
+            ExpectSparseCopyMatchesDense(*rig.disk);
+          }
+        }
+        rig.disk->PowerCut(policy, seed * 0x9e3779b97f4a7c15ull);
+        ExpectSparseCopyMatchesDense(*rig.disk);
+      }
     }
   }
 }
