@@ -251,6 +251,84 @@ TEST(NetIntegrationTest, UdpFragmentationReassembles) {
   EXPECT_EQ(b.stack->counters().ip_reassembled, 1u);
 }
 
+// One 8-byte piece of a 24-byte UDP datagram (header + 16 payload bytes),
+// framed for `to` as if from 10.0.0.99, a host that is not on the segment.
+// Piece 0 carries the UDP header; piece 2 is the last fragment.
+std::vector<uint8_t> UdpFragmentFrame(const Host& to, uint16_t ident,
+                                      int piece) {
+  constexpr uint16_t kDgramLen = net::kUdpHeaderSize + 16;
+  uint8_t dgram[kDgramLen] = {};
+  net::UdpHeader uh;
+  uh.src_port = 4000;
+  uh.dst_port = 9;
+  uh.length = kDgramLen;  // checksum 0: none
+  uh.Serialize(dgram);
+  for (size_t i = net::kUdpHeaderSize; i < kDgramLen; ++i) {
+    dgram[i] = static_cast<uint8_t>(ident + i);
+  }
+  std::vector<uint8_t> frame(kEtherHeaderSize + net::kIpHeaderSize + 8);
+  net::EtherHeader eh;
+  eh.dst = to.machine->nics()[0]->mac();
+  eh.src = EtherAddr{{0x02, 0, 0, 0, 0, 99}};
+  eh.type = net::kEtherTypeIp;
+  eh.Serialize(frame.data());
+  net::Ipv4Header ip;
+  ip.total_len = static_cast<uint16_t>(net::kIpHeaderSize + 8);
+  ip.ident = ident;
+  ip.frag = static_cast<uint16_t>(piece | (piece < 2 ? net::kIpFlagMoreFragments : 0));
+  ip.proto = net::kIpProtoUdp;
+  ip.src = HostAddr(98);
+  ip.dst = to.addr;
+  ip.Serialize(frame.data() + kEtherHeaderSize);
+  std::memcpy(frame.data() + kEtherHeaderSize + net::kIpHeaderSize,
+              dgram + 8 * piece, 8);
+  return frame;
+}
+
+TEST(NetIntegrationTest, FragmentsPastTheReassemblyDeadlineAreDiscarded) {
+  // A datagram's fragments must all arrive within 30 s of the first; the
+  // stack's periodic sweep discards a queue past that deadline, so a late
+  // tail starts a new queue that never completes.
+  World world;
+  Host& b = world.AddHost("b", NetConfig::kNativeBsd);
+  ComPtr<Socket> sock;
+  auto inject = [&](uint16_t ident, int piece) {
+    std::vector<uint8_t> frame = UdpFragmentFrame(b, ident, piece);
+    world.wire().Transmit(nullptr, frame.data(), frame.size());
+  };
+  world.sim().Spawn("fragments", [&] {
+    sock = b.MakeSocket(SockType::kDgram);
+    ASSERT_EQ(Error::kOk, sock->Bind(SockAddr{kInetAny, 9}));
+    inject(7, 0);  // late datagram: its tail comes after the deadline
+    inject(7, 1);
+    world.sim().SleepFor(31 * kNsPerSec);
+    inject(7, 2);
+    inject(8, 0);  // on-time datagram: its tail comes after 29 s
+    inject(8, 1);
+    world.sim().SleepFor(29 * kNsPerSec);
+    inject(8, 2);
+    world.sim().SleepFor(kNsPerSec);
+  });
+  world.RunToCompletion();
+
+  EXPECT_EQ(6u, b.stack->counters().ip_frags_in.value());
+  EXPECT_EQ(1u, b.stack->counters().ip_reassembled.value());
+  void* extp = nullptr;
+  ASSERT_EQ(Error::kOk, sock->Query(SocketExt::kIid, &extp));
+  static_cast<SocketExt*>(extp)->SetNonBlocking(true);
+  static_cast<SocketExt*>(extp)->Release();
+  uint8_t buf[64];
+  SockAddr from;
+  size_t n = 0;
+  ASSERT_EQ(Error::kOk, sock->RecvFrom(buf, sizeof(buf), &from, &n));
+  ASSERT_EQ(16u, n);  // datagram 8, whole
+  EXPECT_EQ(HostAddr(98).value, from.addr.value);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(static_cast<uint8_t>(8 + net::kUdpHeaderSize + i), buf[i]);
+  }
+  EXPECT_EQ(Error::kWouldBlock, sock->RecvFrom(buf, sizeof(buf), &from, &n));
+}
+
 TEST(NetIntegrationTest, ConnectionRefusedGetsRst) {
   World world;
   Host& a = world.AddHost("a", NetConfig::kNativeBsd);
