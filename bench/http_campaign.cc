@@ -38,6 +38,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/base/random.h"
 #include "src/com/memblkio.h"
 #include "src/dev/linux/linux_ide.h"
@@ -51,6 +52,8 @@
 
 using namespace oskit;
 using namespace oskit::testbed;
+using bench::Percentile;
+using bench::QueryExt;
 using secure::Budget;
 using secure::NetGuard;
 using secure::Principal;
@@ -139,22 +142,6 @@ int64_t QueryArg(const std::string& target, const std::string& key) {
   return 0;
 }
 
-SocketExt* QueryExt(Socket* s) {
-  void* extp = nullptr;
-  if (!Ok(s->Query(SocketExt::kIid, &extp))) {
-    return nullptr;
-  }
-  return static_cast<SocketExt*>(extp);
-}
-
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
-    return 0;
-  }
-  size_t idx = static_cast<size_t>(p * (sorted.size() - 1));
-  return sorted[idx];
-}
-
 // Blocking request helper: sends `wire`, parses `expected` responses.
 // Returns false (instead of asserting) so callers can count failures.
 bool Exchange(Socket* sock, const std::string& wire, size_t expected,
@@ -209,7 +196,6 @@ struct PhaseResult {
   // Server-side counters.
   uint64_t established_peak = 0;
   uint64_t listen_overflows = 0;
-  uint64_t pcb_scan_full = 0;
   uint64_t requests = 0, responses = 0, pipelined = 0;
   uint64_t read_paused = 0, bytes_out = 0;
   uint64_t sg_frames = 0, tx_copied_bytes = 0;
@@ -710,7 +696,6 @@ void RunHttpPhase(const PhaseOptions& opt, PhaseResult* r) {
   const auto& sc = server.stack->counters();
   r->established_peak = sc.tcp_established_peak.value();
   r->listen_overflows = sc.tcp_listen_overflows.value();
-  r->pcb_scan_full = sc.pcb_scan_full.value();
   const auto& reg = server.trace.registry;
   r->requests = reg.Value("http.requests");
   r->responses = reg.Value("http.responses");
@@ -1071,11 +1056,9 @@ int main(int argc, char** argv) {
               irqs_per_frame(base_r), irqs_per_frame(nonapi_r),
               ok ? "PASS" : "FAIL");
 
-  ok = main_r.pcb_scan_full == 0 && main_r.listen_overflows == 0;
+  ok = main_r.listen_overflows == 0;
   fail |= !ok;
-  std::printf("  internals:    %llu full PCB scans, %llu listen overflows  "
-              "%s\n",
-              static_cast<unsigned long long>(main_r.pcb_scan_full),
+  std::printf("  internals:    %llu listen overflows  %s\n",
               static_cast<unsigned long long>(main_r.listen_overflows),
               ok ? "PASS" : "FAIL");
 
@@ -1112,8 +1095,7 @@ int main(int argc, char** argv) {
                  "  \"server\": {\"requests\": %llu, \"responses\": %llu, "
                  "\"pipelined\": %llu, \"read_paused\": %llu, "
                  "\"bytes_out\": %llu, \"sg_frames\": %llu, "
-                 "\"napi_polls\": %llu, \"listen_overflows\": %llu, "
-                 "\"pcb_scan_full\": %llu},\n",
+                 "\"napi_polls\": %llu, \"listen_overflows\": %llu},\n",
                  static_cast<unsigned long long>(main_r.requests),
                  static_cast<unsigned long long>(main_r.responses),
                  static_cast<unsigned long long>(main_r.pipelined),
@@ -1121,8 +1103,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(main_r.bytes_out),
                  static_cast<unsigned long long>(main_r.sg_frames),
                  static_cast<unsigned long long>(main_r.napi_polls),
-                 static_cast<unsigned long long>(main_r.listen_overflows),
-                 static_cast<unsigned long long>(main_r.pcb_scan_full));
+                 static_cast<unsigned long long>(main_r.listen_overflows));
     std::fprintf(f, "  \"attribution\": {");
     for (size_t i = 0; i < main_r.attribution.size(); ++i) {
       std::fprintf(f, "%s\"%s\": %llu", i == 0 ? "" : ", ",

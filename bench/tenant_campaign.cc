@@ -40,6 +40,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/base/random.h"
 #include "src/com/memblkio.h"
 #include "src/fs/ffs.h"
@@ -48,6 +49,7 @@
 
 using namespace oskit;
 using namespace oskit::testbed;
+using bench::Percentile;
 using secure::Acl;
 using secure::Budget;
 using secure::NetGuard;
@@ -85,15 +87,6 @@ struct RunResult {
   uint64_t leaked = 0;          // sum of post-teardown charged gauges
   bool completed = false;       // the simulation drained (nobody hung)
 };
-
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) {
-    return 0;
-  }
-  std::sort(v.begin(), v.end());
-  size_t idx = static_cast<size_t>(p * (v.size() - 1));
-  return v[idx];
-}
 
 // One full campaign world.  Builds everything, runs to completion, fills
 // `out`.  Every blocking operation lives inside a fiber; sends are paced.
@@ -544,6 +537,8 @@ int main(int argc, char** argv) {
     RunCampaign(Mode::kGuarded, rep.seed, opt, &rep.guard);
     RunCampaign(Mode::kAblation, rep.seed, opt, &rep.ablate);
 
+    std::sort(base.lat_us.begin(), base.lat_us.end());
+    std::sort(rep.guard.lat_us.begin(), rep.guard.lat_us.end());
     rep.base_p99 = Percentile(base.lat_us, 0.99);
     rep.guard_p99 = Percentile(rep.guard.lat_us, 0.99);
     rep.ratio = rep.base_p99 > 0 ? rep.guard_p99 / rep.base_p99 : 0;

@@ -261,9 +261,8 @@ void FormatEndpoint(char* buf, size_t cap, InetAddr a, uint16_t port) {
 void NetStack::Netstat(const std::function<void(const char*)>& emit) {
   char line[256];
   std::snprintf(line, sizeof line,
-                "mode=%s tcp_pcbs=%zu udp_pcbs=%zu conn_hash=%zu "
-                "lport_buckets=%zu",
-                linear_internals_ ? "linear" : "hash+wheel", tcp_pcbs_.size(),
+                "tcp_pcbs=%zu udp_pcbs=%zu conn_hash=%zu lport_buckets=%zu",
+                tcp_pcbs_.size(),
                 udp_pcbs_.size(), tcp_conn_.size(), tcp_by_lport_.size());
   emit(line);
   for (const auto& pcb : tcp_pcbs_) {

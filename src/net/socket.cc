@@ -106,9 +106,9 @@ Error NetStack::SoConnect(BsdSocket* so, const SockAddr& addr) {
   pcb->snd.hiwat = default_sock_buf_;
   pcb->rcv.hiwat = default_sock_buf_;
   pcb->state = TcpState::kSynSent;
-  TcpArmConn(pcb, 60);  // 30 s
+  WheelArmSlow(&pcb->conn_wheel, 60);  // 30 s
   TcpSendSegment(pcb, pcb->iss, kTcpFlagSyn, nullptr, 0, 0, /*with_mss=*/true);
-  TcpArmRexmt(pcb, pcb->RtoTicks());
+  WheelArmSlow(&pcb->rexmt_wheel, pcb->RtoTicks());
 
   if (so->nonblocking()) {
     // The caller polls completion through the selector / GetPeerName.

@@ -116,7 +116,6 @@ NetStack::NetStack(SleepEnv* sleep_env, SimClock* clock, trace::TraceEnv* trace)
        {"net.port.exhausted", &counters_.port_exhausted},
        {"net.pcb.hash.hits", &counters_.pcb_hash_hits},
        {"net.pcb.hash.misses", &counters_.pcb_hash_misses},
-       {"net.pcb.scan_full", &counters_.pcb_scan_full},
        {"net.tcp.established", &counters_.tcp_established, /*gauge=*/true},
        {"net.tcp.established_peak", &counters_.tcp_established_peak,
         /*gauge=*/true},
@@ -131,13 +130,11 @@ NetStack::NetStack(SleepEnv* sleep_env, SimClock* clock, trace::TraceEnv* trace)
        {"net.select.registered", &counters_.select_registered, /*gauge=*/true},
        {"net.sleep.sleeps", &sleep_wakeup_.sleeps_counter()},
        {"net.sleep.wakeups", &sleep_wakeup_.wakeups_counter()}});
-  StartTimers();
+  ScheduleWheelTick();
 }
 
 NetStack::~NetStack() {
   shutting_down_ = true;
-  clock_->Cancel(fast_timer_);
-  clock_->Cancel(slow_timer_);
   clock_->Cancel(wheel_timer_);
   for (Iface& iface : ifaces_) {
     if (iface.dev) {
@@ -164,50 +161,17 @@ NetStack::~NetStack() {
   }
 }
 
-void NetStack::StartTimers() {
-  // All three periodic events run in both modes (so the ablation flag can
-  // flip without rescheduling); the mode check happens at fire time.  In
-  // linear mode the BSD 200 ms fast and 500 ms slow sweeps do the TCP work;
-  // in wheel mode the 100 ms wheel tick does, and the sweeps degenerate to
-  // the IP-level housekeeping that rides the slow event.
-  ScheduleFastTimer();
-  ScheduleSlowTimer();
-  ScheduleWheelTick();
-}
-
-void NetStack::ScheduleFastTimer() {
-  fast_timer_ = clock_->ScheduleAfter(200 * kNsPerMs, [this] {
-    if (shutting_down_) {
-      return;
-    }
-    if (linear_internals_) {
-      TcpFastTimo();
-    }
-    ScheduleFastTimer();
-  });
-}
-
-void NetStack::ScheduleSlowTimer() {
-  slow_timer_ = clock_->ScheduleAfter(500 * kNsPerMs, [this] {
-    if (shutting_down_) {
-      return;
-    }
-    if (linear_internals_) {
-      TcpSlowTimo();
-    }
-    FragTimeoutSweep();
-    ScheduleSlowTimer();
-  });
-}
-
 void NetStack::ScheduleWheelTick() {
+  // The stack's one periodic event.  The tick about to run is the 500 ms
+  // boundary on every fifth: expire stale IP reassembly queues there,
+  // before the TCP timers due at that boundary fire.
   wheel_timer_ = clock_->ScheduleAfter(100 * kNsPerMs, [this] {
     if (shutting_down_) {
       return;
     }
-    // Ticks in linear mode too (nothing is armed then, so it only advances
-    // now_): the wheel clock must stay in lockstep with SimClock or an
-    // ablation flip would skew every later arm.
+    if ((wheel_.now() + 1) % 5 == 0) {
+      FragTimeoutSweep();
+    }
     wheel_.Tick();
     ScheduleWheelTick();
   });

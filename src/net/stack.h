@@ -2,8 +2,9 @@
 //
 // Internally everything is mbuf chains and BSD conventions: sleep/wakeup on
 // wait channels backed by an event hash (§4.7.6), manufactured "current
-// process" records (§4.7.5), sockbufs, PCB lists, 200ms/500ms protocol
-// timers.  Externally it exposes exactly what the paper's component does:
+// process" records (§4.7.5), sockbufs, PCB lists, and the BSD 200ms/500ms
+// protocol timer periods (kept on a timer wheel rather than swept).
+// Externally it exposes exactly what the paper's component does:
 //
 //   * a COM SocketFactory (so the minimal C library's socket() can use it);
 //   * a driver binding that exchanges NetIo callbacks with any EtherDev
@@ -114,8 +115,7 @@ class BsdSelector;
 struct TcpPcb;
 struct UdpPcb;
 
-// NetStack's pcb lists, in creation order: the order the linear-mode sweeps
-// and Netstat walk.
+// NetStack's pcb lists, in creation order: the order Netstat walks.
 using TcpPcbList = std::list<std::unique_ptr<TcpPcb>>;
 using UdpPcbList = std::list<std::unique_ptr<UdpPcb>>;
 
@@ -170,29 +170,23 @@ struct TcpPcb {
   };
   std::list<OooSegment> reass;
 
-  // Timers, in slow-timer ticks (500 ms).  In linear mode the sweeps
-  // decrement these fields; in wheel mode the fields are set by the arm
-  // helpers and `field != 0` mirrors `handle armed`.
-  int rexmt_timer = 0;
-  int persist_timer = 0;
-  int time_wait_timer = 0;
-  int conn_timer = 0;   // SYN / FIN give-up
   int rexmt_shift = 0;  // backoff exponent
 
-  // Wheel-mode timer handles (src/net/timer_wheel.h): intrusive, so a pcb
-  // deleted with live timers self-cancels.
+  // Timers, on the stack's wheel (src/net/timer_wheel.h); a handle is the
+  // timer's only state.  Intrusive, so a pcb deleted with live timers
+  // self-cancels.
   WheelTimer rexmt_wheel;
   WheelTimer persist_wheel;
-  WheelTimer conn_wheel;
+  WheelTimer conn_wheel;  // handshake give-up
   WheelTimer time_wait_wheel;
   WheelTimer delack_wheel;
 
   // RTT estimation (BSD units: srtt scaled by 8, rttvar by 4).
   int srtt = 0;
   int rttvar = 12;  // => initial RTO of 12 ticks (6 s), the BSD default
-  int rtt_ticks = -1;      // -1: not timing (linear mode counts up in sweeps)
-  uint64_t rtt_start_slow = 0;  // slow tick the timing started (wheel mode)
-  uint32_t rtt_seq = 0;    // sequence being timed
+  bool rtt_timing = false;      // a segment of new data is being timed
+  uint64_t rtt_start_slow = 0;  // slow tick the timing started
+  uint32_t rtt_seq = 0;         // sequence being timed
 
   bool delayed_ack = false;
   bool fin_queued = false;     // application closed its write side
@@ -351,7 +345,6 @@ class NetStack {
     trace::Counter port_exhausted;        // ephemeral allocation failures
     trace::Counter pcb_hash_hits;         // demux resolved by the 4-tuple map
     trace::Counter pcb_hash_misses;       // ... fell through to the bucket walk
-    trace::Counter pcb_scan_full;         // linear-mode full PCB list scans
     trace::Counter tcp_established;       // gauge: live ESTABLISHED pcbs
     trace::Counter tcp_established_peak;
     trace::Counter select_adds;           // NetSelector registrations
@@ -441,13 +434,6 @@ class NetStack {
   // connections; install before serving multi-tenant traffic.
   void SetAccounting(SoAccounting* acct) { accounting_ = acct; }
   SoAccounting* accounting() const { return accounting_; }
-
-  // Ablation hook: revert TCP demux to the original full-list PCB scans and
-  // connection timers to the BSD fast/slow field sweeps.  Default is the
-  // O(1) internals (4-tuple hash + hierarchical timer wheel).  Flip only
-  // while the stack has no TCP connections.
-  void SetLinearTcpInternals(bool linear) { linear_internals_ = linear; }
-  bool linear_tcp_internals() const { return linear_internals_; }
 
   const TimerWheel& timer_wheel() const { return wheel_; }
 
@@ -542,8 +528,6 @@ class NetStack {
   void TcpSendSegment(TcpPcb* pcb, uint32_t seq, uint8_t flags, const MBuf* data_src,
                       size_t data_off, size_t data_len, bool with_mss);
   void TcpSendRst(const Ipv4Header& ip, const TcpHeader& th, size_t payload_len);
-  void TcpSlowTimo();
-  void TcpFastTimo();
   void TcpRexmtExpired(TcpPcb* pcb);
   void TcpSetState(TcpPcb* pcb, TcpState next);
   void TcpDrop(TcpPcb* pcb, Error err, bool announce = true);
@@ -551,17 +535,15 @@ class NetStack {
   void TcpProcessAck(TcpPcb* pcb, const TcpHeader& th);
   void TcpReassemble(TcpPcb* pcb, uint32_t seq, MBuf* data);
   void TcpAppendRcv(TcpPcb* pcb, MBuf* data);
-  void TcpUpdateRtt(TcpPcb* pcb, int rtt_ticks);
+  void TcpUpdateRtt(TcpPcb* pcb, int rtt);
   uint32_t TcpReceiveWindow(const TcpPcb* pcb) const;
   TcpPcb* TcpLookup(InetAddr src, uint16_t sport, InetAddr dst, uint16_t dport);
   uint16_t AllocEphemeralPort(bool tcp);
   uint32_t NextIss();
 
   // ---- PCB lookup indices ----
-  // Maintained in BOTH modes (so the ablation flag can flip between runs);
-  // only the demux path consults them in hash mode.  A pcb is indexed iff
-  // its lport is nonzero; the 4-tuple map additionally requires a foreign
-  // endpoint.
+  // Every TCP demux goes through these.  A pcb is indexed iff its lport is
+  // nonzero; the 4-tuple map additionally requires a foreign endpoint.
   struct TcpKey {
     uint32_t laddr;
     uint32_t faddr;
@@ -602,23 +584,12 @@ class NetStack {
   }
 
   // ---- connection timer plumbing ----
-  // The helpers keep the legacy int fields and the wheel handles in sync:
-  // linear mode writes only the fields (the sweeps do the rest), wheel mode
-  // additionally arms/cancels the per-pcb handle at the exact slow/fast
-  // boundary the sweep would have hit.
+  // Timers are armed in whole slow ticks and fire on the matching 500 ms
+  // boundary (WheelArmSlow); a delayed ACK fires on the next 200 ms one.
   void TcpBindWheelTimers(TcpPcb* pcb);
-  void TcpArmRexmt(TcpPcb* pcb, int ticks);
-  void TcpCancelRexmt(TcpPcb* pcb);
-  void TcpArmPersist(TcpPcb* pcb, int ticks);
-  void TcpCancelPersist(TcpPcb* pcb);
-  void TcpArmConn(TcpPcb* pcb, int ticks);
-  void TcpCancelConn(TcpPcb* pcb);
-  void TcpArmTimeWait(TcpPcb* pcb, int ticks);
   void TcpCancelAllTimers(TcpPcb* pcb);
   void TcpSetDelayedAck(TcpPcb* pcb);
   void TcpPersistExpired(TcpPcb* pcb);
-  void TcpRttStart(TcpPcb* pcb);
-  int TcpRttElapsed(const TcpPcb* pcb) const;
   // Slow (500 ms) / fast (200 ms) tick counts since stack construction.
   uint64_t CurSlowTick() const;
   uint64_t CurFastTick() const;
@@ -654,9 +625,6 @@ class NetStack {
   void SoDetach(BsdSocket* so);  // socket released: orderly close, disown pcb
   void SoShutdownPcb(TcpPcb* pcb);  // FIN-queue a pcb directly
 
-  void StartTimers();
-  void ScheduleFastTimer();
-  void ScheduleSlowTimer();
   void ScheduleWheelTick();
 
   SleepEnv* sleep_env_;
@@ -677,7 +645,6 @@ class NetStack {
   uint16_t icmp_ident_ = 1;
   std::list<PendingEcho> pending_echoes_;
 
-  bool linear_internals_ = false;
   SimTime epoch_ = 0;  // clock value at construction; tick counts are relative
   // Declared before the PCB lists: members destroy in reverse order, so the
   // pcbs' intrusive WheelTimers self-cancel against a live wheel.
@@ -721,8 +688,6 @@ class NetStack {
   bool force_tx_flatten_ = false;
   size_t default_sock_buf_ = kDefaultBufSize;
   fault::FaultEnv* fault_ = fault::DefaultFaultEnv();
-  SimClock::EventId fast_timer_ = SimClock::kInvalidEvent;
-  SimClock::EventId slow_timer_ = SimClock::kInvalidEvent;
   SimClock::EventId wheel_timer_ = SimClock::kInvalidEvent;
   bool shutting_down_ = false;
 };

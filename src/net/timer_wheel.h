@@ -11,8 +11,8 @@
 //
 // Granularity is one 100ms tick — the greatest common divisor of the BSD
 // fast (200ms) and slow (500ms) periods — so every classic timer lands
-// exactly on its legacy boundary and behavior is bit-identical to the sweep
-// implementation (the netscale property test proves this over lossy seeds).
+// exactly on its legacy boundary.  TcpTimerGoldenTest (netscale_test) holds
+// the stack to the wire behaviour recorded from the sweeps.
 //
 // Timer is an intrusive node: the owner embeds it, the wheel links it into
 // a slot.  Destroying an armed Timer unlinks it, so a PCB deleted with live
