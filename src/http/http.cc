@@ -1,32 +1,48 @@
 #include "src/http/http.h"
 
-#include <cctype>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 namespace oskit::http {
 
 namespace {
 
-bool IsTokenChar(char c) {
-  // RFC 7230 tchar.
-  if (std::isalnum(static_cast<unsigned char>(c))) {
-    return true;
+// Announced lengths reserve at most this much up front; a larger body grows
+// as its bytes actually arrive.
+constexpr uint64_t kMaxBodyReserve = 1 << 20;
+constexpr uint64_t kNoLength = ~uint64_t{0};
+
+// ASCII classes, so header parsing never consults the locale.
+struct AsciiClasses {
+  char lower[256];
+  bool token[256];  // RFC 7230 tchar
+};
+
+constexpr AsciiClasses MakeAsciiClasses() {
+  AsciiClasses t{};
+  for (int c = 0; c < 256; ++c) {
+    bool upper = c >= 'A' && c <= 'Z';
+    t.lower[c] = static_cast<char>(upper ? c + ('a' - 'A') : c);
+    t.token[c] = upper || (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9');
   }
-  return std::strchr("!#$%&'*+-.^_`|~", c) != nullptr;
+  for (char c : std::string_view("!#$%&'*+-.^_`|~")) {
+    t.token[static_cast<unsigned char>(c)] = true;
+  }
+  return t;
 }
 
+constexpr AsciiClasses kAscii = MakeAsciiClasses();
+
+bool IsTokenChar(char c) { return kAscii.token[static_cast<unsigned char>(c)]; }
+
 // Parses a non-negative decimal; false on overflow/empty/non-digits.
-bool ParseDecimal(const std::string& s, uint64_t* out) {
+bool ParseDecimal(std::string_view s, uint64_t* out) {
   if (s.empty()) {
     return false;
   }
   uint64_t v = 0;
   for (char c : s) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    if (v > (~uint64_t{0} - 9) / 10) {
+    if (c < '0' || c > '9' || v > (~uint64_t{0} - 9) / 10) {
       return false;
     }
     v = v * 10 + static_cast<uint64_t>(c - '0');
@@ -35,24 +51,20 @@ bool ParseDecimal(const std::string& s, uint64_t* out) {
   return true;
 }
 
-std::string TrimOws(const std::string& s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && (s[b] == ' ' || s[b] == '\t')) {
-    ++b;
+std::string_view TrimOws(std::string_view s) {
+  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
+    s.remove_prefix(1);
   }
-  while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t')) {
-    --e;
+  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
+    s.remove_suffix(1);
   }
-  return s.substr(b, e - b);
+  return s;
 }
 
 // Parses "HTTP/<d>.<d>"; false on anything else.
-bool ParseVersion(const std::string& s, int* major, int* minor) {
-  if (s.size() != 8 || s.compare(0, 5, "HTTP/") != 0 || s[6] != '.') {
-    return false;
-  }
-  if (s[5] < '0' || s[5] > '9' || s[7] < '0' || s[7] > '9') {
+bool ParseVersion(std::string_view s, int* major, int* minor) {
+  if (s.size() != 8 || s.substr(0, 5) != "HTTP/" || s[6] != '.' ||
+      s[5] < '0' || s[5] > '9' || s[7] < '0' || s[7] > '9') {
     return false;
   }
   *major = s[5] - '0';
@@ -60,34 +72,35 @@ bool ParseVersion(const std::string& s, int* major, int* minor) {
   return true;
 }
 
-// Splits the flat "line\r\nline\r\n...\r\n" header region into headers and
-// resolves framing (Content-Length, keep-alive).  Shared by the request and
-// response parsers; returns nullptr on success or a static error reason.
-const char* ParseHeaderBlock(
-    const std::string& region, size_t start, size_t max_headers,
+// What the header block says about framing the body.
+struct Framing {
+  uint64_t content_length = kNoLength;
+  bool keep_alive;  // seeded with the version's default
+  bool reject_te = false;
+};
+
+// Splits the header lines (each CRLF-terminated) into `headers` and resolves
+// framing.  Shared by both head parsers; nullptr on success or a static
+// error reason.
+const char* ParseFields(
+    std::string_view fields, size_t max_headers,
     std::vector<std::pair<std::string, std::string>>* headers,
-    uint64_t* content_length, bool* keep_alive_default, bool* reject_te) {
-  size_t pos = start;
-  bool have_connection = false;
-  while (pos < region.size()) {
-    size_t eol = region.find("\r\n", pos);
-    if (eol == std::string::npos) {
-      return "header line missing CRLF";
-    }
-    if (eol == pos) {
-      break;  // blank line — handled by caller's terminator search
-    }
-    size_t colon = region.find(':', pos);
-    if (colon == std::string::npos || colon > eol || colon == pos) {
+    Framing* framing) {
+  while (!fields.empty()) {
+    size_t eol = fields.find("\r\n");  // the head's framing guarantees one
+    std::string_view line = fields.substr(0, eol);
+    fields.remove_prefix(eol + 2);
+    size_t colon = line.find(':');
+    if (colon == std::string_view::npos || colon == 0) {
       return "header line missing name";
     }
-    std::string name = region.substr(pos, colon - pos);
+    std::string_view name = line.substr(0, colon);
     for (char c : name) {
       if (!IsTokenChar(c)) {
         return "header name has illegal character";
       }
     }
-    std::string value = TrimOws(region.substr(colon + 1, eol - colon - 1));
+    std::string_view value = TrimOws(line.substr(colon + 1));
     for (char c : value) {
       if (static_cast<unsigned char>(c) < 0x20 && c != '\t') {
         return "header value has control character";
@@ -101,24 +114,106 @@ const char* ParseHeaderBlock(
       if (!ParseDecimal(value, &v)) {
         return "bad Content-Length";
       }
-      if (*content_length != ~uint64_t{0} && *content_length != v) {
+      if (framing->content_length != kNoLength &&
+          framing->content_length != v) {
         return "conflicting Content-Length";
       }
-      *content_length = v;
+      framing->content_length = v;
     } else if (EqualsIgnoreCase(name, "transfer-encoding")) {
-      *reject_te = true;
+      framing->reject_te = true;
     } else if (EqualsIgnoreCase(name, "connection")) {
-      have_connection = true;
       if (EqualsIgnoreCase(value, "close")) {
-        *keep_alive_default = false;
+        framing->keep_alive = false;
       } else if (EqualsIgnoreCase(value, "keep-alive")) {
-        *keep_alive_default = true;
+        framing->keep_alive = true;
       }
     }
-    headers->emplace_back(std::move(name), std::move(value));
-    pos = eol + 2;
+    headers->emplace_back(name, value);
   }
-  (void)have_connection;
+  return nullptr;
+}
+
+// Request head: request line + header lines.
+const char* ParseHead(std::string_view line, std::string_view fields,
+                      size_t max_headers, Request* req, uint64_t* body_len) {
+  size_t sp1 = line.find(' ');
+  size_t sp2 = sp1 == std::string_view::npos ? sp1 : line.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos ||
+      line.find(' ', sp2 + 1) != std::string_view::npos) {
+    return "malformed request line";
+  }
+  std::string_view method = line.substr(0, sp1);
+  std::string_view target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  if (method.empty() || target.empty()) {
+    return "malformed request line";
+  }
+  for (char c : method) {
+    if (!IsTokenChar(c)) {
+      return "malformed method";
+    }
+  }
+  for (char c : target) {
+    if (static_cast<unsigned char>(c) <= 0x20 || c == 0x7f) {
+      return "malformed request target";
+    }
+  }
+  if (!ParseVersion(line.substr(sp2 + 1), &req->version_major,
+                    &req->version_minor)) {
+    return "malformed HTTP version";
+  }
+  if (req->version_major != 1) {
+    return "unsupported HTTP major version";
+  }
+  req->method = method;
+  req->target = target;
+  Framing framing{.keep_alive = req->version_minor >= 1};  // 1.0 defaults off
+  if (const char* reason =
+          ParseFields(fields, max_headers, &req->headers, &framing)) {
+    return reason;
+  }
+  if (framing.reject_te) {
+    // No chunked support: mis-framing the body would desynchronize the
+    // whole connection, so refuse loudly (server answers 501).
+    return "Transfer-Encoding not supported";
+  }
+  req->keep_alive = framing.keep_alive;
+  *body_len = framing.content_length == kNoLength ? 0 : framing.content_length;
+  return nullptr;
+}
+
+// Response head: status line + header lines.
+const char* ParseHead(std::string_view line, std::string_view fields,
+                      size_t max_headers, Response* resp, uint64_t* body_len) {
+  size_t sp1 = line.find(' ');
+  if (sp1 == std::string_view::npos) {
+    return "malformed status line";
+  }
+  if (!ParseVersion(line.substr(0, sp1), &resp->version_major,
+                    &resp->version_minor)) {
+    return "malformed HTTP version";
+  }
+  size_t sp2 = line.find(' ', sp1 + 1);
+  uint64_t code = 0;
+  if (!ParseDecimal(line.substr(sp1 + 1, sp2 - sp1 - 1), &code) ||
+      code < 100 || code > 999) {
+    return "malformed status code";
+  }
+  resp->status = static_cast<int>(code);
+  if (sp2 != std::string_view::npos) {
+    resp->reason = line.substr(sp2 + 1);
+  }
+  Framing framing{.keep_alive = resp->version_minor >= 1};
+  if (const char* reason =
+          ParseFields(fields, max_headers, &resp->headers, &framing)) {
+    return reason;
+  }
+  if (framing.reject_te || framing.content_length == kNoLength) {
+    // The loadgen protocol requires explicitly framed responses; a
+    // missing Content-Length would mean read-until-close.
+    return "response without Content-Length";
+  }
+  resp->keep_alive = framing.keep_alive;
+  *body_len = framing.content_length;
   return nullptr;
 }
 
@@ -135,16 +230,17 @@ const std::string* FindHeader(
 
 }  // namespace
 
-bool EqualsIgnoreCase(const std::string& a, const char* b) {
-  size_t i = 0;
-  for (; i < a.size(); ++i) {
-    if (b[i] == '\0' ||
-        std::tolower(static_cast<unsigned char>(a[i])) !=
-            std::tolower(static_cast<unsigned char>(b[i]))) {
+bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (kAscii.lower[static_cast<unsigned char>(a[i])] !=
+        kAscii.lower[static_cast<unsigned char>(b[i])]) {
       return false;
     }
   }
-  return b[i] == '\0';
+  return true;
 }
 
 const std::string* Request::Header(const char* name) const {
@@ -156,252 +252,119 @@ const std::string* Response::Header(const char* name) const {
 }
 
 // ---------------------------------------------------------------------------
-// RequestParser
+// Framer
 // ---------------------------------------------------------------------------
 
-ParseStatus RequestParser::status() const {
+namespace internal {
+
+template <typename Message>
+ParseStatus Framer<Message>::Feed(const void* data, size_t len) {
   if (failed_) {
     return ParseStatus::kError;
   }
-  return ready_.empty() ? ParseStatus::kNeedMore : ParseStatus::kRequest;
-}
-
-void RequestParser::Reset() {
-  buf_.clear();
-  ready_.clear();
-  error_ = "";
-  failed_ = false;
-}
-
-Request RequestParser::TakeRequest() {
-  Request r = std::move(ready_.front());
-  ready_.pop_front();
-  return r;
-}
-
-ParseStatus RequestParser::Feed(const void* data, size_t len) {
-  if (failed_) {
-    return ParseStatus::kError;
-  }
-  buf_.append(static_cast<const char*>(data), len);
-  return ParseBuffered();
-}
-
-ParseStatus RequestParser::ParseBuffered() {
-  for (;;) {
-    // Frame the head: request line + headers end at the blank line.
-    size_t head_end = buf_.find("\r\n\r\n");
-    if (head_end == std::string::npos) {
-      if (buf_.size() > limits_.max_header_bytes) {
-        failed_ = true;
-        error_ = "header block too large";
-        return ParseStatus::kError;
+  const char* p = static_cast<const char*>(data);
+  const char* const end = p + len;
+  while (p < end) {
+    if (held_ != 0) {
+      size_t n = static_cast<size_t>(
+          std::min<uint64_t>(body_left_, static_cast<size_t>(end - p)));
+      pending_.body.append(p, n);
+      p += n;
+      held_ += n;
+      body_left_ -= n;
+      if (body_left_ == 0) {
+        Complete();
       }
-      // An early syntax error is reportable before the blank line arrives:
-      // a request line that already exceeds its limit.
-      size_t line_end = buf_.find("\r\n");
-      if (line_end == std::string::npos && buf_.size() > limits_.max_request_line) {
-        failed_ = true;
-        error_ = "request line too long";
-        return ParseStatus::kError;
+      continue;
+    }
+    // Resume the blank-line search where the last Feed stopped.  On a
+    // mismatch the only live prefix of "\r\n\r\n" is a lone '\r'.
+    const char* q = p;
+    while (q < end && matched_ < 4) {
+      char c = *q++;
+      matched_ = c == "\r\n\r\n"[matched_] ? matched_ + 1 : c == '\r';
+      saw_crlf_ |= matched_ == 2;
+    }
+    // A head whole within this Feed parses in place; a torn one collects.
+    std::string_view head(p, static_cast<size_t>(q - p));
+    if (!buf_.empty() || matched_ < 4) {
+      buf_.append(head);
+      head = buf_;
+    }
+    p = q;
+    if (matched_ < 4) {
+      // An early limit error is reportable before the blank line arrives.
+      if (buf_.size() > limits_.max_head) {
+        return Fail("header block too large", buf_.size());
       }
-      return status();
-    }
-    if (head_end + 4 > limits_.max_header_bytes) {
-      failed_ = true;
-      error_ = "header block too large";
-      return ParseStatus::kError;
-    }
-
-    // Request line.
-    size_t line_end = buf_.find("\r\n");
-    if (line_end > limits_.max_request_line) {
-      failed_ = true;
-      error_ = "request line too long";
-      return ParseStatus::kError;
-    }
-    std::string line = buf_.substr(0, line_end);
-    size_t sp1 = line.find(' ');
-    size_t sp2 = sp1 == std::string::npos ? std::string::npos
-                                          : line.find(' ', sp1 + 1);
-    if (sp1 == std::string::npos || sp2 == std::string::npos ||
-        line.find(' ', sp2 + 1) != std::string::npos) {
-      failed_ = true;
-      error_ = "malformed request line";
-      return ParseStatus::kError;
-    }
-    Request req;
-    req.method = line.substr(0, sp1);
-    req.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-    if (req.method.empty() || req.target.empty()) {
-      failed_ = true;
-      error_ = "malformed request line";
-      return ParseStatus::kError;
-    }
-    for (char c : req.method) {
-      if (!IsTokenChar(c)) {
-        failed_ = true;
-        error_ = "malformed method";
-        return ParseStatus::kError;
+      if (!saw_crlf_ && buf_.size() > limits_.max_line) {
+        return Fail("request line too long", buf_.size());
       }
+      break;
     }
-    for (char c : req.target) {
-      if (static_cast<unsigned char>(c) <= 0x20 || c == 0x7f) {
-        failed_ = true;
-        error_ = "malformed request target";
-        return ParseStatus::kError;
-      }
+    matched_ = 0;
+    saw_crlf_ = false;
+    if (const char* reason = StartMessage(head)) {
+      return Fail(reason, head.size() + static_cast<size_t>(end - p));
     }
-    if (!ParseVersion(line.substr(sp2 + 1), &req.version_major,
-                      &req.version_minor)) {
-      failed_ = true;
-      error_ = "malformed HTTP version";
-      return ParseStatus::kError;
-    }
-    if (req.version_major != 1) {
-      failed_ = true;
-      error_ = "unsupported HTTP major version";
-      return ParseStatus::kError;
-    }
-
-    // Headers (between the request line and the blank line).
-    uint64_t content_length = ~uint64_t{0};
-    bool keep_alive = req.version_minor >= 1;  // 1.1 default on, 1.0 off
-    bool reject_te = false;
-    const char* reason =
-        ParseHeaderBlock(buf_.substr(0, head_end + 2), line_end + 2,
-                         limits_.max_headers, &req.headers, &content_length,
-                         &keep_alive, &reject_te);
-    if (reason != nullptr) {
-      failed_ = true;
-      error_ = reason;
-      return ParseStatus::kError;
-    }
-    if (reject_te) {
-      // No chunked support: mis-framing the body would desynchronize the
-      // whole connection, so refuse loudly (server answers 501).
-      failed_ = true;
-      error_ = "Transfer-Encoding not supported";
-      return ParseStatus::kError;
-    }
-    req.keep_alive = keep_alive;
-
-    uint64_t body_len = content_length == ~uint64_t{0} ? 0 : content_length;
-    if (body_len > limits_.max_body) {
-      failed_ = true;
-      error_ = "body too large";
-      return ParseStatus::kError;
-    }
-    size_t body_start = head_end + 4;
-    if (buf_.size() - body_start < body_len) {
-      return status();  // body still in flight
-    }
-    req.body = buf_.substr(body_start, body_len);
-    buf_.erase(0, body_start + body_len);
-    ready_.push_back(std::move(req));
-    // Loop: pipelined requests parse back-to-back from the same buffer.
+    std::string().swap(buf_);  // release the torn head's storage
   }
+  return status();
 }
 
-// ---------------------------------------------------------------------------
-// ResponseParser
-// ---------------------------------------------------------------------------
-
-ParseStatus ResponseParser::status() const {
-  if (failed_) {
-    return ParseStatus::kError;
+template <typename Message>
+const char* Framer<Message>::StartMessage(std::string_view head) {
+  if (head.size() > limits_.max_head) {
+    return "header block too large";
   }
-  return ready_.empty() ? ParseStatus::kNeedMore : ParseStatus::kRequest;
-}
-
-void ResponseParser::Reset() {
-  buf_.clear();
-  ready_.clear();
-  error_ = "";
-  failed_ = false;
-}
-
-Response ResponseParser::TakeResponse() {
-  Response r = std::move(ready_.front());
-  ready_.pop_front();
-  return r;
-}
-
-ParseStatus ResponseParser::Feed(const void* data, size_t len) {
-  if (failed_) {
-    return ParseStatus::kError;
+  size_t line_end = head.find("\r\n");
+  if (line_end > limits_.max_line) {
+    return "request line too long";
   }
-  buf_.append(static_cast<const char*>(data), len);
-  return ParseBuffered();
-}
-
-ParseStatus ResponseParser::ParseBuffered() {
-  for (;;) {
-    size_t head_end = buf_.find("\r\n\r\n");
-    if (head_end == std::string::npos) {
-      return status();
-    }
-    size_t line_end = buf_.find("\r\n");
-    std::string line = buf_.substr(0, line_end);
-    size_t sp1 = line.find(' ');
-    size_t sp2 = sp1 == std::string::npos ? std::string::npos
-                                          : line.find(' ', sp1 + 1);
-    if (sp1 == std::string::npos) {
-      failed_ = true;
-      error_ = "malformed status line";
-      return ParseStatus::kError;
-    }
-    Response resp;
-    if (!ParseVersion(line.substr(0, sp1), &resp.version_major,
-                      &resp.version_minor)) {
-      failed_ = true;
-      error_ = "malformed HTTP version";
-      return ParseStatus::kError;
-    }
-    std::string code = sp2 == std::string::npos
-                           ? line.substr(sp1 + 1)
-                           : line.substr(sp1 + 1, sp2 - sp1 - 1);
-    uint64_t status_code = 0;
-    if (!ParseDecimal(code, &status_code) || status_code < 100 ||
-        status_code > 999) {
-      failed_ = true;
-      error_ = "malformed status code";
-      return ParseStatus::kError;
-    }
-    resp.status = static_cast<int>(status_code);
-    if (sp2 != std::string::npos) {
-      resp.reason = line.substr(sp2 + 1);
-    }
-
-    uint64_t content_length = ~uint64_t{0};
-    bool keep_alive = resp.version_minor >= 1;
-    bool reject_te = false;
-    const char* reason =
-        ParseHeaderBlock(buf_.substr(0, head_end + 2), line_end + 2,
-                         /*max_headers=*/64, &resp.headers, &content_length,
-                         &keep_alive, &reject_te);
-    if (reason != nullptr) {
-      failed_ = true;
-      error_ = reason;
-      return ParseStatus::kError;
-    }
-    if (reject_te || content_length == ~uint64_t{0}) {
-      // The loadgen protocol requires explicitly framed responses; a
-      // missing Content-Length would mean read-until-close.
-      failed_ = true;
-      error_ = "response without Content-Length";
-      return ParseStatus::kError;
-    }
-    resp.keep_alive = keep_alive;
-    size_t body_start = head_end + 4;
-    if (buf_.size() - body_start < content_length) {
-      return status();
-    }
-    resp.body = buf_.substr(body_start, content_length);
-    buf_.erase(0, body_start + content_length);
-    ready_.push_back(std::move(resp));
+  // Header lines run from after the first line to before the blank line.
+  std::string_view fields = head.substr(line_end + 2);
+  fields.remove_suffix(2);
+  uint64_t body_len = 0;
+  if (const char* reason = ParseHead(head.substr(0, line_end), fields,
+                                     limits_.max_headers, &pending_,
+                                     &body_len)) {
+    return reason;
   }
+  if (body_len > limits_.max_body) {
+    return "body too large";
+  }
+  held_ = head.size();
+  body_left_ = body_len;
+  if (body_len == 0) {
+    Complete();
+  } else {
+    pending_.body.reserve(
+        static_cast<size_t>(std::min(body_len, kMaxBodyReserve)));
+  }
+  return nullptr;
 }
+
+template <typename Message>
+void Framer<Message>::Complete() {
+  ready_.push_back(std::move(pending_));
+  pending_ = Message();
+  held_ = 0;
+}
+
+template <typename Message>
+ParseStatus Framer<Message>::Fail(const char* reason, size_t held) {
+  failed_ = true;
+  error_ = reason;
+  held_ = held;
+  pending_ = Message();
+  std::string().swap(buf_);
+  return ParseStatus::kError;
+}
+
+template class Framer<Request>;
+template class Framer<Response>;
+
+}  // namespace internal
 
 // ---------------------------------------------------------------------------
 // Formatting

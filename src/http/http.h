@@ -10,8 +10,9 @@
 // transport delivered — one byte, a full pipeline of requests, a request
 // torn mid-header — and completed requests become available in arrival
 // order.  Parsing depends only on the accumulated byte sequence, never on
-// segmentation, which the seeded property test in tests/http_test.cc pins
-// by comparing every torn feed against a flat-buffer reference.
+// segmentation, which the seeded property tests in tests/http_test.cc pin
+// for both parsers by comparing every torn feed against a flat-buffer
+// reference.
 //
 // Scope (what the flagship workload needs, nothing more): GET/HEAD/POST,
 // CRLF line discipline, Content-Length bodies, HTTP/1.0-vs-1.1 keep-alive
@@ -25,6 +26,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,47 +51,6 @@ enum class ParseStatus {
   kError,     // stream is malformed; sticky until Reset
 };
 
-class RequestParser {
- public:
-  struct Limits {
-    size_t max_request_line = 4096;
-    size_t max_header_bytes = 16 * 1024;  // request line + all headers
-    size_t max_headers = 64;
-    size_t max_body = 1 << 20;
-  };
-
-  RequestParser() = default;
-  explicit RequestParser(const Limits& limits) : limits_(limits) {}
-
-  // Appends transport bytes and parses as far as possible.  Once the stream
-  // has errored every further Feed returns kError (a malformed stream has
-  // no recoverable framing).
-  ParseStatus Feed(const void* data, size_t len);
-
-  ParseStatus status() const;
-  bool HasRequest() const { return !ready_.empty(); }
-
-  // Pops the oldest completed request.  Only valid when HasRequest().
-  Request TakeRequest();
-
-  // Reason for kError ("" while healthy).
-  const char* error() const { return error_; }
-
-  // Bytes buffered but not yet part of a completed request.
-  size_t pending_bytes() const { return buf_.size(); }
-
-  void Reset();
-
- private:
-  ParseStatus ParseBuffered();
-
-  Limits limits_;
-  std::string buf_;
-  std::deque<Request> ready_;
-  const char* error_ = "";
-  bool failed_ = false;
-};
-
 // Client-side counterpart for loadgen: parses status-line + headers +
 // Content-Length body responses (exactly what the server emits).
 struct Response {
@@ -104,22 +65,105 @@ struct Response {
   const std::string* Header(const char* name) const;
 };
 
-class ResponseParser {
+namespace internal {
+
+// The one framing loop under both parsers.  Each Feed resumes the blank-line
+// search where the previous one stopped, parses a head once (over
+// string_views into the bytes), then appends body bytes straight from the
+// caller's buffer into the pending message until its Content-Length is met.
+// A parser holds only pending bytes: `buf_` is the unparsed part of a head
+// torn across Feeds, and a completed message leaves with its own body, so no
+// buffer keeps the capacity of the largest message seen.
+template <typename Message>
+class Framer {
  public:
+  struct Limits {
+    size_t max_line;     // first line, checked before its CRLF arrives
+    size_t max_head;     // first line + headers + blank line
+    size_t max_headers;
+    uint64_t max_body;
+  };
+
+  explicit Framer(const Limits& limits) : limits_(limits) {}
+
+  // Appends transport bytes and parses as far as possible.  Once the stream
+  // has errored every further Feed returns kError (a malformed stream has
+  // no recoverable framing).
   ParseStatus Feed(const void* data, size_t len);
-  ParseStatus status() const;
-  bool HasResponse() const { return !ready_.empty(); }
-  Response TakeResponse();
+
+  ParseStatus status() const {
+    return failed_ ? ParseStatus::kError
+                   : ready_.empty() ? ParseStatus::kNeedMore
+                                    : ParseStatus::kRequest;
+  }
+
+  bool HasMessage() const { return !ready_.empty(); }
+
+  // Pops the oldest completed message.  Only valid when HasMessage().
+  Message TakeMessage() {
+    Message m = std::move(ready_.front());
+    ready_.pop_front();
+    return m;
+  }
+
+  // Reason for kError ("" while healthy).
   const char* error() const { return error_; }
-  void Reset();
+
+  // Bytes buffered but not yet part of a completed message.
+  size_t pending_bytes() const { return buf_.size() + held_; }
+
+  void Reset() { *this = Framer(limits_); }
 
  private:
-  ParseStatus ParseBuffered();
+  // Parses a complete head into `pending_` and starts its body; nullptr or a
+  // static error reason.
+  const char* StartMessage(std::string_view head);
+  void Complete();
+  ParseStatus Fail(const char* reason, size_t held);
 
-  std::string buf_;
-  std::deque<Response> ready_;
+  Limits limits_;
+  std::string buf_;         // head bytes torn across Feeds
+  int matched_ = 0;         // bytes of "\r\n\r\n" matched at the end of buf_
+  bool saw_crlf_ = false;   // the head's first line has ended
+  Message pending_;         // head parsed, body in flight
+  uint64_t body_left_ = 0;
+  size_t held_ = 0;         // pending bytes outside buf_: head + body so far
+  std::deque<Message> ready_;
   const char* error_ = "";
   bool failed_ = false;
+};
+
+}  // namespace internal
+
+class RequestParser : private internal::Framer<Request> {
+ public:
+  struct Limits {
+    size_t max_request_line = 4096;
+    size_t max_header_bytes = 16 * 1024;  // request line + all headers
+    size_t max_headers = 64;
+    size_t max_body = 1 << 20;
+  };
+
+  RequestParser() : RequestParser(Limits{}) {}
+  explicit RequestParser(const Limits& limits)
+      : Framer({limits.max_request_line, limits.max_header_bytes,
+                limits.max_headers, limits.max_body}) {}
+
+  using Framer::Feed, Framer::status, Framer::error, Framer::pending_bytes,
+      Framer::Reset;
+  bool HasRequest() const { return HasMessage(); }
+  Request TakeRequest() { return TakeMessage(); }
+};
+
+// Responses have no size limits: the load generators trust the server.
+class ResponseParser : private internal::Framer<Response> {
+ public:
+  ResponseParser()
+      : Framer({SIZE_MAX, SIZE_MAX, /*max_headers=*/64, UINT64_MAX}) {}
+
+  using Framer::Feed, Framer::status, Framer::error, Framer::Reset;
+  bool HasResponse() const { return HasMessage(); }
+  Response TakeResponse() { return TakeMessage(); }
 };
 
 // Serializes a response head (status line + the standard header block +
@@ -133,7 +177,7 @@ std::string FormatResponseHead(int status, const char* reason,
 const char* StatusReason(int status);
 
 // ASCII case-insensitive string equality (header names).
-bool EqualsIgnoreCase(const std::string& a, const char* b);
+bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 }  // namespace oskit::http
 

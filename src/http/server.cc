@@ -34,6 +34,9 @@ Server::Server(ComPtr<SocketFactory> factory, ComPtr<NetSelector> selector,
       root_(std::move(root)),
       config_(config),
       trace_(trace::ResolveTraceEnv(config.trace)),
+      read_buf_(config.read_chunk),
+      accept_peers_(config.accept_batch),
+      accept_socks_(config.accept_batch),
       span_wait_(trace_, "http.span.wait"),
       span_accept_(trace_, "http.span.accept"),
       span_fs_read_(trace_, "http.span.fs_read"),
@@ -136,11 +139,10 @@ void Server::Run() {
 
 void Server::HandleListener() {
   trace::ScopedSpan accept(&span_accept_);
-  std::vector<SockAddr> peers(config_.accept_batch);
-  std::vector<Socket*> socks(config_.accept_batch, nullptr);
+  std::vector<Socket*>& socks = accept_socks_;
   for (;;) {
     size_t count = 0;
-    Error err = listener_ext_->AcceptBatch(peers.data(), socks.data(),
+    Error err = listener_ext_->AcceptBatch(accept_peers_.data(), socks.data(),
                                            socks.size(), &count);
     if (!Ok(err) || count == 0) {
       return;
@@ -203,7 +205,7 @@ void Server::HandleConn(Conn* conn, uint32_t events) {
 }
 
 void Server::ReadInto(Conn* conn) {
-  std::vector<char> chunk(config_.read_chunk);
+  std::vector<char>& chunk = read_buf_;
   while (!conn->saw_eof &&
          conn->parser.status() != ParseStatus::kError &&
          conn->out_pending < config_.out_high_water) {
