@@ -29,10 +29,10 @@ BlockCache::~BlockCache() {
   // power cut would do, which the fsck tests exploit deliberately.
 }
 
-void BlockCache::Touch(uint32_t block, Entry& entry) {
-  lru_.erase(entry.lru_pos);
-  lru_.push_front(block);
-  entry.lru_pos = lru_.begin();
+void BlockCache::Touch(Entry& entry) {
+  // Relinks the node in place: a hit allocates nothing, and lru_pos stays
+  // valid.
+  lru_.splice(lru_.begin(), lru_, entry.lru_pos);
 }
 
 void BlockCache::Remove(uint32_t block) {
@@ -96,7 +96,7 @@ Error BlockCache::Get(uint32_t block, uint8_t** out_data) {
   auto it = entries_.find(block);
   if (it != entries_.end()) {
     ++counters_.hits;
-    Touch(block, it->second);
+    Touch(it->second);
     *out_data = it->second.data.data();
     return Error::kOk;
   }

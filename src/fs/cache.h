@@ -106,7 +106,7 @@ class BlockCache {
 
   Error EvictOne();
   Error WriteBack(uint32_t block, Entry& entry);
-  void Touch(uint32_t block, Entry& entry);
+  void Touch(Entry& entry);
   void Remove(uint32_t block);
 
   ComPtr<BlkIo> device_;

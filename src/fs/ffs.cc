@@ -1,6 +1,8 @@
 #include "src/fs/ffs.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstring>
 
 #include "src/base/panic.h"
@@ -13,9 +15,82 @@ static_assert(std::endian::native == std::endian::little,
 
 namespace {
 
+constexpr uint64_t kEntriesPerBlock = kBlockSize / kDirEntrySize;
 
-bool IsDot(const char* name) { return libc::Strcmp(name, ".") == 0; }
-bool IsDotDot(const char* name) { return libc::Strcmp(name, "..") == 0; }
+// The one directory walk under DirLookup, DirAdd, DirRemove, DirIsEmpty and
+// DirRead.  It reads the inode once, maps each directory block once, and
+// calls `visit(entry)` on the entries from slot `from` on, in place in the
+// cached block; a hole is one call with a null entry for its first slot.
+// `visit` must make no cache call, and returns true to stop.  *end is the
+// slot after the one that stopped the walk, else the end of the directory.
+// The work is bounded by the inode, not by its size field: a size past the
+// block map's range is kCorrupt before any block is read, an absent pointer
+// table is skipped in one step, and once the walk has visited as many
+// blocks as the inode holds, the rest is one hole.
+template <typename Visit>
+Error WalkDir(Offs& fs, uint64_t dir_ino, uint64_t from, Visit&& visit, uint64_t* end) {
+  *end = from;
+  DiskInode dir;
+  Error err = fs.ReadInode(dir_ino, &dir);
+  if (!Ok(err)) {
+    return err;
+  }
+  if ((dir.mode & kModeTypeMask) != kModeDirectory) {
+    return Error::kNotDir;
+  }
+  uint64_t entries = dir.size / kDirEntrySize;
+  if (entries > kMapEnd * kEntriesPerBlock) {
+    return Error::kCorrupt;
+  }
+  auto cached_table = [&](uint32_t block) -> const uint8_t* {
+    uint8_t* data = nullptr;
+    err = fs.cache().Get(block, &data);
+    return data;
+  };
+  uint32_t visited = 0;
+  for (uint64_t i = from; i < entries; *end = i) {
+    uint64_t fb = i / kEntriesPerBlock;
+    uint32_t block = 0;
+    uint64_t hole = kMapEnd - fb;
+    if (visited < dir.blocks && !MapFileBlock(dir, fb, cached_table, &block, &hole)) {
+      return err;
+    }
+    if (block == 0) {
+      if (visit(nullptr)) {
+        *end = i + 1;
+        return Error::kOk;
+      }
+      i = std::min(entries, (fb + hole) * kEntriesPerBlock);
+      continue;
+    }
+    ++visited;
+    const uint8_t* data = cached_table(block);
+    if (data == nullptr) {
+      return err;
+    }
+    for (uint64_t stop = std::min(entries, (fb + 1) * kEntriesPerBlock); i < stop; ++i) {
+      if (visit(data + (i % kEntriesPerBlock) * kDirEntrySize)) {
+        *end = i + 1;
+        return Error::kOk;
+      }
+    }
+  }
+  return Error::kOk;
+}
+
+uint64_t EntryIno(const uint8_t* entry) {
+  uint64_t ino = 0;
+  std::memcpy(&ino, entry + offsetof(DiskDirEntry, ino), sizeof(ino));
+  return ino;
+}
+
+// Whether `entry` is live and named `name` (of length `len`), compared
+// inside the name field, so an unterminated name on a corrupt disk stays in
+// bounds.
+bool EntryNamed(const uint8_t* entry, const char* name, size_t len) {
+  return entry != nullptr && EntryIno(entry) != 0 && len <= kMaxNameLen &&
+         std::memcmp(entry + offsetof(DiskDirEntry, name), name, len + 1) == 0;
+}
 
 }  // namespace
 
@@ -68,7 +143,7 @@ Error Mkfs(BlkIo* device, const MkfsOptions& options) {
   if (sb.data_start + 4 >= total_blocks) {
     return Error::kNoSpace;
   }
-  sb.free_blocks = total_blocks - sb.data_start;
+  sb.free_blocks = total_blocks - sb.data_start - 1;  // the root's block below
   sb.free_inodes = sb.inode_count - 2;  // ino 0 unused, ino 1 = root
   sb.clean = 1;
 
@@ -84,8 +159,10 @@ Error Mkfs(BlkIo* device, const MkfsOptions& options) {
     }
   }
 
-  // Bitmap: metadata blocks are "used".
-  for (uint32_t b = 0; b < sb.data_start; ++b) {
+  // Bitmap: metadata blocks and the root directory's first data block
+  // (data_start) are "used".
+  uint32_t root_block = sb.data_start;
+  for (uint32_t b = 0; b <= root_block; ++b) {
     uint32_t bitmap_block = sb.bitmap_start + b / (kBlockSize * 8);
     uint32_t bit = b % (kBlockSize * 8);
     err = device->Read(block.data(), static_cast<off_t64>(bitmap_block) * kBlockSize,
@@ -99,25 +176,6 @@ Error Mkfs(BlkIo* device, const MkfsOptions& options) {
     if (!Ok(err)) {
       return err;
     }
-  }
-
-  // Also mark the root directory's first data block used.
-  uint32_t root_block = sb.data_start;
-  {
-    uint32_t bitmap_block = sb.bitmap_start + root_block / (kBlockSize * 8);
-    uint32_t bit = root_block % (kBlockSize * 8);
-    err = device->Read(block.data(), static_cast<off_t64>(bitmap_block) * kBlockSize,
-                       kBlockSize, &actual);
-    if (!Ok(err)) {
-      return err;
-    }
-    block[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
-    err = device->Write(block.data(), static_cast<off_t64>(bitmap_block) * kBlockSize,
-                        kBlockSize, &actual);
-    if (!Ok(err)) {
-      return err;
-    }
-    sb.free_blocks -= 1;
   }
 
   // Root inode.
@@ -613,130 +671,66 @@ Error Offs::FreeBlock(uint32_t block) {
 Error Offs::BMap(uint64_t ino, DiskInode* inode, uint32_t file_block, bool alloc,
                  uint32_t* out_block) {
   *out_block = 0;
+  if (file_block >= kMapEnd) {
+    return Error::kFBig;
+  }
   bool inode_dirty = false;
-
-  auto load_slot = [&](uint32_t table_block, uint32_t index, uint32_t* out) -> Error {
+  // Resolves one pointer into *ptr: the inode field *ptr itself when `table`
+  // is 0, else slot `index` of pointer table `table`.  A zero pointer gets
+  // a fresh block when `alloc` (and stays a hole otherwise).
+  auto step = [&](uint32_t table, uint64_t index, uint32_t* ptr) -> Error {
     uint8_t* data = nullptr;
-    Error err = cache_->Get(table_block, &data);
+    if (table != 0) {
+      Error err = cache_->Get(table, &data);
+      if (!Ok(err)) {
+        return err;
+      }
+      std::memcpy(ptr, data + index * 4, 4);
+    }
+    if (*ptr != 0 || !alloc) {
+      return Error::kOk;
+    }
+    Error err = AllocBlock(ptr);
     if (!Ok(err)) {
       return err;
     }
-    std::memcpy(out, data + index * 4, 4);
-    return Error::kOk;
-  };
-  auto store_slot = [&](uint32_t table_block, uint32_t index, uint32_t value) -> Error {
-    uint8_t* data = nullptr;
-    Error err = cache_->Get(table_block, &data);
+    inode->blocks += 1;
+    inode_dirty = true;
+    if (table == 0) {
+      return Error::kOk;
+    }
+    err = cache_->Get(table, &data);  // AllocBlock's cache calls may move it
     if (!Ok(err)) {
       return err;
     }
-    std::memcpy(data + index * 4, &value, 4);
-    MetaDirty(table_block);  // indirect blocks are metadata
+    std::memcpy(data + index * 4, ptr, 4);
+    MetaDirty(table);  // indirect blocks are metadata
     return Error::kOk;
   };
 
   Error err = Error::kOk;
+  uint32_t mid = 0;
   if (file_block < kDirectBlocks) {
-    uint32_t block = inode->direct[file_block];
-    if (block == 0 && alloc) {
-      err = AllocBlock(&block);
-      if (!Ok(err)) {
-        return err;
-      }
-      inode->direct[file_block] = block;
-      inode->blocks += 1;
-      inode_dirty = true;
+    err = step(0, 0, &inode->direct[file_block]);
+    *out_block = inode->direct[file_block];
+  } else if (file_block < kIndirectEnd) {
+    err = step(0, 0, &inode->indirect);
+    if (Ok(err) && inode->indirect != 0) {
+      err = step(inode->indirect, file_block - kDirectBlocks, out_block);
     }
-    *out_block = block;
-  } else if (file_block < kDirectBlocks + kPointersPerBlock) {
-    uint32_t index = file_block - kDirectBlocks;
-    if (inode->indirect == 0) {
-      if (!alloc) {
-        return Error::kOk;  // hole
-      }
-      err = AllocBlock(&inode->indirect);
-      if (!Ok(err)) {
-        return err;
-      }
-      inode->blocks += 1;
-      inode_dirty = true;
-    }
-    uint32_t block = 0;
-    err = load_slot(inode->indirect, index, &block);
-    if (!Ok(err)) {
-      return err;
-    }
-    if (block == 0 && alloc) {
-      err = AllocBlock(&block);
-      if (!Ok(err)) {
-        return err;
-      }
-      err = store_slot(inode->indirect, index, block);
-      if (!Ok(err)) {
-        return err;
-      }
-      inode->blocks += 1;
-      inode_dirty = true;
-    }
-    *out_block = block;
   } else {
-    uint32_t index = file_block - kDirectBlocks - kPointersPerBlock;
-    uint32_t outer = index / kPointersPerBlock;
-    uint32_t inner = index % kPointersPerBlock;
-    if (outer >= kPointersPerBlock) {
-      return Error::kFBig;
+    uint64_t index = file_block - kIndirectEnd;
+    err = step(0, 0, &inode->double_indirect);
+    if (Ok(err) && inode->double_indirect != 0) {
+      err = step(inode->double_indirect, index / kPointersPerBlock, &mid);
     }
-    if (inode->double_indirect == 0) {
-      if (!alloc) {
-        return Error::kOk;
-      }
-      err = AllocBlock(&inode->double_indirect);
-      if (!Ok(err)) {
-        return err;
-      }
-      inode->blocks += 1;
-      inode_dirty = true;
+    if (Ok(err) && mid != 0) {
+      err = step(mid, index % kPointersPerBlock, out_block);
     }
-    uint32_t mid = 0;
-    err = load_slot(inode->double_indirect, outer, &mid);
-    if (!Ok(err)) {
-      return err;
-    }
-    if (mid == 0) {
-      if (!alloc) {
-        return Error::kOk;
-      }
-      err = AllocBlock(&mid);
-      if (!Ok(err)) {
-        return err;
-      }
-      err = store_slot(inode->double_indirect, outer, mid);
-      if (!Ok(err)) {
-        return err;
-      }
-      inode->blocks += 1;
-      inode_dirty = true;
-    }
-    uint32_t block = 0;
-    err = load_slot(mid, inner, &block);
-    if (!Ok(err)) {
-      return err;
-    }
-    if (block == 0 && alloc) {
-      err = AllocBlock(&block);
-      if (!Ok(err)) {
-        return err;
-      }
-      err = store_slot(mid, inner, block);
-      if (!Ok(err)) {
-        return err;
-      }
-      inode->blocks += 1;
-      inode_dirty = true;
-    }
-    *out_block = block;
   }
-
+  if (!Ok(err)) {
+    return err;
+  }
   if (inode_dirty) {
     return WriteInode(ino, *inode);
   }
@@ -1039,138 +1033,100 @@ Error Offs::FileTruncate(uint64_t ino, uint64_t new_size) {
 // ---------------------------------------------------------------------------
 
 Error Offs::DirLookup(uint64_t dir_ino, const char* name, uint64_t* out_ino) {
-  DiskInode dir;
-  Error err = ReadInode(dir_ino, &dir);
+  size_t len = libc::Strlen(name);
+  uint64_t found = 0;
+  uint64_t end = 0;
+  Error err = WalkDir(*this, dir_ino, 0, [&](const uint8_t* entry) {
+    found = EntryNamed(entry, name, len) ? EntryIno(entry) : 0;
+    return found != 0;
+  }, &end);
   if (!Ok(err)) {
     return err;
   }
-  if ((dir.mode & kModeTypeMask) != kModeDirectory) {
-    return Error::kNotDir;
+  if (found == 0) {
+    return Error::kNoEnt;
   }
-  uint64_t entries = dir.size / kDirEntrySize;
-  for (uint64_t i = 0; i < entries; ++i) {
-    DiskDirEntry entry;
-    size_t actual = 0;
-    err = FileReadAt(dir_ino, &entry, i * kDirEntrySize, kDirEntrySize, &actual);
-    if (!Ok(err) || actual != kDirEntrySize) {
-      return Ok(err) ? Error::kCorrupt : err;
-    }
-    if (entry.ino != 0 && libc::Strcmp(entry.name, name) == 0) {
-      *out_ino = entry.ino;
-      return Error::kOk;
-    }
-  }
-  return Error::kNoEnt;
+  *out_ino = found;
+  return Error::kOk;
 }
 
 Error Offs::DirAdd(uint64_t dir_ino, const char* name, uint64_t ino,
                    uint16_t type_bits) {
-  DiskInode dir;
-  Error err = ReadInode(dir_ino, &dir);
-  if (!Ok(err)) {
-    return err;
-  }
   DiskDirEntry entry;
   entry.ino = ino;
   entry.type = static_cast<uint8_t>(type_bits >> 12);
   entry.name_len = static_cast<uint8_t>(libc::Strlen(name));
   libc::Strlcpy(entry.name, name, sizeof(entry.name));
 
-  // Reuse an empty slot, else append.
-  uint64_t entries = dir.size / kDirEntrySize;
-  uint64_t slot = entries;
-  for (uint64_t i = 0; i < entries; ++i) {
-    DiskDirEntry probe;
-    size_t actual = 0;
-    err = FileReadAt(dir_ino, &probe, i * kDirEntrySize, kDirEntrySize, &actual);
-    if (!Ok(err)) {
-      return err;
-    }
-    if (probe.ino == 0) {
-      slot = i;
-      break;
-    }
+  // Reuse the first empty slot (a hole's are empty), else append.
+  bool reuse = false;
+  uint64_t end = 0;
+  Error err = WalkDir(*this, dir_ino, 0, [&](const uint8_t* slot) {
+    reuse = slot == nullptr || EntryIno(slot) == 0;
+    return reuse;
+  }, &end);
+  if (!Ok(err)) {
+    return err;
   }
   size_t actual = 0;
-  return FileWriteAt(dir_ino, &entry, slot * kDirEntrySize, kDirEntrySize, &actual);
+  return FileWriteAt(dir_ino, &entry, (end - (reuse ? 1 : 0)) * kDirEntrySize,
+                     kDirEntrySize, &actual);
 }
 
 Error Offs::DirRemove(uint64_t dir_ino, const char* name) {
-  DiskInode dir;
-  Error err = ReadInode(dir_ino, &dir);
-  if (!Ok(err)) {
-    return err;
+  size_t len = libc::Strlen(name);
+  bool found = false;
+  uint64_t end = 0;
+  Error err = WalkDir(*this, dir_ino, 0, [&](const uint8_t* entry) {
+    found = EntryNamed(entry, name, len);
+    return found;
+  }, &end);
+  if (!Ok(err) || !found) {
+    return Ok(err) ? Error::kNoEnt : err;
   }
-  uint64_t entries = dir.size / kDirEntrySize;
-  for (uint64_t i = 0; i < entries; ++i) {
-    DiskDirEntry entry;
-    size_t actual = 0;
-    err = FileReadAt(dir_ino, &entry, i * kDirEntrySize, kDirEntrySize, &actual);
-    if (!Ok(err)) {
-      return err;
-    }
-    if (entry.ino != 0 && libc::Strcmp(entry.name, name) == 0) {
-      entry = DiskDirEntry{};
-      return FileWriteAt(dir_ino, &entry, i * kDirEntrySize, kDirEntrySize, &actual);
-    }
-  }
-  return Error::kNoEnt;
+  DiskDirEntry empty;
+  size_t actual = 0;
+  return FileWriteAt(dir_ino, &empty, (end - 1) * kDirEntrySize, kDirEntrySize, &actual);
 }
 
 Error Offs::DirIsEmpty(uint64_t dir_ino, bool* out_empty) {
-  DiskInode dir;
-  Error err = ReadInode(dir_ino, &dir);
-  if (!Ok(err)) {
-    return err;
-  }
-  uint64_t entries = dir.size / kDirEntrySize;
-  for (uint64_t i = 0; i < entries; ++i) {
-    DiskDirEntry entry;
-    size_t actual = 0;
-    err = FileReadAt(dir_ino, &entry, i * kDirEntrySize, kDirEntrySize, &actual);
-    if (!Ok(err)) {
-      return err;
-    }
-    if (entry.ino != 0 && !IsDot(entry.name) && !IsDotDot(entry.name)) {
-      *out_empty = false;
-      return Error::kOk;
-    }
-  }
-  *out_empty = true;
-  return Error::kOk;
+  bool other = false;
+  uint64_t end = 0;
+  Error err = WalkDir(*this, dir_ino, 0, [&](const uint8_t* entry) {
+    other = entry != nullptr && EntryIno(entry) != 0 && !EntryNamed(entry, ".", 1) &&
+            !EntryNamed(entry, "..", 2);
+    return other;
+  }, &end);
+  *out_empty = !other;
+  return err;
 }
 
 Error Offs::DirRead(uint64_t dir_ino, uint64_t* inout_offset, DirEntry* entries,
                     size_t capacity, size_t* out_count) {
   *out_count = 0;
-  DiskInode dir;
-  Error err = ReadInode(dir_ino, &dir);
-  if (!Ok(err)) {
-    return err;
+  if (capacity == 0) {
+    return Error::kOk;
   }
-  uint64_t total = dir.size / kDirEntrySize;
-  uint64_t i = *inout_offset;
-  while (i < total && *out_count < capacity) {
+  uint64_t end = 0;
+  Error err = WalkDir(*this, dir_ino, *inout_offset, [&](const uint8_t* slot) {
+    if (slot == nullptr || EntryIno(slot) == 0) {
+      return false;
+    }
     DiskDirEntry raw;
-    size_t actual = 0;
-    err = FileReadAt(dir_ino, &raw, i * kDirEntrySize, kDirEntrySize, &actual);
-    if (!Ok(err)) {
-      return err;
-    }
-    ++i;
-    if (raw.ino == 0) {
-      continue;
-    }
-    DirEntry& out = entries[*out_count];
+    std::memcpy(&raw, slot, sizeof(raw));
+    raw.name[kMaxNameLen] = '\0';  // a corrupt name may be unterminated
+    DirEntry& out = entries[(*out_count)++];
     out.ino = raw.ino;
     out.type = (static_cast<uint16_t>(raw.type) << 12) == kModeDirectory
                    ? FileType::kDirectory
                    : FileType::kRegular;
     libc::Strlcpy(out.name, raw.name, sizeof(out.name));
-    ++*out_count;
+    return *out_count == capacity;
+  }, &end);
+  if (Ok(err)) {
+    *inout_offset = end;
   }
-  *inout_offset = i;
-  return Error::kOk;
+  return err;
 }
 
 }  // namespace oskit::fs

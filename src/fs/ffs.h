@@ -10,6 +10,7 @@
 #ifndef OSKIT_SRC_FS_FFS_H_
 #define OSKIT_SRC_FS_FFS_H_
 
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <set>
@@ -41,6 +42,56 @@ Error Mkfs(BlkIo* device, const MkfsOptions& options = {});
 // inside a volume that fits the device.  kCorrupt otherwise, so mount and
 // fsck only ever walk structures bounded by the image.
 Error ReadSuperBlock(BlkIo* device, SuperBlock* out);
+
+// File blocks the single-indirect and double-indirect tables end at.
+inline constexpr uint64_t kIndirectEnd = kDirectBlocks + kPointersPerBlock;
+inline constexpr uint64_t kMapEnd =
+    kIndirectEnd + uint64_t{kPointersPerBlock} * kPointersPerBlock;
+
+// Maps file block `fb` (< kMapEnd) through the inode's block map, read-only.
+// `table(block)` returns a pointer table's bytes, or null when it cannot be
+// read (then the result is false).  *block is the disk block, 0 for a hole;
+// for a hole, *hole counts the file blocks from `fb` on that the same
+// missing pointer leaves unmapped, so an absent table is one step.  Shared
+// by the mounted directory walk (through the cache) and fsck (raw reads).
+template <typename ReadTable>
+bool MapFileBlock(const DiskInode& inode, uint64_t fb, ReadTable&& table,
+                  uint32_t* block, uint64_t* hole) {
+  auto read_slot = [&](uint32_t table_block, uint64_t slot, uint32_t* out) {
+    const uint8_t* data = table(table_block);
+    if (data != nullptr) {
+      std::memcpy(out, data + slot * 4, 4);
+    }
+    return data != nullptr;
+  };
+  *block = 0;
+  *hole = 1;
+  if (fb < kDirectBlocks) {
+    *block = inode.direct[fb];
+    return true;
+  }
+  if (fb < kIndirectEnd) {
+    if (inode.indirect == 0) {
+      *hole = kIndirectEnd - fb;
+      return true;
+    }
+    return read_slot(inode.indirect, fb - kDirectBlocks, block);
+  }
+  if (inode.double_indirect == 0) {
+    *hole = kMapEnd - fb;
+    return true;
+  }
+  uint64_t index = fb - kIndirectEnd;
+  uint32_t mid = 0;
+  if (!read_slot(inode.double_indirect, index / kPointersPerBlock, &mid)) {
+    return false;
+  }
+  if (mid == 0) {
+    *hole = kPointersPerBlock - index % kPointersPerBlock;
+    return true;
+  }
+  return read_slot(mid, index % kPointersPerBlock, block);
+}
 
 struct MountOptions {
   // Observability environment for the cache and journal counters; null

@@ -17,10 +17,6 @@ namespace {
 
 unsigned long long Ull(uint64_t v) { return v; }  // for Problem's %llu
 
-// File blocks the single-indirect and double-indirect tables end at.
-constexpr uint64_t kIndirectEnd = kDirectBlocks + kPointersPerBlock;
-constexpr uint64_t kMapEnd = kIndirectEnd + uint64_t{kPointersPerBlock} * kPointersPerBlock;
-
 class Checker {
  public:
   Checker(BlkIo* device, const FsckOptions& options)
@@ -259,6 +255,9 @@ class Checker {
     bool saw_dotdot = false;
     uint32_t mapped = 0;
     uint8_t block_data[kBlockSize];
+    auto raw_table = [&](uint32_t table) -> const uint8_t* {
+      return ReadBlockRaw(table, block_data) ? block_data : nullptr;
+    };
     for (uint64_t i = 0; i < entries;) {
       uint64_t fb = i / kEntriesPerBlock;
       if (fb >= kMapEnd) {
@@ -268,7 +267,7 @@ class Checker {
       }
       uint32_t block = 0;
       uint64_t hole = 0;
-      if (!MapFileBlock(inode, fb, &block, &hole)) {
+      if (!MapFileBlock(inode, fb, raw_table, &block, &hole)) {
         Problem("directory %llu unreadable at entry %llu", Ull(ino), Ull(i));
         return;
       }
@@ -314,54 +313,6 @@ class Checker {
     if (!saw_dot || !saw_dotdot) {
       Problem("directory %llu missing '.' or '..'", Ull(ino));
     }
-  }
-
-  // Maps file block `fb` through the inode's block map (no cache,
-  // read-only): *block is the disk block, 0 for a hole.  For a hole,
-  // *hole counts the file blocks from fb on that the same missing pointer
-  // leaves unmapped.  Returns false for a block past the double-indirect
-  // range or an unreadable table.
-  bool MapFileBlock(const DiskInode& inode, uint64_t fb, uint32_t* block, uint64_t* hole) {
-    *block = 0;
-    *hole = 1;
-    if (fb < kDirectBlocks) {
-      *block = inode.direct[fb];
-      return true;
-    }
-    if (fb < kIndirectEnd) {
-      if (inode.indirect == 0) {
-        *hole = kIndirectEnd - fb;
-        return true;
-      }
-      return ReadSlot(inode.indirect, fb - kDirectBlocks, block);
-    }
-    if (fb >= kMapEnd) {
-      return false;
-    }
-    if (inode.double_indirect == 0) {
-      *hole = kMapEnd - fb;
-      return true;
-    }
-    uint64_t index = fb - kIndirectEnd;
-    uint32_t mid = 0;
-    if (!ReadSlot(inode.double_indirect, index / kPointersPerBlock, &mid)) {
-      return false;
-    }
-    if (mid == 0) {
-      *hole = kPointersPerBlock - index % kPointersPerBlock;
-      return true;
-    }
-    return ReadSlot(mid, index % kPointersPerBlock, block);
-  }
-
-  // Reads pointer `slot` (< kPointersPerBlock) of a pointer table.
-  bool ReadSlot(uint32_t table_block, uint64_t slot, uint32_t* out) {
-    uint8_t table[kBlockSize];
-    if (!ReadBlockRaw(table_block, table)) {
-      return false;
-    }
-    std::memcpy(out, table + slot * 4, 4);
-    return true;
   }
 
   void CheckInodeTable() {

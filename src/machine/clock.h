@@ -4,13 +4,20 @@
 // seeks, timer chips — is expressed as events on one shared clock, so a
 // multi-machine world (two PCs on an Ethernet segment) advances through a
 // single totally-ordered event sequence and every run is reproducible.
+//
+// Scheduling an event allocates nothing once the tables have grown to the
+// run's peak: the callback is stored inline in a slot of a generation-indexed
+// slot table, and the heap orders small (when, seq, slot, gen) entries.
 
 #ifndef OSKIT_SRC_MACHINE_CLOCK_H_
 #define OSKIT_SRC_MACHINE_CLOCK_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <unordered_set>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace oskit {
@@ -23,26 +30,52 @@ inline constexpr SimTime kNsPerSec = 1000 * 1000 * 1000;
 
 class SimClock {
  public:
+  // (generation << 32) | slot.  Generations start at 1, so no id is 0.
   using EventId = uint64_t;
   static constexpr EventId kInvalidEvent = 0;
+
+  // Largest callback (lambda captures or a std::function) a slot holds.
+  static constexpr size_t kInlineBytes = 64;
+
+  SimClock() = default;
+  ~SimClock();
+  SimClock(const SimClock&) = delete;
+  SimClock& operator=(const SimClock&) = delete;
 
   SimTime Now() const { return now_; }
 
   // Schedules `fn` to run at absolute time `when` (clamped to >= Now()).
-  EventId ScheduleAt(SimTime when, std::function<void()> fn);
-
-  // Schedules `fn` to run `delay` ns from now.
-  EventId ScheduleAfter(SimTime delay, std::function<void()> fn) {
-    return ScheduleAt(now_ + delay, std::move(fn));
+  // Events run in (when, schedule order).
+  template <typename F>
+  EventId ScheduleAt(SimTime when, F&& fn) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_invocable_v<Fn&>, "clock callbacks take no arguments");
+    static_assert(sizeof(Fn) <= kInlineBytes,
+                  "clock callbacks are stored inline: capture at most 64 bytes");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t), "over-aligned callback");
+    uint32_t index = TakeSlot();
+    Slot& slot = SlotAt(index);
+    ::new (static_cast<void*>(slot.fn)) Fn(std::forward<F>(fn));
+    slot.run = [](void* p) { (*static_cast<Fn*>(p))(); };
+    slot.destroy = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
+    return Push(when, index);
   }
 
-  // Cancels a pending event.  Returns false if it already ran or was
-  // cancelled (safe to call redundantly).  Watchdog patterns rely on that
-  // distinction: "cancel failed" is how a waker learns the timeout already
-  // fired, so cancelling a completed event must NOT report success.
+  // Schedules `fn` to run `delay` ns from now.
+  template <typename F>
+  EventId ScheduleAfter(SimTime delay, F&& fn) {
+    return ScheduleAt(now_ + delay, std::forward<F>(fn));
+  }
+
+  // Cancels a pending event and destroys its callback.  Returns false if it
+  // already ran, is running, or was cancelled, and for a stale id whose slot
+  // now holds a later event (safe to call redundantly).  Watchdog patterns
+  // rely on that distinction: "cancel failed" is how a waker learns the
+  // timeout already fired, so cancelling a completed event must NOT report
+  // success.
   bool Cancel(EventId id);
 
-  bool HasPending() const { return !live_.empty(); }
+  bool HasPending() const { return pending_ != 0; }
 
   // Time of the earliest pending event; ~0 when none are pending.
   SimTime NextEventTime();
@@ -58,32 +91,59 @@ class SimClock {
   size_t events_run() const { return events_run_; }
 
  private:
-  struct Event {
-    SimTime when;
-    EventId id;  // tie-break: schedule order
-    std::function<void()> fn;
+  // One callback's storage.  A slot is occupied while `destroy` is set; its
+  // generation advances when the event runs or is cancelled, so ids and heap
+  // entries naming an earlier occupant no longer match.
+  struct Slot {
+    alignas(std::max_align_t) unsigned char fn[kInlineBytes];
+    void (*run)(void*) = nullptr;
+    void (*destroy)(void*) = nullptr;
+    uint32_t gen = 1;
   };
 
-  struct Later {  // heap order: earliest (when, id) at the front
-    bool operator()(const Event& a, const Event& b) const {
+  struct Entry {
+    SimTime when;
+    uint64_t seq;  // tie-break: schedule order
+    uint32_t slot;
+    uint32_t gen;
+  };
+
+  struct Later {  // heap order: earliest (when, seq) at the front
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) {
         return a.when > b.when;
       }
-      return a.id > b.id;
+      return a.seq > b.seq;
     }
   };
 
-  // Removes and returns the earliest queued event (cancelled or not).
-  Event PopEarliest();
+  // Slots live in fixed-size chunks that never move, so a running callback
+  // stays put while the events it schedules grow the table.
+  static constexpr uint32_t kChunkShift = 8;
+  static constexpr uint32_t kChunkSlots = 1u << kChunkShift;
+
+  Slot& SlotAt(uint32_t index) {
+    return chunks_[index >> kChunkShift][index & (kChunkSlots - 1)];
+  }
+  uint32_t TakeSlot();
+  EventId Push(SimTime when, uint32_t index);
+  // Destroys the callback of a slot whose generation has already advanced
+  // and returns the slot to the free list.
+  void Release(uint32_t index);
+  // Pops heap entries whose event was cancelled; false when the heap empties.
+  bool SkipCancelled();
+  void RunFront();
 
   SimTime now_ = 0;
-  EventId next_id_ = 1;
+  uint64_t next_seq_ = 0;
   size_t events_run_ = 0;
-  // Binary heap under Later (std::push_heap/pop_heap), so the earliest
-  // event can be moved out rather than copied from a const top().
-  std::vector<Event> queue_;
-  std::unordered_set<EventId> live_;       // scheduled, not yet run/cancelled
-  std::unordered_set<EventId> cancelled_;  // lazy-deletion tombstones
+  size_t pending_ = 0;
+  // Binary heap under Later (std::push_heap/pop_heap).  A cancelled event's
+  // entry stays until it surfaces and is skipped by its stale generation.
+  std::vector<Entry> queue_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  uint32_t slot_count_ = 0;
+  std::vector<uint32_t> free_;
 };
 
 }  // namespace oskit

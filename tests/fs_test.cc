@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
@@ -593,6 +594,251 @@ bool HasProblem(const FsckReport& report, const std::string& needle) {
   return false;
 }
 
+// A directory of three full blocks and more, built through the COM surface:
+// 190 files after "." and "..", two of them removed (freed slots), and an
+// entry written straight into file block 12, so blocks 3..11 are a hole that
+// spans the direct slots and the start of the single-indirect table.
+class DirWalkTest : public FsTest {
+ protected:
+  static constexpr int kFiles = 190;
+  static constexpr uint64_t kTailSlot = 12 * (kBlockSize / kDirEntrySize);
+
+  static std::string Name(int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "f%03d", i);
+    return buf;
+  }
+
+  void SetUp() override {
+    FsTest::SetUp();
+    offs_ = static_cast<Offs*>(fs_.get());
+    ASSERT_EQ(Error::kOk, root_->Mkdir("big", 0755));
+    ASSERT_EQ(Error::kOk, offs_->DirLookup(kRootIno, "big", &dir_ino_));
+    ComPtr<File> node;
+    ASSERT_EQ(Error::kOk, root_->Lookup("big", node.Receive()));
+    dir_ = ComPtr<Dir>::FromQuery(node.get());
+    for (int i = 0; i < kFiles; ++i) {
+      ComPtr<File> file;
+      ASSERT_EQ(Error::kOk, dir_->Create(Name(i).c_str(), 0644, file.Receive()));
+      FileStat st;
+      ASSERT_EQ(Error::kOk, file->GetStat(&st));
+      inos_[Name(i)] = st.ino;
+    }
+    ASSERT_EQ(Error::kOk, dir_->Unlink(Name(10).c_str()));  // slot 12
+    ASSERT_EQ(Error::kOk, dir_->Unlink(Name(100).c_str()));  // slot 102
+    inos_.erase(Name(10));
+    inos_.erase(Name(100));
+    ComPtr<File> tail;
+    ASSERT_EQ(Error::kOk, root_->Create("tail-target", 0644, tail.Receive()));
+    FileStat st;
+    ASSERT_EQ(Error::kOk, tail->GetStat(&st));
+    DiskDirEntry entry;
+    entry.ino = st.ino;
+    entry.type = kModeRegular >> 12;
+    entry.name_len = 4;
+    std::strcpy(entry.name, "tail");
+    size_t actual = 0;
+    ASSERT_EQ(Error::kOk, offs_->FileWriteAt(dir_ino_, &entry, kTailSlot * kDirEntrySize,
+                                             sizeof(entry), &actual));
+    inos_["tail"] = st.ino;
+  }
+
+  DiskInode DirInode() {
+    DiskInode inode;
+    EXPECT_EQ(Error::kOk, offs_->ReadInode(dir_ino_, &inode));
+    return inode;
+  }
+
+  uint64_t CacheCalls() { return offs_->cache().hits() + offs_->cache().misses(); }
+
+  // The slot of each live entry, read one entry at a time through
+  // FileReadAt: an oracle independent of the block-wise walk.
+  std::vector<std::pair<uint64_t, std::string>> LiveEntries() {
+    std::vector<std::pair<uint64_t, std::string>> live;
+    uint64_t slots = DirInode().size / kDirEntrySize;
+    for (uint64_t i = 0; i < slots; ++i) {
+      DiskDirEntry entry;
+      size_t actual = 0;
+      EXPECT_EQ(Error::kOk, offs_->FileReadAt(dir_ino_, &entry, i * kDirEntrySize,
+                                              sizeof(entry), &actual));
+      if (entry.ino != 0) {
+        live.emplace_back(i, entry.name);
+      }
+    }
+    return live;
+  }
+
+  Offs* offs_ = nullptr;
+  uint64_t dir_ino_ = 0;
+  ComPtr<Dir> dir_;
+  std::map<std::string, uint64_t> inos_;
+};
+
+TEST_F(DirWalkTest, LayoutHasFreedSlotsAndAHole) {
+  DiskInode inode = DirInode();
+  EXPECT_EQ((kTailSlot + 1) * kDirEntrySize, inode.size);
+  EXPECT_NE(0u, inode.direct[2]);
+  for (uint32_t fb = 3; fb < kDirectBlocks; ++fb) {
+    EXPECT_EQ(0u, inode.direct[fb]);
+  }
+  EXPECT_NE(0u, inode.indirect);
+  EXPECT_EQ(5u, inode.blocks);  // four data blocks and the indirect table
+  auto live = LiveEntries();
+  ASSERT_EQ(size_t{2 + kFiles - 2 + 1}, live.size());
+  EXPECT_EQ(kTailSlot, live.back().first);
+}
+
+TEST_F(DirWalkTest, LookupFindsFirstMiddleAndLastNames) {
+  for (const char* name : {"f000", "f095", "f189", "tail"}) {
+    uint64_t ino = 0;
+    ASSERT_EQ(Error::kOk, offs_->DirLookup(dir_ino_, name, &ino)) << name;
+    EXPECT_EQ(inos_[name], ino) << name;
+  }
+  uint64_t ino = 0;
+  EXPECT_EQ(Error::kOk, offs_->DirLookup(dir_ino_, ".", &ino));
+  EXPECT_EQ(dir_ino_, ino);
+  EXPECT_EQ(Error::kNoEnt, offs_->DirLookup(dir_ino_, "f010", &ino));
+  EXPECT_EQ(Error::kNoEnt, offs_->DirLookup(dir_ino_, "missing", &ino));
+  EXPECT_EQ(Error::kNotDir, offs_->DirLookup(inos_["f000"], "x", &ino));
+}
+
+TEST_F(DirWalkTest, AddReusesTheFirstFreeSlotThenTheHole) {
+  auto slot_of = [&](const char* name) {
+    for (const auto& [slot, entry] : LiveEntries()) {
+      if (entry == name) {
+        return slot;
+      }
+    }
+    return ~uint64_t{0};
+  };
+  ASSERT_EQ(Error::kOk, offs_->DirAdd(dir_ino_, "a", inos_["f000"], kModeRegular));
+  EXPECT_EQ(12u, slot_of("a"));
+  ASSERT_EQ(Error::kOk, offs_->DirAdd(dir_ino_, "b", inos_["f000"], kModeRegular));
+  EXPECT_EQ(102u, slot_of("b"));
+  // The next free slot is the first entry of the hole, file block 3.
+  ASSERT_EQ(Error::kOk, offs_->DirAdd(dir_ino_, "c", inos_["f000"], kModeRegular));
+  EXPECT_EQ(192u, slot_of("c"));
+  EXPECT_NE(0u, DirInode().direct[3]);
+  ASSERT_EQ(Error::kOk, offs_->DirAdd(dir_ino_, "d", inos_["f000"], kModeRegular));
+  EXPECT_EQ(193u, slot_of("d"));
+  EXPECT_EQ((kTailSlot + 1) * kDirEntrySize, DirInode().size);
+}
+
+TEST_F(DirWalkTest, AddAppendsWhenEverySlotIsLive) {
+  ASSERT_EQ(Error::kOk, root_->Mkdir("small", 0755));
+  uint64_t small = 0;
+  ASSERT_EQ(Error::kOk, offs_->DirLookup(kRootIno, "small", &small));
+  DiskInode before;
+  ASSERT_EQ(Error::kOk, offs_->ReadInode(small, &before));
+  ASSERT_EQ(2 * kDirEntrySize, before.size);
+  ASSERT_EQ(Error::kOk, offs_->DirAdd(small, "x", inos_["f000"], kModeRegular));
+  DiskInode after;
+  ASSERT_EQ(Error::kOk, offs_->ReadInode(small, &after));
+  EXPECT_EQ(3 * kDirEntrySize, after.size);
+  uint64_t ino = 0;
+  EXPECT_EQ(Error::kOk, offs_->DirLookup(small, "x", &ino));
+  EXPECT_EQ(inos_["f000"], ino);
+}
+
+TEST_F(DirWalkTest, RemoveAndIsEmpty) {
+  bool empty = true;
+  ASSERT_EQ(Error::kOk, offs_->DirIsEmpty(dir_ino_, &empty));
+  EXPECT_FALSE(empty);
+  ASSERT_EQ(Error::kOk, offs_->DirRemove(dir_ino_, "tail"));
+  uint64_t ino = 0;
+  EXPECT_EQ(Error::kNoEnt, offs_->DirLookup(dir_ino_, "tail", &ino));
+  EXPECT_EQ(Error::kNoEnt, offs_->DirRemove(dir_ino_, "tail"));
+  EXPECT_EQ(Error::kOk, offs_->DirLookup(dir_ino_, "f189", &ino));
+
+  // Emptied down to "." and ".." (the hole stays), it reports empty.
+  for (int i = 0; i < kFiles; ++i) {
+    if (i != 10 && i != 100) {
+      ASSERT_EQ(Error::kOk, offs_->DirRemove(dir_ino_, Name(i).c_str())) << i;
+    }
+  }
+  ASSERT_EQ(Error::kOk, offs_->DirIsEmpty(dir_ino_, &empty));
+  EXPECT_TRUE(empty);
+  ASSERT_EQ(Error::kOk, offs_->DirAdd(dir_ino_, "late", inos_["tail"], kModeRegular));
+  ASSERT_EQ(Error::kOk, offs_->DirIsEmpty(dir_ino_, &empty));
+  EXPECT_FALSE(empty);
+}
+
+TEST_F(DirWalkTest, PagedReadReturnsEveryLiveEntryOnceInSlotOrder) {
+  std::vector<std::string> expected;
+  for (const auto& [slot, name] : LiveEntries()) {
+    expected.push_back(name);
+  }
+  for (size_t capacity : {1, 3, 64, 500}) {
+    std::vector<std::string> got;
+    uint64_t offset = 0;
+    for (int calls = 0; calls < 1000; ++calls) {
+      DirEntry page[500];
+      size_t count = 0;
+      ASSERT_EQ(Error::kOk, offs_->DirRead(dir_ino_, &offset, page, capacity, &count));
+      ASSERT_LE(count, capacity);
+      if (count == 0) {
+        break;
+      }
+      for (size_t i = 0; i < count; ++i) {
+        got.push_back(page[i].name);
+        if (got.back() != "." && got.back() != "..") {
+          EXPECT_EQ(inos_[page[i].name], page[i].ino) << page[i].name;
+        }
+      }
+    }
+    EXPECT_EQ(expected, got) << "capacity " << capacity;
+    EXPECT_EQ(kTailSlot + 1, offset);
+  }
+}
+
+TEST_F(DirWalkTest, ReadDirTruncatesAnUnterminatedName) {
+  // A corrupt entry whose name fills its field with no NUL: the copy out
+  // stops at the field, so ReadDir returns the longest legal name.
+  DiskDirEntry entry;
+  entry.ino = inos_["f000"];
+  entry.type = kModeRegular >> 12;
+  entry.name_len = sizeof(entry.name);
+  std::memset(entry.name, 'x', sizeof(entry.name));
+  size_t actual = 0;
+  ASSERT_EQ(Error::kOk, offs_->FileWriteAt(dir_ino_, &entry, 12 * kDirEntrySize,
+                                           sizeof(entry), &actual));
+  uint64_t offset = 12;
+  DirEntry page[1];
+  size_t count = 0;
+  ASSERT_EQ(Error::kOk, offs_->DirRead(dir_ino_, &offset, page, 1, &count));
+  ASSERT_EQ(1u, count);
+  EXPECT_EQ(std::string(kMaxNameLen, 'x'), page[0].name);
+  EXPECT_EQ(13u, offset);
+}
+
+TEST_F(DirWalkTest, LookupOfTheLastNameReadsEachBlockOnce) {
+  // Three full direct blocks, no indirection: one inode read and one read
+  // per directory block.
+  ASSERT_EQ(Error::kOk, root_->Mkdir("flat", 0755));
+  uint64_t flat = 0;
+  ASSERT_EQ(Error::kOk, offs_->DirLookup(kRootIno, "flat", &flat));
+  ComPtr<File> node;
+  ASSERT_EQ(Error::kOk, root_->Lookup("flat", node.Receive()));
+  auto dir = ComPtr<Dir>::FromQuery(node.get());
+  for (int i = 0; i < 3 * 64 - 2; ++i) {
+    ComPtr<File> file;
+    ASSERT_EQ(Error::kOk, dir->Create(Name(i).c_str(), 0644, file.Receive()));
+  }
+  DiskInode inode;
+  ASSERT_EQ(Error::kOk, offs_->ReadInode(flat, &inode));
+  ASSERT_EQ(3u, inode.blocks);
+  uint64_t before = CacheCalls();
+  uint64_t ino = 0;
+  ASSERT_EQ(Error::kOk, offs_->DirLookup(flat, Name(3 * 64 - 3).c_str(), &ino));
+  EXPECT_LE(CacheCalls() - before, 1u + inode.blocks);
+
+  // Through the hole and the single-indirect table: each step reads at most
+  // one pointer table and one block.
+  before = CacheCalls();
+  ASSERT_EQ(Error::kOk, offs_->DirLookup(dir_ino_, "tail", &ino));
+  EXPECT_LE(CacheCalls() - before, 1u + 2 * DirInode().blocks);
+}
+
 // Hand-built corruptions of the root directory's inode.  fsck runs on
 // every crash recovery, so each must end with a reported problem, and
 // quickly: no walk over a 2^40-byte size, no index past a block table.
@@ -663,6 +909,65 @@ TEST_F(FsckBoundsTest, DirectoryMappingMoreBlocksThanItHoldsIsReported) {
   FsckReport report = Fsck(disk_.get());
   EXPECT_FALSE(report.consistent);
   EXPECT_TRUE(HasProblem(report, "maps more than the 1 blocks it holds"));
+}
+
+// The same mutated roots through the mounted filesystem: a directory walk is
+// bounded by the inode's block map and held blocks, not by its size field.
+Offs* MountForWalk(MemBlkIo* disk, ComPtr<FileSystem>* fs, ComPtr<Dir>* root) {
+  FileSystem* raw = nullptr;
+  EXPECT_EQ(Error::kOk, Offs::Mount(disk, &raw));
+  *fs = ComPtr<FileSystem>(raw);
+  EXPECT_EQ(Error::kOk, (*fs)->GetRoot(root->Receive()));
+  return static_cast<Offs*>(raw);
+}
+
+TEST_F(FsckBoundsTest, LookupInDirectoryOfTwoToTheFortyBytesIsCorrupt) {
+  root_.size = uint64_t{1} << 40;
+  StoreRoot();
+  ComPtr<FileSystem> fs;
+  ComPtr<Dir> root;
+  Offs* offs = MountForWalk(disk_.get(), &fs, &root);
+  uint64_t before = offs->cache().hits() + offs->cache().misses();
+  ComPtr<File> file;
+  EXPECT_EQ(Error::kCorrupt, root->Lookup("missing", file.Receive()));
+  // The inode read only: no directory block is read.
+  EXPECT_LE(offs->cache().hits() + offs->cache().misses() - before, 1u);
+  bool empty = false;
+  EXPECT_EQ(Error::kCorrupt, offs->DirIsEmpty(kRootIno, &empty));
+  EXPECT_EQ(Error::kCorrupt, offs->DirAdd(kRootIno, "x", kRootIno, kModeRegular));
+}
+
+TEST_F(FsckBoundsTest, WalkSkipsUnmappedRangesAndStopsAfterHeldBlocks) {
+  // The whole map's range, with only the first block mapped: the direct
+  // hole and the absent indirect tables are one step each.
+  root_.size = kMapBlocks * kBlockSize;
+  StoreRoot();
+  {
+    ComPtr<FileSystem> fs;
+    ComPtr<Dir> root;
+    Offs* offs = MountForWalk(disk_.get(), &fs, &root);
+    uint64_t before = offs->cache().hits() + offs->cache().misses();
+    ComPtr<File> file;
+    EXPECT_EQ(Error::kNoEnt, root->Lookup("missing", file.Receive()));
+    EXPECT_LE(offs->cache().hits() + offs->cache().misses() - before, 2u);
+    root.Reset();
+    EXPECT_EQ(Error::kOk, fs->Unmount());
+  }
+  // Every direct slot names the root's one held block: the walk reads it
+  // once and stops.
+  std::memcpy(&root_, RootSlot(), sizeof(root_));
+  for (uint32_t i = 1; i < kDirectBlocks; ++i) {
+    root_.direct[i] = root_.direct[0];
+  }
+  root_.size = uint64_t{kDirectBlocks} * kBlockSize;
+  StoreRoot();
+  ComPtr<FileSystem> fs;
+  ComPtr<Dir> root;
+  Offs* offs = MountForWalk(disk_.get(), &fs, &root);
+  uint64_t before = offs->cache().hits() + offs->cache().misses();
+  ComPtr<File> file;
+  EXPECT_EQ(Error::kNoEnt, root->Lookup("missing", file.Receive()));
+  EXPECT_LE(offs->cache().hits() + offs->cache().misses() - before, 2u);
 }
 
 // Mutated images from a byte-scribbling probe of fsck: a 4 MB volume with

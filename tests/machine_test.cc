@@ -4,13 +4,34 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/random.h"
 #include "src/com/memblkio.h"
 #include "src/machine/machine.h"
+
+// Calls to the global operator new in this test binary, so the clock tests
+// can show that scheduling and running an event allocates nothing.
+static std::atomic<size_t> g_new_calls{0};
+
+void* operator new(std::size_t n) {
+  g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace oskit {
 namespace {
@@ -59,6 +80,152 @@ TEST(ClockTest, EventsScheduledInsideEventsRun) {
   while (clock.RunOne()) {
   }
   EXPECT_EQ(2, depth);
+}
+
+TEST(ClockTest, CancelFailsForRanCancelledAndStaleIds) {
+  SimClock clock;
+  int fired = 0;
+  SimClock::EventId ran = clock.ScheduleAfter(10, [&] { ++fired; });
+  EXPECT_TRUE(clock.RunOne());
+  EXPECT_FALSE(clock.Cancel(ran));  // already ran
+
+  SimClock::EventId cancelled = clock.ScheduleAfter(10, [&] { ++fired; });
+  EXPECT_TRUE(clock.Cancel(cancelled));
+  EXPECT_FALSE(clock.Cancel(cancelled));  // already cancelled
+
+  // The freed slot is reused under a new generation: the old ids name the
+  // same slot but must not cancel its new occupant.
+  SimClock::EventId reused = clock.ScheduleAfter(10, [&] { ++fired; });
+  EXPECT_EQ(static_cast<uint32_t>(cancelled), static_cast<uint32_t>(reused));
+  EXPECT_NE(cancelled, reused);
+  EXPECT_FALSE(clock.Cancel(cancelled));
+  EXPECT_FALSE(clock.Cancel(ran));
+  EXPECT_FALSE(clock.Cancel(SimClock::kInvalidEvent));
+  EXPECT_TRUE(clock.HasPending());
+  EXPECT_TRUE(clock.RunOne());
+  EXPECT_EQ(2, fired);
+  EXPECT_FALSE(clock.HasPending());
+}
+
+TEST(ClockTest, CancelFromInsideTheRunningEventFails) {
+  SimClock clock;
+  SimClock::EventId self = SimClock::kInvalidEvent;
+  bool cancelled = true;
+  self = clock.ScheduleAfter(1, [&] { cancelled = clock.Cancel(self); });
+  EXPECT_TRUE(clock.RunOne());
+  EXPECT_FALSE(cancelled);
+}
+
+TEST(ClockTest, SameTimeEventsRunInScheduleOrderWhileTheTableGrows) {
+  // One event at t=10 schedules 1,000 events at t=20 while it runs, growing
+  // the slot table several times over; the 1,000 must run after the events
+  // already scheduled for t=20, in the order they were scheduled.  The
+  // running callback's own capture must survive the growth.
+  SimClock clock;
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    clock.ScheduleAt(20, [&order, i] { order.push_back(i); });
+  }
+  std::array<int, 6> tag = {1, 2, 3, 4, 5, 6};
+  int tag_sum = 0;
+  clock.ScheduleAt(10, [&clock, &order, &tag_sum, tag] {
+    for (int i = 0; i < 1000; ++i) {
+      clock.ScheduleAt(20, [&order, i] { order.push_back(5 + i); });
+    }
+    for (int t : tag) {
+      tag_sum += t;
+    }
+  });
+  for (int i = 1005; i < 1010; ++i) {
+    clock.ScheduleAt(20, [&order, i] { order.push_back(i); });
+  }
+  clock.RunUntil(20);
+  EXPECT_EQ(21, tag_sum);
+  ASSERT_EQ(1010u, order.size());
+  // Scheduled from inside the t=10 event, hence after 1005..1009.
+  std::vector<int> expected;
+  for (int i = 0; i < 5; ++i) {
+    expected.push_back(i);
+  }
+  for (int i = 1005; i < 1010; ++i) {
+    expected.push_back(i);
+  }
+  for (int i = 5; i < 1005; ++i) {
+    expected.push_back(i);
+  }
+  EXPECT_EQ(expected, order);
+  EXPECT_FALSE(clock.HasPending());
+}
+
+// A move-only capture that counts how often a live (not moved-from) copy of
+// it is destroyed.
+class DtorCount {
+ public:
+  explicit DtorCount(int* count) : count_(count) {}
+  DtorCount(DtorCount&& other) noexcept : count_(std::exchange(other.count_, nullptr)) {}
+  DtorCount(const DtorCount&) = delete;
+  DtorCount& operator=(const DtorCount&) = delete;
+  DtorCount& operator=(DtorCount&&) = delete;
+  ~DtorCount() {
+    if (count_ != nullptr) {
+      ++*count_;
+    }
+  }
+
+ private:
+  int* count_;
+};
+
+TEST(ClockTest, CaptureIsDestroyedOnceWhenRunCancelledOrPending) {
+  int ran_dtors = 0;
+  int cancelled_dtors = 0;
+  int pending_dtors = 0;
+  int runs = 0;
+  {
+    SimClock clock;
+    clock.ScheduleAfter(1, [d = DtorCount(&ran_dtors), &runs] { ++runs; });
+    SimClock::EventId id =
+        clock.ScheduleAfter(2, [d = DtorCount(&cancelled_dtors), &runs] { ++runs; });
+    clock.ScheduleAfter(3, [d = DtorCount(&pending_dtors), &runs] { ++runs; });
+    EXPECT_EQ(0, ran_dtors + cancelled_dtors + pending_dtors);
+
+    EXPECT_TRUE(clock.Cancel(id));
+    EXPECT_EQ(1, cancelled_dtors);
+    EXPECT_FALSE(clock.Cancel(id));
+    EXPECT_TRUE(clock.RunOne());
+    EXPECT_EQ(1, ran_dtors);
+    clock.RunUntil(2);  // passes the cancelled event's stale heap entry
+    EXPECT_EQ(1, runs);
+    EXPECT_EQ(0, pending_dtors);
+  }
+  EXPECT_EQ(1, ran_dtors);
+  EXPECT_EQ(1, cancelled_dtors);
+  EXPECT_EQ(1, pending_dtors);
+  EXPECT_EQ(1, runs);
+}
+
+TEST(ClockTest, EventsAllocateNothingOnceTheTablesHaveGrown) {
+  SimClock clock;
+  uint64_t sum = 0;
+  std::array<uint64_t, 6> payload = {1, 2, 3, 4, 5, 6};  // a 56-byte capture
+  auto schedule_batch = [&] {
+    for (int i = 0; i < 300; ++i) {
+      SimClock::EventId id = clock.ScheduleAfter(static_cast<SimTime>(i % 7),
+                                                 [&sum, payload] { sum += payload[5]; });
+      if (i % 3 == 0) {
+        clock.Cancel(id);
+      }
+    }
+    while (clock.RunOne()) {
+    }
+  };
+  schedule_batch();  // grows the slot table, heap and free list
+  size_t before = g_new_calls.load();
+  for (int round = 0; round < 20; ++round) {
+    schedule_batch();
+  }
+  EXPECT_EQ(before, g_new_calls.load());
+  EXPECT_EQ(21u * 200u * 6u, sum);
 }
 
 TEST(FiberTest, SpawnRunsToCompletion) {
