@@ -1,5 +1,6 @@
 #include "src/diskpart/diskpart.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/base/byteorder.h"
@@ -126,10 +127,19 @@ Error ReadPartitions(BlkIo* disk, std::vector<Partition>* out) {
   }
 
   // Walk extended-partition EBR chains; logical partitions number from 5.
+  // A chain that revisits an EBR, or runs past kMaxEbrHops links, is a
+  // corrupt table rather than a long one.
+  constexpr int kMaxEbrHops = 64;
   int logical = 5;
   for (const Partition& ext : extended_chain) {
     uint64_t ebr_sector = ext.start_sector;
-    for (int hops = 0; hops < 64; ++hops) {  // cycle guard
+    uint64_t visited[kMaxEbrHops];
+    for (int hops = 0;; ++hops) {
+      if (hops == kMaxEbrHops ||
+          std::find(visited, visited + hops, ebr_sector) != visited + hops) {
+        return Error::kCorrupt;
+      }
+      visited[hops] = ebr_sector;
       err = ReadSector(disk, ebr_sector, sector);
       if (!Ok(err)) {
         return err;

@@ -98,6 +98,38 @@ TEST(DiskPartTest, ExtendedChainYieldsLogicals) {
   EXPECT_EQ(500u, in[2].sector_count);
 }
 
+TEST(DiskPartTest, CyclicExtendedChainIsCorrupt) {
+  auto disk = MakeDisk(2000);
+  std::vector<Partition> primaries = {
+      {.start_sector = 100, .sector_count = 1000, .type = kPartTypeExtended},
+  };
+  ASSERT_EQ(Error::kOk, WriteMbr(disk.get(), primaries));
+
+  // EBR at 100: a logical at +10, next EBR at +200 (sector 300).  EBR at
+  // 300: a logical at +10, next EBR at +0 -- back to sector 100.
+  auto write_ebr = [&](uint64_t at, uint32_t next_rel) {
+    uint8_t ebr[kDiskSectorSize] = {};
+    uint8_t* e = ebr + 446;
+    e[4] = kPartTypeLinux;
+    StoreLe32(e + 8, 10);
+    StoreLe32(e + 12, 50);
+    uint8_t* n = ebr + 446 + 16;
+    n[4] = kPartTypeExtended;
+    StoreLe32(n + 8, next_rel);
+    StoreLe32(n + 12, 100);
+    ebr[510] = 0x55;
+    ebr[511] = 0xaa;
+    size_t actual;
+    ASSERT_EQ(Error::kOk,
+              disk->Write(ebr, at * kDiskSectorSize, kDiskSectorSize, &actual));
+  };
+  write_ebr(100, 200);
+  write_ebr(300, 0);
+
+  std::vector<Partition> in;
+  EXPECT_EQ(Error::kCorrupt, ReadPartitions(disk.get(), &in));
+}
+
 TEST(DiskPartTest, BsdDisklabelSlices) {
   auto disk = MakeDisk(20000);
   std::vector<Partition> primaries = {
