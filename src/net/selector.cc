@@ -260,27 +260,39 @@ void FormatEndpoint(char* buf, size_t cap, InetAddr a, uint16_t port) {
 
 void NetStack::Netstat(const std::function<void(const char*)>& emit) {
   char line[256];
+  // A TIME_WAIT record counts and prints as the pcb it replaced did.
   std::snprintf(line, sizeof line,
                 "tcp_pcbs=%zu udp_pcbs=%zu conn_hash=%zu lport_buckets=%zu",
-                tcp_pcbs_.size(),
+                tcp_pcbs_.size() + counters_.tcp_time_wait.value(),
                 udp_pcbs_.size(), tcp_conn_.size(), tcp_by_lport_.size());
   emit(line);
-  for (const auto& pcb : tcp_pcbs_) {
+  auto emit_conn = [&](const TcpEndpoints& ends, TcpState state, size_t snd,
+                       size_t rcv) {
     char l[32];
     char f[32];
-    FormatEndpoint(l, sizeof l, pcb->laddr, pcb->lport);
-    FormatEndpoint(f, sizeof f, pcb->faddr, pcb->fport);
+    FormatEndpoint(l, sizeof l, ends.laddr, ends.lport);
+    FormatEndpoint(f, sizeof f, ends.faddr, ends.fport);
+    std::snprintf(line, sizeof line, "tcp %-12s %-21s -> %-21s snd=%zu rcv=%zu",
+                  TcpStateName(state), l, f, snd, rcv);
+    emit(line);
+  };
+  for (const auto& pcb : tcp_pcbs_) {
     if (pcb->state == TcpState::kListen) {
+      char l[32];
+      FormatEndpoint(l, sizeof l, pcb->laddr, pcb->lport);
       std::snprintf(line, sizeof line,
                     "tcp %-12s %-21s synq=%zu acceptq=%zu backlog=%d",
                     TcpStateName(pcb->state), l, pcb->syn_queue.size(),
                     pcb->accept_queue.size(), pcb->backlog);
+      emit(line);
     } else {
-      std::snprintf(line, sizeof line,
-                    "tcp %-12s %-21s -> %-21s snd=%zu rcv=%zu",
-                    TcpStateName(pcb->state), l, f, pcb->snd.cc, pcb->rcv.cc);
+      emit_conn(*pcb, pcb->state, pcb->snd.cc, pcb->rcv.cc);
     }
-    emit(line);
+  }
+  for (const auto& [key, conn] : tcp_conn_) {
+    if (const TcpTimeWait* tw = conn.time_wait()) {
+      emit_conn(*tw, TcpState::kTimeWait, 0, 0);
+    }
   }
   for (const auto& pcb : udp_pcbs_) {
     char l[32];

@@ -963,5 +963,70 @@ TEST(KmonNetstatTest, DumpsPcbsWheelAndSelectors) {
   EXPECT_NE(std::string::npos, out.find("listen_overflows="));
 }
 
+TEST(KmonNetstatTest, PrintsATimeWaitRecordAsItsPcbPrinted) {
+  World world;
+  Host& a = world.AddHost("a", NetConfig::kNativeBsd);  // closes first
+  Host& b = world.AddHost("b", NetConfig::kNativeBsd);
+  auto time_wait_lines = [&] {
+    std::string lines;
+    a.stack->Netstat([&](const char* line) {
+      if (std::strstr(line, "TIME_WAIT") != nullptr) {
+        lines += line;
+        lines += '\n';
+      }
+    });
+    return lines;
+  };
+  std::string held;
+  std::string retired;
+  world.sim().Spawn("server", [&] {
+    ComPtr<Socket> listener = b.MakeSocket(SockType::kStream);
+    ASSERT_EQ(Error::kOk, listener->Bind(SockAddr{kInetAny, kPort}));
+    ASSERT_EQ(Error::kOk, listener->Listen(1));
+    SockAddr peer;
+    ComPtr<Socket> conn;
+    ASSERT_EQ(Error::kOk, listener->Accept(&peer, conn.Receive()));
+    char buf[8];
+    size_t n = 0;
+    while (Ok(conn->Recv(buf, sizeof(buf), &n)) && n > 0) {
+    }
+  });
+  world.sim().Spawn("client", [&] {
+    ComPtr<Socket> conn = a.MakeSocket(SockType::kStream);
+    ASSERT_EQ(Error::kOk, conn->Connect(SockAddr{b.addr, kPort}));
+    ASSERT_EQ(Error::kOk, conn->Shutdown(SockShutdown::kWrite));
+    char buf[8];
+    size_t n = 1;
+    ASSERT_EQ(Error::kOk, conn->Recv(buf, sizeof(buf), &n));
+    ASSERT_EQ(0u, n);
+    // The socket is still held, so TIME_WAIT keeps the full pcb...
+    world.sim().WaitUntil([&] { return !time_wait_lines().empty(); });
+    held = time_wait_lines();
+    EXPECT_EQ(0u, a.trace.registry.Value("net.tcp.time_wait"));
+    const auto pcbs = NetstatPcbs(*a.stack);
+    // ...and releasing it leaves a record that prints and counts the same.
+    conn.Reset();
+    retired = time_wait_lines();
+    EXPECT_EQ(1u, a.trace.registry.Value("net.tcp.time_wait"));
+    EXPECT_EQ(pcbs, NetstatPcbs(*a.stack));
+  });
+  world.RunToCompletion();
+  EXPECT_NE(std::string::npos, held.find("tcp TIME_WAIT "));
+  EXPECT_EQ(held, retired);
+
+  KernelMonitor kmon(a.kernel.get(), &a.kernel->console());
+  kmon.SetNetstatSource([&](const std::function<void(const char*)>& emit) {
+    a.stack->Netstat(emit);
+  });
+  a.machine->console_uart().InjectRx("netstat\rc\r", 10);
+  world.sim().Spawn("kmon", [&] {
+    TrapFrame frame;
+    kmon.Enter(frame);
+  });
+  world.RunToCompletion();
+  std::string out = a.machine->console_uart().TakeOutput();
+  EXPECT_NE(std::string::npos, out.find(retired.substr(0, retired.size() - 1)));
+}
+
 }  // namespace
 }  // namespace oskit::testbed
