@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "src/base/checksum.h"
 #include "src/net/stack.h"
 
 namespace oskit::net {
@@ -22,14 +21,8 @@ void NetStack::UdpIndexRemove(UdpPcb* pcb) {
   if (bucket == udp_by_lport_.end()) {
     return;
   }
-  auto& vec = bucket->second;
-  for (auto it = vec.begin(); it != vec.end(); ++it) {
-    if (*it == pcb) {
-      vec.erase(it);
-      break;
-    }
-  }
-  if (vec.empty()) {
+  std::erase(bucket->second, pcb);
+  if (bucket->second.empty()) {
     udp_by_lport_.erase(bucket);
   }
 }
@@ -65,26 +58,11 @@ void NetStack::UdpInput(const Ipv4Header& ip, MBuf* payload) {
     pool_.FreeChain(payload);
     return;
   }
-  if (uh.checksum != 0) {
-    InetChecksum cksum;
-    uint8_t pseudo[12];
-    StoreBe32(pseudo, ip.src.value);
-    StoreBe32(pseudo + 4, ip.dst.value);
-    pseudo[8] = 0;
-    pseudo[9] = kIpProtoUdp;
-    StoreBe16(pseudo + 10, uh.length);
-    cksum.Add(pseudo, sizeof(pseudo));
-    size_t remaining = uh.length;
-    for (const MBuf* m = payload; m != nullptr && remaining > 0; m = m->next) {
-      size_t n = m->len < remaining ? m->len : remaining;
-      cksum.Add(m->data, n);
-      remaining -= n;
-    }
-    if (cksum.Finish() != 0) {
-      ++counters_.udp_bad_checksum;
-      pool_.FreeChain(payload);
-      return;
-    }
+  if (uh.checksum != 0 &&
+      TransportChecksum(ip.src, ip.dst, kIpProtoUdp, uh.length, payload) != 0) {
+    ++counters_.udp_bad_checksum;
+    pool_.FreeChain(payload);
+    return;
   }
   UdpPcb* pcb = UdpLookup(ip.dst, uh.dst_port);
   if (pcb == nullptr) {
@@ -157,18 +135,7 @@ Error NetStack::UdpOutput(UdpPcb* pcb, const SockAddr& to, MBuf* payload) {
 
   // Checksum over pseudo-header + the whole chain (real per-byte work —
   // this is part of what the benchmarks measure).
-  InetChecksum cksum;
-  uint8_t pseudo[12];
-  StoreBe32(pseudo, src.value);
-  StoreBe32(pseudo + 4, to.addr.value);
-  pseudo[8] = 0;
-  pseudo[9] = kIpProtoUdp;
-  StoreBe16(pseudo + 10, uh.length);
-  cksum.Add(pseudo, sizeof(pseudo));
-  for (const MBuf* m = dgram; m != nullptr; m = m->next) {
-    cksum.Add(m->data, m->len);
-  }
-  uint16_t sum = cksum.Finish();
+  uint16_t sum = TransportChecksum(src, to.addr, kIpProtoUdp, uh.length, dgram);
   if (sum == 0) {
     sum = 0xffff;  // transmitted zero means "no checksum"
   }

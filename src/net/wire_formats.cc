@@ -1,6 +1,7 @@
 #include "src/net/wire_formats.h"
 
 #include "src/base/checksum.h"
+#include "src/net/mbuf.h"
 
 namespace oskit::net {
 
@@ -19,20 +20,23 @@ void Ipv4Header::Serialize(uint8_t* p) const {
   StoreBe16(p + 10, sum);
 }
 
-uint32_t PseudoHeaderSum(InetAddr src, InetAddr dst, uint8_t proto, uint16_t length) {
+uint16_t TransportChecksum(InetAddr src, InetAddr dst, uint8_t proto,
+                           uint16_t length, const MBuf* chain) {
   uint8_t pseudo[12];
   StoreBe32(pseudo, src.value);
   StoreBe32(pseudo + 4, dst.value);
   pseudo[8] = 0;
   pseudo[9] = proto;
   StoreBe16(pseudo + 10, length);
-  // Return the raw 32-bit sum of the pseudo-header words so callers can
-  // keep accumulating; using InetChecksum directly keeps folding correct.
-  uint32_t sum = 0;
-  for (int i = 0; i < 12; i += 2) {
-    sum += static_cast<uint32_t>(LoadBe16(pseudo + i));
+  InetChecksum cksum;
+  cksum.Add(pseudo, sizeof(pseudo));
+  size_t remaining = length;
+  for (const MBuf* m = chain; m != nullptr && remaining > 0; m = m->next) {
+    size_t n = m->len < remaining ? m->len : remaining;
+    cksum.Add(m->data, n);
+    remaining -= n;
   }
-  return sum;
+  return cksum.Finish();
 }
 
 bool TcpHeader::Parse(const uint8_t* p, size_t len, TcpHeader* out) {

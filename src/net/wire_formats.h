@@ -135,8 +135,12 @@ struct Ipv4Header {
   bool more_fragments() const { return (frag & kIpFlagMoreFragments) != 0; }
 };
 
-// Pseudo-header checksum seed for TCP/UDP.
-uint32_t PseudoHeaderSum(InetAddr src, InetAddr dst, uint8_t proto, uint16_t length);
+struct MBuf;
+
+// The TCP/UDP checksum of the first `length` bytes of `chain` under the
+// IPv4 pseudo-header; a received segment that verifies sums to 0.
+uint16_t TransportChecksum(InetAddr src, InetAddr dst, uint8_t proto,
+                           uint16_t length, const MBuf* chain);
 
 // ---- ICMP ----
 
