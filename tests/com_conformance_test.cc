@@ -10,10 +10,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <initializer_list>
+#include <string_view>
+#include <vector>
+
+#include "src/aio/stack.h"
+#include "src/boot/memfs.h"
 #include "src/com/memblkio.h"
+#include "src/dev/freebsd/freebsd_char.h"
+#include "src/dev/linux/linux_ide.h"
+#include "src/diskpart/diskpart.h"
+#include "src/fs/cache.h"
 #include "src/fs/ffs.h"
+#include "src/net/mbuf_bufio.h"
+#include "src/secure/interposer.h"
 #include "src/secure/wrap.h"
 #include "src/testbed/testbed.h"
+#include "src/trace/trace_com.h"
 
 namespace oskit::testbed {
 namespace {
@@ -85,6 +100,97 @@ void SweepCommon(Obj* obj) {
   ExpectUnknownGuidRejected(obj);
   ExpectQueryRoundTrip<IUnknown>(obj);
   ExpectRefPairing(obj);
+}
+
+// ---------------------------------------------------------------------------
+// Golden interface tables: for each component, exactly which of the kit's
+// interface GUIDs it answers.  Any change to how a component composes its
+// interfaces shows up here as a changed row.
+// ---------------------------------------------------------------------------
+
+struct KitIface {
+  std::string_view name;
+  Guid iid;
+};
+
+// EtherDev and NetIoBatch were given the same GUID, so one row stands for
+// both: an object answering one of them answers the other.
+static_assert(EtherDev::kIid == NetIoBatch::kIid);
+
+constexpr KitIface kKitIfaces[] = {
+    {"BlkIo", BlkIo::kIid},
+    {"BlkIoBarrier", BlkIoBarrier::kIid},
+    {"BlkIoRing", BlkIoRing::kIid},
+    {"BufIo", BufIo::kIid},
+    {"BufIoVec", BufIoVec::kIid},
+    {"CharStream", CharStream::kIid},
+    {"CounterSet", CounterSet::kIid},
+    {"Device", Device::kIid},
+    {"Dir", Dir::kIid},
+    {"EtherDev|NetIoBatch", EtherDev::kIid},
+    {"File", File::kIid},
+    {"FileSystem", FileSystem::kIid},
+    {"NetIo", NetIo::kIid},
+    {"NetSelector", NetSelector::kIid},
+    {"SkBuffIoImpl", linuxdev::kSkBuffIoImplIid},
+    {"Socket", Socket::kIid},
+    {"SocketExt", SocketExt::kIid},
+    {"SocketFactory", SocketFactory::kIid},
+    {"SocketZeroCopy", SocketZeroCopy::kIid},
+    {"TraceLog", TraceLog::kIid},
+};
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuse-after-free"
+// The diagnostic reference count: one AddRef/Release pair, net zero.
+template <typename Obj>
+uint32_t RefsOf(Obj* obj) {
+  uint32_t refs = obj->AddRef();
+  obj->Release();
+  return refs - 1;
+}
+#pragma GCC diagnostic pop
+
+// Queries `obj` for every kit GUID: those named in `answers` must succeed
+// with a live pointer (released at once), every other one must fail with a
+// nulled out-pointer.  Query(IUnknown) must give the same pointer every
+// time, the sweep must leave the count where it found it, and the common
+// rules above must hold.
+template <typename Obj>
+void ExpectInterfaces(Obj* obj, std::initializer_list<std::string_view> answers) {
+  for (std::string_view name : answers) {
+    EXPECT_TRUE(std::any_of(std::begin(kKitIfaces), std::end(kKitIfaces),
+                            [&](const KitIface& k) { return k.name == name; }))
+        << "no kit interface named " << name;
+  }
+  uint32_t refs = RefsOf(obj);
+  for (const KitIface& k : kKitIfaces) {
+    SCOPED_TRACE(k.name);
+    bool expected =
+        std::find(answers.begin(), answers.end(), k.name) != answers.end();
+    void* out = reinterpret_cast<void*>(0x1);
+    Error err = obj->Query(k.iid, &out);
+    if (expected) {
+      EXPECT_EQ(Error::kOk, err);
+      ASSERT_NE(nullptr, out);
+      static_cast<IUnknown*>(out)->Release();
+    } else {
+      EXPECT_EQ(Error::kNoInterface, err);
+      EXPECT_EQ(nullptr, out);
+    }
+  }
+  EXPECT_EQ(refs, RefsOf(obj));
+
+  void* first = nullptr;
+  void* second = nullptr;
+  ASSERT_EQ(Error::kOk, obj->Query(IUnknown::kIid, &first));
+  ASSERT_EQ(Error::kOk, obj->Query(IUnknown::kIid, &second));
+  EXPECT_EQ(first, second);
+  static_cast<IUnknown*>(first)->Release();
+  static_cast<IUnknown*>(second)->Release();
+  EXPECT_EQ(refs, RefsOf(obj));
+
+  SweepCommon(obj);
 }
 
 // ---------------------------------------------------------------------------
@@ -311,6 +417,205 @@ TEST(ComConformanceTest, SecureFsWrapperWithUnixIdentity) {
   root.Reset();
   EXPECT_EQ(0u, user->charged(secure::Resource::kOpenFiles));
   ASSERT_EQ(Error::kOk, tfs->Unmount());
+}
+
+// ---------------------------------------------------------------------------
+// Golden interface tables, component by component
+// ---------------------------------------------------------------------------
+
+TEST(ComConformanceTest, NetGoldens) {
+  World world;
+  Host& a = world.AddHost("a", NetConfig::kNativeBsd);
+
+  ComPtr<SocketFactory> factory = a.stack->CreateSocketFactory();
+  ExpectInterfaces(factory.get(), {"SocketFactory"});
+  ComPtr<Socket> stream;
+  ASSERT_EQ(Error::kOk, factory->Create(SockDomain::kInet, SockType::kStream,
+                                        stream.Receive()));
+  ExpectInterfaces(stream.get(), {"Socket", "SocketExt", "SocketZeroCopy"});
+  // Zero-copy transmit is a stream capability: a datagram socket refuses it.
+  ComPtr<Socket> dgram;
+  ASSERT_EQ(Error::kOk, factory->Create(SockDomain::kInet, SockType::kDgram,
+                                        dgram.Receive()));
+  ExpectInterfaces(dgram.get(), {"Socket", "SocketExt"});
+  ComPtr<NetSelector> sel = a.stack->CreateSelector();
+  ExpectInterfaces(sel.get(), {"NetSelector"});
+
+  // The mbuf glue object, with and without its scatter-gather face.
+  net::MbufPool pool;
+  uint8_t bytes[32] = {};
+  ComPtr<net::MbufBufIo> sg =
+      net::MbufBufIo::Wrap(&pool, pool.FromData(bytes, sizeof(bytes)));
+  ExpectInterfaces(sg.get(), {"BlkIo", "BufIo", "BufIoVec"});
+  ComPtr<net::MbufBufIo> flat = net::MbufBufIo::Wrap(
+      &pool, pool.FromData(bytes, sizeof(bytes)), /*expose_sg=*/false);
+  ExpectInterfaces(flat.get(), {"BlkIo", "BufIo"});
+}
+
+TEST(ComConformanceTest, LinuxStackGoldens) {
+  World world;
+  Host& a = world.AddHost("a", NetConfig::kNativeLinux);
+
+  ExpectInterfaces(a.socket_factory.get(), {"SocketFactory"});
+  ComPtr<Socket> sock = a.MakeSocket(SockType::kStream);
+  ASSERT_TRUE(sock);
+  ExpectInterfaces(sock.get(), {"Socket"});
+}
+
+// One bare machine with a NIC, a disk and the kernel support library: what
+// the encapsulated drivers probe.
+struct DriverRig {
+  DriverRig() {
+    machine.AddNic(&wire, EtherAddr{{2, 0, 0, 0, 0, 1}});
+    machine.AddDisk(256);
+    machine.cpu().EnableInterrupts();
+  }
+
+  Simulation sim;
+  EthernetWire wire{&sim.clock(), EthernetWire::Config{}};
+  Machine machine{&sim, Machine::Config{}};
+  KernelEnv kernel{&machine, MultiBootInfo{}};
+  FdevEnv fdev = DefaultFdevEnv(&kernel);
+  DeviceRegistry registry;
+};
+
+// Passes an EtherDev through and keeps both NetIo objects of the Open
+// exchange: the client's receive side and the driver's send side.
+class CapturingEtherDev final
+    : public secure::Interposer<CapturingEtherDev, EtherDev> {
+ public:
+  using Interposer::Interposer;
+
+  Error Open(NetIo* recv, NetIo** out_send) override {
+    Error err = inner()->Open(recv, out_send);
+    if (Ok(err)) {
+      recv_side = ComPtr<NetIo>::Retain(recv);
+      send_side = ComPtr<NetIo>::Retain(*out_send);
+    }
+    return err;
+  }
+  Error Close() override { return inner()->Close(); }
+  Error GetAddr(EtherAddr* out_addr) override { return inner()->GetAddr(out_addr); }
+
+  ComPtr<NetIo> recv_side;
+  ComPtr<NetIo> send_side;
+};
+
+TEST(ComConformanceTest, DriverGoldens) {
+  DriverRig rig;
+  ASSERT_EQ(Error::kOk,
+            linuxdev::InitLinuxEthernet(rig.fdev, &rig.machine, &rig.registry));
+  ASSERT_EQ(Error::kOk,
+            linuxdev::InitLinuxIde(rig.fdev, &rig.machine, &rig.registry));
+  ASSERT_EQ(Error::kOk,
+            freebsddev::InitFreeBsdChar(rig.fdev, &rig.machine, &rig.registry));
+
+  auto ethers = rig.registry.LookupByInterface(EtherDev::kIid);
+  ASSERT_EQ(1u, ethers.size());
+  ExpectInterfaces(ethers[0].get(), {"Device", "EtherDev|NetIoBatch"});
+
+  auto disks = rig.registry.LookupByInterface(BlkIo::kIid);
+  ASSERT_EQ(1u, disks.size());
+  ExpectInterfaces(disks[0].get(),
+                   {"Device", "BlkIo", "BlkIoBarrier", "BlkIoRing"});
+
+  auto ttys = rig.registry.LookupByInterface(CharStream::kIid);
+  ASSERT_FALSE(ttys.empty());
+  for (const ComPtr<Device>& tty : ttys) {
+    ExpectInterfaces(tty.get(), {"Device", "CharStream"});
+  }
+
+  // The stack's receive side and the glue's send side, reached through an
+  // ordinary interface bind.
+  ComPtr<CapturingEtherDev> capture(
+      new CapturingEtherDev(ComPtr<EtherDev>::FromQuery(ethers[0].get())));
+  net::NetStack stack(&rig.kernel.sleep_env(), &rig.sim.clock());
+  int ifindex = -1;
+  ASSERT_EQ(Error::kOk, stack.OpenEtherIf(capture.get(), &ifindex));
+  ASSERT_TRUE(capture->recv_side);
+  ASSERT_TRUE(capture->send_side);
+  ExpectInterfaces(capture->recv_side.get(), {"NetIo", "EtherDev|NetIoBatch"});
+  ExpectInterfaces(capture->send_side.get(), {"NetIo"});
+  capture->recv_side.Reset();
+  capture->send_side.Reset();
+
+  // A received skbuff's BufIo face, private implementation GUID included.
+  linuxdev::LinuxKernelEnv kenv;
+  kenv.kmalloc = +[](void*, size_t size) -> void* { return std::malloc(size); };
+  kenv.kfree = +[](void*, void* ptr, size_t) { std::free(ptr); };
+  ComPtr<linuxdev::SkBuffIo> skb(
+      new linuxdev::SkBuffIo(kenv, linuxdev::dev_alloc_skb(kenv, 64)));
+  ExpectInterfaces(skb.get(), {"BlkIo", "BufIo", "SkBuffIoImpl"});
+}
+
+TEST(ComConformanceTest, TraceGoldens) {
+  trace::TraceEnv env;
+  ComPtr<trace::TraceComponent> component(trace::CreateTraceComponent(&env));
+  ExpectInterfaces(component.get(), {"CounterSet", "TraceLog"});
+}
+
+TEST(ComConformanceTest, BlockStackGoldens) {
+  ComPtr<MemBlkIo> disk = MemBlkIo::Create(1024 * 1024, 512);
+  ExpectInterfaces(disk.get(), {"BlkIo", "BufIo", "BlkIoBarrier"});
+  BlkIo* below = static_cast<BufIo*>(disk.get());
+
+  ExpectInterfaces(fs::CacheBlkIo::Create(below, 512).get(),
+                   {"BlkIo", "BlkIoBarrier"});
+  ExpectInterfaces(aio::SyncRingAdapter::Wrap(below).get(),
+                   {"BlkIo", "BlkIoBarrier", "BlkIoRing"});
+  ExpectInterfaces(aio::ChecksumBlkIo::Create(below).get(),
+                   {"BlkIo", "BlkIoBarrier"});
+  std::vector<ComPtr<BlkIo>> children;
+  children.push_back(ComPtr<BlkIo>::Retain(below));
+  children.push_back(ComPtr<BlkIo>::Retain(below));
+  ExpectInterfaces(aio::StripeBlkIo::Create(std::move(children), 4096).get(),
+                   {"BlkIo", "BlkIoBarrier"});
+
+  // A partition view grants a barrier only over a disk that has one.
+  Partition part;
+  part.start_sector = 64;
+  part.sector_count = 128;
+  ExpectInterfaces(MakePartitionView(below, part).get(),
+                   {"BlkIo", "BlkIoBarrier"});
+  PrincipalRegistry principals;
+  ComPtr<BlkIo> no_barrier = secure::MakeSecureBufIo(
+      ComPtr<BlkIo>::Retain(below), principals.Create("tenant"));
+  ExpectInterfaces(MakePartitionView(no_barrier.get(), part).get(), {"BlkIo"});
+}
+
+TEST(ComConformanceTest, FsGoldens) {
+  ComPtr<MemBlkIo> disk = MemBlkIo::Create(4 * 1024 * 1024, 512);
+  ASSERT_EQ(Error::kOk, fs::Mkfs(disk.get()));
+  ComPtr<FileSystem> fs;
+  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), fs.Receive()));
+  ExpectInterfaces(fs.get(), {"FileSystem"});
+  ComPtr<Dir> root;
+  ASSERT_EQ(Error::kOk, fs->GetRoot(root.Receive()));
+  ExpectInterfaces(root.get(), {"File", "Dir"});
+  ComPtr<File> file;
+  ASSERT_EQ(Error::kOk, root->Create("plain", 0644, file.Receive()));
+  // A regular file grants its zero-copy BufIoVec view as a tear-off: a
+  // separate object answering the BufIo family, not File.
+  ExpectInterfaces(file.get(), {"File", "BufIo", "BufIoVec"});
+  ComPtr<BufIoVec> vec = ComPtr<BufIoVec>::FromQuery(file.get());
+  ASSERT_TRUE(vec);
+  ExpectInterfaces(vec.get(), {"BlkIo", "BufIo", "BufIoVec"});
+
+  vec.Reset();
+  file.Reset();
+  root.Reset();
+  ASSERT_EQ(Error::kOk, fs->Unmount());
+}
+
+TEST(ComConformanceTest, MemFsGoldens) {
+  ComPtr<MemFs> fs = MemFs::Create();
+  ExpectInterfaces(fs.get(), {"FileSystem"});
+  ComPtr<Dir> root;
+  ASSERT_EQ(Error::kOk, fs->GetRoot(root.Receive()));
+  ExpectInterfaces(root.get(), {"File", "Dir"});
+  ComPtr<File> file;
+  ASSERT_EQ(Error::kOk, root->Create("plain", 0644, file.Receive()));
+  ExpectInterfaces(file.get(), {"File"});
 }
 
 }  // namespace
