@@ -77,26 +77,6 @@ ComPtr<SyncRingAdapter> SyncRingAdapter::Wrap(BlkIo* below,
       new SyncRingAdapter(ComPtr<BlkIo>::Retain(below), trace));
 }
 
-Error SyncRingAdapter::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == BlkIo::kIid) {
-    AddRef();
-    *out = static_cast<BlkIo*>(this);
-    return Error::kOk;
-  }
-  if (iid == BlkIoBarrier::kIid) {
-    AddRef();
-    *out = static_cast<BlkIoBarrier*>(this);
-    return Error::kOk;
-  }
-  if (iid == BlkIoRing::kIid) {
-    AddRef();
-    *out = static_cast<BlkIoRing*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
-}
-
 Error SyncRingAdapter::Submit(const AioSqe* sqes, size_t count,
                               size_t* out_accepted) {
   *out_accepted = 0;
@@ -173,21 +153,6 @@ ComPtr<StripeBlkIo> StripeBlkIo::Create(std::vector<ComPtr<BlkIo>> children,
                                         trace::TraceEnv* trace) {
   return ComPtr<StripeBlkIo>(
       new StripeBlkIo(std::move(children), stripe_unit, trace));
-}
-
-Error StripeBlkIo::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == BlkIo::kIid) {
-    AddRef();
-    *out = static_cast<BlkIo*>(this);
-    return Error::kOk;
-  }
-  if (iid == BlkIoBarrier::kIid) {
-    AddRef();
-    *out = static_cast<BlkIoBarrier*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
 }
 
 // RAID0 address map: unit index `offset / unit` rotates over the members;
@@ -291,21 +256,6 @@ ComPtr<ChecksumBlkIo> ChecksumBlkIo::Create(BlkIo* below,
   OSKIT_ASSERT(below != nullptr);
   return ComPtr<ChecksumBlkIo>(
       new ChecksumBlkIo(ComPtr<BlkIo>::Retain(below), trace));
-}
-
-Error ChecksumBlkIo::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == BlkIo::kIid) {
-    AddRef();
-    *out = static_cast<BlkIo*>(this);
-    return Error::kOk;
-  }
-  if (iid == BlkIoBarrier::kIid) {
-    AddRef();
-    *out = static_cast<BlkIoBarrier*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
 }
 
 Error ChecksumBlkIo::Read(void* buf, off_t64 offset, size_t amount,

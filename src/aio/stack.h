@@ -46,10 +46,8 @@ namespace oskit::aio {
 // Sync-over-async adapter: BlkIoRing for any BlkIo.
 // ---------------------------------------------------------------------------
 
-class SyncRingAdapter final : public BlkIo,
-                              public BlkIoBarrier,
-                              public BlkIoRing,
-                              public RefCounted<SyncRingAdapter> {
+class SyncRingAdapter final
+    : public ComObject<SyncRingAdapter, BlkIo, BlkIoBarrier, BlkIoRing> {
  public:
   static constexpr size_t kRingDepth = 64;
 
@@ -57,9 +55,6 @@ class SyncRingAdapter final : public BlkIo,
   // barrier calls through, so it can sit in a stack like any other layer.
   static ComPtr<SyncRingAdapter> Wrap(BlkIo* below,
                                       trace::TraceEnv* trace = nullptr);
-
-  Error Query(const Guid& iid, void** out) override;
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   uint32_t GetBlockSize() override { return below_->GetBlockSize(); }
   Error Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) override {
@@ -94,9 +89,7 @@ class SyncRingAdapter final : public BlkIo,
 // Striping layer: RAID0 over N children.
 // ---------------------------------------------------------------------------
 
-class StripeBlkIo final : public BlkIo,
-                          public BlkIoBarrier,
-                          public RefCounted<StripeBlkIo> {
+class StripeBlkIo final : public ComObject<StripeBlkIo, BlkIo, BlkIoBarrier> {
  public:
   // `stripe_unit` is the bytes of consecutive address space each child
   // serves per rotation; it must be a positive multiple of every child's
@@ -105,9 +98,6 @@ class StripeBlkIo final : public BlkIo,
   static ComPtr<StripeBlkIo> Create(std::vector<ComPtr<BlkIo>> children,
                                     uint32_t stripe_unit,
                                     trace::TraceEnv* trace = nullptr);
-
-  Error Query(const Guid& iid, void** out) override;
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   uint32_t GetBlockSize() override { return block_size_; }
   Error Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) override;
@@ -148,15 +138,11 @@ class StripeBlkIo final : public BlkIo,
 // Per-block checksum/integrity layer.
 // ---------------------------------------------------------------------------
 
-class ChecksumBlkIo final : public BlkIo,
-                            public BlkIoBarrier,
-                            public RefCounted<ChecksumBlkIo> {
+class ChecksumBlkIo final
+    : public ComObject<ChecksumBlkIo, BlkIo, BlkIoBarrier> {
  public:
   static ComPtr<ChecksumBlkIo> Create(BlkIo* below,
                                       trace::TraceEnv* trace = nullptr);
-
-  Error Query(const Guid& iid, void** out) override;
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   uint32_t GetBlockSize() override { return granule_; }
   // Reads verify every fully covered granule against the recorded digest

@@ -1,6 +1,9 @@
 #include "src/boot/memfs.h"
 
+#include <unistd.h>
+
 #include <cstring>
+#include <new>
 
 #include "src/base/panic.h"
 
@@ -30,6 +33,23 @@ void FillStat(const Node& node, FileStat* out) {
   out->mtime = node.mtime;
 }
 
+// Grows or shrinks a file's bytes, zero-filling a grow.  False, with nothing
+// changed, for a size this RAM filesystem cannot hold: more than the host's
+// memory, or an allocation the host refuses.
+bool ResizeData(Node* node, uint64_t size) {
+  static const uint64_t kHostBytes =
+      static_cast<uint64_t>(sysconf(_SC_PHYS_PAGES)) * sysconf(_SC_PAGESIZE);
+  if (size > kHostBytes) {
+    return false;
+  }
+  try {
+    node->data.resize(size, 0);
+  } catch (const std::bad_alloc&) {
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -38,21 +58,10 @@ void FillStat(const Node& node, FileStat* out) {
 // "deleted but open" semantics).
 // ---------------------------------------------------------------------------
 
-class MemFsFile final : public File, public RefCounted<MemFsFile> {
+class MemFsFile final : public ComObject<MemFsFile, File> {
  public:
   MemFsFile(ComPtr<MemFs> fs, std::shared_ptr<Node> node)
       : fs_(std::move(fs)), node_(std::move(node)) {}
-
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == File::kIid) {
-      AddRef();
-      *out = static_cast<File*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   Error Read(void* buf, uint64_t offset, size_t amount, size_t* out_actual) override {
     *out_actual = 0;
@@ -63,7 +72,10 @@ class MemFsFile final : public File, public RefCounted<MemFsFile> {
       return Error::kOk;  // EOF
     }
     size_t n = amount;
-    if (offset + n > node_->data.size()) {
+    if (n > node_->data.size() - offset) {
+      if (offset + n < offset) {
+        return Error::kInval;  // wrapped range, not a short read
+      }
       n = node_->data.size() - offset;
     }
     std::memcpy(buf, node_->data.data() + offset, n);
@@ -77,8 +89,12 @@ class MemFsFile final : public File, public RefCounted<MemFsFile> {
     if (node_->type != FileType::kRegular) {
       return Error::kIsDir;
     }
-    if (offset + amount > node_->data.size()) {
-      node_->data.resize(offset + amount, 0);
+    if (offset + amount < offset) {
+      return Error::kInval;  // wrapped range
+    }
+    if (offset + amount > node_->data.size() &&
+        !ResizeData(node_.get(), offset + amount)) {
+      return Error::kNoMem;
     }
     std::memcpy(node_->data.data() + offset, buf, amount);
     node_->mtime += 1;
@@ -95,7 +111,9 @@ class MemFsFile final : public File, public RefCounted<MemFsFile> {
     if (node_->type != FileType::kRegular) {
       return Error::kIsDir;
     }
-    node_->data.resize(new_size, 0);
+    if (!ResizeData(node_.get(), new_size)) {
+      return Error::kNoMem;
+    }
     node_->mtime += 1;
     return Error::kOk;
   }
@@ -110,21 +128,10 @@ class MemFsFile final : public File, public RefCounted<MemFsFile> {
   std::shared_ptr<Node> node_;
 };
 
-class MemFsDir final : public Dir, public RefCounted<MemFsDir> {
+class MemFsDir final : public ComObject<MemFsDir, Dir, File> {
  public:
   MemFsDir(ComPtr<MemFs> fs, std::shared_ptr<Node> node)
       : fs_(std::move(fs)), node_(std::move(node)) {}
-
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == File::kIid || iid == Dir::kIid) {
-      AddRef();
-      *out = static_cast<Dir*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   // File methods on a directory.
   Error Read(void* buf, uint64_t offset, size_t amount, size_t* out_actual) override {
@@ -340,16 +347,6 @@ ComPtr<MemFs> MemFs::BuildBmodFs(PhysMem* phys, const MultiBootInfo& info) {
     fs->root_->children.emplace(std::move(name), std::move(node));
   }
   return fs;
-}
-
-Error MemFs::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == FileSystem::kIid) {
-    AddRef();
-    *out = static_cast<FileSystem*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
 }
 
 Error MemFs::GetRoot(Dir** out_root) {

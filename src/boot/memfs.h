@@ -36,7 +36,7 @@ struct Node {
 
 }  // namespace memfs_internal
 
-class MemFs final : public FileSystem, public RefCounted<MemFs> {
+class MemFs final : public ComObject<MemFs, FileSystem> {
  public:
   // An empty filesystem with a root directory.
   static ComPtr<MemFs> Create();
@@ -45,10 +45,6 @@ class MemFs final : public FileSystem, public RefCounted<MemFs> {
   // the module string (§3.1).  Module contents are copied out of simulated
   // physical memory.
   static ComPtr<MemFs> BuildBmodFs(PhysMem* phys, const MultiBootInfo& info);
-
-  // IUnknown
-  Error Query(const Guid& iid, void** out) override;
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   // FileSystem
   Error GetRoot(Dir** out_root) override;

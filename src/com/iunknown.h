@@ -21,6 +21,8 @@
 #define OSKIT_SRC_COM_IUNKNOWN_H_
 
 #include <cstdint>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "src/base/error.h"
@@ -157,8 +159,8 @@ class ComPtr {
   T* ptr_ = nullptr;
 };
 
-// CRTP mixin supplying the reference-count half of IUnknown.  The derived
-// class still implements Query() itself (interface composition is per-type).
+// CRTP mixin supplying the reference count that ComObject (below) builds
+// on.
 //
 // Counts are plain integers, not atomics: OSKit components follow the
 // process-level/interrupt-level concurrency model of section 4.7.4, in which
@@ -187,10 +189,80 @@ class RefCounted {
 };
 
 // Expands to the boilerplate AddRef/Release overrides inside a class that
-// mixes in RefCounted<Self>.
+// mixes in RefCounted<Self> and writes its own Query.  ComObject supersedes
+// it; it remains for code that predates the skeleton.
 #define OSKIT_REFCOUNTED_BOILERPLATE()                       \
   uint32_t AddRef() override { return this->AddRefImpl(); } \
   uint32_t Release() override { return this->ReleaseImpl(); }
+
+namespace com_internal {
+
+// Stands in for a listed interface that another listed one already derives
+// from (BlkIo beside BufIo, File beside Dir), so it is inherited once.
+template <typename I>
+struct Elided {};
+
+template <typename I, typename... All>
+using BaseFor =
+    std::conditional_t<((std::is_base_of_v<I, All> && !std::is_same_v<I, All>) ||
+                        ...),
+                       Elided<I>, I>;
+
+}  // namespace com_internal
+
+// The one COM object skeleton: ComObject<Derived, Ifaces...> inherits each
+// listed interface and supplies all of IUnknown for it.
+//
+//  * Query answers IUnknown (as the first listed interface) and each listed
+//    interface that Derived::Grants(iid) allows, and nothing else.  The
+//    default Grants allows every listed one; a component whose interfaces
+//    depend on its state (a datagram socket has no zero-copy face) hides it
+//    with its own.
+//  * AddRef/Release keep the count; Derived::OnLastRelease() runs once,
+//    just before the last reference goes, for side effects that must happen
+//    while the object is still whole (detaching from a protocol stack).
+//
+// Derived writes only its interface methods.  A component with an answer
+// no fixed list can express (a tear-off object, a private implementation
+// GUID) overrides Query, handles that one case and calls ComObject::Query.
+template <typename Derived, typename... Ifaces>
+class ComObject : public com_internal::BaseFor<Ifaces, Ifaces...>...,
+                  public RefCounted<Derived> {
+ public:
+  Error Query(const Guid& iid, void** out) override {
+    *out = nullptr;
+    if (iid == IUnknown::kIid) {
+      *out = static_cast<std::tuple_element_t<0, std::tuple<Ifaces...>>*>(this);
+    } else if (!(Answer<Ifaces>(iid, out) || ...)) {
+      return Error::kNoInterface;
+    }
+    AddRef();
+    return Error::kOk;
+  }
+
+  uint32_t AddRef() final { return this->AddRefImpl(); }
+
+  uint32_t Release() final {
+    if (this->ref_count() == 1) {
+      static_cast<Derived*>(this)->OnLastRelease();
+    }
+    return this->ReleaseImpl();
+  }
+
+  // Derived's hooks, hidden by a same-named member of Derived.
+  bool Grants(const Guid&) const { return true; }
+  void OnLastRelease() {}
+
+ private:
+  template <typename I>
+  bool Answer(const Guid& iid, void** out) {
+    if (iid != I::kIid || !static_cast<Derived*>(this)->Grants(iid)) {
+      return false;
+    }
+    *out = static_cast<I*>(this);
+    return true;
+  }
+};
 
 }  // namespace oskit
 

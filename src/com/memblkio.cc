@@ -32,21 +32,6 @@ ComPtr<MemBlkIo> MemBlkIo::CreateFrom(const SparseImage& image, size_t size,
   return io;
 }
 
-Error MemBlkIo::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == BlkIo::kIid || iid == BufIo::kIid) {
-    AddRef();
-    *out = static_cast<BufIo*>(this);
-    return Error::kOk;
-  }
-  if (iid == BlkIoBarrier::kIid) {
-    AddRef();
-    *out = static_cast<BlkIoBarrier*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
-}
-
 // Bounds discipline (shared with SkBuffIo and MbufBufIo): off_t64 is
 // unsigned, so a "negative" offset arrives huge and `offset + amount` can
 // wrap.  Check the offset first, then compare against the remainder; a range

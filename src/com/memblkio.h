@@ -22,7 +22,8 @@
 
 namespace oskit {
 
-class MemBlkIo final : public BufIo, public BlkIoBarrier, public RefCounted<MemBlkIo> {
+class MemBlkIo final
+    : public ComObject<MemBlkIo, BufIo, BlkIo, BlkIoBarrier> {
  public:
   // Creates an object of `size` zero bytes.  `block_size` is the advertised
   // granularity (1 for byte-addressable RAM objects).
@@ -37,10 +38,6 @@ class MemBlkIo final : public BufIo, public BlkIoBarrier, public RefCounted<MemB
   // (size <= image.size()), copying only the image's written pages.
   static ComPtr<MemBlkIo> CreateFrom(const SparseImage& image, size_t size,
                                      uint32_t block_size = 1);
-
-  // IUnknown
-  Error Query(const Guid& iid, void** out) override;
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   // BlkIo
   uint32_t GetBlockSize() override { return block_size_; }

@@ -81,21 +81,6 @@ BsdTtyDev::~BsdTtyDev() {
   env_.irq_detach(env_.ctx, irq_);
 }
 
-Error BsdTtyDev::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == Device::kIid) {
-    AddRef();
-    *out = static_cast<Device*>(this);
-    return Error::kOk;
-  }
-  if (iid == CharStream::kIid) {
-    AddRef();
-    *out = static_cast<CharStream*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
-}
-
 Error BsdTtyDev::GetInfo(DeviceInfo* out_info) {
   out_info->name = name_.c_str();
   out_info->description = "4.4BSD-style tty over simulated UART";

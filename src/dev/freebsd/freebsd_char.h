@@ -58,16 +58,9 @@ class Clist {
 };
 
 // A BSD-style tty over the simulated UART, exported as Device + CharStream.
-class BsdTtyDev final : public Device,
-                        public CharStream,
-                        public RefCounted<BsdTtyDev> {
+class BsdTtyDev final : public ComObject<BsdTtyDev, Device, CharStream> {
  public:
   BsdTtyDev(const FdevEnv& env, Uart* uart, int irq, std::string name);
-
-  // IUnknown
-  Error Query(const Guid& iid, void** out) override;
-  uint32_t AddRef() override { return AddRefImpl(); }
-  uint32_t Release() override { return ReleaseImpl(); }
 
   // Device
   Error GetInfo(DeviceInfo* out_info) override;

@@ -22,14 +22,7 @@ SkBuffIo::~SkBuffIo() {
 }
 
 Error SkBuffIo::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == BlkIo::kIid || iid == BufIo::kIid ||
-      iid == kSkBuffIoImplIid) {
-    AddRef();
-    *out = static_cast<BufIo*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
+  return ComObject::Query(iid == kSkBuffIoImplIid ? BufIo::kIid : iid, out);
 }
 
 // Bounds discipline for all three accessors: off_t64 is unsigned, so a
@@ -94,20 +87,9 @@ void GlueKfree(void* ctx, void* ptr, size_t size) {
 }
 
 // The send-side NetIo half of the §5 callback exchange.
-class LinuxSendNetIo final : public NetIo, public RefCounted<LinuxSendNetIo> {
+class LinuxSendNetIo final : public ComObject<LinuxSendNetIo, NetIo> {
  public:
   explicit LinuxSendNetIo(LinuxEtherDev* dev) : dev_(dev) { dev->AddRef(); }
-
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == NetIo::kIid) {
-      AddRef();
-      *out = static_cast<NetIo*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   Error Push(BufIo* packet, size_t size) override { return dev_->Transmit(packet, size); }
 
@@ -165,21 +147,6 @@ void LinuxEtherDev::SetRxPoll(const RxPollConfig& config) {
       dev_.priv->EnableRxInterrupt(true);
     }
   }
-}
-
-Error LinuxEtherDev::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == Device::kIid) {
-    AddRef();
-    *out = static_cast<Device*>(this);
-    return Error::kOk;
-  }
-  if (iid == EtherDev::kIid) {
-    AddRef();
-    *out = static_cast<EtherDev*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
 }
 
 Error LinuxEtherDev::GetInfo(DeviceInfo* out_info) {

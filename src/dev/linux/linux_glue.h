@@ -36,15 +36,15 @@ inline constexpr Guid kSkBuffIoImplIid =
     MakeGuid(0x7b331990, 0x0e01, 0x11d0, 0xa6, 0xbe, 0x00, 0xa0, 0xc9, 0x0a, 0x5f,
              0x40);
 
-class SkBuffIo final : public BufIo, public RefCounted<SkBuffIo> {
+class SkBuffIo final : public ComObject<SkBuffIo, BufIo, BlkIo> {
  public:
   // Takes ownership of `skb`.
   SkBuffIo(const LinuxKernelEnv& kenv, sk_buff* skb) : kenv_(kenv), skb_(skb) {
     skb->oskit_bufio = this;  // the one-word glue field (§4.7.3)
   }
 
+  // Also answers kSkBuffIoImplIid.
   Error Query(const Guid& iid, void** out) override;
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   uint32_t GetBlockSize() override { return 1; }
   Error Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) override;
@@ -68,9 +68,7 @@ class SkBuffIo final : public BufIo, public RefCounted<SkBuffIo> {
 };
 
 // The encapsulated driver as a COM device.
-class LinuxEtherDev final : public Device,
-                            public EtherDev,
-                            public RefCounted<LinuxEtherDev> {
+class LinuxEtherDev final : public ComObject<LinuxEtherDev, Device, EtherDev> {
  public:
   // Boundary counters, registered with the trace environment's registry
   // under "glue.send.*" / "glue.recv.*" / "glue.rx.poll.*" /
@@ -107,11 +105,6 @@ class LinuxEtherDev final : public Device,
   };
 
   LinuxEtherDev(const FdevEnv& env, NicHw* hw, std::string name);
-
-  // IUnknown (two COM bases: disambiguate AddRef/Release explicitly).
-  Error Query(const Guid& iid, void** out) override;
-  uint32_t AddRef() override { return AddRefImpl(); }
-  uint32_t Release() override { return ReleaseImpl(); }
 
   // Device
   Error GetInfo(DeviceInfo* out_info) override;

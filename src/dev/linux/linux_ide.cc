@@ -155,31 +155,6 @@ bool LinuxIdeDev::SleepOnCompletionTimeout(uint64_t ns) {
 
 LinuxIdeDev::~LinuxIdeDev() { env_.irq_detach(env_.ctx, drive_.hw->irq()); }
 
-Error LinuxIdeDev::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == Device::kIid) {
-    AddRef();
-    *out = static_cast<Device*>(this);
-    return Error::kOk;
-  }
-  if (iid == BlkIo::kIid) {
-    AddRef();
-    *out = static_cast<BlkIo*>(this);
-    return Error::kOk;
-  }
-  if (iid == BlkIoBarrier::kIid) {
-    AddRef();
-    *out = static_cast<BlkIoBarrier*>(this);
-    return Error::kOk;
-  }
-  if (iid == BlkIoRing::kIid) {
-    AddRef();
-    *out = static_cast<BlkIoRing*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
-}
-
 Error LinuxIdeDev::GetInfo(DeviceInfo* out_info) {
   out_info->name = name_.c_str();
   out_info->description = "Linux 2.0-style simulated IDE disk";

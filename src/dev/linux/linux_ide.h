@@ -89,15 +89,10 @@ void ide_interrupt(ide_drive* drive);
 // controller commands (up to the 64-sector IDE limit), so queue depth
 // amortizes the fixed per-request seek/IRQ round-trip that the synchronous
 // call-per-block path pays every time.  Counters land under glue.ide.ring.*.
-class LinuxIdeDev final : public Device, public BlkIo, public BlkIoBarrier,
-                          public BlkIoRing, public RefCounted<LinuxIdeDev> {
+class LinuxIdeDev final
+    : public ComObject<LinuxIdeDev, Device, BlkIo, BlkIoBarrier, BlkIoRing> {
  public:
   LinuxIdeDev(const FdevEnv& env, oskit::DiskHw* hw, std::string name);
-
-  // IUnknown
-  Error Query(const Guid& iid, void** out) override;
-  uint32_t AddRef() override { return AddRefImpl(); }
-  uint32_t Release() override { return ReleaseImpl(); }
 
   // Device
   Error GetInfo(DeviceInfo* out_info) override;

@@ -185,30 +185,17 @@ namespace {
 // underlying disk's BlkIoBarrier when it has one, so flush semantics
 // propagate through partition-backed stacks (striping over partition views
 // must be able to reach every DiskHw's write cache).
-class PartitionView final : public BlkIo,
-                            public BlkIoBarrier,
-                            public RefCounted<PartitionView> {
+class PartitionView final
+    : public ComObject<PartitionView, BlkIo, BlkIoBarrier> {
  public:
   PartitionView(ComPtr<BlkIo> disk, uint64_t start_byte, uint64_t byte_count)
       : disk_(std::move(disk)), start_(start_byte), count_(byte_count) {
     barrier_ = ComPtr<BlkIoBarrier>::FromQuery(disk_.get());
   }
 
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == BlkIo::kIid) {
-      AddRef();
-      *out = static_cast<BlkIo*>(this);
-      return Error::kOk;
-    }
-    if (iid == BlkIoBarrier::kIid && barrier_) {
-      AddRef();
-      *out = static_cast<BlkIoBarrier*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
+  bool Grants(const Guid& iid) const {
+    return iid != BlkIoBarrier::kIid || barrier_;
   }
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   uint32_t GetBlockSize() override { return disk_->GetBlockSize(); }
 

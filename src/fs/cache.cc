@@ -294,21 +294,6 @@ ComPtr<CacheBlkIo> CacheBlkIo::Create(BlkIo* below, uint32_t block_size,
   return layer;
 }
 
-Error CacheBlkIo::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == BlkIo::kIid) {
-    AddRef();
-    *out = static_cast<BlkIo*>(this);
-    return Error::kOk;
-  }
-  if (iid == BlkIoBarrier::kIid) {
-    AddRef();
-    *out = static_cast<BlkIoBarrier*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
-}
-
 Error CacheBlkIo::Read(void* buf, off_t64 offset, size_t amount,
                        size_t* out_actual) {
   *out_actual = 0;

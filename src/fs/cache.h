@@ -126,16 +126,11 @@ class BlockCache {
 // every other composition order work with the same object the filesystem
 // has always used.  Flush() is the layer spelling of the cache's durability
 // pair: Sync() (write back all dirty blocks, ascending) then Barrier().
-class CacheBlkIo final : public BlkIo,
-                         public BlkIoBarrier,
-                         public RefCounted<CacheBlkIo> {
+class CacheBlkIo final : public ComObject<CacheBlkIo, BlkIo, BlkIoBarrier> {
  public:
   static ComPtr<CacheBlkIo> Create(BlkIo* below, uint32_t block_size,
                                    size_t capacity = 256,
                                    trace::TraceEnv* trace = nullptr);
-
-  Error Query(const Guid& iid, void** out) override;
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   uint32_t GetBlockSize() override { return cache_.block_size(); }
   Error Read(void* buf, off_t64 offset, size_t amount,

@@ -371,16 +371,6 @@ Error Offs::NoteMetaOp() {
   return Error::kOk;
 }
 
-Error Offs::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == FileSystem::kIid) {
-    AddRef();
-    *out = static_cast<FileSystem*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
-}
-
 Error Offs::StatFs(FsStat* out_stat) {
   out_stat->block_size = kBlockSize;
   out_stat->total_blocks = sb_.total_blocks;

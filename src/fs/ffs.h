@@ -102,7 +102,7 @@ struct MountOptions {
   bool replay_journal = true;
 };
 
-class Offs final : public FileSystem, public RefCounted<Offs> {
+class Offs final : public ComObject<Offs, FileSystem> {
  public:
   // Mounts the filesystem; fails with kCorrupt when the superblock does not
   // validate.  Replays the metadata journal first (crash recovery), then
@@ -110,10 +110,6 @@ class Offs final : public FileSystem, public RefCounted<Offs> {
   static Error Mount(BlkIo* device, FileSystem** out_fs);
   static Error Mount(BlkIo* device, const MountOptions& options,
                      FileSystem** out_fs);
-
-  // IUnknown
-  Error Query(const Guid& iid, void** out) override;
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   // FileSystem
   Error GetRoot(Dir** out_root) override;

@@ -53,21 +53,9 @@ const uint8_t* ZeroBlock() {
 // own storage; the network stack grafts those pointers into external-storage
 // mbufs and the bytes reach the wire without ever being copied.  The pin is
 // dropped by UnmapVectors once TCP has acknowledged delivery.
-class FileVec final : public BufIoVec, public RefCounted<FileVec> {
+class FileVec final : public ComObject<FileVec, BufIoVec, BufIo, BlkIo> {
  public:
   FileVec(ComPtr<Offs> fs, uint64_t ino) : fs_(std::move(fs)), ino_(ino) {}
-
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == BlkIo::kIid || iid == BufIo::kIid ||
-        iid == BufIoVec::kIid) {
-      AddRef();
-      *out = static_cast<BufIoVec*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   // BlkIo surface (byte-granular: a file has no device alignment demands).
   uint32_t GetBlockSize() override { return 1; }
@@ -201,26 +189,19 @@ class FileVec final : public BufIoVec, public RefCounted<FileVec> {
   std::vector<Pin> pins_;
 };
 
-class OffsFile final : public File, public RefCounted<OffsFile> {
+class OffsFile final : public ComObject<OffsFile, File> {
  public:
   OffsFile(ComPtr<Offs> fs, uint64_t ino) : fs_(std::move(fs)), ino_(ino) {}
 
   Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == File::kIid) {
-      AddRef();
-      *out = static_cast<File*>(this);
-      return Error::kOk;
-    }
     if (iid == BufIo::kIid || iid == BufIoVec::kIid) {
       // Zero-copy capability, granted as a tear-off (§4.4.2 evolution: File
       // consumers never see it; sendfile consumers Query for it).
       *out = static_cast<BufIoVec*>(new FileVec(fs_, ino_));
       return Error::kOk;
     }
-    *out = nullptr;
-    return Error::kNoInterface;
+    return ComObject::Query(iid, out);
   }
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   Error Read(void* buf, uint64_t offset, size_t amount, size_t* out_actual) override {
     if (fs_->unmounted()) {
@@ -268,20 +249,9 @@ class OffsFile final : public File, public RefCounted<OffsFile> {
   uint64_t ino_;
 };
 
-class OffsDir final : public Dir, public RefCounted<OffsDir> {
+class OffsDir final : public ComObject<OffsDir, Dir, File> {
  public:
   OffsDir(ComPtr<Offs> fs, uint64_t ino) : fs_(std::move(fs)), ino_(ino) {}
-
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == File::kIid || iid == Dir::kIid) {
-      AddRef();
-      *out = static_cast<Dir*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   // File surface on a directory object.
   Error Read(void*, uint64_t, size_t, size_t* out_actual) override {

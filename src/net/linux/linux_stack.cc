@@ -888,27 +888,15 @@ void LinuxNetStack::SoDetach(LTcpPcb* pcb) {
 
 namespace {
 
-class LinuxSocket final : public Socket, public RefCounted<LinuxSocket> {
+class LinuxSocket final : public ComObject<LinuxSocket, Socket> {
  public:
   LinuxSocket(LinuxNetStack* stack, LTcpPcb* pcb) : stack_(stack), pcb_(pcb) {}
 
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == Socket::kIid) {
-      AddRef();
-      *out = static_cast<Socket*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-
-  uint32_t AddRef() override { return AddRefImpl(); }
-  uint32_t Release() override {
-    if (ref_count() == 1 && pcb_ != nullptr) {
+  void OnLastRelease() {
+    if (pcb_ != nullptr) {
       stack_->SoDetach(pcb_);
       pcb_ = nullptr;
     }
-    return ReleaseImpl();
   }
 
   Error Bind(const SockAddr& addr) override { return stack_->SoBind(pcb_, addr); }
@@ -967,21 +955,10 @@ class LinuxSocket final : public Socket, public RefCounted<LinuxSocket> {
   LTcpPcb* pcb_;
 };
 
-class LinuxSocketFactory final : public SocketFactory,
-                                 public RefCounted<LinuxSocketFactory> {
+class LinuxSocketFactory final
+    : public ComObject<LinuxSocketFactory, SocketFactory> {
  public:
   explicit LinuxSocketFactory(LinuxNetStack* stack) : stack_(stack) {}
-
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == SocketFactory::kIid) {
-      AddRef();
-      *out = static_cast<SocketFactory*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   Error Create(SockDomain domain, SockType type, Socket** out_socket) override {
     *out_socket = nullptr;

@@ -12,21 +12,6 @@ ComPtr<MbufBufIo> MbufBufIo::Wrap(MbufPool* pool, MBuf* chain, bool expose_sg) {
 
 MbufBufIo::~MbufBufIo() { pool_->FreeChain(chain_); }
 
-Error MbufBufIo::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == BlkIo::kIid || iid == BufIo::kIid) {
-    AddRef();
-    *out = static_cast<BufIo*>(this);
-    return Error::kOk;
-  }
-  if (expose_sg_ && iid == BufIoVec::kIid) {
-    AddRef();
-    *out = static_cast<BufIoVec*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
-}
-
 Error MbufBufIo::Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) {
   *out_actual = 0;
   size_t total = chain_->pkt_len;

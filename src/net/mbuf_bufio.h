@@ -26,7 +26,7 @@
 
 namespace oskit::net {
 
-class MbufBufIo final : public BufIoVec, public RefCounted<MbufBufIo> {
+class MbufBufIo final : public ComObject<MbufBufIo, BufIoVec, BufIo, BlkIo> {
  public:
   // Takes ownership of `chain`; it returns to `pool` when the object dies.
   // With expose_sg = false the wrapper refuses to Query as BufIoVec, which
@@ -35,9 +35,9 @@ class MbufBufIo final : public BufIoVec, public RefCounted<MbufBufIo> {
   static ComPtr<MbufBufIo> Wrap(MbufPool* pool, MBuf* chain,
                                 bool expose_sg = true);
 
-  // IUnknown
-  Error Query(const Guid& iid, void** out) override;
-  OSKIT_REFCOUNTED_BOILERPLATE()
+  bool Grants(const Guid& iid) const {
+    return expose_sg_ || iid != BufIoVec::kIid;
+  }
 
   // BlkIo
   uint32_t GetBlockSize() override { return 1; }

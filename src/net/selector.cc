@@ -80,16 +80,6 @@ BsdSelector::~BsdSelector() {
   }
 }
 
-Error BsdSelector::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == NetSelector::kIid) {
-    AddRef();
-    *out = static_cast<NetSelector*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
-}
-
 Error BsdSelector::Add(Socket* socket, uint32_t interest, bool edge,
                        void* token) {
   // Only a BsdSocket of this stack can register; any other Socket

@@ -28,13 +28,9 @@
 
 namespace oskit::net {
 
-class BsdSelector final : public NetSelector, public RefCounted<BsdSelector> {
+class BsdSelector final : public ComObject<BsdSelector, NetSelector> {
  public:
   explicit BsdSelector(NetStack* stack);
-
-  // IUnknown
-  Error Query(const Guid& iid, void** out) override;
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   // NetSelector
   Error Add(Socket* socket, uint32_t interest, bool edge, void* token) override;

@@ -557,38 +557,11 @@ BsdSocket::BsdSocket(NetStack* stack, TcpPcb* adopt)
   adopt->socket = this;
 }
 
-uint32_t BsdSocket::Release() {
-  if (ref_count() == 1) {
-    // Last reference: detach from the stack before self-destruction.
-    stack_->SoDetach(this);
-    tcp_ = nullptr;
-    udp_ = nullptr;
-  }
-  return ReleaseImpl();
-}
-
-Error BsdSocket::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == Socket::kIid) {
-    AddRef();
-    *out = static_cast<Socket*>(this);
-    return Error::kOk;
-  }
-  if (iid == SocketExt::kIid) {
-    // The optional capability interface (§4.4.2): only clients that ask for
-    // non-blocking / batched operation ever see it.
-    AddRef();
-    *out = static_cast<SocketExt*>(this);
-    return Error::kOk;
-  }
-  if (iid == SocketZeroCopy::kIid && type_ == SockType::kStream) {
-    // Zero-copy transmit is a stream capability; datagram sockets simply
-    // don't grant the interface.
-    AddRef();
-    *out = static_cast<SocketZeroCopy*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
+void BsdSocket::OnLastRelease() {
+  // Detach from the stack before self-destruction.
+  stack_->SoDetach(this);
+  tcp_ = nullptr;
+  udp_ = nullptr;
 }
 
 Error BsdSocket::SetNonBlocking(bool on) {
@@ -678,20 +651,9 @@ Error BsdSocket::GetPeerName(SockAddr* out_addr) {
 
 namespace {
 
-class BsdSocketFactory final : public SocketFactory, public RefCounted<BsdSocketFactory> {
+class BsdSocketFactory final : public ComObject<BsdSocketFactory, SocketFactory> {
  public:
   explicit BsdSocketFactory(NetStack* stack) : stack_(stack) {}
-
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == SocketFactory::kIid) {
-      AddRef();
-      *out = static_cast<SocketFactory*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   Error Create(SockDomain domain, SockType type, Socket** out_socket) override {
     *out_socket = nullptr;

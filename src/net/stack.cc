@@ -262,21 +262,10 @@ void NetStack::SbFlush(SockBuf* sb) {
 // §4.4.2 extension idiom: same object, richer interface discovered via
 // Query) so a polled driver can bracket a burst of frames and pay one TCP
 // response pass for the lot.
-class StackRecvNetIo final : public NetIoBatch,
-                             public RefCounted<StackRecvNetIo> {
+class StackRecvNetIo final
+    : public ComObject<StackRecvNetIo, NetIoBatch, NetIo> {
  public:
   StackRecvNetIo(NetStack* stack, int ifindex) : stack_(stack), ifindex_(ifindex) {}
-
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == NetIo::kIid || iid == NetIoBatch::kIid) {
-      AddRef();
-      *out = static_cast<NetIoBatch*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   void BeginBatch() override { stack_->BeginRxBatch(); }
   void EndBatch() override { stack_->EndRxBatch(); }

@@ -775,19 +775,20 @@ class NetStack {
 // The COM socket object
 // ---------------------------------------------------------------------------
 
-class BsdSocket final : public Socket,
-                        public SocketExt,
-                        public SocketZeroCopy,
-                        public RefCounted<BsdSocket> {
+class BsdSocket final
+    : public ComObject<BsdSocket, Socket, SocketExt, SocketZeroCopy> {
  public:
   BsdSocket(NetStack* stack, SockType type);
   // Adopts an already-connected pcb (batch accept): no fresh pcb is built.
   BsdSocket(NetStack* stack, TcpPcb* adopt);
 
-  // IUnknown
-  Error Query(const Guid& iid, void** out) override;
-  uint32_t AddRef() override { return AddRefImpl(); }
-  uint32_t Release() override;
+  // SocketExt is the optional capability interface (§4.4.2): only clients
+  // that ask for non-blocking / batched operation ever see it.  Zero-copy
+  // transmit is a stream capability; datagram sockets don't grant it.
+  bool Grants(const Guid& iid) const {
+    return iid != SocketZeroCopy::kIid || type_ == SockType::kStream;
+  }
+  void OnLastRelease();
 
   // Socket
   Error Bind(const SockAddr& addr) override;

@@ -4,21 +4,6 @@
 
 namespace oskit::trace {
 
-Error TraceComponent::Query(const Guid& iid, void** out) {
-  if (iid == IUnknown::kIid || iid == CounterSet::kIid) {
-    AddRef();
-    *out = static_cast<CounterSet*>(this);
-    return Error::kOk;
-  }
-  if (iid == TraceLog::kIid) {
-    AddRef();
-    *out = static_cast<TraceLog*>(this);
-    return Error::kOk;
-  }
-  *out = nullptr;
-  return Error::kNoInterface;
-}
-
 Error TraceComponent::GetCount(size_t* out_count) {
   *out_count = env_->registry.size();
   return Error::kOk;

@@ -12,18 +12,12 @@
 
 namespace oskit::trace {
 
-class TraceComponent final : public CounterSet,
-                             public TraceLog,
-                             public RefCounted<TraceComponent> {
+class TraceComponent final
+    : public ComObject<TraceComponent, CounterSet, TraceLog> {
  public:
   // The environment must outlive the component (the testbed's per-host
   // TraceEnv and the process-global default both do).
   explicit TraceComponent(TraceEnv* env) : env_(ResolveTraceEnv(env)) {}
-
-  // IUnknown (two COM bases: disambiguate AddRef/Release explicitly).
-  Error Query(const Guid& iid, void** out) override;
-  uint32_t AddRef() override { return AddRefImpl(); }
-  uint32_t Release() override { return ReleaseImpl(); }
 
   // CounterSet
   Error GetCount(size_t* out_count) override;

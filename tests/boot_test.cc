@@ -7,6 +7,7 @@
 
 #include "src/boot/memfs.h"
 #include "src/boot/multiboot.h"
+#include "tests/bounds_abuse.h"
 
 namespace oskit {
 namespace {
@@ -86,6 +87,29 @@ TEST_F(MemFsTest, CreateWriteReadFile) {
   EXPECT_EQ(0, memcmp(buf, "data", 4));
   EXPECT_EQ(0, buf[50]);
   EXPECT_EQ('!', buf[100]);
+}
+
+// A file keeps the kit's bounds discipline: a wrapping range is kInval, a
+// read past EOF is an empty success, and a size the filesystem cannot hold
+// is kNoMem, never a scribble or an exception out of the COM call.
+TEST_F(MemFsTest, FileBoundsDiscipline) {
+  ComPtr<File> f;
+  ASSERT_EQ(Error::kOk, root_->Create("x", 0600, f.Receive()));
+  size_t actual = 0;
+  ASSERT_EQ(Error::kOk, f->Write("01234567", 0, 8, &actual));
+
+  testing::AbuseReadBounds(f.get(), 8, testing::PastEnd::kEofOk);
+  testing::AbuseWriteBounds(f.get(), 8, testing::PastEnd::kEofOk);
+  EXPECT_EQ(Error::kNoMem, f->SetSize(uint64_t{1} << 62));
+  EXPECT_EQ(Error::kNoMem, f->Write("!", uint64_t{1} << 62, 1, &actual));
+  EXPECT_EQ(0u, actual);
+
+  FileStat st;
+  ASSERT_EQ(Error::kOk, f->GetStat(&st));
+  EXPECT_EQ(8u, st.size);
+  char buf[8];
+  ASSERT_EQ(Error::kOk, f->Read(buf, 0, sizeof(buf), &actual));
+  EXPECT_EQ(0, memcmp(buf, "01234567", 8));
 }
 
 TEST_F(MemFsTest, LookupDotAndDotDot) {

@@ -65,19 +65,8 @@ TEST_F(DriverTest, SkbuffCursorDiscipline) {
 // ---- Linux Ethernet driver + glue ----
 
 // A recording NetIo standing in for a protocol stack.
-class RecorderNetIo final : public NetIo, public RefCounted<RecorderNetIo> {
+class RecorderNetIo final : public ComObject<RecorderNetIo, NetIo> {
  public:
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == NetIo::kIid) {
-      AddRef();
-      *out = static_cast<NetIo*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-  OSKIT_REFCOUNTED_BOILERPLATE()
-
   Error Push(BufIo* packet, size_t size) override {
     std::vector<uint8_t> data(size);
     size_t actual = 0;

@@ -825,22 +825,11 @@ TEST(HttpServerWorldTest, ServesStaticDynamicAndDrainsOnQuit) {
 // that batch, which is the case the server's dead-flag tombstone covers.
 // Were a Conn freed before its batch ended, the repeat would touch freed
 // memory (an ASan report in the sanitizer job).
-class RepeatingSelector final : public NetSelector,
-                                public RefCounted<RepeatingSelector> {
+class RepeatingSelector final
+    : public ComObject<RepeatingSelector, NetSelector> {
  public:
   explicit RepeatingSelector(ComPtr<NetSelector> inner)
       : inner_(std::move(inner)) {}
-
-  Error Query(const Guid& iid, void** out) override {
-    if (iid == IUnknown::kIid || iid == NetSelector::kIid) {
-      AddRef();
-      *out = static_cast<NetSelector*>(this);
-      return Error::kOk;
-    }
-    *out = nullptr;
-    return Error::kNoInterface;
-  }
-  OSKIT_REFCOUNTED_BOILERPLATE()
 
   Error Add(Socket* socket, uint32_t interest, bool edge,
             void* token) override {

@@ -197,6 +197,99 @@ TEST(SecureQuotaTest, AcceptChargesChildrenAndSynAdmissionSheds) {
   ExpectAllBooksZero(principals);
 }
 
+// Batch accept admits only what the socket budget has room for.  No SYN
+// admission hook is installed, so all five connections queue on the
+// listener whatever the budget says.
+TEST(SecureQuotaTest, AcceptBatchAdmitsWithinHeadroom) {
+  World world;
+  Host& a = world.AddHost("a", NetConfig::kNativeBsd);
+  Host& b = world.AddHost("b", NetConfig::kNativeBsd);
+
+  PrincipalRegistry principals(&a.trace);
+  // Budget: the listener plus two children.
+  Principal* tenant =
+      principals.Create("tenant", Budget{}.Set(Resource::kSockets, 3));
+  NetGuard guard(&principals);
+  ComPtr<SocketFactory> factory = secure::MakeSecureSocketFactory(
+      a.stack->CreateSocketFactory(), tenant, &guard);
+
+  constexpr int kClients = 5;
+  bool listening = false;
+  bool done = false;
+  int connected = 0;
+  world.sim().Spawn("server", [&] {
+    ComPtr<Socket> listener;
+    ASSERT_EQ(Error::kOk, factory->Create(SockDomain::kInet, SockType::kStream,
+                                          listener.Receive()));
+    ASSERT_EQ(Error::kOk, listener->Bind(SockAddr{kInetAny, kPort}));
+    ASSERT_EQ(Error::kOk, listener->Listen(8));
+    listening = true;
+    world.sim().WaitUntil([&] { return connected == kClients; });
+    world.sim().SleepFor(10 * kNsPerMs);  // the clients' final ACKs land
+    ComPtr<SocketExt> lext = ComPtr<SocketExt>::FromQuery(listener.get());
+    ASSERT_TRUE(lext);
+
+    // Headroom 2: exactly two wrapped children, two units charged.
+    SockAddr peers[8];
+    Socket* children[8] = {};
+    size_t n = 0;
+    ASSERT_EQ(Error::kOk, lext->AcceptBatch(peers, children, 8, &n));
+    ASSERT_EQ(2u, n);
+    EXPECT_EQ(3u, tenant->charged(Resource::kSockets));
+    ComPtr<Socket> first(children[0]);
+    ComPtr<Socket> second(children[1]);
+    EXPECT_EQ(Error::kOk, first->GetPeerName(&peers[0]));  // a wrapper that works
+
+    // No headroom: a counted refusal at once, in zero simulated time.
+    uint64_t denied = tenant->denied(Resource::kSockets);
+    SimTime before = world.sim().clock().Now();
+    n = 99;
+    EXPECT_EQ(Error::kQuotaExceeded, lext->AcceptBatch(peers, children, 8, &n));
+    EXPECT_EQ(0u, n);
+    EXPECT_EQ(before, world.sim().clock().Now());
+    EXPECT_EQ(denied + 1, tenant->denied(Resource::kSockets));
+
+    // Releasing a child credits its unit; the next call admits one more.
+    first.Reset();
+    EXPECT_EQ(2u, tenant->charged(Resource::kSockets));
+    ASSERT_EQ(Error::kOk, lext->AcceptBatch(peers, children, 8, &n));
+    ASSERT_EQ(1u, n);
+    ComPtr<Socket> third(children[0]);
+    EXPECT_EQ(3u, tenant->charged(Resource::kSockets));
+
+    // Modify on a wrapped child reaches the inner selector: widening the
+    // interest to writable makes the idle connection ready at once, and
+    // the event names the wrapper.
+    ComPtr<NetSelector> sel =
+        secure::MakeSecureSelector(a.stack->CreateSelector(), tenant);
+    ASSERT_EQ(Error::kOk, sel->Add(third.get(), kNetReadable, false, &third));
+    NetReadyEvent events[4];
+    ASSERT_EQ(Error::kOk, sel->Wait(events, 4, /*block=*/false, &n));
+    EXPECT_EQ(0u, n);
+    ASSERT_EQ(Error::kOk,
+              sel->Modify(third.get(), kNetReadable | kNetWritable, false));
+    ASSERT_EQ(Error::kOk, sel->Wait(events, 4, /*block=*/false, &n));
+    ASSERT_EQ(1u, n);
+    EXPECT_EQ(third.get(), events[0].socket);
+    EXPECT_EQ(&third, events[0].token);
+    EXPECT_NE(0u, events[0].events & kNetWritable);
+    done = true;
+  });
+
+  for (int c = 0; c < kClients; ++c) {
+    world.sim().Spawn("client", [&] {
+      world.sim().WaitUntil([&] { return listening; });
+      ComPtr<Socket> conn = b.MakeSocket(SockType::kStream);
+      ASSERT_EQ(Error::kOk, conn->Connect(SockAddr{a.addr, kPort}));
+      ++connected;
+      world.sim().WaitUntil([&] { return done; });
+    });
+  }
+  world.RunToCompletion();
+  EXPECT_TRUE(done);
+  ExpectAllBooksZero(principals);
+}
+
 // ---------------------------------------------------------------------------
 // RX mbuf charging: counted shed, no data loss, balanced books
 // ---------------------------------------------------------------------------
