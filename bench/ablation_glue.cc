@@ -15,9 +15,8 @@
 //          keeps OSKit receive bandwidth at FreeBSD levels in Table 1)
 
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
+#include "bench/harness.h"
 #include "src/testbed/ttcp.h"
 #include "src/trace/trace.h"
 
@@ -35,19 +34,11 @@ struct Variant {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Usage: ablation_glue [round_trips] [--json <path>]
   uint64_t round_trips = 20000;
   const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--json") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "usage: ablation_glue [round_trips] [--json <path>]\n");
-        return 2;
-      }
-      json_path = argv[++i];
-    } else {
-      round_trips = std::strtoull(argv[i], nullptr, 0);
-    }
+  if (!bench::ParseFlags(argc, argv,
+                         {{"round_trips", &round_trips}, {"--json", &json_path}})) {
+    return 2;
   }
   size_t blocks = 8192;
 
@@ -138,37 +129,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"ablation_glue\",\n");
-    std::fprintf(f, "  \"round_trips\": %llu,\n  \"blocks\": %zu,\n",
-                 static_cast<unsigned long long>(round_trips), blocks);
-    std::fprintf(f, "  \"variants\": [\n");
-    for (int i = 0; i < 3; ++i) {
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"rtcp_us_per_rt\": %.3f, "
-                   "\"ttcp_mbps\": %.1f, \"tx_glue_copied_bytes\": %llu, "
-                   "\"rx_glue_copied_bytes\": %llu}%s\n",
-                   kVariants[i].name, rtt_us[i], mbps[i],
-                   static_cast<unsigned long long>(tx_copied[i]),
-                   static_cast<unsigned long long>(rx_copied[i]),
-                   i < 2 ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"sender_counters\": {\n");
-    size_t remaining = sender_snapshot.size();
-    for (const auto& [name, value] : sender_snapshot) {
-      --remaining;
-      std::fprintf(f, "    \"%s\": %llu%s\n", name.c_str(),
-                   static_cast<unsigned long long>(value),
-                   remaining != 0 ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
+  bench::Report report("ablation_glue", json_path);
+  report.json.Set("round_trips", round_trips).Set("blocks", blocks);
+  for (int i = 0; i < 3; ++i) {
+    report.json.Push("variants", bench::Json()
+                                     .Set("name", kVariants[i].name)
+                                     .Set("rtcp_us_per_rt", rtt_us[i])
+                                     .Set("ttcp_mbps", mbps[i])
+                                     .Set("tx_glue_copied_bytes", tx_copied[i])
+                                     .Set("rx_glue_copied_bytes", rx_copied[i]));
   }
-  return 0;
+  report.json.Set("sender_counters", bench::Json::Object(sender_snapshot));
+  return report.Finish();
 }

@@ -38,18 +38,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/aio/stack.h"
+#include "bench/harness.h"
+#include "bench/stack.h"
 #include "src/com/aio.h"
 #include "src/com/memblkio.h"
 #include "src/dev/linux/linux_glue.h"
 #include "src/dev/linux/linux_ide.h"
-#include "src/diskpart/diskpart.h"
-#include "src/fs/cache.h"
 #include "src/fs/ffs.h"
 #include "src/fs/fsck.h"
 #include "src/http/http.h"
@@ -61,12 +60,12 @@ using namespace oskit::testbed;
 
 namespace {
 
-int g_failures = 0;
+std::map<std::string, int> g_failures;  // per leg
 uint64_t g_seed_base = 0;  // shifts deterministic patterns onto another stream
 
 void Fail(const char* leg, const char* what) {
   std::printf("FAIL: %s: %s\n", leg, what);
-  ++g_failures;
+  ++g_failures[leg];
 }
 
 uint8_t PatternByte(uint64_t salt, size_t i) {
@@ -278,43 +277,6 @@ JournalRing RunJournalRing() {
 // Leg 3: the stack-composition matrix.
 // ---------------------------------------------------------------------------
 
-// Bottom-up layer spec, as in crash_campaign --stack.
-ComPtr<BlkIo> ApplyStack(ComPtr<BlkIo> base, const std::string& spec,
-                         trace::TraceEnv* tenv) {
-  ComPtr<BlkIo> top = std::move(base);
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    size_t end = comma == std::string::npos ? spec.size() : comma;
-    std::string layer = spec.substr(pos, end - pos);
-    pos = end + 1;
-    if (layer == "stripe") {
-      off_t64 size = 0;
-      top->GetSize(&size);
-      uint64_t half = (size / 512) / 2;
-      Partition lo{.start_sector = 0, .sector_count = half};
-      Partition hi{.start_sector = half, .sector_count = half};
-      std::vector<ComPtr<BlkIo>> members;
-      members.push_back(MakePartitionView(top.get(), lo));
-      members.push_back(MakePartitionView(top.get(), hi));
-      uint32_t bs = members[0]->GetBlockSize();
-      uint32_t unit = (2048 + bs - 1) / bs * bs;
-      top = ComPtr<BlkIo>::FromQuery(
-          aio::StripeBlkIo::Create(std::move(members), unit, tenv).get());
-    } else if (layer == "checksum") {
-      top = ComPtr<BlkIo>::FromQuery(
-          aio::ChecksumBlkIo::Create(top.get(), tenv).get());
-    } else if (layer == "cache") {
-      top = ComPtr<BlkIo>::FromQuery(
-          fs::CacheBlkIo::Create(top.get(), 4096, 64, tenv).get());
-    } else {
-      std::fprintf(stderr, "unknown stack layer: %s\n", layer.c_str());
-      std::exit(2);
-    }
-  }
-  return top;
-}
-
 struct MatrixTotals {
   uint64_t compositions = 0;
   uint64_t fsck_consistent = 0;
@@ -332,7 +294,7 @@ void RunMatrixComposition(const std::string& spec, MatrixTotals* totals) {
     trace::TraceEnv tenv;
     auto base = MemBlkIo::Create(4 * 1024 * 1024, 512);
     ComPtr<BlkIo> top =
-        ApplyStack(ComPtr<BlkIo>::FromQuery(base.get()), spec, &tenv);
+        bench::ApplyStack(ComPtr<BlkIo>::FromQuery(base.get()), spec, &tenv);
     bool ok = Ok(fs::Mkfs(top.get()));
     if (ok) {
       fs::MountOptions mo;
@@ -390,7 +352,7 @@ void RunMatrixComposition(const std::string& spec, MatrixTotals* totals) {
     trace::TraceEnv tenv;
     auto base = MemBlkIo::Create(2 * 1024 * 1024, 512);
     ComPtr<BlkIo> top =
-        ApplyStack(ComPtr<BlkIo>::FromQuery(base.get()), spec, &tenv);
+        bench::ApplyStack(ComPtr<BlkIo>::FromQuery(base.get()), spec, &tenv);
     constexpr size_t kChunk = 4096;
     constexpr size_t kSpan = 512 * 1024;
     std::vector<uint8_t> chunk(kChunk);
@@ -578,9 +540,9 @@ HttpRun RunHttp(bool sendfile) {
   });
 
   world.RunToCompletion();
-  const char* leg = sendfile ? "sendfile" : "sendfile-ablation";
   if (!client_ok) {
-    Fail(leg, "client did not complete its transfers intact");
+    Fail(sendfile ? "sendfile" : "sendfile-ablation",
+         "client did not complete its transfers intact");
     return result;
   }
   result.ok = true;
@@ -596,21 +558,12 @@ HttpRun RunHttp(bool sendfile) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Usage: aio_campaign [--seed-base B] [--json <path>]
   // --seed-base shifts every deterministic data pattern onto a different
   // stream, so a second CI job exercises different bytes end to end.
   const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--seed-base" && i + 1 < argc) {
-      g_seed_base = std::strtoull(argv[++i], nullptr, 0);
-    } else {
-      std::fprintf(stderr,
-                   "usage: aio_campaign [--seed-base B] [--json <path>]\n");
-      return 2;
-    }
+  if (!bench::ParseFlags(argc, argv, {{"--seed-base", &g_seed_base},
+                                      {"--json", &json_path}})) {
+    return 2;
   }
 
   // Leg 1.
@@ -634,29 +587,12 @@ int main(int argc, char** argv) {
 
   // Leg 2.
   JournalRing journal = RunJournalRing();
-  std::printf("journal ring: %llu sqes, %llu merges, %llu commits\n",
-              static_cast<unsigned long long>(journal.ring_sqes),
-              static_cast<unsigned long long>(journal.ring_merges),
-              static_cast<unsigned long long>(journal.commits));
 
   // Leg 3.
-  const std::string stacks[] = {"",
-                                "stripe,checksum,cache",
-                                "stripe,cache,checksum",
-                                "checksum,stripe,cache",
-                                "checksum,cache,stripe",
-                                "cache,stripe,checksum",
-                                "cache,checksum,stripe"};
   MatrixTotals matrix;
-  for (const std::string& spec : stacks) {
+  for (const char* spec : bench::kStackMatrix) {
     RunMatrixComposition(spec, &matrix);
   }
-  std::printf("stack matrix: %llu/%llu consistent, %llu detecting, "
-              "%llu silent\n",
-              static_cast<unsigned long long>(matrix.fsck_consistent),
-              static_cast<unsigned long long>(matrix.compositions),
-              static_cast<unsigned long long>(matrix.detecting_stacks),
-              static_cast<unsigned long long>(matrix.silent_stacks));
 
   // Leg 4.
   HttpRun on = RunHttp(/*sendfile=*/true);
@@ -694,67 +630,61 @@ int main(int argc, char** argv) {
       Fail("sendfile", "the ablation run still used sendfile");
     }
   }
-  std::printf("sendfile: %.3f copied bytes per body byte "
-              "(ablation %.3f), %llu zero-copy bytes\n",
-              copied_per_body_byte, ablation_copied_per_body_byte,
-              static_cast<unsigned long long>(on.sendfile_bytes));
 
+  int failures = 0;
+  for (const auto& [leg, n] : g_failures) {
+    failures += n;
+  }
   std::printf("\naio campaign: %zu depths, %llu stack compositions, "
               "%d failures\n",
               sweep.size(),
-              static_cast<unsigned long long>(matrix.compositions),
-              g_failures);
+              static_cast<unsigned long long>(matrix.compositions), failures);
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return 2;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"aio_campaign\",\n");
-    std::fprintf(f, "  \"failures\": %d,\n", g_failures);
-    std::fprintf(f, "  \"queue_depth\": {\n");
-    std::fprintf(f, "    \"blocks_per_depth\": %zu,\n", kSweepBlocks);
-    for (const DepthPoint& p : sweep) {
-      std::fprintf(f, "    \"d%zu_requests_per_block\": %.6f,\n", p.depth,
-                   p.requests_per_block);
-      std::fprintf(f, "    \"d%zu_ns_per_block\": %.1f,\n", p.depth,
-                   p.ns_per_block);
-    }
-    std::fprintf(f, "    \"merge_speedup\": %.4f\n  },\n", merge_speedup);
-    std::fprintf(f, "  \"journal_ring\": {\n");
-    std::fprintf(f, "    \"ring_sqes\": %llu,\n",
-                 static_cast<unsigned long long>(journal.ring_sqes));
-    std::fprintf(f, "    \"ring_merges\": %llu,\n",
-                 static_cast<unsigned long long>(journal.ring_merges));
-    std::fprintf(f, "    \"commits\": %llu\n  },\n",
-                 static_cast<unsigned long long>(journal.commits));
-    std::fprintf(f, "  \"stack_matrix\": {\n");
-    std::fprintf(f, "    \"compositions\": %llu,\n",
-                 static_cast<unsigned long long>(matrix.compositions));
-    std::fprintf(f, "    \"fsck_consistent\": %llu,\n",
-                 static_cast<unsigned long long>(matrix.fsck_consistent));
-    std::fprintf(f, "    \"detecting_stacks\": %llu,\n",
-                 static_cast<unsigned long long>(matrix.detecting_stacks));
-    std::fprintf(f, "    \"silent_stacks\": %llu,\n",
-                 static_cast<unsigned long long>(matrix.silent_stacks));
-    std::fprintf(f, "    \"flush_propagated\": %llu\n  },\n",
-                 static_cast<unsigned long long>(matrix.flush_propagated));
-    std::fprintf(f, "  \"sendfile\": {\n");
-    std::fprintf(f, "    \"responses\": %d,\n", kGets);
-    std::fprintf(f, "    \"body_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(body_total));
-    std::fprintf(f, "    \"copied_per_body_byte\": %.6f,\n",
-                 copied_per_body_byte);
-    std::fprintf(f, "    \"ablation_copied_per_body_byte\": %.6f,\n",
-                 ablation_copied_per_body_byte);
-    std::fprintf(f, "    \"zero_copy_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(on.sendfile_bytes));
-    std::fprintf(f, "    \"fallback_bytes\": %llu\n  }\n",
-                 static_cast<unsigned long long>(on.fallback_bytes));
-    std::fprintf(f, "}\n");
-    std::fclose(f);
+  bench::Report report("aio_campaign", json_path);
+  report.Check("queue_depth", g_failures["queue_depth"] == 0,
+               "%.4f -> %.4f requests/block from depth 1 to 32, %.1fx faster",
+               sweep.front().requests_per_block,
+               sweep.back().requests_per_block, merge_speedup);
+  report.Check("journal_ring", g_failures["journal_ring"] == 0,
+               "%llu sqes, %llu merges, %llu commits",
+               static_cast<unsigned long long>(journal.ring_sqes),
+               static_cast<unsigned long long>(journal.ring_merges),
+               static_cast<unsigned long long>(journal.commits));
+  report.Check("stack_matrix", g_failures["stack_matrix"] == 0,
+               "%llu/%llu consistent, %llu detecting, %llu silent",
+               static_cast<unsigned long long>(matrix.fsck_consistent),
+               static_cast<unsigned long long>(matrix.compositions),
+               static_cast<unsigned long long>(matrix.detecting_stacks),
+               static_cast<unsigned long long>(matrix.silent_stacks));
+  report.Check("sendfile",
+               g_failures["sendfile"] + g_failures["sendfile-ablation"] == 0,
+               "%.3f copied bytes per body byte (ablation %.3f), %llu "
+               "zero-copy bytes",
+               copied_per_body_byte, ablation_copied_per_body_byte,
+               static_cast<unsigned long long>(on.sendfile_bytes));
+
+  report.json.Set("failures", failures)
+      .Set("queue_depth.blocks_per_depth", kSweepBlocks);
+  for (const DepthPoint& p : sweep) {
+    std::string key = "queue_depth.d" + std::to_string(p.depth);
+    report.json.Set(key + "_requests_per_block", p.requests_per_block)
+        .Set(key + "_ns_per_block", p.ns_per_block);
   }
-
-  return g_failures == 0 ? 0 : 1;
+  report.json.Set("queue_depth.merge_speedup", merge_speedup)
+      .Set("journal_ring.ring_sqes", journal.ring_sqes)
+      .Set("journal_ring.ring_merges", journal.ring_merges)
+      .Set("journal_ring.commits", journal.commits)
+      .Set("stack_matrix.compositions", matrix.compositions)
+      .Set("stack_matrix.fsck_consistent", matrix.fsck_consistent)
+      .Set("stack_matrix.detecting_stacks", matrix.detecting_stacks)
+      .Set("stack_matrix.silent_stacks", matrix.silent_stacks)
+      .Set("stack_matrix.flush_propagated", matrix.flush_propagated)
+      .Set("sendfile.responses", kGets)
+      .Set("sendfile.body_bytes", body_total)
+      .Set("sendfile.copied_per_body_byte", copied_per_body_byte)
+      .Set("sendfile.ablation_copied_per_body_byte",
+           ablation_copied_per_body_byte)
+      .Set("sendfile.zero_copy_bytes", on.sendfile_bytes)
+      .Set("sendfile.fallback_bytes", on.fallback_bytes);
+  return report.Finish();
 }

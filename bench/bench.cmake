@@ -37,3 +37,14 @@ oskit_bench(http_campaign)
 target_link_libraries(http_campaign PRIVATE oskit_http oskit_secure)
 oskit_bench(monitor_campaign)
 target_link_libraries(monitor_campaign PRIVATE oskit_secure oskit_scribble)
+
+# A malformed command line is a usage error that exits 2, not a run over
+# garbage that prints a FAIL and exits 0.
+add_test(NAME table2_latency_usage
+  COMMAND sh -c "\"$0\" --json x; test $? -eq 2" $<TARGET_FILE:table2_latency>)
+add_test(NAME fig_javapc_usage
+  COMMAND sh -c "\"$0\" --json; test $? -eq 2" $<TARGET_FILE:fig_javapc>)
+
+# The regression gate's own tests (stdlib unittest).
+add_test(NAME check_regression_test
+  COMMAND python3 ${CMAKE_SOURCE_DIR}/bench/check_regression_test.py)

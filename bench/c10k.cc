@@ -29,10 +29,9 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "src/base/random.h"
 #include "src/testbed/testbed.h"
 
@@ -70,22 +69,11 @@ struct Options {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--hosts" && i + 1 < argc) {
-      opt.hosts = std::atoi(argv[++i]);
-    } else if (arg == "--per-host" && i + 1 < argc) {
-      opt.per_host = std::atoi(argv[++i]);
-    } else if (arg == "--mean-us" && i + 1 < argc) {
-      opt.mean_arrival_us = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: c10k [--hosts N] [--per-host N] [--mean-us U] "
-                   "[--json <path>]\n");
-      return 2;
-    }
+  if (!bench::ParseFlags(argc, argv, {{"--hosts", &opt.hosts},
+                                      {"--per-host", &opt.per_host},
+                                      {"--mean-us", &opt.mean_arrival_us},
+                                      {"--json", &opt.json_path}})) {
+    return 2;
   }
   const int total = opt.hosts * opt.per_host;
 
@@ -330,102 +318,71 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   world.vswitch()->frames_flooded()));
 
-  bool fail = false;
+  bench::Report report("c10k", opt.json_path);
   std::printf("\nShape checks:\n");
-
-  bool ok = static_cast<int>(latencies_us.size()) == total && failures == 0;
-  fail |= !ok;
-  std::printf("  completion:  %zu/%d round trips, %d failures  %s\n",
-              latencies_us.size(), total, failures, ok ? "PASS" : "FAIL");
+  report.Check("completion",
+               static_cast<int>(latencies_us.size()) == total && failures == 0,
+               "%zu/%d round trips, %d failures", latencies_us.size(), total,
+               failures);
 
   // The hold-open barrier means the peak proves true concurrency.
-  ok = peak >= static_cast<uint64_t>(total);
-  fail |= !ok;
-  std::printf("  concurrency: established peak %llu >= %d held-open  %s\n",
-              static_cast<unsigned long long>(peak), total,
-              ok ? "PASS" : "FAIL");
+  report.Check("concurrency", peak >= static_cast<uint64_t>(total),
+               "established peak %llu >= %d held-open",
+               static_cast<unsigned long long>(peak), total);
 
   // The headline: the C10k floor, with a real multi-host fabric.
   if (total >= 10000) {
-    ok = peak >= 10000 && opt.hosts >= 4;
-    fail |= !ok;
-    std::printf("  c10k:        %llu concurrent connections from %d hosts "
-                "(floor 10000 from >= 4)  %s\n",
-                static_cast<unsigned long long>(peak), opt.hosts,
-                ok ? "PASS" : "FAIL");
+    report.Check("c10k", peak >= 10000 && opt.hosts >= 4,
+                 "%llu concurrent connections from %d hosts (floor 10000 "
+                 "from >= 4)",
+                 static_cast<unsigned long long>(peak), opt.hosts);
   } else {
     std::printf("  c10k:        SKIPPED (reduced scale: %d < 10000)\n", total);
   }
 
   // The O(1) internals carried the whole load: demux by hash and
   // connection timers through the wheel.
-  ok = sc.pcb_hash_hits.value() > 0 && loadgen_wheel_fired > 0;
-  fail |= !ok;
-  std::printf("  internals:   %llu hash hits, %llu wheel fires  %s\n",
-              static_cast<unsigned long long>(sc.pcb_hash_hits.value()),
-              static_cast<unsigned long long>(loadgen_wheel_fired),
-              ok ? "PASS" : "FAIL");
+  report.Check("internals",
+               sc.pcb_hash_hits.value() > 0 && loadgen_wheel_fired > 0,
+               "%llu hash hits, %llu wheel fires",
+               static_cast<unsigned long long>(sc.pcb_hash_hits.value()),
+               static_cast<unsigned long long>(loadgen_wheel_fired));
 
   // Every registration was retired: nothing leaked in the selectors.
-  ok = sc.select_registered.value() == 0 &&
-       sc.select_adds.value() == static_cast<uint64_t>(total) + 1;
-  fail |= !ok;
-  std::printf("  selector:    %llu adds (conns+listener), %llu still "
-              "registered  %s\n",
-              static_cast<unsigned long long>(sc.select_adds.value()),
-              static_cast<unsigned long long>(sc.select_registered.value()),
-              ok ? "PASS" : "FAIL");
+  report.Check("selector",
+               sc.select_registered.value() == 0 &&
+                   sc.select_adds.value() == static_cast<uint64_t>(total) + 1,
+               "%llu adds (conns+listener), %llu still registered",
+               static_cast<unsigned long long>(sc.select_adds.value()),
+               static_cast<unsigned long long>(sc.select_registered.value()));
 
   // The switch really switched: one port per host, learning converged to
   // unicast (floods are ARP broadcasts only).
-  ok = world.vswitch()->port_count() == static_cast<size_t>(opt.hosts) + 1 &&
-       world.vswitch()->frames_unicast() > world.vswitch()->frames_flooded();
-  fail |= !ok;
-  std::printf("  fabric:      %zu ports, %llu unicast vs %llu flooded  %s\n",
-              world.vswitch()->port_count(),
-              static_cast<unsigned long long>(
-                  world.vswitch()->frames_unicast()),
-              static_cast<unsigned long long>(
-                  world.vswitch()->frames_flooded()),
-              ok ? "PASS" : "FAIL");
+  VirtualSwitch& vs = *world.vswitch();
+  report.Check("fabric",
+               vs.port_count() == static_cast<size_t>(opt.hosts) + 1 &&
+                   vs.frames_unicast() > vs.frames_flooded(),
+               "%zu ports, %llu unicast vs %llu flooded", vs.port_count(),
+               static_cast<unsigned long long>(vs.frames_unicast()),
+               static_cast<unsigned long long>(vs.frames_flooded()));
 
-  if (opt.json_path != nullptr) {
-    std::FILE* f = std::fopen(opt.json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", opt.json_path);
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"c10k\",\n");
-    std::fprintf(f, "  \"hosts\": %d,\n  \"per_host\": %d,\n  \"total\": %d,\n",
-                 opt.hosts, opt.per_host, total);
-    std::fprintf(f, "  \"completed\": %zu,\n  \"failures\": %d,\n",
-                 latencies_us.size(), failures);
-    std::fprintf(f, "  \"established_peak\": %llu,\n",
-                 static_cast<unsigned long long>(peak));
-    std::fprintf(f, "  \"conns_per_sec\": %.1f,\n", conns_per_sec);
-    std::fprintf(f,
-                 "  \"latency_us\": {\"p50\": %.1f, \"p99\": %.1f, "
-                 "\"p999\": %.1f, \"max\": %.1f},\n",
-                 p50, p99, p999, pmax);
-    std::fprintf(f, "  \"listen_overflows\": %llu,\n",
-                 static_cast<unsigned long long>(overflows));
-    std::fprintf(f, "  \"pcb_hash_hits\": %llu,\n",
-                 static_cast<unsigned long long>(sc.pcb_hash_hits.value()));
-    std::fprintf(f, "  \"wheel_fired_loadgen\": %llu,\n",
-                 static_cast<unsigned long long>(loadgen_wheel_fired));
-    std::fprintf(f, "  \"switch\": {\"ports\": %zu, \"unicast\": %llu, "
-                 "\"flooded\": %llu, \"macs_learned\": %llu}\n",
-                 world.vswitch()->port_count(),
-                 static_cast<unsigned long long>(
-                     world.vswitch()->frames_unicast()),
-                 static_cast<unsigned long long>(
-                     world.vswitch()->frames_flooded()),
-                 static_cast<unsigned long long>(
-                     world.vswitch()->macs_learned()));
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", opt.json_path);
-  }
-
-  return fail ? 1 : 0;
+  report.json.Set("hosts", opt.hosts)
+      .Set("per_host", opt.per_host)
+      .Set("total", total)
+      .Set("completed", latencies_us.size())
+      .Set("failures", failures)
+      .Set("established_peak", peak)
+      .Set("conns_per_sec", conns_per_sec)
+      .Set("latency_us.p50", p50)
+      .Set("latency_us.p99", p99)
+      .Set("latency_us.p999", p999)
+      .Set("latency_us.max", pmax)
+      .Set("listen_overflows", overflows)
+      .Set("pcb_hash_hits", sc.pcb_hash_hits.value())
+      .Set("wheel_fired_loadgen", loadgen_wheel_fired)
+      .Set("switch.ports", vs.port_count())
+      .Set("switch.unicast", vs.frames_unicast())
+      .Set("switch.flooded", vs.frames_flooded())
+      .Set("switch.macs_learned", vs.macs_learned());
+  return report.Finish();
 }

@@ -30,14 +30,12 @@
 #include <cstring>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/aio/stack.h"
+#include "bench/harness.h"
+#include "bench/stack.h"
 #include "src/com/memblkio.h"
 #include "src/dev/linux/linux_ide.h"
-#include "src/diskpart/diskpart.h"
-#include "src/fs/cache.h"
 #include "src/fs/ffs.h"
 #include "src/fs/fsck.h"
 #include "src/testbed/testbed.h"
@@ -67,47 +65,6 @@ void Fail(const char* phase, uint64_t run, const char* what) {
               static_cast<unsigned long long>(run),
               g_stack.empty() ? "plain" : g_stack.c_str(), what);
   ++g_failures;
-}
-
-// Builds the --stack composition over `base`.  The striping layer splits
-// the SAME underlying device into two partition-view members (the power cut
-// stays atomic across all stripes, as it would be for two platters behind
-// one controller).
-ComPtr<BlkIo> ApplyStack(ComPtr<BlkIo> base, trace::TraceEnv* tenv) {
-  ComPtr<BlkIo> top = std::move(base);
-  size_t pos = 0;
-  while (pos < g_stack.size()) {
-    size_t comma = g_stack.find(',', pos);
-    size_t end = comma == std::string::npos ? g_stack.size() : comma;
-    std::string layer = g_stack.substr(pos, end - pos);
-    pos = end + 1;
-    if (layer == "stripe") {
-      off_t64 size = 0;
-      top->GetSize(&size);
-      uint64_t half = (size / 512) / 2;
-      Partition lo{.start_sector = 0, .sector_count = half};
-      Partition hi{.start_sector = half, .sector_count = half};
-      std::vector<ComPtr<BlkIo>> members;
-      members.push_back(MakePartitionView(top.get(), lo));
-      members.push_back(MakePartitionView(top.get(), hi));
-      // Unit = 2048 rounded up to the member block size (a cache layer
-      // below the stripe presents 4 KiB blocks).
-      uint32_t bs = members[0]->GetBlockSize();
-      uint32_t unit = (2048 + bs - 1) / bs * bs;
-      top = ComPtr<BlkIo>::FromQuery(
-          aio::StripeBlkIo::Create(std::move(members), unit, tenv).get());
-    } else if (layer == "checksum") {
-      top = ComPtr<BlkIo>::FromQuery(
-          aio::ChecksumBlkIo::Create(top.get(), tenv).get());
-    } else if (layer == "cache") {
-      top = ComPtr<BlkIo>::FromQuery(
-          fs::CacheBlkIo::Create(top.get(), 4096, 64, tenv).get());
-    } else {
-      std::fprintf(stderr, "unknown stack layer: %s\n", layer.c_str());
-      std::exit(2);
-    }
-  }
-  return top;
 }
 
 using Aggregate = std::map<std::string, uint64_t>;
@@ -287,8 +244,8 @@ CaseResult RunLocalCase(const char* phase, uint64_t run_id, bool journaled,
   DeviceRegistry registry;
   linuxdev::InitLinuxIde(fdev, &machine, &registry);
   auto device = registry.LookupByName("hda");
-  ComPtr<BlkIo> blkio =
-      ApplyStack(ComPtr<BlkIo>::FromQuery(device.get()), &tenv);
+  ComPtr<BlkIo> blkio = bench::ApplyStack(
+      ComPtr<BlkIo>::FromQuery(device.get()), g_stack, &tenv);
 
   CaseResult result;
   WorkloadTrace t;
@@ -343,8 +300,8 @@ CaseResult RunLocalCase(const char* phase, uint64_t run_id, bool journaled,
 
   // Host-side recovery of the post-crash image, through the same stack.
   auto post_mem = MemBlkIo::CreateFrom(disk->raw(), disk->raw_size(), 512);
-  ComPtr<BlkIo> post =
-      ApplyStack(ComPtr<BlkIo>::FromQuery(post_mem.get()), &tenv);
+  ComPtr<BlkIo> post = bench::ApplyStack(
+      ComPtr<BlkIo>::FromQuery(post_mem.get()), g_stack, &tenv);
   fs::FsckOptions fsck_options;
   fsck_options.replay_journal = true;
   fs::FsckReport report = fs::Fsck(post.get(), fsck_options);
@@ -698,8 +655,6 @@ void RunLocalPhases(uint64_t seeds, uint64_t seed_base, uint64_t stride,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Usage: crash_campaign [--seeds N] [--seed-base B] [--stride K]
-  //                        [--json <path>] [--stack <spec>|matrix]
   // --seed-base shifts the whole seeded portion of the sweep (lossy, tcp,
   // ablation) onto disjoint RNG streams, so a second CI job adds coverage
   // instead of repeating the first.  --stack mounts the filesystem on a
@@ -710,40 +665,20 @@ int main(int argc, char** argv) {
   uint64_t seed_base = 0;
   uint64_t stride = 1;
   const char* json_path = nullptr;
-  std::string stack_arg;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--seeds" && i + 1 < argc) {
-      seeds = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--seed-base" && i + 1 < argc) {
-      seed_base = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--stride" && i + 1 < argc) {
-      stride = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--stack" && i + 1 < argc) {
-      stack_arg = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: crash_campaign [--seeds N] [--seed-base B] "
-                   "[--stride K] [--json <path>] [--stack <spec>|matrix]\n");
-      return 2;
-    }
+  const char* stack_arg = "";
+  if (!bench::ParseFlags(argc, argv,
+                         {{"--seeds", &seeds}, {"--seed-base", &seed_base},
+                          {"--stride", &stride}, {"--json", &json_path},
+                          {"--stack", &stack_arg}})) {
+    return 2;
   }
   if (stride == 0) {
     stride = 1;
   }
-  std::vector<std::string> stacks;
-  if (stack_arg == "matrix") {
-    stacks = {"",
-              "stripe,checksum,cache",  // cache over checksum over stripe
-              "stripe,cache,checksum",
-              "checksum,stripe,cache",
-              "checksum,cache,stripe",
-              "cache,stripe,checksum",
-              "cache,checksum,stripe"};
-  } else {
-    stacks = {stack_arg};
+  std::vector<std::string> stacks = {stack_arg};
+  if (stacks[0] == "matrix") {
+    stacks.assign(std::begin(bench::kStackMatrix),
+                  std::end(bench::kStackMatrix));
   }
 
   Aggregate agg;
@@ -775,7 +710,9 @@ int main(int argc, char** argv) {
   }
   agg["campaign.tcp.runs"] += tcp_runs;
 
-  g_failures += CheckAggregate(agg);
+  int per_run = g_failures;
+  int missing = CheckAggregate(agg);
+  g_failures += missing;
 
   std::printf("\ncrash campaign: %llu exhaustive + %llu lossy + %llu tcp + "
               "%llu ablation runs, %llu ablation corruptions detected, "
@@ -786,31 +723,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ablation_runs),
               static_cast<unsigned long long>(detected), g_failures);
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return 2;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"crash_campaign\",\n");
-    std::fprintf(f, "  \"seeds\": %llu,\n",
-                 static_cast<unsigned long long>(seeds));
-    std::fprintf(f, "  \"stride\": %llu,\n",
-                 static_cast<unsigned long long>(stride));
-    std::fprintf(f, "  \"durable_writes_per_run\": %llu,\n",
-                 static_cast<unsigned long long>(totals.durable_writes));
-    std::fprintf(f, "  \"stack_sweeps\": %zu,\n", stacks.size());
-    std::fprintf(f, "  \"failures\": %d,\n", g_failures);
-    std::fprintf(f, "  \"counters\": {\n");
-    size_t remaining = agg.size();
-    for (const auto& [name, value] : agg) {
-      std::fprintf(f, "    \"%s\": %llu%s\n", name.c_str(),
-                   static_cast<unsigned long long>(value),
-                   --remaining != 0 ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-  }
-
-  return g_failures == 0 ? 0 : 1;
+  bench::Report report("crash_campaign", json_path);
+  report.Check("runs", per_run == 0, "%d failed runs", per_run);
+  report.Check("checklist", missing == 0,
+               "%d durability classes without evidence", missing);
+  report.json.Set("seeds", seeds)
+      .Set("stride", stride)
+      .Set("durable_writes_per_run", totals.durable_writes)
+      .Set("stack_sweeps", stacks.size())
+      .Set("failures", g_failures)
+      .Set("counters", bench::Json::Object(agg));
+  return report.Finish();
 }

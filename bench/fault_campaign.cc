@@ -30,9 +30,9 @@
 #include <cstring>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/amm/amm.h"
 #include "src/dev/linux/linux_ide.h"
 #include "src/fault/fault.h"
@@ -461,19 +461,11 @@ int CheckAggregate(const Aggregate& agg, uint64_t seeds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Usage: fault_campaign [--seeds N] [--json <path>]
   uint64_t seeds = 16;
   const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--seeds" && i + 1 < argc) {
-      seeds = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: fault_campaign [--seeds N] [--json <path>]\n");
-      return 2;
-    }
+  if (!bench::ParseFlags(argc, argv,
+                         {{"--seeds", &seeds}, {"--json", &json_path}})) {
+    return 2;
   }
 
   std::printf("fault campaign: %llu seeds, tcp + disk phases\n",
@@ -483,8 +475,9 @@ int main(int argc, char** argv) {
     RunTcpPhase(seed, &agg);
     RunDiskPhase(seed, &agg);
   }
-
-  g_failures += CheckAggregate(agg, seeds);
+  int per_seed = g_failures;
+  int missing = CheckAggregate(agg, seeds);
+  g_failures += missing;
 
   std::printf("\ncampaign: %llu seeds swept, %llu transfers ok, "
               "%llu files verified, %d failures\n",
@@ -493,26 +486,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(agg["campaign.fs.files_verified"]),
               g_failures);
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
-      return 2;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fault_campaign\",\n");
-    std::fprintf(f, "  \"seeds\": %llu,\n",
-                 static_cast<unsigned long long>(seeds));
-    std::fprintf(f, "  \"failures\": %d,\n", g_failures);
-    std::fprintf(f, "  \"counters\": {\n");
-    size_t remaining = agg.size();
-    for (const auto& [name, value] : agg) {
-      std::fprintf(f, "    \"%s\": %llu%s\n", name.c_str(),
-                   static_cast<unsigned long long>(value),
-                   --remaining != 0 ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-  }
-
-  return g_failures == 0 ? 0 : 1;
+  bench::Report report("fault_campaign", json_path);
+  report.Check("seeds", per_seed == 0, "%d per-seed failures", per_seed);
+  report.Check("checklist", missing == 0, "%d recovery classes without evidence",
+               missing);
+  report.json.Set("seeds", seeds)
+      .Set("failures", g_failures)
+      .Set("counters", bench::Json::Object(agg));
+  return report.Finish();
 }

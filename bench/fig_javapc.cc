@@ -14,12 +14,12 @@
 //     and the OSKit glue overheads actually bite, compared against the
 //     same transfer driven by native C code.
 
-#include <cstdio>
-#include <cstdlib>
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/testbed/ttcp.h"
 #include "src/vm/kvm.h"
 
@@ -249,7 +249,10 @@ RunResult RunVmTransfer(bool vm_sends, size_t total_bytes, bool wire_limited) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  size_t megabytes = argc > 1 ? std::strtoul(argv[1], nullptr, 0) : 24;
+  uint64_t megabytes = 24;
+  if (!bench::ParseFlags(argc, argv, {{"megabytes", &megabytes}})) {
+    return 2;
+  }
   size_t total = megabytes * 1024 * 1024;
 
   std::printf("Java/PC network throughput (paper §6.2.6): the language "
@@ -275,14 +278,14 @@ int main(int argc, char** argv) {
 
   double ratio = send_sw.ModelMbps() / recv_sw.ModelMbps();
   std::printf("\nShape checks (P6-scaled model, from real work counters):\n");
-  std::printf("  send/receive ratio = %.2f (paper: 59/78 = 0.76 — send pays "
-              "the glue copy: %llu bytes)  %s\n",
-              ratio,
-              static_cast<unsigned long long>(send_sw.glue_copied_bytes),
-              ratio < 0.95 ? "PASS" : "FAIL");
+  bench::Report report("fig_javapc", nullptr);
+  report.Check("send_receive", ratio < 0.95,
+               "ratio = %.2f (paper: 59/78 = 0.76 — send pays the glue "
+               "copy: %llu bytes)",
+               ratio, static_cast<unsigned long long>(send_sw.glue_copied_bytes));
   std::printf("  the wire saturates in both directions (sim): %.0f / %.0f "
               "Mbit/s of 100\n", recv_wire.SimMbps(), send_wire.SimMbps());
   std::printf("  'mature components with flexible interfaces': the VM rides "
               "the same tuned BSD stack as C code.\n");
-  return 0;
+  return report.Finish();
 }

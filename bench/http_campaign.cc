@@ -35,10 +35,9 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "src/base/random.h"
 #include "src/com/memblkio.h"
 #include "src/dev/linux/linux_ide.h"
@@ -880,29 +879,14 @@ uint64_t AttrValue(const PhaseResult& r, const char* name) {
 int main(int argc, char** argv) {
   PhaseOptions main_opt;
   const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--hosts" && i + 1 < argc) {
-      main_opt.hosts = std::atoi(argv[++i]);
-    } else if (arg == "--holders" && i + 1 < argc) {
-      main_opt.holders = std::atoi(argv[++i]);
-    } else if (arg == "--churn" && i + 1 < argc) {
-      main_opt.churn = std::atoi(argv[++i]);
-    } else if (arg == "--requests" && i + 1 < argc) {
-      main_opt.holder_requests = std::atoi(argv[++i]);
-    } else if (arg == "--mean-us" && i + 1 < argc) {
-      main_opt.mean_arrival_us = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      main_opt.seed = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: http_campaign [--hosts N] [--holders N] "
-                   "[--churn N] [--requests N] [--mean-us U] [--seed S] "
-                   "[--json <path>]\n");
-      return 2;
-    }
+  if (!bench::ParseFlags(argc, argv, {{"--hosts", &main_opt.hosts},
+                                      {"--holders", &main_opt.holders},
+                                      {"--churn", &main_opt.churn},
+                                      {"--requests", &main_opt.holder_requests},
+                                      {"--mean-us", &main_opt.mean_arrival_us},
+                                      {"--seed", &main_opt.seed},
+                                      {"--json", &json_path}})) {
+    return 2;
   }
   const int held_total = main_opt.hosts * main_opt.holders;
 
@@ -992,153 +976,105 @@ int main(int argc, char** argv) {
   abl_row("no-sg", nosg_r);
   abl_row("no-napi", nonapi_r);
 
-  bool fail = false;
+  bench::Report report("http", json_path);
   std::printf("\nShape checks:\n");
-
-  bool ok = main_r.completed == main_r.expected && main_r.failures == 0;
-  fail |= !ok;
-  std::printf("  completion:   %d/%d responses, %d failures  %s\n",
-              main_r.completed, main_r.expected, main_r.failures,
-              ok ? "PASS" : "FAIL");
-
-  ok = main_r.established_peak >= static_cast<uint64_t>(held_total);
-  fail |= !ok;
-  std::printf("  concurrency:  peak %llu >= %d held-open  %s\n",
-              static_cast<unsigned long long>(main_r.established_peak),
-              held_total, ok ? "PASS" : "FAIL");
+  report.Check("completion",
+               main_r.completed == main_r.expected && main_r.failures == 0,
+               "%d/%d responses, %d failures", main_r.completed,
+               main_r.expected, main_r.failures);
+  report.Check("concurrency",
+               main_r.established_peak >= static_cast<uint64_t>(held_total),
+               "peak %llu >= %d held-open",
+               static_cast<unsigned long long>(main_r.established_peak),
+               held_total);
   if (held_total >= 1000) {
-    ok = main_r.established_peak >= 1000;
-    fail |= !ok;
-    std::printf("  kiloconn:     peak %llu >= 1000 concurrent  %s\n",
-                static_cast<unsigned long long>(main_r.established_peak),
-                ok ? "PASS" : "FAIL");
+    report.Check("kiloconn", main_r.established_peak >= 1000,
+                 "peak %llu >= 1000 concurrent",
+                 static_cast<unsigned long long>(main_r.established_peak));
   } else {
     std::printf("  kiloconn:     SKIPPED (reduced scale: %d < 1000)\n",
                 held_total);
   }
-
-  ok = main_r.pipelined > 0 && main_r.read_paused > 0;
-  fail |= !ok;
-  std::printf("  mixed load:   %llu pipelined, %llu read pauses  %s\n",
-              static_cast<unsigned long long>(main_r.pipelined),
-              static_cast<unsigned long long>(main_r.read_paused),
-              ok ? "PASS" : "FAIL");
+  report.Check("mixed_load", main_r.pipelined > 0 && main_r.read_paused > 0,
+               "%llu pipelined, %llu read pauses",
+               static_cast<unsigned long long>(main_r.pipelined),
+               static_cast<unsigned long long>(main_r.read_paused));
 
   // The attribution table really attributes: every response got a request
   // span, the selector wait accrued real simulated time, and the FS path
   // was exercised.
   uint64_t span_reqs = AttrValue(main_r, "http.span.request.count");
-  ok = span_reqs == main_r.responses &&
-       AttrValue(main_r, "http.span.wait.self_ns") > 0 &&
-       AttrValue(main_r, "http.span.fs_read.count") > 0 &&
-       AttrValue(main_r, "http.span.fs_read.self_ns") > 0 &&
-       AttrValue(main_r, "http.span.dyn.count") > 0;
-  fail |= !ok;
-  std::printf("  attribution:  %llu request spans == %llu responses, "
-              "wait self %llu ns  %s\n",
-              static_cast<unsigned long long>(span_reqs),
-              static_cast<unsigned long long>(main_r.responses),
-              static_cast<unsigned long long>(
-                  AttrValue(main_r, "http.span.wait.self_ns")),
-              ok ? "PASS" : "FAIL");
+  report.Check("attribution",
+               span_reqs == main_r.responses &&
+                   AttrValue(main_r, "http.span.wait.self_ns") > 0 &&
+                   AttrValue(main_r, "http.span.fs_read.count") > 0 &&
+                   AttrValue(main_r, "http.span.fs_read.self_ns") > 0 &&
+                   AttrValue(main_r, "http.span.dyn.count") > 0,
+               "%llu request spans == %llu responses, wait self %llu ns",
+               static_cast<unsigned long long>(span_reqs),
+               static_cast<unsigned long long>(main_r.responses),
+               static_cast<unsigned long long>(
+                   AttrValue(main_r, "http.span.wait.self_ns")));
 
   // Zero-copy ablation: SG carried the main phase, the flattened run
   // copied every response byte at least once, the no-NAPI run took ~1
   // interrupt per frame where the NAPI run coalesced.
-  ok = main_r.sg_frames > 0 && main_r.napi_polls > 0 &&
-       nosg_r.sg_frames == 0 && copied_per_byte(nosg_r) >= 1.0 &&
-       copied_per_byte(base_r) < 0.5 && nonapi_r.napi_polls == 0 &&
-       irqs_per_frame(nonapi_r) > irqs_per_frame(base_r);
-  fail |= !ok;
-  std::printf("  ablations:    copied/byte %.3f(base) %.3f(no-sg), "
-              "irqs/frm %.3f(base) %.3f(no-napi)  %s\n",
-              copied_per_byte(base_r), copied_per_byte(nosg_r),
-              irqs_per_frame(base_r), irqs_per_frame(nonapi_r),
-              ok ? "PASS" : "FAIL");
+  report.Check("ablations",
+               main_r.sg_frames > 0 && main_r.napi_polls > 0 &&
+                   nosg_r.sg_frames == 0 && copied_per_byte(nosg_r) >= 1.0 &&
+                   copied_per_byte(base_r) < 0.5 && nonapi_r.napi_polls == 0 &&
+                   irqs_per_frame(nonapi_r) > irqs_per_frame(base_r),
+               "copied/byte %.3f(base) %.3f(no-sg), irqs/frm %.3f(base) "
+               "%.3f(no-napi)",
+               copied_per_byte(base_r), copied_per_byte(nosg_r),
+               irqs_per_frame(base_r), irqs_per_frame(nonapi_r));
+  report.Check("internals", main_r.listen_overflows == 0,
+               "%llu listen overflows",
+               static_cast<unsigned long long>(main_r.listen_overflows));
+  report.Check("slow_loris",
+               sec.drained && sec.loris_denials > 0 && sec.loris_held <= 8 &&
+                   sec.victim_completed == sec.victim_expected,
+               "%llu denials, %d held (budget 8), victims %d/%d, p99 %.1f us",
+               static_cast<unsigned long long>(sec.loris_denials),
+               sec.loris_held, sec.victim_completed, sec.victim_expected,
+               sec.victim_p99_us);
 
-  ok = main_r.listen_overflows == 0;
-  fail |= !ok;
-  std::printf("  internals:    %llu listen overflows  %s\n",
-              static_cast<unsigned long long>(main_r.listen_overflows),
-              ok ? "PASS" : "FAIL");
-
-  ok = sec.drained && sec.loris_denials > 0 &&
-       sec.loris_held <= 8 &&
-       sec.victim_completed == sec.victim_expected;
-  fail |= !ok;
-  std::printf("  slow-loris:   %llu denials, %d held (budget 8), victims "
-              "%d/%d, p99 %.1f us  %s\n",
-              static_cast<unsigned long long>(sec.loris_denials),
-              sec.loris_held, sec.victim_completed, sec.victim_expected,
-              sec.victim_p99_us, ok ? "PASS" : "FAIL");
-
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"http\",\n");
-    std::fprintf(f, "  \"hosts\": %d,\n  \"held_total\": %d,\n",
-                 main_opt.hosts, held_total);
-    std::fprintf(f, "  \"expected\": %d,\n  \"completed\": %d,\n"
-                 "  \"failures\": %d,\n",
-                 main_r.expected, main_r.completed, main_r.failures);
-    std::fprintf(f, "  \"established_peak\": %llu,\n",
-                 static_cast<unsigned long long>(main_r.established_peak));
-    std::fprintf(f, "  \"throughput_rps\": %.1f,\n", main_r.throughput_rps);
-    std::fprintf(f,
-                 "  \"latency_us\": {\"p50\": %.1f, \"p99\": %.1f, "
-                 "\"p999\": %.1f, \"max\": %.1f},\n",
-                 main_r.p50, main_r.p99, main_r.p999, main_r.pmax);
-    std::fprintf(f,
-                 "  \"server\": {\"requests\": %llu, \"responses\": %llu, "
-                 "\"pipelined\": %llu, \"read_paused\": %llu, "
-                 "\"bytes_out\": %llu, \"sg_frames\": %llu, "
-                 "\"napi_polls\": %llu, \"listen_overflows\": %llu},\n",
-                 static_cast<unsigned long long>(main_r.requests),
-                 static_cast<unsigned long long>(main_r.responses),
-                 static_cast<unsigned long long>(main_r.pipelined),
-                 static_cast<unsigned long long>(main_r.read_paused),
-                 static_cast<unsigned long long>(main_r.bytes_out),
-                 static_cast<unsigned long long>(main_r.sg_frames),
-                 static_cast<unsigned long long>(main_r.napi_polls),
-                 static_cast<unsigned long long>(main_r.listen_overflows));
-    std::fprintf(f, "  \"attribution\": {");
-    for (size_t i = 0; i < main_r.attribution.size(); ++i) {
-      std::fprintf(f, "%s\"%s\": %llu", i == 0 ? "" : ", ",
-                   main_r.attribution[i].first.c_str(),
-                   static_cast<unsigned long long>(
-                       main_r.attribution[i].second));
-    }
-    std::fprintf(f, "},\n");
-    auto abl_json = [&](const char* name, const PhaseResult& r, bool last) {
-      std::fprintf(f,
-                   "    \"%s\": {\"throughput_rps\": %.1f, \"p50_us\": %.1f, "
-                   "\"copied_per_byte\": %.4f, \"irqs_per_frame\": %.4f, "
-                   "\"sg_frames\": %llu, \"napi_polls\": %llu}%s\n",
-                   name, r.throughput_rps, r.p50, copied_per_byte(r),
-                   irqs_per_frame(r),
-                   static_cast<unsigned long long>(r.sg_frames),
-                   static_cast<unsigned long long>(r.napi_polls),
-                   last ? "" : ",");
-    };
-    std::fprintf(f, "  \"ablations\": {\n");
-    abl_json("base", base_r, false);
-    abl_json("no_sg", nosg_r, false);
-    abl_json("no_napi", nonapi_r, true);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f,
-                 "  \"secure\": {\"loris_denials\": %llu, \"loris_held\": %d, "
-                 "\"victim_completed\": %d, \"victim_expected\": %d, "
-                 "\"victim_p99_us\": %.1f, \"drained\": %s}\n",
-                 static_cast<unsigned long long>(sec.loris_denials),
-                 sec.loris_held, sec.victim_completed, sec.victim_expected,
-                 sec.victim_p99_us, sec.drained ? "true" : "false");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
+  report.json.Set("hosts", main_opt.hosts)
+      .Set("held_total", held_total)
+      .Set("expected", main_r.expected)
+      .Set("completed", main_r.completed)
+      .Set("failures", main_r.failures)
+      .Set("established_peak", main_r.established_peak)
+      .Set("throughput_rps", main_r.throughput_rps)
+      .Set("latency_us.p50", main_r.p50)
+      .Set("latency_us.p99", main_r.p99)
+      .Set("latency_us.p999", main_r.p999)
+      .Set("latency_us.max", main_r.pmax)
+      .Set("server.requests", main_r.requests)
+      .Set("server.responses", main_r.responses)
+      .Set("server.pipelined", main_r.pipelined)
+      .Set("server.read_paused", main_r.read_paused)
+      .Set("server.bytes_out", main_r.bytes_out)
+      .Set("server.sg_frames", main_r.sg_frames)
+      .Set("server.napi_polls", main_r.napi_polls)
+      .Set("server.listen_overflows", main_r.listen_overflows)
+      .Set("attribution", bench::Json::Object(main_r.attribution));
+  const std::pair<const char*, const PhaseResult*> ablations[] = {
+      {"base", &base_r}, {"no_sg", &nosg_r}, {"no_napi", &nonapi_r}};
+  for (const auto& [name, r] : ablations) {
+    std::string key = std::string("ablations.") + name;
+    report.json.Set(key + ".throughput_rps", r->throughput_rps)
+        .Set(key + ".p50_us", r->p50)
+        .Set(key + ".copied_per_byte", copied_per_byte(*r))
+        .Set(key + ".irqs_per_frame", irqs_per_frame(*r))
+        .Set(key + ".sg_frames", r->sg_frames)
+        .Set(key + ".napi_polls", r->napi_polls);
   }
-
-  return fail ? 1 : 0;
+  report.json.Set("secure.loris_denials", sec.loris_denials)
+      .Set("secure.loris_held", sec.loris_held)
+      .Set("secure.victim_completed", sec.victim_completed)
+      .Set("secure.victim_expected", sec.victim_expected)
+      .Set("secure.victim_p99_us", sec.victim_p99_us)
+      .Set("secure.drained", sec.drained);
+  return report.Finish();
 }

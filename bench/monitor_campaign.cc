@@ -37,9 +37,9 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/com/memblkio.h"
 #include "src/fault/scribble.h"
 #include "src/fs/ffs.h"
@@ -326,22 +326,11 @@ void RunCampaign(bool enforce, uint64_t seed, const Options& opt,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--seeds" && i + 1 < argc) {
-      opt.seeds = std::atoi(argv[++i]);
-    } else if (arg == "--seed-base" && i + 1 < argc) {
-      opt.seed_base = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--rounds" && i + 1 < argc) {
-      opt.rounds = std::atoi(argv[++i]);
-    } else if (arg == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: monitor_campaign [--seeds N] [--seed-base S] "
-                   "[--rounds R] [--json <path>]\n");
-      return 2;
-    }
+  if (!bench::ParseFlags(argc, argv, {{"--seeds", &opt.seeds},
+                                      {"--seed-base", &opt.seed_base},
+                                      {"--rounds", &opt.rounds},
+                                      {"--json", &opt.json_path}})) {
+    return 2;
   }
 
   std::printf("Monitor campaign: %d victims x %d rounds, 4 scribble sites, "
@@ -349,13 +338,12 @@ int main(int argc, char** argv) {
               kVictims, opt.rounds, opt.seeds,
               static_cast<unsigned long long>(opt.seed_base));
 
-  bool fail = false;
+  bench::Report report("monitor_campaign", opt.json_path);
   uint64_t injected_total = 0;
   uint64_t caught_total = 0;
   uint64_t guarded_mismatches = 0;
   uint64_t ablation_landed_total = 0;
   int ablation_corrupt_seeds = 0;
-  std::vector<std::string> seed_json;
 
   for (int s = 0; s < opt.seeds; ++s) {
     uint64_t seed = opt.seed_base + static_cast<uint64_t>(s);
@@ -375,69 +363,44 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(ablate.kernel_mismatches));
 
     // Guarded: 100% of injected scribbles caught, nothing corrupted.
-    if (guard.injected == 0) {
-      std::printf("  FAIL guarded: the schedule injected nothing\n");
-      fail = true;
-    }
-    if (guard.denied != guard.injected || guard.landed != 0) {
-      std::printf("  FAIL guarded: denied=%llu landed=%llu of %llu injected\n",
-                  static_cast<unsigned long long>(guard.denied),
-                  static_cast<unsigned long long>(guard.landed),
-                  static_cast<unsigned long long>(guard.injected));
-      fail = true;
-    }
-    if (guard.raised != guard.injected || guard.caught != guard.injected) {
-      std::printf("  FAIL guarded accounting: raised=%llu caught=%llu != "
-                  "injected=%llu\n",
-                  static_cast<unsigned long long>(guard.raised),
-                  static_cast<unsigned long long>(guard.caught),
-                  static_cast<unsigned long long>(guard.injected));
-      fail = true;
-    }
-    if (guard.kernel_mismatches != 0 || guard.translate_broken != 0) {
-      std::printf("  FAIL guarded integrity: %llu shadow mismatches, %llu "
-                  "broken translations\n",
-                  static_cast<unsigned long long>(guard.kernel_mismatches),
-                  static_cast<unsigned long long>(guard.translate_broken));
-      fail = true;
-    }
-    if (guard.victim_failures != 0 || guard.victim_killed ||
-        guard.fs_failures != 0) {
-      std::printf("  FAIL guarded victims: %d/%d ops failed, %d/%d fs ops "
-                  "failed, killed=%d\n",
-                  guard.victim_failures, guard.victim_ops, guard.fs_failures,
-                  guard.fs_ops, guard.victim_killed ? 1 : 0);
-      fail = true;
-    }
-    if (!guard.hostile_killed) {
-      std::printf("  FAIL guarded: the hostile domain survived\n");
-      fail = true;
-    }
-    if (!guard.fsck_consistent || guard.quota_leaked != 0) {
-      std::printf("  FAIL guarded invariants: fsck=%d leaked=%llu\n",
-                  guard.fsck_consistent ? 1 : 0,
-                  static_cast<unsigned long long>(guard.quota_leaked));
-      fail = true;
-    }
-    // Ablation: the same schedule lands silently.
-    if (ablate.landed != ablate.injected || ablate.landed == 0) {
-      std::printf("  FAIL ablation: landed=%llu of %llu injected\n",
-                  static_cast<unsigned long long>(ablate.landed),
-                  static_cast<unsigned long long>(ablate.injected));
-      fail = true;
-    }
-    if (ablate.raised != 0 || ablate.caught != 0) {
-      std::printf("  FAIL ablation counted violations with enforcement "
-                  "off: raised=%llu caught=%llu\n",
-                  static_cast<unsigned long long>(ablate.raised),
-                  static_cast<unsigned long long>(ablate.caught));
-      fail = true;
-    }
-    if (ablate.hostile_killed) {
-      std::printf("  FAIL ablation: hostile domain killed with enforcement "
-                  "off\n");
-      fail = true;
-    }
+    report.Check("guarded",
+                 guard.injected != 0 && guard.denied == guard.injected &&
+                     guard.landed == 0,
+                 "denied=%llu landed=%llu of %llu injected (none may land)",
+                 static_cast<unsigned long long>(guard.denied),
+                 static_cast<unsigned long long>(guard.landed),
+                 static_cast<unsigned long long>(guard.injected));
+    report.Check("accounting",
+                 guard.raised == guard.injected &&
+                     guard.caught == guard.injected,
+                 "raised=%llu caught=%llu of %llu injected",
+                 static_cast<unsigned long long>(guard.raised),
+                 static_cast<unsigned long long>(guard.caught),
+                 static_cast<unsigned long long>(guard.injected));
+    report.Check("victims",
+                 guard.victim_failures == 0 && !guard.victim_killed &&
+                     guard.fs_failures == 0,
+                 "%d/%d ops failed, %d/%d fs ops failed, killed=%d",
+                 guard.victim_failures, guard.victim_ops, guard.fs_failures,
+                 guard.fs_ops, guard.victim_killed ? 1 : 0);
+    report.Check("invariants",
+                 guard.hostile_killed && guard.fsck_consistent &&
+                     guard.quota_leaked == 0,
+                 "hostile killed=%d, fsck=%d, leaked=%llu",
+                 guard.hostile_killed ? 1 : 0, guard.fsck_consistent ? 1 : 0,
+                 static_cast<unsigned long long>(guard.quota_leaked));
+    // Ablation: the same schedule lands silently, uncounted.
+    report.Check("ablation_run",
+                 ablate.landed == ablate.injected && ablate.landed != 0 &&
+                     ablate.raised == 0 && ablate.caught == 0 &&
+                     !ablate.hostile_killed,
+                 "landed=%llu of %llu injected, raised=%llu caught=%llu, "
+                 "hostile killed=%d with enforcement off",
+                 static_cast<unsigned long long>(ablate.landed),
+                 static_cast<unsigned long long>(ablate.injected),
+                 static_cast<unsigned long long>(ablate.raised),
+                 static_cast<unsigned long long>(ablate.caught),
+                 ablate.hostile_killed ? 1 : 0);
 
     injected_total += guard.injected;
     caught_total += guard.caught;
@@ -446,77 +409,44 @@ int main(int argc, char** argv) {
     if (ablate.kernel_mismatches > 0 || ablate.translate_broken > 0) {
       ++ablation_corrupt_seeds;
     }
-
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"seed\": %llu, \"injected\": %llu, \"caught\": %llu, "
-        "\"pte\": %llu, \"dma\": %llu, \"guarded_mismatches\": %llu, "
-        "\"ablation_landed\": %llu, \"ablation_corrupt_bytes\": %llu}",
-        static_cast<unsigned long long>(seed),
-        static_cast<unsigned long long>(guard.injected),
-        static_cast<unsigned long long>(guard.caught),
-        static_cast<unsigned long long>(guard.pte_violations),
-        static_cast<unsigned long long>(guard.dma_violations),
-        static_cast<unsigned long long>(guard.kernel_mismatches),
-        static_cast<unsigned long long>(ablate.landed),
-        static_cast<unsigned long long>(ablate.kernel_mismatches));
-    seed_json.push_back(buf);
-  }
-
-  // The ablation MUST corrupt somewhere, or the campaign proves nothing.
-  if (ablation_corrupt_seeds == 0) {
-    std::printf("\nFAIL: no ablation run corrupted kernel state — the "
-                "monitor is not what integrity rests on\n");
-    fail = true;
+    report.json.Push("seeds", bench::Json()
+                                  .Set("seed", seed)
+                                  .Set("injected", guard.injected)
+                                  .Set("caught", guard.caught)
+                                  .Set("pte", guard.pte_violations)
+                                  .Set("dma", guard.dma_violations)
+                                  .Set("guarded_mismatches",
+                                       guard.kernel_mismatches)
+                                  .Set("ablation_landed", ablate.landed)
+                                  .Set("ablation_corrupt_bytes",
+                                       ablate.kernel_mismatches));
   }
 
   std::printf("\nShape checks:\n");
-  std::printf("  catch rate:  %llu/%llu injected violations caught  %s\n",
-              static_cast<unsigned long long>(caught_total),
-              static_cast<unsigned long long>(injected_total),
-              caught_total == injected_total ? "PASS" : "FAIL");
-  std::printf("  integrity:   %llu guarded mismatches  %s\n",
-              static_cast<unsigned long long>(guarded_mismatches),
-              guarded_mismatches == 0 ? "PASS" : "FAIL");
-  std::printf("  ablation:    corrupt on %d/%d seeds (need >= 1)  %s\n",
-              ablation_corrupt_seeds, opt.seeds,
-              ablation_corrupt_seeds >= 1 ? "PASS" : "FAIL");
-  std::printf("  overall:     %s\n", fail ? "FAIL" : "PASS");
+  report.Check("catch_rate", caught_total == injected_total,
+               "%llu/%llu injected violations caught",
+               static_cast<unsigned long long>(caught_total),
+               static_cast<unsigned long long>(injected_total));
+  report.Check("integrity", guarded_mismatches == 0,
+               "%llu guarded mismatches",
+               static_cast<unsigned long long>(guarded_mismatches));
+  // The ablation MUST corrupt somewhere, or the campaign proves nothing.
+  report.Check("ablation", ablation_corrupt_seeds >= 1,
+               "corrupt on %d/%d seeds (need >= 1)", ablation_corrupt_seeds,
+               opt.seeds);
 
-  if (opt.json_path != nullptr) {
-    FILE* jf = std::fopen(opt.json_path, "w");
-    if (jf == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path);
-      return 2;
-    }
-    std::fprintf(jf, "{\n  \"bench\": \"monitor_campaign\",\n");
-    std::fprintf(jf, "  \"victims\": %d,\n  \"rounds\": %d,\n", kVictims,
-                 opt.rounds);
-    std::fprintf(jf, "  \"seeds_run\": %d,\n", opt.seeds);
-    std::fprintf(jf, "  \"injected_total\": %llu,\n",
-                 static_cast<unsigned long long>(injected_total));
-    std::fprintf(jf, "  \"caught_total\": %llu,\n",
-                 static_cast<unsigned long long>(caught_total));
-    std::fprintf(jf, "  \"catch_rate\": %.3f,\n",
-                 injected_total > 0
-                     ? static_cast<double>(caught_total) /
-                           static_cast<double>(injected_total)
-                     : 0.0);
-    std::fprintf(jf, "  \"guarded_mismatches\": %llu,\n",
-                 static_cast<unsigned long long>(guarded_mismatches));
-    std::fprintf(jf, "  \"ablation_landed_total\": %llu,\n",
-                 static_cast<unsigned long long>(ablation_landed_total));
-    std::fprintf(jf, "  \"ablation_corrupt_seeds\": %d,\n",
-                 ablation_corrupt_seeds);
-    std::fprintf(jf, "  \"seeds\": [\n");
-    for (size_t i = 0; i < seed_json.size(); ++i) {
-      std::fprintf(jf, "%s%s\n", seed_json[i].c_str(),
-                   i + 1 < seed_json.size() ? "," : "");
-    }
-    std::fprintf(jf, "  ],\n  \"pass\": %s\n}\n", fail ? "false" : "true");
-    std::fclose(jf);
-    std::printf("wrote %s\n", opt.json_path);
-  }
-  return fail ? 1 : 0;
+  report.json.Set("victims", kVictims)
+      .Set("rounds", opt.rounds)
+      .Set("seeds_run", opt.seeds)
+      .Set("injected_total", injected_total)
+      .Set("caught_total", caught_total)
+      .Set("catch_rate", injected_total > 0
+                             ? static_cast<double>(caught_total) /
+                                   static_cast<double>(injected_total)
+                             : 0.0)
+      .Set("guarded_mismatches", guarded_mismatches)
+      .Set("ablation_landed_total", ablation_landed_total)
+      .Set("ablation_corrupt_seeds", ablation_corrupt_seeds)
+      .Set("pass", report.passed());
+  return report.Finish();
 }

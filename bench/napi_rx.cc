@@ -23,9 +23,8 @@
 // count asserted identical by the ttcp harness itself.
 
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
+#include "bench/harness.h"
 #include "src/testbed/ttcp.h"
 #include "src/trace/trace.h"
 
@@ -95,19 +94,11 @@ void PrintRow(const char* name, const Metrics& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Usage: napi_rx [blocks] [--json <path>]
-  size_t blocks = 2048;
+  uint64_t blocks = 2048;
   const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--json") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "usage: napi_rx [blocks] [--json <path>]\n");
-        return 2;
-      }
-      json_path = argv[++i];
-    } else {
-      blocks = std::strtoul(argv[i], nullptr, 0);
-    }
+  if (!bench::ParseFlags(argc, argv,
+                         {{"blocks", &blocks}, {"--json", &json_path}})) {
+    return 2;
   }
 
   std::printf("NAPI ablation: wire-limited ttcp (%zu x 4096-byte blocks), "
@@ -135,102 +126,74 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(napi.rx_batches),
               static_cast<unsigned long long>(napi.batched_outputs));
 
-  bool fail = false;
+  bench::Report report("napi_rx", json_path);
   std::printf("\nShape checks:\n");
 
   // The seed path really is one interrupt per frame (this is the ablation
   // baseline — if it drifts, the reduction factor below means nothing).
-  bool ok = perframe.IrqsPerFrame() > 0.99 && perframe.polls == 0;
-  fail |= !ok;
-  std::printf("  per-frame:   %.3f IRQs/frame, %llu polls (1997 behaviour: "
-              "one IRQ per frame, ISR drain)  %s\n",
-              perframe.IrqsPerFrame(),
-              static_cast<unsigned long long>(perframe.polls),
-              ok ? "PASS" : "FAIL");
+  report.Check("per_frame",
+               perframe.IrqsPerFrame() > 0.99 && perframe.polls == 0,
+               "%.3f IRQs/frame, %llu polls (1997 behaviour: one IRQ per "
+               "frame, ISR drain)",
+               perframe.IrqsPerFrame(),
+               static_cast<unsigned long long>(perframe.polls));
 
   // The acceptance criterion: >= 4x fewer RX interrupts per delivered frame.
   double reduction = napi.IrqsPerFrame() > 0
                          ? perframe.IrqsPerFrame() / napi.IrqsPerFrame()
                          : 0;
-  ok = reduction >= 4.0;
-  fail |= !ok;
-  std::printf("  mitigation:  %.3f -> %.3f IRQs/frame (%.1fx fewer; "
-              "acceptance floor 4x)  %s\n",
-              perframe.IrqsPerFrame(), napi.IrqsPerFrame(), reduction,
-              ok ? "PASS" : "FAIL");
+  report.Check("mitigation", reduction >= 4.0,
+               "%.3f -> %.3f IRQs/frame (%.1fx fewer; acceptance floor 4x)",
+               perframe.IrqsPerFrame(), napi.IrqsPerFrame(), reduction);
 
   // The polled path really carried the frames (not the legacy ISR drain),
   // and each dispatch amortised over several frames.
   // (tolerate a couple of frames parked in the ring when the simulation's
   // fibers finish mid-close-handshake)
-  ok = napi.polls > 0 && napi.poll_frames + 4 >= napi.rx_frames &&
-       napi.poll_frames <= napi.rx_frames && napi.FramesPerPoll() > 1.5;
-  fail |= !ok;
-  std::printf("  polling:     %llu/%llu frames via poll dispatch, %.1f "
-              "frames/poll  %s\n",
-              static_cast<unsigned long long>(napi.poll_frames),
-              static_cast<unsigned long long>(napi.rx_frames),
-              napi.FramesPerPoll(), ok ? "PASS" : "FAIL");
+  report.Check("polling",
+               napi.polls > 0 && napi.poll_frames + 4 >= napi.rx_frames &&
+                   napi.poll_frames <= napi.rx_frames &&
+                   napi.FramesPerPoll() > 1.5,
+               "%llu/%llu frames via poll dispatch, %.1f frames/poll",
+               static_cast<unsigned long long>(napi.poll_frames),
+               static_cast<unsigned long long>(napi.rx_frames),
+               napi.FramesPerPoll());
 
   // The burst fed TCP as batches: one delayed-ACK pass per burst, several
   // inputs folded into each deferred output.
-  ok = napi.rx_batches > 0 && napi.batched_outputs >= napi.rx_batches;
-  fail |= !ok;
-  std::printf("  tcp batch:   %llu batch passes, %llu deferred outputs  %s\n",
-              static_cast<unsigned long long>(napi.rx_batches),
-              static_cast<unsigned long long>(napi.batched_outputs),
-              ok ? "PASS" : "FAIL");
+  report.Check("tcp_batch",
+               napi.rx_batches > 0 && napi.batched_outputs >= napi.rx_batches,
+               "%llu batch passes, %llu deferred outputs",
+               static_cast<unsigned long long>(napi.rx_batches),
+               static_cast<unsigned long long>(napi.batched_outputs));
 
   // Mitigation must not cost bandwidth at saturation (byte-for-byte
   // delivery is already asserted inside the ttcp harness).
-  ok = napi.sim_mbps > 0.95 * perframe.sim_mbps;
-  fail |= !ok;
-  std::printf("  bandwidth:   %.1f vs %.1f Mbit/s wire-limited  %s\n",
-              napi.sim_mbps, perframe.sim_mbps, ok ? "PASS" : "FAIL");
+  report.Check("bandwidth", napi.sim_mbps > 0.95 * perframe.sim_mbps,
+               "%.1f vs %.1f Mbit/s wire-limited", napi.sim_mbps,
+               perframe.sim_mbps);
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"napi_rx\",\n  \"blocks\": %zu,\n",
-                 blocks);
-    std::fprintf(f, "  \"configs\": [\n");
-    const Metrics* rows[] = {&perframe, &napi};
-    for (int i = 0; i < 2; ++i) {
-      const Metrics& m = *rows[i];
-      std::fprintf(
-          f,
-          "    {\"config\": \"%s\", \"sim_mbps\": %.1f, "
-          "\"rx_frames\": %llu, \"rx_irqs\": %llu, "
-          "\"irqs_per_frame\": %.4f, \"polls\": %llu, "
-          "\"poll_frames\": %llu, \"frames_per_poll\": %.2f, "
-          "\"threshold_fires\": %llu, \"holdoff_fires\": %llu, "
-          "\"ring_fallback_fires\": %llu, \"budget_exhausted\": %llu, "
-          "\"reenable_races\": %llu, \"tcp_rx_batches\": %llu, "
-          "\"tcp_batched_outputs\": %llu}%s\n",
-          m.json_key, m.sim_mbps, static_cast<unsigned long long>(m.rx_frames),
-          static_cast<unsigned long long>(m.rx_irqs), m.IrqsPerFrame(),
-          static_cast<unsigned long long>(m.polls),
-          static_cast<unsigned long long>(m.poll_frames), m.FramesPerPoll(),
-          static_cast<unsigned long long>(m.threshold_fires),
-          static_cast<unsigned long long>(m.holdoff_fires),
-          static_cast<unsigned long long>(m.ring_fires),
-          static_cast<unsigned long long>(m.budget_exhausted),
-          static_cast<unsigned long long>(m.reenable_races),
-          static_cast<unsigned long long>(m.rx_batches),
-          static_cast<unsigned long long>(m.batched_outputs),
-          i == 0 ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"checks\": {\"irq_reduction_factor\": %.2f, "
-                 "\"acceptance_floor\": 4.0}\n",
-                 reduction);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
+  report.json.Set("blocks", blocks);
+  for (const Metrics* m : {&perframe, &napi}) {
+    report.json.Push(
+        "configs", bench::Json()
+                       .Set("config", m->json_key)
+                       .Set("sim_mbps", m->sim_mbps)
+                       .Set("rx_frames", m->rx_frames)
+                       .Set("rx_irqs", m->rx_irqs)
+                       .Set("irqs_per_frame", m->IrqsPerFrame())
+                       .Set("polls", m->polls)
+                       .Set("poll_frames", m->poll_frames)
+                       .Set("frames_per_poll", m->FramesPerPoll())
+                       .Set("threshold_fires", m->threshold_fires)
+                       .Set("holdoff_fires", m->holdoff_fires)
+                       .Set("ring_fallback_fires", m->ring_fires)
+                       .Set("budget_exhausted", m->budget_exhausted)
+                       .Set("reenable_races", m->reenable_races)
+                       .Set("tcp_rx_batches", m->rx_batches)
+                       .Set("tcp_batched_outputs", m->batched_outputs));
   }
-
-  return fail ? 1 : 0;
+  report.json.Set("checks.irq_reduction_factor", reduction)
+      .Set("checks.acceptance_floor", 4.0);
+  return report.Finish();
 }

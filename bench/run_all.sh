@@ -1,30 +1,12 @@
 #!/bin/sh
-# Runs every benchmark binary with smoke-sized arguments and emits a
-# machine-readable counter report (BENCH_trace.json, produced by
-# ablation_glue from the sender's trace counter registry; BENCH_fault.json,
-# produced by the fault-injection campaign's aggregate counters;
-# BENCH_sg.json, produced by table1_bandwidth with the per-row
-# bytes-copied-per-byte-sent figures for the scatter-gather send path;
-# BENCH_crash.json, produced by the every-write power-cut crash campaign's
-# aggregate durability counters; BENCH_napi.json, produced by the NAPI
-# ablation with IRQs-per-frame and frames-per-poll at wire saturation;
-# BENCH_c10k.json, produced by the scale-out C10k bench with held-open
-# concurrency, connect-to-echo latency percentiles, and switch statistics;
-# BENCH_tenant.json, produced by the multi-tenant hostile-tenant campaign
-# with per-seed victim p99 ratios, quota denial counts, and leak checks;
-# BENCH_http.json, produced by the flagship HTTP/1.1 macro-workload with
-# throughput, tail latency, span attribution, ablation rows, and the
-# slow-loris verdict; BENCH_monitor.json, produced by the memory-monitor
-# scribble campaign with catch rates, integrity checks, and the
-# corruption-proving ablation; BENCH_aio.json, produced by the async
-# completion-ring campaign with the queue-depth sweep, the journal-over-ring
-# counters, the stack-composition matrix, and the sendfile vs read+send
-# copied-bytes ablation; BENCH_size.json, produced by table3_sizes with the
-# filtered source lines of every library).
+# Runs every benchmark binary with smoke-sized arguments; the benches given
+# --json write the BENCH_*.json reports that README.md ("Observability")
+# describes.
 #
 # After the benches, every BENCH_*.json is compared against the checked-in
-# baselines (bench/baselines/) by bench/check_regression: a metric outside
-# its tolerance band fails the run and the deltas land in REGRESSIONS.json.
+# baselines (bench/baselines/) by bench/check_regression: a report that is
+# missing, lacks its envelope or has a false shape check, or a metric outside
+# its tolerance band, fails the run and the deltas land in REGRESSIONS.json.
 #
 # Usage: bench/run_all.sh [build_dir]
 #   build_dir defaults to ./build; binaries are expected in $build_dir/bench.
@@ -87,16 +69,6 @@ run_bench tenant_campaign  --seeds 5 --json "$BENCH_DIR/BENCH_tenant.json"
 run_bench http_campaign    --json "$BENCH_DIR/BENCH_http.json"
 run_bench monitor_campaign --seeds 5 --seed-base 1 --json "$BENCH_DIR/BENCH_monitor.json"
 run_bench aio_campaign     --json "$BENCH_DIR/BENCH_aio.json"
-
-for json in trace fault sg crash napi c10k tenant http monitor aio size; do
-    out="$BENCH_DIR/BENCH_$json.json"
-    if [ -f "$out" ]; then
-        echo "wrote $out"
-    else
-        echo "FAIL BENCH_$json.json was not produced"
-        status=1
-    fi
-done
 
 # The perf-regression gate: every baselined metric must stay inside its
 # tolerance band.

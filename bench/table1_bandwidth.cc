@@ -39,9 +39,8 @@
 // throughput regime (CPU-bound just below the 100 Mbps wire).
 
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
+#include "bench/harness.h"
 #include "src/testbed/ttcp.h"
 #include "src/trace/trace.h"
 
@@ -156,21 +155,13 @@ Cell RunConfig(const Row& row, size_t blocks, size_t block_size) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Usage: table1_bandwidth [blocks] [--json <path>]
   // Paper: 131072 blocks (512 MB).  Default 8192 blocks (32 MB) per cell so
   // the table runs in seconds; pass a block count to scale.
-  size_t blocks = 8192;
+  uint64_t blocks = 8192;
   const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--json") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "usage: table1_bandwidth [blocks] [--json <path>]\n");
-        return 2;
-      }
-      json_path = argv[++i];
-    } else {
-      blocks = std::strtoul(argv[i], nullptr, 0);
-    }
+  if (!bench::ParseFlags(argc, argv,
+                         {{"blocks", &blocks}, {"--json", &json_path}})) {
+    return 2;
   }
   const size_t kBlockSize = 4096;
 
@@ -219,37 +210,33 @@ int main(int argc, char** argv) {
   double flatten_send_ratio = flatten.model_send_mbps / bsd.model_send_mbps;
   double sg_send_ratio = sg.model_send_mbps / bsd.model_send_mbps;
   double recv_ratio = sg.model_recv_mbps / bsd.model_recv_mbps;
-  bool fail = false;
-
+  bench::Report report("table1_bandwidth_sg", json_path);
   std::printf("\nShape checks against the paper's findings:\n");
-  bool ok = recv_ratio > 0.98 && recv_ratio < 1.02;
-  fail |= !ok;
-  std::printf("  receive:      OSKit/FreeBSD = %.3f  (paper ~1.0 — zero-copy "
-              "skbuff->mbuf mapping; glue rx copies = 0)  %s\n",
-              recv_ratio, ok ? "PASS" : "FAIL");
-  ok = flatten_send_ratio < 0.95;
-  fail |= !ok;
-  std::printf("  send/flatten: OSKit/FreeBSD = %.3f  (paper < 1 — the glue "
-              "really copied %llu of %.0f MB through mbuf->skbuff)  %s\n",
-              flatten_send_ratio,
-              static_cast<unsigned long long>(flatten.glue_copied_bytes),
-              blocks * kBlockSize / 1048576.0, ok ? "PASS" : "FAIL");
+  report.Check("receive", recv_ratio > 0.98 && recv_ratio < 1.02,
+               "OSKit/FreeBSD = %.3f  (paper ~1.0 — zero-copy "
+               "skbuff->mbuf mapping; glue rx copies = 0)",
+               recv_ratio);
+  report.Check("send_flatten", flatten_send_ratio < 0.95,
+               "OSKit/FreeBSD = %.3f  (paper < 1 — the glue really copied "
+               "%llu of %.0f MB through mbuf->skbuff)",
+               flatten_send_ratio,
+               static_cast<unsigned long long>(flatten.glue_copied_bytes),
+               blocks * kBlockSize / 1048576.0);
   // The scatter-gather path must copy strictly less per byte than the
   // flatten path — this is the tentpole claim, counter-verified.
-  ok = sg.CopiedPerByte() < flatten.CopiedPerByte() &&
-       sg.glue_copied_bytes == 0 && sg.sg_frames > 0;
-  fail |= !ok;
-  std::printf("  send/sg:      copied-per-byte %.3f -> %.3f, %llu gather "
-              "frames (%llu segments) — the send copy is gone  %s\n",
-              flatten.CopiedPerByte(), sg.CopiedPerByte(),
-              static_cast<unsigned long long>(sg.sg_frames),
-              static_cast<unsigned long long>(sg.sg_segments),
-              ok ? "PASS" : "FAIL");
-  ok = sg_send_ratio > flatten_send_ratio && sg_send_ratio > 0.98;
-  fail |= !ok;
-  std::printf("  send/model:   OSKit-sg/FreeBSD = %.3f  (> flatten's %.3f and "
-              "~1.0: scatter-gather restores parity)  %s\n",
-              sg_send_ratio, flatten_send_ratio, ok ? "PASS" : "FAIL");
+  report.Check("send_sg",
+               sg.CopiedPerByte() < flatten.CopiedPerByte() &&
+                   sg.glue_copied_bytes == 0 && sg.sg_frames > 0,
+               "copied-per-byte %.3f -> %.3f, %llu gather frames (%llu "
+               "segments) — the send copy is gone",
+               flatten.CopiedPerByte(), sg.CopiedPerByte(),
+               static_cast<unsigned long long>(sg.sg_frames),
+               static_cast<unsigned long long>(sg.sg_segments));
+  report.Check("send_model",
+               sg_send_ratio > flatten_send_ratio && sg_send_ratio > 0.98,
+               "OSKit-sg/FreeBSD = %.3f  (> flatten's %.3f and ~1.0: "
+               "scatter-gather restores parity)",
+               sg_send_ratio, flatten_send_ratio);
   std::printf("  natives:      FreeBSD and Linux pay no conversion copy (glue "
               "bytes: %llu / %llu)\n",
               static_cast<unsigned long long>(cells[0].glue_copied_bytes),
@@ -262,11 +249,10 @@ int main(int argc, char** argv) {
   // has to saturate the wire like its per-frame twin (bench/napi_rx holds
   // the IRQ-reduction claim itself).
   const Cell& napi = cells[4];
-  ok = napi.sim_mbps > 0.95 * sg.sim_mbps;
-  fail |= !ok;
-  std::printf("  napi:         coalesced+polled wire rate %.1f vs per-frame "
-              "%.1f Mbit/s (mitigation must not cost bandwidth)  %s\n",
-              napi.sim_mbps, sg.sim_mbps, ok ? "PASS" : "FAIL");
+  report.Check("napi", napi.sim_mbps > 0.95 * sg.sim_mbps,
+               "coalesced+polled wire rate %.1f vs per-frame %.1f Mbit/s "
+               "(mitigation must not cost bandwidth)",
+               napi.sim_mbps, sg.sim_mbps);
 
   // Sender-side counter snapshots from each configuration's trace registry
   // (the same numbers kmon's `counters` command shows on that machine).
@@ -283,42 +269,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"table1_bandwidth_sg\",\n");
-    std::fprintf(f, "  \"blocks\": %zu,\n  \"block_size\": %zu,\n", blocks,
-                 kBlockSize);
-    std::fprintf(f, "  \"rows\": [\n");
-    for (int i = 0; i < kNumRows; ++i) {
-      const Cell& c = cells[i];
-      std::fprintf(
-          f,
-          "    {\"config\": \"%s\", \"bytes_sent\": %llu, "
-          "\"glue_copied_bytes\": %llu, \"copied_per_byte_sent\": %.6f, "
-          "\"sg_frames\": %llu, \"sg_segments\": %llu, "
-          "\"model_send_mbps\": %.1f, \"model_recv_mbps\": %.1f, "
-          "\"sim_mbps\": %.1f}%s\n",
-          kRows[i].json_key, static_cast<unsigned long long>(c.bytes_sent),
-          static_cast<unsigned long long>(c.glue_copied_bytes),
-          c.CopiedPerByte(), static_cast<unsigned long long>(c.sg_frames),
-          static_cast<unsigned long long>(c.sg_segments), c.model_send_mbps,
-          c.model_recv_mbps, c.sim_mbps, i < kNumRows - 1 ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"checks\": {\"recv_ratio\": %.4f, "
-                 "\"flatten_send_ratio\": %.4f, \"sg_send_ratio\": %.4f, "
-                 "\"sg_copied_per_byte\": %.6f, "
-                 "\"flatten_copied_per_byte\": %.6f}\n",
-                 recv_ratio, flatten_send_ratio, sg_send_ratio,
-                 sg.CopiedPerByte(), flatten.CopiedPerByte());
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
+  report.json.Set("blocks", blocks).Set("block_size", kBlockSize);
+  for (int i = 0; i < kNumRows; ++i) {
+    const Cell& c = cells[i];
+    report.json.Push("rows", bench::Json()
+                                 .Set("config", kRows[i].json_key)
+                                 .Set("bytes_sent", c.bytes_sent)
+                                 .Set("glue_copied_bytes", c.glue_copied_bytes)
+                                 .Set("copied_per_byte_sent", c.CopiedPerByte())
+                                 .Set("sg_frames", c.sg_frames)
+                                 .Set("sg_segments", c.sg_segments)
+                                 .Set("model_send_mbps", c.model_send_mbps)
+                                 .Set("model_recv_mbps", c.model_recv_mbps)
+                                 .Set("sim_mbps", c.sim_mbps));
   }
-
-  return fail ? 1 : 0;
+  report.json.Set("checks.recv_ratio", recv_ratio)
+      .Set("checks.flatten_send_ratio", flatten_send_ratio)
+      .Set("checks.sg_send_ratio", sg_send_ratio)
+      .Set("checks.sg_copied_per_byte", sg.CopiedPerByte())
+      .Set("checks.flatten_copied_per_byte", flatten.CopiedPerByte());
+  return report.Finish();
 }

@@ -15,8 +15,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench/harness.h"
 #include "src/testbed/ttcp.h"
 #include "src/trace/trace.h"
 
@@ -45,7 +45,10 @@ RtcpResult RunOne(NetConfig config, bool wire_limited, uint64_t round_trips,
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t round_trips = argc > 1 ? std::strtoull(argv[1], nullptr, 0) : 20000;
+  uint64_t round_trips = 20000;
+  if (!bench::ParseFlags(argc, argv, {{"round_trips", &round_trips}})) {
+    return 2;
+  }
 
   const struct {
     const char* name;
@@ -91,10 +94,13 @@ int main(int argc, char** argv) {
   }
   std::sort(ratios, ratios + kPairs);
   double overhead = ratios[kPairs / 2];
-  std::printf("\nShape check: rtt(OSKit)/rtt(FreeBSD) = %.2f, median of %d "
-              "interleaved pairs  (paper: > 1 — 'the OSKit imposes significant "
-              "overhead' from glue code)  %s\n",
-              overhead, kPairs, overhead > 1.02 ? "PASS" : "FAIL");
+  bench::Report report("table2_latency", nullptr);
+  std::printf("\nShape check:\n");
+  report.Check("overhead", overhead > 1.02,
+               "rtt(OSKit)/rtt(FreeBSD) = %.2f, median of %d interleaved "
+               "pairs  (paper: > 1 — 'the OSKit imposes significant "
+               "overhead' from glue code)",
+               overhead, kPairs);
   std::printf("The delta is the COM boundary crossings, bufio conversions and "
               "emulated-process glue per packet (see bench/ablation_glue).\n");
   std::printf("Note: the coalesced+polled row pays the 1 ms holdoff per "
@@ -118,5 +124,5 @@ int main(int argc, char** argv) {
       }
     }
   }
-  return 0;
+  return report.Finish();
 }

@@ -22,8 +22,9 @@
 #include <map>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
+
+#include "bench/harness.h"
 
 #ifndef OSKIT_SOURCE_DIR
 #define OSKIT_SOURCE_DIR "."
@@ -181,16 +182,14 @@ const std::map<std::string, const char*> kDescriptions = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Usage: table3_sizes [--json <path>]
   const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: table3_sizes [--json <path>]\n");
-      return 2;
-    }
+  if (!oskit::bench::ParseFlags(argc, argv, {{"--json", &json_path}})) {
+    return 2;
   }
+  oskit::bench::Report report("table3_sizes", json_path);
+  report.json.Set("filter",
+                  "comments, blanks, preprocessor and punctuation-only lines "
+                  "removed");
   const fsys::path root = OSKIT_SOURCE_DIR;
 
   std::printf("Table 3: filtered source line counts of the reproduction's "
@@ -203,7 +202,6 @@ int main(int argc, char** argv) {
               "--------------------------\n");
 
   Counts total;
-  std::string json_libs;
   for (const std::string& name : Libraries(root / "src")) {
     Counts counts = CountDir(root / "src" / name, kDonorIdiom.count(name) > 0);
     auto desc = kDescriptions.find(name);
@@ -214,16 +212,12 @@ int main(int argc, char** argv) {
     total.interface_lines += counts.interface_lines;
     total.native_impl += counts.native_impl;
     total.encapsulated_impl += counts.encapsulated_impl;
-    char row[256];
-    std::snprintf(row, sizeof(row),
-                  "%s\n    \"%s\": {\"interface\": %ld, \"native\": %ld, "
-                  "\"donor_idiom\": %ld, \"total\": %ld}",
-                  json_libs.empty() ? "" : ",", name.c_str(),
-                  counts.interface_lines, counts.native_impl,
-                  counts.encapsulated_impl,
-                  counts.interface_lines + counts.native_impl +
-                      counts.encapsulated_impl);
-    json_libs += row;
+    std::string key = "libraries." + name;
+    report.json.Set(key + ".interface", counts.interface_lines)
+        .Set(key + ".native", counts.native_impl)
+        .Set(key + ".donor_idiom", counts.encapsulated_impl)
+        .Set(key + ".total", counts.interface_lines + counts.native_impl +
+                                 counts.encapsulated_impl);
   }
   std::printf("-----------------------------------------------------------------"
               "--------------------------\n");
@@ -241,11 +235,17 @@ int main(int argc, char** argv) {
   Counts tests = CountDir(root / "tests", false);
   Counts bench = CountDir(root / "bench", false);
   Counts examples = CountDir(root / "examples", false);
+  long outside[] = {tests.native_impl + tests.interface_lines,
+                    bench.native_impl + bench.interface_lines,
+                    examples.native_impl + examples.interface_lines};
   std::printf("\nOutside the kit: tests %ld, benches %ld, examples %ld filtered "
               "lines\n",
-              tests.native_impl + tests.interface_lines,
-              bench.native_impl + bench.interface_lines,
-              examples.native_impl + examples.interface_lines);
+              outside[0], outside[1], outside[2]);
+  report.json.Set("total", grand)
+      .Set("donor_idiom_total", total.encapsulated_impl)
+      .Set("outside_kit.tests", outside[0])
+      .Set("outside_kit.benches", outside[1])
+      .Set("outside_kit.examples", outside[2]);
 
   // Figure 1: the structure diagram, from the real dependency structure.
   std::printf("\nFigure 1: the structure of the OSKit reproduction\n");
@@ -273,19 +273,5 @@ int main(int argc, char** argv) {
       "  [bracketed] components are written in the donor kernel's idiom and\n"
       "  wrapped in glue, standing in for the paper's encapsulated imports.\n");
 
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"filter\": \"comments, blanks, preprocessor and "
-                 "punctuation-only lines removed\",\n  \"libraries\": {%s\n  "
-                 "},\n  \"total\": %ld,\n  \"donor_idiom_total\": %ld\n}\n",
-                 json_libs.c_str(), grand, total.encapsulated_impl);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
-  }
-  return 0;
+  return report.Finish();
 }

@@ -37,10 +37,9 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "src/base/random.h"
 #include "src/com/memblkio.h"
 #include "src/fs/ffs.h"
@@ -497,22 +496,11 @@ void RunCampaign(Mode mode, uint64_t seed, const Options& opt,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg == "--seeds" && i + 1 < argc) {
-      opt.seeds = std::atoi(argv[++i]);
-    } else if (arg == "--seed-base" && i + 1 < argc) {
-      opt.seed_base = std::strtoull(argv[++i], nullptr, 0);
-    } else if (arg == "--rounds" && i + 1 < argc) {
-      opt.rounds = std::atoi(argv[++i]);
-    } else if (arg == "--json" && i + 1 < argc) {
-      opt.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: tenant_campaign [--seeds N] [--seed-base S] "
-                   "[--rounds R] [--json <path>]\n");
-      return 2;
-    }
+  if (!bench::ParseFlags(argc, argv, {{"--seeds", &opt.seeds},
+                                      {"--seed-base", &opt.seed_base},
+                                      {"--rounds", &opt.rounds},
+                                      {"--json", &opt.json_path}})) {
+    return 2;
   }
 
   std::printf("Tenant campaign: %d victims x %d rounds, 5 hostile tenants, "
@@ -520,142 +508,88 @@ int main(int argc, char** argv) {
               kVictims, opt.rounds, opt.seeds,
               static_cast<unsigned long long>(opt.seed_base));
 
-  struct SeedReport {
-    uint64_t seed;
-    double base_p99, guard_p99, ratio;
-    RunResult guard, ablate;
-  };
-  std::vector<SeedReport> reports;
-  bool fail = false;
-
+  bench::Report report("tenant_campaign", opt.json_path);
+  double worst_ratio = 0;
   for (int s = 0; s < opt.seeds; ++s) {
-    SeedReport rep{};
-    rep.seed = opt.seed_base + static_cast<uint64_t>(s);
-
-    RunResult base{};
-    RunCampaign(Mode::kBaseline, rep.seed, opt, &base);
-    RunCampaign(Mode::kGuarded, rep.seed, opt, &rep.guard);
-    RunCampaign(Mode::kAblation, rep.seed, opt, &rep.ablate);
+    uint64_t seed = opt.seed_base + static_cast<uint64_t>(s);
+    RunResult base{}, guard{}, ablate{};
+    RunCampaign(Mode::kBaseline, seed, opt, &base);
+    RunCampaign(Mode::kGuarded, seed, opt, &guard);
+    RunCampaign(Mode::kAblation, seed, opt, &ablate);
 
     std::sort(base.lat_us.begin(), base.lat_us.end());
-    std::sort(rep.guard.lat_us.begin(), rep.guard.lat_us.end());
-    rep.base_p99 = Percentile(base.lat_us, 0.99);
-    rep.guard_p99 = Percentile(rep.guard.lat_us, 0.99);
-    rep.ratio = rep.base_p99 > 0 ? rep.guard_p99 / rep.base_p99 : 0;
+    std::sort(guard.lat_us.begin(), guard.lat_us.end());
+    double base_p99 = Percentile(base.lat_us, 0.99);
+    double guard_p99 = Percentile(guard.lat_us, 0.99);
+    double ratio = base_p99 > 0 ? guard_p99 / base_p99 : 0;
+    worst_ratio = std::max(worst_ratio, ratio);
 
     std::printf("seed %llu: baseline p99 %.1f us | guarded p99 %.1f us "
                 "(%.2fx) denials=%llu shed=%llu leaked=%llu | "
                 "ablation starved net=%d fs=%d\n",
-                static_cast<unsigned long long>(rep.seed), rep.base_p99,
-                rep.guard_p99, rep.ratio,
-                static_cast<unsigned long long>(rep.guard.quota_denials),
-                static_cast<unsigned long long>(rep.guard.rx_shed),
-                static_cast<unsigned long long>(rep.guard.leaked),
-                rep.ablate.starved_net, rep.ablate.starved_fs);
+                static_cast<unsigned long long>(seed), base_p99, guard_p99,
+                ratio, static_cast<unsigned long long>(guard.quota_denials),
+                static_cast<unsigned long long>(guard.rx_shed),
+                static_cast<unsigned long long>(guard.leaked),
+                ablate.starved_net, ablate.starved_fs);
 
     const int expect = kVictims * opt.rounds;
-    bool ok = base.echoes == expect && base.starved_net == 0 &&
-              base.starved_fs == 0;
-    if (!ok) {
-      std::printf("  FAIL baseline: %d/%d echoes, %d net / %d fs "
-                  "failures\n",
-                  base.echoes, expect, base.starved_net, base.starved_fs);
-      fail = true;
-    }
+    report.Check("baseline",
+                 base.echoes == expect && base.starved_net == 0 &&
+                     base.starved_fs == 0,
+                 "%d/%d echoes, %d net / %d fs failures", base.echoes, expect,
+                 base.starved_net, base.starved_fs);
     // Victims behind quotas never feel the attack.
-    ok = rep.guard.echoes == expect && rep.guard.starved_net == 0 &&
-         rep.guard.starved_fs == 0;
-    if (!ok) {
-      std::printf("  FAIL guarded victims: %d/%d echoes, %d net / %d fs "
-                  "failures\n",
-                  rep.guard.echoes, expect, rep.guard.starved_net,
-                  rep.guard.starved_fs);
-      fail = true;
-    }
-    if (rep.base_p99 > 0 && rep.ratio > 3.0) {
-      std::printf("  FAIL guarded p99 %.1f us > 3x baseline %.1f us\n",
-                  rep.guard_p99, rep.base_p99);
-      fail = true;
-    }
+    report.Check("guarded",
+                 guard.echoes == expect && guard.starved_net == 0 &&
+                     guard.starved_fs == 0,
+                 "%d/%d victim echoes, %d net / %d fs failures", guard.echoes,
+                 expect, guard.starved_net, guard.starved_fs);
     // Every attacker was told no, explicitly: kQuotaExceeded, not a hang
     // (completion of the run proves nobody hung) and not a panic.
-    if (rep.guard.spam_denied == 0 || rep.guard.port_denied == 0 ||
-        rep.guard.fill_denied == 0 || rep.guard.churn_denied == 0) {
-      std::printf("  FAIL guarded denials: spam=%llu port=%llu fill=%llu "
-                  "churn=%llu (all must be > 0)\n",
-                  static_cast<unsigned long long>(rep.guard.spam_denied),
-                  static_cast<unsigned long long>(rep.guard.port_denied),
-                  static_cast<unsigned long long>(rep.guard.fill_denied),
-                  static_cast<unsigned long long>(rep.guard.churn_denied));
-      fail = true;
-    }
-    if (rep.guard.rx_shed == 0) {
-      std::printf("  FAIL guarded: the hog's overage was never shed\n");
-      fail = true;
-    }
-    if (rep.guard.leaked != 0) {
-      std::printf("  FAIL guarded leak check: %llu units still charged "
-                  "after teardown\n",
-                  static_cast<unsigned long long>(rep.guard.leaked));
-      fail = true;
-    }
-    // The ablation must hurt: no quotas, starved victims.
-    if (rep.ablate.starved_net == 0 || rep.ablate.starved_fs == 0) {
-      std::printf("  FAIL ablation did not starve victims (net=%d fs=%d): "
-                  "the quota layer is not what isolation rests on\n",
-                  rep.ablate.starved_net, rep.ablate.starved_fs);
-      fail = true;
-    }
-    if (rep.ablate.quota_denials != 0) {
-      std::printf("  FAIL ablation saw %llu kQuotaExceeded denials with "
-                  "wrappers off\n",
-                  static_cast<unsigned long long>(rep.ablate.quota_denials));
-      fail = true;
-    }
-    reports.push_back(rep);
+    report.Check("denials",
+                 guard.spam_denied != 0 && guard.port_denied != 0 &&
+                     guard.fill_denied != 0 && guard.churn_denied != 0,
+                 "spam=%llu port=%llu fill=%llu churn=%llu (all must be > 0)",
+                 static_cast<unsigned long long>(guard.spam_denied),
+                 static_cast<unsigned long long>(guard.port_denied),
+                 static_cast<unsigned long long>(guard.fill_denied),
+                 static_cast<unsigned long long>(guard.churn_denied));
+    report.Check("shed", guard.rx_shed != 0, "%llu bytes of hog overage shed",
+                 static_cast<unsigned long long>(guard.rx_shed));
+    report.Check("leak", guard.leaked == 0,
+                 "%llu units still charged after teardown",
+                 static_cast<unsigned long long>(guard.leaked));
+    // The ablation must hurt: no quotas, starved victims, and no denials.
+    report.Check("ablation",
+                 ablate.starved_net != 0 && ablate.starved_fs != 0 &&
+                     ablate.quota_denials == 0,
+                 "victims starved net=%d fs=%d, %llu kQuotaExceeded denials "
+                 "with wrappers off",
+                 ablate.starved_net, ablate.starved_fs,
+                 static_cast<unsigned long long>(ablate.quota_denials));
+    report.json.Push("seeds", bench::Json()
+                                  .Set("seed", seed)
+                                  .Set("baseline_p99_us", base_p99)
+                                  .Set("guarded_p99_us", guard_p99)
+                                  .Set("ratio", ratio)
+                                  .Set("quota_denials", guard.quota_denials)
+                                  .Set("rx_shed", guard.rx_shed)
+                                  .Set("leaked", guard.leaked)
+                                  .Set("ablation_starved_net",
+                                       ablate.starved_net)
+                                  .Set("ablation_starved_fs",
+                                       ablate.starved_fs));
   }
 
-  double worst_ratio = 0;
-  for (const SeedReport& rep : reports) {
-    worst_ratio = std::max(worst_ratio, rep.ratio);
-  }
   std::printf("\nShape checks:\n");
-  std::printf("  isolation:   worst guarded/baseline p99 ratio %.2fx "
-              "(bound 3x)  %s\n",
-              worst_ratio, worst_ratio <= 3.0 ? "PASS" : "FAIL");
-  std::printf("  overall:     %s\n", fail ? "FAIL" : "PASS");
-
-  if (opt.json_path != nullptr) {
-    FILE* jf = std::fopen(opt.json_path, "w");
-    if (jf == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path);
-      return 2;
-    }
-    std::fprintf(jf, "{\n  \"bench\": \"tenant_campaign\",\n");
-    std::fprintf(jf, "  \"victims\": %d,\n  \"rounds\": %d,\n", kVictims,
-                 opt.rounds);
-    std::fprintf(jf, "  \"p99_bound_factor\": 3.0,\n");
-    std::fprintf(jf, "  \"worst_ratio\": %.3f,\n", worst_ratio);
-    std::fprintf(jf, "  \"seeds\": [\n");
-    for (size_t i = 0; i < reports.size(); ++i) {
-      const SeedReport& rep = reports[i];
-      std::fprintf(
-          jf,
-          "    {\"seed\": %llu, \"baseline_p99_us\": %.1f, "
-          "\"guarded_p99_us\": %.1f, \"ratio\": %.3f, "
-          "\"quota_denials\": %llu, \"rx_shed\": %llu, \"leaked\": %llu, "
-          "\"ablation_starved_net\": %d, \"ablation_starved_fs\": %d}%s\n",
-          static_cast<unsigned long long>(rep.seed), rep.base_p99,
-          rep.guard_p99, rep.ratio,
-          static_cast<unsigned long long>(rep.guard.quota_denials),
-          static_cast<unsigned long long>(rep.guard.rx_shed),
-          static_cast<unsigned long long>(rep.guard.leaked),
-          rep.ablate.starved_net, rep.ablate.starved_fs,
-          i + 1 < reports.size() ? "," : "");
-    }
-    std::fprintf(jf, "  ],\n  \"pass\": %s\n}\n", fail ? "false" : "true");
-    std::fclose(jf);
-    std::printf("wrote %s\n", opt.json_path);
-  }
-  return fail ? 1 : 0;
+  report.Check("isolation", worst_ratio <= 3.0,
+               "worst guarded/baseline p99 ratio %.2fx (bound 3x)",
+               worst_ratio);
+  report.json.Set("victims", kVictims)
+      .Set("rounds", opt.rounds)
+      .Set("p99_bound_factor", 3.0)
+      .Set("worst_ratio", worst_ratio)
+      .Set("pass", report.passed());
+  return report.Finish();
 }

@@ -286,18 +286,18 @@ void KernelMonitor::CmdNicMit(const std::string& args) {
     return;
   }
   // nicmit <idx> <threshold> <holdoff_us> — three numbers, parsed by hand
-  // (ParseNumbers stops at two).
-  const char* p = args.c_str();
-  const char* end = nullptr;
-  uint64_t idx = static_cast<uint64_t>(libc::Strtoul(p, &end, 0));
-  bool ok = end != p;
-  p = end;
-  uint64_t threshold = static_cast<uint64_t>(libc::Strtoul(p, &end, 0));
-  ok = ok && end != p;
-  p = end;
-  uint64_t holdoff_us = static_cast<uint64_t>(libc::Strtoul(p, &end, 0));
-  ok = ok && end != p;
-  if (!ok || threshold < 1) {
+  // (ParseNumbers stops at two).  Strtoul negates a signed number and
+  // holdoff_us * 1000 can wrap, so both are rejected, never programmed.
+  uint64_t v[3] = {};
+  const char* end = args.c_str();
+  bool ok = args.find_first_of("+-") == std::string::npos;
+  for (uint64_t& n : v) {
+    const char* p = end;
+    n = libc::Strtoul(p, &end, 0);
+    ok = ok && end != p;
+  }
+  const uint64_t idx = v[0], threshold = v[1], holdoff_us = v[2];
+  if (!ok || threshold < 1 || holdoff_us > ~uint64_t{0} / 1000) {
     Print("usage: nicmit | nicmit <idx> <threshold> <holdoff_us>\n");
     return;
   }

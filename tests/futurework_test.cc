@@ -185,6 +185,45 @@ TEST_F(KmonTest, TranslatesThroughPageDirectory) {
   EXPECT_NE(std::string::npos, out.find("not mapped"));
 }
 
+TEST_F(KmonTest, ProgramsNicMitigationAndRejectsWrappedInput) {
+  EthernetWire wire(&sim_.clock(), EthernetWire::Config{});
+  NicHw* nic0 = machine_->AddNic(&wire, EtherAddr{{2, 0, 0, 0, 0, 1}}, 11);
+  NicHw* nic1 = machine_->AddNic(&wire, EtherAddr{{2, 0, 0, 0, 0, 2}}, 12);
+  const NicHw::RxMitigation before = nic0->rx_mitigation();
+  KernelMonitor kmon(kernel_.get(), &kernel_->console());
+  Type("nicmit");
+  Type("nicmit 1 8 1000");
+  Type("nicmit 0 -1 5");                 // Strtoul would negate to 2^64-1
+  Type("nicmit 0 4 18446744073709552");  // * 1000 wraps to 384 ns
+  Type("nicmit 0 +4 5");
+  Type("nicmit 0 0 5");                  // threshold below 1
+  Type("nicmit 0 4");                    // a number short
+  Type("nicmit 2 4 5");                  // no such NIC
+  Type("c");
+  sim_.Spawn("kmon", [&] {
+    TrapFrame frame;
+    kmon.Enter(frame);
+  });
+  ASSERT_EQ(Simulation::RunResult::kAllDone, sim_.Run());
+  std::string out = machine_->console_uart().TakeOutput();
+
+  EXPECT_NE(std::string::npos, out.find("nic0: threshold=1 holdoff_us=0"));
+  EXPECT_NE(std::string::npos, out.find("nic1: threshold=1 holdoff_us=0"));
+  EXPECT_NE(std::string::npos, out.find("nic1: threshold=8 holdoff_us=1000"));
+  EXPECT_EQ(8u, nic1->rx_mitigation().frame_threshold);
+  EXPECT_EQ(1000 * kNsPerUs, nic1->rx_mitigation().holdoff_ns);
+
+  size_t usages = 0;
+  for (size_t at = out.find("usage: nicmit"); at != std::string::npos;
+       at = out.find("usage: nicmit", at + 1)) {
+    ++usages;
+  }
+  EXPECT_EQ(5u, usages);
+  EXPECT_NE(std::string::npos, out.find("no such NIC"));
+  EXPECT_EQ(before.frame_threshold, nic0->rx_mitigation().frame_threshold);
+  EXPECT_EQ(before.holdoff_ns, nic0->rx_mitigation().holdoff_ns);
+}
+
 // ---------------------------------------------------------------------------
 // AMM + paging composition: a process address space (§3.3's use case)
 // ---------------------------------------------------------------------------
