@@ -527,13 +527,8 @@ void RunTcpCase(uint64_t run_id, uint64_t arm_at, DiskHw::CutPolicy policy,
 // Aggregate acceptance.
 // ---------------------------------------------------------------------------
 
-struct Requirement {
-  const char* what;
-  std::vector<const char*> any_of;
-};
-
 int CheckAggregate(const Aggregate& agg) {
-  const std::vector<Requirement> required = {
+  return bench::PrintChecklist("aggregate durability checklist", agg, {
       {"journal transactions replayed at mount",
        {"fs.journal.replays", "campaign.crash.replayed_txns"}},
       {"torn transactions discarded at mount",
@@ -545,26 +540,7 @@ int CheckAggregate(const Aggregate& agg) {
       {"tcp stream prefixes verified", {"campaign.tcp.streams_verified"}},
       {"ablation cuts detected by fsck or the model",
        {"campaign.ablation.detected"}},
-  };
-  int missing = 0;
-  std::printf("\naggregate durability checklist:\n");
-  for (const Requirement& req : required) {
-    uint64_t sum = 0;
-    for (const char* name : req.any_of) {
-      auto it = agg.find(name);
-      if (it != agg.end()) {
-        sum += it->second;
-      }
-    }
-    std::printf("  %-46s %12llu %s\n", req.what,
-                static_cast<unsigned long long>(sum),
-                sum != 0 ? "ok" : "MISSING");
-    if (sum == 0) {
-      std::printf("FAIL: aggregate: no evidence that %s\n", req.what);
-      ++missing;
-    }
-  }
-  return missing;
+  });
 }
 
 // The local phases (probe, exhaustive, lossy, ablation) for ONE stack

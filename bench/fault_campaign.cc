@@ -398,13 +398,10 @@ void RunDiskPhase(uint64_t seed, Aggregate* agg) {
 // recovery machinery must have acted at least once across the sweep.
 // ---------------------------------------------------------------------------
 
-struct Requirement {
-  const char* what;
-  std::vector<const char*> any_of;  // sum over these must be nonzero
-};
-
 int CheckAggregate(const Aggregate& agg, uint64_t seeds) {
-  const std::vector<Requirement> required = {
+  std::string title =
+      "aggregate recovery checklist (" + std::to_string(seeds) + " seeds)";
+  return bench::PrintChecklist(title, agg, {
       {"nic tx-drop faults fired", {"fault.nic.tx.drop"}},
       {"nic rx-corrupt faults fired", {"fault.nic.rx.corrupt"}},
       {"nic missed-IRQ faults fired", {"fault.nic.rx.miss_irq"}},
@@ -435,27 +432,7 @@ int CheckAggregate(const Aggregate& agg, uint64_t seeds) {
       {"ide retried transient errors", {"glue.ide.retries"}},
       {"ide watchdog reset a hung controller", {"glue.ide.watchdog_resets"}},
       {"amm retried after injected OOM", {"campaign.amm.recoveries"}},
-  };
-
-  int missing = 0;
-  std::printf("\naggregate recovery checklist (%llu seeds):\n",
-              static_cast<unsigned long long>(seeds));
-  for (const Requirement& req : required) {
-    uint64_t sum = 0;
-    for (const char* name : req.any_of) {
-      auto it = agg.find(name);
-      if (it != agg.end()) {
-        sum += it->second;
-      }
-    }
-    std::printf("  %-42s %12llu %s\n", req.what,
-                static_cast<unsigned long long>(sum), sum != 0 ? "ok" : "MISSING");
-    if (sum == 0) {
-      std::printf("FAIL: aggregate: no evidence that %s\n", req.what);
-      ++missing;
-    }
-  }
-  return missing;
+  });
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -300,6 +301,38 @@ class Report {
   const char* path_;
   std::vector<std::pair<std::string, bool>> checks_;
 };
+
+// One row of a campaign's evidence checklist: `what` held somewhere in the
+// campaign if the counters named in `any_of` sum to nonzero.
+struct Evidence {
+  const char* what;
+  std::vector<const char*> any_of;
+};
+
+// Prints the "<title>:" table, one row per item, and a
+// "FAIL: aggregate: no evidence that <what>" line for each item whose
+// counters sum to zero in `counters`.  Returns how many items lacked
+// evidence.
+inline int PrintChecklist(const std::string& title,
+                          const std::map<std::string, uint64_t>& counters,
+                          const std::vector<Evidence>& items) {
+  int missing = 0;
+  std::printf("\n%s:\n", title.c_str());
+  for (const Evidence& item : items) {
+    uint64_t sum = 0;
+    for (const char* name : item.any_of) {
+      auto it = counters.find(name);
+      sum += it != counters.end() ? it->second : 0;
+    }
+    std::printf("  %-46s %12llu %s\n", item.what,
+                static_cast<unsigned long long>(sum), sum != 0 ? "ok" : "MISSING");
+    if (sum == 0) {
+      std::printf("FAIL: aggregate: no evidence that %s\n", item.what);
+      ++missing;
+    }
+  }
+  return missing;
+}
 
 }  // namespace oskit::bench
 

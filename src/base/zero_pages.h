@@ -30,15 +30,8 @@
 #include <cstdint>
 #include <cstring>
 
+#include "src/base/asan.h"
 #include "src/base/panic.h"
-
-#if __has_include(<sanitizer/asan_interface.h>)
-#include <sanitizer/asan_interface.h>
-#endif
-#ifndef ASAN_POISON_MEMORY_REGION
-#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
-#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
-#endif
 
 namespace oskit {
 

@@ -1,5 +1,7 @@
 #include "src/libc/string.h"
 
+#include <climits>
+
 namespace oskit::libc {
 
 size_t Strlen(const char* s) {
@@ -21,17 +23,6 @@ size_t Strnlen(const char* s, size_t max) {
 char* Strcpy(char* dst, const char* src) {
   char* d = dst;
   while ((*d++ = *src++) != '\0') {
-  }
-  return dst;
-}
-
-char* Strncpy(char* dst, const char* src, size_t n) {
-  size_t i = 0;
-  for (; i < n && src[i] != '\0'; ++i) {
-    dst[i] = src[i];
-  }
-  for (; i < n; ++i) {
-    dst[i] = '\0';
   }
   return dst;
 }
@@ -195,6 +186,7 @@ unsigned long Strtoul(const char* s, const char** end, int base) {
     base = 10;
   }
   unsigned long value = 0;
+  bool overflow = false;
   const char* start = s;
   for (;; ++s) {
     int digit;
@@ -208,12 +200,15 @@ unsigned long Strtoul(const char* s, const char** end, int base) {
     if (digit >= base) {
       break;
     }
-    value = value * static_cast<unsigned long>(base) + static_cast<unsigned long>(digit);
+    auto b = static_cast<unsigned long>(base), d = static_cast<unsigned long>(digit);
+    overflow = overflow || value > (ULONG_MAX - d) / b;
+    value = value * b + d;
   }
   if (end != nullptr) {
     *end = s == start ? start : s;
   }
-  return negate ? ~value + 1 : value;
+  // Past ULONG_MAX saturates, sign or no sign, as C's strtoul does.
+  return overflow ? ULONG_MAX : negate ? ~value + 1 : value;
 }
 
 long Strtol(const char* s, const char** end, int base) {

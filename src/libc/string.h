@@ -16,7 +16,6 @@ namespace oskit::libc {
 size_t Strlen(const char* s);
 size_t Strnlen(const char* s, size_t max);
 char* Strcpy(char* dst, const char* src);
-char* Strncpy(char* dst, const char* src, size_t n);
 size_t Strlcpy(char* dst, const char* src, size_t size);  // BSD-style, safer
 char* Strcat(char* dst, const char* src);
 int Strcmp(const char* a, const char* b);
@@ -33,7 +32,8 @@ int Memcmp(const void* a, const void* b, size_t n);
 const void* Memchr(const void* s, int c, size_t n);
 
 // Numeric conversion.  Matches C strtol semantics: optional whitespace,
-// sign, base prefix ("0x"/"0") when base == 0.
+// sign, base prefix ("0x"/"0") when base == 0.  Strtoul saturates at
+// ULONG_MAX past 2^64 - 1.
 long Strtol(const char* s, const char** end, int base);
 unsigned long Strtoul(const char* s, const char** end, int base);
 int Atoi(const char* s);

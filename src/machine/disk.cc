@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/base/panic.h"
 #include "src/base/random.h"
@@ -16,25 +17,29 @@ SimTime DiskHw::EffectiveDelay(SimTime delay) {
   return delay;
 }
 
-void DiskHw::SubmitRead(uint64_t lba, uint32_t sectors, uint8_t* buf) {
+bool DiskHw::Admit(uint64_t lba, uint32_t sectors, const char* site, SimTime delay) {
   OSKIT_ASSERT_MSG(!busy_, "request submitted while disk busy");
   busy_ = true;
-  if (powered_off_) {
-    pending_ = clock_->ScheduleAfter(timing_.seek_ns,
+  if (!powered_off_ && fault_->ShouldFail("disk.stuck")) {
+    return false;  // controller hang: no completion until Reset()
+  }
+  Error early = powered_off_                    ? Error::kIo
+                : lba + sectors > sector_count_ ? Error::kOutOfRange
+                                                : Error::kOk;
+  if (early != Error::kOk) {
+    pending_ = clock_->ScheduleAfter(timing_.seek_ns, [this, early] { Complete(early); });
+    return false;
+  }
+  if (fault_->ShouldFail(site)) {
+    pending_ = clock_->ScheduleAfter(EffectiveDelay(delay),
                                      [this] { Complete(Error::kIo); });
-    return;
+    return false;
   }
-  if (fault_->ShouldFail("disk.stuck")) {
-    return;  // controller hang: no completion until Reset()
-  }
-  if (lba + sectors > sector_count_) {
-    pending_ = clock_->ScheduleAfter(timing_.seek_ns,
-                                     [this] { Complete(Error::kOutOfRange); });
-    return;
-  }
-  if (fault_->ShouldFail("disk.read.error")) {
-    pending_ = clock_->ScheduleAfter(EffectiveDelay(TransferDelay(sectors)),
-                                     [this] { Complete(Error::kIo); });
+  return true;
+}
+
+void DiskHw::SubmitRead(uint64_t lba, uint32_t sectors, uint8_t* buf) {
+  if (!Admit(lba, sectors, "disk.read.error", TransferDelay(sectors))) {
     return;
   }
   // Latch the transfer; data moves at completion time (models DMA finishing).
@@ -61,24 +66,7 @@ void DiskHw::SubmitRead(uint64_t lba, uint32_t sectors, uint8_t* buf) {
 }
 
 void DiskHw::SubmitWrite(uint64_t lba, uint32_t sectors, const uint8_t* buf) {
-  OSKIT_ASSERT_MSG(!busy_, "request submitted while disk busy");
-  busy_ = true;
-  if (powered_off_) {
-    pending_ = clock_->ScheduleAfter(timing_.seek_ns,
-                                     [this] { Complete(Error::kIo); });
-    return;
-  }
-  if (fault_->ShouldFail("disk.stuck")) {
-    return;  // controller hang: no completion until Reset()
-  }
-  if (lba + sectors > sector_count_) {
-    pending_ = clock_->ScheduleAfter(timing_.seek_ns,
-                                     [this] { Complete(Error::kOutOfRange); });
-    return;
-  }
-  if (fault_->ShouldFail("disk.write.error")) {
-    pending_ = clock_->ScheduleAfter(EffectiveDelay(TransferDelay(sectors)),
-                                     [this] { Complete(Error::kIo); });
+  if (!Admit(lba, sectors, "disk.write.error", TransferDelay(sectors))) {
     return;
   }
   uint64_t offset = lba * kSectorSize;
@@ -110,22 +98,10 @@ void DiskHw::SubmitWrite(uint64_t lba, uint32_t sectors, const uint8_t* buf) {
 }
 
 void DiskHw::SubmitFlush() {
-  OSKIT_ASSERT_MSG(!busy_, "request submitted while disk busy");
-  busy_ = true;
-  if (powered_off_) {
-    pending_ = clock_->ScheduleAfter(timing_.seek_ns,
-                                     [this] { Complete(Error::kIo); });
-    return;
-  }
-  if (fault_->ShouldFail("disk.stuck")) {
-    return;  // controller hang: no completion until Reset()
-  }
   size_t cached_bytes = undo_arena_.size() / 2;  // each entry: data + pre-image
   SimTime delay = timing_.seek_ns + timing_.per_byte_ns * cached_bytes;
-  if (fault_->ShouldFail("disk.flush.error")) {
-    // The command fails and the cache stays volatile; the driver must retry.
-    pending_ = clock_->ScheduleAfter(EffectiveDelay(delay),
-                                     [this] { Complete(Error::kIo); });
+  // A failed flush leaves the cache volatile; the driver must retry.
+  if (!Admit(0, 0, "disk.flush.error", delay)) {
     return;
   }
   pending_ = clock_->ScheduleAfter(EffectiveDelay(delay), [this] {
@@ -137,10 +113,8 @@ void DiskHw::SubmitFlush() {
 }
 
 void DiskHw::Reset() {
-  if (pending_ != SimClock::kInvalidEvent) {
-    clock_->Cancel(pending_);  // a late completion must not fire mid-retry
-    pending_ = SimClock::kInvalidEvent;
-  }
+  // A late completion must not fire mid-retry.
+  clock_->Cancel(std::exchange(pending_, SimClock::kInvalidEvent));
   busy_ = false;
   done_ = false;
   status_ = Error::kOk;
@@ -170,10 +144,7 @@ void DiskHw::DropUndoLog() {
 
 void DiskHw::PowerCut(CutPolicy policy, uint64_t seed) {
   // Any in-flight request dies with the power: cancel its completion.
-  if (pending_ != SimClock::kInvalidEvent) {
-    clock_->Cancel(pending_);
-    pending_ = SimClock::kInvalidEvent;
-  }
+  clock_->Cancel(std::exchange(pending_, SimClock::kInvalidEvent));
   if (wcache_enabled_) {
     // Roll the store back to the durable image, newest write first so an
     // overlapped range ends at its oldest pre-image.

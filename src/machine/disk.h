@@ -177,6 +177,11 @@ class DiskHw {
   };
 
   void Complete(Error status);
+  // The checks every request passes, in this order: it latches the disk
+  // busy; a powered-off disk fails it, a stuck controller never completes
+  // it, an out-of-range one fails, and the fault at `site` fails it after
+  // `delay`.  False when one of them decided the request.
+  bool Admit(uint64_t lba, uint32_t sectors, const char* site, SimTime delay);
   // Applies the disk.slow fault to a nominal delay.
   SimTime EffectiveDelay(SimTime delay);
   SimTime TransferDelay(uint32_t sectors) const {

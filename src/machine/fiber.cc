@@ -1,5 +1,9 @@
 #include "src/machine/fiber.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include "src/base/asan.h"
 #include "src/base/panic.h"
 
 namespace oskit {
@@ -8,25 +12,64 @@ namespace {
 // makecontext() can only pass ints to the trampoline portably, so the target
 // fiber is handed over through this slot instead.
 thread_local Fiber* g_trampoline_target = nullptr;
-thread_local FiberScheduler* g_trampoline_scheduler = nullptr;
+
+size_t Page() {
+  static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+// Clears the shadow too, or a later mapping at this address inherits it.
+void Unmap(FiberStack stack) {
+  ASAN_UNPOISON_MEMORY_REGION(stack.base, stack.size);
+  munmap(stack.base - Page(), stack.size + Page());
+}
+
+// Finished fibers' stacks, newest last, kept for this thread's next Spawn.
+struct StackCache {
+  static constexpr size_t kMax = 64;
+  std::vector<FiberStack> stacks;
+  ~StackCache() {
+    for (FiberStack stack : stacks) {
+      Unmap(stack);
+    }
+  }
+};
+thread_local StackCache g_stack_cache;
+
+FiberStack TakeStack(size_t size) {
+  if (!g_stack_cache.stacks.empty() && g_stack_cache.stacks.back().size == size) {
+    FiberStack stack = g_stack_cache.stacks.back();
+    g_stack_cache.stacks.pop_back();
+    // A fiber that died blocked never unwound: its frames' redzones are
+    // still poisoned.
+    ASAN_UNPOISON_MEMORY_REGION(stack.base, size);
+    return stack;
+  }
+  const int flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK;
+  auto* region = static_cast<uint8_t*>(
+      mmap(nullptr, size + Page(), PROT_READ | PROT_WRITE, flags, -1, 0));
+  OSKIT_ASSERT_MSG(region != MAP_FAILED && mprotect(region, Page(), PROT_NONE) == 0,
+                   "cannot map a guarded fiber stack");
+  return {region + Page(), size};
+}
 
 }  // namespace
 
-Fiber::Fiber(std::string name, std::function<void()> entry, size_t stack_size)
-    : name_(std::move(name)),
-      entry_(std::move(entry)),
-      stack_(std::make_unique_for_overwrite<uint8_t[]>(stack_size)),
-      stack_size_(stack_size) {}
+FiberScheduler::~FiberScheduler() {
+  for (const auto& fiber : fibers_) {
+    Unmap(fiber->stack_);
+  }
+}
 
 Fiber* FiberScheduler::Spawn(std::string name, std::function<void()> entry,
                              size_t stack_size) {
-  auto fiber = std::unique_ptr<Fiber>(
-      new Fiber(std::move(name), std::move(entry), stack_size));
+  auto fiber = std::unique_ptr<Fiber>(new Fiber(std::move(name), std::move(entry)));
   Fiber* raw = fiber.get();
   raw->scheduler_ = this;
+  raw->stack_ = TakeStack(stack_size);
   getcontext(&raw->context_);
-  raw->context_.uc_stack.ss_sp = raw->stack_.get();
-  raw->context_.uc_stack.ss_size = raw->stack_size_;
+  raw->context_.uc_stack.ss_sp = raw->stack_.base;
+  raw->context_.uc_stack.ss_size = raw->stack_.size;
   raw->context_.uc_link = &scheduler_context_;
   // The target is latched in SwitchTo just before the first switch.
   makecontext(&raw->context_, &FiberScheduler::Trampoline, 0);
@@ -49,7 +92,6 @@ void FiberScheduler::SwitchTo(Fiber* fiber) {
   fiber->state_ = Fiber::State::kRunning;
   current_ = fiber;
   g_trampoline_target = fiber;
-  g_trampoline_scheduler = this;
   swapcontext(&scheduler_context_, &fiber->context_);
   current_ = nullptr;
 }
@@ -65,12 +107,13 @@ void FiberScheduler::RunReady() {
     SwitchTo(next);
     if (next->state_ == Fiber::State::kDone) {
       // Reap: fibers are few and short-lived enough for a linear sweep.
-      for (auto it = fibers_.begin(); it != fibers_.end(); ++it) {
-        if (it->get() == next) {
-          fibers_.erase(it);
-          break;
-        }
+      // The stack goes back to the cache, or past its high-water mark away.
+      if (g_stack_cache.stacks.size() < StackCache::kMax) {
+        g_stack_cache.stacks.push_back(next->stack_);
+      } else {
+        Unmap(next->stack_);
       }
+      std::erase_if(fibers_, [next](const auto& fiber) { return fiber.get() == next; });
     }
   }
 }

@@ -147,50 +147,36 @@ size_t MemMonitor::PageCount(PageProt prot) const {
   return n;
 }
 
+Error MemMonitor::CheckedCopy(uint32_t domain, PhysAddr addr, size_t len,
+                              MemAccess access, const void* buf) {
+  Error err = Check(domain, addr, len, access);
+  if (err == Error::kOk && len != 0) {
+    void* phys = phys_->PtrAt(addr);
+    if (access == MemAccess::kComponentLoad) {
+      std::memcpy(const_cast<void*>(buf), phys, len);
+    } else {
+      std::memcpy(phys, buf, len);
+    }
+  }
+  return err;
+}
+
 Error MemMonitor::KernelStore(PhysAddr addr, const void* src, size_t len) {
-  Error err = Check(kKernelDomain, addr, len, MemAccess::kKernelStore);
-  if (err != Error::kOk) {
-    return err;
-  }
-  if (len != 0) {
-    std::memcpy(phys_->PtrAt(addr), src, len);
-  }
-  return Error::kOk;
+  return CheckedCopy(kKernelDomain, addr, len, MemAccess::kKernelStore, src);
 }
 
 Error MemMonitor::ComponentStore(uint32_t domain, PhysAddr addr,
                                  const void* src, size_t len) {
-  Error err = Check(domain, addr, len, MemAccess::kComponentStore);
-  if (err != Error::kOk) {
-    return err;
-  }
-  if (len != 0) {
-    std::memcpy(phys_->PtrAt(addr), src, len);
-  }
-  return Error::kOk;
+  return CheckedCopy(domain, addr, len, MemAccess::kComponentStore, src);
 }
 
 Error MemMonitor::ComponentLoad(uint32_t domain, PhysAddr addr, void* dst,
                                 size_t len) {
-  Error err = Check(domain, addr, len, MemAccess::kComponentLoad);
-  if (err != Error::kOk) {
-    return err;
-  }
-  if (len != 0) {
-    std::memcpy(dst, phys_->PtrAt(addr), len);
-  }
-  return Error::kOk;
+  return CheckedCopy(domain, addr, len, MemAccess::kComponentLoad, dst);
 }
 
 Error MemMonitor::DmaStore(PhysAddr addr, const void* src, size_t len) {
-  Error err = Check(kKernelDomain, addr, len, MemAccess::kDmaStore);
-  if (err != Error::kOk) {
-    return err;
-  }
-  if (len != 0) {
-    std::memcpy(phys_->PtrAt(addr), src, len);
-  }
-  return Error::kOk;
+  return CheckedCopy(kKernelDomain, addr, len, MemAccess::kDmaStore, src);
 }
 
 void MemMonitor::KillDomain(uint32_t domain) {

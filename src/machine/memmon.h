@@ -177,6 +177,11 @@ class MemMonitor {
   // kFault for bad spans; kOk when the access may proceed; kAccess after
   // recording + raising a violation.
   Error Check(uint32_t domain, PhysAddr addr, size_t len, MemAccess access);
+  // Check, then copy `len` bytes between physical memory at `addr` and
+  // `buf`: into `buf` for a load (which passes a writable buffer), out of
+  // it for every store.
+  Error CheckedCopy(uint32_t domain, PhysAddr addr, size_t len, MemAccess access,
+                    const void* buf);
   void RaiseViolation(uint32_t domain, PhysAddr addr, MemAccess access,
                       PageProt prot);
   void SetRange(PhysAddr addr, size_t len, PageProt prot);

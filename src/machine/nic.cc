@@ -1,6 +1,7 @@
 #include "src/machine/nic.h"
 
 #include <cstring>
+#include <utility>
 
 #include "src/base/panic.h"
 
@@ -135,10 +136,7 @@ void NicHw::HoldoffFired() {
 }
 
 void NicHw::CancelHoldoff() {
-  if (holdoff_event_ != SimClock::kInvalidEvent) {
-    clock_->Cancel(holdoff_event_);
-    holdoff_event_ = SimClock::kInvalidEvent;
-  }
+  clock_->Cancel(std::exchange(holdoff_event_, SimClock::kInvalidEvent));
 }
 
 bool NicHw::AcceptsFrame(const uint8_t* frame, size_t len) const {

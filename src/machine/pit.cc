@@ -1,5 +1,8 @@
 #include "src/machine/pit.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace oskit {
 
 void Pit::Start(uint32_t hz) {
@@ -14,10 +17,7 @@ void Pit::Start(uint32_t hz) {
 }
 
 void Pit::Stop() {
-  if (pending_event_ != SimClock::kInvalidEvent) {
-    clock_->Cancel(pending_event_);
-    pending_event_ = SimClock::kInvalidEvent;
-  }
+  clock_->Cancel(std::exchange(pending_event_, SimClock::kInvalidEvent));
   running_ = false;
 }
 
@@ -45,12 +45,7 @@ void Pit::Tick() {
     // Steer back toward the nominal tick train, at most half a period per
     // tick so the interval never collapses or doubles.
     int64_t limit = static_cast<int64_t>(period_ns_ / 2);
-    int64_t correction = -drift_ns_;
-    if (correction > limit) {
-      correction = limit;
-    } else if (correction < -limit) {
-      correction = -limit;
-    }
+    int64_t correction = std::clamp(-drift_ns_, -limit, limit);
     period = static_cast<SimTime>(static_cast<int64_t>(period) + correction);
     drift_ns_ += correction;
     ++skew_compensations_;

@@ -1,8 +1,10 @@
 #include "src/machine/switch.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
+#include "src/base/asan.h"
 #include "src/base/panic.h"
 
 namespace oskit {
@@ -71,37 +73,56 @@ const VirtualSwitch::PortConfig& VirtualSwitch::port_config(int port) const {
   return ports_[port].config;
 }
 
+VirtualSwitch::FrameRef VirtualSwitch::AcquireFrame() {
+  if (free_frames_.empty()) {
+    free_frames_.emplace_front();
+  }
+  in_flight_.splice(in_flight_.begin(), free_frames_, free_frames_.begin());
+  FrameRef frame = in_flight_.begin();
+  ASAN_UNPOISON_MEMORY_REGION(frame->bytes.data(), frame->bytes.capacity());
+  frame->refs = 1;
+  frame->bytes.clear();
+  return frame;
+}
+
+void VirtualSwitch::ReleaseFrame(FrameRef frame) {
+  if (--frame->refs != 0) {
+    return;
+  }
+  if (free_frames_.size() >= kFrameCacheMax) {
+    in_flight_.erase(frame);
+    return;
+  }
+  ASAN_POISON_MEMORY_REGION(frame->bytes.data(), frame->bytes.capacity());
+  free_frames_.splice(free_frames_.begin(), in_flight_, frame);
+}
+
 void VirtualSwitch::Transmit(WireEndpoint* source, const uint8_t* frame,
                              size_t len) {
-  int in = PortOf(source);
-  OSKIT_ASSERT_MSG(in >= 0, "transmit from unattached endpoint");
-  Forward(in, std::vector<uint8_t>(frame, frame + len));
+  FrameRef pooled = AcquireFrame();
+  pooled->bytes.assign(frame, frame + len);
+  Forward(source, pooled);
 }
 
 void VirtualSwitch::Transmit(WireEndpoint* source, const uint8_t* const* chunks,
                              const size_t* lens, size_t count) {
-  int in = PortOf(source);
-  OSKIT_ASSERT_MSG(in >= 0, "transmit from unattached endpoint");
-  size_t total = 0;
+  FrameRef frame = AcquireFrame();
   for (size_t i = 0; i < count; ++i) {
-    total += lens[i];
-  }
-  std::vector<uint8_t> frame;
-  frame.reserve(total);
-  for (size_t i = 0; i < count; ++i) {
-    frame.insert(frame.end(), chunks[i], chunks[i] + lens[i]);
+    frame->bytes.insert(frame->bytes.end(), chunks[i], chunks[i] + lens[i]);
   }
   ++gather_transmits_;
-  Forward(in, std::move(frame));
+  Forward(source, frame);
 }
 
-void VirtualSwitch::Forward(int in_port, std::vector<uint8_t> frame) {
+void VirtualSwitch::Forward(WireEndpoint* source, FrameRef frame) {
+  int in_port = PortOf(source);
+  OSKIT_ASSERT_MSG(in_port >= 0, "transmit from unattached endpoint");
   ++frames_in_;
-  bytes_carried_ += frame.size();
-  OSKIT_ASSERT_MSG(frame.size() >= kHeaderBytes, "runt frame at switch");
+  bytes_carried_ += frame->bytes.size();
+  OSKIT_ASSERT_MSG(frame->bytes.size() >= kHeaderBytes, "runt frame at switch");
 
-  const uint8_t* dst = frame.data();
-  const uint8_t* src = frame.data() + kMacBytes;
+  const uint8_t* dst = frame->bytes.data();
+  const uint8_t* src = dst + kMacBytes;
 
   // Learn (or migrate) the source address on the ingress port.
   if (!IsGroupMac(src)) {
@@ -121,31 +142,26 @@ void VirtualSwitch::Forward(int in_port, std::vector<uint8_t> frame) {
   }
 
   // Forwarding decision: unicast to the learned port, else flood.
-  if (!IsGroupMac(dst)) {
-    auto it = mac_table_.find(PackMac(dst));
-    if (it != mac_table_.end()) {
-      if (it->second == in_port) {
-        // Destination lives on the ingress segment; a real switch filters
-        // the frame rather than echoing it back.
-        ++frames_filtered_;
-        return;
+  auto learned = IsGroupMac(dst) ? mac_table_.end() : mac_table_.find(PackMac(dst));
+  if (learned == mac_table_.end()) {
+    ++frames_flooded_;
+    for (size_t out = 0; out < ports_.size(); ++out) {
+      if (static_cast<int>(out) != in_port) {
+        Egress(static_cast<int>(out), frame);
       }
-      ++frames_unicast_;
-      Egress(it->second, frame);
-      return;
     }
+  } else if (learned->second == in_port) {
+    // Destination lives on the ingress segment; a real switch filters the
+    // frame rather than echoing it back.
+    ++frames_filtered_;
+  } else {
+    ++frames_unicast_;
+    Egress(learned->second, frame);
   }
-
-  ++frames_flooded_;
-  for (size_t out = 0; out < ports_.size(); ++out) {
-    if (static_cast<int>(out) == in_port) {
-      continue;
-    }
-    Egress(static_cast<int>(out), frame);
-  }
+  ReleaseFrame(frame);
 }
 
-void VirtualSwitch::Egress(int out, const std::vector<uint8_t>& frame) {
+void VirtualSwitch::Egress(int out, FrameRef frame) {
   Port& port = ports_[static_cast<size_t>(out)];
   const PortConfig& cfg = port.config;
 
@@ -156,39 +172,32 @@ void VirtualSwitch::Egress(int out, const std::vector<uint8_t>& frame) {
 
   // Per-port serialization: frames leave this egress back to back, but two
   // different ports transmit concurrently (no shared collision domain).
-  SimTime start = clock_->Now();
-  if (start < port.egress_free_at) {
-    start = port.egress_free_at;
-  }
-  SimTime serialize = 0;
-  if (cfg.bits_per_second != 0) {
-    serialize = static_cast<SimTime>(frame.size()) * 8 * kNsPerSec /
-                cfg.bits_per_second;
-  }
+  SimTime start = std::max(clock_->Now(), port.egress_free_at);
+  SimTime serialize = cfg.bits_per_second == 0
+                          ? 0
+                          : static_cast<SimTime>(frame->bytes.size()) * 8 *
+                                kNsPerSec / cfg.bits_per_second;
   port.egress_free_at = start + serialize;
-  SimTime arrival = port.egress_free_at + cfg.propagation_ns;
+  const SimTime arrival = port.egress_free_at + cfg.propagation_ns;
+  auto jittered = [&, jitter = cfg.reorder_jitter_ns] {
+    return arrival + (jitter == 0 ? 0 : rng_.Below(jitter + 1));
+  };
 
-  SimTime when = arrival;
-  if (cfg.reorder_jitter_ns != 0) {
-    when += rng_.Below(cfg.reorder_jitter_ns + 1);
-  }
+  SimTime when = jittered();
   if (cfg.duplicate_percent != 0 && rng_.Percent(cfg.duplicate_percent)) {
     ++frames_duplicated_;
-    SimTime dup_when = arrival;
-    if (cfg.reorder_jitter_ns != 0) {
-      dup_when += rng_.Below(cfg.reorder_jitter_ns + 1);
-    }
-    ScheduleDelivery(port.endpoint, frame, dup_when);
+    ScheduleDelivery(port.endpoint, frame, jittered());
   }
   ScheduleDelivery(port.endpoint, frame, when);
 }
 
-void VirtualSwitch::ScheduleDelivery(WireEndpoint* dest,
-                                     std::vector<uint8_t> frame,
+void VirtualSwitch::ScheduleDelivery(WireEndpoint* dest, FrameRef frame,
                                      SimTime when) {
+  ++frame->refs;
   SimTime delay = when > clock_->Now() ? when - clock_->Now() : 0;
-  clock_->ScheduleAfter(delay, [dest, frame = std::move(frame)] {
-    dest->FrameArrived(frame.data(), frame.size());
+  clock_->ScheduleAfter(delay, [this, dest, frame] {
+    dest->FrameArrived(frame->bytes.data(), frame->bytes.size());
+    ReleaseFrame(frame);
   });
 }
 

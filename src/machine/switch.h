@@ -15,11 +15,18 @@
 // report through the trace registry under "switch.*" (§4.6 exposed
 // implementation), plus plain getters for harnesses that do not bind a
 // registry.
+//
+// A transmitted frame is built once, into a refcounted buffer from the
+// switch's own pool; every egress port and every duplicate delivers that
+// same buffer, and the last delivery returns it to the pool.  Receivers see
+// it as const bytes for the length of FrameArrived and copy what they keep
+// (the NIC's RX ring does).
 
 #ifndef OSKIT_SRC_MACHINE_SWITCH_H_
 #define OSKIT_SRC_MACHINE_SWITCH_H_
 
 #include <cstdint>
+#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -81,26 +88,49 @@ class VirtualSwitch final : public EtherLink {
   uint64_t macs_learned() const { return macs_learned_.value(); }
   uint64_t mac_moves() const { return mac_moves_.value(); }
   uint64_t mac_table_full() const { return mac_table_full_.value(); }
+  // Pooled frames some scheduled delivery still holds.
+  size_t frames_outstanding() const { return in_flight_.size(); }
 
  private:
+  // Free-list high-water mark of the frame pool.
+  static constexpr size_t kFrameCacheMax = 256;
+
   struct Port {
     WireEndpoint* endpoint;
     PortConfig config;
     SimTime egress_free_at = 0;  // per-port serialization point
   };
 
-  // Learn the source MAC, pick the output port set, egress.
-  void Forward(int in_port, std::vector<uint8_t> frame);
-  // Runs one frame copy through port `out`'s egress queue and fault model.
-  void Egress(int out, const std::vector<uint8_t>& frame);
-  void ScheduleDelivery(WireEndpoint* dest, std::vector<uint8_t> frame,
-                        SimTime when);
+  struct Frame {
+    uint32_t refs = 0;
+    std::vector<uint8_t> bytes;  // capacity kept across reuse
+  };
+  // A pooled frame; list nodes never move, so the handle stays valid until
+  // the frame is released.
+  using FrameRef = std::list<Frame>::iterator;
+
+  // A frame with one reference (the caller's) and no bytes.
+  FrameRef AcquireFrame();
+  void ReleaseFrame(FrameRef frame);
+
+  // Learn the source MAC, pick the output port set, egress; then drop the
+  // transmit's own reference.
+  void Forward(WireEndpoint* source, FrameRef frame);
+  // Runs one delivery of `frame` through port `out`'s egress queue and
+  // fault model.
+  void Egress(int out, FrameRef frame);
+  void ScheduleDelivery(WireEndpoint* dest, FrameRef frame, SimTime when);
 
   SimClock* clock_;
   Config config_;
   Rng rng_;
   std::vector<Port> ports_;
   std::unordered_map<uint64_t, int> mac_table_;  // 48-bit MAC -> port
+  // Frames move between the two lists by splice, which allocates nothing.
+  // Deliveries still scheduled when the switch dies hold plain handles, so
+  // the lists free every frame exactly once.
+  std::list<Frame> in_flight_;
+  std::list<Frame> free_frames_;
 
   // Counters are the single source of truth (a trace::Counter is a plain
   // word); registration is non-owning so the getters above stay cheap.

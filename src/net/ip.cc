@@ -17,28 +17,13 @@ constexpr size_t kMaxDatagram = 65535;
 }  // namespace
 
 int NetStack::RouteFor(InetAddr dst, InetAddr* out_next_hop) {
-  // Directly-attached subnet first; otherwise the default gateway.
+  // Directly-attached subnets only.
   for (size_t i = 0; i < ifaces_.size(); ++i) {
     const Iface& iface = ifaces_[i];
-    if (!iface.configured) {
-      continue;
-    }
-    if ((dst.value & iface.netmask.value) == (iface.addr.value & iface.netmask.value)) {
+    if (iface.configured &&
+        (dst.value & iface.netmask.value) == (iface.addr.value & iface.netmask.value)) {
       *out_next_hop = dst;
       return static_cast<int>(i);
-    }
-  }
-  if (!gateway_.IsAny()) {
-    for (size_t i = 0; i < ifaces_.size(); ++i) {
-      const Iface& iface = ifaces_[i];
-      if (!iface.configured) {
-        continue;
-      }
-      if ((gateway_.value & iface.netmask.value) ==
-          (iface.addr.value & iface.netmask.value)) {
-        *out_next_hop = gateway_;
-        return static_cast<int>(i);
-      }
     }
   }
   return -1;

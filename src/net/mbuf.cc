@@ -3,18 +3,56 @@
 #include <cstring>
 #include <new>
 
+#include "src/base/asan.h"
 #include "src/base/panic.h"
 
 namespace oskit::net {
+
+namespace {
+
+// The newest cached block of `size` bytes (unpoisoned), or a fresh one.
+template <typename T>
+void* Take(std::vector<T*>& cache, size_t size) {
+  if (cache.empty()) {
+    return ::operator new(size);
+  }
+  T* item = cache.back();
+  cache.pop_back();
+  ASAN_UNPOISON_MEMORY_REGION(item, size);
+  return item;
+}
+
+// Caches `item` (poisoned), or frees it past the high-water mark.
+template <typename T>
+void Give(std::vector<T*>& cache, T* item, size_t size) {
+  if (cache.size() >= MbufPool::kCacheMax) {
+    ::operator delete(item);
+    return;
+  }
+  ASAN_POISON_MEMORY_REGION(item, size);
+  cache.push_back(item);
+}
+
+}  // namespace
 
 MbufPool::~MbufPool() {
   // Live buffers at teardown are a component bug; be loud in tests.
   OSKIT_ASSERT_MSG(mbufs_live_ == 0, "mbuf leak at pool destruction");
   OSKIT_ASSERT_MSG(clusters_live_ == 0, "cluster leak at pool destruction");
+  for (void* item : free_mbufs_) {
+    ::operator delete(item);
+  }
+  for (void* item : free_exts_) {
+    ::operator delete(item);
+  }
+  for (void* item : free_clusters_) {
+    ::operator delete(item);
+  }
 }
 
 MBuf* MbufPool::Get() {
-  auto* m = new MBuf();
+  // Value-initialized, recycled or not: internal bytes read as zero.
+  auto* m = new (Take(free_mbufs_, sizeof(MBuf))) MBuf();
   m->data = m->internal;
   ++mbufs_live_;
   ++total_allocs_;
@@ -31,8 +69,8 @@ MBuf* MbufPool::GetHeaderAligned(size_t payload_len) {
 }
 
 MExt* MbufPool::GetClusterExt() {
-  auto* ext = new MExt();
-  ext->buf = new uint8_t[kClusterSize];
+  auto* ext = new (Take(free_exts_, sizeof(MExt))) MExt();
+  ext->buf = static_cast<uint8_t*>(Take(free_clusters_, kClusterSize));
   ext->size = kClusterSize;
   ext->free_fn = &MbufPool::FreeClusterStorage;
   ext->free_ctx = this;
@@ -43,7 +81,7 @@ MExt* MbufPool::GetClusterExt() {
 
 void MbufPool::FreeClusterStorage(void* ctx, uint8_t* buf, size_t /*size*/) {
   auto* pool = static_cast<MbufPool*>(ctx);
-  delete[] buf;
+  Give(pool->free_clusters_, buf, kClusterSize);
   --pool->clusters_live_;
 }
 
@@ -57,7 +95,7 @@ MBuf* MbufPool::GetCluster() {
 MBuf* MbufPool::GetExternal(uint8_t* buf, size_t size,
                             void (*free_fn)(void*, uint8_t*, size_t), void* ctx) {
   MBuf* m = Get();
-  auto* ext = new MExt();
+  auto* ext = new (Take(free_exts_, sizeof(MExt))) MExt();
   ext->buf = buf;
   ext->size = size;
   ext->free_fn = free_fn;
@@ -78,10 +116,10 @@ MBuf* MbufPool::Free(MBuf* m) {
       if (m->ext->free_fn != nullptr) {
         m->ext->free_fn(m->ext->free_ctx, m->ext->buf, m->ext->size);
       }
-      delete m->ext;
+      Give(free_exts_, m->ext, sizeof(MExt));
     }
   }
-  delete m;
+  Give(free_mbufs_, m, sizeof(MBuf));
   --mbufs_live_;
   return next;
 }
@@ -177,16 +215,10 @@ void MbufPool::Append(MBuf* m, const void* src, size_t len) {
       len -= n;
     }
   }
-  while (len > 0) {
-    MBuf* fresh = len > MBuf::kDataSpace ? GetCluster() : Get();
-    size_t n = len < fresh->buf_size() ? len : fresh->buf_size();
-    std::memcpy(fresh->data, in, n);
-    fresh->len = static_cast<uint32_t>(n);
-    tail->next = fresh;
-    tail = fresh;
-    m->pkt_len += static_cast<uint32_t>(n);
-    in += n;
-    len -= n;
+  if (len > 0) {
+    tail->next = FromData(in, len);
+    tail->next->pkt_len = 0;  // pkt_len lives on the head only
+    m->pkt_len += static_cast<uint32_t>(len);
   }
 }
 
@@ -218,13 +250,11 @@ MBuf* MbufPool::Pullup(MBuf* m, size_t len) {
 }
 
 MBuf* MbufPool::TrimFront(MBuf* m, size_t len) {
-  uint32_t pkt_len = m->pkt_len;
-  OSKIT_ASSERT(len <= pkt_len);
+  OSKIT_ASSERT(len <= m->pkt_len);
   while (len > 0 && m != nullptr) {
     if (len < m->len) {
       m->data += len;
       m->len -= static_cast<uint32_t>(len);
-      len = 0;
       break;
     }
     len -= m->len;
@@ -234,7 +264,6 @@ MBuf* MbufPool::TrimFront(MBuf* m, size_t len) {
     // Whole packet consumed: give back an empty mbuf to keep callers simple.
     m = Get();
   }
-  (void)pkt_len;
   m->pkt_len = static_cast<uint32_t>(ChainLength(m));
   return m;
 }
@@ -258,6 +287,20 @@ void MbufPool::TrimTo(MBuf* m, size_t len) {
   }
 }
 
+MBuf* MbufPool::Piece(const MBuf* m, size_t offset, size_t len) {
+  MBuf* piece = Get();
+  if (m->ext != nullptr) {
+    // Reference the same external storage, no copy.
+    piece->ext = m->ext;
+    ++m->ext->refs;
+    piece->data = m->data + offset;
+  } else {
+    std::memcpy(piece->data, m->data + offset, len);
+  }
+  piece->len = static_cast<uint32_t>(len);
+  return piece;
+}
+
 MBuf* MbufPool::CopyChain(const MBuf* m, size_t offset, size_t len) {
   // Socket buffers splice chains together without maintaining pkt_len, so
   // bounds-check against the actual chain length.
@@ -267,9 +310,7 @@ MBuf* MbufPool::CopyChain(const MBuf* m, size_t offset, size_t len) {
   }
   OSKIT_ASSERT(offset + len <= chain_len);
   if (len == 0) {
-    MBuf* empty = Get();
-    empty->pkt_len = 0;
-    return empty;
+    return Get();  // an empty packet: one empty mbuf
   }
   // Share external storage where possible (BSD m_copym semantics): walk to
   // the offset, then reference each covered mbuf's storage.
@@ -286,19 +327,7 @@ MBuf* MbufPool::CopyChain(const MBuf* m, size_t offset, size_t len) {
     if (n > len) {
       n = len;
     }
-    MBuf* piece;
-    if (m->ext != nullptr) {
-      // Reference the same external storage, no copy.
-      piece = Get();
-      piece->ext = m->ext;
-      ++m->ext->refs;
-      piece->data = m->data + offset;
-      piece->len = static_cast<uint32_t>(n);
-    } else {
-      piece = Get();
-      std::memcpy(piece->data, m->data + offset, n);
-      piece->len = static_cast<uint32_t>(n);
-    }
+    MBuf* piece = Piece(m, offset, n);
     if (head == nullptr) {
       head = piece;
     } else {
@@ -355,16 +384,7 @@ MBuf* MbufPool::Split(MBuf* m, size_t offset) {
     // Mid-mbuf split (or a split at byte 0, where `m` must stay the head):
     // the tail's first piece shares cluster/external storage; internal
     // bytes are copied out.
-    MBuf* piece = Get();
-    if (cur->ext != nullptr) {
-      piece->ext = cur->ext;
-      ++cur->ext->refs;
-      piece->data = cur->data + off;
-    } else {
-      OSKIT_ASSERT(cur->len - off <= MBuf::kDataSpace);
-      std::memcpy(piece->data, cur->data + off, cur->len - off);
-    }
-    piece->len = static_cast<uint32_t>(cur->len - off);
+    MBuf* piece = Piece(cur, off, cur->len - off);
     piece->next = cur->next;
     cur->len = static_cast<uint32_t>(off);
     cur->next = nullptr;
@@ -411,32 +431,19 @@ MBuf* MbufPool::Coalesce(MBuf* m, size_t max_count) {
     // already minimal; the caller must fall back to its own bounce buffer.
     return m;
   }
-  // Build the packed suffix from a deep copy, then splice it in.
+  // Build the packed suffix from a deep copy, then splice it in.  A
+  // zero-length packet made of empty mbufs collapses to one empty mbuf.
   MBuf* suffix = nullptr;
-  MBuf* suffix_tail = nullptr;
-  {
+  if (suffix_len > 0 || prefix_count == 0) {
+    suffix = FromData(nullptr, suffix_len);
     size_t off = prefix_len;
-    size_t remaining = suffix_len;
-    while (remaining > 0) {
-      MBuf* fresh = remaining > MBuf::kDataSpace ? GetCluster() : Get();
-      size_t n = remaining < fresh->buf_size() ? remaining : fresh->buf_size();
-      CopyData(m, off, n, fresh->data);
-      fresh->len = static_cast<uint32_t>(n);
-      if (suffix == nullptr) {
-        suffix = fresh;
-      } else {
-        suffix_tail->next = fresh;
-      }
-      suffix_tail = fresh;
-      off += n;
-      remaining -= n;
+    for (MBuf* fresh = suffix; fresh != nullptr; fresh = fresh->next) {
+      CopyData(m, off, fresh->len, fresh->data);
+      off += fresh->len;
     }
+    suffix->pkt_len = 0;
   }
   if (prefix_count == 0) {
-    if (suffix == nullptr) {
-      // Zero-length packet made of empty mbufs: collapse to one empty mbuf.
-      suffix = Get();
-    }
     suffix->pkt_len = m->pkt_len;
     FreeChain(m);
     return suffix;

@@ -352,11 +352,6 @@ Error NetStack::IfConfig(int ifindex, InetAddr addr, InetAddr netmask) {
   return Error::kOk;
 }
 
-Error NetStack::SetDefaultGateway(InetAddr gateway) {
-  gateway_ = gateway;
-  return Error::kOk;
-}
-
 // ---------------------------------------------------------------------------
 // Ethernet layer
 // ---------------------------------------------------------------------------

@@ -137,13 +137,19 @@ enum class TcpState {
 
 const char* TcpStateName(TcpState s);
 
-// A connection's 4-tuple, the key of the demux indices.  Shared by the
-// pcb and the TIME_WAIT record so the indices treat both alike.
+// A connection's 4-tuple, the key of the demux indices, and where it sits in
+// its local-port bucket.  Shared by the pcb and the TIME_WAIT record so the
+// indices treat both alike.
 struct TcpEndpoints {
+  // Not in a bucket, or at an index 16 bits cannot name (a bucket that
+  // large is searched instead).
+  static constexpr uint16_t kNoSlot = 0xffff;
+
   InetAddr laddr;
   InetAddr faddr;
   uint16_t lport = 0;
   uint16_t fport = 0;
+  uint16_t lport_slot = kNoSlot;  // index in tcp_by_lport_[lport]
 };
 
 struct TcpPcb : TcpEndpoints {
@@ -240,14 +246,15 @@ struct TcpPcb : TcpEndpoints {
 // FIN is in, so rcv_nxt is final.  The record takes the pcb's place in both
 // demux indices, so it holds its local port exactly as the pcb did.
 struct TcpTimeWait : TcpEndpoints {
+  uint16_t rcv_wnd = 0;  // the window every answer advertises
   uint32_t snd_nxt = 0;
   uint32_t rcv_nxt = 0;
-  uint16_t rcv_wnd = 0;  // the window every answer advertises
   WheelTimer expiry;     // 2MSL, carried over from the pcb's timer
 };
 
-// The 4-tuple, two sequence numbers and a window, then the timer: a record
-// must stay a fraction of a pcb.
+// The 4-tuple and its bucket slot, a window (in the endpoints' tail
+// padding), two sequence numbers, then the timer: a record must stay a
+// fraction of a pcb.
 static_assert(sizeof(TcpTimeWait) == 24 + sizeof(WheelTimer));
 
 // What the demux indices hold for a connection: its pcb, or its TIME_WAIT
@@ -267,7 +274,7 @@ class TcpConnRef {
     return (bits_ & 1) != 0 ? reinterpret_cast<TcpTimeWait*>(bits_ & ~uintptr_t{1})
                             : nullptr;
   }
-  const TcpEndpoints& ends() const {
+  TcpEndpoints& ends() const {
     if (TcpTimeWait* tw = time_wait()) {
       return *tw;
     }
@@ -425,7 +432,6 @@ class NetStack {
 
   // ---- Interface configuration (oskit_freebsd_net_ifconfig) ----
   Error IfConfig(int ifindex, InetAddr addr, InetAddr netmask);
-  Error SetDefaultGateway(InetAddr gateway);
 
   // ---- Socket factory (registered with posix_set_socketcreator) ----
   ComPtr<SocketFactory> CreateSocketFactory();
@@ -464,7 +470,6 @@ class NetStack {
   // traffic per batch, and at 100 Mbps the bandwidth-delay product across
   // that holdoff needs a deeper window to keep the wire full.
   void SetDefaultSockBuf(size_t bytes) { default_sock_buf_ = bytes; }
-  size_t default_sock_buf() const { return default_sock_buf_; }
 
   // Ablation hook: when set, the COM receive path copies foreign packets
   // instead of mapping them (disables the §4.7.3 zero-copy import).
@@ -712,7 +717,6 @@ class NetStack {
   trace::CounterBlock trace_binding_;
 
   std::vector<Iface> ifaces_;
-  InetAddr gateway_;
   std::map<uint32_t, ArpEntry> arp_;
   std::map<FragKey, FragQueue> frags_;
   uint16_t ip_ident_ = 1;

@@ -17,6 +17,20 @@ constexpr int kTimeWaitTicks = 8;        // 2*MSL at 500 ms/tick (shortened MSL)
 constexpr int kConnTimeoutTicks = 60;    // 30 s to establish
 constexpr uint32_t kMaxWindow = 65535;
 
+// Records that `conn` sits at `at` in its local-port bucket.
+void SetLportSlot(TcpConnRef conn, size_t at) {
+  conn.ends().lport_slot =
+      static_cast<uint16_t>(std::min<size_t>(at, TcpEndpoints::kNoSlot));
+}
+
+// Where `conn` sits in its local-port bucket `held` (searched for when the
+// slot is not recorded), or held.size() if it is not there.
+size_t LportSlot(const std::vector<TcpConnRef>& held, TcpConnRef conn) {
+  size_t at = conn.ends().lport_slot;
+  return at != TcpEndpoints::kNoSlot ? at
+                                     : std::ranges::find(held, conn) - held.begin();
+}
+
 // Clips a segment's data [*seq, *seq + *len) to the receive window
 // [rcv_nxt, rcv_nxt + wnd).  Returns true when the data lay wholly before
 // or wholly past the window: nothing is left, and the receiver ACKs.
@@ -89,7 +103,9 @@ void NetStack::TcpIndexInsert(TcpPcb* pcb) {
   if (pcb->lport == 0) {
     return;
   }
-  tcp_by_lport_[pcb->lport].push_back(pcb);
+  std::vector<TcpConnRef>& bucket = tcp_by_lport_[pcb->lport];
+  SetLportSlot(pcb, bucket.size());
+  bucket.push_back(pcb);
   if (pcb->fport != 0 || pcb->faddr.value != 0) {
     // First insert wins on a key collision; the shadowed pcb is still
     // reachable through the lport bucket fallback.
@@ -99,14 +115,22 @@ void NetStack::TcpIndexInsert(TcpPcb* pcb) {
 }
 
 void NetStack::TcpIndexRemove(TcpConnRef conn) {
-  const TcpEndpoints& ends = conn.ends();
+  TcpEndpoints& ends = conn.ends();
   if (ends.lport == 0) {
     return;
   }
   auto bucket = tcp_by_lport_.find(ends.lport);
   if (bucket != tcp_by_lport_.end()) {
-    std::erase(bucket->second, conn);
-    if (bucket->second.empty()) {
+    std::vector<TcpConnRef>& held = bucket->second;
+    if (size_t at = LportSlot(held, conn); at < held.size()) {
+      // Swap-remove: nothing depends on the order inside a bucket.
+      OSKIT_ASSERT(held[at] == conn);
+      held[at] = held.back();
+      SetLportSlot(held[at], at);
+      held.pop_back();
+      ends.lport_slot = TcpEndpoints::kNoSlot;
+    }
+    if (held.empty()) {
       tcp_by_lport_.erase(bucket);  // keep count() meaning "port in use"
     }
   }
@@ -1127,8 +1151,8 @@ void NetStack::TcpRetireTimeWait(TcpPcb* pcb) {
   wheel_.Arm(&tw->expiry, pcb->time_wait_wheel.deadline() - wheel_.now());
   // Take the pcb's place in both indices, at the same position.
   keyed->second = tw;
-  std::ranges::replace(tcp_by_lport_[pcb->lport], TcpConnRef(pcb),
-                       TcpConnRef(tw));
+  std::vector<TcpConnRef>& held = tcp_by_lport_[pcb->lport];
+  held.at(LportSlot(held, pcb)) = tw;
   ++counters_.tcp_time_wait;
   tcp_pcbs_.erase(pcb->self);
 }

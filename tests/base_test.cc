@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,6 +70,67 @@ TEST_P(ChecksumSplitTest, ArbitrarySplitsEqualFlat) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChecksumSplitTest, ::testing::Values(1, 9, 77));
+
+// The checksum as RFC 1071 states it, one big-endian byte pair at a time
+// with the end-around carry folded at every step: the reference a faster
+// InetChecksum must keep matching.
+uint16_t ReferenceChecksum(const uint8_t* p, size_t n) {
+  uint32_t sum = 0;
+  for (size_t i = 0; i < n; i += 2) {
+    uint32_t low = i + 1 < n ? p[i + 1] : 0;
+    sum += (static_cast<uint32_t>(p[i]) << 8) | low;
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<uint16_t>(~sum & 0xffff);
+}
+
+// Property: over lengths 0-9,000, start offsets 0-7, random, all-0x00 and
+// all-0xff bytes, and random Add split points (empty pieces included),
+// InetChecksum equals the byte-pair reference.  PROPERTY_SEED=<n> narrows
+// the sweep to one reproducing seed.
+class ChecksumPropTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ChecksumPropTest, MatchesBytePairReference) {
+  const uint64_t seed = GetParam();
+  Rng rng(seed);
+  std::vector<uint8_t> storage(9000 + 8);
+  for (int case_i = 0; case_i < 2000; ++case_i) {
+    // The first cases walk every short length at every offset; the rest
+    // draw both.
+    size_t len = case_i < 8 * 65 ? static_cast<size_t>(case_i / 8) : rng.Below(9001);
+    size_t offset = case_i < 8 * 65 ? static_cast<size_t>(case_i % 8) : rng.Below(8);
+    uint8_t* data = storage.data() + offset;
+    int fill = static_cast<int>(rng.Below(4));  // 0 zeros, 1 ones, else random
+    for (size_t i = 0; i < len; ++i) {
+      data[i] = fill == 0 ? 0x00 : fill == 1 ? 0xff : static_cast<uint8_t>(rng.Next());
+    }
+    const uint16_t want = ReferenceChecksum(data, len);
+    ASSERT_EQ(want, InetChecksumOf(data, len))
+        << "case " << case_i << " len " << len << " offset " << offset
+        << " (rerun: PROPERTY_SEED=" << seed << ")";
+    InetChecksum chained;
+    const uint64_t pieces = rng.Range(1, 6);
+    size_t at = 0;
+    for (uint64_t piece = 1; piece <= pieces; ++piece) {
+      size_t n = piece == pieces ? len - at : rng.Below(len - at + 1);
+      chained.Add(data + at, n);
+      at += n;
+    }
+    ASSERT_EQ(want, chained.Finish())
+        << "case " << case_i << " len " << len << " offset " << offset
+        << " split (rerun: PROPERTY_SEED=" << seed << ")";
+  }
+}
+
+std::vector<uint64_t> PropertySeeds() {
+  if (const char* env = std::getenv("PROPERTY_SEED")) {
+    return {std::strtoull(env, nullptr, 0)};
+  }
+  return {0xc5c50001, 0xc5c50002, 0xc5c50003, 0xc5c50004, 0xc5c50005};
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChecksumPropTest,
+                         ::testing::ValuesIn(PropertySeeds()));
 
 TEST(ByteOrderTest, SwapsAndUnalignedAccess) {
   EXPECT_EQ(0x3412, ByteSwap16(0x1234));

@@ -237,5 +237,23 @@ TEST(ReportTest, FailsWhenThePathCannotBeWritten) {
   EXPECT_EQ(report.Finish(), 1);
 }
 
+TEST(PrintChecklistTest, CountsItemsWhoseCountersSumToZero) {
+  const std::map<std::string, uint64_t> counters = {
+      {"a", 3}, {"b", 0}, {"c", 0}, {"d", 1}};
+  testing::internal::CaptureStdout();
+  int missing = PrintChecklist("demo checklist", counters,
+                               {{"a fired", {"a"}},
+                                {"b or d fired", {"b", "d"}},
+                                {"c fired", {"c"}},
+                                {"e fired", {"e"}}});
+  std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(missing, 2);
+  EXPECT_NE(out.find("demo checklist:\n"), std::string::npos);
+  EXPECT_NE(out.find("FAIL: aggregate: no evidence that c fired\n"), std::string::npos);
+  EXPECT_NE(out.find("FAIL: aggregate: no evidence that e fired\n"), std::string::npos);
+  EXPECT_EQ(out.find("no evidence that a fired"), std::string::npos);
+  EXPECT_EQ(out.find("no evidence that b or d fired"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace oskit::bench

@@ -195,6 +195,7 @@ TEST_F(KmonTest, ProgramsNicMitigationAndRejectsWrappedInput) {
   Type("nicmit 1 8 1000");
   Type("nicmit 0 -1 5");                 // Strtoul would negate to 2^64-1
   Type("nicmit 0 4 18446744073709552");  // * 1000 wraps to 384 ns
+  Type("nicmit 0 4 99999999999999999999999");  // past 2^64: saturates
   Type("nicmit 0 +4 5");
   Type("nicmit 0 0 5");                  // threshold below 1
   Type("nicmit 0 4");                    // a number short
@@ -218,7 +219,7 @@ TEST_F(KmonTest, ProgramsNicMitigationAndRejectsWrappedInput) {
        at = out.find("usage: nicmit", at + 1)) {
     ++usages;
   }
-  EXPECT_EQ(5u, usages);
+  EXPECT_EQ(6u, usages);
   EXPECT_NE(std::string::npos, out.find("no such NIC"));
   EXPECT_EQ(before.frame_threshold, nic0->rx_mitigation().frame_threshold);
   EXPECT_EQ(before.holdoff_ns, nic0->rx_mitigation().holdoff_ns);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -79,6 +80,21 @@ TEST(StringTest, Strtol) {
   EXPECT_EQ(10, Strtol("010", nullptr, 10));
   EXPECT_EQ(0, Strtol("junk", &end, 10));
   EXPECT_EQ(123, Atoi("123"));
+}
+
+TEST(StringTest, StrtoulSaturatesPastTwoToTheSixtyFour) {
+  const char* end = nullptr;
+  EXPECT_EQ(ULONG_MAX, Strtoul("18446744073709551615", &end, 10));
+  EXPECT_EQ('\0', *end);
+  EXPECT_EQ(ULONG_MAX, Strtoul("18446744073709551616", &end, 10));
+  EXPECT_EQ('\0', *end);
+  // Every digit is consumed, and a sign does not undo the saturation.
+  EXPECT_EQ(ULONG_MAX, Strtoul("99999999999999999999999 rest", &end, 0));
+  EXPECT_STREQ(" rest", end);
+  EXPECT_EQ(ULONG_MAX, Strtoul("-99999999999999999999999", &end, 10));
+  EXPECT_EQ(ULONG_MAX, Strtoul("0x10000000000000000", &end, 0));
+  EXPECT_EQ(0xffffffffffffffffUL, Strtoul("0xffffffffffffffff", &end, 0));
+  EXPECT_EQ(~0x10UL + 1, Strtoul("-16", &end, 10));  // in range: negated
 }
 
 // The printf core, checked against the host's snprintf for a matrix of

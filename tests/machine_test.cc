@@ -1,13 +1,17 @@
 // Simulated-platform tests: clock, fibers, CPU trap/interrupt model, PIC,
-// PIT, UART, Ethernet wire (with fault injection), and the disk.
+// PIT, UART, Ethernet wire (with fault injection), the switch's frame
+// pool, and the disk.
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <utility>
@@ -16,6 +20,7 @@
 #include "src/base/random.h"
 #include "src/com/memblkio.h"
 #include "src/machine/machine.h"
+#include "src/machine/switch.h"
 
 // Calls to the global operator new in this test binary, so the clock tests
 // can show that scheduling and running an event allocates nothing.
@@ -354,6 +359,73 @@ TEST(FiberTest, WaitUntilAlreadyTrueDoesNotBlock) {
   sim.Spawn("second", [&] { order.push_back('b'); });
   EXPECT_EQ(Simulation::RunResult::kAllDone, sim.Run());
   EXPECT_EQ("ab", order);
+}
+
+// Each call pins a 512-byte frame across the next, so the recursion cannot
+// become a loop and walks the stack down a page every eight calls.
+[[gnu::noinline]] void Overrun(int depth) {
+  uint8_t frame[512];
+  memset(frame, depth, sizeof(frame));
+  asm volatile("" : : "r"(frame) : "memory");
+  if (depth > 0) {
+    Overrun(depth - 1);
+  }
+  asm volatile("" : : "r"(frame) : "memory");
+}
+
+constexpr size_t kSmallStack = 64 * 1024;
+uintptr_t g_fiber_top = 0;  // a frame address near the overrunning fiber's top
+
+// Runs on the alternate stack: the fiber's own is gone.  A fault on the
+// guard page is an access error (the page is mapped PROT_NONE) just below
+// the stack's lowest byte.
+void OnOverrunFault(int /*sig*/, siginfo_t* info, void* /*ctx*/) {
+  auto addr = reinterpret_cast<uintptr_t>(info->si_addr);
+  uintptr_t bottom = g_fiber_top - kSmallStack;
+  bool guard = info->si_code == SEGV_ACCERR && addr + 2 * 4096 > bottom &&
+               addr < bottom + 2 * 4096;
+  const char* msg = guard ? "fault on the guard page\n" : "fault elsewhere\n";
+  [[maybe_unused]] ssize_t n = write(2, msg, strlen(msg));
+  _exit(guard ? 3 : 4);
+}
+
+TEST(FiberDeathTest, StackOverrunFaultsOnTheGuardPage) {
+  EXPECT_EXIT(
+      {
+        static uint8_t alt_stack[64 * 1024];
+        stack_t ss = {};
+        ss.ss_sp = alt_stack;
+        ss.ss_size = sizeof(alt_stack);
+        sigaltstack(&ss, nullptr);
+        struct sigaction sa = {};
+        sa.sa_sigaction = &OnOverrunFault;
+        sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+        sigaction(SIGSEGV, &sa, nullptr);
+        Simulation sim;
+        sim.scheduler().Spawn(
+            "deep",
+            [] {
+              g_fiber_top = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+              Overrun(1 << 20);
+            },
+            kSmallStack);
+        sim.Run();
+      },
+      ::testing::ExitedWithCode(3), "fault on the guard page");
+}
+
+TEST(FiberTest, FinishedFibersStacksAreReusedNewestFirst) {
+  Simulation sim;
+  std::vector<uintptr_t> tops;
+  auto record = [&] {
+    tops.push_back(reinterpret_cast<uintptr_t>(__builtin_frame_address(0)));
+  };
+  sim.Spawn("a", record);
+  ASSERT_EQ(Simulation::RunResult::kAllDone, sim.Run());
+  sim.Spawn("b", record);
+  ASSERT_EQ(Simulation::RunResult::kAllDone, sim.Run());
+  ASSERT_EQ(2u, tops.size());
+  EXPECT_EQ(tops[0], tops[1]);  // b ran on a's recycled stack
 }
 
 TEST(CpuTest, TrapDispatchesToHandlerWithFallbackChain) {
@@ -720,6 +792,141 @@ TEST(NicTest, GatherTransmitMatchesFlat) {
   ASSERT_EQ(60u, n);
   EXPECT_EQ(0, memcmp(buf, part1, sizeof(part1)));
   EXPECT_EQ(0, memcmp(buf + 14, part2, sizeof(part2)));
+}
+
+// ---------------------------------------------------------------------------
+// VirtualSwitch frame pool: one buffer per transmitted frame, shared by
+// every egress port and duplicate.
+// ---------------------------------------------------------------------------
+
+// A broadcast frame from 02:00:00:00:00:01 with a patterned payload.
+std::vector<uint8_t> BroadcastFrame(size_t len) {
+  std::vector<uint8_t> frame(len);
+  for (size_t i = 0; i < len; ++i) {
+    frame[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  const uint8_t header[12] = {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 2, 0, 0, 0, 0, 1};
+  memcpy(frame.data(), header, sizeof(header));
+  return frame;
+}
+
+TEST_F(WireFixture, SwitchFrameSharedWithACorruptingNicArrivesIntactElsewhere) {
+  fault::FaultEnv fenv(7);
+  fault::FaultSpec always;
+  always.probability_percent = 100;
+  fenv.Arm("nic.rx.corrupt", always);
+  Simulation sim;
+  VirtualSwitch::Config config;
+  config.port.duplicate_percent = 100;
+  VirtualSwitch sw(&sim.clock(), config);
+  Cpu cpu;
+  Pic pic(&cpu);
+  Sink sender;
+  Sink before;
+  Sink after;
+  sw.Attach(&sender);
+  sw.Attach(&before);
+  NicHw nic(&sw, &pic, &sim.clock(), EtherAddr{{2, 0, 0, 0, 0, 3}});
+  nic.SetFaultEnv(&fenv);
+  sw.Attach(&after);  // its copies are delivered after the NIC's
+
+  const std::vector<uint8_t> frame = BroadcastFrame(300);
+  sw.Transmit(&sender, frame.data(), frame.size());
+  // Six deliveries (three ports, each duplicated) hold one pooled buffer.
+  EXPECT_EQ(1u, sw.frames_outstanding());
+  while (sim.clock().RunOne()) {
+  }
+  EXPECT_EQ(3u, sw.frames_duplicated());
+  EXPECT_EQ(0u, sw.frames_outstanding());
+  EXPECT_TRUE(sender.frames.empty());
+  ASSERT_EQ(2u, before.frames.size());
+  ASSERT_EQ(2u, after.frames.size());
+  for (const Sink* sink : {&before, &after}) {
+    for (const std::vector<uint8_t>& got : sink->frames) {
+      EXPECT_EQ(frame, got);
+    }
+  }
+  // The NIC flipped one byte in each of its own ring copies, and only there.
+  EXPECT_EQ(2u, nic.rx_corrupted());
+  for (int copy = 0; copy < 2; ++copy) {
+    ASSERT_TRUE(nic.RxPending());
+    std::vector<uint8_t> got(nic.RxFrameSize());
+    ASSERT_EQ(frame.size(), nic.RxDequeue(got.data()));
+    size_t flipped = 0;
+    for (size_t i = 0; i < got.size(); ++i) {
+      flipped += got[i] != frame[i] ? 1 : 0;
+    }
+    EXPECT_EQ(1u, flipped);
+  }
+}
+
+TEST_F(WireFixture, SwitchDestroyedWithDeliveriesPendingFreesEachFrameOnce) {
+  // Under ASan this is the check: no leak and no double free, whether the
+  // switch or the clock holding its deliveries goes first.
+  for (bool switch_first : {true, false}) {
+    auto clock = std::make_unique<SimClock>();
+    VirtualSwitch::Config config;
+    config.port.duplicate_percent = 50;
+    config.port.propagation_ns = 10 * kNsPerUs;
+    auto sw = std::make_unique<VirtualSwitch>(clock.get(), config);
+    Sink a;
+    Sink b;
+    Sink c;
+    sw->Attach(&a);
+    sw->Attach(&b);
+    sw->Attach(&c);
+    const std::vector<uint8_t> frame = BroadcastFrame(1500);
+    for (int i = 0; i < 5; ++i) {
+      sw->Transmit(&a, frame.data(), frame.size());
+    }
+    EXPECT_EQ(5u, sw->frames_outstanding());
+    if (switch_first) {
+      sw.reset();
+    }
+    clock.reset();
+    sw.reset();
+    EXPECT_TRUE(b.frames.empty());
+  }
+}
+
+TEST_F(WireFixture, SwitchForwardsWithoutAllocatingOnceWarm) {
+  struct Counter : WireEndpoint {
+    size_t bytes = 0;
+    void FrameArrived(const uint8_t* /*frame*/, size_t len) override { bytes += len; }
+  };
+  Simulation sim;
+  VirtualSwitch::Config config;
+  config.port.duplicate_percent = 100;  // every round schedules alike
+  VirtualSwitch sw(&sim.clock(), config);
+  Counter a;
+  Counter b;
+  Counter c;
+  sw.Attach(&a);
+  sw.Attach(&b);
+  sw.Attach(&c);
+  const std::vector<uint8_t> frame = BroadcastFrame(1514);
+  const uint8_t* chunks[] = {frame.data(), frame.data() + 14};
+  const size_t lens[] = {14, frame.size() - 14};
+  auto burst = [&] {
+    for (int i = 0; i < 100; ++i) {
+      if (i % 2 == 0) {
+        sw.Transmit(&a, frame.data(), frame.size());
+      } else {
+        sw.Transmit(&a, chunks, lens, 2);
+      }
+    }
+    while (sim.clock().RunOne()) {
+    }
+  };
+  burst();  // grows the frame pool, the MAC table and the clock's tables
+  size_t before = g_new_calls.load();
+  for (int round = 0; round < 20; ++round) {
+    burst();
+  }
+  EXPECT_EQ(before, g_new_calls.load());
+  EXPECT_EQ(0u, sw.frames_outstanding());
+  EXPECT_EQ(21u * 100u * 2u * frame.size(), b.bytes);
+  EXPECT_EQ(b.bytes, c.bytes);
 }
 
 TEST(DiskTest, ReadWriteWithCompletionIrq) {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <vector>
 
+#include "src/base/asan.h"
 #include "src/base/random.h"
 #include "src/com/memblkio.h"
 #include "src/net/mbuf.h"
@@ -128,6 +129,64 @@ TEST(MbufTest, CopyChainSharesExternalStorage) {
   EXPECT_EQ(0, memcmp(flat.data(), data.data() + 100, 3000));
   pool.FreeChain(copy);
   EXPECT_EQ(0u, pool.clusters_out());
+}
+
+TEST(MbufTest, FreedStorageIsReusedAndNotCountedOut) {
+  MbufPool pool;
+  MBuf* m = pool.GetCluster();
+  MBuf* first = m;
+  uint8_t* cluster = m->data;
+  m->internal[0] = 0x5a;
+  pool.Free(m);
+  EXPECT_EQ(0u, pool.mbufs_out());
+  EXPECT_EQ(0u, pool.clusters_out());
+  // LIFO free lists: the next cluster mbuf is the one just freed, and reads
+  // as a fresh one.
+  m = pool.GetCluster();
+  EXPECT_EQ(first, m);
+  EXPECT_EQ(cluster, m->data);
+  EXPECT_EQ(0, m->internal[0]);
+  EXPECT_EQ(0u, m->len);
+  EXPECT_EQ(1u, pool.mbufs_out());
+  EXPECT_EQ(1u, pool.clusters_out());
+  EXPECT_EQ(2u, pool.total_allocs());
+  pool.Free(m);
+  // Past the high-water mark, freed buffers go back to the heap.
+  std::vector<MBuf*> many;
+  for (size_t i = 0; i < MbufPool::kCacheMax + 10; ++i) {
+    many.push_back(pool.GetCluster());
+  }
+  for (MBuf* each : many) {
+    pool.Free(each);
+  }
+  EXPECT_EQ(0u, pool.mbufs_out());
+  EXPECT_EQ(0u, pool.clusters_out());
+}
+
+// A touch through a stale pointer lands on poisoned cache storage: still an
+// AddressSanitizer report although the bytes never went back to malloc.
+TEST(MbufDeathTest, TouchAfterFreeIsAnAsanReport) {
+#if defined(OSKIT_ASAN)
+  EXPECT_DEATH(
+      {
+        MbufPool pool;
+        MBuf* m = pool.Get();
+        pool.Free(m);
+        *static_cast<volatile uint32_t*>(&m->len) = 1;
+      },
+      "use-after-poison");
+  EXPECT_DEATH(
+      {
+        MbufPool pool;
+        MBuf* m = pool.GetCluster();
+        volatile uint8_t* cluster = m->data;
+        pool.Free(m);
+        cluster[kClusterSize - 1] = 1;
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
 }
 
 TEST(MbufBufIoTest, MapRequiresPhysicallyContiguousStorage) {
