@@ -161,14 +161,9 @@ template <typename OpFn>
 Error StripeBlkIo::ForSpans(off_t64 offset, size_t amount, size_t* out_actual,
                             OpFn&& op) {
   *out_actual = 0;
-  if (offset > size_) {
-    return Error::kOutOfRange;
-  }
-  if (amount > size_ - offset) {
-    if (offset + amount < offset) {
-      return Error::kInval;  // shared wrap discipline (tests/bounds_abuse.h)
-    }
-    amount = size_ - offset;
+  Error err = ClampRange(size_, offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
   size_t done = 0;
   while (done < amount) {
@@ -183,7 +178,7 @@ Error StripeBlkIo::ForSpans(off_t64 offset, size_t amount, size_t* out_actual,
     }
     off_t64 child_off = child_unit * stripe_unit_ + in_unit;
     size_t actual = 0;
-    Error err = op(children_[child].get(), child_off, done, span, &actual);
+    err = op(children_[child].get(), child_off, done, span, &actual);
     done += actual;
     if (!Ok(err)) {
       *out_actual = done;
@@ -261,11 +256,13 @@ ComPtr<ChecksumBlkIo> ChecksumBlkIo::Create(BlkIo* below,
 Error ChecksumBlkIo::Read(void* buf, off_t64 offset, size_t amount,
                           size_t* out_actual) {
   *out_actual = 0;
-  if (offset + amount < offset) {
-    return Error::kInval;
+  // The device below enforces its own end; only a wrap is refused here.
+  Error err = ClampRange(~off_t64{0}, offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
   size_t actual = 0;
-  Error err = below_->Read(buf, offset, amount, &actual);
+  err = below_->Read(buf, offset, amount, &actual);
   if (!Ok(err)) {
     return err;
   }
@@ -295,11 +292,12 @@ Error ChecksumBlkIo::Read(void* buf, off_t64 offset, size_t amount,
 Error ChecksumBlkIo::Write(const void* buf, off_t64 offset, size_t amount,
                            size_t* out_actual) {
   *out_actual = 0;
-  if (offset + amount < offset) {
-    return Error::kInval;
+  Error err = ClampRange(~off_t64{0}, offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
   size_t actual = 0;
-  Error err = below_->Write(buf, offset, amount, &actual);
+  err = below_->Write(buf, offset, amount, &actual);
   if (!Ok(err)) {
     return err;
   }

@@ -12,8 +12,8 @@
 //    device's write cache (striping fans it out to all children; layers
 //    whose child exports no BlkIoBarrier treat it as durable-by-default,
 //    same as the block cache).
-//  - Bounds discipline: every layer applies the shared unsigned-wrap rules
-//    (tests/bounds_abuse.h) before touching a child.
+//  - Bounds discipline: every layer applies the byte-range contract
+//    (ClampRange in src/com/blkio.h) before touching a child.
 //  - The checksum layer's state is VOLATILE by design.  A persistent
 //    per-block checksum table cannot be made crash-consistent from below
 //    the journal (the data write and the table write tear independently
@@ -107,7 +107,6 @@ class StripeBlkIo final : public ComObject<StripeBlkIo, BlkIo, BlkIoBarrier> {
     *out_size = size_;
     return Error::kOk;
   }
-  Error SetSize(off_t64) override { return Error::kNotImpl; }
 
   // Fans the barrier out to EVERY child: a flush above the stripe is only
   // durable when all members drained their caches.
@@ -155,7 +154,6 @@ class ChecksumBlkIo final
   Error Write(const void* buf, off_t64 offset, size_t amount,
               size_t* out_actual) override;
   Error GetSize(off_t64* out_size) override { return below_->GetSize(out_size); }
-  Error SetSize(off_t64) override { return Error::kNotImpl; }
 
   Error Flush() override { return barrier_ ? barrier_->Flush() : Error::kOk; }
 

@@ -6,6 +6,7 @@
 #include <new>
 
 #include "src/base/panic.h"
+#include "src/com/blkio.h"
 
 namespace oskit {
 
@@ -71,15 +72,12 @@ class MemFsFile final : public ComObject<MemFsFile, File> {
     if (offset >= node_->data.size()) {
       return Error::kOk;  // EOF
     }
-    size_t n = amount;
-    if (n > node_->data.size() - offset) {
-      if (offset + n < offset) {
-        return Error::kInval;  // wrapped range, not a short read
-      }
-      n = node_->data.size() - offset;
+    Error err = ClampRange(node_->data.size(), offset, &amount);
+    if (!Ok(err)) {
+      return err;
     }
-    std::memcpy(buf, node_->data.data() + offset, n);
-    *out_actual = n;
+    std::memcpy(buf, node_->data.data() + offset, amount);
+    *out_actual = amount;
     return Error::kOk;
   }
 
@@ -89,8 +87,10 @@ class MemFsFile final : public ComObject<MemFsFile, File> {
     if (node_->type != FileType::kRegular) {
       return Error::kIsDir;
     }
-    if (offset + amount < offset) {
-      return Error::kInval;  // wrapped range
+    // A write grows the file, so only a wrapping range is refused.
+    Error err = ClampRange(~uint64_t{0}, offset, &amount);
+    if (!Ok(err)) {
+      return err;
     }
     if (offset + amount > node_->data.size() &&
         !ResizeData(node_.get(), offset + amount)) {
@@ -133,21 +133,11 @@ class MemFsDir final : public ComObject<MemFsDir, Dir, File> {
   MemFsDir(ComPtr<MemFs> fs, std::shared_ptr<Node> node)
       : fs_(std::move(fs)), node_(std::move(node)) {}
 
-  // File methods on a directory.
-  Error Read(void* buf, uint64_t offset, size_t amount, size_t* out_actual) override {
-    *out_actual = 0;
-    return Error::kIsDir;
-  }
-  Error Write(const void* buf, uint64_t offset, size_t amount,
-              size_t* out_actual) override {
-    *out_actual = 0;
-    return Error::kIsDir;
-  }
+  // File methods on a directory (Read/Write/SetSize: Dir's kIsDir).
   Error GetStat(FileStat* out_stat) override {
     FillStat(*node_, out_stat);
     return Error::kOk;
   }
-  Error SetSize(uint64_t) override { return Error::kIsDir; }
   Error Sync() override { return Error::kOk; }
 
   // Dir methods.

@@ -7,6 +7,7 @@
 #ifndef OSKIT_SRC_COM_BLKIO_H_
 #define OSKIT_SRC_COM_BLKIO_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -36,12 +37,41 @@ class BlkIo : public IUnknown {
   // Total size of the object in bytes.
   virtual Error GetSize(off_t64* out_size) = 0;
 
-  // Resizes the object; fixed-size devices return kNotImpl.
-  virtual Error SetSize(off_t64 new_size) = 0;
+  // Resizes the object; fixed-size objects keep this default.
+  virtual Error SetSize(off_t64 new_size) { return Error::kNotImpl; }
 
  protected:
   ~BlkIo() = default;
 };
+
+// The byte-range contract of every BlkIo-shaped surface (BlkIo, BufIo,
+// BufIoVec, File and the layers stacked on them).  off_t64 is unsigned, so a
+// "negative" offset arrives huge and `offset + amount` can wrap:
+//   - an offset past `size` is kOutOfRange;
+//   - a range whose `offset + amount` wraps is kInval, never a short
+//     transfer;
+//   - anything else is in range: ClampRange shortens a Read/Write to the
+//     bytes below `size`, and CheckWindow is kOutOfRange unless the whole
+//     Map/Vectors window lies below `size`.
+// File-style surfaces test `offset >= size` (EOF) themselves first.  A
+// surface with no end of its own (a growing file, a layer whose device
+// enforces the end) passes ~off_t64{0}, so only a wrap is refused.
+inline Error ClampRange(off_t64 size, off_t64 offset, size_t* amount) {
+  if (offset > size) {
+    return Error::kOutOfRange;
+  }
+  if (offset + *amount < offset) {
+    return Error::kInval;
+  }
+  *amount = std::min<off_t64>(*amount, size - offset);
+  return Error::kOk;
+}
+
+inline Error CheckWindow(off_t64 size, off_t64 offset, size_t amount) {
+  size_t inside = amount;
+  Error err = ClampRange(size, offset, &inside);
+  return Ok(err) && inside != amount ? Error::kOutOfRange : err;
+}
 
 // Flush/barrier extension of the block boundary (new GUID, discovered via
 // Query — the §4.4.2 evolution idiom, like BufIoVec over BufIo): a client

@@ -34,9 +34,9 @@ class BufIo : public BlkIo {
   virtual Error Unmap(void* addr, off_t64 offset, size_t amount) = 0;
 
   // Ensures the data is resident/pinned for DMA-style access (advisory in
-  // this reproduction; RAM-backed implementations return kOk trivially).
-  virtual Error Wire() = 0;
-  virtual Error Unwire() = 0;
+  // this reproduction: memory-backed objects keep these kOk defaults).
+  virtual Error Wire() { return Error::kOk; }
+  virtual Error Unwire() { return Error::kOk; }
 
  protected:
   ~BufIo() = default;

@@ -88,6 +88,17 @@ class Dir : public File {
   virtual Error ReadDir(uint64_t* inout_offset, DirEntry* entries, size_t capacity,
                         size_t* out_count) = 0;
 
+  // A directory's bytes are not file data: the File surface refuses them.
+  Error Read(void*, uint64_t, size_t, size_t* out_actual) override {
+    *out_actual = 0;
+    return Error::kIsDir;
+  }
+  Error Write(const void*, uint64_t, size_t, size_t* out_actual) override {
+    *out_actual = 0;
+    return Error::kIsDir;
+  }
+  Error SetSize(uint64_t) override { return Error::kIsDir; }
+
  protected:
   ~Dir() = default;
 };

@@ -32,44 +32,30 @@ ComPtr<MemBlkIo> MemBlkIo::CreateFrom(const SparseImage& image, size_t size,
   return io;
 }
 
-// Bounds discipline (shared with SkBuffIo and MbufBufIo): off_t64 is
-// unsigned, so a "negative" offset arrives huge and `offset + amount` can
-// wrap.  Check the offset first, then compare against the remainder; a range
-// whose sum genuinely wraps is a caller bug (kInval), an ordinary past-end
-// range keeps the short-read clamp.
-
 Error MemBlkIo::Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) {
   *out_actual = 0;
-  if (offset > size()) {
-    return Error::kOutOfRange;
+  Error err = ClampRange(size(), offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
-  size_t avail = size() - static_cast<size_t>(offset);
-  if (amount > avail && offset + amount < offset) {
-    return Error::kInval;
+  if (amount != 0) {  // a size-0 object has no mapping: never copy through null
+    std::memcpy(buf, data() + offset, amount);
   }
-  size_t n = amount < avail ? amount : avail;
-  if (n != 0) {  // a size-0 object has no mapping: never copy through null
-    std::memcpy(buf, data() + offset, n);
-  }
-  *out_actual = n;
+  *out_actual = amount;
   return Error::kOk;
 }
 
 Error MemBlkIo::Write(const void* buf, off_t64 offset, size_t amount,
                       size_t* out_actual) {
   *out_actual = 0;
-  if (offset > size()) {
-    return Error::kOutOfRange;
+  Error err = ClampRange(size(), offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
-  size_t avail = size() - static_cast<size_t>(offset);
-  if (amount > avail && offset + amount < offset) {
-    return Error::kInval;
+  if (amount != 0) {
+    std::memcpy(data() + offset, buf, amount);
   }
-  size_t n = amount < avail ? amount : avail;
-  if (n != 0) {
-    std::memcpy(data() + offset, buf, n);
-  }
-  *out_actual = n;
+  *out_actual = amount;
   return Error::kOk;
 }
 
@@ -87,11 +73,9 @@ Error MemBlkIo::SetSize(off_t64 new_size) {
 }
 
 Error MemBlkIo::Map(void** out_addr, off_t64 offset, size_t amount) {
-  if (offset > size()) {
-    return Error::kOutOfRange;
-  }
-  if (amount > size() - static_cast<size_t>(offset)) {
-    return offset + amount < offset ? Error::kInval : Error::kOutOfRange;
+  Error err = CheckWindow(size(), offset, amount);
+  if (!Ok(err)) {
+    return err;
   }
   ++maps_outstanding_;
   *out_addr = data() + offset;

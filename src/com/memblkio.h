@@ -50,8 +50,6 @@ class MemBlkIo final
   // BufIo
   Error Map(void** out_addr, off_t64 offset, size_t amount) override;
   Error Unmap(void* addr, off_t64 offset, size_t amount) override;
-  Error Wire() override { return Error::kOk; }
-  Error Unwire() override { return Error::kOk; }
 
   // BlkIoBarrier: RAM is "durable" the moment a Write returns.
   Error Flush() override { return Error::kOk; }

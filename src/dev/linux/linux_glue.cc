@@ -25,29 +25,23 @@ Error SkBuffIo::Query(const Guid& iid, void** out) {
   return ComObject::Query(iid == kSkBuffIoImplIid ? BufIo::kIid : iid, out);
 }
 
-// Bounds discipline for all three accessors: off_t64 is unsigned, so a
-// "negative" offset arrives as a huge value and `offset + amount` can wrap
-// back into range.  Check the offset against the length FIRST, then compare
-// the amount against the remainder (subtraction form — cannot overflow).
-// These checks guard memcpy ranges reachable from the COM BufIo surface.
-
 Error SkBuffIo::Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) {
   *out_actual = 0;
-  if (offset > skb_->len) {
-    return Error::kOutOfRange;
+  Error err = ClampRange(skb_->len, offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
-  size_t avail = skb_->len - static_cast<size_t>(offset);
-  size_t n = amount < avail ? amount : avail;
-  std::memcpy(buf, skb_->data + offset, n);
-  *out_actual = n;
+  std::memcpy(buf, skb_->data + offset, amount);
+  *out_actual = amount;
   return Error::kOk;
 }
 
 Error SkBuffIo::Write(const void* buf, off_t64 offset, size_t amount,
                       size_t* out_actual) {
   *out_actual = 0;
-  if (offset > skb_->len || amount > skb_->len - static_cast<size_t>(offset)) {
-    return Error::kOutOfRange;
+  Error err = ClampRange(skb_->len, offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
   std::memcpy(skb_->data + offset, buf, amount);
   *out_actual = amount;
@@ -61,8 +55,9 @@ Error SkBuffIo::GetSize(off_t64* out_size) {
 
 Error SkBuffIo::Map(void** out_addr, off_t64 offset, size_t amount) {
   // An skbuff is always contiguous: mapping always succeeds in bounds.
-  if (offset > skb_->len || amount > skb_->len - static_cast<size_t>(offset)) {
-    return Error::kOutOfRange;
+  Error err = CheckWindow(skb_->len, offset, amount);
+  if (!Ok(err)) {
+    return err;
   }
   *out_addr = skb_->data + offset;
   return Error::kOk;

@@ -51,11 +51,8 @@ class SkBuffIo final : public ComObject<SkBuffIo, BufIo, BlkIo> {
   Error Write(const void* buf, off_t64 offset, size_t amount,
               size_t* out_actual) override;
   Error GetSize(off_t64* out_size) override;
-  Error SetSize(off_t64) override { return Error::kNotImpl; }
   Error Map(void** out_addr, off_t64 offset, size_t amount) override;
   Error Unmap(void* addr, off_t64 offset, size_t amount) override { return Error::kOk; }
-  Error Wire() override { return Error::kOk; }
-  Error Unwire() override { return Error::kOk; }
 
   sk_buff* skb() { return skb_; }
 

@@ -166,17 +166,9 @@ Error LinuxIdeDev::Read(void* buf, off_t64 offset, size_t amount, size_t* out_ac
   *out_actual = 0;
   constexpr uint32_t kSector = DiskHw::kSectorSize;
   uint64_t disk_bytes = drive_.hw->sector_count() * kSector;
-  if (offset > disk_bytes) {
-    return Error::kOutOfRange;
-  }
-  // Bounds discipline (shared with MemBlkIo and MbufBufIo): compare by
-  // subtraction so a huge `amount` cannot wrap `offset + amount` past the
-  // device end; a genuinely wrapping range is a caller bug, not a short read.
-  if (amount > disk_bytes - offset) {
-    if (offset + amount < offset) {
-      return Error::kInval;
-    }
-    amount = disk_bytes - offset;
+  Error err = ClampRange(disk_bytes, offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
   auto* out = static_cast<uint8_t*>(buf);
   size_t done = 0;
@@ -190,7 +182,7 @@ Error LinuxIdeDev::Read(void* buf, off_t64 offset, size_t amount, size_t* out_ac
       if (sectors > 64) {
         sectors = 64;
       }
-      Error err = ide_do_request(&drive_, lba, sectors, out + done, /*write=*/false);
+      err = ide_do_request(&drive_, lba, sectors, out + done, /*write=*/false);
       if (!Ok(err)) {
         return err;
       }
@@ -199,7 +191,7 @@ Error LinuxIdeDev::Read(void* buf, off_t64 offset, size_t amount, size_t* out_ac
     }
     // Partial sector: bounce through a sector buffer.
     uint8_t sector_buf[kSector];
-    Error err = ide_do_request(&drive_, lba, 1, sector_buf, /*write=*/false);
+    err = ide_do_request(&drive_, lba, 1, sector_buf, /*write=*/false);
     if (!Ok(err)) {
       return err;
     }
@@ -219,14 +211,9 @@ Error LinuxIdeDev::Write(const void* buf, off_t64 offset, size_t amount,
   *out_actual = 0;
   constexpr uint32_t kSector = DiskHw::kSectorSize;
   uint64_t disk_bytes = drive_.hw->sector_count() * kSector;
-  if (offset > disk_bytes) {
-    return Error::kOutOfRange;
-  }
-  if (amount > disk_bytes - offset) {
-    if (offset + amount < offset) {
-      return Error::kInval;  // wrapped range (see Read)
-    }
-    amount = disk_bytes - offset;
+  Error err = ClampRange(disk_bytes, offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
   const auto* in = static_cast<const uint8_t*>(buf);
   size_t done = 0;
@@ -238,8 +225,8 @@ Error LinuxIdeDev::Write(const void* buf, off_t64 offset, size_t amount,
       if (sectors > 64) {
         sectors = 64;
       }
-      Error err = ide_do_request(&drive_, lba, sectors,
-                                 const_cast<uint8_t*>(in + done), /*write=*/true);
+      err = ide_do_request(&drive_, lba, sectors,
+                           const_cast<uint8_t*>(in + done), /*write=*/true);
       if (!Ok(err)) {
         return err;
       }
@@ -248,7 +235,7 @@ Error LinuxIdeDev::Write(const void* buf, off_t64 offset, size_t amount,
     }
     // Read-modify-write for the partial sector.
     uint8_t sector_buf[kSector];
-    Error err = ide_do_request(&drive_, lba, 1, sector_buf, /*write=*/false);
+    err = ide_do_request(&drive_, lba, 1, sector_buf, /*write=*/false);
     if (!Ok(err)) {
       return err;
     }
@@ -354,9 +341,9 @@ Error LinuxIdeDev::Submit(const AioSqe* sqes, size_t count, size_t* out_accepted
     }
     bool mergeable = s.offset % kSector == 0 && s.len % kSector == 0 &&
                      s.len != 0 && s.len / kSector <= 64 &&
-                     s.offset <= disk_bytes && s.len <= disk_bytes - s.offset;
+                     Ok(CheckWindow(disk_bytes, s.offset, s.len));
     if (!mergeable) {
-      odd.push_back(&s);  // CompleteSqe applies the usual bounds discipline
+      odd.push_back(&s);  // Read/Write clamp or refuse the range
     } else if (s.op == AioOp::kWrite) {
       writes.push_back(&s);
     } else {

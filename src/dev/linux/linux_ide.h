@@ -104,7 +104,6 @@ class LinuxIdeDev final
   Error Write(const void* buf, off_t64 offset, size_t amount,
               size_t* out_actual) override;
   Error GetSize(off_t64* out_size) override;
-  Error SetSize(off_t64) override { return Error::kNotImpl; }
 
   // BlkIoBarrier: drains the drive's volatile write cache.
   Error Flush() override { return ide_do_flush(&drive_); }

@@ -201,43 +201,27 @@ class PartitionView final
 
   Error Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) override {
     *out_actual = 0;
-    if (offset > count_) {
-      return Error::kOutOfRange;
+    Error err = ClampRange(count_, offset, &amount);
+    if (!Ok(err)) {
+      return err;
     }
-    size_t n = amount;
-    // Subtraction form: `offset + n` can wrap for a hostile `amount`, which
-    // would pass a huge range straight through to the underlying disk.
-    if (n > count_ - offset) {
-      if (offset + n < offset) {
-        return Error::kInval;
-      }
-      n = count_ - offset;
-    }
-    return disk_->Read(buf, start_ + offset, n, out_actual);
+    return disk_->Read(buf, start_ + offset, amount, out_actual);
   }
 
   Error Write(const void* buf, off_t64 offset, size_t amount,
               size_t* out_actual) override {
     *out_actual = 0;
-    if (offset > count_) {
-      return Error::kOutOfRange;
+    Error err = ClampRange(count_, offset, &amount);
+    if (!Ok(err)) {
+      return err;
     }
-    size_t n = amount;
-    if (n > count_ - offset) {
-      if (offset + n < offset) {
-        return Error::kInval;  // wrapped range (see Read)
-      }
-      n = count_ - offset;
-    }
-    return disk_->Write(buf, start_ + offset, n, out_actual);
+    return disk_->Write(buf, start_ + offset, amount, out_actual);
   }
 
   Error GetSize(off_t64* out_size) override {
     *out_size = count_;
     return Error::kOk;
   }
-
-  Error SetSize(off_t64) override { return Error::kNotImpl; }
 
   Error Flush() override { return barrier_ ? barrier_->Flush() : Error::kOk; }
 

@@ -297,14 +297,9 @@ ComPtr<CacheBlkIo> CacheBlkIo::Create(BlkIo* below, uint32_t block_size,
 Error CacheBlkIo::Read(void* buf, off_t64 offset, size_t amount,
                        size_t* out_actual) {
   *out_actual = 0;
-  if (offset > size_) {
-    return Error::kOutOfRange;
-  }
-  if (amount > size_ - offset) {
-    if (offset + amount < offset) {
-      return Error::kInval;  // shared wrap discipline (tests/bounds_abuse.h)
-    }
-    amount = size_ - offset;
+  Error err = ClampRange(size_, offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
   auto* out = static_cast<uint8_t*>(buf);
   const uint32_t bs = cache_.block_size();
@@ -318,7 +313,7 @@ Error CacheBlkIo::Read(void* buf, off_t64 offset, size_t amount,
       span = amount - done;
     }
     uint8_t* data = nullptr;
-    Error err = cache_.Get(block, &data);
+    err = cache_.Get(block, &data);
     if (!Ok(err)) {
       *out_actual = done;
       return err;
@@ -333,14 +328,9 @@ Error CacheBlkIo::Read(void* buf, off_t64 offset, size_t amount,
 Error CacheBlkIo::Write(const void* buf, off_t64 offset, size_t amount,
                         size_t* out_actual) {
   *out_actual = 0;
-  if (offset > size_) {
-    return Error::kOutOfRange;
-  }
-  if (amount > size_ - offset) {
-    if (offset + amount < offset) {
-      return Error::kInval;  // wrapped range (see Read)
-    }
-    amount = size_ - offset;
+  Error err = ClampRange(size_, offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
   const auto* in = static_cast<const uint8_t*>(buf);
   const uint32_t bs = cache_.block_size();
@@ -354,7 +344,7 @@ Error CacheBlkIo::Write(const void* buf, off_t64 offset, size_t amount,
       span = amount - done;
     }
     uint8_t* data = nullptr;
-    Error err = cache_.Get(block, &data);
+    err = cache_.Get(block, &data);
     if (!Ok(err)) {
       *out_actual = done;
       return err;

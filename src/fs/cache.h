@@ -141,7 +141,6 @@ class CacheBlkIo final : public ComObject<CacheBlkIo, BlkIo, BlkIoBarrier> {
     *out_size = size_;
     return Error::kOk;
   }
-  Error SetSize(off_t64) override { return Error::kNotImpl; }
 
   Error Flush() override;
 

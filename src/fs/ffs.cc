@@ -742,11 +742,9 @@ Error Offs::FileReadAt(uint64_t ino, void* buf, uint64_t offset, size_t amount,
   if (offset >= inode.size) {
     return Error::kOk;  // EOF
   }
-  if (amount > inode.size - offset) {
-    if (offset + amount < offset) {
-      return Error::kInval;  // wrapped range, not a short read
-    }
-    amount = inode.size - offset;
+  err = ClampRange(inode.size, offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
   auto* out = static_cast<uint8_t*>(buf);
   size_t done = 0;
@@ -786,8 +784,10 @@ Error Offs::FileWriteAt(uint64_t ino, const void* buf, uint64_t offset, size_t a
   if (!Ok(err)) {
     return err;
   }
-  if (offset + amount < offset) {
-    return Error::kInval;  // wrapped range: would loop allocating forever
+  // A write grows the file, so only a wrapping range is refused.
+  err = ClampRange(~uint64_t{0}, offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
   // Directory contents are metadata: a half-applied dirent write is exactly
   // the orphan/corruption class the journal exists to prevent.  Regular

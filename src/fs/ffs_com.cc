@@ -81,15 +81,11 @@ class FileVec final : public ComObject<FileVec, BufIoVec, BufIo, BlkIo> {
     *out_size = inode.size;
     return Error::kOk;
   }
-  Error SetSize(off_t64) override { return Error::kNotImpl; }
-
   // BufIo surface.  A file's bytes are scattered across cache blocks, so a
   // single contiguous Map is only honest within one block — callers wanting
   // more use Vectors; kNotImpl keeps them on that path.
   Error Map(void**, off_t64, size_t) override { return Error::kNotImpl; }
   Error Unmap(void*, off_t64, size_t) override { return Error::kInval; }
-  Error Wire() override { return Error::kOk; }
-  Error Unwire() override { return Error::kOk; }
 
   // BufIoVec surface.
   Error Vectors(BufIoSegment* out_segs, size_t cap, off_t64 offset,
@@ -103,8 +99,9 @@ class FileVec final : public ComObject<FileVec, BufIoVec, BufIo, BlkIo> {
     if (!Ok(err)) {
       return err;
     }
-    if (offset > inode.size || amount > inode.size - offset) {
-      return Error::kOutOfRange;
+    err = CheckWindow(inode.size, offset, amount);
+    if (!Ok(err)) {
+      return err;
     }
     if (amount == 0) {
       return Error::kOk;
@@ -253,15 +250,7 @@ class OffsDir final : public ComObject<OffsDir, Dir, File> {
  public:
   OffsDir(ComPtr<Offs> fs, uint64_t ino) : fs_(std::move(fs)), ino_(ino) {}
 
-  // File surface on a directory object.
-  Error Read(void*, uint64_t, size_t, size_t* out_actual) override {
-    *out_actual = 0;
-    return Error::kIsDir;
-  }
-  Error Write(const void*, uint64_t, size_t, size_t* out_actual) override {
-    *out_actual = 0;
-    return Error::kIsDir;
-  }
+  // File surface on a directory object (Read/Write/SetSize: Dir's kIsDir).
   Error GetStat(FileStat* out_stat) override {
     DiskInode inode;
     Error err = fs_->ReadInode(ino_, &inode);
@@ -271,7 +260,6 @@ class OffsDir final : public ComObject<OffsDir, Dir, File> {
     FillStat(ino_, inode, out_stat);
     return Error::kOk;
   }
-  Error SetSize(uint64_t) override { return Error::kIsDir; }
   Error Sync() override { return fs_->Sync(); }
 
   // Dir surface.

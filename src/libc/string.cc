@@ -158,7 +158,6 @@ const void* Memchr(const void* s, int c, size_t n) {
 }
 
 int ToLower(int c) { return (c >= 'A' && c <= 'Z') ? c - 'A' + 'a' : c; }
-int ToUpper(int c) { return (c >= 'a' && c <= 'z') ? c - 'a' + 'A' : c; }
 bool IsDigit(int c) { return c >= '0' && c <= '9'; }
 bool IsSpace(int c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' || c == '\v';
@@ -166,15 +165,18 @@ bool IsSpace(int c) {
 bool IsAlpha(int c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
 }
-bool IsPrint(int c) { return c >= 0x20 && c < 0x7f; }
 
-unsigned long Strtoul(const char* s, const char** end, int base) {
+namespace {
+
+// The part Strtoul and Strtol share: whitespace, sign, base prefix and
+// digits.  Returns the magnitude; *overflow is set past 2^64 - 1.
+unsigned long ParseMagnitude(const char* s, const char** end, int base,
+                             bool* negative, bool* overflow) {
   while (IsSpace(*s)) {
     ++s;
   }
-  bool negate = false;
   if (*s == '+' || *s == '-') {
-    negate = *s == '-';
+    *negative = *s == '-';
     ++s;
   }
   if ((base == 0 || base == 16) && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
@@ -186,33 +188,41 @@ unsigned long Strtoul(const char* s, const char** end, int base) {
     base = 10;
   }
   unsigned long value = 0;
-  bool overflow = false;
   const char* start = s;
   for (;; ++s) {
-    int digit;
-    if (IsDigit(*s)) {
-      digit = *s - '0';
-    } else if (IsAlpha(*s)) {
-      digit = ToLower(*s) - 'a' + 10;
-    } else {
-      break;
-    }
+    // A character that is no digit reads as `base`, which ends the number.
+    int digit = IsDigit(*s)   ? *s - '0'
+                : IsAlpha(*s) ? ToLower(*s) - 'a' + 10
+                              : base;
     if (digit >= base) {
       break;
     }
     auto b = static_cast<unsigned long>(base), d = static_cast<unsigned long>(digit);
-    overflow = overflow || value > (ULONG_MAX - d) / b;
+    *overflow = *overflow || value > (ULONG_MAX - d) / b;
     value = value * b + d;
   }
   if (end != nullptr) {
     *end = s == start ? start : s;
   }
+  return value;
+}
+
+}  // namespace
+
+unsigned long Strtoul(const char* s, const char** end, int base) {
+  bool negative = false, overflow = false;
+  unsigned long value = ParseMagnitude(s, end, base, &negative, &overflow);
   // Past ULONG_MAX saturates, sign or no sign, as C's strtoul does.
-  return overflow ? ULONG_MAX : negate ? ~value + 1 : value;
+  return overflow ? ULONG_MAX : negative ? ~value + 1 : value;
 }
 
 long Strtol(const char* s, const char** end, int base) {
-  return static_cast<long>(Strtoul(s, end, base));
+  bool negative = false, overflow = false;
+  unsigned long value = ParseMagnitude(s, end, base, &negative, &overflow);
+  // Saturates at LONG_MAX, or at LONG_MIN when negative, as C's strtol does.
+  unsigned long limit = static_cast<unsigned long>(LONG_MAX) + negative;
+  value = overflow || value > limit ? limit : value;
+  return static_cast<long>(negative ? ~value + 1 : value);
 }
 
 int Atoi(const char* s) { return static_cast<int>(Strtol(s, nullptr, 10)); }

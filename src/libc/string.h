@@ -33,17 +33,15 @@ const void* Memchr(const void* s, int c, size_t n);
 
 // Numeric conversion.  Matches C strtol semantics: optional whitespace,
 // sign, base prefix ("0x"/"0") when base == 0.  Strtoul saturates at
-// ULONG_MAX past 2^64 - 1.
+// ULONG_MAX past 2^64 - 1; Strtol at LONG_MAX and LONG_MIN.
 long Strtol(const char* s, const char** end, int base);
 unsigned long Strtoul(const char* s, const char** end, int base);
 int Atoi(const char* s);
 
 int ToLower(int c);
-int ToUpper(int c);
 bool IsDigit(int c);
 bool IsSpace(int c);
 bool IsAlpha(int c);
-bool IsPrint(int c);
 
 }  // namespace oskit::libc
 

@@ -67,12 +67,6 @@ void VirtualSwitch::SetPortConfig(int port, const PortConfig& config) {
   ports_[port].config = config;
 }
 
-const VirtualSwitch::PortConfig& VirtualSwitch::port_config(int port) const {
-  OSKIT_ASSERT_MSG(port >= 0 && static_cast<size_t>(port) < ports_.size(),
-                   "bad switch port");
-  return ports_[port].config;
-}
-
 VirtualSwitch::FrameRef VirtualSwitch::AcquireFrame() {
   if (free_frames_.empty()) {
     free_frames_.emplace_front();

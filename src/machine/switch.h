@@ -74,7 +74,6 @@ class VirtualSwitch final : public EtherLink {
   int PortOf(const WireEndpoint* endpoint) const;
 
   void SetPortConfig(int port, const PortConfig& config);
-  const PortConfig& port_config(int port) const;
 
   // Statistics (also registered as switch.* counters).
   uint64_t frames_in() const { return frames_in_.value(); }

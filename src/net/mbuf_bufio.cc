@@ -14,34 +14,22 @@ MbufBufIo::~MbufBufIo() { pool_->FreeChain(chain_); }
 
 Error MbufBufIo::Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) {
   *out_actual = 0;
-  size_t total = chain_->pkt_len;
-  // off_t64 is unsigned: check the offset first, then compare the amount
-  // against the remainder (subtraction form — `offset + amount` can wrap).
-  if (offset > total) {
-    return Error::kOutOfRange;
+  Error err = ClampRange(chain_->pkt_len, offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
-  size_t avail = total - static_cast<size_t>(offset);
-  if (amount > avail && offset + amount < offset) {
-    return Error::kInval;  // wrapped range, not a short read
-  }
-  size_t n = amount < avail ? amount : avail;
-  pool_->CopyData(chain_, offset, n, buf);
-  *out_actual = n;
+  pool_->CopyData(chain_, offset, amount, buf);
+  *out_actual = amount;
   return Error::kOk;
 }
 
 Error MbufBufIo::Write(const void* buf, off_t64 offset, size_t amount,
                        size_t* out_actual) {
   *out_actual = 0;
-  size_t total = chain_->pkt_len;
-  if (offset > total) {
-    return Error::kOutOfRange;
+  Error err = ClampRange(chain_->pkt_len, offset, &amount);
+  if (!Ok(err)) {
+    return err;
   }
-  size_t avail = total - static_cast<size_t>(offset);
-  if (amount > avail && offset + amount < offset) {
-    return Error::kInval;
-  }
-  size_t n = amount < avail ? amount : avail;
   // The chain invariant forbids writing through shared storage (Split /
   // CopyChain create refs>1 aliases); a write that would scribble another
   // packet's bytes is refused whole rather than applied partially.
@@ -51,7 +39,7 @@ Error MbufBufIo::Write(const void* buf, off_t64 offset, size_t amount,
     off -= m->len;
     m = m->next;
   }
-  size_t remaining = n;
+  size_t remaining = amount;
   for (const MBuf* probe = m; remaining > 0; probe = probe->next) {
     OSKIT_ASSERT(probe != nullptr);
     size_t covered = probe->len - static_cast<size_t>(off);
@@ -70,18 +58,18 @@ Error MbufBufIo::Write(const void* buf, off_t64 offset, size_t amount,
   }
   const auto* src = static_cast<const uint8_t*>(buf);
   size_t done = 0;
-  while (done < n) {
+  while (done < amount) {
     OSKIT_ASSERT(w != nullptr);
     size_t piece = w->len - static_cast<size_t>(off);
-    if (piece > n - done) {
-      piece = n - done;
+    if (piece > amount - done) {
+      piece = amount - done;
     }
     std::memcpy(w->data + off, src + done, piece);
     done += piece;
     off = 0;
     w = w->next;
   }
-  *out_actual = n;
+  *out_actual = amount;
   return Error::kOk;
 }
 
@@ -97,6 +85,10 @@ Error MbufBufIo::Map(void** out_addr, off_t64 offset, size_t amount) {
   // includes ranges spanning ADJACENT mbufs whose windows abut in storage —
   // e.g. the two sides of a Split inside one shared cluster — not just a
   // single mbuf.
+  Error err = CheckWindow(chain_->pkt_len, offset, amount);
+  if (!Ok(err)) {
+    return err;
+  }
   MBuf* m = chain_;
   off_t64 off = offset;
   while (m != nullptr && off >= m->len) {
@@ -106,8 +98,6 @@ Error MbufBufIo::Map(void** out_addr, off_t64 offset, size_t amount) {
   if (m == nullptr) {
     return Error::kNotImpl;
   }
-  // Subtraction form: `off + amount` can wrap with a huge amount, yielding
-  // an in-"range" pointer past the mbuf.
   size_t contiguous = m->len - static_cast<size_t>(off);
   const MBuf* cur = m;
   while (contiguous < amount && cur->next != nullptr &&
@@ -129,9 +119,9 @@ Error MbufBufIo::Unmap(void* addr, off_t64 offset, size_t amount) {
 Error MbufBufIo::Vectors(BufIoSegment* out_segs, size_t cap, off_t64 offset,
                          size_t amount, size_t* out_count) {
   *out_count = 0;
-  if (offset > chain_->pkt_len ||
-      amount > chain_->pkt_len - static_cast<size_t>(offset)) {
-    return Error::kOutOfRange;
+  Error err = CheckWindow(chain_->pkt_len, offset, amount);
+  if (!Ok(err)) {
+    return err;
   }
   const MBuf* m = chain_;
   off_t64 off = offset;

@@ -45,13 +45,10 @@ class MbufBufIo final : public ComObject<MbufBufIo, BufIoVec, BufIo, BlkIo> {
   Error Write(const void* buf, off_t64 offset, size_t amount,
               size_t* out_actual) override;
   Error GetSize(off_t64* out_size) override;
-  Error SetSize(off_t64) override { return Error::kNotImpl; }
 
   // BufIo: Map succeeds only within one contiguous mbuf.
   Error Map(void** out_addr, off_t64 offset, size_t amount) override;
   Error Unmap(void* addr, off_t64 offset, size_t amount) override;
-  Error Wire() override { return Error::kOk; }
-  Error Unwire() override { return Error::kOk; }
 
   // BufIoVec: one segment per mbuf covering the range.  The chain is pinned
   // by this object's own lifetime, so Vectors/UnmapVectors are pure views.

@@ -151,14 +151,6 @@ void PrincipalRegistry::KillByDomain(uint32_t domain) {
   }
 }
 
-uint64_t PrincipalRegistry::TotalCharged(Resource r) const {
-  uint64_t total = 0;
-  for (const auto& p : principals_) {
-    total += p->charged(r);
-  }
-  return total;
-}
-
 uint64_t PrincipalRegistry::TotalDenied() const {
   uint64_t total = 0;
   for (const auto& p : principals_) {

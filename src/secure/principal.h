@@ -177,8 +177,7 @@ class PrincipalRegistry {
   // ids are ignored, killing twice is idempotent.
   void KillByDomain(uint32_t domain);
 
-  // Sum of outstanding charges across principals for one resource.
-  uint64_t TotalCharged(Resource r) const;
+  // Sum of denied charges across principals.
   uint64_t TotalDenied() const;
 
   Principal* current() const { return current_; }

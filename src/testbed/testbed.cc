@@ -5,20 +5,6 @@
 
 namespace oskit::testbed {
 
-const char* NetConfigName(NetConfig config) {
-  switch (config) {
-    case NetConfig::kOskit:
-      return "OSKit (FreeBSD stack + Linux driver via COM)";
-    case NetConfig::kNativeBsd:
-      return "FreeBSD (native mbuf driver)";
-    case NetConfig::kNativeLinux:
-      return "Linux (native skbuff stack)";
-    case NetConfig::kOskitNapi:
-      return "OSKit (coalesced IRQs + polled RX)";
-  }
-  return "?";
-}
-
 InetAddr HostAddr(int index) { return MakeInetAddr(10, 0, 0, static_cast<uint8_t>(index + 1)); }
 
 ComPtr<Socket> Host::MakeSocket(SockType type) {

@@ -40,8 +40,6 @@ enum class NetConfig {
   kOskitNapi,
 };
 
-const char* NetConfigName(NetConfig config);
-
 // One simulated PC with a kernel environment and a bound network stack.
 struct Host {
   // Per-host observability environment: every component on this host reports

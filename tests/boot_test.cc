@@ -223,6 +223,12 @@ TEST_F(MemFsTest, ErrorCases) {
   EXPECT_EQ(Error::kIsDir, root_->Unlink("dir"));
   ComPtr<File> d;
   ASSERT_EQ(Error::kOk, root_->Lookup("dir", d.Receive()));
+  char byte = 0;
+  size_t actual = 99;
+  EXPECT_EQ(Error::kIsDir, d->Read(&byte, 0, 1, &actual));
+  EXPECT_EQ(0u, actual);
+  EXPECT_EQ(Error::kIsDir, d->Write(&byte, 0, 1, &actual));
+  EXPECT_EQ(Error::kIsDir, d->SetSize(0));
   ComPtr<Dir> dir = ComPtr<Dir>::FromQuery(d.get());
   ComPtr<File> inner;
   ASSERT_EQ(Error::kOk, dir->Create("occupant", 0644, inner.Receive()));

@@ -1,22 +1,13 @@
 // Shared bounds-abuse suite for byte-range IO surfaces.
 //
-// The same unsigned-wrap bug class has now been found on three separate
-// occasions (PR 5: SkBuffIo/MemBlkIo/MbufBufIo; PR 9: MapRange/Translate;
-// PR 10: IDE glue, partition views, FFS file IO): `off_t64` is unsigned, so
-// a "negative" offset arrives huge, and `offset + amount` silently wraps
-// past the bound it was meant to enforce.  Every surface now follows one
-// discipline:
-//
-//   - an offset strictly past the object -> kOutOfRange (file-style
-//     surfaces may report EOF as kOk with 0 bytes instead),
-//   - a range whose `offset + amount` genuinely wraps -> kInval, never a
-//     clamped "success" and never a huge out_actual,
-//   - an ordinary past-end range keeps the surface's documented clamp /
-//     short-read semantics.
-//
-// This header applies that contract to anything with BlkIo-shaped
-// Read/Write methods (BlkIo, BufIo, File, the aio stack layers...), so new
-// surfaces get the suite for free: instantiate the helpers from the
+// Holds anything with BlkIo-shaped methods (BlkIo, BufIo, BufIoVec, File,
+// the aio stack layers...) to the byte-range contract stated once at
+// ClampRange and CheckWindow in src/com/blkio.h: `off_t64` is unsigned, so a
+// "negative" offset arrives huge and `offset + amount` can wrap past the
+// bound it was meant to enforce.  That bug class was found three separate
+// times, on the packet buffers, on MapRange/Translate, and on the IDE glue,
+// partition views and FFS file IO, before the contract was written once.
+// New surfaces get the suite for free: instantiate the helpers from the
 // module's own test with a live object and its size.
 
 #ifndef OSKIT_TESTS_BOUNDS_ABUSE_H_
@@ -28,6 +19,7 @@
 #include <cstdint>
 
 #include "src/base/error.h"
+#include "src/com/bufio.h"
 
 namespace oskit::testing {
 
@@ -118,6 +110,54 @@ void AbuseWriteBounds(IoT* io, uint64_t size,
   ASSERT_EQ(actual, 1u);
   ASSERT_EQ(io->Write(&keep, 0, 1, &actual), Error::kOk);
   EXPECT_EQ(actual, 1u);
+}
+
+// Same suite for a window check (Map, Vectors): the whole window must lie
+// inside the object.  `map(offset, amount)` returns the surface's answer
+// and releases whatever a success pinned; MapWindow and VectorsWindow build
+// it for the two BufIo shapes.
+template <typename MapFn>
+void AbuseMapBounds(MapFn map, uint64_t size) {
+  ASSERT_GE(size, 2u) << "bounds abuse needs a 2+ byte object";
+
+  // Windows past the end: a huge offset, an offset one past the object, and
+  // an in-range offset whose window runs one byte over.
+  EXPECT_EQ(map(~uint64_t{0} - 7, 1), Error::kOutOfRange) << "huge offset";
+  EXPECT_EQ(map(size + 1, 0), Error::kOutOfRange) << "offset past the end";
+  EXPECT_EQ(map(size - 1, 2), Error::kOutOfRange) << "window past the end";
+
+  // Windows whose `offset + amount` wraps.
+  EXPECT_EQ(map(1, ~size_t{0}), Error::kInval) << "wrapping window";
+  EXPECT_EQ(map(size - 1, ~size_t{0}), Error::kInval)
+      << "wrapping window at object end";
+
+  // The exact tail maps.
+  EXPECT_EQ(map(size - 1, 1), Error::kOk) << "the last byte";
+}
+
+template <typename IoT>
+auto MapWindow(IoT* io) {
+  return [io](uint64_t offset, size_t amount) {
+    void* addr = nullptr;
+    Error err = io->Map(&addr, offset, amount);
+    if (err == Error::kOk) {
+      io->Unmap(addr, offset, amount);
+    }
+    return err;
+  };
+}
+
+template <typename IoT>
+auto VectorsWindow(IoT* io) {
+  return [io](uint64_t offset, size_t amount) {
+    BufIoSegment segs[16];
+    size_t count = 0;
+    Error err = io->Vectors(segs, 16, offset, amount, &count);
+    if (err == Error::kOk) {
+      io->UnmapVectors(offset, amount);
+    }
+    return err;
+  };
 }
 
 }  // namespace oskit::testing

@@ -133,6 +133,11 @@ TEST_F(FsTest, FileBoundsAbuse) {
   // range is kInval — never an attempt to allocate to "offset + amount".
   oskit::testing::AbuseReadBounds(f.get(), 2, oskit::testing::PastEnd::kEofOk);
   oskit::testing::AbuseWriteBounds(f.get(), 2, oskit::testing::PastEnd::kEofOk);
+  // The sendfile view's windows follow the same contract.
+  auto vec = ComPtr<BufIoVec>::FromQuery(f.get());
+  ASSERT_TRUE(vec);
+  oskit::testing::AbuseMapBounds(oskit::testing::VectorsWindow(vec.get()), 2);
+  vec.Reset();
   f.Reset();
   ExpectFsckClean();
 }
@@ -231,6 +236,13 @@ TEST_F(FsTest, DirectoryTreeAndRename) {
   ASSERT_EQ(Error::kOk, root_->Mkdir("a", 0755));
   ComPtr<File> af;
   ASSERT_EQ(Error::kOk, root_->Lookup("a", af.Receive()));
+  // A directory's File surface refuses byte IO (Dir's defaults).
+  char byte = 0;
+  size_t refused = 99;
+  EXPECT_EQ(Error::kIsDir, af->Read(&byte, 0, 1, &refused));
+  EXPECT_EQ(0u, refused);
+  EXPECT_EQ(Error::kIsDir, af->Write(&byte, 0, 1, &refused));
+  EXPECT_EQ(Error::kIsDir, af->SetSize(0));
   ComPtr<Dir> a = ComPtr<Dir>::FromQuery(af.get());
   ASSERT_EQ(Error::kOk, a->Mkdir("b", 0755));
   ComPtr<File> bf;

@@ -80,6 +80,18 @@ TEST(StringTest, Strtol) {
   EXPECT_EQ(10, Strtol("010", nullptr, 10));
   EXPECT_EQ(0, Strtol("junk", &end, 10));
   EXPECT_EQ(123, Atoi("123"));
+  // Saturates at LONG_MAX and LONG_MIN, as C's strtol does, and still
+  // consumes every digit.
+  EXPECT_EQ(LONG_MAX, Strtol("9223372036854775807", &end, 10));
+  EXPECT_EQ(LONG_MAX, Strtol("9223372036854775808", &end, 10));
+  EXPECT_EQ('\0', *end);
+  EXPECT_EQ(LONG_MAX, Strtol("99999999999999999999", &end, 10));
+  EXPECT_EQ('\0', *end);
+  EXPECT_EQ(LONG_MIN, Strtol("-9223372036854775808", &end, 10));
+  EXPECT_EQ(LONG_MIN, Strtol("-9223372036854775809", &end, 10));
+  EXPECT_EQ(LONG_MIN, Strtol("-99999999999999999999 rest", &end, 10));
+  EXPECT_STREQ(" rest", end);
+  EXPECT_EQ(LONG_MAX, Strtol("0x8000000000000000", nullptr, 0));
 }
 
 TEST(StringTest, StrtoulSaturatesPastTwoToTheSixtyFour) {
