@@ -1,63 +1,11 @@
 #include "src/aio/stack.h"
 
-#include <cstring>
+#include <algorithm>
 
+#include "src/base/digest.h"
 #include "src/base/panic.h"
 
 namespace oskit::aio {
-
-namespace {
-
-// The checksum layer's digest.  It is kept only in the layer's volatile
-// table (see stack.h), so it is no on-disk format and need not match the
-// journal's FNV-1a.  Four independent lanes consume the granule a 64-bit
-// word at a time (word i feeds lane i % 4), so their multiplies overlap
-// instead of one dependent multiply per byte.  A lane step
-//   lane -> rotl(lane + word * kP2, 31) * kP1
-// is a bijection of the lane for a fixed word and of the word for a fixed
-// lane, and the merge is a bijection of each lane with the others fixed.
-// So two equal-length buffers that differ in exactly one 8-byte word (or
-// in the zero-padded tail) always digest differently.
-constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
-constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
-
-uint64_t LaneStep(uint64_t lane, uint64_t word) {
-  lane += word * kP2;
-  lane = (lane << 31) | (lane >> 33);
-  return lane * kP1;
-}
-
-uint64_t LoadWord(const uint8_t* p) {
-  uint64_t word;
-  std::memcpy(&word, p, sizeof(word));
-  return word;
-}
-
-uint64_t Digest(const uint8_t* data, size_t len) {
-  uint64_t lanes[4] = {1, 2, 3, 4};
-  size_t i = 0;
-  for (; i + 32 <= len; i += 32) {
-    for (int k = 0; k < 4; ++k) {
-      lanes[k] = LaneStep(lanes[k], LoadWord(data + i + 8 * k));
-    }
-  }
-  int k = 0;
-  for (; i + 8 <= len; i += 8, ++k) {
-    lanes[k] = LaneStep(lanes[k], LoadWord(data + i));
-  }
-  if (i < len) {
-    uint64_t tail = 0;
-    std::memcpy(&tail, data + i, len - i);
-    lanes[k] = LaneStep(lanes[k], tail);
-  }
-  uint64_t digest = len;
-  for (uint64_t lane : lanes) {
-    digest = (digest ^ LaneStep(0, lane)) * kP1;
-  }
-  return digest;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // SyncRingAdapter
@@ -233,6 +181,10 @@ Error StripeBlkIo::Flush() {
 
 // ---------------------------------------------------------------------------
 // ChecksumBlkIo
+//
+// The table holds the kit's IntegrityDigest (src/base/digest.h), the same
+// word-parallel digest the journal writes to disk.  Here it stays in memory
+// only (see stack.h): one entry per granule, grown by accepted writes.
 // ---------------------------------------------------------------------------
 
 ChecksumBlkIo::ChecksumBlkIo(ComPtr<BlkIo> below, trace::TraceEnv* trace)
@@ -272,14 +224,13 @@ Error ChecksumBlkIo::Read(void* buf, off_t64 offset, size_t amount,
   // the corrupt data.
   const auto* data = static_cast<const uint8_t*>(buf);
   off_t64 first = (offset + granule_ - 1) / granule_;           // round up
-  off_t64 last = (offset + actual) / granule_;                  // round down
+  off_t64 last = std::min<off_t64>((offset + actual) / granule_,  // round down
+                                   table_.size());
   for (off_t64 g = first; g < last; ++g) {
-    auto it = table_.find(g);
-    if (it == table_.end()) {
+    if (!table_[g]) {
       continue;  // unchecked: no write observed this power cycle
     }
-    const uint8_t* granule_data = data + (g * granule_ - offset);
-    if (Digest(granule_data, granule_) != it->second) {
+    if (IntegrityDigestOf(data + (g * granule_ - offset), granule_) != *table_[g]) {
       ++mismatches_;
       return Error::kIo;
     }
@@ -301,18 +252,24 @@ Error ChecksumBlkIo::Write(const void* buf, off_t64 offset, size_t amount,
   if (!Ok(err)) {
     return err;
   }
+  if (actual == 0) {
+    return Error::kOk;
+  }
   const auto* data = static_cast<const uint8_t*>(buf);
   off_t64 begin = offset / granule_;
   off_t64 end = (offset + actual + granule_ - 1) / granule_;
+  if (end > table_.size()) {
+    table_.resize(end);  // the device took these bytes: `end` is within it
+  }
   for (off_t64 g = begin; g < end; ++g) {
     off_t64 g_start = g * granule_;
     if (g_start >= offset && g_start + granule_ <= offset + actual) {
-      table_[g] = Digest(data + (g_start - offset), granule_);
+      table_[g] = IntegrityDigestOf(data + (g_start - offset), granule_);
       ++updates_;
     } else {
       // Partial edge: the layer does not read-to-merge, so the granule's
       // post-write digest is unknown — drop it back to unchecked.
-      table_.erase(g);
+      table_[g].reset();
     }
   }
   *out_actual = actual;

@@ -31,8 +31,9 @@
 #ifndef OSKIT_SRC_AIO_STACK_H_
 #define OSKIT_SRC_AIO_STACK_H_
 
+#include <algorithm>
 #include <deque>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "src/com/aio.h"
@@ -146,7 +147,7 @@ class ChecksumBlkIo final
   uint32_t GetBlockSize() override { return granule_; }
   // Reads verify every fully covered granule against the recorded digest
   // and surface kIo — never the corrupt bytes — on a mismatch.  Granules
-  // no write has covered this power cycle are unchecked (entry absent).
+  // no write has covered this power cycle are unchecked (entry empty).
   Error Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) override;
   // Writes record the digest of every fully covered granule; a partial
   // edge granule invalidates its entry (the layer never reads-to-merge, so
@@ -158,7 +159,13 @@ class ChecksumBlkIo final
   Error Flush() override { return barrier_ ? barrier_->Flush() : Error::kOk; }
 
   uint64_t mismatches() const { return mismatches_.value(); }
-  size_t tracked_granules() const { return table_.size(); }
+  size_t tracked_granules() const {
+    return std::count_if(table_.begin(), table_.end(),
+                         [](const auto& entry) { return entry.has_value(); });
+  }
+  // Granules the table has room for: it grows only to cover a write the
+  // device accepted.
+  size_t table_granules() const { return table_.size(); }
 
  private:
   friend class RefCounted<ChecksumBlkIo>;
@@ -168,7 +175,9 @@ class ChecksumBlkIo final
   ComPtr<BlkIo> below_;
   ComPtr<BlkIoBarrier> barrier_;
   uint32_t granule_;
-  std::unordered_map<uint64_t, uint64_t> table_;  // granule -> Digest
+  // Indexed by granule: the IntegrityDigest of its last full write, or
+  // empty while unchecked.
+  std::vector<std::optional<uint64_t>> table_;
   trace::Counter updates_;
   trace::Counter verified_;
   trace::Counter mismatches_;

@@ -294,67 +294,54 @@ ComPtr<CacheBlkIo> CacheBlkIo::Create(BlkIo* below, uint32_t block_size,
   return layer;
 }
 
-Error CacheBlkIo::Read(void* buf, off_t64 offset, size_t amount,
-                       size_t* out_actual) {
+// Runs `op(block, data, done, span)` over each cache block the clamped
+// range touches: `data` is the block's bytes at the range's position in it,
+// `done` the bytes of the range before them.
+template <typename OpFn>
+Error CacheBlkIo::ForBlocks(off_t64 offset, size_t amount, size_t* out_actual,
+                            OpFn&& op) {
   *out_actual = 0;
   Error err = ClampRange(size_, offset, &amount);
   if (!Ok(err)) {
     return err;
   }
-  auto* out = static_cast<uint8_t*>(buf);
   const uint32_t bs = cache_.block_size();
   size_t done = 0;
   while (done < amount) {
     off_t64 at = offset + done;
     auto block = static_cast<uint32_t>(at / bs);
     uint32_t in_block = static_cast<uint32_t>(at % bs);
-    size_t span = bs - in_block;
-    if (span > amount - done) {
-      span = amount - done;
-    }
+    size_t span = std::min<size_t>(bs - in_block, amount - done);
     uint8_t* data = nullptr;
     err = cache_.Get(block, &data);
     if (!Ok(err)) {
       *out_actual = done;
       return err;
     }
-    std::memcpy(out + done, data + in_block, span);
+    op(block, data + in_block, done, span);
     done += span;
   }
   *out_actual = done;
   return Error::kOk;
 }
 
+Error CacheBlkIo::Read(void* buf, off_t64 offset, size_t amount,
+                       size_t* out_actual) {
+  auto* out = static_cast<uint8_t*>(buf);
+  return ForBlocks(offset, amount, out_actual,
+                   [out](uint32_t, uint8_t* data, size_t done, size_t span) {
+                     std::memcpy(out + done, data, span);
+                   });
+}
+
 Error CacheBlkIo::Write(const void* buf, off_t64 offset, size_t amount,
                         size_t* out_actual) {
-  *out_actual = 0;
-  Error err = ClampRange(size_, offset, &amount);
-  if (!Ok(err)) {
-    return err;
-  }
   const auto* in = static_cast<const uint8_t*>(buf);
-  const uint32_t bs = cache_.block_size();
-  size_t done = 0;
-  while (done < amount) {
-    off_t64 at = offset + done;
-    auto block = static_cast<uint32_t>(at / bs);
-    uint32_t in_block = static_cast<uint32_t>(at % bs);
-    size_t span = bs - in_block;
-    if (span > amount - done) {
-      span = amount - done;
-    }
-    uint8_t* data = nullptr;
-    err = cache_.Get(block, &data);
-    if (!Ok(err)) {
-      *out_actual = done;
-      return err;
-    }
-    std::memcpy(data + in_block, in + done, span);
-    cache_.MarkDirty(block);
-    done += span;
-  }
-  *out_actual = done;
-  return Error::kOk;
+  return ForBlocks(offset, amount, out_actual,
+                   [this, in](uint32_t block, uint8_t* data, size_t done, size_t span) {
+                     std::memcpy(data, in + done, span);
+                     cache_.MarkDirty(block);
+                   });
 }
 
 Error CacheBlkIo::Flush() {

@@ -152,6 +152,9 @@ class CacheBlkIo final : public ComObject<CacheBlkIo, BlkIo, BlkIoBarrier> {
              trace::TraceEnv* trace);
   ~CacheBlkIo() = default;
 
+  template <typename OpFn>
+  Error ForBlocks(off_t64 offset, size_t amount, size_t* out_actual, OpFn&& op);
+
   BlockCache cache_;
   off_t64 size_ = 0;
 };

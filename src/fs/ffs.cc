@@ -148,14 +148,12 @@ Error Mkfs(BlkIo* device, const MkfsOptions& options) {
   sb.clean = 1;
 
   std::vector<uint8_t> block(kBlockSize, 0);
-  size_t actual = 0;
 
   // Zero the metadata area.
   for (uint32_t b = 0; b < sb.data_start; ++b) {
-    err = device->Write(block.data(), static_cast<off_t64>(b) * kBlockSize,
-                        kBlockSize, &actual);
-    if (!Ok(err) || actual != kBlockSize) {
-      return Ok(err) ? Error::kIo : err;
+    err = WriteBlockRaw(device, b, block.data());
+    if (!Ok(err)) {
+      return err;
     }
   }
 
@@ -165,14 +163,12 @@ Error Mkfs(BlkIo* device, const MkfsOptions& options) {
   for (uint32_t b = 0; b <= root_block; ++b) {
     uint32_t bitmap_block = sb.bitmap_start + b / (kBlockSize * 8);
     uint32_t bit = b % (kBlockSize * 8);
-    err = device->Read(block.data(), static_cast<off_t64>(bitmap_block) * kBlockSize,
-                       kBlockSize, &actual);
+    err = ReadBlockRaw(device, bitmap_block, block.data());
     if (!Ok(err)) {
       return err;
     }
     block[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
-    err = device->Write(block.data(), static_cast<off_t64>(bitmap_block) * kBlockSize,
-                        kBlockSize, &actual);
+    err = WriteBlockRaw(device, bitmap_block, block.data());
     if (!Ok(err)) {
       return err;
     }
@@ -188,8 +184,7 @@ Error Mkfs(BlkIo* device, const MkfsOptions& options) {
 
   std::memset(block.data(), 0, kBlockSize);
   std::memcpy(block.data() + kRootIno * kInodeSize, &root, sizeof(root));
-  err = device->Write(block.data(), static_cast<off_t64>(sb.itable_start) * kBlockSize,
-                      kBlockSize, &actual);
+  err = WriteBlockRaw(device, sb.itable_start, block.data());
   if (!Ok(err)) {
     return err;
   }
@@ -206,8 +201,7 @@ Error Mkfs(BlkIo* device, const MkfsOptions& options) {
   dotdot->type = kModeDirectory >> 12;
   dotdot->name_len = 2;
   libc::Strcpy(dotdot->name, "..");
-  err = device->Write(block.data(), static_cast<off_t64>(root_block) * kBlockSize,
-                      kBlockSize, &actual);
+  err = WriteBlockRaw(device, root_block, block.data());
   if (!Ok(err)) {
     return err;
   }
@@ -224,7 +218,7 @@ Error Mkfs(BlkIo* device, const MkfsOptions& options) {
   // Superblock last (a crash mid-mkfs leaves no valid magic).
   std::memset(block.data(), 0, kBlockSize);
   std::memcpy(block.data(), &sb, sizeof(sb));
-  return device->Write(block.data(), 0, kBlockSize, &actual);
+  return WriteBlockRaw(device, 0, block.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -821,23 +815,13 @@ Error Offs::FileWriteAt(uint64_t ino, const void* buf, uint64_t offset, size_t a
     }
     done += n;
   }
-  if (offset + done > inode.size) {
+  if (done > 0 || offset > inode.size) {
     // Reload: BMap may have stored the inode with new block pointers.
     err = ReadInode(ino, &inode);
     if (!Ok(err)) {
       return err;
     }
-    inode.size = offset + done;
-    inode.mtime = now();
-    err = WriteInode(ino, inode);
-    if (!Ok(err)) {
-      return err;
-    }
-  } else if (done > 0) {
-    err = ReadInode(ino, &inode);
-    if (!Ok(err)) {
-      return err;
-    }
+    inode.size = std::max<uint64_t>(inode.size, offset + done);
     inode.mtime = now();
     err = WriteInode(ino, inode);
     if (!Ok(err)) {

@@ -112,9 +112,7 @@ class Checker {
     }
     uint32_t block = sb_.itable_start + static_cast<uint32_t>(ino / kInodesPerBlock);
     uint8_t data[kBlockSize];
-    size_t actual = 0;
-    if (!Ok(device_->Read(data, static_cast<off_t64>(block) * kBlockSize, kBlockSize,
-                          &actual))) {
+    if (!ReadBlockRaw(block, data)) {
       return false;
     }
     std::memcpy(out, data + (ino % kInodesPerBlock) * kInodeSize, sizeof(DiskInode));
@@ -122,10 +120,7 @@ class Checker {
   }
 
   bool ReadBlockRaw(uint32_t block, uint8_t* out) {
-    size_t actual = 0;
-    return Ok(device_->Read(out, static_cast<off_t64>(block) * kBlockSize, kBlockSize,
-                            &actual)) &&
-           actual == kBlockSize;
+    return Ok(fs::ReadBlockRaw(device_, block, out));
   }
 
   // Claims a block for `ino`; reports double-claims and range errors.

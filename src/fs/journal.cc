@@ -2,44 +2,42 @@
 
 #include <cstring>
 
+#include "src/base/digest.h"
 #include "src/base/panic.h"
 
 namespace oskit::fs {
 
-uint64_t Fnv64(const void* data, size_t len, uint64_t seed) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t hash = seed;
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= p[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-namespace {
-
-uint64_t JsbChecksum(const JournalSuper& jsb) {
-  return Fnv64(&jsb, offsetof(JournalSuper, checksum));
-}
-
-Error ReadBlockRaw(BlkIo* device, uint32_t block, uint8_t* out) {
+Error ReadBlockRaw(BlkIo* device, uint32_t block, void* out) {
   size_t actual = 0;
   Error err = device->Read(out, static_cast<off_t64>(block) * kBlockSize,
                            kBlockSize, &actual);
-  if (!Ok(err)) {
-    return err;
-  }
-  return actual == kBlockSize ? Error::kOk : Error::kIo;
+  return Ok(err) && actual != kBlockSize ? Error::kIo : err;
 }
 
 Error WriteBlockRaw(BlkIo* device, uint32_t block, const void* data) {
   size_t actual = 0;
   Error err = device->Write(data, static_cast<off_t64>(block) * kBlockSize,
                             kBlockSize, &actual);
-  if (!Ok(err)) {
-    return err;
-  }
-  return actual == kBlockSize ? Error::kOk : Error::kIo;
+  return Ok(err) && actual != kBlockSize ? Error::kIo : err;
+}
+
+namespace {
+
+static_assert(offsetof(TxnCommit, checksum) + sizeof(uint64_t) == sizeof(TxnCommit),
+              "the commit checksum is the record's last field");
+
+uint64_t JsbChecksum(const JournalSuper& jsb) {
+  return IntegrityDigestOf(&jsb, offsetof(JournalSuper, checksum));
+}
+
+// Covers the header block and every word of the commit block but the
+// checksum itself, so one changed word in either voids the transaction.
+uint64_t CommitChecksum(const uint8_t* header_block, const uint8_t* commit_block) {
+  IntegrityDigest digest;
+  digest.Add(header_block, kBlockSize);
+  digest.Add(commit_block, offsetof(TxnCommit, checksum));
+  digest.Add(commit_block + sizeof(TxnCommit), kBlockSize - sizeof(TxnCommit));
+  return digest.Finish();
 }
 
 Error LoadJsb(BlkIo* device, uint32_t journal_start, uint32_t region_blocks,
@@ -111,20 +109,20 @@ Error ReadTxnAt(BlkIo* device, const SuperBlock& sb, uint32_t pos, uint64_t seq,
   std::memcpy(&commit, commit_block, sizeof(commit));
   if (commit.magic != kTxnCommitMagic || commit.seq != seq ||
       commit.n_blocks != header.n_blocks ||
-      commit.checksum != Fnv64(header_block, kBlockSize)) {
+      commit.checksum != CommitChecksum(header_block, commit_block)) {
     return Error::kCorrupt;  // torn or never-completed commit
   }
   // Header and commit agree; now the images must match the header's digest.
-  uint64_t payload = 0xcbf29ce484222325ull;
+  IntegrityDigest payload;
   uint8_t image[kBlockSize];
   for (uint32_t i = 0; i < header.n_blocks; ++i) {
     err = ReadBlockRaw(device, sb.journal_start + pos + 1 + i, image);
     if (!Ok(err)) {
       return err;
     }
-    payload = Fnv64(image, kBlockSize, payload);
+    payload.Add(image, kBlockSize);
   }
-  if (payload != header.payload_checksum) {
+  if (payload.Finish() != header.payload_checksum) {
     return Error::kCorrupt;
   }
   out->header = header;
@@ -202,24 +200,17 @@ Error JournalReplay(BlkIo* device, const SuperBlock& sb, bool apply,
     // Make the redone metadata durable, then retire the chain so a second
     // crash replays nothing stale.
     ComPtr<BlkIoBarrier> barrier = ComPtr<BlkIoBarrier>::FromQuery(device);
-    if (barrier) {
-      err = barrier->Flush();
-      if (!Ok(err)) {
-        return err;
-      }
-    }
+    auto flush = [&barrier] { return barrier ? barrier->Flush() : Error::kOk; };
     jsb.next_pos = pos;
     jsb.next_seq = seq;
-    err = StoreJsb(device, sb.journal_start, &jsb);
-    if (!Ok(err)) {
-      return err;
+    err = flush();
+    if (Ok(err)) {
+      err = StoreJsb(device, sb.journal_start, &jsb);
     }
-    if (barrier) {
-      err = barrier->Flush();
-      if (!Ok(err)) {
-        return err;
-      }
+    if (Ok(err)) {
+      err = flush();
     }
+    return err;
   }
   return Error::kOk;
 }
@@ -257,7 +248,7 @@ Error JournalWriter::WriteImages(
     const std::function<Error(uint32_t, uint8_t*)>& read_block,
     uint64_t* out_payload_checksum) {
   uint32_t n = static_cast<uint32_t>(targets.size());
-  uint64_t payload = 0xcbf29ce484222325ull;
+  IntegrityDigest payload;
 
   if (!ring_) {
     // Sequential fallback: one synchronous write per image.
@@ -267,13 +258,13 @@ Error JournalWriter::WriteImages(
       if (!Ok(err)) {
         return err;
       }
-      payload = Fnv64(image, kBlockSize, payload);
+      payload.Add(image, kBlockSize);
       err = WriteRaw(next_pos_ + 1 + i, image);
       if (!Ok(err)) {
         return err;
       }
     }
-    *out_payload_checksum = payload;
+    *out_payload_checksum = payload.Finish();
     return Error::kOk;
   }
 
@@ -290,7 +281,7 @@ Error JournalWriter::WriteImages(
     if (!Ok(err)) {
       return err;
     }
-    payload = Fnv64(image, kBlockSize, payload);
+    payload.Add(image, kBlockSize);
     sqes[i].op = AioOp::kWrite;
     sqes[i].buf = image;
     sqes[i].offset =
@@ -327,7 +318,7 @@ Error JournalWriter::WriteImages(
     }
     reaped += got;
   }
-  *out_payload_checksum = payload;
+  *out_payload_checksum = payload.Finish();
   return Error::kOk;
 }
 
@@ -393,7 +384,8 @@ Error JournalWriter::Commit(
   TxnCommit commit;
   commit.n_blocks = n;
   commit.seq = next_seq_;
-  commit.checksum = Fnv64(header_block, kBlockSize);
+  std::memcpy(commit_block, &commit, sizeof(commit));
+  commit.checksum = CommitChecksum(header_block, commit_block);
   std::memcpy(commit_block, &commit, sizeof(commit));
   err = WriteRaw(next_pos_ + 1 + n, commit_block);
   if (!Ok(err)) {

@@ -10,11 +10,13 @@
 //   blocks pos+1..:   the n block images
 //   block pos+1+n:    TxnCommit
 //
-// The commit record carries a checksum of the header block as written, and
-// the header carries a checksum of the concatenated images, so ANY torn,
-// dropped, or reordered write inside an unflushed transaction invalidates
-// it as a whole: replay applies a committed transaction completely or not
-// at all, and applying one twice is a no-op (redo is idempotent).
+// Every checksum is the kit's IntegrityDigest (src/base/digest.h).  The
+// commit record carries one over the header block as written and the rest
+// of the commit block, and the header carries one over the n images as a
+// single stream, so ANY torn, dropped, or reordered write inside an
+// unflushed transaction invalidates it as a whole: replay applies a
+// committed transaction completely or not at all, and applying one twice is
+// a no-op (redo is idempotent).
 //
 // The checkpoint is written lazily (unflushed) after each transaction's
 // home-location writeback; a stale checkpoint only makes replay redo work
@@ -36,11 +38,15 @@
 
 namespace oskit::fs {
 
-// FNV-1a, the traditional dependency-free integrity hash.
-uint64_t Fnv64(const void* data, size_t len, uint64_t seed = 0xcbf29ce484222325ull);
+// Whole-block IO on the raw device, as mkfs, fsck and the journal do it:
+// kIo unless exactly kBlockSize bytes moved.
+Error ReadBlockRaw(BlkIo* device, uint32_t block, void* out);
+Error WriteBlockRaw(BlkIo* device, uint32_t block, const void* data);
 
 inline constexpr uint32_t kJournalMagic = 0x4a4f5552;    // "JOUR"
-inline constexpr uint32_t kJournalVersion = 1;
+// Version 1 used FNV-1a checksums; a version-1 journal is refused as
+// kCorrupt, like any jsb that fails validation.
+inline constexpr uint32_t kJournalVersion = 2;
 inline constexpr uint32_t kTxnHeaderMagic = 0x54584e48;  // "TXNH"
 inline constexpr uint32_t kTxnCommitMagic = 0x54584e43;  // "TXNC"
 // jsb + header + one image + commit.
@@ -55,7 +61,7 @@ struct JournalSuper {
   uint32_t region_blocks = 0;
   uint32_t next_pos = 1;  // region-relative block of the next transaction
   uint64_t next_seq = 1;
-  uint64_t checksum = 0;  // Fnv64 over the fields above
+  uint64_t checksum = 0;  // IntegrityDigest over the fields above
 };
 
 struct TxnHeader {
@@ -70,7 +76,9 @@ struct TxnCommit {
   uint32_t magic = kTxnCommitMagic;
   uint32_t n_blocks = 0;
   uint64_t seq = 0;
-  uint64_t checksum = 0;  // Fnv64 over the header block as written
+  // IntegrityDigest over the header block as written, then this block
+  // without this field.
+  uint64_t checksum = 0;
 };
 
 inline constexpr uint32_t kMaxTxnTargets =

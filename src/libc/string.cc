@@ -172,6 +172,7 @@ namespace {
 // digits.  Returns the magnitude; *overflow is set past 2^64 - 1.
 unsigned long ParseMagnitude(const char* s, const char** end, int base,
                              bool* negative, bool* overflow) {
+  const char* const begin = s;
   while (IsSpace(*s)) {
     ++s;
   }
@@ -179,7 +180,10 @@ unsigned long ParseMagnitude(const char* s, const char** end, int base,
     *negative = *s == '-';
     ++s;
   }
+  // After a "0x" with no hex digit, the number read is the "0".
+  const char* no_digits = begin;
   if ((base == 0 || base == 16) && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
+    no_digits = s + 1;
     s += 2;
     base = 16;
   } else if (base == 0 && s[0] == '0') {
@@ -202,7 +206,7 @@ unsigned long ParseMagnitude(const char* s, const char** end, int base,
     value = value * b + d;
   }
   if (end != nullptr) {
-    *end = s == start ? start : s;
+    *end = s == start ? no_digits : s;
   }
   return value;
 }

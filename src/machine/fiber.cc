@@ -81,10 +81,16 @@ Fiber* FiberScheduler::Spawn(std::string name, std::function<void()> entry,
 
 void FiberScheduler::Trampoline() {
   Fiber* self = g_trampoline_target;
+  FiberScheduler* scheduler = self->scheduler_;
+  OSKIT_ASAN_FINISH_SWITCH_FIBER(nullptr, &scheduler->scheduler_stack_bottom_,
+                                 &scheduler->scheduler_stack_size_);
   self->entry_();
   self->state_ = Fiber::State::kDone;
-  --self->scheduler_->live_count_;
-  // uc_link returns control to the scheduler context.
+  --scheduler->live_count_;
+  // uc_link returns control to the scheduler context; this fiber never
+  // comes back, so its fake stack is not parked.
+  OSKIT_ASAN_START_SWITCH_FIBER(nullptr, scheduler->scheduler_stack_bottom_,
+                                scheduler->scheduler_stack_size_);
 }
 
 void FiberScheduler::SwitchTo(Fiber* fiber) {
@@ -92,8 +98,19 @@ void FiberScheduler::SwitchTo(Fiber* fiber) {
   fiber->state_ = Fiber::State::kRunning;
   current_ = fiber;
   g_trampoline_target = fiber;
+  OSKIT_ASAN_START_SWITCH_FIBER(&scheduler_fake_stack_, fiber->stack_.base,
+                                fiber->stack_.size);
   swapcontext(&scheduler_context_, &fiber->context_);
+  OSKIT_ASAN_FINISH_SWITCH_FIBER(scheduler_fake_stack_, nullptr, nullptr);
   current_ = nullptr;
+}
+
+void FiberScheduler::SwitchOut(Fiber* self) {
+  OSKIT_ASAN_START_SWITCH_FIBER(&self->asan_fake_stack_, scheduler_stack_bottom_,
+                                scheduler_stack_size_);
+  swapcontext(&self->context_, &scheduler_context_);
+  OSKIT_ASAN_FINISH_SWITCH_FIBER(self->asan_fake_stack_, &scheduler_stack_bottom_,
+                                 &scheduler_stack_size_);
 }
 
 void FiberScheduler::RunReady() {
@@ -122,7 +139,7 @@ void FiberScheduler::BlockCurrent() {
   Fiber* self = current_;
   OSKIT_ASSERT_MSG(self != nullptr, "BlockCurrent outside any fiber");
   self->state_ = Fiber::State::kBlocked;
-  swapcontext(&self->context_, &scheduler_context_);
+  SwitchOut(self);
   // Resumed: Unblock() marked us runnable and RunReady() switched back.
   OSKIT_ASSERT(self->state_ == Fiber::State::kRunning);
 }
@@ -140,7 +157,7 @@ void FiberScheduler::YieldCurrent() {
   OSKIT_ASSERT_MSG(self != nullptr, "YieldCurrent outside any fiber");
   self->state_ = Fiber::State::kRunnable;
   run_queue_.push_back(self);
-  swapcontext(&self->context_, &scheduler_context_);
+  SwitchOut(self);
   OSKIT_ASSERT(self->state_ == Fiber::State::kRunning);
 }
 

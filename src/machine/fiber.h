@@ -63,6 +63,7 @@ class Fiber {
   // stack before reading it.
   FiberStack stack_;
   ucontext_t context_;
+  void* asan_fake_stack_ = nullptr;  // parked while switched out (ASan only)
   State state_ = State::kRunnable;
   FiberScheduler* scheduler_ = nullptr;
 };
@@ -104,8 +105,15 @@ class FiberScheduler {
   static void Trampoline();
 
   void SwitchTo(Fiber* fiber);
+  // Parks the running fiber `self` and resumes the scheduler context.
+  void SwitchOut(Fiber* self);
 
   ucontext_t scheduler_context_ = {};
+  // ASan only: the stack RunReady runs on, as the last fiber switched in
+  // reported it, and that context's fake stack while a fiber runs.
+  const void* scheduler_stack_bottom_ = nullptr;
+  size_t scheduler_stack_size_ = 0;
+  void* scheduler_fake_stack_ = nullptr;
   Fiber* current_ = nullptr;
   std::deque<Fiber*> run_queue_;
   std::vector<std::unique_ptr<Fiber>> fibers_;

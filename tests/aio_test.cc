@@ -204,53 +204,6 @@ TEST(ChecksumBlkIoTest, DetectsScribbledSector) {
   EXPECT_EQ(Error::kOk, sums->Read(readback.data(), 5 * 512, 512, &actual));
 }
 
-TEST(ChecksumBlkIoTest, EverySingleBitFlipIsDetected) {
-  for (uint32_t granule : {512u, 4096u}) {
-    SCOPED_TRACE(::testing::Message() << "granule " << granule);
-    auto mem = MemBlkIo::Create(4 * granule, granule);
-    auto sums = aio::ChecksumBlkIo::Create(mem.get());
-    auto block = Pattern(granule, 5);
-    size_t actual = 0;
-    ASSERT_EQ(Error::kOk, sums->Write(block.data(), granule, granule, &actual));
-
-    std::vector<uint8_t> readback(granule);
-    for (size_t bit = 0; bit < granule * 8; ++bit) {
-      size_t at = bit / 8;
-      uint8_t flipped = block[at] ^ static_cast<uint8_t>(1u << (bit % 8));
-      ASSERT_EQ(Error::kOk, mem->Write(&flipped, granule + at, 1, &actual));
-      EXPECT_EQ(Error::kIo, sums->Read(readback.data(), granule, granule, &actual))
-          << "bit " << bit;
-      ASSERT_EQ(Error::kOk, mem->Write(&block[at], granule + at, 1, &actual));
-    }
-    EXPECT_EQ(granule * 8u, sums->mismatches());
-    // Restored, the granule verifies again.
-    ASSERT_EQ(Error::kOk, sums->Read(readback.data(), granule, granule, &actual));
-    EXPECT_EQ(block, readback);
-  }
-}
-
-TEST(ChecksumBlkIoTest, SwappedWordsAreDetected) {
-  auto mem = MemBlkIo::Create(16 * 512, 512);
-  auto sums = aio::ChecksumBlkIo::Create(mem.get());
-  auto block = Pattern(512, 17);
-  size_t actual = 0;
-  ASSERT_EQ(Error::kOk, sums->Write(block.data(), 0, 512, &actual));
-
-  // Word pairs feeding the same digest lane (3, 7) and different lanes (2, 9).
-  std::vector<uint8_t> readback(512);
-  uint64_t mismatches = 0;
-  for (auto [a, b] : {std::pair<size_t, size_t>{3, 7}, {2, 9}}) {
-    auto swapped = block;
-    std::swap_ranges(swapped.begin() + 8 * a, swapped.begin() + 8 * a + 8,
-                     swapped.begin() + 8 * b);
-    ASSERT_NE(block, swapped);
-    ASSERT_EQ(Error::kOk, mem->Write(swapped.data(), 0, 512, &actual));
-    EXPECT_EQ(Error::kIo, sums->Read(readback.data(), 0, 512, &actual))
-        << "words " << a << " and " << b;
-    EXPECT_EQ(++mismatches, sums->mismatches());
-  }
-}
-
 TEST(ChecksumBlkIoTest, PartialWriteInvalidatesEdgeGranule) {
   auto mem = MemBlkIo::Create(16 * 512, 512);
   auto sums = aio::ChecksumBlkIo::Create(mem.get());
@@ -267,11 +220,44 @@ TEST(ChecksumBlkIoTest, PartialWriteInvalidatesEdgeGranule) {
   EXPECT_EQ(Error::kOk, sums->Read(readback.data(), 2 * 512, 512, &actual));
 }
 
+// The strict Read/Write suites over a MemBlkIo, plus writes past the end:
+// a refused or out-of-range request records nothing and grows no table.
 TEST(ChecksumBlkIoTest, BoundsAbuse) {
-  auto mem = MemBlkIo::Create(16 * 512, 512);
+  constexpr uint64_t kSize = 16 * 512;
+  auto mem = MemBlkIo::Create(kSize, 512);
   auto sums = aio::ChecksumBlkIo::Create(mem.get());
-  testing::AbuseReadBounds(sums.get(), 16 * 512);
-  testing::AbuseWriteBounds(sums.get(), 16 * 512);
+  testing::AbuseReadBounds(sums.get(), kSize);
+  testing::AbuseWriteBounds(sums.get(), kSize);
+  // Only the suites' one valid write, a byte at offset 0, reached the table.
+  EXPECT_EQ(0u, sums->tracked_granules());
+  EXPECT_EQ(1u, sums->table_granules());
+
+  auto block = Pattern(512, 4);
+  size_t actual = 99;
+  // At the exact end a write is legal and moves no bytes.
+  ASSERT_EQ(Error::kOk, sums->Write(block.data(), kSize, 512, &actual));
+  EXPECT_EQ(0u, actual);
+  EXPECT_EQ(1u, sums->table_granules());
+  const std::pair<uint64_t, size_t> refused[] = {
+      {kSize + 512, 512},       {kSize + 1, 1},    {~uint64_t{0} - 511, 512},
+      {~uint64_t{0}, 1},        {512, ~size_t{0}}, {kSize - 1, ~size_t{0}}};
+  for (auto [offset, amount] : refused) {
+    Error err = sums->Write(block.data(), offset, amount, &actual);
+    EXPECT_TRUE(err == Error::kOutOfRange || err == Error::kInval)
+        << "offset " << offset << " amount " << amount;
+    EXPECT_EQ(0u, actual);
+    EXPECT_EQ(0u, sums->tracked_granules());
+    EXPECT_EQ(1u, sums->table_granules()) << "offset " << offset;
+  }
+
+  // Filling the device grows the table to exactly its granule count.
+  std::vector<uint8_t> whole(kSize, 0x5a);
+  ASSERT_EQ(Error::kOk, sums->Write(whole.data(), 0, kSize, &actual));
+  EXPECT_EQ(kSize / 512, sums->tracked_granules());
+  EXPECT_EQ(kSize / 512, sums->table_granules());
+  testing::AbuseReadBounds(sums.get(), kSize);
+  testing::AbuseWriteBounds(sums.get(), kSize);
+  EXPECT_EQ(kSize / 512, sums->table_granules());
 }
 
 // ---- The block cache as a layer ----

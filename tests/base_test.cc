@@ -1,17 +1,21 @@
 // Foundation-library tests: the Internet checksum (including the
-// odd-boundary chaining the mbuf walkers rely on), byte-order helpers, the
+// odd-boundary chaining the mbuf walkers rely on), the integrity digest,
+// byte-order helpers, the
 // intrusive list, the deterministic RNG, the written-page set, error names,
 // and panic plumbing.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/base/byteorder.h"
 #include "src/base/checksum.h"
+#include "src/base/digest.h"
 #include "src/base/error.h"
 #include "src/base/intrusive_list.h"
 #include "src/base/panic.h"
@@ -131,6 +135,84 @@ std::vector<uint64_t> PropertySeeds() {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChecksumPropTest,
                          ::testing::ValuesIn(PropertySeeds()));
+
+std::vector<uint8_t> Pattern(size_t n, uint8_t salt) {
+  std::vector<uint8_t> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<uint8_t>(i * 31 + salt);
+  }
+  return v;
+}
+
+// The journal writes these digests to disk: a change to any of them is a
+// change of the journal format and must bump kJournalVersion.
+TEST(DigestTest, KnownVectorsPinTheJournalFormat) {
+  EXPECT_EQ(0x1a4bbdaa97f5344cull, IntegrityDigestOf(nullptr, 0));
+  EXPECT_EQ(0xe76119b1e01d3f70ull, IntegrityDigestOf("abc", 3));
+  EXPECT_EQ(0xcbe5bc5edf6cb6eaull, IntegrityDigestOf(Pattern(4096, 1).data(), 4096));
+}
+
+// Any single bit flip changes the digest, at the checksum layer's granule
+// (512) and the journal's block (4096).
+TEST(DigestTest, EverySingleBitFlipChangesTheDigest) {
+  for (size_t size : {512u, 4096u}) {
+    SCOPED_TRACE(::testing::Message() << "size " << size);
+    auto block = Pattern(size, 5);
+    const uint64_t want = IntegrityDigestOf(block.data(), size);
+    for (size_t bit = 0; bit < size * 8; ++bit) {
+      block[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      ASSERT_NE(want, IntegrityDigestOf(block.data(), size)) << "bit " << bit;
+      block[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+    EXPECT_EQ(want, IntegrityDigestOf(block.data(), size));
+  }
+}
+
+// Swapping two distinct words changes the digest, for word pairs feeding
+// the same lane (3, 7) and different lanes (2, 9).
+TEST(DigestTest, SwappedWordsChangeTheDigest) {
+  for (size_t size : {512u, 4096u}) {
+    auto block = Pattern(size, 17);
+    const uint64_t want = IntegrityDigestOf(block.data(), size);
+    for (auto [a, b] : {std::pair<size_t, size_t>{3, 7}, {2, 9}}) {
+      auto swapped = block;
+      std::swap_ranges(swapped.begin() + 8 * a, swapped.begin() + 8 * a + 8,
+                       swapped.begin() + 8 * b);
+      ASSERT_NE(block, swapped);
+      EXPECT_NE(want, IntegrityDigestOf(swapped.data(), size))
+          << "size " << size << " words " << a << " and " << b;
+    }
+  }
+}
+
+// Property: the streaming digest over random splits (empty pieces, pieces
+// inside one stripe and pieces spanning many) equals the one-shot digest,
+// for lengths on and off the word and stripe boundaries.
+class DigestSplitTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DigestSplitTest, StreamingEqualsOneShot) {
+  Rng rng(GetParam());
+  std::vector<uint8_t> storage(9000);
+  for (auto& b : storage) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (int trial = 0; trial < 500; ++trial) {
+    size_t len = trial < 100 ? static_cast<size_t>(trial) : rng.Below(storage.size() + 1);
+    const uint8_t* data = storage.data() + rng.Below(storage.size() - len + 1);
+    const uint64_t want = IntegrityDigestOf(data, len);
+    IntegrityDigest streamed;
+    size_t at = 0;
+    while (at < len) {
+      size_t n = rng.Below(4) == 0 ? rng.Below(len - at + 1) : rng.Below(41);
+      n = std::min(n, len - at);
+      streamed.Add(data + at, n);
+      at += n;
+    }
+    ASSERT_EQ(want, streamed.Finish()) << "trial " << trial << " len " << len;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DigestSplitTest, ::testing::Values(1, 9, 77));
 
 TEST(ByteOrderTest, SwapsAndUnalignedAccess) {
   EXPECT_EQ(0x3412, ByteSwap16(0x1234));

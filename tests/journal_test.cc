@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "src/base/digest.h"
+#include "src/base/random.h"
 #include "src/com/memblkio.h"
 #include "src/dev/linux/linux_ide.h"
 #include "src/fs/ffs.h"
@@ -161,6 +164,103 @@ TEST_F(JournalWriterTest, TornImageInvalidatesPayloadChecksum) {
   EXPECT_EQ(0u, stats.replayed_txns);
   EXPECT_EQ(1u, stats.discarded_txns);
   EXPECT_EQ(std::vector<uint8_t>(kBlockSize, 0), ReadRawBlock(disk_.get(), target));
+}
+
+// Changing any one 8-byte word of a committed transaction's header, images
+// or commit block voids it: replay applies nothing and counts a discard.
+// Only the header's magic word reads as free space instead, the clean end
+// of the chain.  Three images make the payload one stream over blocks.
+TEST_F(JournalWriterTest, AnyChangedWordVoidsTheTransaction) {
+  const std::vector<uint32_t> targets = {sb_.data_start + 1, sb_.data_start + 2,
+                                         sb_.data_start + 3};
+  uint32_t pos = writer_->next_pos();
+  ASSERT_EQ(Error::kOk, writer_->Commit(targets, [](uint32_t target, uint8_t* out) {
+    for (size_t i = 0; i < kBlockSize; ++i) {
+      out[i] = static_cast<uint8_t>(target * 7 + i);
+    }
+    return Error::kOk;
+  }));
+  const std::vector<uint8_t> zeros(kBlockSize, 0);
+  Rng rng(0x3107);
+  // Header at pos, the images after it, the commit record last.
+  for (uint32_t b = 0; b < targets.size() + 2; ++b) {
+    uint32_t block = sb_.journal_start + pos + b;
+    const std::vector<uint8_t> good = ReadRawBlock(disk_.get(), block);
+    for (size_t word = 0; word < kBlockSize / 8; ++word) {
+      std::vector<uint8_t> bad = good;
+      uint64_t value = 0;
+      std::memcpy(&value, bad.data() + 8 * word, 8);
+      value ^= rng.Next() | 1;
+      std::memcpy(bad.data() + 8 * word, &value, 8);
+      WriteRawBlock(disk_.get(), block, bad.data());
+
+      JournalReplayStats stats;
+      ASSERT_EQ(Error::kOk, JournalReplay(disk_.get(), sb_, /*apply=*/true, &stats));
+      bool header_magic = b == 0 && word == 0;
+      ASSERT_EQ(0u, stats.replayed_txns) << "block " << b << " word " << word;
+      ASSERT_EQ(header_magic ? 0u : 1u, stats.discarded_txns)
+          << "block " << b << " word " << word;
+      for (uint32_t target : targets) {
+        ASSERT_EQ(zeros, ReadRawBlock(disk_.get(), target))
+            << "block " << b << " word " << word;
+      }
+    }
+    WriteRawBlock(disk_.get(), block, good.data());
+  }
+  // Restored, the transaction replays whole.
+  JournalReplayStats stats;
+  ASSERT_EQ(Error::kOk, JournalReplay(disk_.get(), sb_, /*apply=*/true, &stats));
+  EXPECT_EQ(1u, stats.replayed_txns);
+  EXPECT_EQ(3u, stats.replayed_blocks);
+}
+
+// A version-1 journal superblock is kCorrupt to mount (with and without
+// replay) and to fsck, whether it carries the FNV-1a checksum version 1
+// wrote or a checksum valid under the current digest.
+TEST_F(JournalWriterTest, VersionOneJournalIsRefused) {
+  auto fnv1a = [](const void* data, size_t len) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (size_t i = 0; i < len; ++i) {
+      hash = (hash ^ p[i]) * 0x100000001b3ull;
+    }
+    return hash;
+  };
+  JournalSuper jsb;
+  jsb.region_blocks = sb_.journal_blocks;
+  const size_t covered = offsetof(JournalSuper, checksum);
+  auto store = [&] {
+    std::vector<uint8_t> block(kBlockSize, 0);
+    std::memcpy(block.data(), &jsb, sizeof(jsb));
+    WriteRawBlock(disk_.get(), sb_.journal_start, block.data());
+  };
+  jsb.version = 1;
+  for (bool v1_checksum : {true, false}) {
+    SCOPED_TRACE(v1_checksum ? "FNV-1a checksum" : "current checksum");
+    jsb.checksum = v1_checksum ? fnv1a(&jsb, covered) : IntegrityDigestOf(&jsb, covered);
+    store();
+    JournalReplayStats stats;
+    EXPECT_EQ(Error::kCorrupt, JournalReplay(disk_.get(), sb_, /*apply=*/false, &stats));
+    for (bool replay : {true, false}) {
+      MountOptions options;
+      options.replay_journal = replay;
+      FileSystem* fs = nullptr;
+      EXPECT_EQ(Error::kCorrupt, Offs::Mount(disk_.get(), options, &fs));
+      EXPECT_EQ(nullptr, fs);
+    }
+    FsckReport report = Fsck(disk_.get());
+    EXPECT_FALSE(report.consistent);
+    EXPECT_NE(report.problems.end(),
+              std::find(report.problems.begin(), report.problems.end(),
+                        "journal superblock failed validation"));
+  }
+  // The same record at the current version validates.
+  jsb.version = kJournalVersion;
+  jsb.checksum = IntegrityDigestOf(&jsb, covered);
+  store();
+  JournalReplayStats stats;
+  EXPECT_EQ(Error::kOk, JournalReplay(disk_.get(), sb_, /*apply=*/false, &stats));
+  EXPECT_TRUE(Fsck(disk_.get()).consistent);
 }
 
 TEST_F(JournalWriterTest, ReplayIsIdempotent) {

@@ -5,9 +5,12 @@
 
 #include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "src/base/random.h"
 #include "src/boot/memfs.h"
 #include "src/libc/format.h"
 #include "src/libc/malloc.h"
@@ -107,6 +110,41 @@ TEST(StringTest, StrtoulSaturatesPastTwoToTheSixtyFour) {
   EXPECT_EQ(ULONG_MAX, Strtoul("0x10000000000000000", &end, 0));
   EXPECT_EQ(0xffffffffffffffffUL, Strtoul("0xffffffffffffffff", &end, 0));
   EXPECT_EQ(~0x10UL + 1, Strtoul("-16", &end, 10));  // in range: negated
+}
+
+// Strtol and Strtoul agree with the host's strtol and strtoul, value and
+// end pointer, on seeded strings built from the pieces that steer a parse:
+// whitespace, signs, "0x" with and without a hex digit after it, digits and
+// letters on both sides of each base's edge, runs that overflow, and the
+// empty string.  No 'b': a C23 host reads "0b1" as binary.
+TEST(StringTest, StrtolAndStrtoulMatchTheHost) {
+  static const char* const kPieces[] = {
+      " ", "\t", "\n", "+", "-", "0", "0x", "0X", "x", "1", "7", "8", "9", "a",
+      "f", "F", "g", "z", "99999999999999999999", "ffffffffffffffff",
+      "8000000000000000", "7fffffffffffffff"};
+  std::vector<std::string> inputs = {"", "0x", "0xg", " -0x", "+", "-", " ", "0",
+                                     "-9223372036854775809", "18446744073709551616"};
+  Rng rng(0x57a7);
+  for (int i = 0; i < 5000; ++i) {
+    std::string s;
+    for (uint64_t n = rng.Below(6); n > 0; --n) {
+      s += kPieces[rng.Below(sizeof(kPieces) / sizeof(kPieces[0]))];
+    }
+    inputs.push_back(s);
+  }
+  for (const std::string& input : inputs) {
+    const char* s = input.c_str();
+    for (int base : {0, 8, 10, 16, 36}) {
+      char* host_end = nullptr;
+      const char* end = nullptr;
+      long want = std::strtol(s, &host_end, base);
+      ASSERT_EQ(want, Strtol(s, &end, base)) << '"' << input << "\" base " << base;
+      ASSERT_EQ(host_end - s, end - s) << "Strtol \"" << input << "\" base " << base;
+      unsigned long uwant = std::strtoul(s, &host_end, base);
+      ASSERT_EQ(uwant, Strtoul(s, &end, base)) << '"' << input << "\" base " << base;
+      ASSERT_EQ(host_end - s, end - s) << "Strtoul \"" << input << "\" base " << base;
+    }
+  }
 }
 
 // The printf core, checked against the host's snprintf for a matrix of
