@@ -313,10 +313,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(loadgen_wheel_fired));
   std::printf("%-34s | %12llu\n", "switch frames unicast",
               static_cast<unsigned long long>(
-                  world.vswitch()->frames_unicast()));
+                  world.fabric().frames_unicast()));
   std::printf("%-34s | %12llu\n", "switch frames flooded",
               static_cast<unsigned long long>(
-                  world.vswitch()->frames_flooded()));
+                  world.fabric().frames_flooded()));
 
   bench::Report report("c10k", opt.json_path);
   std::printf("\nShape checks:\n");
@@ -358,7 +358,7 @@ int main(int argc, char** argv) {
 
   // The switch really switched: one port per host, learning converged to
   // unicast (floods are ARP broadcasts only).
-  VirtualSwitch& vs = *world.vswitch();
+  VirtualSwitch& vs = world.fabric();
   report.Check("fabric",
                vs.port_count() == static_cast<size_t>(opt.hosts) + 1 &&
                    vs.frames_unicast() > vs.frames_flooded(),

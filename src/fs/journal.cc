@@ -1,5 +1,6 @@
 #include "src/fs/journal.h"
 
+#include <array>
 #include <cstring>
 
 #include "src/base/digest.h"
@@ -66,10 +67,12 @@ Error StoreJsb(BlkIo* device, uint32_t journal_start, JournalSuper* jsb) {
   return WriteBlockRaw(device, journal_start, block);
 }
 
-// One parsed, validated transaction.
+// One parsed, validated transaction.  Replay reuses one view across the
+// chain, so `images` keeps its capacity.
 struct TxnView {
   TxnHeader header;
   std::vector<uint32_t> targets;
+  std::vector<std::array<uint8_t, kBlockSize>> images;  // as digested
 };
 
 // Reads the transaction candidate at region block `pos`, expecting `seq`.
@@ -114,13 +117,14 @@ Error ReadTxnAt(BlkIo* device, const SuperBlock& sb, uint32_t pos, uint64_t seq,
   }
   // Header and commit agree; now the images must match the header's digest.
   IntegrityDigest payload;
-  uint8_t image[kBlockSize];
+  out->images.resize(header.n_blocks);
   for (uint32_t i = 0; i < header.n_blocks; ++i) {
-    err = ReadBlockRaw(device, sb.journal_start + pos + 1 + i, image);
+    err = ReadBlockRaw(device, sb.journal_start + pos + 1 + i,
+                       out->images[i].data());
     if (!Ok(err)) {
       return err;
     }
-    payload.Add(image, kBlockSize);
+    payload.Add(out->images[i].data(), kBlockSize);
   }
   if (payload.Finish() != header.payload_checksum) {
     return Error::kCorrupt;
@@ -161,9 +165,8 @@ Error JournalReplay(BlkIo* device, const SuperBlock& sb, bool apply,
 
   uint32_t pos = jsb.next_pos;
   uint64_t seq = jsb.next_seq;
-  uint8_t image[kBlockSize];
+  TxnView txn;
   for (;;) {
-    TxnView txn;
     err = ReadTxnAt(device, sb, pos, seq, &txn);
     if (err == Error::kNoEnt) {
       break;  // clean end of chain
@@ -180,11 +183,7 @@ Error JournalReplay(BlkIo* device, const SuperBlock& sb, bool apply,
     }
     if (apply) {
       for (uint32_t i = 0; i < txn.header.n_blocks; ++i) {
-        err = ReadBlockRaw(device, sb.journal_start + pos + 1 + i, image);
-        if (!Ok(err)) {
-          return err;
-        }
-        err = WriteBlockRaw(device, txn.targets[i], image);
+        err = WriteBlockRaw(device, txn.targets[i], txn.images[i].data());
         if (!Ok(err)) {
           return err;
         }

@@ -2,9 +2,9 @@
 // and attachable NIC/disk devices, sharing one world's clock and scheduler.
 //
 // This plays the role of the Pentium Pro test machines in the paper's §5
-// evaluation: benchmarks build a world with two Machines on one
-// EthernetWire, boot an OSKit-style kernel on each, and run workloads on
-// fibers that block through OSKit sleep records.
+// evaluation: benchmarks build a world with two Machines on one shared
+// segment (a VirtualSwitch built as a hub), boot an OSKit-style kernel on
+// each, and run workloads on fibers that block through OSKit sleep records.
 
 #ifndef OSKIT_SRC_MACHINE_MACHINE_H_
 #define OSKIT_SRC_MACHINE_MACHINE_H_
@@ -54,10 +54,10 @@ class Machine {
   Uart& console_uart() { return console_uart_; }
   Uart& debug_uart() { return debug_uart_; }
 
-  NicHw* AddNic(EtherLink* link, const EtherAddr& mac,
+  NicHw* AddNic(VirtualSwitch* fabric, const EtherAddr& mac,
                 int irq = NicHw::kDefaultIrq) {
     nics_.push_back(
-        std::make_unique<NicHw>(link, &pic_, &sim_->clock(), mac, irq));
+        std::make_unique<NicHw>(fabric, &pic_, &sim_->clock(), mac, irq));
     return nics_.back().get();
   }
 

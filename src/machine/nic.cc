@@ -51,7 +51,7 @@ void NicHw::TxStart(const uint8_t* frame, size_t len) {
   if (!TxGate()) {
     return;
   }
-  link_->Transmit(this, frame, len);
+  fabric_->Transmit(this, frame, len);
 }
 
 void NicHw::TxStartVec(const uint8_t* const* chunks, const size_t* lens,
@@ -69,7 +69,7 @@ void NicHw::TxStartVec(const uint8_t* const* chunks, const size_t* lens,
   if (!TxGate()) {
     return;
   }
-  link_->Transmit(this, chunks, lens, count);
+  fabric_->Transmit(this, chunks, lens, count);
 }
 
 void NicHw::FrameArrived(const uint8_t* frame, size_t len) {

@@ -39,7 +39,7 @@
 #include "src/fault/fault.h"
 #include "src/machine/clock.h"
 #include "src/machine/pic.h"
-#include "src/machine/wire.h"
+#include "src/machine/switch.h"
 #include "src/trace/counters.h"
 
 namespace oskit {
@@ -57,10 +57,10 @@ class NicHw final : public WireEndpoint {
     size_t ring_fallback = kRxRingCapacity * 3 / 4;  // occupancy safety net
   };
 
-  NicHw(EtherLink* link, Pic* pic, SimClock* clock, const EtherAddr& mac,
+  NicHw(VirtualSwitch* fabric, Pic* pic, SimClock* clock, const EtherAddr& mac,
         int irq = kDefaultIrq)
-      : link_(link), pic_(pic), clock_(clock), mac_(mac), irq_(irq) {
-    link->Attach(this);
+      : fabric_(fabric), pic_(pic), clock_(clock), mac_(mac), irq_(irq) {
+    fabric->Attach(this);
   }
   ~NicHw() override;
 
@@ -123,7 +123,7 @@ class NicHw final : public WireEndpoint {
   void HoldoffFired();
   void CancelHoldoff();
 
-  EtherLink* link_;
+  VirtualSwitch* fabric_;
   Pic* pic_;
   SimClock* clock_;
   EtherAddr mac_;

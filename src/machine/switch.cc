@@ -48,6 +48,13 @@ VirtualSwitch::VirtualSwitch(SimClock* clock, const Config& config,
                        {"switch.macs.table_full", &mac_table_full_}});
 }
 
+VirtualSwitch::VirtualSwitch(SimClock* clock,
+                             const EthernetWire::Config& config,
+                             trace::TraceEnv* trace)
+    : VirtualSwitch(clock, Config{config, config.fault_seed}, trace) {
+  hub_ = true;
+}
+
 void VirtualSwitch::Attach(WireEndpoint* endpoint) {
   ports_.push_back(Port{endpoint, config_.port, /*egress_free_at=*/0});
 }
@@ -109,10 +116,28 @@ void VirtualSwitch::Transmit(WireEndpoint* source, const uint8_t* const* chunks,
 }
 
 void VirtualSwitch::Forward(WireEndpoint* source, FrameRef frame) {
-  int in_port = PortOf(source);
-  OSKIT_ASSERT_MSG(in_port >= 0, "transmit from unattached endpoint");
   ++frames_in_;
   bytes_carried_ += frame->bytes.size();
+  if (hub_) {
+    // One collision domain: the frame takes the medium once, before it fans
+    // out and whatever the fault model then does to each copy.
+    ++frames_flooded_;
+    const SimTime arrival =
+        Serialize(&medium_free_at_, config_.port, frame->bytes.size());
+    for (const Port& port : ports_) {
+      if (port.endpoint != source && !Lost(port)) {
+        Deliver(port, frame, arrival);
+      }
+    }
+  } else {
+    Switch(source, frame);
+  }
+  ReleaseFrame(frame);
+}
+
+void VirtualSwitch::Switch(WireEndpoint* source, FrameRef frame) {
+  int in_port = PortOf(source);
+  OSKIT_ASSERT_MSG(in_port >= 0, "transmit from unattached endpoint");
   OSKIT_ASSERT_MSG(frame->bytes.size() >= kHeaderBytes, "runt frame at switch");
 
   const uint8_t* dst = frame->bytes.data();
@@ -152,33 +177,44 @@ void VirtualSwitch::Forward(WireEndpoint* source, FrameRef frame) {
     ++frames_unicast_;
     Egress(learned->second, frame);
   }
-  ReleaseFrame(frame);
 }
 
 void VirtualSwitch::Egress(int out, FrameRef frame) {
   Port& port = ports_[static_cast<size_t>(out)];
-  const PortConfig& cfg = port.config;
-
-  if (cfg.loss_percent != 0 && rng_.Percent(cfg.loss_percent)) {
-    ++frames_dropped_;
-    return;
-  }
-
   // Per-port serialization: frames leave this egress back to back, but two
   // different ports transmit concurrently (no shared collision domain).
-  SimTime start = std::max(clock_->Now(), port.egress_free_at);
-  SimTime serialize = cfg.bits_per_second == 0
+  if (!Lost(port)) {
+    Deliver(port, frame,
+            Serialize(&port.egress_free_at, port.config, frame->bytes.size()));
+  }
+}
+
+SimTime VirtualSwitch::Serialize(SimTime* free_at, const PortConfig& link,
+                                 size_t len) const {
+  SimTime start = std::max(clock_->Now(), *free_at);
+  SimTime serialize = link.bits_per_second == 0
                           ? 0
-                          : static_cast<SimTime>(frame->bytes.size()) * 8 *
-                                kNsPerSec / cfg.bits_per_second;
-  port.egress_free_at = start + serialize;
-  const SimTime arrival = port.egress_free_at + cfg.propagation_ns;
-  auto jittered = [&, jitter = cfg.reorder_jitter_ns] {
+                          : static_cast<SimTime>(len) * 8 * kNsPerSec /
+                                link.bits_per_second;
+  *free_at = start + serialize;
+  return *free_at + link.propagation_ns;
+}
+
+bool VirtualSwitch::Lost(const Port& port) {
+  if (port.config.loss_percent != 0 && rng_.Percent(port.config.loss_percent)) {
+    ++frames_dropped_;
+    return true;
+  }
+  return false;
+}
+
+void VirtualSwitch::Deliver(const Port& port, FrameRef frame, SimTime arrival) {
+  auto jittered = [&, jitter = port.config.reorder_jitter_ns] {
     return arrival + (jitter == 0 ? 0 : rng_.Below(jitter + 1));
   };
-
   SimTime when = jittered();
-  if (cfg.duplicate_percent != 0 && rng_.Percent(cfg.duplicate_percent)) {
+  if (port.config.duplicate_percent != 0 &&
+      rng_.Percent(port.config.duplicate_percent)) {
     ++frames_duplicated_;
     ScheduleDelivery(port.endpoint, frame, jittered());
   }

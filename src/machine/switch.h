@@ -1,20 +1,27 @@
-// Simulated learning Ethernet switch.
+// Simulated Ethernet fabric: the paper's shared segment, or a learning switch.
 //
 // The paper's evaluation wired exactly two Pentium Pro PCs to one shared
-// segment (EthernetWire).  Scaling the simulation to N hosts needs a
-// switched fabric: every attached NIC gets its own port with a private
+// 100 Mbps segment.  A VirtualSwitch built from an EthernetWire::Config is
+// that segment, a hub: one collision domain whose single serialization
+// point, `medium_free_at_`, every frame takes once before it fans out.  So
+// two stations that send at once take turns, and a frame the fault model
+// then drops has still used the medium.  The hub floods each frame to every
+// other port in attach order; it learns and filters nothing, and the NIC
+// model does its own destination filtering, like real hardware.
+//
+// Scaling the simulation to N hosts needs a switched fabric.  Built from a
+// VirtualSwitch::Config, every attached NIC gets its own port with a private
 // egress queue, the switch learns source MACs per port, forwards unicast
 // frames to the learned port only, and floods unknown/broadcast
-// destinations.  Unlike the shared medium there is no global
-// `medium_free_at_` collision domain — two ports transmit concurrently and
-// only contend when their frames converge on one egress.
+// destinations.  Two ports transmit concurrently and only contend when
+// their frames converge on one egress.
 //
-// Each port carries its own serialization rate, propagation delay, and
-// fault model (loss / duplication / reorder jitter), so a test can degrade
-// one host's uplink while the rest of the fabric stays clean.  Statistics
-// report through the trace registry under "switch.*" (§4.6 exposed
-// implementation), plus plain getters for harnesses that do not bind a
-// registry.
+// Each port carries its own fault model (loss / duplication / reorder
+// jitter) and, on a switch, its own serialization rate and propagation
+// delay, so a test can degrade one host's uplink while the rest of the
+// fabric stays clean.  Statistics report through the trace registry under
+// "switch.*" (§4.6 exposed implementation), plus plain getters for
+// harnesses that do not bind a registry.
 //
 // A transmitted frame is built once, into a refcounted buffer from the
 // switch's own pool; every egress port and every duplicate delivers that
@@ -32,12 +39,24 @@
 
 #include "src/base/random.h"
 #include "src/machine/clock.h"
-#include "src/machine/wire.h"
 #include "src/trace/trace.h"
 
 namespace oskit {
 
-class VirtualSwitch final : public EtherLink {
+// Receiver-side attachment: the NIC model implements this.
+class WireEndpoint {
+ public:
+  virtual ~WireEndpoint() = default;
+  virtual void FrameArrived(const uint8_t* frame, size_t len) = 0;
+};
+
+// The paper's shared segment.  It has no code of its own: a VirtualSwitch
+// built from an EthernetWire::Config (defined below) is a hub.
+struct EthernetWire {
+  struct Config;
+};
+
+class VirtualSwitch final {
  public:
   struct PortConfig {
     // 0 means infinite bandwidth (no serialization delay).
@@ -57,22 +76,32 @@ class VirtualSwitch final : public EtherLink {
     size_t max_macs = 4096;  // learning-table capacity
   };
 
-  // `trace` is the observability environment the switch.* counters bind to;
-  // null binds the process-global default.
+  // A learning switch.  `trace` is the observability environment the
+  // switch.* counters bind to; null binds the process-global default.
   VirtualSwitch(SimClock* clock, const Config& config,
                 trace::TraceEnv* trace = nullptr);
+  // A hub: the shared segment, every port on `config`'s link.
+  VirtualSwitch(SimClock* clock, const EthernetWire::Config& config,
+                trace::TraceEnv* trace = nullptr);
 
-  // EtherLink: attaching creates the next port (port index = attach order).
-  void Attach(WireEndpoint* endpoint) override;
-  void Transmit(WireEndpoint* source, const uint8_t* frame,
-                size_t len) override;
+  // Attaching creates the next port (port index = attach order).
+  void Attach(WireEndpoint* endpoint);
+
+  // Transmits a complete frame from `source`.  A hub also carries a frame
+  // from an endpoint that never attached (null included) to every port.
+  void Transmit(WireEndpoint* source, const uint8_t* frame, size_t len);
+
+  // Gather-DMA transmit: the frame is described as an iovec-style chunk list
+  // and the fabric-side engine assembles it straight into the pooled frame.
   void Transmit(WireEndpoint* source, const uint8_t* const* chunks,
-                const size_t* lens, size_t count) override;
+                const size_t* lens, size_t count);
 
   size_t port_count() const { return ports_.size(); }
   // -1 when the endpoint is not attached.
   int PortOf(const WireEndpoint* endpoint) const;
 
+  // On a hub this sets the port's fault model only: the segment keeps the
+  // rate and delay it was built with.
   void SetPortConfig(int port, const PortConfig& config);
 
   // Statistics (also registered as switch.* counters).
@@ -112,16 +141,26 @@ class VirtualSwitch final : public EtherLink {
   FrameRef AcquireFrame();
   void ReleaseFrame(FrameRef frame);
 
-  // Learn the source MAC, pick the output port set, egress; then drop the
-  // transmit's own reference.
+  // Fans the frame out (a hub floods, a switch learns and forwards), then
+  // drops the transmit's own reference.
   void Forward(WireEndpoint* source, FrameRef frame);
-  // Runs one delivery of `frame` through port `out`'s egress queue and
-  // fault model.
+  void Switch(WireEndpoint* source, FrameRef frame);
+  // Switch egress: a frame port `out` does not lose takes its egress queue.
   void Egress(int out, FrameRef frame);
+  // Frames leave `*free_at` back to back: returns when `len` bytes sent now
+  // reach the far end of `link`, and moves `*free_at` past them.
+  SimTime Serialize(SimTime* free_at, const PortConfig& link, size_t len) const;
+  // Draws the port's loss; counts a dropped frame.
+  bool Lost(const Port& port);
+  // Draws the port's jitter and duplicate, then schedules the duplicate
+  // (if any) and the frame, each as one clock event.
+  void Deliver(const Port& port, FrameRef frame, SimTime arrival);
   void ScheduleDelivery(WireEndpoint* dest, FrameRef frame, SimTime when);
 
   SimClock* clock_;
   Config config_;
+  bool hub_ = false;
+  SimTime medium_free_at_ = 0;  // hub: the segment's serialization point
   Rng rng_;
   std::vector<Port> ports_;
   std::unordered_map<uint64_t, int> mac_table_;  // 48-bit MAC -> port
@@ -145,6 +184,12 @@ class VirtualSwitch final : public EtherLink {
   trace::Counter mac_moves_;
   trace::Counter mac_table_full_;
   trace::CounterBlock trace_binding_;
+};
+
+// The segment's link, which every port's fault model starts from, and the
+// seed of the fault RNG.
+struct EthernetWire::Config : VirtualSwitch::PortConfig {
+  uint64_t fault_seed = 1;
 };
 
 }  // namespace oskit

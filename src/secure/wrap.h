@@ -74,12 +74,6 @@ class NetGuard final : public net::SoAccounting {
 ComPtr<SocketFactory> MakeSecureSocketFactory(ComPtr<SocketFactory> inner,
                                               Principal* p, NetGuard* guard);
 
-// Wraps one already-created socket under `p`.  The caller must have charged
-// Resource::kSockets for it (MakeSecureSocketFactory does this for you);
-// the wrapper credits that unit back when it dies.
-ComPtr<Socket> MakeSecureSocket(ComPtr<Socket> inner, Principal* p,
-                                NetGuard* guard);
-
 // Selector wrapper: Add charges Resource::kSelectorRegs, Remove/teardown
 // credits; harvested events are rewritten to reference the wrapped sockets
 // the tenant registered, never the inner objects.

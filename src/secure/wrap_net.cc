@@ -405,11 +405,6 @@ ComPtr<SocketFactory> MakeSecureSocketFactory(ComPtr<SocketFactory> inner,
       new SecureSocketFactory(std::move(inner), p, guard));
 }
 
-ComPtr<Socket> MakeSecureSocket(ComPtr<Socket> inner, Principal* p,
-                                NetGuard* guard) {
-  return ComPtr<Socket>(new SecureSocket(std::move(inner), p, guard));
-}
-
 ComPtr<NetSelector> MakeSecureSelector(ComPtr<NetSelector> inner,
                                        Principal* p) {
   return ComPtr<NetSelector>(new SecureSelector(std::move(inner), p));

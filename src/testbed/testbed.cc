@@ -15,16 +15,12 @@ ComPtr<Socket> Host::MakeSocket(SockType type) {
 }
 
 World::World(const EthernetWire::Config& wire_config, fault::FaultEnv* fault)
-    : fault_(fault::ResolveFaultEnv(fault)) {
-  wire_ = std::make_unique<EthernetWire>(&sim_.clock(), wire_config);
-  link_ = wire_.get();
-}
+    : fabric_(&sim_.clock(), wire_config),
+      fault_(fault::ResolveFaultEnv(fault)) {}
 
 World::World(const VirtualSwitch::Config& switch_config, fault::FaultEnv* fault)
-    : fault_(fault::ResolveFaultEnv(fault)) {
-  switch_ = std::make_unique<VirtualSwitch>(&sim_.clock(), switch_config);
-  link_ = switch_.get();
-}
+    : fabric_(&sim_.clock(), switch_config),
+      fault_(fault::ResolveFaultEnv(fault)) {}
 
 World::~World() {
   // Stacks reference machines/kernels; tear down in reverse order.
@@ -48,7 +44,7 @@ Host& World::AddHost(const std::string& name, NetConfig config) {
   host->machine = std::make_unique<Machine>(&sim_, mc);
 
   EtherAddr mac{{0x02, 0x00, 0x00, 0x00, 0x00, static_cast<uint8_t>(index + 1)}};
-  NicHw* nic = host->machine->AddNic(link_, mac);
+  NicHw* nic = host->machine->AddNic(&fabric_, mac);
 
   // Boot: MultiBoot load (no modules needed here) + kernel support bring-up.
   BootLoader loader(&host->machine->phys());

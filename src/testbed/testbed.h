@@ -1,8 +1,9 @@
 // Test/benchmark world builder.
 //
 // Assembles the §5 experimental setup: simulated PCs on one Ethernet
-// segment, each booted through the kernel support library, with the network
-// components bound in one of the evaluation's configurations:
+// segment (or, for scale-out runs, one switch), each booted through the
+// kernel support library, with the network components bound in one of the
+// evaluation's configurations:
 //
 //   kOskit      — FreeBSD-idiom stack + Linux-idiom driver, joined through
 //                 COM NetIo/BufIo glue (the paper's OSKit row);
@@ -68,26 +69,22 @@ struct Host {
 
 class World {
  public:
-  // `fault` is the fault-injection environment every host's kernel, devices
-  // and stack bind to; null binds the process-global default.  A campaign
-  // passes one per-seed env and arms sites on it before/while running.
+  // The paper's shared segment: every AddHost NIC attaches to a hub, one
+  // collision domain (src/machine/switch.h).  `fault` is the
+  // fault-injection environment every host's kernel, devices and stack bind
+  // to; null binds the process-global default.  A campaign passes one
+  // per-seed env and arms sites on it before/while running.
   explicit World(const EthernetWire::Config& wire_config = {},
                  fault::FaultEnv* fault = nullptr);
-  // Switched fabric: every AddHost NIC attaches to a VirtualSwitch port
-  // instead of the shared segment.  This is the scale-out topology the C10k
-  // benchmark uses (the two-host shared wire stays as the ablation
-  // baseline).
+  // Switched fabric: every AddHost NIC gets its own port on a learning
+  // switch.  This is the scale-out topology the C10k benchmark uses.
   explicit World(const VirtualSwitch::Config& switch_config,
                  fault::FaultEnv* fault = nullptr);
   ~World();
 
   Simulation& sim() { return sim_; }
-  // Shared-segment worlds only.
-  EthernetWire& wire() { return *wire_; }
-  // Switched worlds only (null otherwise).
-  VirtualSwitch* vswitch() { return switch_.get(); }
-  // The fabric hosts attach to, whichever topology was built.
-  EtherLink& link() { return *link_; }
+  // The fabric hosts attach to, hub or switch.
+  VirtualSwitch& fabric() { return fabric_; }
 
   // Adds a host with one NIC attached to the segment, books it through the
   // loader/kernel-support path, and binds the requested network stack.
@@ -103,9 +100,7 @@ class World {
 
  private:
   Simulation sim_;
-  std::unique_ptr<EthernetWire> wire_;
-  std::unique_ptr<VirtualSwitch> switch_;
-  EtherLink* link_ = nullptr;
+  VirtualSwitch fabric_;
   fault::FaultEnv* fault_;
   std::vector<std::unique_ptr<Host>> hosts_;
 };

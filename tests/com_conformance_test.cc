@@ -472,7 +472,7 @@ struct DriverRig {
   }
 
   Simulation sim;
-  EthernetWire wire{&sim.clock(), EthernetWire::Config{}};
+  VirtualSwitch wire{&sim.clock(), EthernetWire::Config{}};
   Machine machine{&sim, Machine::Config{}};
   KernelEnv kernel{&machine, MultiBootInfo{}};
   FdevEnv fdev = DefaultFdevEnv(&kernel);

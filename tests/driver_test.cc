@@ -23,7 +23,7 @@ namespace {
 class DriverTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    wire_ = std::make_unique<EthernetWire>(&sim_.clock(), EthernetWire::Config{});
+    wire_ = std::make_unique<VirtualSwitch>(&sim_.clock(), EthernetWire::Config{});
     machine_ = std::make_unique<Machine>(&sim_, Machine::Config{});
     kernel_ = std::make_unique<KernelEnv>(machine_.get(), MultiBootInfo{});
     machine_->cpu().EnableInterrupts();
@@ -44,7 +44,7 @@ class DriverTest : public ::testing::Test {
   }
 
   Simulation sim_;
-  std::unique_ptr<EthernetWire> wire_;
+  std::unique_ptr<VirtualSwitch> wire_;
   std::unique_ptr<Machine> machine_;
   std::unique_ptr<KernelEnv> kernel_;
   FdevEnv fdev_;

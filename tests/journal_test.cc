@@ -284,6 +284,61 @@ TEST_F(JournalWriterTest, ReplayIsIdempotent) {
   EXPECT_EQ(after_first, after_second);
 }
 
+// Forwards to a RAM device and counts the block reads that touch
+// [first, first + count).
+class ReadCountingBlkIo final : public ComObject<ReadCountingBlkIo, BlkIo> {
+ public:
+  ReadCountingBlkIo(ComPtr<MemBlkIo> inner, uint32_t first, uint32_t count)
+      : inner_(std::move(inner)), first_(first), count_(count) {}
+
+  uint32_t GetBlockSize() override { return inner_->GetBlockSize(); }
+  Error Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) override {
+    for (off_t64 block = offset / kBlockSize; block * kBlockSize < offset + amount;
+         ++block) {
+      reads += block >= first_ && block < first_ + count_;
+    }
+    return inner_->Read(buf, offset, amount, out_actual);
+  }
+  Error Write(const void* buf, off_t64 offset, size_t amount,
+              size_t* out_actual) override {
+    return inner_->Write(buf, offset, amount, out_actual);
+  }
+  Error GetSize(off_t64* out_size) override { return inner_->GetSize(out_size); }
+
+  uint32_t reads = 0;
+
+ private:
+  friend class RefCounted<ReadCountingBlkIo>;
+  ~ReadCountingBlkIo() = default;
+
+  ComPtr<MemBlkIo> inner_;
+  uint32_t first_;
+  uint32_t count_;
+};
+
+// Replay applies the images it read to check the payload digest: an n-image
+// transaction costs its header, its commit record and each image once.
+TEST_F(JournalWriterTest, ReplayReadsEachImageOnce) {
+  const std::vector<uint32_t> targets = {sb_.data_start + 1, sb_.data_start + 2,
+                                         sb_.data_start + 3};
+  uint32_t pos = writer_->next_pos();
+  ASSERT_EQ(Error::kOk, writer_->Commit(targets, [](uint32_t target, uint8_t* out) {
+    std::memset(out, static_cast<int>(target), kBlockSize);
+    return Error::kOk;
+  }));
+  ComPtr<ReadCountingBlkIo> counting(new ReadCountingBlkIo(
+      disk_, sb_.journal_start + pos, static_cast<uint32_t>(targets.size()) + 2));
+
+  JournalReplayStats stats;
+  ASSERT_EQ(Error::kOk, JournalReplay(counting.get(), sb_, /*apply=*/true, &stats));
+  EXPECT_EQ(1u, stats.replayed_txns);
+  EXPECT_EQ(5u, counting->reads);
+  for (uint32_t target : targets) {
+    EXPECT_EQ(std::vector<uint8_t>(kBlockSize, static_cast<uint8_t>(target)),
+              ReadRawBlock(disk_.get(), target));
+  }
+}
+
 TEST_F(JournalWriterTest, WraparoundNeverReplaysAcrossTheBoundary) {
   // The smallest legal region wraps on every transaction after the first,
   // forcing the flushed pre-wrap checkpoint each time.

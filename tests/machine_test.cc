@@ -1,6 +1,6 @@
 // Simulated-platform tests: clock, fibers, CPU trap/interrupt model, PIC,
-// PIT, UART, Ethernet wire (with fault injection), the switch's frame
-// pool, and the disk.
+// PIT, UART, the Ethernet hub and switch (with fault injection), the
+// switch's frame pool, and the disk.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -572,24 +572,44 @@ TEST(UartTest, RxInterruptFires) {
 class WireFixture : public ::testing::Test {
  protected:
   struct Sink : WireEndpoint {
+    const SimClock* clock = nullptr;  // set to record arrival times
     std::vector<std::vector<uint8_t>> frames;
+    std::vector<SimTime> times;
     void FrameArrived(const uint8_t* frame, size_t len) override {
       frames.emplace_back(frame, frame + len);
+      if (clock != nullptr) {
+        times.push_back(clock->Now());
+      }
     }
   };
+
+  // 1250 bytes take 100 us at 100 Mbps.
+  static constexpr size_t kFrameBytes = 1250;
+  static constexpr SimTime kSerializeNs = 100 * kNsPerUs;
+  static constexpr SimTime kPropagationNs = 5 * kNsPerUs;
+
+  // A broadcast frame from 02:00:00:00:00:<station> carrying `tag`.
+  static std::vector<uint8_t> StationFrame(uint8_t station, uint8_t tag) {
+    std::vector<uint8_t> frame(kFrameBytes, 0);
+    memset(frame.data(), 0xff, 6);
+    frame[6] = 2;
+    frame[11] = station;
+    frame[14] = tag;
+    return frame;
+  }
 };
 
 TEST_F(WireFixture, DeliversToAllOtherEndpoints) {
   SimClock clock;
-  EthernetWire wire(&clock, {});
+  VirtualSwitch hub(&clock, EthernetWire::Config{});
   Sink a;
   Sink b;
   Sink c;
-  wire.Attach(&a);
-  wire.Attach(&b);
-  wire.Attach(&c);
+  hub.Attach(&a);
+  hub.Attach(&b);
+  hub.Attach(&c);
   uint8_t frame[64] = {1, 2, 3};
-  wire.Transmit(&a, frame, sizeof(frame));
+  hub.Transmit(&a, frame, sizeof(frame));
   while (clock.RunOne()) {
   }
   EXPECT_EQ(0u, a.frames.size());  // no self-delivery
@@ -602,14 +622,14 @@ TEST_F(WireFixture, BandwidthSerializesFrames) {
   SimClock clock;
   EthernetWire::Config config;
   config.bits_per_second = 100 * 1000 * 1000;  // 100 Mbps
-  EthernetWire wire(&clock, config);
+  VirtualSwitch hub(&clock, config);
   Sink rx;
   Sink tx;
-  wire.Attach(&tx);
-  wire.Attach(&rx);
+  hub.Attach(&tx);
+  hub.Attach(&rx);
   uint8_t frame[1250];  // 10000 bits -> 100 us at 100 Mbps
-  wire.Transmit(&tx, frame, sizeof(frame));
-  wire.Transmit(&tx, frame, sizeof(frame));
+  hub.Transmit(&tx, frame, sizeof(frame));
+  hub.Transmit(&tx, frame, sizeof(frame));
   clock.RunUntil(150 * kNsPerUs);
   EXPECT_EQ(1u, rx.frames.size());  // second still serializing
   clock.RunUntil(250 * kNsPerUs);
@@ -621,32 +641,106 @@ TEST_F(WireFixture, LossDropsDeterministically) {
   EthernetWire::Config config;
   config.loss_percent = 50;
   config.fault_seed = 99;
-  EthernetWire wire(&clock, config);
+  VirtualSwitch hub(&clock, config);
   Sink tx;
   Sink rx;
-  wire.Attach(&tx);
-  wire.Attach(&rx);
+  hub.Attach(&tx);
+  hub.Attach(&rx);
   uint8_t frame[64] = {};
   for (int i = 0; i < 100; ++i) {
-    wire.Transmit(&tx, frame, sizeof(frame));
+    hub.Transmit(&tx, frame, sizeof(frame));
   }
   while (clock.RunOne()) {
   }
   EXPECT_GT(rx.frames.size(), 25u);
   EXPECT_LT(rx.frames.size(), 75u);
-  EXPECT_EQ(100u - rx.frames.size(), wire.frames_dropped());
+  EXPECT_EQ(100u - rx.frames.size(), hub.frames_dropped());
+}
+
+// The shared segment is one collision domain: two stations that send at the
+// same instant take turns on the medium, so the second frame lands one
+// serialization time after the first.  A switch gives every port its own
+// egress, and both frames land together.
+TEST_F(WireFixture, SimultaneousSendersTakeTurnsOnTheHubOnly) {
+  EthernetWire::Config hub_config;
+  hub_config.bits_per_second = 100 * 1000 * 1000;
+  hub_config.propagation_ns = kPropagationNs;
+  VirtualSwitch::Config switch_config;
+  switch_config.port.bits_per_second = hub_config.bits_per_second;
+  switch_config.port.propagation_ns = kPropagationNs;
+  const std::vector<uint8_t> from_a = StationFrame(1, 0xa);
+  const std::vector<uint8_t> from_b = StationFrame(2, 0xb);
+  const SimTime first = kSerializeNs + kPropagationNs;
+
+  for (bool hub : {true, false}) {
+    SCOPED_TRACE(hub ? "hub" : "switch");
+    SimClock clock;
+    std::unique_ptr<VirtualSwitch> fabric =
+        hub ? std::make_unique<VirtualSwitch>(&clock, hub_config)
+            : std::make_unique<VirtualSwitch>(&clock, switch_config);
+    Sink a;
+    Sink b;
+    a.clock = &clock;
+    b.clock = &clock;
+    fabric->Attach(&a);
+    fabric->Attach(&b);
+    fabric->Transmit(&a, from_a.data(), from_a.size());
+    fabric->Transmit(&b, from_b.data(), from_b.size());
+    while (clock.RunOne()) {
+    }
+    ASSERT_EQ(1u, b.frames.size());
+    ASSERT_EQ(1u, a.frames.size());
+    EXPECT_EQ(from_a, b.frames[0]);
+    EXPECT_EQ(from_b, a.frames[0]);
+    EXPECT_EQ(first, b.times[0]);
+    EXPECT_EQ(hub ? first + kSerializeNs : first, a.times[0]);
+  }
+}
+
+// A frame the fault model drops has still used the medium: frame i lands one
+// serialization time after frame i - 1 left, whether or not that one arrived.
+TEST_F(WireFixture, LostFrameStillHoldsTheMedium) {
+  EthernetWire::Config config;
+  config.bits_per_second = 100 * 1000 * 1000;
+  config.propagation_ns = kPropagationNs;
+  config.loss_percent = 50;
+  config.fault_seed = 99;
+  SimClock clock;
+  VirtualSwitch hub(&clock, config);
+  Sink tx;
+  Sink rx;
+  rx.clock = &clock;
+  hub.Attach(&tx);
+  hub.Attach(&rx);
+  constexpr int kFrames = 20;
+  for (int i = 0; i < kFrames; ++i) {
+    const std::vector<uint8_t> frame = StationFrame(1, static_cast<uint8_t>(i));
+    hub.Transmit(&tx, frame.data(), frame.size());
+  }
+  while (clock.RunOne()) {
+  }
+  ASSERT_GT(rx.frames.size(), 0u);
+  ASSERT_LT(rx.frames.size(), static_cast<size_t>(kFrames));
+  bool delivered_after_a_loss = false;
+  for (size_t k = 0; k < rx.frames.size(); ++k) {
+    const uint8_t index = rx.frames[k][14];
+    EXPECT_EQ((index + 1) * kSerializeNs + kPropagationNs, rx.times[k])
+        << "frame " << +index;
+    delivered_after_a_loss |= index != k;
+  }
+  EXPECT_TRUE(delivered_after_a_loss);
 }
 
 TEST(NicTest, FiltersByDestinationMac) {
   SimClock clock;
   Simulation sim;
-  EthernetWire wire(&sim.clock(), {});
+  VirtualSwitch hub(&sim.clock(), EthernetWire::Config{});
   Cpu cpu;
   Pic pic(&cpu);
   EtherAddr mac_a{{2, 0, 0, 0, 0, 1}};
   EtherAddr mac_b{{2, 0, 0, 0, 0, 2}};
-  NicHw nic_a(&wire, &pic, &sim.clock(), mac_a);
-  NicHw nic_b(&wire, &pic, &sim.clock(), mac_b);
+  NicHw nic_a(&hub, &pic, &sim.clock(), mac_a);
+  NicHw nic_b(&hub, &pic, &sim.clock(), mac_b);
 
   uint8_t frame[60] = {};
   memcpy(frame, mac_b.bytes, 6);  // dst = B
@@ -674,13 +768,13 @@ TEST(NicTest, FiltersByDestinationMac) {
 
 TEST(NicTest, RxMitigationThresholdHoldoffAndRingFallback) {
   Simulation sim;
-  EthernetWire wire(&sim.clock(), {});
+  VirtualSwitch hub(&sim.clock(), EthernetWire::Config{});
   Cpu cpu;
   Pic pic(&cpu);
   EtherAddr mac_a{{2, 0, 0, 0, 0, 1}};
   EtherAddr mac_b{{2, 0, 0, 0, 0, 2}};
-  NicHw tx(&wire, &pic, &sim.clock(), mac_a);
-  NicHw rx(&wire, &pic, &sim.clock(), mac_b);
+  NicHw tx(&hub, &pic, &sim.clock(), mac_a);
+  NicHw rx(&hub, &pic, &sim.clock(), mac_b);
   rx.EnableRxInterrupt(true);
 
   uint8_t frame[60] = {};
@@ -769,11 +863,11 @@ TEST(NicTest, RxMitigationThresholdHoldoffAndRingFallback) {
 TEST(NicTest, GatherTransmitMatchesFlat) {
   SimClock clock;
   Simulation sim;
-  EthernetWire wire(&sim.clock(), {});
+  VirtualSwitch hub(&sim.clock(), EthernetWire::Config{});
   Cpu cpu;
   Pic pic(&cpu);
-  NicHw tx(&wire, &pic, &sim.clock(), EtherAddr{{2, 0, 0, 0, 0, 1}});
-  NicHw rx(&wire, &pic, &sim.clock(), EtherAddr{{2, 0, 0, 0, 0, 2}});
+  NicHw tx(&hub, &pic, &sim.clock(), EtherAddr{{2, 0, 0, 0, 0, 1}});
+  NicHw rx(&hub, &pic, &sim.clock(), EtherAddr{{2, 0, 0, 0, 0, 2}});
   rx.SetPromiscuous(true);
 
   uint8_t part1[14] = {2, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 1, 0x08, 0x00};

@@ -294,7 +294,7 @@ TEST(NetIntegrationTest, FragmentsPastTheReassemblyDeadlineAreDiscarded) {
   ComPtr<Socket> sock;
   auto inject = [&](uint16_t ident, int piece) {
     std::vector<uint8_t> frame = UdpFragmentFrame(b, ident, piece);
-    world.wire().Transmit(nullptr, frame.data(), frame.size());
+    world.fabric().Transmit(nullptr, frame.data(), frame.size());
   };
   world.sim().Spawn("fragments", [&] {
     sock = b.MakeSocket(SockType::kDgram);

@@ -33,12 +33,11 @@ TEST(SwitchTest, LearnsMacsAndUnicastsAfterFlood) {
   Host& b = world.AddHost("b", NetConfig::kNativeBsd);
   Host& c = world.AddHost("c", NetConfig::kNativeBsd);
 
-  ASSERT_NE(nullptr, world.vswitch());
-  EXPECT_EQ(3u, world.vswitch()->port_count());
+  EXPECT_EQ(3u, world.fabric().port_count());
   // Port index is attach order, which is AddHost order.
-  EXPECT_EQ(0, world.vswitch()->PortOf(a.machine->nics()[0].get()));
-  EXPECT_EQ(1, world.vswitch()->PortOf(b.machine->nics()[0].get()));
-  EXPECT_EQ(2, world.vswitch()->PortOf(c.machine->nics()[0].get()));
+  EXPECT_EQ(0, world.fabric().PortOf(a.machine->nics()[0].get()));
+  EXPECT_EQ(1, world.fabric().PortOf(b.machine->nics()[0].get()));
+  EXPECT_EQ(2, world.fabric().PortOf(c.machine->nics()[0].get()));
 
   world.sim().Spawn("pings", [&] {
     SimTime rtt = 0;
@@ -48,7 +47,7 @@ TEST(SwitchTest, LearnsMacsAndUnicastsAfterFlood) {
   });
   world.RunToCompletion();
 
-  VirtualSwitch* vs = world.vswitch();
+  VirtualSwitch* vs = &world.fabric();
   // ARP requests are broadcast -> flooded; everything after learning is
   // unicast to the learned port only.
   EXPECT_GT(vs->frames_flooded(), 0u);
@@ -70,18 +69,18 @@ TEST(SwitchTest, PerPortLossIsolatesOneUplinkAndHeals) {
   // rest of the fabric must be unaffected.
   VirtualSwitch::PortConfig broken;
   broken.loss_percent = 100;
-  world.vswitch()->SetPortConfig(2, broken);
+  world.fabric().SetPortConfig(2, broken);
 
   world.sim().Spawn("pings", [&] {
     SimTime rtt = 0;
     ASSERT_EQ(Error::kOk, a.stack->Ping(b.addr, kNsPerSec, &rtt));
     EXPECT_FALSE(Ok(a.stack->Ping(c.addr, kNsPerSec, &rtt)));
     // Heal the port; the next ping re-runs ARP and succeeds.
-    world.vswitch()->SetPortConfig(2, VirtualSwitch::PortConfig{});
+    world.fabric().SetPortConfig(2, VirtualSwitch::PortConfig{});
     EXPECT_EQ(Error::kOk, a.stack->Ping(c.addr, 10 * kNsPerSec, &rtt));
   });
   world.RunToCompletion();
-  EXPECT_GT(world.vswitch()->frames_dropped(), 0u);
+  EXPECT_GT(world.fabric().frames_dropped(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -399,8 +398,8 @@ TEST(SelectorTest, EchoServerServicesSixtyConnectionsOverSwitch) {
     client_fired += world.host(1 + h).stack->timer_wheel().fired();
   }
   EXPECT_GT(client_fired, 0u);
-  EXPECT_GE(world.vswitch()->port_count(), 4u);
-  EXPECT_GT(world.vswitch()->frames_unicast(), 0u);
+  EXPECT_GE(world.fabric().port_count(), 4u);
+  EXPECT_GT(world.fabric().frames_unicast(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -699,8 +698,8 @@ TimerRun RunTimerScenario(const TimerScenario& sc) {
   run.tcp_out = c0.tcp_out.value() + c1.tcp_out.value();
   run.tcp_retransmits = c0.tcp_retransmits.value() + c1.tcp_retransmits.value();
   run.delayed_acks = c0.tcp_delayed_acks.value() + c1.tcp_delayed_acks.value();
-  run.frames_sent = world.wire().frames_sent();
-  run.bytes_carried = world.wire().bytes_carried();
+  run.frames_sent = world.fabric().frames_in();
+  run.bytes_carried = world.fabric().bytes_carried();
   run.now = world.sim().clock().Now();
   return run;
 }

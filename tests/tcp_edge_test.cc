@@ -798,9 +798,9 @@ struct TimeWaitSegment {
 // injects frames as `peer`.
 class WireTap final : public WireEndpoint {
  public:
-  WireTap(EtherLink* link, const EtherAddr& watched, const EtherAddr& peer)
-      : link_(link), watched_(watched), peer_(peer) {
-    link_->Attach(this);
+  WireTap(VirtualSwitch* fabric, const EtherAddr& watched, const EtherAddr& peer)
+      : fabric_(fabric), watched_(watched), peer_(peer) {
+    fabric_->Attach(this);
   }
 
   void FrameArrived(const uint8_t* frame, size_t len) override {
@@ -862,7 +862,7 @@ class WireTap final : public WireEndpoint {
     cksum.Add(pseudo, sizeof(pseudo));
     cksum.Add(seg, tcp_len);
     StoreBe16(seg + 16, cksum.Finish());
-    link_->Transmit(this, frame.data(), frame.size());
+    fabric_->Transmit(this, frame.data(), frame.size());
   }
 
   std::vector<net::TcpHeader>& sent() { return sent_; }
@@ -870,7 +870,7 @@ class WireTap final : public WireEndpoint {
  private:
   static constexpr size_t kEtherHeaderSize = 14;
 
-  EtherLink* link_;
+  VirtualSwitch* fabric_;
   EtherAddr watched_;
   EtherAddr peer_;
   uint16_t ident_ = 0;
@@ -935,7 +935,7 @@ void RunTimeWaitScenario(NetConfig b_config, const TimeWaitProbe& probe) {
   World world;
   Host& a = world.AddHost("a", NetConfig::kNativeBsd);
   Host& b = world.AddHost("b", b_config);
-  WireTap tap(&world.link(), b.machine->nics()[0]->mac(),
+  WireTap tap(&world.fabric(), b.machine->nics()[0]->mac(),
               a.machine->nics()[0]->mac());
   fault::FaultEnv mute_env(1);
   a.machine->nics()[0]->SetFaultEnv(&mute_env);
