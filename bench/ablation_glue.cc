@@ -3,16 +3,12 @@
 // Table 2's text attributes the OSKit's extra latency to "the additional
 // glue code within the OSKit components: the price we pay for modularity
 // and separability".  This harness decomposes that price by toggling the
-// layers one at a time on the rtcp and ttcp workloads:
+// layers on the rtcp and ttcp workloads:
 //
 //   A  native FreeBSD        — no COM boundary, driver eats mbuf chains
 //   B  OSKit                 — COM NetIo/BufIo + conversions (zero-copy rx)
-//   C  OSKit + forced rx copy — ablates the §4.7.3 zero-copy import, so
-//                               BOTH directions pay a buffer copy
 //
 // B - A  = cost of the COM boundary + bufio conversion machinery
-// C - B  = what the zero-copy receive import saves (the mechanism that
-//          keeps OSKit receive bandwidth at FreeBSD levels in Table 1)
 
 #include <cstdio>
 
@@ -28,7 +24,6 @@ namespace {
 struct Variant {
   const char* name;
   NetConfig config;
-  bool force_rx_copy;
 };
 
 }  // namespace
@@ -43,15 +38,14 @@ int main(int argc, char** argv) {
   size_t blocks = 8192;
 
   const Variant kVariants[] = {
-      {"A: native FreeBSD (no COM)", NetConfig::kNativeBsd, false},
-      {"B: OSKit (COM + conversions)", NetConfig::kOskit, false},
-      {"C: OSKit, zero-copy rx ablated", NetConfig::kOskit, true},
+      {"A: native FreeBSD (no COM)", NetConfig::kNativeBsd},
+      {"B: OSKit (COM + conversions)", NetConfig::kOskit},
   };
+  constexpr int kNumVariants = 2;
 
-  double rtt_us[3];
-  double mbps[3];
-  uint64_t rx_copied[3] = {};
-  uint64_t tx_copied[3] = {};
+  double rtt_us[kNumVariants];
+  double mbps[kNumVariants];
+  uint64_t tx_copied[kNumVariants] = {};
   trace::CounterSnapshot sender_snapshot;
   std::printf("Glue-overhead ablation (%llu round trips, %zu x 4096-byte "
               "blocks, infinite wire)\n\n",
@@ -59,15 +53,11 @@ int main(int argc, char** argv) {
   std::printf("%-34s | %14s | %16s\n", "variant", "rtcp us/rt", "ttcp Mbit/s");
   std::printf("-----------------------------------+----------------+--------------"
               "----\n");
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < kNumVariants; ++i) {
     {
       World world;
       world.AddHost("s", kVariants[i].config);
       world.AddHost("c", kVariants[i].config);
-      if (kVariants[i].force_rx_copy) {
-        world.host(0).stack->SetForceRxCopy(true);
-        world.host(1).stack->SetForceRxCopy(true);
-      }
       RtcpResult r = RunRtcp(world, round_trips);
       rtt_us[i] = r.UsecPerRoundTripWall();
     }
@@ -75,18 +65,12 @@ int main(int argc, char** argv) {
       World world;
       world.AddHost("rx", kVariants[i].config);
       world.AddHost("tx", kVariants[i].config);
-      if (kVariants[i].force_rx_copy) {
-        world.host(0).stack->SetForceRxCopy(true);
-        world.host(1).stack->SetForceRxCopy(true);
-      }
       TtcpResult t = RunTtcp(world, 4096, blocks);
       mbps[i] = t.MbitPerSecWall();
-      // Both sides of the copy ledger come from the per-host counter
-      // registries, not from bench-local bookkeeping.
-      rx_copied[i] =
-          world.host(0).trace.registry.Value("net.rx.glue_copied_bytes");
+      // The copy ledger comes from the sender's counter registry, not from
+      // bench-local bookkeeping.
       tx_copied[i] = t.sender_glue_copied_bytes;
-      if (kVariants[i].config == NetConfig::kOskit && !kVariants[i].force_rx_copy) {
+      if (kVariants[i].config == NetConfig::kOskit) {
         sender_snapshot = world.host(1).trace.registry.Snapshot();
       }
     }
@@ -96,27 +80,12 @@ int main(int argc, char** argv) {
   std::printf("\nDecomposition (per 1-byte round trip):\n");
   std::printf("  COM boundary + bufio conversion + glue : %+.2f us (B - A)\n",
               rtt_us[1] - rtt_us[0]);
-  std::printf("  (C - B is below measurement noise for 1-byte packets: the\n"
-              "   forced copy moves ~60 bytes; its real cost shows in the\n"
-              "   bulk counters below.)\n");
   std::printf("\nBulk-transfer mechanism counters (deterministic, %zu x "
               "4096-byte transfer):\n", blocks);
-  for (int i = 0; i < 3; ++i) {
-    std::printf("  %-34s tx glue copies %10llu bytes | rx glue copies %10llu "
-                "bytes\n", kVariants[i].name,
-                static_cast<unsigned long long>(tx_copied[i]),
-                static_cast<unsigned long long>(rx_copied[i]));
+  for (int i = 0; i < kNumVariants; ++i) {
+    std::printf("  %-34s tx glue copies %10llu bytes\n", kVariants[i].name,
+                static_cast<unsigned long long>(tx_copied[i]));
   }
-  // P6-scaled receive-side cost of losing the zero-copy import (the extra
-  // bytes really copied, at 70 MB/s 1997 memory bandwidth).
-  double total_bytes = blocks * 4096.0;
-  double extra_s = static_cast<double>(rx_copied[2]) / 70e6;
-  double base_s = total_bytes / 1448.0 * 100e-6 + total_bytes / 70e6 +
-                  total_bytes / 50e6;
-  std::printf("\n  P6-scaled: the ablated receive copy adds %.0f ms to a "
-              "%.0f MB transfer (%.0f%% slower receiver) —\n  the mechanism "
-              "that keeps Table 1's OSKit receive row at FreeBSD levels.\n",
-              extra_s * 1e3, total_bytes / 1048576.0, 100.0 * extra_s / base_s);
 
   // Registry snapshot of the variant-B sender: the same numbers kmon's
   // `counters` command would show on that machine.
@@ -131,13 +100,12 @@ int main(int argc, char** argv) {
 
   bench::Report report("ablation_glue", json_path);
   report.json.Set("round_trips", round_trips).Set("blocks", blocks);
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < kNumVariants; ++i) {
     report.json.Push("variants", bench::Json()
                                      .Set("name", kVariants[i].name)
                                      .Set("rtcp_us_per_rt", rtt_us[i])
                                      .Set("ttcp_mbps", mbps[i])
-                                     .Set("tx_glue_copied_bytes", tx_copied[i])
-                                     .Set("rx_glue_copied_bytes", rx_copied[i]));
+                                     .Set("tx_glue_copied_bytes", tx_copied[i]));
   }
   report.json.Set("sender_counters", bench::Json::Object(sender_snapshot));
   return report.Finish();

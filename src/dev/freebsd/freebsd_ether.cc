@@ -60,21 +60,21 @@ void BsdEtherDriver::Output(net::MBuf* frame) {
     lens[count] = m->len;
     ++count;
   }
+  // More fragments than descriptors: linearize through a bounce buffer,
+  // the if_xl-style m_defrag fallback, instead of dying on an assert.
+  uint8_t bounce[kEtherMaxFrame];
   if (overflow) {
-    // More fragments than descriptors: linearize through a bounce buffer,
-    // the if_xl-style m_defrag fallback, instead of dying on an assert.
-    uint8_t bounce[kEtherMaxFrame];
-    size_t total = 0;
+    chunks[0] = bounce;
+    lens[0] = 0;
+    count = 1;
     for (net::MBuf* m = frame; m != nullptr; m = m->next) {
-      OSKIT_ASSERT_MSG(total + m->len <= sizeof(bounce), "oversize frame");
-      std::memcpy(bounce + total, m->data, m->len);
-      total += m->len;
+      OSKIT_ASSERT_MSG(lens[0] + m->len <= sizeof(bounce), "oversize frame");
+      std::memcpy(bounce + lens[0], m->data, m->len);
+      lens[0] += m->len;
     }
     ++tx_linearized_;
-    hw_->TxStart(bounce, total);
-  } else {
-    hw_->TxStartVec(chunks, lens, count);
   }
+  hw_->TxStart(chunks, lens, count);
   ++tx_frames_;
   stack_->pool().FreeChain(frame);
 }

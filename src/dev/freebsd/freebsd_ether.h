@@ -39,7 +39,7 @@ class BsdEtherDriver final : public net::NativeEtherPort {
   uint64_t rx_alloc_drops() const { return rx_alloc_drops_; }
 
  private:
-  // The hardware's gather-descriptor budget (TxStartVec limit).
+  // The hardware's gather-descriptor budget (TxStart limit).
   static constexpr size_t kMaxGather = 64;
 
   void Interrupt();

@@ -163,90 +163,53 @@ Error LinuxIdeDev::GetInfo(DeviceInfo* out_info) {
 }
 
 Error LinuxIdeDev::Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) {
-  *out_actual = 0;
-  constexpr uint32_t kSector = DiskHw::kSectorSize;
-  uint64_t disk_bytes = drive_.hw->sector_count() * kSector;
-  Error err = ClampRange(disk_bytes, offset, &amount);
-  if (!Ok(err)) {
-    return err;
-  }
-  auto* out = static_cast<uint8_t*>(buf);
-  size_t done = 0;
-  while (done < amount) {
-    uint64_t lba = (offset + done) / kSector;
-    uint32_t in_sector = static_cast<uint32_t>((offset + done) % kSector);
-    if (in_sector == 0 && amount - done >= kSector) {
-      // Whole-sector fast path: DMA straight into the caller's buffer, up
-      // to 64 sectors per request (old IDE multi-sector limit).
-      uint32_t sectors = static_cast<uint32_t>((amount - done) / kSector);
-      if (sectors > 64) {
-        sectors = 64;
-      }
-      err = ide_do_request(&drive_, lba, sectors, out + done, /*write=*/false);
-      if (!Ok(err)) {
-        return err;
-      }
-      done += static_cast<size_t>(sectors) * kSector;
-      continue;
-    }
-    // Partial sector: bounce through a sector buffer.
-    uint8_t sector_buf[kSector];
-    err = ide_do_request(&drive_, lba, 1, sector_buf, /*write=*/false);
-    if (!Ok(err)) {
-      return err;
-    }
-    size_t n = kSector - in_sector;
-    if (n > amount - done) {
-      n = amount - done;
-    }
-    std::memcpy(out + done, sector_buf + in_sector, n);
-    done += n;
-  }
-  *out_actual = done;
-  return Error::kOk;
+  return Transfer(static_cast<uint8_t*>(buf), offset, amount, /*write=*/false,
+                  out_actual);
 }
 
 Error LinuxIdeDev::Write(const void* buf, off_t64 offset, size_t amount,
                          size_t* out_actual) {
+  // The walk only reads from `buf` when writing.
+  return Transfer(static_cast<uint8_t*>(const_cast<void*>(buf)), offset, amount,
+                  /*write=*/true, out_actual);
+}
+
+Error LinuxIdeDev::Transfer(uint8_t* buf, off_t64 offset, size_t amount,
+                            bool write, size_t* out_actual) {
   *out_actual = 0;
   constexpr uint32_t kSector = DiskHw::kSectorSize;
-  uint64_t disk_bytes = drive_.hw->sector_count() * kSector;
-  Error err = ClampRange(disk_bytes, offset, &amount);
+  Error err = ClampRange(drive_.hw->sector_count() * kSector, offset, &amount);
   if (!Ok(err)) {
     return err;
   }
-  const auto* in = static_cast<const uint8_t*>(buf);
   size_t done = 0;
   while (done < amount) {
     uint64_t lba = (offset + done) / kSector;
     uint32_t in_sector = static_cast<uint32_t>((offset + done) % kSector);
     if (in_sector == 0 && amount - done >= kSector) {
-      uint32_t sectors = static_cast<uint32_t>((amount - done) / kSector);
-      if (sectors > 64) {
-        sectors = 64;
-      }
-      err = ide_do_request(&drive_, lba, sectors,
-                           const_cast<uint8_t*>(in + done), /*write=*/true);
+      size_t sectors = std::min<size_t>((amount - done) / kSector, 64);
+      err = ide_do_request(&drive_, lba, static_cast<uint32_t>(sectors),
+                           buf + done, write);
       if (!Ok(err)) {
         return err;
       }
-      done += static_cast<size_t>(sectors) * kSector;
+      done += sectors * kSector;
       continue;
     }
-    // Read-modify-write for the partial sector.
     uint8_t sector_buf[kSector];
     err = ide_do_request(&drive_, lba, 1, sector_buf, /*write=*/false);
     if (!Ok(err)) {
       return err;
     }
-    size_t n = kSector - in_sector;
-    if (n > amount - done) {
-      n = amount - done;
-    }
-    std::memcpy(sector_buf + in_sector, in + done, n);
-    err = ide_do_request(&drive_, lba, 1, sector_buf, /*write=*/true);
-    if (!Ok(err)) {
-      return err;
+    size_t n = std::min<size_t>(kSector - in_sector, amount - done);
+    if (!write) {
+      std::memcpy(buf + done, sector_buf + in_sector, n);
+    } else {
+      std::memcpy(sector_buf + in_sector, buf + done, n);
+      err = ide_do_request(&drive_, lba, 1, sector_buf, /*write=*/true);
+      if (!Ok(err)) {
+        return err;
+      }
     }
     done += n;
   }

@@ -128,6 +128,13 @@ class LinuxIdeDev final
   friend class RefCounted<LinuxIdeDev>;
   ~LinuxIdeDev();
 
+  // The one sector walk under Read and Write: whole sectors move straight
+  // between `buf` and the disk, up to 64 per request (the old IDE
+  // multi-sector limit); a partial sector bounces through a sector buffer,
+  // read first and, for a write, written back (read-modify-write).
+  Error Transfer(uint8_t* buf, off_t64 offset, size_t amount, bool write,
+                 size_t* out_actual);
+
   // Executes one scheduled run of merged whole-sector SQEs (or one odd SQE
   // through the slow byte path) and queues its CQEs.
   void CompleteSqe(const AioSqe& sqe);

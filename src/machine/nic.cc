@@ -45,27 +45,16 @@ bool NicHw::TxGate() {
   return true;
 }
 
-void NicHw::TxStart(const uint8_t* frame, size_t len) {
-  OSKIT_ASSERT_MSG(len >= kEtherHeaderSize, "runt frame");
-  OSKIT_ASSERT_MSG(len <= kEtherMaxFrame, "oversize frame");
-  if (!TxGate()) {
-    return;
-  }
-  fabric_->Transmit(this, frame, len);
-}
-
-void NicHw::TxStartVec(const uint8_t* const* chunks, const size_t* lens,
-                       size_t count) {
+void NicHw::TxStart(const uint8_t* const* chunks, const size_t* lens,
+                    size_t count) {
   // Hardware DMA gather: the descriptor list goes straight to the wire-side
-  // engine — the NIC never stages the frame through a bounce buffer, which
-  // is the whole point of the scatter-gather transmit path.
+  // engine — the NIC never stages the frame through a bounce buffer.
   size_t total = 0;
   for (size_t i = 0; i < count; ++i) {
     total += lens[i];
   }
   OSKIT_ASSERT_MSG(total >= kEtherHeaderSize, "runt frame");
-  OSKIT_ASSERT_MSG(total <= kEtherMaxFrame, "oversize gather frame");
-  ++tx_gathers_;
+  OSKIT_ASSERT_MSG(total <= kEtherMaxFrame, "oversize frame");
   if (!TxGate()) {
     return;
   }

@@ -2,7 +2,8 @@
 //
 // This is the device the encapsulated "Linux" driver (src/dev/linux) drives:
 // it exposes register-style programmed I/O — RX ring status, RX dequeue, TX
-// start — and raises its IRQ when a frame for this station arrives.  It does
+// start from one gather descriptor list (a contiguous frame is a list of
+// one) — and raises its IRQ when a frame for this station arrives.  It does
 // hardware-level destination filtering (own MAC, broadcast, promiscuous).
 //
 // Interrupt mitigation: the RX IRQ is governed by coalescing "registers"
@@ -82,13 +83,11 @@ class NicHw final : public WireEndpoint {
   // advances the ring.  Returns the frame length.
   size_t RxDequeue(uint8_t* buf);
 
-  // Starts transmission of a complete Ethernet frame (header + payload).
-  // TxStartVec is the DMA-gather entry point: the descriptor list is handed
-  // to the wire-side engine as-is, with no bounce-buffer assembly in the
-  // NIC.  Both the BSD-idiom driver and the Linux-idiom driver's
-  // hard_start_xmit_vec use it; TxStart is the single-buffer legacy path.
-  void TxStart(const uint8_t* frame, size_t len);
-  void TxStartVec(const uint8_t* const* chunks, const size_t* lens, size_t count);
+  // Starts transmission of a complete Ethernet frame (header + payload),
+  // described as a DMA-gather descriptor list that goes to the wire-side
+  // engine as-is, with no bounce-buffer assembly in the NIC.  A contiguous
+  // frame is a one-chunk list.
+  void TxStart(const uint8_t* const* chunks, const size_t* lens, size_t count);
 
   // WireEndpoint
   void FrameArrived(const uint8_t* frame, size_t len) override;
@@ -100,7 +99,6 @@ class NicHw final : public WireEndpoint {
   uint64_t tx_dropped() const { return tx_dropped_; }
   uint64_t rx_corrupted() const { return rx_corrupted_; }
   uint64_t rx_irqs_missed() const { return rx_irqs_missed_; }
-  uint64_t tx_gathers() const { return tx_gathers_; }
 
   // Coalescing counters, bound into the per-machine registry by KernelEnv
   // under "nic.rx.coalesce.*".
@@ -140,7 +138,6 @@ class NicHw final : public WireEndpoint {
   uint64_t tx_dropped_ = 0;
   uint64_t rx_corrupted_ = 0;
   uint64_t rx_irqs_missed_ = 0;
-  uint64_t tx_gathers_ = 0;
   trace::Counter rx_coalesce_frames_;
   trace::Counter rx_coalesce_irqs_;
   trace::Counter rx_coalesce_threshold_;

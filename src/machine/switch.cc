@@ -42,7 +42,6 @@ VirtualSwitch::VirtualSwitch(SimClock* clock, const Config& config,
                        {"switch.frames.duplicated", &frames_duplicated_},
                        {"switch.frames.filtered", &frames_filtered_},
                        {"switch.bytes", &bytes_carried_},
-                       {"switch.gather_transmits", &gather_transmits_},
                        {"switch.macs.learned", &macs_learned_, /*gauge=*/true},
                        {"switch.macs.moves", &mac_moves_},
                        {"switch.macs.table_full", &mac_table_full_}});
@@ -98,20 +97,12 @@ void VirtualSwitch::ReleaseFrame(FrameRef frame) {
   free_frames_.splice(free_frames_.begin(), in_flight_, frame);
 }
 
-void VirtualSwitch::Transmit(WireEndpoint* source, const uint8_t* frame,
-                             size_t len) {
-  FrameRef pooled = AcquireFrame();
-  pooled->bytes.assign(frame, frame + len);
-  Forward(source, pooled);
-}
-
 void VirtualSwitch::Transmit(WireEndpoint* source, const uint8_t* const* chunks,
                              const size_t* lens, size_t count) {
   FrameRef frame = AcquireFrame();
   for (size_t i = 0; i < count; ++i) {
     frame->bytes.insert(frame->bytes.end(), chunks[i], chunks[i] + lens[i]);
   }
-  ++gather_transmits_;
   Forward(source, frame);
 }
 

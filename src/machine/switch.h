@@ -20,14 +20,16 @@
 // jitter) and, on a switch, its own serialization rate and propagation
 // delay, so a test can degrade one host's uplink while the rest of the
 // fabric stays clean.  Statistics report through the trace registry under
-// "switch.*" (§4.6 exposed implementation), plus plain getters for
+// "switch.*" (§4.6 exposed implementation) in the environment the switch
+// is built with (a testbed World passes its own), plus plain getters for
 // harnesses that do not bind a registry.
 //
-// A transmitted frame is built once, into a refcounted buffer from the
-// switch's own pool; every egress port and every duplicate delivers that
-// same buffer, and the last delivery returns it to the pool.  Receivers see
-// it as const bytes for the length of FrameArrived and copy what they keep
-// (the NIC's RX ring does).
+// A frame is transmitted as one gather list (a contiguous frame is a list of
+// one) and built once, into a refcounted buffer from the switch's own pool;
+// every egress port and every duplicate delivers that same buffer, and the
+// last delivery returns it to the pool.  Receivers see it as const bytes
+// for the length of FrameArrived and copy what they keep (the NIC's RX
+// ring does).
 
 #ifndef OSKIT_SRC_MACHINE_SWITCH_H_
 #define OSKIT_SRC_MACHINE_SWITCH_H_
@@ -87,12 +89,11 @@ class VirtualSwitch final {
   // Attaching creates the next port (port index = attach order).
   void Attach(WireEndpoint* endpoint);
 
-  // Transmits a complete frame from `source`.  A hub also carries a frame
-  // from an endpoint that never attached (null included) to every port.
-  void Transmit(WireEndpoint* source, const uint8_t* frame, size_t len);
-
-  // Gather-DMA transmit: the frame is described as an iovec-style chunk list
-  // and the fabric-side engine assembles it straight into the pooled frame.
+  // Transmits a complete frame from `source`, described as an iovec-style
+  // chunk list that is assembled straight into the pooled frame (gather
+  // DMA); a contiguous frame is a one-chunk list.  A hub also carries a
+  // frame from an endpoint that never attached (null included) to every
+  // port.
   void Transmit(WireEndpoint* source, const uint8_t* const* chunks,
                 const size_t* lens, size_t count);
 
@@ -112,7 +113,6 @@ class VirtualSwitch final {
   uint64_t frames_duplicated() const { return frames_duplicated_.value(); }
   uint64_t frames_filtered() const { return frames_filtered_.value(); }
   uint64_t bytes_carried() const { return bytes_carried_.value(); }
-  uint64_t gather_transmits() const { return gather_transmits_.value(); }
   uint64_t macs_learned() const { return macs_learned_.value(); }
   uint64_t mac_moves() const { return mac_moves_.value(); }
   uint64_t mac_table_full() const { return mac_table_full_.value(); }
@@ -179,7 +179,6 @@ class VirtualSwitch final {
   trace::Counter frames_duplicated_;
   trace::Counter frames_filtered_;  // unicast back out the ingress port
   trace::Counter bytes_carried_;
-  trace::Counter gather_transmits_;
   trace::Counter macs_learned_;  // gauge: live learning-table entries
   trace::Counter mac_moves_;
   trace::Counter mac_table_full_;

@@ -6,8 +6,8 @@
 
 namespace oskit::net {
 
-ComPtr<MbufBufIo> MbufBufIo::Wrap(MbufPool* pool, MBuf* chain, bool expose_sg) {
-  return ComPtr<MbufBufIo>(new MbufBufIo(pool, chain, expose_sg));
+ComPtr<MbufBufIo> MbufBufIo::Wrap(MbufPool* pool, MBuf* chain) {
+  return ComPtr<MbufBufIo>(new MbufBufIo(pool, chain));
 }
 
 MbufBufIo::~MbufBufIo() { pool_->FreeChain(chain_); }
@@ -163,18 +163,12 @@ Error MbufBufIo::UnmapVectors(off_t64 /*offset*/, size_t /*amount*/) {
 
 namespace {
 
-struct ForeignRef {
-  BufIo* packet;
-  void* mapped;
-  off_t64 offset;
-  size_t amount;
-};
-
-void ReleaseForeign(void* ctx, uint8_t* /*buf*/, size_t /*size*/) {
-  auto* ref = static_cast<ForeignRef*>(ctx);
-  ref->packet->Unmap(ref->mapped, ref->offset, ref->amount);
-  ref->packet->Release();
-  delete ref;
+// The external storage's context is the foreign packet; `buf` and `size`
+// are the window mapped at offset 0.
+void ReleaseForeign(void* ctx, uint8_t* buf, size_t size) {
+  auto* packet = static_cast<BufIo*>(ctx);
+  packet->Unmap(buf, 0, size);
+  packet->Release();
 }
 
 }  // namespace
@@ -185,8 +179,8 @@ MBuf* MbufFromBufIo(MbufPool* pool, BufIo* packet, size_t size) {
     // Zero-copy import: graft the foreign storage in as an external mbuf,
     // holding a reference on the foreign object until the chain dies.
     packet->AddRef();
-    auto* ref = new ForeignRef{packet, addr, 0, size};
-    MBuf* m = pool->GetExternal(static_cast<uint8_t*>(addr), size, &ReleaseForeign, ref);
+    MBuf* m =
+        pool->GetExternal(static_cast<uint8_t*>(addr), size, &ReleaseForeign, packet);
     m->pkt_len = static_cast<uint32_t>(size);
     return m;
   }

@@ -5,18 +5,21 @@
 // ranges that happen to be contiguous inside one mbuf — but the wrapper also
 // implements BufIoVec, so a gather-capable consumer can Query for the
 // scatter-gather view and transmit a multi-mbuf TCP segment without
-// flattening it.  Consumers without gather support (or a wrapper built with
-// expose_sg = false, the ablation/legacy mode) still land on the Read()-based
-// copy path into a contiguous skbuff — the send-path copy the original
-// Table 1 measured.  Either way the segment transmits; when a driver-side
-// failure occurs (skbuff allocation, injected fault), the error propagates
-// back through NetIo::Push to NetStack::EtherOutput, which counts it
-// (net.tx.errors) — nothing is dropped silently.
+// flattening it.  Whether to gather is the consumer's choice alone: one
+// without gather support (the Linux glue over a driver with no
+// hard_start_xmit_vec) lands on the Read()-based copy path into a
+// contiguous skbuff — the send-path copy the original Table 1 measured.
+// Either way the segment transmits; when a driver-side failure occurs
+// (skbuff allocation, injected fault), the error propagates back through
+// NetIo::Push to NetStack::EtherOutput, which counts it (net.tx.errors) —
+// nothing is dropped silently.
 //
 // Inbound: MbufFromBufIo imports a foreign packet.  When the foreign object
 // maps (a contiguous skbuff always does), the data is grafted into an mbuf
 // as external storage with no copy — the receive path's zero-copy that makes
-// OSKit receive bandwidth match native FreeBSD.
+// OSKit receive bandwidth match native FreeBSD.  The external storage's
+// context is the foreign object itself, and its address and length are the
+// window mapped at offset 0.
 
 #ifndef OSKIT_SRC_NET_MBUF_BUFIO_H_
 #define OSKIT_SRC_NET_MBUF_BUFIO_H_
@@ -29,15 +32,7 @@ namespace oskit::net {
 class MbufBufIo final : public ComObject<MbufBufIo, BufIoVec, BufIo, BlkIo> {
  public:
   // Takes ownership of `chain`; it returns to `pool` when the object dies.
-  // With expose_sg = false the wrapper refuses to Query as BufIoVec, which
-  // reproduces the pre-scatter-gather copy-on-send behaviour exactly (used
-  // by the benches' flatten ablation).
-  static ComPtr<MbufBufIo> Wrap(MbufPool* pool, MBuf* chain,
-                                bool expose_sg = true);
-
-  bool Grants(const Guid& iid) const {
-    return expose_sg_ || iid != BufIoVec::kIid;
-  }
+  static ComPtr<MbufBufIo> Wrap(MbufPool* pool, MBuf* chain);
 
   // BlkIo
   uint32_t GetBlockSize() override { return 1; }
@@ -61,13 +56,11 @@ class MbufBufIo final : public ComObject<MbufBufIo, BufIoVec, BufIo, BlkIo> {
 
  private:
   friend class RefCounted<MbufBufIo>;
-  MbufBufIo(MbufPool* pool, MBuf* chain, bool expose_sg)
-      : pool_(pool), chain_(chain), expose_sg_(expose_sg) {}
+  MbufBufIo(MbufPool* pool, MBuf* chain) : pool_(pool), chain_(chain) {}
   ~MbufBufIo();
 
   MbufPool* pool_;
   MBuf* chain_;
-  bool expose_sg_;
 };
 
 // Imports `size` bytes of a foreign BufIo packet into an mbuf chain,

@@ -103,7 +103,6 @@ NetStack::NetStack(SleepEnv* sleep_env, SimClock* clock, trace::TraceEnv* trace)
        {"net.tcp.batched_outputs", &counters_.tcp_batched_outputs},
        {"net.tcp.ooo_segments", &counters_.tcp_ooo_segments},
        {"net.tcp.rst_out", &counters_.tcp_rst_out},
-       {"net.rx.glue_copied_bytes", &counters_.rx_glue_copied_bytes},
        {"net.tx.copied_bytes", &counters_.tx_copied_bytes},
        {"net.tx.sendfile_bytes", &counters_.tx_sendfile_bytes},
        {"net.tx.sendfile_fallback_bytes",
@@ -271,29 +270,14 @@ class StackRecvNetIo final
   void EndBatch() override { stack_->EndRxBatch(); }
 
   Error Push(BufIo* packet, size_t size) override {
-    // Import the foreign packet: zero-copy when it maps (§4.7.3), unless
-    // the ablation switch forces the copy path.
+    // Import the foreign packet: zero-copy when it maps (§4.7.3).
     if (stack_->fault_->ShouldFail("mbuf.rx_alloc")) {
       // Injected mbuf exhaustion at the import boundary: refuse the frame
       // cleanly — the driver keeps ownership and TCP above retransmits.
       ++stack_->mutable_counters().rx_alloc_drops;
       return Error::kNoMem;
     }
-    MBuf* frame;
-    if (stack_->force_rx_copy()) {
-      frame = stack_->pool().FromData(nullptr, size);
-      size_t offset = 0;
-      for (MBuf* cur = frame; cur != nullptr; cur = cur->next) {
-        size_t actual = 0;
-        packet->Read(cur->data, offset, cur->len, &actual);
-        offset += cur->len;
-      }
-      stack_->mutable_counters().rx_glue_copied_bytes += size;
-      stack_->trace().recorder.Record(trace::EventType::kBufCopy, "net.rx",
-                                      size);
-    } else {
-      frame = MbufFromBufIo(&stack_->pool(), packet, size);
-    }
+    MBuf* frame = MbufFromBufIo(&stack_->pool(), packet, size);
     if (frame == nullptr) {
       ++stack_->mutable_counters().rx_alloc_drops;
       return Error::kNoMem;
@@ -397,11 +381,10 @@ Error NetStack::EtherOutput(int ifindex, const EtherAddr& dst, uint16_t type,
     return Error::kOk;
   }
   // OSKit path: the chain leaves the component as an opaque buffer object
-  // (§4.7.3).  The wrapper also speaks BufIoVec, so a gather-capable driver
-  // transmits a multi-mbuf chain without flattening; the force_tx_flatten_
-  // ablation withholds that interface to reproduce the old copy path.
+  // (§4.7.3).  The wrapper also speaks BufIoVec; the driver glue alone
+  // decides whether to gather, map or copy it.
   size_t len = frame->pkt_len;
-  auto bufio = MbufBufIo::Wrap(&pool_, frame, !force_tx_flatten_);
+  auto bufio = MbufBufIo::Wrap(&pool_, frame);
   Error err = iface.tx->Push(bufio.get(), len);
   if (!Ok(err)) {
     // The driver refused the frame (OOM, injected fault).  Count it — the

@@ -392,7 +392,6 @@ class NetStack {
     trace::Counter tcp_batched_outputs;   // output passes deferred to EndBatch
     trace::Counter tcp_ooo_segments;
     trace::Counter tcp_rst_out;
-    trace::Counter rx_glue_copied_bytes;  // forced-copy ablation counter
     trace::Counter tx_copied_bytes;       // bytes memcpy'd into the send buffer
     trace::Counter tx_sendfile_bytes;     // bytes queued zero-copy by SendBufIo
     trace::Counter tx_sendfile_fallback_bytes;  // SendBufIo bytes that copied
@@ -470,18 +469,6 @@ class NetStack {
   // traffic per batch, and at 100 Mbps the bandwidth-delay product across
   // that holdoff needs a deeper window to keep the wire full.
   void SetDefaultSockBuf(size_t bytes) { default_sock_buf_ = bytes; }
-
-  // Ablation hook: when set, the COM receive path copies foreign packets
-  // instead of mapping them (disables the §4.7.3 zero-copy import).
-  void SetForceRxCopy(bool force) { force_rx_copy_ = force; }
-  bool force_rx_copy() const { return force_rx_copy_; }
-
-  // Ablation hook: when set, outbound packets are wrapped without the
-  // scatter-gather interface, so the driver glue flattens multi-mbuf
-  // segments through its Read() copy path — the pre-BufIoVec behaviour the
-  // original Table 1 measured.
-  void SetForceTxFlatten(bool force) { force_tx_flatten_ = force; }
-  bool force_tx_flatten() const { return force_tx_flatten_; }
 
   // Fault-injection environment: null rebinds the process-global default.
   // Probed at the RX mbuf-import boundary ("mbuf.rx_alloc").
@@ -767,8 +754,6 @@ class NetStack {
   void AcctCreditRx(size_t* rx_charged, void* tag, size_t bytes);
 
   SoAccounting* accounting_ = nullptr;
-  bool force_rx_copy_ = false;
-  bool force_tx_flatten_ = false;
   size_t default_sock_buf_ = kDefaultBufSize;
   fault::FaultEnv* fault_ = fault::DefaultFaultEnv();
   SimClock::EventId wheel_timer_ = SimClock::kInvalidEvent;

@@ -15,11 +15,11 @@ ComPtr<Socket> Host::MakeSocket(SockType type) {
 }
 
 World::World(const EthernetWire::Config& wire_config, fault::FaultEnv* fault)
-    : fabric_(&sim_.clock(), wire_config),
+    : fabric_(&sim_.clock(), wire_config, &trace_),
       fault_(fault::ResolveFaultEnv(fault)) {}
 
 World::World(const VirtualSwitch::Config& switch_config, fault::FaultEnv* fault)
-    : fabric_(&sim_.clock(), switch_config),
+    : fabric_(&sim_.clock(), switch_config, &trace_),
       fault_(fault::ResolveFaultEnv(fault)) {}
 
 World::~World() {
@@ -68,7 +68,7 @@ Host& World::AddHost(const std::string& name, NetConfig config) {
       host->stack->SetFaultEnv(fault_);
       auto devices = host->registry.LookupByInterface(EtherDev::kIid);
       OSKIT_ASSERT_MSG(!devices.empty(), "no ethernet devices probed");
-      auto* ether_dev = static_cast<linuxdev::LinuxEtherDev*>(devices[0].get());
+      host->ether_dev = static_cast<linuxdev::LinuxEtherDev*>(devices[0].get());
       if (config == NetConfig::kOskitNapi) {
         // Program the NIC's mitigation registers (raise after 8 pending
         // frames or 1 ms, whichever first) and switch the glue to budgeted
@@ -80,16 +80,15 @@ Host& World::AddHost(const std::string& name, NetConfig config) {
         nic->SetRxMitigation(mit);
         linuxdev::LinuxEtherDev::RxPollConfig poll;
         poll.enabled = true;
-        ether_dev->SetRxPoll(poll);
+        host->ether_dev->SetRxPoll(poll);
         // Coalescing parks up to a holdoff of traffic per batch on each
         // side; at 100 Mbps that latency pushes the bandwidth-delay product
         // past the 32 KB ttcp-era default, so open the window to (near) the
         // 16-bit advertised-window cap to keep the wire saturated.
         host->stack->SetDefaultSockBuf(60 * 1024);
       }
-      ComPtr<EtherDev> ether = ComPtr<EtherDev>::FromQuery(devices[0].get());
       int ifindex = -1;
-      Error err = host->stack->OpenEtherIf(ether.get(), &ifindex);
+      Error err = host->stack->OpenEtherIf(host->ether_dev, &ifindex);
       OSKIT_ASSERT_MSG(Ok(err), "OpenEtherIf failed");
       host->stack->IfConfig(ifindex, host->addr, netmask);
       host->socket_factory = host->stack->CreateSocketFactory();

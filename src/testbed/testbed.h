@@ -56,6 +56,9 @@ struct Host {
 
   // BSD-idiom stack (kOskit / kNativeBsd).
   std::unique_ptr<net::NetStack> stack;
+  // The Linux driver glue the kOskit stack is bound through (held by
+  // `registry`); null in the native configurations.
+  linuxdev::LinuxEtherDev* ether_dev = nullptr;
   std::unique_ptr<freebsddev::BsdEtherDriver> bsd_driver;
   ComPtr<SocketFactory> socket_factory;
 
@@ -85,6 +88,9 @@ class World {
   Simulation& sim() { return sim_; }
   // The fabric hosts attach to, hub or switch.
   VirtualSwitch& fabric() { return fabric_; }
+  // The fabric's own observability environment: its switch.* counters
+  // report here, apart from every host and from other worlds.
+  trace::TraceEnv& trace() { return trace_; }
 
   // Adds a host with one NIC attached to the segment, books it through the
   // loader/kernel-support path, and binds the requested network stack.
@@ -100,6 +106,7 @@ class World {
 
  private:
   Simulation sim_;
+  trace::TraceEnv trace_;  // outlives the fabric's counter binding
   VirtualSwitch fabric_;
   fault::FaultEnv* fault_;
   std::vector<std::unique_ptr<Host>> hosts_;

@@ -17,12 +17,10 @@ double WallSecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Sender-side glue-copy statistics for OSKit-configured hosts, read from the
-// host's trace counter registry rather than by downcasting the device.
+// Sender-side glue-copy statistics, read from the host's trace counter
+// registry rather than by downcasting the device; a native host has no glue
+// counters and reads 0.
 void CollectGlueStats(Host& host, TtcpResult* result) {
-  if (host.config != NetConfig::kOskit && host.config != NetConfig::kOskitNapi) {
-    return;
-  }
   result->sender_glue_copies = host.trace.registry.Value("glue.send.copied");
   result->sender_glue_copied_bytes =
       host.trace.registry.Value("glue.send.copied_bytes");

@@ -41,6 +41,15 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace oskit {
 namespace {
 
+// A contiguous frame is a one-chunk gather list.
+void SendFrame(VirtualSwitch& fabric, WireEndpoint* source, const uint8_t* frame,
+               size_t len) {
+  fabric.Transmit(source, &frame, &len, 1);
+}
+void SendFrame(NicHw& nic, const uint8_t* frame, size_t len) {
+  nic.TxStart(&frame, &len, 1);
+}
+
 TEST(ClockTest, EventsRunInTimeThenFifoOrder) {
   SimClock clock;
   std::vector<int> order;
@@ -609,7 +618,7 @@ TEST_F(WireFixture, DeliversToAllOtherEndpoints) {
   hub.Attach(&b);
   hub.Attach(&c);
   uint8_t frame[64] = {1, 2, 3};
-  hub.Transmit(&a, frame, sizeof(frame));
+  SendFrame(hub, &a, frame, sizeof(frame));
   while (clock.RunOne()) {
   }
   EXPECT_EQ(0u, a.frames.size());  // no self-delivery
@@ -628,8 +637,8 @@ TEST_F(WireFixture, BandwidthSerializesFrames) {
   hub.Attach(&tx);
   hub.Attach(&rx);
   uint8_t frame[1250];  // 10000 bits -> 100 us at 100 Mbps
-  hub.Transmit(&tx, frame, sizeof(frame));
-  hub.Transmit(&tx, frame, sizeof(frame));
+  SendFrame(hub, &tx, frame, sizeof(frame));
+  SendFrame(hub, &tx, frame, sizeof(frame));
   clock.RunUntil(150 * kNsPerUs);
   EXPECT_EQ(1u, rx.frames.size());  // second still serializing
   clock.RunUntil(250 * kNsPerUs);
@@ -648,7 +657,7 @@ TEST_F(WireFixture, LossDropsDeterministically) {
   hub.Attach(&rx);
   uint8_t frame[64] = {};
   for (int i = 0; i < 100; ++i) {
-    hub.Transmit(&tx, frame, sizeof(frame));
+    SendFrame(hub, &tx, frame, sizeof(frame));
   }
   while (clock.RunOne()) {
   }
@@ -684,8 +693,8 @@ TEST_F(WireFixture, SimultaneousSendersTakeTurnsOnTheHubOnly) {
     b.clock = &clock;
     fabric->Attach(&a);
     fabric->Attach(&b);
-    fabric->Transmit(&a, from_a.data(), from_a.size());
-    fabric->Transmit(&b, from_b.data(), from_b.size());
+    SendFrame(*fabric, &a, from_a.data(), from_a.size());
+    SendFrame(*fabric, &b, from_b.data(), from_b.size());
     while (clock.RunOne()) {
     }
     ASSERT_EQ(1u, b.frames.size());
@@ -715,7 +724,7 @@ TEST_F(WireFixture, LostFrameStillHoldsTheMedium) {
   constexpr int kFrames = 20;
   for (int i = 0; i < kFrames; ++i) {
     const std::vector<uint8_t> frame = StationFrame(1, static_cast<uint8_t>(i));
-    hub.Transmit(&tx, frame.data(), frame.size());
+    SendFrame(hub, &tx, frame.data(), frame.size());
   }
   while (clock.RunOne()) {
   }
@@ -744,7 +753,7 @@ TEST(NicTest, FiltersByDestinationMac) {
 
   uint8_t frame[60] = {};
   memcpy(frame, mac_b.bytes, 6);  // dst = B
-  nic_a.TxStart(frame, sizeof(frame));
+  SendFrame(nic_a, frame, sizeof(frame));
   while (sim.clock().RunOne()) {
   }
   EXPECT_TRUE(nic_b.RxPending());
@@ -752,7 +761,7 @@ TEST(NicTest, FiltersByDestinationMac) {
 
   // Broadcast reaches B too.
   memset(frame, 0xff, 6);
-  nic_a.TxStart(frame, sizeof(frame));
+  SendFrame(nic_a, frame, sizeof(frame));
   while (sim.clock().RunOne()) {
   }
   EXPECT_EQ(2u, nic_b.rx_frames());
@@ -760,7 +769,7 @@ TEST(NicTest, FiltersByDestinationMac) {
   // Frame for someone else is ignored.
   frame[5] = 0x77;
   frame[0] = 2;
-  nic_a.TxStart(frame, sizeof(frame));
+  SendFrame(nic_a, frame, sizeof(frame));
   while (sim.clock().RunOne()) {
   }
   EXPECT_EQ(2u, nic_b.rx_frames());
@@ -782,7 +791,7 @@ TEST(NicTest, RxMitigationThresholdHoldoffAndRingFallback) {
   memcpy(frame + 6, mac_a.bytes, 6);
   auto send = [&](int n) {
     for (int i = 0; i < n; ++i) {
-      tx.TxStart(frame, sizeof(frame));
+      SendFrame(tx, frame, sizeof(frame));
     }
   };
   auto drain = [&] {
@@ -877,7 +886,7 @@ TEST(NicTest, GatherTransmitMatchesFlat) {
   }
   const uint8_t* chunks[] = {part1, part2};
   size_t lens[] = {sizeof(part1), sizeof(part2)};
-  tx.TxStartVec(chunks, lens, 2);
+  tx.TxStart(chunks, lens, 2);
   while (sim.clock().RunOne()) {
   }
   ASSERT_TRUE(rx.RxPending());
@@ -925,7 +934,7 @@ TEST_F(WireFixture, SwitchFrameSharedWithACorruptingNicArrivesIntactElsewhere) {
   sw.Attach(&after);  // its copies are delivered after the NIC's
 
   const std::vector<uint8_t> frame = BroadcastFrame(300);
-  sw.Transmit(&sender, frame.data(), frame.size());
+  SendFrame(sw, &sender, frame.data(), frame.size());
   // Six deliveries (three ports, each duplicated) hold one pooled buffer.
   EXPECT_EQ(1u, sw.frames_outstanding());
   while (sim.clock().RunOne()) {
@@ -971,7 +980,7 @@ TEST_F(WireFixture, SwitchDestroyedWithDeliveriesPendingFreesEachFrameOnce) {
     sw->Attach(&c);
     const std::vector<uint8_t> frame = BroadcastFrame(1500);
     for (int i = 0; i < 5; ++i) {
-      sw->Transmit(&a, frame.data(), frame.size());
+      SendFrame(*sw, &a, frame.data(), frame.size());
     }
     EXPECT_EQ(5u, sw->frames_outstanding());
     if (switch_first) {
@@ -1004,7 +1013,7 @@ TEST_F(WireFixture, SwitchForwardsWithoutAllocatingOnceWarm) {
   auto burst = [&] {
     for (int i = 0; i < 100; ++i) {
       if (i % 2 == 0) {
-        sw.Transmit(&a, frame.data(), frame.size());
+        SendFrame(sw, &a, frame.data(), frame.size());
       } else {
         sw.Transmit(&a, chunks, lens, 2);
       }

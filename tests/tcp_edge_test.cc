@@ -862,7 +862,9 @@ class WireTap final : public WireEndpoint {
     cksum.Add(pseudo, sizeof(pseudo));
     cksum.Add(seg, tcp_len);
     StoreBe16(seg + 16, cksum.Finish());
-    fabric_->Transmit(this, frame.data(), frame.size());
+    const uint8_t* chunk = frame.data();
+    size_t frame_len = frame.size();
+    fabric_->Transmit(this, &chunk, &frame_len, 1);
   }
 
   std::vector<net::TcpHeader>& sent() { return sent_; }
