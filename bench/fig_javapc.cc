@@ -14,7 +14,6 @@
 //     and the OSKit glue overheads actually bite, compared against the
 //     same transfer driven by native C code.
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -228,22 +227,13 @@ RunResult RunVmTransfer(bool vm_sends, size_t total_bytes, bool wire_limited) {
     }
   });
 
-  auto start = std::chrono::steady_clock::now();
-  SimTime sim_start = world.sim().clock().Now();
-  world.RunToCompletion(sim_start + 3600 * kNsPerSec);
   RunResult result;
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  result.sim_ns = world.sim().clock().Now() - sim_start;
+  RunTimed(world, &result);
   result.bytes = moved;
   result.vm_instructions = machine->instructions_executed();
   // The VM host's glue-copy counter (nonzero only when the VM sends bulk
   // data: its mbuf chains get copied into skbuffs at the driver boundary).
-  auto devices = b.registry.LookupByInterface(EtherDev::kIid);
-  if (!devices.empty()) {
-    auto* dev = static_cast<linuxdev::LinuxEtherDev*>(devices[0].get());
-    result.glue_copied_bytes = dev->counters().copied_bytes;
-  }
+  result.glue_copied_bytes = b.ether_dev->counters().copied_bytes;
   return result;
 }
 

@@ -15,7 +15,7 @@
 //   pipeliners  bursts of pipelined requests in a single segment;
 //   slow        slow-reader fibers that pipeline three large files and
 //               drain the 384 KB of responses a few KB per millisecond —
-//               the server's out_high_water backpressure must engage
+//               the server's kOutHighWater backpressure must engage
 //               (http.read_paused), never a stall, never unbounded staging.
 //
 // Phases: the full-scale main run, a small same-scale ablation trio
@@ -599,7 +599,7 @@ void RunHttpPhase(const PhaseOptions& opt, PhaseResult* r) {
           return;
         }
         // Three pipelined big-file requests: ~384 KB of staged response
-        // forces the server past out_high_water while we dribble.  A
+        // forces the server past kOutHighWater while we dribble.  A
         // fourth request sent mid-drain lands while the server is parked
         // above the high-water mark — that is the read-pause path.
         std::string wire;

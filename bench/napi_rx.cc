@@ -36,6 +36,7 @@ namespace {
 struct Metrics {
   const char* json_key;
   double sim_mbps = 0;
+  double second_half_mbps = 0;  // past slow start: the saturated rate
   uint64_t rx_frames = 0;       // frames the receiver's NIC accepted
   uint64_t rx_irqs = 0;         // RX interrupts actually raised for them
   uint64_t threshold_fires = 0;
@@ -69,6 +70,7 @@ Metrics RunConfig(const char* json_key, NetConfig config, size_t blocks) {
   Metrics m;
   m.json_key = json_key;
   m.sim_mbps = r.MbitPerSecSim();
+  m.second_half_mbps = r.second_half_mbit_per_sec_sim;
   const trace::CounterRegistry& reg = world.host(0).trace.registry;
   m.rx_frames = reg.Value("nic.rx.coalesce.frames");
   m.rx_irqs = reg.Value("nic.rx.coalesce.irqs");
@@ -168,10 +170,13 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(napi.batched_outputs));
 
   // Mitigation must not cost bandwidth at saturation (byte-for-byte
-  // delivery is already asserted inside the ttcp harness).
-  report.Check("bandwidth", napi.sim_mbps > 0.95 * perframe.sim_mbps,
-               "%.1f vs %.1f Mbit/s wire-limited", napi.sim_mbps,
-               perframe.sim_mbps);
+  // delivery is already asserted inside the ttcp harness).  The rates
+  // compared are over the second half of the bytes: the whole-transfer rate
+  // also holds slow start across 1 ms holdoff-latency round trips, a fixed
+  // cost that a short transfer cannot amortise.
+  report.Check("bandwidth", napi.second_half_mbps > 0.95 * perframe.second_half_mbps,
+               "%.1f vs %.1f Mbit/s wire-limited, second half (whole %.1f vs %.1f)",
+               napi.second_half_mbps, perframe.second_half_mbps, napi.sim_mbps, perframe.sim_mbps);
 
   report.json.Set("blocks", blocks);
   for (const Metrics* m : {&perframe, &napi}) {
@@ -179,6 +184,7 @@ int main(int argc, char** argv) {
         "configs", bench::Json()
                        .Set("config", m->json_key)
                        .Set("sim_mbps", m->sim_mbps)
+                       .Set("second_half_sim_mbps", m->second_half_mbps)
                        .Set("rx_frames", m->rx_frames)
                        .Set("rx_irqs", m->rx_irqs)
                        .Set("irqs_per_frame", m->IrqsPerFrame())

@@ -66,6 +66,7 @@ struct Row {
 struct Cell {
   double wall_mbps;
   double sim_mbps;
+  double second_half_mbps;  // wire run past slow start: the saturated rate
   double model_send_mbps;   // bottlenecked by the sending machine
   double model_recv_mbps;   // bottlenecked by the receiving machine
   uint64_t bytes_sent;
@@ -107,6 +108,7 @@ Cell RunConfig(const Row& row, size_t blocks, size_t block_size) {
         row.config == NetConfig::kOskitNapi ? blocks : blocks / 4;
     TtcpResult r = RunTtcp(world, block_size, wire_blocks);
     cell.sim_mbps = r.MbitPerSecSim();
+    cell.second_half_mbps = r.second_half_mbit_per_sec_sim;
   }
   // Software-path run.
   TtcpResult sw;
@@ -248,12 +250,13 @@ int main(int argc, char** argv) {
               cells[3].sim_mbps, cells[4].sim_mbps);
   // Interrupt mitigation must not cost bandwidth: the coalesced+polled row
   // has to saturate the wire like its per-frame twin (bench/napi_rx holds
-  // the IRQ-reduction claim itself).
+  // the IRQ-reduction claim itself).  Compared over the second half of the
+  // bytes, past the slow start that whole-transfer rates include.
   const Cell& napi = cells[4];
-  report.Check("napi", napi.sim_mbps > 0.95 * sg.sim_mbps,
-               "coalesced+polled wire rate %.1f vs per-frame %.1f Mbit/s "
-               "(mitigation must not cost bandwidth)",
-               napi.sim_mbps, sg.sim_mbps);
+  report.Check("napi", napi.second_half_mbps > 0.95 * sg.second_half_mbps,
+               "coalesced+polled wire rate %.1f vs per-frame %.1f Mbit/s over "
+               "the second half (mitigation must not cost bandwidth)",
+               napi.second_half_mbps, sg.second_half_mbps);
 
   // Sender-side counter snapshots from each configuration's trace registry
   // (the same numbers kmon's `counters` command shows on that machine).
@@ -282,7 +285,8 @@ int main(int argc, char** argv) {
                                  .Set("sg_segments", c.sg_segments)
                                  .Set("model_send_mbps", c.model_send_mbps)
                                  .Set("model_recv_mbps", c.model_recv_mbps)
-                                 .Set("sim_mbps", c.sim_mbps));
+                                 .Set("sim_mbps", c.sim_mbps)
+                                 .Set("second_half_sim_mbps", c.second_half_mbps));
   }
   report.json.Set("checks.recv_ratio", recv_ratio)
       .Set("checks.flatten_send_ratio", flatten_send_ratio)

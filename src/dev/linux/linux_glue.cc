@@ -133,17 +133,6 @@ LinuxEtherDev::~LinuxEtherDev() {
   }
 }
 
-void LinuxEtherDev::SetRxPoll(const RxPollConfig& config) {
-  OSKIT_ASSERT_MSG(config.budget >= 1, "poll budget below 1");
-  poll_ = config;
-  if (!poll_.enabled) {
-    CancelRxPollEvents();
-    if (dev_.opened) {
-      dev_.priv->EnableRxInterrupt(true);
-    }
-  }
-}
-
 Error LinuxEtherDev::GetInfo(DeviceInfo* out_info) {
   out_info->name = name_.c_str();
   out_info->description = "Linux 2.0-style simulated Ethernet (simnic)";
@@ -199,7 +188,7 @@ void LinuxEtherDev::RxWatchdogTick() {
     // path — through the poll loop when polling is on, so recovery keeps
     // the budget and batching discipline.
     ++counters_.rx_watchdog_recoveries;
-    if (poll_.enabled) {
+    if (rx_poll_) {
       dev_.priv->EnableRxInterrupt(false);
       ScheduleRxPoll(0);
     } else {
@@ -220,7 +209,7 @@ void LinuxEtherDev::CancelRxWatchdog() {
 // ---- Polled receive (NAPI-style) ----
 
 void LinuxEtherDev::RxIrq() {
-  if (!poll_.enabled) {
+  if (!rx_poll_) {
     // 1997 behaviour: drain the whole ring at interrupt level, one IRQ per
     // frame arriving later.
     simnic_interrupt(&dev_);
@@ -232,7 +221,7 @@ void LinuxEtherDev::RxIrq() {
   }
   // Mask further RX interrupts and defer the drain to the budgeted poll.
   dev_.priv->EnableRxInterrupt(false);
-  ScheduleRxPoll(poll_.softirq_delay_ns);
+  ScheduleRxPoll(kRxSoftirqDelayNs);
 }
 
 void LinuxEtherDev::ScheduleRxPoll(uint64_t delay_ns) {
@@ -249,21 +238,21 @@ void LinuxEtherDev::RxPollDispatch() {
   if (batch_recv_) {
     batch_recv_->BeginBatch();
   }
-  int n = simnic_poll(&dev_, poll_.budget);
+  int n = simnic_poll(&dev_, kRxPollBudget);
   counters_.rx_poll_frames += static_cast<uint64_t>(n);
   SyncRxStats();
   if (batch_recv_) {
     batch_recv_->EndBatch();
   }
-  if (n >= poll_.budget && dev_.priv->RxPending()) {
+  if (n >= kRxPollBudget && dev_.priv->RxPending()) {
     // Budget exhausted with work left: stay in polled mode (interrupts
     // remain masked) and take another pass.
     ++counters_.rx_poll_budget_exhausted;
-    ScheduleRxPoll(poll_.softirq_delay_ns);
+    ScheduleRxPoll(kRxSoftirqDelayNs);
     return;
   }
   reenable_token_ =
-      env_.timer_start(env_.ctx, poll_.reenable_delay_ns, [this] { RxReenable(); });
+      env_.timer_start(env_.ctx, kRxReenableDelayNs, [this] { RxReenable(); });
 }
 
 void LinuxEtherDev::RxReenable() {
@@ -279,7 +268,7 @@ void LinuxEtherDev::RxReenable() {
   if (dev_.priv->RxPending()) {
     ++counters_.rx_poll_reenable_races;
     dev_.priv->EnableRxInterrupt(false);
-    ScheduleRxPoll(poll_.softirq_delay_ns);
+    ScheduleRxPoll(kRxSoftirqDelayNs);
   }
 }
 

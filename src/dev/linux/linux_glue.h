@@ -90,20 +90,17 @@ class LinuxEtherDev final : public ComObject<LinuxEtherDev, Device, EtherDev> {
     trace::Counter rx_poll_reenable_races;    // frames caught by the re-check
   };
 
-  // NAPI-style polled receive.  Disabled by default (per-frame 1997
-  // behaviour, the ablation baseline).  When enabled, the ISR masks the RX
-  // interrupt and defers to a budgeted poll: drain up to `budget` frames,
-  // then either keep polling (budget exhausted) or re-enable the interrupt
-  // and RE-CHECK the ring — a frame can arrive between the final drain and
-  // the re-enable, raising no IRQ (the hardware does not latch); without
-  // the re-check it strands until the watchdog.  The delays model softirq
+  // NAPI-style polled receive.  Off by default (per-frame 1997 behaviour,
+  // the ablation baseline).  Once enabled, the ISR masks the RX interrupt
+  // and defers to a budgeted poll: drain up to kRxPollBudget frames, then
+  // either keep polling (budget exhausted) or re-enable the interrupt and
+  // RE-CHECK the ring — a frame can arrive between the final drain and the
+  // re-enable, raising no IRQ (the hardware does not latch); without the
+  // re-check it strands until the watchdog.  The delays model softirq
   // scheduling and the ISR exit path.
-  struct RxPollConfig {
-    bool enabled = false;
-    int budget = 16;
-    uint64_t softirq_delay_ns = 2 * 1000;   // IRQ -> poll dispatch
-    uint64_t reenable_delay_ns = 2 * 1000;  // last drain -> re-enable+re-check
-  };
+  static constexpr int kRxPollBudget = 16;
+  static constexpr uint64_t kRxSoftirqDelayNs = 2 * 1000;   // IRQ -> poll dispatch
+  static constexpr uint64_t kRxReenableDelayNs = 2 * 1000;  // last drain -> re-enable+re-check
 
   LinuxEtherDev(const FdevEnv& env, NicHw* hw, std::string name);
 
@@ -118,8 +115,9 @@ class LinuxEtherDev final : public ComObject<LinuxEtherDev, Device, EtherDev> {
   const Counters& counters() const { return counters_; }
   const net_device_stats& device_stats() const { return dev_.stats; }
 
-  void SetRxPoll(const RxPollConfig& config);
-  const RxPollConfig& rx_poll_config() const { return poll_; }
+  // Switches RX to polled receive, for good.  Call before Open so the very
+  // first IRQ already takes the poll path.
+  void EnableRxPoll() { rx_poll_ = true; }
 
   // Unbinds the driver's gather entry point, for good: a discontiguous
   // packet then takes the copy path.
@@ -142,7 +140,7 @@ class LinuxEtherDev final : public ComObject<LinuxEtherDev, Device, EtherDev> {
   void RxWatchdogTick();
   void CancelRxWatchdog();
 
-  // Polled-RX machinery (see RxPollConfig).
+  // Polled-RX machinery (see kRxPollBudget).
   void RxIrq();             // the ISR: per-frame drain, or mask + defer
   void RxPollDispatch();    // budgeted drain, batched into the stack
   void RxReenable();        // re-enable the interrupt, then re-check
@@ -162,7 +160,7 @@ class LinuxEtherDev final : public ComObject<LinuxEtherDev, Device, EtherDev> {
   trace::CounterBlock trace_binding_;
   uint64_t last_rx_dropped_ = 0;
   void* watchdog_token_ = nullptr;
-  RxPollConfig poll_;
+  bool rx_poll_ = false;
   void* poll_token_ = nullptr;      // pending RxPollDispatch timer
   void* reenable_token_ = nullptr;  // pending RxReenable timer
 };

@@ -43,9 +43,9 @@ Error ide_issue_and_wait(ide_drive* drive, ide_cmd cmd, uint64_t lba,
     // watched over by a timeout that doubles on every retry (the backoff).
     bool timed_out = false;
     while (!drive->done) {
-      if (drive->benv.sleep_on_timeout != nullptr && drive->timeout_ns != 0) {
+      if (drive->benv.sleep_on_timeout != nullptr) {
         bool expired = drive->benv.sleep_on_timeout(
-            drive->benv.ctx, drive, drive->timeout_ns << attempt);
+            drive->benv.ctx, drive, kIdeTimeoutNs << attempt);
         if (expired && !drive->done) {
           timed_out = true;
           break;
@@ -66,7 +66,7 @@ Error ide_issue_and_wait(ide_drive* drive, ide_cmd cmd, uint64_t lba,
     } else if (drive->status == Error::kOutOfRange) {
       break;  // an addressing bug, not a transient fault: don't hammer it
     }
-    if (attempt >= drive->max_retries) {
+    if (attempt >= kIdeMaxRetries) {
       break;
     }
     ++drive->retries;
@@ -225,7 +225,7 @@ Error LinuxIdeDev::GetSize(off_t64* out_size) {
 // ---------------------------------------------------------------------------
 // BlkIoRing: queue-depth-aware scheduling.
 //
-// The controller charges a fixed seek per request (DiskHw::Timing.seek_ns)
+// The controller charges a fixed seek per request (DiskHw::kSeekNs)
 // plus one completion IRQ, so the win from a deep queue is issuing FEWER,
 // LARGER requests: the batch is sorted by LBA and adjacent whole-sector
 // SQEs are merged into single multi-count commands (<= 64 sectors, the old

@@ -9,7 +9,7 @@
 //
 // Robustness: like its ancestor, the driver defends against misbehaving
 // hardware.  A request that reports a media error is retried with
-// exponential backoff up to max_retries before the error is surfaced to the
+// exponential backoff up to kIdeMaxRetries before the error is surfaced to the
 // BlkIo client; a request whose completion interrupt never arrives trips a
 // watchdog (sleep_on_timeout), the controller is reset, and the request is
 // reissued.  Both the retries and the resets are counted into the trace
@@ -44,6 +44,11 @@ struct LinuxBlockEnv {
   void* ctx = nullptr;
 };
 
+// Recovery policy: the watchdog's first timeout (doubled on every retry)
+// and the retries before an error reaches the BlkIo client.
+inline constexpr uint64_t kIdeTimeoutNs = 50 * 1000 * 1000;  // 50 ms
+inline constexpr uint32_t kIdeMaxRetries = 4;
+
 // The "imported" driver core.
 struct ide_drive {
   oskit::DiskHw* hw = nullptr;
@@ -53,10 +58,6 @@ struct ide_drive {
   bool busy = false;
   bool done = false;
   oskit::Error status = oskit::Error::kOk;
-
-  // Recovery policy.
-  uint64_t timeout_ns = 50 * 1000 * 1000;  // 50 ms before the watchdog fires
-  uint32_t max_retries = 4;
 
   uint64_t requests_issued = 0;
   uint64_t irqs_handled = 0;
@@ -115,7 +116,6 @@ class LinuxIdeDev final
   size_t Occupancy() override { return cq_.size(); }
 
   const ide_drive& drive() const { return drive_; }
-  ide_drive& mutable_drive() { return drive_; }  // recovery-policy tuning
 
   // Sleep-record plumbing the emulated sleep_on/wake_up binds to (§4.7.6).
   void SleepOnCompletion() { completion_.Sleep(); }

@@ -111,10 +111,8 @@ Error Mkfs(BlkIo* device, const MkfsOptions& options) {
 
   SuperBlock sb;
   sb.total_blocks = total_blocks;
-  sb.inode_count = options.inode_count != 0
-                       ? options.inode_count
-                       : (total_blocks / 8 + kInodesPerBlock) / kInodesPerBlock *
-                             kInodesPerBlock;
+  sb.inode_count =
+      (total_blocks / 8 + kInodesPerBlock) / kInodesPerBlock * kInodesPerBlock;
   sb.bitmap_start = 1;
   sb.bitmap_blocks = (total_blocks + kBlockSize * 8 - 1) / (kBlockSize * 8);
   sb.itable_start = sb.bitmap_start + sb.bitmap_blocks;

@@ -23,9 +23,8 @@
 
 namespace oskit::fs {
 
+// Mkfs sizes the inode table at one inode per 8 data blocks.
 struct MkfsOptions {
-  // 0 = choose automatically (one inode per 8 data blocks).
-  uint32_t inode_count = 0;
   // Journal region size in blocks.  kAutoJournal sizes it from the device
   // (and silently omits it on volumes too small to hold one); 0 formats
   // without a journal (the crash campaign's ablation mode); any other value

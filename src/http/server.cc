@@ -34,9 +34,6 @@ Server::Server(ComPtr<SocketFactory> factory, ComPtr<NetSelector> selector,
       root_(std::move(root)),
       config_(config),
       trace_(trace::ResolveTraceEnv(config.trace)),
-      read_buf_(config.read_chunk),
-      accept_peers_(config.accept_batch),
-      accept_socks_(config.accept_batch),
       span_wait_(trace_, "http.span.wait"),
       span_accept_(trace_, "http.span.accept"),
       span_fs_read_(trace_, "http.span.fs_read"),
@@ -139,7 +136,7 @@ void Server::Run() {
 
 void Server::HandleListener() {
   trace::ScopedSpan accept(&span_accept_);
-  std::vector<Socket*>& socks = accept_socks_;
+  auto& socks = accept_socks_;
   for (;;) {
     size_t count = 0;
     Error err = listener_ext_->AcceptBatch(accept_peers_.data(), socks.data(),
@@ -205,10 +202,10 @@ void Server::HandleConn(Conn* conn, uint32_t events) {
 }
 
 void Server::ReadInto(Conn* conn) {
-  std::vector<char>& chunk = read_buf_;
+  auto& chunk = read_buf_;
   while (!conn->saw_eof &&
          conn->parser.status() != ParseStatus::kError &&
-         conn->out_pending < config_.out_high_water) {
+         conn->out_pending < kOutHighWater) {
     size_t actual = 0;
     Error err = conn->sock->Recv(chunk.data(), chunk.size(), &actual);
     if (err == Error::kWouldBlock) {
@@ -229,7 +226,7 @@ void Server::ReadInto(Conn* conn) {
 
 void Server::ProcessRequests(Conn* conn) {
   while (!conn->close_after && conn->parser.HasRequest() &&
-         conn->out_pending < config_.out_high_water) {
+         conn->out_pending < kOutHighWater) {
     if (!conn->inflight.empty()) {
       pipelined_ += 1;
     }
@@ -260,7 +257,7 @@ void Server::HandleRequest(Conn* conn, const Request& req) {
   uint64_t start_ns = NowNs();
   bool head_only = req.method == "HEAD";
 
-  if (!config_.quit_path.empty() && req.target == config_.quit_path) {
+  if (req.target == kQuitPath) {
     StageResponse(conn, 200, "bye\n", "text/plain", /*keep_alive=*/false,
                   head_only, start_ns);
     conn->close_after = true;
@@ -493,7 +490,7 @@ void Server::UpdateInterest(Conn* conn) {
   }
   uint32_t desired = 0;
   if (!conn->close_after && !conn->saw_eof &&
-      conn->out_pending < config_.out_high_water) {
+      conn->out_pending < kOutHighWater) {
     desired |= kNetReadable;
   } else if ((conn->interest & kNetReadable) != 0 && !conn->close_after &&
              !conn->saw_eof) {

@@ -19,11 +19,13 @@
 #ifndef OSKIT_SRC_HTTP_SERVER_H_
 #define OSKIT_SRC_HTTP_SERVER_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -37,17 +39,18 @@ namespace oskit::http {
 
 class Server {
  public:
+  static constexpr size_t kAcceptBatch = 64;  // connections per accept call
+  static constexpr size_t kReadChunk = 4096;  // bytes per Recv
+  // Stop reading a connection while this much output is pending (slow
+  // readers must not balloon the staging buffer).
+  static constexpr size_t kOutHighWater = 256 * 1024;
+  // Requests to this target shut the server down cleanly (responds 200,
+  // stops accepting, drains in-flight responses).
+  static constexpr std::string_view kQuitPath = "/__quit";
+
   struct Config {
     SockAddr bind;  // port required; addr may be kInetAny
     int backlog = 128;
-    size_t accept_batch = 64;
-    size_t read_chunk = 4096;
-    // Stop reading a connection while this much output is pending (slow
-    // readers must not balloon the staging buffer).
-    size_t out_high_water = 256 * 1024;
-    // Requests to this target shut the server down cleanly (responds 200,
-    // stops accepting, drains in-flight responses).  Empty disables.
-    std::string quit_path = "/__quit";
     // Serve static bodies zero-copy when the file grants BufIoVec and the
     // socket grants SocketZeroCopy (sendfile).  Off = the counted read+send
     // ablation: every body byte is copied through the staging buffer.
@@ -151,9 +154,9 @@ class Server {
   std::vector<Conn*> reap_;  // closed during the current batch
   std::vector<std::pair<std::string, DynHandler>> dyn_routes_;
   // Buffers reused by every readable event and accept burst.
-  std::vector<char> read_buf_;
-  std::vector<SockAddr> accept_peers_;
-  std::vector<Socket*> accept_socks_;
+  std::array<char, kReadChunk> read_buf_;
+  std::array<SockAddr, kAcceptBatch> accept_peers_;
+  std::array<Socket*, kAcceptBatch> accept_socks_;
   bool stopping_ = false;
 
   trace::Counter accepted_;

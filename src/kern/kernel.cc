@@ -17,12 +17,10 @@ KernelEnv::KernelEnv(Machine* machine, const MultiBootInfo& info, SleepMode slee
   } else {
     sleep_env_ = std::make_unique<SpinSleepEnv>(&machine->sim());
   }
-  // Bring the observability substrate up with the machine: timestamps from
-  // the simulated clock, the CPU's dispatch counters and flight-recorder
-  // events, and the LMM's allocation instrumentation.
+  // Bring the observability substrate up with the machine: event and span
+  // timestamps from the simulated clock, the CPU's dispatch counters and
+  // flight-recorder events, and the LMM's allocation instrumentation.
   trace_->recorder.SetTimeSource(
-      [clock = &machine->sim().clock()] { return clock->Now(); });
-  trace_->spans.SetTimeSource(
       [clock = &machine->sim().clock()] { return clock->Now(); });
   Cpu& cpu = machine_->cpu();
   Pit& pit = machine_->pit();
@@ -76,7 +74,6 @@ KernelEnv::~KernelEnv() {
   // The time source captured this machine's clock; don't leave it dangling
   // in a shared (default) environment.
   trace_->recorder.SetTimeSource(nullptr);
-  trace_->spans.SetTimeSource(nullptr);
   // The fault environment may outlive this kernel's trace registry (a
   // campaign sweeps many worlds with one env); move its reporting back to
   // the process-global default while the registry is still alive.

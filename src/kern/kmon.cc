@@ -279,7 +279,7 @@ void KernelMonitor::CmdNicMit(const std::string& args) {
             static_cast<unsigned long long>(idx++),
             static_cast<unsigned long long>(mit.frame_threshold),
             static_cast<unsigned long long>(mit.holdoff_ns / 1000),
-            static_cast<unsigned long long>(mit.ring_fallback),
+            static_cast<unsigned long long>(NicHw::kRxRingFallback),
             static_cast<unsigned long long>(nic->rx_coalesce_frames_counter()),
             static_cast<unsigned long long>(nic->rx_coalesce_irqs_counter()));
     }

@@ -27,7 +27,7 @@ bool DiskHw::Admit(uint64_t lba, uint32_t sectors, const char* site, SimTime del
                 : lba + sectors > sector_count_ ? Error::kOutOfRange
                                                 : Error::kOk;
   if (early != Error::kOk) {
-    pending_ = clock_->ScheduleAfter(timing_.seek_ns, [this, early] { Complete(early); });
+    pending_ = clock_->ScheduleAfter(kSeekNs, [this, early] { Complete(early); });
     return false;
   }
   if (fault_->ShouldFail(site)) {
@@ -99,7 +99,7 @@ void DiskHw::SubmitWrite(uint64_t lba, uint32_t sectors, const uint8_t* buf) {
 
 void DiskHw::SubmitFlush() {
   size_t cached_bytes = undo_arena_.size() / 2;  // each entry: data + pre-image
-  SimTime delay = timing_.seek_ns + timing_.per_byte_ns * cached_bytes;
+  SimTime delay = kSeekNs + kPerByteNs * cached_bytes;
   // A failed flush leaves the cache volatile; the driver must retry.
   if (!Admit(0, 0, "disk.flush.error", delay)) {
     return;

@@ -61,10 +61,8 @@ class DiskHw {
   static constexpr int kDefaultIrq = 14;
   static constexpr uint32_t kSectorSize = 512;
 
-  struct Timing {
-    SimTime seek_ns = 100 * kNsPerUs;     // fixed per-request overhead
-    SimTime per_byte_ns = 20;             // ~50 MB/s transfer
-  };
+  static constexpr SimTime kSeekNs = 100 * kNsPerUs;  // fixed per-request overhead
+  static constexpr SimTime kPerByteNs = 20;            // ~50 MB/s transfer
 
   // How PowerCut() disposes of the un-flushed write set.
   enum class CutPolicy {
@@ -88,7 +86,6 @@ class DiskHw {
 
   uint64_t sector_count() const { return sector_count_; }
   int irq() const { return irq_; }
-  void SetTiming(const Timing& timing) { timing_ = timing; }
   void SetFaultEnv(fault::FaultEnv* env) { fault_ = fault::ResolveFaultEnv(env); }
 
   // IOMMU hookup for the memory monitor (src/machine/memmon.h): when set,
@@ -185,7 +182,7 @@ class DiskHw {
   // Applies the disk.slow fault to a nominal delay.
   SimTime EffectiveDelay(SimTime delay);
   SimTime TransferDelay(uint32_t sectors) const {
-    return timing_.seek_ns + timing_.per_byte_ns * sectors * kSectorSize;
+    return kSeekNs + kPerByteNs * sectors * kSectorSize;
   }
   const uint8_t* WriteData(const CachedWrite& w) const { return undo_arena_.data() + w.at; }
   const uint8_t* PreImage(const CachedWrite& w) const {
@@ -198,7 +195,6 @@ class DiskHw {
   SimClock* clock_;
   Pic* pic_;
   int irq_;
-  Timing timing_;
   ZeroPages store_;
   PageSet written_;  // every page of store_ a completion or PowerCut wrote
   uint64_t sector_count_;

@@ -18,39 +18,41 @@ size_t Page() {
   return page;
 }
 
+constexpr size_t kStackSize = FiberScheduler::kDefaultStackSize;
+
 // Clears the shadow too, or a later mapping at this address inherits it.
-void Unmap(FiberStack stack) {
-  ASAN_UNPOISON_MEMORY_REGION(stack.base, stack.size);
-  munmap(stack.base - Page(), stack.size + Page());
+void Unmap(uint8_t* stack) {
+  ASAN_UNPOISON_MEMORY_REGION(stack, kStackSize);
+  munmap(stack - Page(), kStackSize + Page());
 }
 
 // Finished fibers' stacks, newest last, kept for this thread's next Spawn.
 struct StackCache {
   static constexpr size_t kMax = 64;
-  std::vector<FiberStack> stacks;
+  std::vector<uint8_t*> stacks;
   ~StackCache() {
-    for (FiberStack stack : stacks) {
+    for (uint8_t* stack : stacks) {
       Unmap(stack);
     }
   }
 };
 thread_local StackCache g_stack_cache;
 
-FiberStack TakeStack(size_t size) {
-  if (!g_stack_cache.stacks.empty() && g_stack_cache.stacks.back().size == size) {
-    FiberStack stack = g_stack_cache.stacks.back();
+uint8_t* TakeStack() {
+  if (!g_stack_cache.stacks.empty()) {
+    uint8_t* stack = g_stack_cache.stacks.back();
     g_stack_cache.stacks.pop_back();
     // A fiber that died blocked never unwound: its frames' redzones are
     // still poisoned.
-    ASAN_UNPOISON_MEMORY_REGION(stack.base, size);
+    ASAN_UNPOISON_MEMORY_REGION(stack, kStackSize);
     return stack;
   }
   const int flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK;
   auto* region = static_cast<uint8_t*>(
-      mmap(nullptr, size + Page(), PROT_READ | PROT_WRITE, flags, -1, 0));
+      mmap(nullptr, kStackSize + Page(), PROT_READ | PROT_WRITE, flags, -1, 0));
   OSKIT_ASSERT_MSG(region != MAP_FAILED && mprotect(region, Page(), PROT_NONE) == 0,
                    "cannot map a guarded fiber stack");
-  return {region + Page(), size};
+  return region + Page();
 }
 
 }  // namespace
@@ -61,15 +63,14 @@ FiberScheduler::~FiberScheduler() {
   }
 }
 
-Fiber* FiberScheduler::Spawn(std::string name, std::function<void()> entry,
-                             size_t stack_size) {
+Fiber* FiberScheduler::Spawn(std::string name, std::function<void()> entry) {
   auto fiber = std::unique_ptr<Fiber>(new Fiber(std::move(name), std::move(entry)));
   Fiber* raw = fiber.get();
   raw->scheduler_ = this;
-  raw->stack_ = TakeStack(stack_size);
+  raw->stack_ = TakeStack();
   getcontext(&raw->context_);
-  raw->context_.uc_stack.ss_sp = raw->stack_.base;
-  raw->context_.uc_stack.ss_size = raw->stack_.size;
+  raw->context_.uc_stack.ss_sp = raw->stack_;
+  raw->context_.uc_stack.ss_size = kStackSize;
   raw->context_.uc_link = &scheduler_context_;
   // The target is latched in SwitchTo just before the first switch.
   makecontext(&raw->context_, &FiberScheduler::Trampoline, 0);
@@ -98,8 +99,7 @@ void FiberScheduler::SwitchTo(Fiber* fiber) {
   fiber->state_ = Fiber::State::kRunning;
   current_ = fiber;
   g_trampoline_target = fiber;
-  OSKIT_ASAN_START_SWITCH_FIBER(&scheduler_fake_stack_, fiber->stack_.base,
-                                fiber->stack_.size);
+  OSKIT_ASAN_START_SWITCH_FIBER(&scheduler_fake_stack_, fiber->stack_, kStackSize);
   swapcontext(&scheduler_context_, &fiber->context_);
   OSKIT_ASAN_FINISH_SWITCH_FIBER(scheduler_fake_stack_, nullptr, nullptr);
   current_ = nullptr;

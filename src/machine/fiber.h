@@ -12,9 +12,9 @@
 // Each stack is its own mapping with a PROT_NONE guard page below it, so a
 // fiber that overruns its stack faults at once instead of corrupting
 // whatever lies beneath.  A finished fiber's stack goes back to a small
-// cache, newest first, and the next Spawn of that size takes it with its
-// pages already faulted in.  The cache is per thread, shared by every
-// scheduler on it, so a world built per operation starts warm.
+// cache, newest first, and the next Spawn takes it with its pages already
+// faulted in.  The cache is per thread, shared by every scheduler on it, so
+// a world built per operation starts warm.
 
 #ifndef OSKIT_SRC_MACHINE_FIBER_H_
 #define OSKIT_SRC_MACHINE_FIBER_H_
@@ -31,13 +31,6 @@
 namespace oskit {
 
 class FiberScheduler;
-
-// A fiber's stack: `size` bytes up from the page-aligned `base`, with the
-// guard page just below `base`.
-struct FiberStack {
-  uint8_t* base = nullptr;
-  size_t size = 0;
-};
 
 class Fiber {
  public:
@@ -59,9 +52,11 @@ class Fiber {
 
   std::string name_;
   std::function<void()> entry_;
-  // A recycled stack keeps its previous fiber's bytes: a fiber writes its
-  // stack before reading it.
-  FiberStack stack_;
+  // The stack: FiberScheduler::kDefaultStackSize bytes up from this
+  // page-aligned base, with the guard page just below it.  A recycled stack
+  // keeps its previous fiber's bytes: a fiber writes its stack before
+  // reading it.
+  uint8_t* stack_ = nullptr;
   ucontext_t context_;
   void* asan_fake_stack_ = nullptr;  // parked while switched out (ASan only)
   State state_ = State::kRunnable;
@@ -76,12 +71,12 @@ class FiberScheduler {
   // Unmaps the stacks of fibers that never finished.
   ~FiberScheduler();
 
+  // Every fiber's stack size.
   static constexpr size_t kDefaultStackSize = 256 * 1024;
 
   // Creates a fiber and queues it runnable.  The returned pointer stays valid
   // until the fiber completes and the scheduler reaps it.
-  Fiber* Spawn(std::string name, std::function<void()> entry,
-               size_t stack_size = kDefaultStackSize);
+  Fiber* Spawn(std::string name, std::function<void()> entry);
 
   // Runs runnable fibers (FIFO) until the run queue is empty.  Must be called
   // from the scheduler context (not from inside a fiber).

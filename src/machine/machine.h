@@ -26,20 +26,21 @@ namespace oskit {
 
 class Machine {
  public:
+  static constexpr size_t kMemBytes = 32 * 1024 * 1024;
+
   struct Config {
     std::string name = "pc0";
-    size_t mem_bytes = 32 * 1024 * 1024;
   };
 
   Machine(Simulation* sim, const Config& config)
       : sim_(sim),
         name_(config.name),
-        phys_(config.mem_bytes),
+        phys_(kMemBytes),
         cpu_(),
         pic_(&cpu_),
         pit_(&sim->clock(), &pic_),
-        console_uart_(&sim->clock(), &pic_, /*irq=*/4),
-        debug_uart_(&sim->clock(), &pic_, /*irq=*/3) {}
+        console_uart_(&pic_, /*irq=*/4),
+        debug_uart_(&pic_, /*irq=*/3) {}
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;

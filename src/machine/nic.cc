@@ -11,7 +11,6 @@ NicHw::~NicHw() { CancelHoldoff(); }
 
 void NicHw::SetRxMitigation(const RxMitigation& mit) {
   OSKIT_ASSERT_MSG(mit.frame_threshold >= 1, "threshold below 1");
-  OSKIT_ASSERT_MSG(mit.ring_fallback >= 1, "ring fallback below 1");
   mit_ = mit;
   if (mit_.holdoff_ns == 0) {
     CancelHoldoff();
@@ -92,7 +91,7 @@ void NicHw::FrameArrived(const uint8_t* frame, size_t len) {
     RaiseRxIrq();
     return;
   }
-  if (rx_ring_.size() >= mit_.ring_fallback) {
+  if (rx_ring_.size() >= kRxRingFallback) {
     ++rx_coalesce_ring_;
     RaiseRxIrq();
     return;
@@ -131,9 +130,6 @@ void NicHw::CancelHoldoff() {
 bool NicHw::AcceptsFrame(const uint8_t* frame, size_t len) const {
   if (len < kEtherHeaderSize) {
     return false;
-  }
-  if (promiscuous_) {
-    return true;
   }
   EtherAddr dest;
   std::memcpy(dest.bytes, frame, kEtherAddrSize);

@@ -4,12 +4,12 @@
 // it exposes register-style programmed I/O — RX ring status, RX dequeue, TX
 // start from one gather descriptor list (a contiguous frame is a list of
 // one) — and raises its IRQ when a frame for this station arrives.  It does
-// hardware-level destination filtering (own MAC, broadcast, promiscuous).
+// hardware-level destination filtering (own MAC and broadcast).
 //
 // Interrupt mitigation: the RX IRQ is governed by coalescing "registers"
 // (RxMitigation).  The IRQ fires when `frame_threshold` frames have arrived
 // since the last announcement, or when a `holdoff_ns` timer armed by the
-// first unannounced frame expires, whichever comes first; `ring_fallback`
+// first unannounced frame expires, whichever comes first; kRxRingFallback
 // is a ring-occupancy safety net so a deep ring never strands frames behind
 // a long holdoff.  The power-on defaults (threshold 1, no holdoff) reproduce
 // the classic one-interrupt-per-frame behaviour exactly.  Like real
@@ -49,13 +49,14 @@ class NicHw final : public WireEndpoint {
  public:
   static constexpr int kDefaultIrq = 11;
   static constexpr size_t kRxRingCapacity = 64;
+  // Ring occupancy that raises the IRQ whatever the mitigation registers say.
+  static constexpr size_t kRxRingFallback = kRxRingCapacity * 3 / 4;
 
   // RX interrupt coalescing registers (see file comment).  Defaults model
   // the 1997 hardware: every frame announces itself.
   struct RxMitigation {
     size_t frame_threshold = 1;  // raise after N unannounced frames
     uint64_t holdoff_ns = 0;     // ... or this long after the first one
-    size_t ring_fallback = kRxRingCapacity * 3 / 4;  // occupancy safety net
   };
 
   NicHw(VirtualSwitch* fabric, Pic* pic, SimClock* clock, const EtherAddr& mac,
@@ -68,7 +69,6 @@ class NicHw final : public WireEndpoint {
   const EtherAddr& mac() const { return mac_; }
   int irq() const { return irq_; }
 
-  void SetPromiscuous(bool on) { promiscuous_ = on; }
   void EnableRxInterrupt(bool on) { rx_interrupt_enabled_ = on; }
   void SetFaultEnv(fault::FaultEnv* env) { fault_ = fault::ResolveFaultEnv(env); }
 
@@ -126,7 +126,6 @@ class NicHw final : public WireEndpoint {
   SimClock* clock_;
   EtherAddr mac_;
   int irq_;
-  bool promiscuous_ = false;
   bool rx_interrupt_enabled_ = false;
   RxMitigation mit_;
   size_t unannounced_ = 0;  // frames enqueued since the last IRQ

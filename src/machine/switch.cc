@@ -139,7 +139,7 @@ void VirtualSwitch::Switch(WireEndpoint* source, FrameRef frame) {
     uint64_t key = PackMac(src);
     auto it = mac_table_.find(key);
     if (it == mac_table_.end()) {
-      if (mac_table_.size() < config_.max_macs) {
+      if (mac_table_.size() < kMaxMacs) {
         mac_table_.emplace(key, in_port);
         ++macs_learned_;
       } else {

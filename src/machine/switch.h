@@ -72,10 +72,11 @@ class VirtualSwitch final {
     SimTime reorder_jitter_ns = 0;
   };
 
+  static constexpr size_t kMaxMacs = 4096;  // learning-table capacity
+
   struct Config {
     PortConfig port;  // defaults every newly attached port inherits
     uint64_t fault_seed = 1;
-    size_t max_macs = 4096;  // learning-table capacity
   };
 
   // A learning switch.  `trace` is the observability environment the

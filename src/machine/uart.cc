@@ -16,12 +16,7 @@ void Uart::WriteByte(uint8_t byte) {
     captured_output_.push_back(static_cast<char>(byte));
     return;
   }
-  if (byte_delay_ns_ == 0) {
-    peer_->Deliver(byte);
-    return;
-  }
-  Uart* peer = peer_;
-  clock_->ScheduleAfter(byte_delay_ns_, [peer, byte] { peer->Deliver(byte); });
+  peer_->Deliver(byte);
 }
 
 void Uart::InjectRx(const void* data, size_t len) {

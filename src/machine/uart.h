@@ -3,6 +3,7 @@
 // Carries the console and the GDB remote-debug stub (§3.5).  Two UARTs can
 // be cross-connected (kernel under test on one end, debugger model on the
 // other); an unconnected UART collects transmitted bytes for inspection.
+// A byte reaches the peer's RX FIFO the instant it is written.
 
 #ifndef OSKIT_SRC_MACHINE_UART_H_
 #define OSKIT_SRC_MACHINE_UART_H_
@@ -11,7 +12,6 @@
 #include <deque>
 #include <string>
 
-#include "src/machine/clock.h"
 #include "src/machine/pic.h"
 
 namespace oskit {
@@ -20,18 +20,13 @@ class Uart {
  public:
   static constexpr int kDefaultIrq = 4;
 
-  Uart(SimClock* clock, Pic* pic, int irq = kDefaultIrq)
-      : clock_(clock), pic_(pic), irq_(irq) {}
+  explicit Uart(Pic* pic, int irq = kDefaultIrq) : pic_(pic), irq_(irq) {}
 
   // Wires this UART's TX to `peer`'s RX and vice versa.
   void ConnectPeer(Uart* peer) {
     peer_ = peer;
     peer->peer_ = this;
   }
-
-  // Per-byte transmission delay (default: instantaneous).  115200 baud would
-  // be ~87 us/byte; tests usually leave this at zero.
-  void SetByteDelay(SimTime ns) { byte_delay_ns_ = ns; }
 
   void EnableRxInterrupt(bool enable) { rx_interrupt_enabled_ = enable; }
 
@@ -50,12 +45,10 @@ class Uart {
  private:
   void Deliver(uint8_t byte);
 
-  SimClock* clock_;
   Pic* pic_;
   int irq_;
   Uart* peer_ = nullptr;
   bool rx_interrupt_enabled_ = false;
-  SimTime byte_delay_ns_ = 0;
   std::deque<uint8_t> rx_fifo_;
   std::string captured_output_;
 };

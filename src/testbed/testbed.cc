@@ -39,9 +39,7 @@ Host& World::AddHost(const std::string& name, NetConfig config) {
   host->config = config;
   host->addr = HostAddr(index);
 
-  Machine::Config mc;
-  mc.name = name;
-  host->machine = std::make_unique<Machine>(&sim_, mc);
+  host->machine = std::make_unique<Machine>(&sim_, Machine::Config{name});
 
   EtherAddr mac{{0x02, 0x00, 0x00, 0x00, 0x00, static_cast<uint8_t>(index + 1)}};
   NicHw* nic = host->machine->AddNic(&fabric_, mac);
@@ -78,9 +76,7 @@ Host& World::AddHost(const std::string& name, NetConfig config) {
         mit.frame_threshold = 8;
         mit.holdoff_ns = 1 * kNsPerMs;
         nic->SetRxMitigation(mit);
-        linuxdev::LinuxEtherDev::RxPollConfig poll;
-        poll.enabled = true;
-        host->ether_dev->SetRxPoll(poll);
+        host->ether_dev->EnableRxPoll();
         // Coalescing parks up to a holdoff of traffic per batch on each
         // side; at 100 Mbps that latency pushes the bandwidth-delay product
         // past the 32 KB ttcp-era default, so open the window to (near) the

@@ -1,6 +1,5 @@
 #include "src/testbed/ttcp.h"
 
-#include <chrono>
 #include <vector>
 
 #include "src/base/panic.h"
@@ -12,23 +11,6 @@ namespace {
 constexpr uint16_t kTtcpPort = 5001;
 constexpr uint16_t kRtcpPort = 5002;
 
-double WallSecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-// Sender-side glue-copy statistics, read from the host's trace counter
-// registry rather than by downcasting the device; a native host has no glue
-// counters and reads 0.
-void CollectGlueStats(Host& host, TtcpResult* result) {
-  result->sender_glue_copies = host.trace.registry.Value("glue.send.copied");
-  result->sender_glue_copied_bytes =
-      host.trace.registry.Value("glue.send.copied_bytes");
-  result->sender_glue_sg_frames = host.trace.registry.Value("glue.send.sg_frames");
-  result->sender_glue_sg_segments =
-      host.trace.registry.Value("glue.send.sg_segments");
-}
-
 }  // namespace
 
 TtcpResult RunTtcp(World& world, size_t block_size, size_t block_count) {
@@ -37,6 +19,8 @@ TtcpResult RunTtcp(World& world, size_t block_size, size_t block_count) {
   TtcpResult result;
   size_t total = block_size * block_count;
   size_t received = 0;
+  size_t half_bytes = 0;  // bytes held when the receiver first had half
+  SimTime half_at = 0;
 
   world.sim().Spawn("ttcp-r", [&] {
     ComPtr<Socket> listener = receiver.MakeSocket(SockType::kStream);
@@ -54,6 +38,10 @@ TtcpResult RunTtcp(World& world, size_t block_size, size_t block_count) {
         break;
       }
       received += n;
+      if (half_bytes == 0 && received * 2 >= total) {
+        half_bytes = received;
+        half_at = world.sim().clock().Now();
+      }
     }
   });
 
@@ -69,14 +57,19 @@ TtcpResult RunTtcp(World& world, size_t block_size, size_t block_count) {
     OSKIT_ASSERT(Ok(conn->Shutdown(SockShutdown::kWrite)));
   });
 
-  auto start = std::chrono::steady_clock::now();
-  SimTime sim_start = world.sim().clock().Now();
-  world.RunToCompletion(/*deadline=*/sim_start + 3600 * kNsPerSec);
-  result.wall_seconds = WallSecondsSince(start);
-  result.sim_ns = world.sim().clock().Now() - sim_start;
+  RunTimed(world, &result);
   OSKIT_ASSERT_MSG(received == total, "ttcp byte-count mismatch");
   result.bytes_transferred = received;
-  CollectGlueStats(sender, &result);
+  result.second_half_mbit_per_sec_sim =
+      (received - half_bytes) * 8.0 / ((world.sim().clock().Now() - half_at) / 1e9) / 1e6;
+  // Sender-side glue-copy statistics, read from the host's trace counter
+  // registry rather than by downcasting the device; a native host has no
+  // glue counters and reads 0.
+  const trace::CounterRegistry& glue = sender.trace.registry;
+  result.sender_glue_copies = glue.Value("glue.send.copied");
+  result.sender_glue_copied_bytes = glue.Value("glue.send.copied_bytes");
+  result.sender_glue_sg_frames = glue.Value("glue.send.sg_frames");
+  result.sender_glue_sg_segments = glue.Value("glue.send.sg_segments");
   return result;
 }
 
@@ -117,11 +110,7 @@ RtcpResult RunRtcp(World& world, uint64_t round_trips) {
     OSKIT_ASSERT(Ok(conn->Shutdown(SockShutdown::kWrite)));
   });
 
-  auto start = std::chrono::steady_clock::now();
-  SimTime sim_start = world.sim().clock().Now();
-  world.RunToCompletion(/*deadline=*/sim_start + 3600 * kNsPerSec);
-  result.wall_seconds = WallSecondsSince(start);
-  result.sim_ns = world.sim().clock().Now() - sim_start;
+  RunTimed(world, &result);
   result.round_trips = round_trips;
   return result;
 }

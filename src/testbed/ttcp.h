@@ -10,9 +10,24 @@
 #ifndef OSKIT_SRC_TESTBED_TTCP_H_
 #define OSKIT_SRC_TESTBED_TTCP_H_
 
+#include <chrono>
+
 #include "src/testbed/testbed.h"
 
 namespace oskit::testbed {
+
+// Runs the world until every fiber is done (within an hour of simulated
+// time) and records the host and simulated time that took in `result`'s
+// wall_seconds and sim_ns.
+template <typename Result>
+void RunTimed(World& world, Result* result) {
+  auto start = std::chrono::steady_clock::now();
+  SimTime sim_start = world.sim().clock().Now();
+  world.RunToCompletion(/*deadline=*/sim_start + 3600 * kNsPerSec);
+  result->wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  result->sim_ns = world.sim().clock().Now() - sim_start;
+}
 
 struct TtcpResult {
   size_t bytes_transferred = 0;
@@ -22,6 +37,9 @@ struct TtcpResult {
   uint64_t sender_glue_copied_bytes = 0;
   uint64_t sender_glue_sg_frames = 0;  // OSKit config: gather transmits
   uint64_t sender_glue_sg_segments = 0;
+  // The rate from the moment the receiver first held half the bytes to the
+  // end: past slow start, so it reads the saturated rate.
+  double second_half_mbit_per_sec_sim = 0;
 
   double MbitPerSecWall() const {
     return wall_seconds > 0 ? bytes_transferred * 8.0 / wall_seconds / 1e6 : 0;

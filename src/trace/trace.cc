@@ -160,16 +160,12 @@ const char* EventTypeName(EventType type) {
   return "?";
 }
 
-FlightRecorder::FlightRecorder(size_t capacity)
-    : ring_(capacity > 0 ? capacity : 1) {}
+FlightRecorder::FlightRecorder() : ring_(kCapacity) {}
 
 FlightRecorder::~FlightRecorder() { DisableDumpOnPanic(); }
 
 void FlightRecorder::Record(EventType type, const char* tag, uint64_t arg0,
                             uint64_t arg1) {
-  if (!enabled_) {
-    return;
-  }
   TraceEvent& slot = ring_[next_];
   slot.seq = next_seq_++;
   slot.time = now_ ? now_() : slot.seq;
@@ -177,13 +173,12 @@ void FlightRecorder::Record(EventType type, const char* tag, uint64_t arg0,
   slot.tag = tag != nullptr ? tag : "";
   slot.arg0 = arg0;
   slot.arg1 = arg1;
-  next_ = (next_ + 1) % ring_.size();
+  next_ = (next_ + 1) % kCapacity;
   ++total_recorded_;
 }
 
 size_t FlightRecorder::size() const {
-  return total_recorded_ < ring_.size() ? static_cast<size_t>(total_recorded_)
-                                        : ring_.size();
+  return total_recorded_ < kCapacity ? static_cast<size_t>(total_recorded_) : kCapacity;
 }
 
 const TraceEvent& FlightRecorder::At(size_t index) const {
@@ -191,7 +186,7 @@ const TraceEvent& FlightRecorder::At(size_t index) const {
   size_t count = size();
   // Oldest buffered event sits at next_ once the ring has wrapped.
   size_t oldest = total_recorded_ > count ? next_ : 0;
-  return ring_[(oldest + index) % ring_.size()];
+  return ring_[(oldest + index) % kCapacity];
 }
 
 void FlightRecorder::Clear() {

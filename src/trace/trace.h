@@ -145,25 +145,24 @@ struct TraceEvent {
 // crash.
 class FlightRecorder {
  public:
-  static constexpr size_t kDefaultCapacity = 1024;
+  static constexpr size_t kCapacity = 1024;
 
-  explicit FlightRecorder(size_t capacity = kDefaultCapacity);
+  FlightRecorder();
   ~FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   // Timestamps default to the recording sequence number until a clock is
-  // wired in (the testbed supplies the simulated clock).
+  // wired in (the testbed supplies the simulated clock).  The environment's
+  // SpanTracker times its spans from the same clock.
   void SetTimeSource(std::function<uint64_t()> now) { now_ = std::move(now); }
-
-  void SetEnabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
+  // The wired clock's reading; 0 when none is wired.
+  uint64_t ClockNs() const { return now_ ? now_() : 0; }
 
   void Record(EventType type, const char* tag, uint64_t arg0 = 0,
               uint64_t arg1 = 0);
 
-  size_t capacity() const { return ring_.size(); }
-  // Events currently buffered (<= capacity).
+  // Events currently buffered (<= kCapacity).
   size_t size() const;
   uint64_t total_recorded() const { return total_recorded_; }
   // Events lost to wrap-around.
@@ -200,7 +199,6 @@ class FlightRecorder {
   size_t next_ = 0;  // slot the next event lands in
   uint64_t total_recorded_ = 0;
   uint64_t next_seq_ = 1;
-  bool enabled_ = true;
   std::function<uint64_t()> now_;
   DumpSink dump_sink_ = nullptr;  // null = stderr
   void* dump_ctx_ = nullptr;
@@ -286,13 +284,10 @@ class SpanTracker {
   SpanTracker(const SpanTracker&) = delete;
   SpanTracker& operator=(const SpanTracker&) = delete;
 
-  // Durations come from this clock (the testbed wires the simulated clock,
-  // exactly like FlightRecorder).  Without a source every span is 0 ns —
-  // counts still accumulate.
-  void SetTimeSource(std::function<uint64_t()> now) { now_ = std::move(now); }
-
   // Span begin/end events are mirrored into this recorder when set (the
-  // TraceEnv constructor wires its own).
+  // TraceEnv constructor wires its own), and durations come from the
+  // recorder's time source.  Without a source every span is 0 ns — counts
+  // still accumulate.
   void SetRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
   // Opens/closes a span.  End must match the innermost open span — a
@@ -325,7 +320,7 @@ class SpanTracker {
   static void PanicObserverThunk(void* ctx, const char* message);
   void Register(SpanSite* site);
   void Unregister(SpanSite* site);
-  uint64_t NowNs() const { return now_ ? now_() : 0; }
+  uint64_t NowNs() const { return recorder_ != nullptr ? recorder_->ClockNs() : 0; }
 
   struct Open {
     SpanSite* site;
@@ -336,7 +331,6 @@ class SpanTracker {
   std::vector<SpanSite*> sites_;
   Open stack_[kMaxDepth] = {};
   size_t depth_ = 0;
-  std::function<uint64_t()> now_;
   FlightRecorder* recorder_ = nullptr;
   FlightRecorder::DumpSink dump_sink_ = nullptr;  // null = stderr
   void* dump_ctx_ = nullptr;

@@ -62,9 +62,8 @@ int64_t LoadImm64(const uint8_t* p) {
 
 }  // namespace
 
-Vm::Vm(std::vector<uint8_t> code, SysHandler* sys, const VmConfig& config)
-    : code_(std::move(code)), sys_(sys), config_(config),
-      globals_(config.globals, 0) {}
+Vm::Vm(std::vector<uint8_t> code, SysHandler* sys)
+    : code_(std::move(code)), sys_(sys), globals_(kGlobals, 0) {}
 
 Error Vm::Verify(std::string* out_problem) {
   auto fail = [&](const std::string& msg) {
@@ -89,13 +88,13 @@ Error Vm::Verify(std::string* out_problem) {
     switch (static_cast<Op>(op)) {
       case Op::kLoad:
       case Op::kStore:
-        if (LoadLe16(&code_[pc + 1]) >= config_.locals) {
+        if (LoadLe16(&code_[pc + 1]) >= kLocals) {
           return fail("local index out of range at " + std::to_string(pc));
         }
         break;
       case Op::kGLoad:
       case Op::kGStore:
-        if (LoadLe16(&code_[pc + 1]) >= config_.globals) {
+        if (LoadLe16(&code_[pc + 1]) >= kGlobals) {
           return fail("global index out of range at " + std::to_string(pc));
         }
         break;
@@ -133,7 +132,7 @@ int Vm::SpawnThread(uint32_t pc) {
   OSKIT_ASSERT_MSG(pc < code_.size() || code_.empty(), "thread entry out of range");
   VmThread t;
   t.pc = pc;
-  t.locals.assign(config_.locals, 0);
+  t.locals.assign(kLocals, 0);
   threads_.push_back(std::move(t));
   return static_cast<int>(threads_.size()) - 1;
 }
@@ -190,7 +189,7 @@ bool Vm::Step(int id, uint64_t budget) {
         t.state = VmThread::State::kDone;
         return true;
       case Op::kPush:
-        if (t.stack.size() >= config_.stack_limit) {
+        if (t.stack.size() >= kStackLimit) {
           FaultThread(t, Error::kNoMem);
           return true;
         }
@@ -329,7 +328,7 @@ bool Vm::Step(int id, uint64_t budget) {
         t.stack.pop_back();
         break;
       case Op::kCall:
-        if (t.call_stack.size() >= config_.call_depth_limit) {
+        if (t.call_stack.size() >= kCallDepthLimit) {
           FaultThread(t, Error::kNoMem);
           return true;
         }
@@ -398,7 +397,7 @@ Error Vm::Run(uint64_t max_instructions) {
         continue;
       }
       progress = true;
-      Step(static_cast<int>(id), config_.quantum);
+      Step(static_cast<int>(id), kQuantum);
       if (instructions_ - start >= max_instructions) {
         return Error::kAborted;
       }

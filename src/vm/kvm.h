@@ -9,7 +9,7 @@
 // kernel provides — console, timers, sockets.
 //
 // The machine: a 64-bit stack machine with locals, globals, call/ret, and
-// cooperative threads preempted at a configurable instruction quantum.
+// cooperative threads preempted at a fixed instruction quantum (kQuantum).
 
 #ifndef OSKIT_SRC_VM_KVM_H_
 #define OSKIT_SRC_VM_KVM_H_
@@ -87,17 +87,15 @@ struct VmThread {
   Error fault = Error::kOk;
 };
 
-struct VmConfig {
-  size_t stack_limit = 4096;
-  size_t locals = 64;
-  size_t globals = 256;
-  size_t call_depth_limit = 256;
-  uint64_t quantum = 1000;  // instructions per scheduling slice
-};
-
 class Vm {
  public:
-  Vm(std::vector<uint8_t> code, SysHandler* sys, const VmConfig& config = VmConfig());
+  static constexpr size_t kStackLimit = 4096;  // operand-stack slots per thread
+  static constexpr size_t kLocals = 64;        // local slots per thread
+  static constexpr size_t kGlobals = 256;
+  static constexpr size_t kCallDepthLimit = 256;
+  static constexpr uint64_t kQuantum = 1000;  // instructions per scheduling slice
+
+  Vm(std::vector<uint8_t> code, SysHandler* sys);
 
   // Static verification: every opcode valid, operands in bounds, every jump
   // and call target on an instruction boundary, code ends cleanly.  Must
@@ -107,7 +105,7 @@ class Vm {
   // Creates a thread starting at `pc`; returns its id.
   int SpawnThread(uint32_t pc);
 
-  // Runs all threads (round-robin, `quantum` instructions each) until every
+  // Runs all threads (round-robin, kQuantum instructions each) until every
   // thread halts or faults, or `max_instructions` executes.  Returns kOk
   // when all threads completed normally.
   Error Run(uint64_t max_instructions = ~uint64_t{0});
@@ -130,7 +128,6 @@ class Vm {
 
   std::vector<uint8_t> code_;
   SysHandler* sys_;
-  VmConfig config_;
   // Deque: spawning threads from a syscall must not invalidate references
   // to running threads.
   std::deque<VmThread> threads_;

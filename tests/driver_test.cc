@@ -623,10 +623,7 @@ TEST_F(DriverTest, PolledRxDrainsBurstBeyondBudget) {
   NicHw::RxMitigation mit;
   mit.frame_threshold = 4;
   nic_a->SetRxMitigation(mit);
-  linuxdev::LinuxEtherDev::RxPollConfig poll;
-  poll.enabled = true;
-  poll.budget = 4;
-  dev_a->SetRxPoll(poll);
+  dev_a->EnableRxPoll();
 
   ComPtr<RecorderNetIo> rx_a(new RecorderNetIo());
   NetIo* tx_a = nullptr;
@@ -637,7 +634,10 @@ TEST_F(DriverTest, PolledRxDrainsBurstBeyondBudget) {
   uint8_t frame[60] = {2, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 2};
   const uint8_t* chunk = frame;
   size_t len = sizeof(frame);
-  constexpr int kBurst = 19;  // 4 full budgets + a 3-frame remainder
+  // 3 full budgets + a 3-frame remainder, inside the 64-slot RX ring.
+  constexpr int kBudget = linuxdev::LinuxEtherDev::kRxPollBudget;
+  constexpr int kBurst = 3 * kBudget + 3;
+  static_assert(kBurst <= static_cast<int>(NicHw::kRxRingCapacity));
   for (int i = 0; i < kBurst; ++i) {
     frame[12] = static_cast<uint8_t>(i);  // distinguishable payloads
     nic_b->TxStart(&chunk, &len, 1);
@@ -649,10 +649,10 @@ TEST_F(DriverTest, PolledRxDrainsBurstBeyondBudget) {
     EXPECT_EQ(static_cast<uint8_t>(i), rx_a->frames[i][12]) << "frame order";
   }
   const auto& c = dev_a->counters();
-  EXPECT_EQ(5u, static_cast<uint64_t>(c.rx_polls));
+  EXPECT_EQ(4u, static_cast<uint64_t>(c.rx_polls));
   EXPECT_EQ(static_cast<uint64_t>(kBurst),
             static_cast<uint64_t>(c.rx_poll_frames));
-  EXPECT_EQ(4u, static_cast<uint64_t>(c.rx_poll_budget_exhausted));
+  EXPECT_EQ(3u, static_cast<uint64_t>(c.rx_poll_budget_exhausted));
   EXPECT_EQ(0u, static_cast<uint64_t>(c.rx_watchdog_recoveries))
       << "the poll chain, not the watchdog, must deliver the burst";
   EXPECT_EQ(1u, static_cast<uint64_t>(nic_a->rx_coalesce_irqs_counter()))
@@ -675,13 +675,9 @@ TEST_F(DriverTest, PolledRxRechecksRingAfterReenable) {
   ASSERT_EQ(2u, devices.size());
   auto* dev_a = static_cast<linuxdev::LinuxEtherDev*>(devices[0].get());
 
-  // Wide, explicit windows so the arrival timing below is unambiguous:
-  // IRQ at t, poll at t+10us, re-enable at t+110us.
-  linuxdev::LinuxEtherDev::RxPollConfig poll;
-  poll.enabled = true;
-  poll.softirq_delay_ns = 10 * kNsPerUs;
-  poll.reenable_delay_ns = 100 * kNsPerUs;
-  dev_a->SetRxPoll(poll);
+  // IRQ at t, poll at t+2us, re-enable at t+4us.
+  using Dev = linuxdev::LinuxEtherDev;
+  dev_a->EnableRxPoll();
 
   ComPtr<RecorderNetIo> rx_a(new RecorderNetIo());
   NetIo* tx_a = nullptr;
@@ -694,9 +690,9 @@ TEST_F(DriverTest, PolledRxRechecksRingAfterReenable) {
   size_t len = sizeof(frame);
   frame[12] = 1;
   nic_b->TxStart(&chunk, &len, 1);
-  // Lands at t+50us: after the poll dispatch drained frame 1, before the
-  // re-enable at t+110us — squarely in the race window, raising no IRQ.
-  sim_.clock().ScheduleAfter(50 * kNsPerUs, [&] {
+  // Lands at t+3us: after the poll dispatch drained frame 1, before the
+  // re-enable at t+4us — squarely in the race window, raising no IRQ.
+  sim_.clock().ScheduleAfter(Dev::kRxSoftirqDelayNs + Dev::kRxReenableDelayNs / 2, [&] {
     frame[12] = 2;
     nic_b->TxStart(&chunk, &len, 1);
   });

@@ -213,6 +213,49 @@ TEST_F(KernTest, GdbStubSpeaksTheRemoteProtocol) {
   EXPECT_GE(stub.packets_handled(), 7u);
 }
 
+TEST_F(KernTest, GdbStubTrapEntryWritesEveryRegister) {
+  GdbStub stub(machine_.get(), &machine_->debug_uart());
+  MockGdb gdb(&machine_->debug_uart());
+  Cpu& cpu = machine_->cpu();
+  stub.AttachDefaultTraps(&cpu);
+  // Wrap the stub's breakpoint entry to see the frame it hands back.
+  Cpu::Handler stub_entry = cpu.SetVector(kTrapBreakpoint, nullptr);
+  TrapFrame after;
+  cpu.SetVector(kTrapBreakpoint, [&](TrapFrame& frame) {
+    bool handled = stub_entry(frame);
+    after = frame;
+    return handled;
+  });
+
+  // Register i holds 0x01020304050607i0; GDB wants each little endian.
+  auto value = [](int i) { return uint64_t{0x0102030405060700} + i; };
+  std::string regs;
+  for (int i = 0; i < GdbStub::kNumRegs; ++i) {
+    for (int byte = 0; byte < 8; ++byte) {
+      char hex[3];
+      snprintf(hex, sizeof(hex), "%02x",
+               static_cast<unsigned>((value(i) >> (byte * 8)) & 0xff));
+      regs += hex;
+    }
+  }
+  gdb.Send("G" + regs.substr(0, regs.size() - 2));  // one byte short
+  gdb.Send("G" + regs);
+  gdb.Send("g");
+  gdb.Send("c");
+  cpu.RaiseTrap(kTrapBreakpoint);
+
+  EXPECT_EQ("T05", gdb.NextReply());
+  EXPECT_EQ("E01", gdb.NextReply());
+  EXPECT_EQ("OK", gdb.NextReply());
+  EXPECT_EQ(regs, gdb.NextReply());
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(value(i), after.gprs[i]) << "gpr" << i;
+  }
+  EXPECT_EQ(value(8), after.pc);
+  EXPECT_EQ(value(9), after.sp);
+  EXPECT_EQ(value(10), after.flags);
+}
+
 TEST_F(KernTest, GdbStubStepAndKill) {
   GdbStub stub(machine_.get(), &machine_->debug_uart());
   MockGdb gdb(&machine_->debug_uart());

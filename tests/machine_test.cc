@@ -382,7 +382,6 @@ TEST(FiberTest, WaitUntilAlreadyTrueDoesNotBlock) {
   asm volatile("" : : "r"(frame) : "memory");
 }
 
-constexpr size_t kSmallStack = 64 * 1024;
 uintptr_t g_fiber_top = 0;  // a frame address near the overrunning fiber's top
 
 // Runs on the alternate stack: the fiber's own is gone.  A fault on the
@@ -390,7 +389,7 @@ uintptr_t g_fiber_top = 0;  // a frame address near the overrunning fiber's top
 // the stack's lowest byte.
 void OnOverrunFault(int /*sig*/, siginfo_t* info, void* /*ctx*/) {
   auto addr = reinterpret_cast<uintptr_t>(info->si_addr);
-  uintptr_t bottom = g_fiber_top - kSmallStack;
+  uintptr_t bottom = g_fiber_top - FiberScheduler::kDefaultStackSize;
   bool guard = info->si_code == SEGV_ACCERR && addr + 2 * 4096 > bottom &&
                addr < bottom + 2 * 4096;
   const char* msg = guard ? "fault on the guard page\n" : "fault elsewhere\n";
@@ -411,13 +410,10 @@ TEST(FiberDeathTest, StackOverrunFaultsOnTheGuardPage) {
         sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
         sigaction(SIGSEGV, &sa, nullptr);
         Simulation sim;
-        sim.scheduler().Spawn(
-            "deep",
-            [] {
-              g_fiber_top = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
-              Overrun(1 << 20);
-            },
-            kSmallStack);
+        sim.scheduler().Spawn("deep", [] {
+          g_fiber_top = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+          Overrun(1 << 20);
+        });
         sim.Run();
       },
       ::testing::ExitedWithCode(3), "fault on the guard page");
@@ -534,11 +530,10 @@ TEST(PitTest, PeriodicTicks) {
 }
 
 TEST(UartTest, LoopbackBetweenPeers) {
-  Simulation sim;
   Cpu cpu;
   Pic pic(&cpu);
-  Uart a(&sim.clock(), &pic, 4);
-  Uart b(&sim.clock(), &pic, 3);
+  Uart a(&pic, 4);
+  Uart b(&pic, 3);
   a.ConnectPeer(&b);
   a.WriteByte('h');
   a.WriteByte('i');
@@ -551,10 +546,9 @@ TEST(UartTest, LoopbackBetweenPeers) {
 }
 
 TEST(UartTest, UnconnectedCapturesOutput) {
-  Simulation sim;
   Cpu cpu;
   Pic pic(&cpu);
-  Uart uart(&sim.clock(), &pic);
+  Uart uart(&pic);
   uart.WriteByte('o');
   uart.WriteByte('k');
   EXPECT_EQ("ok", uart.TakeOutput());
@@ -562,7 +556,6 @@ TEST(UartTest, UnconnectedCapturesOutput) {
 }
 
 TEST(UartTest, RxInterruptFires) {
-  Simulation sim;
   Cpu cpu;
   cpu.EnableInterrupts();
   Pic pic(&cpu);
@@ -572,7 +565,7 @@ TEST(UartTest, RxInterruptFires) {
     ++irqs;
     return true;
   });
-  Uart uart(&sim.clock(), &pic, 4);
+  Uart uart(&pic, 4);
   uart.EnableRxInterrupt(true);
   uart.InjectRx("ab", 2);
   EXPECT_EQ(2, irqs);
@@ -832,12 +825,11 @@ TEST(NicTest, RxMitigationThresholdHoldoffAndRingFallback) {
   drain();
 
   // Ring-occupancy fallback: with a huge threshold and no holdoff, the
-  // safety net announces when the ring fills to the configured mark.
+  // safety net announces when the ring fills to kRxRingFallback frames.
   mit.frame_threshold = 1000;
   mit.holdoff_ns = 0;
-  mit.ring_fallback = 5;
   rx.SetRxMitigation(mit);
-  send(4);
+  send(NicHw::kRxRingFallback - 1);
   while (sim.clock().RunOne()) {
   }
   EXPECT_EQ(2u, irqs());
@@ -877,7 +869,6 @@ TEST(NicTest, GatherTransmitMatchesFlat) {
   Pic pic(&cpu);
   NicHw tx(&hub, &pic, &sim.clock(), EtherAddr{{2, 0, 0, 0, 0, 1}});
   NicHw rx(&hub, &pic, &sim.clock(), EtherAddr{{2, 0, 0, 0, 0, 2}});
-  rx.SetPromiscuous(true);
 
   uint8_t part1[14] = {2, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 1, 0x08, 0x00};
   uint8_t part2[46];
@@ -1030,6 +1021,48 @@ TEST_F(WireFixture, SwitchForwardsWithoutAllocatingOnceWarm) {
   EXPECT_EQ(0u, sw.frames_outstanding());
   EXPECT_EQ(21u * 100u * 2u * frame.size(), b.bytes);
   EXPECT_EQ(b.bytes, c.bytes);
+}
+
+TEST_F(WireFixture, SwitchFloodsForAStationItsFullTableCannotLearn) {
+  SimClock clock;
+  VirtualSwitch sw(&clock, VirtualSwitch::Config{});
+  Sink stations;  // one port, every source MAC behind it
+  Sink probe;
+  Sink bystander;
+  sw.Attach(&stations);
+  sw.Attach(&probe);
+  sw.Attach(&bystander);
+  // 02:00:00:00:hi:lo, a unicast station address.
+  auto station_mac = [](size_t i, uint8_t* out) {
+    const uint8_t mac[6] = {2, 0, 0, 0, static_cast<uint8_t>(i >> 8),
+                            static_cast<uint8_t>(i)};
+    memcpy(out, mac, sizeof(mac));
+  };
+  uint8_t frame[60] = {0xff, 0xff, 0xff, 0xff, 0xff, 0xff};
+  for (size_t i = 0; i <= VirtualSwitch::kMaxMacs; ++i) {
+    station_mac(i, frame + 6);
+    SendFrame(sw, &stations, frame, sizeof(frame));
+  }
+  while (clock.RunOne()) {
+  }
+  EXPECT_EQ(1u, sw.mac_table_full());
+  EXPECT_EQ(VirtualSwitch::kMaxMacs, sw.macs_learned());
+
+  // A learned station gets its frames unicast; the one the table had no
+  // room for keeps getting them flooded.
+  const size_t flooded = sw.frames_flooded();
+  bystander.frames.clear();
+  uint8_t reply[60] = {};
+  station_mac(0, reply);
+  SendFrame(sw, &probe, reply, sizeof(reply));
+  station_mac(VirtualSwitch::kMaxMacs, reply);
+  SendFrame(sw, &probe, reply, sizeof(reply));
+  while (clock.RunOne()) {
+  }
+  EXPECT_EQ(flooded + 1, sw.frames_flooded());
+  ASSERT_EQ(1u, bystander.frames.size());
+  EXPECT_EQ(0, memcmp(bystander.frames[0].data(), reply, sizeof(reply)));
+  EXPECT_EQ(2u, stations.frames.size());  // one unicast, one flooded
 }
 
 TEST(DiskTest, ReadWriteWithCompletionIrq) {

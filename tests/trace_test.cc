@@ -124,7 +124,7 @@ TEST(CounterRegistryTest, CounterBlockUnbindsOnDestruction) {
 // ---------------------------------------------------------------------------
 
 TEST(FlightRecorderTest, RecordsAndFormats) {
-  FlightRecorder recorder(/*capacity=*/8);
+  FlightRecorder recorder;
   recorder.Record(EventType::kPacketRx, "ether", 0, 1514);
   ASSERT_EQ(1u, recorder.size());
   const TraceEvent& event = recorder.At(0);
@@ -140,15 +140,16 @@ TEST(FlightRecorderTest, RecordsAndFormats) {
 }
 
 TEST(FlightRecorderTest, WrapAroundKeepsNewestDropsOldest) {
-  FlightRecorder recorder(/*capacity=*/4);
-  for (uint64_t i = 1; i <= 6; ++i) {
+  constexpr size_t kCap = FlightRecorder::kCapacity;
+  FlightRecorder recorder;
+  for (uint64_t i = 1; i <= kCap + 2; ++i) {
     recorder.Record(EventType::kMark, "wrap", i);
   }
-  EXPECT_EQ(4u, recorder.size());
-  EXPECT_EQ(6u, recorder.total_recorded());
+  EXPECT_EQ(kCap, recorder.size());
+  EXPECT_EQ(kCap + 2, recorder.total_recorded());
   EXPECT_EQ(2u, recorder.dropped());
   // Oldest surviving event is #3; order is preserved.
-  for (size_t i = 0; i < 4; ++i) {
+  for (size_t i = 0; i < kCap; ++i) {
     EXPECT_EQ(i + 3, recorder.At(i).arg0);
     EXPECT_EQ(i + 3, recorder.At(i).seq);
   }
@@ -158,17 +159,7 @@ TEST(FlightRecorderTest, WrapAroundKeepsNewestDropsOldest) {
   EXPECT_EQ(0u, recorder.total_recorded());
   // Sequence numbers are never reused after a clear.
   recorder.Record(EventType::kMark, "after");
-  EXPECT_EQ(7u, recorder.At(0).seq);
-}
-
-TEST(FlightRecorderTest, DisabledRecorderDropsEvents) {
-  FlightRecorder recorder(/*capacity=*/4);
-  recorder.SetEnabled(false);
-  recorder.Record(EventType::kMark, "ignored");
-  EXPECT_EQ(0u, recorder.size());
-  recorder.SetEnabled(true);
-  recorder.Record(EventType::kMark, "kept");
-  EXPECT_EQ(1u, recorder.size());
+  EXPECT_EQ(kCap + 3, recorder.At(0).seq);
 }
 
 TEST(FlightRecorderTest, OrderingUnderFiberPreemption) {
@@ -176,7 +167,7 @@ TEST(FlightRecorderTest, OrderingUnderFiberPreemption) {
   // show one global order with monotonically increasing sequence numbers
   // and non-decreasing simulated timestamps.
   Simulation sim;
-  FlightRecorder recorder(/*capacity=*/64);
+  FlightRecorder recorder;
   recorder.SetTimeSource([&sim] { return sim.clock().Now(); });
 
   auto worker = [&](const char* tag, uint64_t delay_ns) {
@@ -206,7 +197,7 @@ TEST(FlightRecorderTest, OrderingUnderFiberPreemption) {
 }
 
 TEST(FlightRecorderTest, DumpOnPanicWritesBufferedEvents) {
-  FlightRecorder recorder(/*capacity=*/8);
+  FlightRecorder recorder;
   recorder.Record(EventType::kIrqEnter, "cpu", 14);
   recorder.Record(EventType::kAlloc, "lmm", 0x1000, 64);
 
@@ -315,7 +306,7 @@ TEST(TraceComTest, TraceLogReadsTheRing) {
 TEST(SpanTest, NestedPairingPartitionsSelfTime) {
   TraceEnv env;
   uint64_t now = 0;
-  env.spans.SetTimeSource([&now] { return now; });
+  env.recorder.SetTimeSource([&now] { return now; });
 
   SpanSite outer(&env, "t.outer");
   SpanSite inner(&env, "t.inner");
@@ -378,7 +369,7 @@ TEST(SpanTest, ScopedSpansUnderSimClockAreMonotone) {
   // the simulated clock, so attribution is exact and deterministic.
   Simulation sim;
   TraceEnv env;
-  env.spans.SetTimeSource([&sim] { return sim.clock().Now(); });
+  env.recorder.SetTimeSource([&sim] { return sim.clock().Now(); });
 
   SpanSite request(&env, "t.request");
   SpanSite disk(&env, "t.disk");
@@ -446,7 +437,7 @@ TEST(SpanTest, DumpOnPanicShowsTableAndOpenSpans) {
   // table plus the still-open span stack, outermost first.
   TraceEnv env;
   uint64_t now = 0;
-  env.spans.SetTimeSource([&now] { return now; });
+  env.recorder.SetTimeSource([&now] { return now; });
   SpanSite accept(&env, "t.accept");
   SpanSite parse(&env, "t.parse");
   accept.AddSample(70);  // some history for the table

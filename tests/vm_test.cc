@@ -169,9 +169,7 @@ TEST(VmTest, HostSpawnedThreadsBothRun) {
       "jnz a\n"
       "halt\n",
       &code, &err)) << err;
-  VmConfig config;
-  config.quantum = 3;
-  Vm vm(std::move(code), &sys, config);
+  Vm vm(std::move(code), &sys);
   ASSERT_EQ(Error::kOk, vm.Verify());
   vm.SpawnThread(0);
   vm.SpawnThread(0);  // two green threads sharing global 0
