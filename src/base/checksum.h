@@ -9,7 +9,8 @@
 namespace oskit {
 
 // Incremental checksum accumulator: feed byte ranges (possibly at odd
-// offsets, as happens with chained mbufs), then Finish() to fold.
+// offsets, as happens with chained mbufs), then Finish() to fold.  It sums
+// eight bytes a step (see checksum.cc).
 class InetChecksum {
  public:
   // Adds `length` bytes.  Handles a dangling odd byte between calls so that
@@ -22,8 +23,8 @@ class InetChecksum {
   uint16_t Finish() const;
 
  private:
-  uint64_t sum_ = 0;
-  bool odd_ = false;  // true when an odd byte is pending in `sum_` alignment
+  uint64_t sum_ = 0;  // folded call sums, a stream-even byte as the low half
+  bool odd_ = false;  // true when the bytes added so far are odd in number
 };
 
 // One-shot helper over a flat buffer.

@@ -79,22 +79,12 @@ class IntrusiveList {
     return element;
   }
 
-  // Inserts `element` immediately before `position` (which must be linked).
-  void InsertBeforeElement(T* position, T* element) {
-    InsertBefore(NodeOf(position), element);
-  }
-
   void Remove(T* element) { NodeOf(element)->Unlink(); }
 
   // Iteration: forward, unlink-safe if the caller captures `next` first.
   T* Next(T* element) {
     ListNode* n = NodeOf(element)->next;
     return n == &head_ ? nullptr : FromNode(n);
-  }
-
-  T* Prev(T* element) {
-    ListNode* p = NodeOf(element)->prev;
-    return p == &head_ ? nullptr : FromNode(p);
   }
 
   // Range-for support.

@@ -22,19 +22,6 @@ constexpr int kRexmtTicks = 2;      // 1 s at the 500 ms tick
 constexpr int kConnTicks = 60;      // 30 s
 constexpr int kTimeWaitTicks = 8;
 
-uint16_t TcpChecksum(InetAddr src, InetAddr dst, const uint8_t* seg, size_t len) {
-  InetChecksum cksum;
-  uint8_t pseudo[12];
-  StoreBe32(pseudo, src.value);
-  StoreBe32(pseudo + 4, dst.value);
-  pseudo[8] = 0;
-  pseudo[9] = kIpProtoTcp;
-  StoreBe16(pseudo + 10, static_cast<uint16_t>(len));
-  cksum.Add(pseudo, sizeof(pseudo));
-  cksum.Add(seg, len);
-  return cksum.Finish();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -346,7 +333,8 @@ void LinuxNetStack::SendControl(LTcpPcb* pcb, uint8_t flags, bool with_mss) {
   size_t space = pcb->rcv_hiwat > pcb->rxq_bytes ? pcb->rcv_hiwat - pcb->rxq_bytes : 0;
   th.window = static_cast<uint16_t>(space > 65535 ? 65535 : space);
   th.Serialize(skb_put(skb, hdr), with_mss);
-  StoreBe16(skb->data + 16, TcpChecksum(pcb->laddr, pcb->faddr, skb->data, hdr));
+  StoreBe16(skb->data + 16,
+            TransportChecksum(pcb->laddr, pcb->faddr, kIpProtoTcp, hdr, skb->data));
   IpTcpOutput(pcb->laddr, pcb->faddr, skb);
 }
 
@@ -371,7 +359,8 @@ void LinuxNetStack::TransmitSeg(LTcpPcb* pcb, LTcpPcb::TxSeg& seg) {
   th.window = static_cast<uint16_t>(space > 65535 ? 65535 : space);
   th.Serialize(th_bytes);
   StoreBe16(th_bytes + 16,
-            TcpChecksum(pcb->laddr, pcb->faddr, th_bytes, kTcpHeaderSize + payload_len));
+            TransportChecksum(pcb->laddr, pcb->faddr, kIpProtoTcp,
+                              kTcpHeaderSize + payload_len, th_bytes));
 
   uint8_t* iph = skb_push(skb, kIpHeaderSize);
   Ipv4Header ip;
@@ -439,7 +428,7 @@ void LinuxNetStack::TcpInput(const Ipv4Header& ip, sk_buff* skb) {
     kfree_skb(dev_->kenv, skb);
     return;
   }
-  if (TcpChecksum(ip.src, ip.dst, skb->data, skb->len) != 0) {
+  if (TransportChecksum(ip.src, ip.dst, kIpProtoTcp, skb->len, skb->data) != 0) {
     kfree_skb(dev_->kenv, skb);
     return;
   }

@@ -20,22 +20,38 @@ void Ipv4Header::Serialize(uint8_t* p) const {
   StoreBe16(p + 10, sum);
 }
 
-uint16_t TransportChecksum(InetAddr src, InetAddr dst, uint8_t proto,
-                           uint16_t length, const MBuf* chain) {
-  uint8_t pseudo[12];
+namespace {
+
+// The sum of the IPv4 pseudo-header that heads every TCP and UDP checksum:
+// the addresses, a zero byte, the protocol and the segment's length.
+InetChecksum PseudoHeaderSum(InetAddr src, InetAddr dst, uint8_t proto, size_t length) {
+  uint8_t pseudo[12] = {0, 0, 0, 0, 0, 0, 0, 0, 0, proto};
   StoreBe32(pseudo, src.value);
   StoreBe32(pseudo + 4, dst.value);
-  pseudo[8] = 0;
-  pseudo[9] = proto;
-  StoreBe16(pseudo + 10, length);
+  StoreBe16(pseudo + 10, static_cast<uint16_t>(length));
   InetChecksum cksum;
   cksum.Add(pseudo, sizeof(pseudo));
+  return cksum;
+}
+
+}  // namespace
+
+uint16_t TransportChecksum(InetAddr src, InetAddr dst, uint8_t proto,
+                           uint16_t length, const MBuf* chain) {
+  InetChecksum cksum = PseudoHeaderSum(src, dst, proto, length);
   size_t remaining = length;
   for (const MBuf* m = chain; m != nullptr && remaining > 0; m = m->next) {
     size_t n = m->len < remaining ? m->len : remaining;
     cksum.Add(m->data, n);
     remaining -= n;
   }
+  return cksum.Finish();
+}
+
+uint16_t TransportChecksum(InetAddr src, InetAddr dst, uint8_t proto,
+                           size_t length, const uint8_t* segment) {
+  InetChecksum cksum = PseudoHeaderSum(src, dst, proto, length);
+  cksum.Add(segment, length);
   return cksum.Finish();
 }
 

@@ -141,6 +141,9 @@ struct MBuf;
 // IPv4 pseudo-header; a received segment that verifies sums to 0.
 uint16_t TransportChecksum(InetAddr src, InetAddr dst, uint8_t proto,
                            uint16_t length, const MBuf* chain);
+// The same over a flat segment of `length` bytes.
+uint16_t TransportChecksum(InetAddr src, InetAddr dst, uint8_t proto,
+                           size_t length, const uint8_t* segment);
 
 // ---- ICMP ----
 

@@ -136,6 +136,30 @@ std::vector<uint64_t> PropertySeeds() {
 INSTANTIATE_TEST_SUITE_P(Seeds, ChecksumPropTest,
                          ::testing::ValuesIn(PropertySeeds()));
 
+// However long the word sum defers its carries, none is lost: 1 MiB of 0xff
+// bytes puts every 32-bit half at its largest.  Summed at an even and an odd
+// address, as one Add and as more than 65,536 Adds of 1-3 bytes.
+TEST(ChecksumTest, NoCarryLostOverAMebibyteOfOnes) {
+  const size_t len = (size_t{1} << 20) + 3;
+  std::vector<uint8_t> storage(len + 1, 0xff);
+  Rng rng(7);
+  for (size_t offset : {0, 1}) {
+    SCOPED_TRACE(::testing::Message() << "offset " << offset);
+    const uint8_t* data = storage.data() + offset;
+    const uint16_t want = ReferenceChecksum(data, len);
+    EXPECT_EQ(want, InetChecksumOf(data, len));
+    InetChecksum pieces;
+    size_t adds = 0;
+    for (size_t at = 0; at < len; ++adds) {
+      size_t n = std::min<size_t>(rng.Range(1, 3), len - at);
+      pieces.Add(data + at, n);
+      at += n;
+    }
+    EXPECT_GT(adds, 65536u);
+    EXPECT_EQ(want, pieces.Finish());
+  }
+}
+
 std::vector<uint8_t> Pattern(size_t n, uint8_t salt) {
   std::vector<uint8_t> v(n);
   for (size_t i = 0; i < n; ++i) {

@@ -8,11 +8,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,21 +19,10 @@
 #include "src/machine/machine.h"
 #include "src/machine/switch.h"
 
-// Calls to the global operator new in this test binary, so the clock tests
-// can show that scheduling and running an event allocates nothing.
-static std::atomic<size_t> g_new_calls{0};
-
-void* operator new(std::size_t n) {
-  g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Calls to the global operator new in this test binary (tests/new_counter.cc),
+// so the clock tests can show that scheduling and running an event allocates
+// nothing.
+size_t GlobalNewCalls();
 
 namespace oskit {
 namespace {
@@ -234,11 +220,11 @@ TEST(ClockTest, EventsAllocateNothingOnceTheTablesHaveGrown) {
     }
   };
   schedule_batch();  // grows the slot table, heap and free list
-  size_t before = g_new_calls.load();
+  size_t before = GlobalNewCalls();
   for (int round = 0; round < 20; ++round) {
     schedule_batch();
   }
-  EXPECT_EQ(before, g_new_calls.load());
+  EXPECT_EQ(before, GlobalNewCalls());
   EXPECT_EQ(21u * 200u * 6u, sum);
 }
 
@@ -1013,11 +999,11 @@ TEST_F(WireFixture, SwitchForwardsWithoutAllocatingOnceWarm) {
     }
   };
   burst();  // grows the frame pool, the MAC table and the clock's tables
-  size_t before = g_new_calls.load();
+  size_t before = GlobalNewCalls();
   for (int round = 0; round < 20; ++round) {
     burst();
   }
-  EXPECT_EQ(before, g_new_calls.load());
+  EXPECT_EQ(before, GlobalNewCalls());
   EXPECT_EQ(0u, sw.frames_outstanding());
   EXPECT_EQ(21u * 100u * 2u * frame.size(), b.bytes);
   EXPECT_EQ(b.bytes, c.bytes);
@@ -1063,6 +1049,76 @@ TEST_F(WireFixture, SwitchFloodsForAStationItsFullTableCannotLearn) {
   ASSERT_EQ(1u, bystander.frames.size());
   EXPECT_EQ(0, memcmp(bystander.frames[0].data(), reply, sizeof(reply)));
   EXPECT_EQ(2u, stations.frames.size());  // one unicast, one flooded
+}
+
+// A unicast frame for 02:00:00:00:00:<station> from station 9.
+std::vector<uint8_t> UnicastTo(uint8_t station) {
+  std::vector<uint8_t> frame(60, 0);
+  frame[0] = 2;
+  frame[5] = station;
+  frame[6] = 2;
+  frame[11] = 9;
+  return frame;
+}
+
+TEST_F(WireFixture, SwitchMovesAStationThatAppearsOnAnotherPort) {
+  SimClock clock;
+  VirtualSwitch sw(&clock, VirtualSwitch::Config{});
+  Sink old_port;
+  Sink new_port;
+  Sink peer;
+  sw.Attach(&old_port);
+  sw.Attach(&new_port);
+  sw.Attach(&peer);
+  const std::vector<uint8_t> hello = StationFrame(1, 0);
+  SendFrame(sw, &old_port, hello.data(), hello.size());
+  SendFrame(sw, &new_port, hello.data(), hello.size());
+  while (clock.RunOne()) {
+  }
+  EXPECT_EQ(1u, sw.macs_learned());
+  EXPECT_EQ(1u, sw.mac_moves());
+
+  // Frames for the station now leave by its new port alone.
+  old_port.frames.clear();
+  new_port.frames.clear();
+  const std::vector<uint8_t> reply = UnicastTo(1);
+  SendFrame(sw, &peer, reply.data(), reply.size());
+  while (clock.RunOne()) {
+  }
+  EXPECT_EQ(1u, sw.frames_unicast());
+  EXPECT_TRUE(old_port.frames.empty());
+  ASSERT_EQ(1u, new_port.frames.size());
+  EXPECT_EQ(reply, new_port.frames[0]);
+}
+
+TEST_F(WireFixture, SwitchFiltersAFrameForItsOwnIngressSegment) {
+  SimClock clock;
+  VirtualSwitch sw(&clock, VirtualSwitch::Config{});
+  Sink segment;  // stations 1 and 9 both sit behind this port
+  Sink b;
+  Sink c;
+  sw.Attach(&segment);
+  sw.Attach(&b);
+  sw.Attach(&c);
+  const std::vector<uint8_t> hello = StationFrame(1, 0);
+  SendFrame(sw, &segment, hello.data(), hello.size());
+  while (clock.RunOne()) {
+  }
+  b.frames.clear();
+  c.frames.clear();
+
+  // Station 9 writes to station 1 on the same segment: the switch drops the
+  // frame instead of echoing it back or flooding it.
+  const std::vector<uint8_t> local = UnicastTo(1);
+  SendFrame(sw, &segment, local.data(), local.size());
+  while (clock.RunOne()) {
+  }
+  EXPECT_EQ(1u, sw.frames_filtered());
+  EXPECT_EQ(0u, sw.frames_unicast());
+  EXPECT_EQ(1u, sw.frames_flooded());  // the hello only
+  EXPECT_TRUE(segment.frames.empty());
+  EXPECT_TRUE(b.frames.empty());
+  EXPECT_TRUE(c.frames.empty());
 }
 
 TEST(DiskTest, ReadWriteWithCompletionIrq) {

@@ -74,12 +74,14 @@ TEST_P(PosixNetTest, TtcpStyleTransferThroughPosixCalls) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Stacks, PosixNetTest,
-                         ::testing::Values(NetConfig::kOskit, NetConfig::kNativeBsd,
-                                           NetConfig::kNativeLinux),
+                         ::testing::Values(NetConfig::kOskit, NetConfig::kOskitNapi,
+                                           NetConfig::kNativeBsd, NetConfig::kNativeLinux),
                          [](const ::testing::TestParamInfo<NetConfig>& info) {
                            switch (info.param) {
                              case NetConfig::kOskit:
                                return "oskit";
+                             case NetConfig::kOskitNapi:
+                               return "oskit_napi";
                              case NetConfig::kNativeBsd:
                                return "bsd";
                              case NetConfig::kNativeLinux:
