@@ -9,6 +9,13 @@ namespace oskit::freebsddev {
 namespace {
 // How often the RX watchdog looks for frames stranded by a lost interrupt.
 constexpr uint64_t kRxWatchdogNs = 10 * 1000 * 1000;  // 10 ms
+
+// The release hook of a grafted RX buffer: the last free of its mbufs
+// returns it to the NIC's free list, whether or not the NIC is still there.
+void ReleaseRxBuffer(void* ctx, uint8_t* /*buf*/, size_t /*size*/) {
+  delete static_cast<NicHw::RxBuffer*>(ctx);
+}
+
 }  // namespace
 
 BsdEtherDriver::BsdEtherDriver(const FdevEnv& env, NicHw* hw, net::NetStack* stack)
@@ -81,19 +88,19 @@ void BsdEtherDriver::Output(net::MBuf* frame) {
 
 void BsdEtherDriver::Interrupt() {
   while (hw_->RxPending()) {
-    size_t frame_len = hw_->RxFrameSize();
+    NicHw::RxBufferPtr rx = hw_->RxTake();
     if (fault_->ShouldFail("mbuf.rx_alloc")) {
-      // Receive-buffer exhaustion: drain the frame to the floor (the ring
-      // must advance) and count the drop; TCP above retransmits.
-      uint8_t scratch[kEtherMaxFrame];
-      hw_->RxDequeue(scratch);
+      // Receive-buffer exhaustion: the frame goes back to the NIC's free
+      // list (the ring has advanced) and the drop is counted; TCP above
+      // retransmits.
       ++rx_alloc_drops_;
       continue;
     }
-    net::MBuf* m = stack_->pool().GetCluster();
-    OSKIT_ASSERT(frame_len <= m->buf_size());
-    hw_->RxDequeue(m->data);
-    m->len = static_cast<uint32_t>(frame_len);
+    // Graft the NIC's buffer into an mbuf as external storage (BSD M_EXT):
+    // no cluster, no second copy.
+    net::MBuf* m =
+        stack_->pool().GetExternal(rx->bytes, rx->len, &ReleaseRxBuffer, rx.get());
+    rx.release();
     m->pkt_len = m->len;
     ++rx_frames_;
     stack_->EtherInputMbuf(ifindex_, m);

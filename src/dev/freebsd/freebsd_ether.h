@@ -4,7 +4,10 @@
 // Tables 1 and 2: it speaks mbufs natively on both paths, so there is no
 // buffer-model conversion and no COM boundary anywhere between TCP and the
 // wire.  Transmit hands the hardware the mbuf chain as a DMA gather list;
-// receive allocates a cluster mbuf and feeds the stack directly.
+// receive takes the NIC's own RX buffer and grafts it into an mbuf as
+// external storage (BSD M_EXT) whose release hook returns it to the NIC's
+// free list, so a frame reaches the stack with no cluster and no copy
+// after the NIC's DMA.
 //
 // Robustness: a chain with more fragments than the hardware has gather
 // descriptors is linearized through a bounce buffer instead of tripping an

@@ -68,9 +68,9 @@ void simnic_rx_one(linux_device* dev) {
   // lands 4-byte aligned past the 14-byte Ethernet header.
   sk_buff* skb = dev_alloc_skb(dev->kenv, frame_len + 2);
   if (skb == nullptr) {
-    // Out of memory: drop the frame (drain it so the ring advances).
-    uint8_t discard[oskit::kEtherMaxFrame];
-    hw->RxDequeue(discard);
+    // Out of memory: drop the frame (its buffer goes back, the ring
+    // advances).
+    hw->RxTake();
     dev->stats.rx_dropped += 1;
     return;
   }

@@ -27,6 +27,7 @@
 #include <memory>
 #include <string>
 
+#include "src/base/free_list.h"
 #include "src/com/device.h"
 #include "src/com/etherdev.h"
 #include "src/dev/fdev/fdev.h"
@@ -42,7 +43,12 @@ inline constexpr Guid kSkBuffIoImplIid =
     MakeGuid(0x7b331990, 0x0e01, 0x11d0, 0xa6, 0xbe, 0x00, 0xa0, 0xc9, 0x0a, 0x5f,
              0x40);
 
-class SkBuffIo final : public ComObject<SkBuffIo, BufIo, BlkIo> {
+// Free-list high-water mark of SkBuffIo wrappers, one per received frame:
+// the stack above keeps a wrapper while the frame's bytes sit in a socket.
+inline constexpr size_t kSkBuffIoCacheMax = 256;
+
+class SkBuffIo final : public ComObject<SkBuffIo, BufIo, BlkIo>,
+                       public FreeListed<SkBuffIo, kSkBuffIoCacheMax> {
  public:
   // Takes ownership of `skb`.
   SkBuffIo(const LinuxKernelEnv& kenv, sk_buff* skb) : kenv_(kenv), skb_(skb) {

@@ -115,23 +115,28 @@ void FiberScheduler::SwitchOut(Fiber* self) {
 
 void FiberScheduler::RunReady() {
   OSKIT_ASSERT_MSG(current_ == nullptr, "RunReady called from inside a fiber");
+  // A round runs, in order, the fibers queued before it began; the ones it
+  // queues wait for the next.  Both vectors keep their capacity, so a warm
+  // scheduler queues without allocating.
   while (!run_queue_.empty()) {
-    Fiber* next = run_queue_.front();
-    run_queue_.pop_front();
-    if (next->state_ != Fiber::State::kRunnable) {
-      continue;
-    }
-    SwitchTo(next);
-    if (next->state_ == Fiber::State::kDone) {
-      // Reap: fibers are few and short-lived enough for a linear sweep.
-      // The stack goes back to the cache, or past its high-water mark away.
-      if (g_stack_cache.stacks.size() < StackCache::kMax) {
-        g_stack_cache.stacks.push_back(next->stack_);
-      } else {
-        Unmap(next->stack_);
+    running_.swap(run_queue_);
+    for (Fiber* next : running_) {
+      if (next->state_ != Fiber::State::kRunnable) {
+        continue;
       }
-      std::erase_if(fibers_, [next](const auto& fiber) { return fiber.get() == next; });
+      SwitchTo(next);
+      if (next->state_ == Fiber::State::kDone) {
+        // Reap: fibers are few and short-lived enough for a linear sweep.
+        // The stack goes back to the cache, or past its high-water mark away.
+        if (g_stack_cache.stacks.size() < StackCache::kMax) {
+          g_stack_cache.stacks.push_back(next->stack_);
+        } else {
+          Unmap(next->stack_);
+        }
+        std::erase_if(fibers_, [next](const auto& fiber) { return fiber.get() == next; });
+      }
     }
+    running_.clear();
   }
 }
 

@@ -22,7 +22,6 @@
 #include <ucontext.h>
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -110,7 +109,8 @@ class FiberScheduler {
   size_t scheduler_stack_size_ = 0;
   void* scheduler_fake_stack_ = nullptr;
   Fiber* current_ = nullptr;
-  std::deque<Fiber*> run_queue_;
+  std::vector<Fiber*> run_queue_;  // FIFO: the next round of RunReady
+  std::vector<Fiber*> running_;    // the round RunReady is running
   std::vector<std::unique_ptr<Fiber>> fibers_;
   size_t live_count_ = 0;
 };

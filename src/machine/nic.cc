@@ -17,19 +17,24 @@ void NicHw::SetRxMitigation(const RxMitigation& mit) {
   }
 }
 
-size_t NicHw::RxDequeue(uint8_t* buf) {
-  OSKIT_ASSERT_MSG(!rx_ring_.empty(), "RX dequeue on empty ring");
-  const std::vector<uint8_t>& frame = rx_ring_.front();
-  size_t len = frame.size();
-  std::memcpy(buf, frame.data(), len);
-  rx_ring_.pop_front();
+NicHw::RxBufferPtr NicHw::RxTake() {
+  OSKIT_ASSERT_MSG(rx_count_ != 0, "RX dequeue on empty ring");
+  RxBufferPtr head = std::move(rx_ring_[rx_head_]);
+  rx_head_ = (rx_head_ + 1) % kRxRingCapacity;
+  --rx_count_;
   // A drained frame no longer needs announcing; without this clamp a
   // polled driver would see stale threshold IRQs for frames it already
   // consumed.
-  if (unannounced_ > rx_ring_.size()) {
-    unannounced_ = rx_ring_.size();
+  if (unannounced_ > rx_count_) {
+    unannounced_ = rx_count_;
   }
-  return len;
+  return head;
+}
+
+size_t NicHw::RxDequeue(uint8_t* buf) {
+  RxBufferPtr frame = RxTake();
+  std::memcpy(buf, frame->bytes, frame->len);
+  return frame->len;
 }
 
 bool NicHw::TxGate() {
@@ -64,20 +69,28 @@ void NicHw::FrameArrived(const uint8_t* frame, size_t len) {
   if (!AcceptsFrame(frame, len)) {
     return;
   }
-  if (rx_ring_.size() >= kRxRingCapacity) {
+  if (len > kEtherMaxFrame) {
+    ++rx_oversize_;  // a giant: no RX buffer holds it
+    return;
+  }
+  if (rx_count_ >= kRxRingCapacity) {
     ++rx_overruns_;
     return;
   }
   ++rx_frames_;
-  rx_ring_.emplace_back(frame, frame + len);
+  // The NIC's DMA into its own buffer: the fabric's frame stays shared.
+  RxBufferPtr rx(new RxBuffer);
+  std::memcpy(rx->bytes, frame, len);
+  rx->len = static_cast<uint32_t>(len);
   if (len > kEtherHeaderSize && fault_->ShouldFail("nic.rx.corrupt")) {
     // Flip one payload byte past the header so the frame still reaches the
     // stack and the protocol checksums have to catch it.
-    std::vector<uint8_t>& stored = rx_ring_.back();
     size_t at = kEtherHeaderSize + fault_->rng().Below(len - kEtherHeaderSize);
-    stored[at] ^= 0xff;
+    rx->bytes[at] ^= 0xff;
     ++rx_corrupted_;
   }
+  rx_ring_[(rx_head_ + rx_count_) % kRxRingCapacity] = std::move(rx);
+  ++rx_count_;
   ++rx_coalesce_frames_;
   if (!rx_interrupt_enabled_) {
     // The driver is polling with interrupts masked: the frame sits in the
@@ -91,7 +104,7 @@ void NicHw::FrameArrived(const uint8_t* frame, size_t len) {
     RaiseRxIrq();
     return;
   }
-  if (rx_ring_.size() >= kRxRingFallback) {
+  if (rx_count_ >= kRxRingFallback) {
     ++rx_coalesce_ring_;
     RaiseRxIrq();
     return;

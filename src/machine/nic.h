@@ -4,7 +4,18 @@
 // it exposes register-style programmed I/O — RX ring status, RX dequeue, TX
 // start from one gather descriptor list (a contiguous frame is a list of
 // one) — and raises its IRQ when a frame for this station arrives.  It does
-// hardware-level destination filtering (own MAC and broadcast).
+// hardware-level destination filtering (own MAC and broadcast), and drops
+// and counts a frame longer than kEtherMaxFrame, which no RX buffer holds.
+//
+// Receive memory: the RX ring is a fixed ring of NIC-owned RX buffers, each
+// kEtherMaxFrame bytes, drawn from a per-thread free list
+// (src/base/free_list.h, high-water mark kRxBufferCacheMax).  FrameArrived
+// copies the fabric's shared frame into one once — the NIC's DMA, and the
+// only copy nic.rx.corrupt flips a byte in.  A driver either copies the head frame
+// out (RxDequeue: the Linux driver's skbuff) or takes the buffer itself
+// (RxTake: the BSD driver grafts it into an mbuf as external storage).  A
+// taken buffer belongs to its holder, may outlive the NIC, and goes back to
+// the free list when deleted.
 //
 // Interrupt mitigation: the RX IRQ is governed by coalescing "registers"
 // (RxMitigation).  The IRQ fires when `frame_threshold` frames have arrived
@@ -32,10 +43,11 @@
 #ifndef OSKIT_SRC_MACHINE_NIC_H_
 #define OSKIT_SRC_MACHINE_NIC_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <vector>
+#include <memory>
 
+#include "src/base/free_list.h"
 #include "src/com/etherdev.h"
 #include "src/fault/fault.h"
 #include "src/machine/clock.h"
@@ -51,6 +63,16 @@ class NicHw final : public WireEndpoint {
   static constexpr size_t kRxRingCapacity = 64;
   // Ring occupancy that raises the IRQ whatever the mitigation registers say.
   static constexpr size_t kRxRingFallback = kRxRingCapacity * 3 / 4;
+  // Free-list high-water mark of the RX buffers, shared by every NIC on the
+  // thread.
+  static constexpr size_t kRxBufferCacheMax = 256;
+
+  // One received frame in NIC-owned memory.
+  struct RxBuffer : FreeListed<RxBuffer, kRxBufferCacheMax> {
+    uint32_t len = 0;
+    uint8_t bytes[kEtherMaxFrame];
+  };
+  using RxBufferPtr = std::unique_ptr<RxBuffer>;
 
   // RX interrupt coalescing registers (see file comment).  Defaults model
   // the 1997 hardware: every frame announces itself.
@@ -76,12 +98,20 @@ class NicHw final : public WireEndpoint {
   const RxMitigation& rx_mitigation() const { return mit_; }
 
   // ---- Driver-facing "registers" ----
-  bool RxPending() const { return !rx_ring_.empty(); }
-  size_t RxFrameSize() const { return rx_ring_.empty() ? 0 : rx_ring_.front().size(); }
+  bool RxPending() const { return rx_count_ != 0; }
+  size_t RxFrameSize() const { return rx_count_ == 0 ? 0 : rx_ring_[rx_head_]->len; }
+
+  // Hands the head RX buffer to the caller and advances the ring.
+  RxBufferPtr RxTake();
 
   // Copies the head RX frame into `buf` (must hold RxFrameSize() bytes) and
   // advances the ring.  Returns the frame length.
   size_t RxDequeue(uint8_t* buf);
+
+  // RX buffers taken on this thread and not yet deleted, in rings or held.
+  static size_t rx_buffers_outstanding() {
+    return FreeList<RxBuffer, kRxBufferCacheMax>::outstanding();
+  }
 
   // Starts transmission of a complete Ethernet frame (header + payload),
   // described as a DMA-gather descriptor list that goes to the wire-side
@@ -95,6 +125,7 @@ class NicHw final : public WireEndpoint {
   // Statistics.
   uint64_t rx_frames() const { return rx_frames_; }
   uint64_t rx_overruns() const { return rx_overruns_; }
+  uint64_t rx_oversize() const { return rx_oversize_; }
   uint64_t tx_frames() const { return tx_frames_; }
   uint64_t tx_dropped() const { return tx_dropped_; }
   uint64_t rx_corrupted() const { return rx_corrupted_; }
@@ -130,9 +161,12 @@ class NicHw final : public WireEndpoint {
   RxMitigation mit_;
   size_t unannounced_ = 0;  // frames enqueued since the last IRQ
   SimClock::EventId holdoff_event_ = SimClock::kInvalidEvent;
-  std::deque<std::vector<uint8_t>> rx_ring_;
+  std::array<RxBufferPtr, kRxRingCapacity> rx_ring_;
+  size_t rx_head_ = 0;   // slot of the oldest frame
+  size_t rx_count_ = 0;  // frames in the ring
   uint64_t rx_frames_ = 0;
   uint64_t rx_overruns_ = 0;
+  uint64_t rx_oversize_ = 0;
   uint64_t tx_frames_ = 0;
   uint64_t tx_dropped_ = 0;
   uint64_t rx_corrupted_ = 0;

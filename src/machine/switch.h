@@ -28,8 +28,9 @@
 // one) and built once, into a refcounted buffer from the switch's own pool;
 // every egress port and every duplicate delivers that same buffer, and the
 // last delivery returns it to the pool.  Receivers see it as const bytes
-// for the length of FrameArrived and copy what they keep (the NIC's RX
-// ring does).
+// for the length of FrameArrived and copy what they keep: the NIC copies
+// it once into an RX buffer of its own (nic.h), which a native BSD driver
+// then grafts into an mbuf without copying again.
 
 #ifndef OSKIT_SRC_MACHINE_SWITCH_H_
 #define OSKIT_SRC_MACHINE_SWITCH_H_

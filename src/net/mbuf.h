@@ -3,10 +3,11 @@
 // The FreeBSD-derived stack's internal buffer abstraction — small fixed-size
 // buffers chained into packets, with large payloads held in shared,
 // reference-counted "clusters" or in external storage owned by someone else
-// (that external form is how a received Linux skbuff is grafted into an mbuf
-// without copying).  The implementation details of mbufs are "thoroughly
-// known throughout" the BSD-idiom code in src/net, exactly as the paper
-// describes, and are hidden from everything outside it by the BufIo glue.
+// (that external form is how a received Linux skbuff, or a native NIC's RX
+// buffer, is grafted into an mbuf without copying).  The implementation
+// details of mbufs are "thoroughly known throughout" the BSD-idiom code in
+// src/net, exactly as the paper describes, and are hidden from everything
+// outside it by the BufIo glue.
 
 #ifndef OSKIT_SRC_NET_MBUF_H_
 #define OSKIT_SRC_NET_MBUF_H_

@@ -20,16 +20,26 @@
 // OSKit receive bandwidth match native FreeBSD.  The external storage's
 // context is the foreign object itself, and its address and length are the
 // window mapped at offset 0.
+//
+// One MbufBufIo is made per transmitted frame, from a per-thread free list
+// (src/base/free_list.h), so a warm stack wraps packets without a malloc
+// call.
 
 #ifndef OSKIT_SRC_NET_MBUF_BUFIO_H_
 #define OSKIT_SRC_NET_MBUF_BUFIO_H_
 
+#include "src/base/free_list.h"
 #include "src/com/bufio.h"
 #include "src/net/mbuf.h"
 
 namespace oskit::net {
 
-class MbufBufIo final : public ComObject<MbufBufIo, BufIoVec, BufIo, BlkIo> {
+// Free-list high-water mark of MbufBufIo wrappers, one per transmitted
+// frame and most often gone when NetIo::Push returns.
+inline constexpr size_t kMbufBufIoCacheMax = 64;
+
+class MbufBufIo final : public ComObject<MbufBufIo, BufIoVec, BufIo, BlkIo>,
+                        public FreeListed<MbufBufIo, kMbufBufIoCacheMax> {
  public:
   // Takes ownership of `chain`; it returns to `pool` when the object dies.
   static ComPtr<MbufBufIo> Wrap(MbufPool* pool, MBuf* chain);

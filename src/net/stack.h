@@ -744,6 +744,7 @@ class NetStack {
   };
   bool rx_batch_active_ = false;
   std::vector<RxBatchEntry> rx_batch_;
+  std::vector<RxBatchEntry> rx_batch_spare_;  // what EndRxBatch walks
 
   // RX-charge helper shared by TCP and UDP delivery: resolves the owner
   // socket, consults accounting_, and books into the pcb fields.  Returns

@@ -913,18 +913,19 @@ void NetStack::EndRxBatch() {
     return;
   }
   ++counters_.tcp_rx_batches;
-  std::vector<RxBatchEntry> deferred;
-  deferred.swap(rx_batch_);
+  // Swapping with a spare keeps both vectors' capacity: no batch allocates.
+  rx_batch_spare_.swap(rx_batch_);
   // Entries are live: TcpCloseDone and TcpTimeWaitClose scrub a dying
   // connection out of the pending batch, so input inside the bracket cannot
   // leave a dangling deferral.
-  for (const RxBatchEntry& entry : deferred) {
+  for (const RxBatchEntry& entry : rx_batch_spare_) {
     ++counters_.tcp_batched_outputs;
     if (TcpPcb* pcb = entry.conn.pcb()) {
       TcpOutput(pcb, entry.force_ack);
       TcpRetireTimeWait(pcb);
     }
   }
+  rx_batch_spare_.clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 // Encapsulated-driver tests (§3.6, §4.7): the Linux-idiom Ethernet driver
 // and its glue (zero-copy vs copy transmit paths), the Linux-idiom IDE
 // driver behind BlkIo (sleep/wakeup through the osenv), the FreeBSD-idiom
-// tty with clists, skbuff primitives, and the fdev registry where drivers
-// from both donor systems coexist.
+// tty with clists, skbuff primitives, the fdev registry where drivers
+// from both donor systems coexist, and the NIC's RX buffers on their way to
+// either stack.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "src/com/memblkio.h"
 #include "src/dev/freebsd/freebsd_char.h"
@@ -15,7 +20,11 @@
 #include "src/fs/ffs.h"
 #include "src/fs/fsck.h"
 #include "src/net/mbuf_bufio.h"
+#include "src/testbed/testbed.h"
 #include "tests/bounds_abuse.h"
+
+// Calls to the global operator new in this test binary (tests/new_counter.cc).
+size_t GlobalNewCalls();
 
 namespace oskit {
 namespace {
@@ -723,6 +732,160 @@ TEST_F(DriverTest, ClistQueuesArbitraryBytes) {
     ASSERT_EQ(i & 0xff, clist.Getc());
   }
   EXPECT_EQ(-1, clist.Getc());
+}
+
+// ---- NIC RX buffers: the BSD graft, their lifetime, and giant frames ----
+
+using testbed::Host;
+using testbed::NetConfig;
+using testbed::World;
+
+NicHw& NicOf(Host& host) { return *host.machine->nics()[0]; }
+
+// Streams `total` bytes from host 1 to host 0.  The receiver reads them all
+// and calls `progress` with the running count after every read.
+void StreamToHost0(World& world, size_t total,
+                   const std::function<void(size_t)>& progress) {
+  constexpr uint16_t kPort = 5001;
+  Host& receiver = world.host(0);
+  Host& sender = world.host(1);
+  world.sim().Spawn("receiver", [&] {
+    ComPtr<Socket> listener = receiver.MakeSocket(SockType::kStream);
+    ASSERT_EQ(Error::kOk, listener->Bind(SockAddr{kInetAny, kPort}));
+    ASSERT_EQ(Error::kOk, listener->Listen(1));
+    SockAddr peer;
+    ComPtr<Socket> conn;
+    ASSERT_EQ(Error::kOk, listener->Accept(&peer, conn.Receive()));
+    std::vector<uint8_t> buf(8192);
+    size_t got = 0;
+    for (;;) {
+      size_t n = 0;
+      ASSERT_EQ(Error::kOk, conn->Recv(buf.data(), buf.size(), &n));
+      if (n == 0) {
+        break;  // EOF
+      }
+      got += n;
+      progress(got);
+    }
+    EXPECT_EQ(total, got);
+  });
+  world.sim().Spawn("sender", [&] {
+    ComPtr<Socket> conn = sender.MakeSocket(SockType::kStream);
+    ASSERT_EQ(Error::kOk, conn->Connect(SockAddr{receiver.addr, kPort}));
+    std::vector<uint8_t> buf(4096, 0x5a);
+    for (size_t sent = 0; sent < total; sent += buf.size()) {
+      size_t actual = 0;
+      ASSERT_EQ(Error::kOk, conn->Send(buf.data(), buf.size(), &actual));
+      ASSERT_EQ(buf.size(), actual);
+    }
+  });
+  world.RunToCompletion();
+}
+
+TEST(RxBufferTest, WarmBsdOskitTransferAllocatesNothingPerFrame) {
+  // Both ways round: data frames take the BSD graft one way and the Linux
+  // glue's wrappers the other, and the ACKs take the other path.
+  for (auto [rx, tx] : {std::pair{NetConfig::kNativeBsd, NetConfig::kOskit},
+                        std::pair{NetConfig::kOskit, NetConfig::kNativeBsd}}) {
+    World world;
+    world.AddHost("rx", rx);
+    world.AddHost("tx", tx);
+    struct Mark {
+      size_t news;
+      uint64_t frames;
+    };
+    auto mark = [&] {
+      return Mark{GlobalNewCalls(), NicOf(world.host(0)).rx_frames() +
+                                        NicOf(world.host(1)).rx_frames()};
+    };
+    constexpr size_t kWarm = 256 * 1024;
+    constexpr size_t kMeasured = 1024 * 1024;
+    std::optional<Mark> warm, end;
+    StreamToHost0(world, kWarm + kMeasured + kWarm, [&](size_t got) {
+      if (got >= kWarm && !warm) {
+        warm = mark();
+      }
+      if (got >= kWarm + kMeasured && !end) {
+        end = mark();
+      }
+    });
+    ASSERT_TRUE(end.has_value());
+    EXPECT_GT(end->frames - warm->frames, 700u);
+    EXPECT_EQ(warm->news, end->news)
+        << "operator new calls over " << end->frames - warm->frames << " frames";
+  }
+}
+
+TEST(RxBufferTest, WorldTornDownWithGraftedFramesUnreadReturnsEveryBuffer) {
+  const size_t before = NicHw::rx_buffers_outstanding();
+  {
+    World world;
+    world.AddHost("rx", NetConfig::kNativeBsd);
+    world.AddHost("tx", NetConfig::kOskit);
+    constexpr uint16_t kPort = 5002;
+    world.sim().Spawn("receiver", [&] {
+      ComPtr<Socket> listener = world.host(0).MakeSocket(SockType::kStream);
+      ASSERT_EQ(Error::kOk, listener->Bind(SockAddr{kInetAny, kPort}));
+      ASSERT_EQ(Error::kOk, listener->Listen(1));
+      SockAddr peer;
+      ComPtr<Socket> conn;
+      ASSERT_EQ(Error::kOk, listener->Accept(&peer, conn.Receive()));
+      // Let the data land, then close without reading: the connection
+      // lingers in the stack with its receive buffer full of grafts.
+      world.sim().SleepFor(kNsPerSec);
+    });
+    world.sim().Spawn("sender", [&] {
+      ComPtr<Socket> conn = world.host(1).MakeSocket(SockType::kStream);
+      ASSERT_EQ(Error::kOk, conn->Connect(SockAddr{world.host(0).addr, kPort}));
+      std::vector<uint8_t> buf(16 * 1024, 0x5a);
+      size_t actual = 0;
+      ASSERT_EQ(Error::kOk, conn->Send(buf.data(), buf.size(), &actual));
+      ASSERT_EQ(buf.size(), actual);
+    });
+    world.RunToCompletion();
+    EXPECT_GE(NicHw::rx_buffers_outstanding() - before, 11u)
+        << "16 KiB of segments grafted and queued";
+  }
+  EXPECT_EQ(before, NicHw::rx_buffers_outstanding());
+}
+
+TEST(RxBufferTest, CorruptFrameGraftedOnBsdHostIsDroppedAndItsBufferReturns) {
+  fault::FaultEnv fenv(3);  // outlives the world whose NIC it is bound to
+  fault::FaultSpec once;
+  once.nth_call = 8;  // a full-size data segment of the stream
+  fenv.Arm("nic.rx.corrupt", once);
+  World world;
+  Host& rx = world.AddHost("rx", NetConfig::kNativeBsd);
+  world.AddHost("tx", NetConfig::kOskit);
+  NicOf(rx).SetFaultEnv(&fenv);
+  const size_t before = NicHw::rx_buffers_outstanding();
+  StreamToHost0(world, 64 * 1024, [](size_t) {});
+  EXPECT_EQ(1u, NicOf(rx).rx_corrupted());
+  EXPECT_EQ(1u, static_cast<uint64_t>(rx.stack->counters().tcp_bad_checksum));
+  EXPECT_EQ(0u, static_cast<uint64_t>(rx.stack->counters().ip_bad_checksum));
+  // Everything was read: every buffer, the corrupt one too, is back.
+  EXPECT_EQ(before, NicHw::rx_buffers_outstanding());
+}
+
+TEST(RxBufferTest, GiantFramesAreCountedAtTheNicAndNeverReachADriver) {
+  World world;
+  Host& bsd = world.AddHost("bsd", NetConfig::kNativeBsd);
+  Host& glue = world.AddHost("glue", NetConfig::kOskit);
+  for (Host* host : {&bsd, &glue}) {
+    NicHw& nic = NicOf(*host);
+    for (size_t len : {kEtherMaxFrame + 1, size_t{3000}}) {
+      // Addressed to the station, as an attached endpoint may hand it.
+      std::vector<uint8_t> frame(len, 0x45);
+      std::memcpy(frame.data(), nic.mac().bytes, kEtherAddrSize);
+      nic.FrameArrived(frame.data(), frame.size());
+    }
+    EXPECT_EQ(2u, nic.rx_oversize());
+    EXPECT_EQ(0u, nic.rx_frames());
+    EXPECT_FALSE(nic.RxPending());
+  }
+  world.RunToCompletion();
+  EXPECT_EQ(0u, bsd.bsd_driver->rx_frames());
+  EXPECT_EQ(0u, glue.ether_dev->device_stats().rx_packets);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
-// The replaced global operator new/delete that machine_test counts
-// allocations with.  They live in a translation unit of their own: where a
-// caller could inline the replaced delete, gcc sees std::free run on a
-// pointer from operator new and warns (-Wmismatched-new-delete).
+// The replaced global operator new/delete that machine_test and driver_test
+// count allocations with.  They live in a translation unit of their own:
+// where a caller could inline the replaced delete, gcc sees std::free run on
+// a pointer from operator new and warns (-Wmismatched-new-delete).  The
+// nothrow form is replaced too (std::stable_sort's buffer takes it), so
+// every block the replaced delete frees came from malloc.
 
 #include <atomic>
 #include <cstdlib>
@@ -20,5 +22,11 @@ void* operator new(std::size_t n) {
   return p;
 }
 
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
