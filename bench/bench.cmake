@@ -21,7 +21,6 @@ target_compile_definitions(fig_footprint PRIVATE
 oskit_bench(fig_javapc)
 oskit_bench(napi_rx)
 oskit_bench(c10k)
-oskit_bench(ablation_glue)
 oskit_bench(ablation_alloc)
 oskit_bench(ablation_bufio)
 oskit_bench(fault_campaign)

@@ -60,7 +60,6 @@ run_bench c10k             --hosts 4 --per-host 150 --json "$BENCH_DIR/BENCH_c10
 run_bench table3_sizes   --json "$BENCH_DIR/BENCH_size.json"
 run_bench fig_footprint
 run_bench fig_javapc
-run_bench ablation_glue    4000 --json "$BENCH_DIR/BENCH_trace.json"
 run_bench ablation_alloc   --benchmark_min_time=0.02
 run_bench ablation_bufio   --benchmark_min_time=0.02
 run_bench fault_campaign   --seeds 8 --json "$BENCH_DIR/BENCH_fault.json"

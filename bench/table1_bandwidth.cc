@@ -292,6 +292,7 @@ int main(int argc, char** argv) {
       .Set("checks.flatten_send_ratio", flatten_send_ratio)
       .Set("checks.sg_send_ratio", sg_send_ratio)
       .Set("checks.sg_copied_per_byte", sg.CopiedPerByte())
+      .Set("checks.sg_frames", sg.sg_frames)
       .Set("checks.flatten_copied_per_byte", flatten.CopiedPerByte());
   return report.Finish();
 }

@@ -106,7 +106,8 @@ int main(int argc, char** argv) {
                "glue code)",
                overhead, kRounds);
   std::printf("The delta is the COM boundary crossings, bufio conversions and "
-              "emulated-process glue per packet (see bench/ablation_glue).\n");
+              "emulated-process glue per packet (the client counter snapshots "
+              "below).\n");
   std::printf("Note: the coalesced+polled row pays the 1 ms holdoff per "
               "1-byte exchange (%.1fx the per-frame OSKit RTT) — interrupt "
               "mitigation trades ping-pong latency for throughput-side IRQ "

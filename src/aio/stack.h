@@ -23,10 +23,10 @@
 //    cross-cycle integrity to the journal's own checksums, exactly the
 //    split the journal format already implements.
 //
-// WrapSyncRing adapts any plain BlkIo to the BlkIoRing interface by
-// executing submissions eagerly, so ring consumers (the journal's batched
-// commit) work over every device; devices with a native ring (the IDE glue)
-// are preferred by querying the device first.
+// SyncRingAdapter::Wrap adapts any plain BlkIo to the BlkIoRing interface
+// by executing submissions eagerly, in submission order, so ring consumers
+// (the journal's batched commit) work over every device; devices with a
+// native ring (the IDE glue) are preferred by querying the device first.
 
 #ifndef OSKIT_SRC_AIO_STACK_H_
 #define OSKIT_SRC_AIO_STACK_H_

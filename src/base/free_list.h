@@ -3,11 +3,12 @@
 //
 // FreeList<T, kMax>::Take() returns the block this thread cached last, or a
 // fresh one from the heap; Give() caches a block, or hands it back to the
-// heap once kMax are cached (a fixed high-water mark, as MbufPool's is).  A
-// cached block is ASan-poisoned, so a touch through a stale pointer is still
-// a report although the bytes never went back to malloc.  A class whose
-// every `new` and `delete` should go through the list derives from
-// FreeListed<T, kMax>.
+// heap once kMax are cached (a fixed high-water mark, as BSD's mfree was).
+// A cached block is ASan-poisoned, so a touch through a stale pointer is
+// still a report although the bytes never went back to malloc.  A class
+// whose every `new` and `delete` should go through the list derives from
+// FreeListed<T, kMax>; MbufPool calls Take/Give for its mbufs, MExt headers
+// and clusters.
 //
 // The list is per thread, not per owner, like the fiber stack cache: a
 // block may outlive what made it (a NIC's receive buffer still queued in a

@@ -8,8 +8,8 @@
 // campaign's queue-depth sweep — submit several tagged SQEs at once and
 // reap completions in batches, letting a queue-depth-aware device schedule
 // the whole set per controller round-trip.  Devices that cannot reorder
-// simply don't export the interface; `aio::WrapSyncRing` adapts any plain
-// BlkIo so every existing device still composes.
+// simply don't export the interface; `aio::SyncRingAdapter::Wrap` adapts
+// any plain BlkIo so every existing device still composes.
 //
 // Contract:
 //  - Submit accepts up to `count` SQEs and reports how many were queued in

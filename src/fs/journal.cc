@@ -3,6 +3,7 @@
 #include <array>
 #include <cstring>
 
+#include "src/aio/stack.h"
 #include "src/base/digest.h"
 #include "src/base/panic.h"
 
@@ -220,6 +221,10 @@ JournalWriter::JournalWriter(ComPtr<BlkIo> device, uint32_t journal_start,
   OSKIT_ASSERT(region_ >= kMinJournalBlocks);
   barrier_ = ComPtr<BlkIoBarrier>::FromQuery(device_.get());
   ring_ = ComPtr<BlkIoRing>::FromQuery(device_.get());
+  if (!ring_) {
+    ring_ = ComPtr<BlkIoRing>::FromQuery(
+        aio::SyncRingAdapter::Wrap(device_.get()).get());
+  }
 }
 
 Error JournalWriter::Load() {
@@ -249,29 +254,12 @@ Error JournalWriter::WriteImages(
   uint32_t n = static_cast<uint32_t>(targets.size());
   IntegrityDigest payload;
 
-  if (!ring_) {
-    // Sequential fallback: one synchronous write per image.
-    uint8_t image[kBlockSize];
-    for (uint32_t i = 0; i < n; ++i) {
-      Error err = read_block(targets[i], image);
-      if (!Ok(err)) {
-        return err;
-      }
-      payload.Add(image, kBlockSize);
-      err = WriteRaw(next_pos_ + 1 + i, image);
-      if (!Ok(err)) {
-        return err;
-      }
-    }
-    *out_payload_checksum = payload.Finish();
-    return Error::kOk;
-  }
-
-  // Async ring: stage every image, then hand the device the whole run as
-  // one tagged submission batch.  The images land between barriers — the
-  // commit record's checksums tolerate any ordering the ring picks — and a
-  // contiguous run lets the device merge them into few controller round
-  // trips.  SQE buffers must stay valid until reaped, hence one flat arena.
+  // Stage every image, then hand the ring the whole run as one tagged
+  // submission batch.  The images land between barriers — the commit
+  // record's checksums tolerate any ordering the ring picks — and a
+  // contiguous run lets a scheduling device merge them into few controller
+  // round trips; the sync adapter writes them in ascending order.  SQE
+  // buffers must stay valid until reaped, hence one flat arena.
   std::vector<uint8_t> images(static_cast<size_t>(n) * kBlockSize);
   std::vector<AioSqe> sqes(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -289,11 +277,15 @@ Error JournalWriter::WriteImages(
     sqes[i].tag = i;
   }
 
+  // After a failed image nothing more is submitted, but every completion
+  // already in flight is reaped, so none is left for the next commit to
+  // take as its own.
   size_t submitted = 0;
   size_t reaped = 0;
-  while (reaped < n) {
+  Error failed = Error::kOk;
+  while (reaped < (Ok(failed) ? n : submitted)) {
     size_t accepted = 0;
-    if (submitted < n) {
+    if (Ok(failed) && submitted < n) {
       Error err = ring_->Submit(sqes.data() + submitted, n - submitted,
                                 &accepted);
       if (!Ok(err)) {
@@ -311,11 +303,14 @@ Error JournalWriter::WriteImages(
       return Error::kIo;  // ring wedged: accepting nothing, completing nothing
     }
     for (size_t i = 0; i < got; ++i) {
-      if (!Ok(cqes[i].status) || cqes[i].actual != kBlockSize) {
-        return Ok(cqes[i].status) ? Error::kIo : cqes[i].status;
+      if (Ok(failed) && (!Ok(cqes[i].status) || cqes[i].actual != kBlockSize)) {
+        failed = Ok(cqes[i].status) ? Error::kIo : cqes[i].status;
       }
     }
     reaped += got;
+  }
+  if (!Ok(failed)) {
+    return failed;
   }
   *out_payload_checksum = payload.Finish();
   return Error::kOk;

@@ -129,15 +129,12 @@ class JournalWriter {
   uint64_t next_seq() const { return next_seq_; }
   uint32_t next_pos() const { return next_pos_; }
 
-  // True when the device granted BlkIoRing and commits batch their image
-  // writes through it (diagnostics / tests).
-  bool async() const { return static_cast<bool>(ring_); }
-
  private:
   Error WriteRaw(uint32_t region_block, const void* data);
   // The transaction's n images as one submission batch: a ring-capable
   // device schedules the whole contiguous run per controller round-trip.
-  // Falls back to sequential writes when the device has no ring.
+  // A device that grants no BlkIoRing is wrapped once, at construction, in
+  // aio::SyncRingAdapter, which writes the batch in submission order.
   Error WriteImages(const std::vector<uint32_t>& targets,
                     const std::function<Error(uint32_t, uint8_t*)>& read_block,
                     uint64_t* out_payload_checksum);

@@ -79,13 +79,12 @@ struct Framing {
   bool reject_te = false;
 };
 
-// Splits the header lines (each CRLF-terminated) into `headers` and resolves
-// framing.  Shared by both head parsers; nullptr on success or a static
-// error reason.
-const char* ParseFields(
-    std::string_view fields, size_t max_headers,
-    std::vector<std::pair<std::string, std::string>>* headers,
-    Framing* framing) {
+// Validates the header lines (each CRLF-terminated), counts them against
+// `max_headers` and resolves framing; no header is kept.  Shared by both
+// head parsers; nullptr on success or a static error reason.
+const char* ParseFields(std::string_view fields, size_t max_headers,
+                        Framing* framing) {
+  size_t count = 0;
   while (!fields.empty()) {
     size_t eol = fields.find("\r\n");  // the head's framing guarantees one
     std::string_view line = fields.substr(0, eol);
@@ -106,7 +105,7 @@ const char* ParseFields(
         return "header value has control character";
       }
     }
-    if (headers->size() >= max_headers) {
+    if (++count > max_headers) {
       return "too many headers";
     }
     if (EqualsIgnoreCase(name, "content-length")) {
@@ -128,7 +127,6 @@ const char* ParseFields(
         framing->keep_alive = true;
       }
     }
-    headers->emplace_back(name, value);
   }
   return nullptr;
 }
@@ -167,8 +165,7 @@ const char* ParseHead(std::string_view line, std::string_view fields,
   req->method = method;
   req->target = target;
   Framing framing{.keep_alive = req->version_minor >= 1};  // 1.0 defaults off
-  if (const char* reason =
-          ParseFields(fields, max_headers, &req->headers, &framing)) {
+  if (const char* reason = ParseFields(fields, max_headers, &framing)) {
     return reason;
   }
   if (framing.reject_te) {
@@ -199,12 +196,8 @@ const char* ParseHead(std::string_view line, std::string_view fields,
     return "malformed status code";
   }
   resp->status = static_cast<int>(code);
-  if (sp2 != std::string_view::npos) {
-    resp->reason = line.substr(sp2 + 1);
-  }
   Framing framing{.keep_alive = resp->version_minor >= 1};
-  if (const char* reason =
-          ParseFields(fields, max_headers, &resp->headers, &framing)) {
+  if (const char* reason = ParseFields(fields, max_headers, &framing)) {
     return reason;
   }
   if (framing.reject_te || framing.content_length == kNoLength) {
@@ -214,17 +207,6 @@ const char* ParseHead(std::string_view line, std::string_view fields,
   }
   resp->keep_alive = framing.keep_alive;
   *body_len = framing.content_length;
-  return nullptr;
-}
-
-const std::string* FindHeader(
-    const std::vector<std::pair<std::string, std::string>>& headers,
-    const char* name) {
-  for (const auto& [n, v] : headers) {
-    if (EqualsIgnoreCase(n, name)) {
-      return &v;
-    }
-  }
   return nullptr;
 }
 
@@ -241,14 +223,6 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
     }
   }
   return true;
-}
-
-const std::string* Request::Header(const char* name) const {
-  return FindHeader(headers, name);
-}
-
-const std::string* Response::Header(const char* name) const {
-  return FindHeader(headers, name);
 }
 
 // ---------------------------------------------------------------------------
@@ -393,9 +367,8 @@ const char* StatusReason(int status) {
   }
 }
 
-std::string FormatResponseHead(int status, const char* reason,
-                               size_t content_length, const char* content_type,
-                               bool keep_alive) {
+std::string FormatResponseHead(int status, size_t content_length,
+                               const char* content_type, bool keep_alive) {
   char head[256];
   std::snprintf(head, sizeof(head),
                 "HTTP/1.1 %d %s\r\n"
@@ -403,8 +376,7 @@ std::string FormatResponseHead(int status, const char* reason,
                 "Content-Length: %zu\r\n"
                 "Connection: %s\r\n"
                 "\r\n",
-                status, reason != nullptr ? reason : StatusReason(status),
-                content_type, content_length,
+                status, StatusReason(status), content_type, content_length,
                 keep_alive ? "keep-alive" : "close");
   return std::string(head);
 }

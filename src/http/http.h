@@ -17,7 +17,9 @@
 // Scope (what the flagship workload needs, nothing more): GET/HEAD/POST,
 // CRLF line discipline, Content-Length bodies, HTTP/1.0-vs-1.1 keep-alive
 // rules.  Transfer-Encoding is recognized and rejected (kError — the server
-// answers 501) rather than silently mis-framed.
+// answers 501) rather than silently mis-framed.  Header fields are validated
+// and counted against the limit but not kept: framing is all the server and
+// the load generators read from them.
 
 #ifndef OSKIT_SRC_HTTP_HTTP_H_
 #define OSKIT_SRC_HTTP_HTTP_H_
@@ -28,7 +30,6 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 namespace oskit::http {
 
@@ -37,12 +38,8 @@ struct Request {
   std::string target;   // raw request-target, query string included
   int version_major = 1;
   int version_minor = 1;
-  std::vector<std::pair<std::string, std::string>> headers;
   std::string body;      // Content-Length bytes, possibly empty
   bool keep_alive = true;
-
-  // Case-insensitive header lookup; nullptr when absent.
-  const std::string* Header(const char* name) const;
 };
 
 enum class ParseStatus {
@@ -55,14 +52,10 @@ enum class ParseStatus {
 // Content-Length body responses (exactly what the server emits).
 struct Response {
   int status = 0;
-  std::string reason;
   int version_major = 1;
   int version_minor = 1;
-  std::vector<std::pair<std::string, std::string>> headers;
   std::string body;
   bool keep_alive = true;
-
-  const std::string* Header(const char* name) const;
 };
 
 namespace internal {
@@ -137,17 +130,13 @@ class Framer {
 
 class RequestParser : private internal::Framer<Request> {
  public:
-  struct Limits {
-    size_t max_request_line = 4096;
-    size_t max_header_bytes = 16 * 1024;  // request line + all headers
-    size_t max_headers = 64;
-    size_t max_body = 1 << 20;
-  };
+  static constexpr size_t kMaxRequestLine = 4096;
+  static constexpr size_t kMaxHeaderBytes = 16 * 1024;  // line + headers
+  static constexpr size_t kMaxHeaders = 64;
+  static constexpr uint64_t kMaxBody = 1 << 20;
 
-  RequestParser() : RequestParser(Limits{}) {}
-  explicit RequestParser(const Limits& limits)
-      : Framer({limits.max_request_line, limits.max_header_bytes,
-                limits.max_headers, limits.max_body}) {}
+  RequestParser()
+      : Framer({kMaxRequestLine, kMaxHeaderBytes, kMaxHeaders, kMaxBody}) {}
 
   using Framer::Feed, Framer::status, Framer::error, Framer::pending_bytes,
       Framer::Reset;
@@ -166,12 +155,11 @@ class ResponseParser : private internal::Framer<Response> {
   Response TakeResponse() { return TakeMessage(); }
 };
 
-// Serializes a response head (status line + the standard header block +
-// blank line).  The caller appends the body itself — the server streams
-// file bodies in after the head.
-std::string FormatResponseHead(int status, const char* reason,
-                               size_t content_length, const char* content_type,
-                               bool keep_alive);
+// Serializes a response head (status line with the canonical reason + the
+// standard header block + blank line).  The caller appends the body itself
+// — the server streams file bodies in after the head.
+std::string FormatResponseHead(int status, size_t content_length,
+                               const char* content_type, bool keep_alive);
 
 // Canonical reason phrase for the status codes the server emits.
 const char* StatusReason(int status);

@@ -380,12 +380,12 @@ void Server::HandleRequest(Conn* conn, const Request& req) {
                   start_ns);
   } else if (head_only) {
     // HEAD: full Content-Length, no body bytes.
-    StageBytes(conn, FormatResponseHead(200, nullptr, st.size,
-                                        ContentTypeFor(path), req.keep_alive));
+    StageBytes(conn, FormatResponseHead(200, st.size, ContentTypeFor(path),
+                                        req.keep_alive));
     FinishResponse(conn, start_ns);
   } else if (vec) {
-    StageBytes(conn, FormatResponseHead(200, nullptr, st.size,
-                                        ContentTypeFor(path), req.keep_alive));
+    StageBytes(conn, FormatResponseHead(200, st.size, ContentTypeFor(path),
+                                        req.keep_alive));
     OutChunk chunk;
     chunk.file = std::move(vec);
     chunk.file_off = 0;
@@ -430,8 +430,8 @@ void Server::FinishResponse(Conn* conn, uint64_t start_ns) {
 void Server::StageResponse(Conn* conn, int status, const std::string& body,
                            const char* content_type, bool keep_alive,
                            bool head_only, uint64_t start_ns) {
-  std::string staged = FormatResponseHead(status, nullptr, body.size(),
-                                          content_type, keep_alive);
+  std::string staged = FormatResponseHead(status, body.size(), content_type,
+                                          keep_alive);
   if (!head_only) {
     staged += body;
   }

@@ -3,35 +3,21 @@
 #include <cstring>
 #include <new>
 
-#include "src/base/asan.h"
+#include "src/base/free_list.h"
 #include "src/base/panic.h"
 
 namespace oskit::net {
 
 namespace {
 
-// The newest cached block of `size` bytes (unpoisoned), or a fresh one.
-template <typename T>
-void* Take(std::vector<T*>& cache, size_t size) {
-  if (cache.empty()) {
-    return ::operator new(size);
-  }
-  T* item = cache.back();
-  cache.pop_back();
-  ASAN_UNPOISON_MEMORY_REGION(item, size);
-  return item;
-}
+// A 2 KB cluster's storage, as the free list sees it.
+struct Cluster {
+  uint8_t bytes[kClusterSize];
+};
 
-// Caches `item` (poisoned), or frees it past the high-water mark.
-template <typename T>
-void Give(std::vector<T*>& cache, T* item, size_t size) {
-  if (cache.size() >= MbufPool::kCacheMax) {
-    ::operator delete(item);
-    return;
-  }
-  ASAN_POISON_MEMORY_REGION(item, size);
-  cache.push_back(item);
-}
+using MbufList = FreeList<MBuf, MbufPool::kCacheMax>;
+using ExtList = FreeList<MExt, MbufPool::kCacheMax>;
+using ClusterList = FreeList<Cluster, MbufPool::kCacheMax>;
 
 }  // namespace
 
@@ -39,20 +25,11 @@ MbufPool::~MbufPool() {
   // Live buffers at teardown are a component bug; be loud in tests.
   OSKIT_ASSERT_MSG(mbufs_live_ == 0, "mbuf leak at pool destruction");
   OSKIT_ASSERT_MSG(clusters_live_ == 0, "cluster leak at pool destruction");
-  for (void* item : free_mbufs_) {
-    ::operator delete(item);
-  }
-  for (void* item : free_exts_) {
-    ::operator delete(item);
-  }
-  for (void* item : free_clusters_) {
-    ::operator delete(item);
-  }
 }
 
 MBuf* MbufPool::Get() {
   // Value-initialized, recycled or not: internal bytes read as zero.
-  auto* m = new (Take(free_mbufs_, sizeof(MBuf))) MBuf();
+  auto* m = new (MbufList::Take()) MBuf();
   m->data = m->internal;
   ++mbufs_live_;
   ++total_allocs_;
@@ -69,8 +46,8 @@ MBuf* MbufPool::GetHeaderAligned(size_t payload_len) {
 }
 
 MExt* MbufPool::GetClusterExt() {
-  auto* ext = new (Take(free_exts_, sizeof(MExt))) MExt();
-  ext->buf = static_cast<uint8_t*>(Take(free_clusters_, kClusterSize));
+  auto* ext = new (ExtList::Take()) MExt();
+  ext->buf = static_cast<uint8_t*>(ClusterList::Take());
   ext->size = kClusterSize;
   ext->free_fn = &MbufPool::FreeClusterStorage;
   ext->free_ctx = this;
@@ -80,9 +57,8 @@ MExt* MbufPool::GetClusterExt() {
 }
 
 void MbufPool::FreeClusterStorage(void* ctx, uint8_t* buf, size_t /*size*/) {
-  auto* pool = static_cast<MbufPool*>(ctx);
-  Give(pool->free_clusters_, buf, kClusterSize);
-  --pool->clusters_live_;
+  ClusterList::Give(buf);
+  --static_cast<MbufPool*>(ctx)->clusters_live_;
 }
 
 MBuf* MbufPool::GetCluster() {
@@ -95,7 +71,7 @@ MBuf* MbufPool::GetCluster() {
 MBuf* MbufPool::GetExternal(uint8_t* buf, size_t size,
                             void (*free_fn)(void*, uint8_t*, size_t), void* ctx) {
   MBuf* m = Get();
-  auto* ext = new (Take(free_exts_, sizeof(MExt))) MExt();
+  auto* ext = new (ExtList::Take()) MExt();
   ext->buf = buf;
   ext->size = size;
   ext->free_fn = free_fn;
@@ -116,10 +92,10 @@ MBuf* MbufPool::Free(MBuf* m) {
       if (m->ext->free_fn != nullptr) {
         m->ext->free_fn(m->ext->free_ctx, m->ext->buf, m->ext->size);
       }
-      Give(free_exts_, m->ext, sizeof(MExt));
+      ExtList::Give(m->ext);
     }
   }
-  Give(free_mbufs_, m, sizeof(MBuf));
+  MbufList::Give(m);
   --mbufs_live_;
   return next;
 }

@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace oskit::net {
 
@@ -60,14 +59,16 @@ struct MBuf {
   }
 };
 
-// Pool/statistics holder.  One per stack instance (per machine) so the
-// benchmark worlds don't share allocator state.
+// Pool/statistics holder.  One per stack instance (per machine), so each
+// machine's live counts and leak checks are its own.
 //
-// Like BSD's mfree/mclfree, the pool keeps what it frees on LIFO free lists
-// (mbufs, MExt headers and clusters, up to kCacheMax of each) and hands it
-// out again before asking the heap, so a warm stack moves packets without a
-// malloc call.  Cached storage is poisoned under ASan, so a touch after Free
-// is still a report; the statistics count only buffers handed out.
+// Like BSD's mfree/mclfree, freed mbufs, MExt headers and clusters go on
+// LIFO free lists (up to kCacheMax of each) and are handed out again before
+// the heap is asked, so a warm stack moves packets without a malloc call.
+// The lists are the kit's per-thread FreeList (src/base/free_list.h), shared
+// by every pool on the thread: a cluster one machine frees is the next one
+// another takes.  Cached storage is poisoned under ASan, so a touch after
+// Free is still a report; the statistics count only buffers handed out.
 class MbufPool {
  public:
   MbufPool() = default;
@@ -172,9 +173,6 @@ class MbufPool {
   uint64_t mbufs_live_ = 0;
   uint64_t clusters_live_ = 0;
   uint64_t total_allocs_ = 0;
-  std::vector<MBuf*> free_mbufs_;
-  std::vector<MExt*> free_exts_;
-  std::vector<uint8_t*> free_clusters_;
 };
 
 }  // namespace oskit::net

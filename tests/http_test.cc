@@ -83,11 +83,6 @@ TEST(RequestParserTest, ParsesSimpleGet) {
   EXPECT_EQ(1, req.version_minor);
   EXPECT_TRUE(req.keep_alive);
   EXPECT_TRUE(req.body.empty());
-  ASSERT_EQ(2u, req.headers.size());
-  // Header lookup is case-insensitive.
-  ASSERT_NE(nullptr, req.Header("host"));
-  EXPECT_EQ("www", *req.Header("HOST"));
-  EXPECT_EQ(nullptr, req.Header("cookie"));
   EXPECT_EQ(0u, parser.pending_bytes());
   EXPECT_EQ(ParseStatus::kNeedMore, parser.status());
 }
@@ -170,32 +165,32 @@ TEST(RequestParserTest, MalformedStreamsErrorAndStick) {
 }
 
 TEST(RequestParserTest, LimitsAreEnforced) {
-  RequestParser::Limits limits;
-  limits.max_request_line = 64;
-  limits.max_header_bytes = 256;
-  limits.max_headers = 4;
-  limits.max_body = 128;
-
   {
     // Request-line overflow is reportable before the CRLF even arrives.
-    RequestParser parser(limits);
-    std::string line = "GET /" + std::string(100, 'a');
+    RequestParser parser;
+    std::string line = "GET /" + std::string(RequestParser::kMaxRequestLine, 'a');
     EXPECT_EQ(ParseStatus::kError, parser.Feed(line.data(), line.size()));
     EXPECT_STREQ("request line too long", parser.error());
   }
   {
-    RequestParser parser(limits);
-    std::string wire = "GET / HTTP/1.1\r\n";
-    for (int i = 0; i < 6; ++i) {
-      wire += "X-H" + std::to_string(i) + ": v\r\n";
+    // Exactly kMaxHeaders header lines parse; one more is refused.
+    for (size_t n : {RequestParser::kMaxHeaders, RequestParser::kMaxHeaders + 1}) {
+      RequestParser parser;
+      std::string wire = "GET / HTTP/1.1\r\n";
+      for (size_t i = 0; i < n; ++i) {
+        wire += "X-H" + std::to_string(i) + ": v\r\n";
+      }
+      wire += "\r\n";
+      bool over = n > RequestParser::kMaxHeaders;
+      EXPECT_EQ(over ? ParseStatus::kError : ParseStatus::kRequest,
+                parser.Feed(wire.data(), wire.size()));
+      EXPECT_STREQ(over ? "too many headers" : "", parser.error());
     }
-    wire += "\r\n";
-    EXPECT_EQ(ParseStatus::kError, parser.Feed(wire.data(), wire.size()));
-    EXPECT_STREQ("too many headers", parser.error());
   }
   {
-    RequestParser parser(limits);
-    std::string wire = "GET / HTTP/1.1\r\nX-Pad: " + std::string(300, 'p') +
+    RequestParser parser;
+    std::string wire = "GET / HTTP/1.1\r\nX-Pad: " +
+                       std::string(RequestParser::kMaxHeaderBytes, 'p') +
                        "\r\n\r\n";
     EXPECT_EQ(ParseStatus::kError, parser.Feed(wire.data(), wire.size()));
     EXPECT_STREQ("header block too large", parser.error());
@@ -203,10 +198,12 @@ TEST(RequestParserTest, LimitsAreEnforced) {
   {
     // An oversized Content-Length claim is refused without buffering the
     // body.
-    RequestParser parser(limits);
-    const char wire[] = "POST / HTTP/1.1\r\nContent-Length: 129\r\n\r\n";
-    EXPECT_EQ(ParseStatus::kError, parser.Feed(wire, sizeof(wire) - 1));
+    RequestParser parser;
+    std::string wire = "POST / HTTP/1.1\r\nContent-Length: " +
+                       std::to_string(RequestParser::kMaxBody + 1) + "\r\n\r\n";
+    EXPECT_EQ(ParseStatus::kError, parser.Feed(wire.data(), wire.size()));
     EXPECT_STREQ("body too large", parser.error());
+    EXPECT_EQ(wire.size(), parser.pending_bytes());
   }
 }
 
@@ -215,22 +212,16 @@ TEST(RequestParserTest, LimitsAreEnforced) {
 // ---------------------------------------------------------------------------
 
 TEST(ResponseParserTest, ParsesPipelinedResponses) {
-  std::string wire = FormatResponseHead(200, "OK", 5, "text/plain", true) +
-                     "hello" +
-                     FormatResponseHead(404, StatusReason(404), 3,
-                                        "text/plain", false) +
-                     "gon";
+  std::string wire = FormatResponseHead(200, 5, "text/plain", true) + "hello" +
+                     FormatResponseHead(404, 3, "text/plain", false) + "gon";
   ResponseParser parser;
   EXPECT_EQ(ParseStatus::kRequest, parser.Feed(wire.data(), wire.size()));
   Response first = parser.TakeResponse();
   EXPECT_EQ(200, first.status);
   EXPECT_EQ("hello", first.body);
   EXPECT_TRUE(first.keep_alive);
-  ASSERT_NE(nullptr, first.Header("content-length"));
-  EXPECT_EQ("5", *first.Header("Content-Length"));
   Response second = parser.TakeResponse();
   EXPECT_EQ(404, second.status);
-  EXPECT_EQ("Not Found", second.reason);
   EXPECT_EQ("gon", second.body);
   EXPECT_FALSE(second.keep_alive);
 }
@@ -283,10 +274,10 @@ void FeedInReads(Parser& parser, const std::string& wire) {
 TEST(ParserRetentionTest, ResponseParserDropsLargeBodiesOnceTaken) {
   std::string wire;
   for (int i = 0; i < 8; ++i) {
-    wire += FormatResponseHead(200, "OK", 64 * 1024, "application/x", true) +
+    wire += FormatResponseHead(200, 64 * 1024, "application/x", true) +
             std::string(64 * 1024, static_cast<char>('a' + i));
   }
-  wire += FormatResponseHead(200, "OK", 100, "text/plain", true) +
+  wire += FormatResponseHead(200, 100, "text/plain", true) +
           std::string(100, 'z');
   size_t taken = 0;
   long retained = RetainedBeyondFresh<ResponseParser>(
@@ -332,8 +323,8 @@ struct ParseOutcome {
 bool SameRequest(const Request& a, const Request& b) {
   return a.method == b.method && a.target == b.target &&
          a.version_major == b.version_major &&
-         a.version_minor == b.version_minor && a.headers == b.headers &&
-         a.body == b.body && a.keep_alive == b.keep_alive;
+         a.version_minor == b.version_minor && a.body == b.body &&
+         a.keep_alive == b.keep_alive;
 }
 
 // Feeds `wire` in segments whose sizes come from `next_len`, draining
@@ -494,10 +485,9 @@ struct ResponseOutcome {
 };
 
 bool SameResponse(const Response& a, const Response& b) {
-  return a.status == b.status && a.reason == b.reason &&
-         a.version_major == b.version_major &&
-         a.version_minor == b.version_minor && a.headers == b.headers &&
-         a.body == b.body && a.keep_alive == b.keep_alive;
+  return a.status == b.status && a.version_major == b.version_major &&
+         a.version_minor == b.version_minor && a.body == b.body &&
+         a.keep_alive == b.keep_alive;
 }
 
 ResponseOutcome ParseResponsesSegmented(

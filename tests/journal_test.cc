@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/aio/stack.h"
 #include "src/base/digest.h"
 #include "src/base/random.h"
 #include "src/com/memblkio.h"
@@ -337,6 +338,120 @@ TEST_F(JournalWriterTest, ReplayReadsEachImageOnce) {
     EXPECT_EQ(std::vector<uint8_t>(kBlockSize, static_cast<uint8_t>(target)),
               ReadRawBlock(disk_.get(), target));
   }
+}
+
+// Forwards to a RAM device and logs every block write, and every flush as
+// kFlushed, in the order the device sees them; a write to a block listed in
+// `failing` returns kIo.  It grants no BlkIoRing.
+class WriteLoggingBlkIo final
+    : public ComObject<WriteLoggingBlkIo, BlkIo, BlkIoBarrier> {
+ public:
+  static constexpr int64_t kFlushed = -1;
+
+  explicit WriteLoggingBlkIo(ComPtr<MemBlkIo> inner) : inner_(std::move(inner)) {}
+
+  uint32_t GetBlockSize() override { return inner_->GetBlockSize(); }
+  Error Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) override {
+    return inner_->Read(buf, offset, amount, out_actual);
+  }
+  Error Write(const void* buf, off_t64 offset, size_t amount,
+              size_t* out_actual) override {
+    EXPECT_EQ(kBlockSize, amount);
+    log.push_back(offset / kBlockSize);
+    if (std::count(failing.begin(), failing.end(), log.back()) != 0) {
+      *out_actual = 0;
+      return Error::kIo;
+    }
+    return inner_->Write(buf, offset, amount, out_actual);
+  }
+  Error GetSize(off_t64* out_size) override { return inner_->GetSize(out_size); }
+  Error Flush() override {
+    log.push_back(kFlushed);
+    return Error::kOk;
+  }
+
+  std::vector<int64_t> log;
+  std::vector<int64_t> failing;
+
+ private:
+  friend class RefCounted<WriteLoggingBlkIo>;
+  ~WriteLoggingBlkIo() = default;
+
+  ComPtr<MemBlkIo> inner_;
+};
+
+// A device without a ring commits through the sync adapter and sees each
+// image once, in ascending journal order, then the header, the commit record
+// and the barrier.  The crash campaign's cut indices count on this order.
+TEST_F(JournalWriterTest, RinglessDeviceSeesImagesInJournalOrder) {
+  MkfsOptions options;
+  options.journal_blocks = 80;  // room for a batch past the adapter's depth
+  Format(options);
+  ComPtr<WriteLoggingBlkIo> logging(new WriteLoggingBlkIo(disk_));
+  ASSERT_FALSE(ComPtr<BlkIoRing>::FromQuery(logging.get()));
+  JournalWriter writer(ComPtr<BlkIo>::FromQuery(logging.get()), sb_.journal_start,
+                       sb_.journal_blocks);
+  ASSERT_EQ(Error::kOk, writer.Load());
+
+  // Targets out of order: the journal lays images out in target-list order.
+  std::vector<uint32_t> targets;
+  for (uint32_t i = 0; i < aio::SyncRingAdapter::kRingDepth + 6; ++i) {
+    targets.push_back(sb_.data_start + (i * 7) % 90);
+  }
+  ASSERT_LE(targets.size(), writer.capacity());
+  uint32_t pos = writer.next_pos();
+  ASSERT_EQ(Error::kOk, writer.Commit(targets, [](uint32_t target, uint8_t* out) {
+    std::memset(out, static_cast<int>(target), kBlockSize);
+    return Error::kOk;
+  }));
+
+  const uint32_t n = static_cast<uint32_t>(targets.size());
+  const int64_t at = sb_.journal_start + pos;
+  std::vector<int64_t> want;
+  for (uint32_t i = 0; i < n; ++i) {
+    want.push_back(at + 1 + i);
+  }
+  want.insert(want.end(), {at, at + 1 + n, WriteLoggingBlkIo::kFlushed});
+  EXPECT_EQ(want, logging->log);
+  for (uint32_t i = 0; i < n; ++i) {
+    EXPECT_EQ(std::vector<uint8_t>(kBlockSize, static_cast<uint8_t>(targets[i])),
+              ReadRawBlock(disk_.get(), static_cast<uint32_t>(at + 1 + i)));
+  }
+}
+
+// A failed image fails its own commit only: the batch's other completions,
+// failed ones among them, are reaped with it rather than left in the ring
+// for the next commit to take as its own.
+TEST_F(JournalWriterTest, FailedImageFailsOnlyItsOwnCommit) {
+  MkfsOptions options;
+  options.journal_blocks = 80;
+  Format(options);
+  ComPtr<WriteLoggingBlkIo> logging(new WriteLoggingBlkIo(disk_));
+  JournalWriter writer(ComPtr<BlkIo>::FromQuery(logging.get()), sb_.journal_start,
+                       sb_.journal_blocks);
+  ASSERT_EQ(Error::kOk, writer.Load());
+  auto fill = [](uint32_t target, uint8_t* out) {
+    std::memset(out, static_cast<int>(target), kBlockSize);
+    return Error::kOk;
+  };
+  std::vector<uint32_t> targets;
+  for (uint32_t i = 0; i < 40; ++i) {
+    targets.push_back(sb_.data_start + i);
+  }
+  const uint32_t pos = writer.next_pos();
+  const int64_t at = sb_.journal_start + pos;
+  for (int64_t block = at + 3; block <= at + 40; ++block) {
+    logging->failing.push_back(block);  // every image from the third on
+  }
+  EXPECT_EQ(Error::kIo, writer.Commit(targets, fill));
+  EXPECT_EQ(pos, writer.next_pos());
+
+  logging->failing.clear();
+  ASSERT_EQ(Error::kOk, writer.Commit({sb_.data_start + 50}, fill));
+  JournalReplayStats stats;
+  ASSERT_EQ(Error::kOk, JournalReplay(disk_.get(), sb_, /*apply=*/true, &stats));
+  EXPECT_EQ(1u, stats.replayed_txns);
+  EXPECT_EQ(1u, stats.replayed_blocks);
 }
 
 TEST_F(JournalWriterTest, WraparoundNeverReplaysAcrossTheBoundary) {

@@ -163,6 +163,38 @@ TEST(MbufTest, FreedStorageIsReusedAndNotCountedOut) {
   EXPECT_EQ(0u, pool.clusters_out());
 }
 
+// The free lists are the thread's, not the pool's: storage one machine's
+// pool frees is what another's hands out next, while each pool still counts
+// only its own buffers.
+TEST(MbufTest, PoolsOnOneThreadShareFreeListsNotCounts) {
+  MbufPool a;
+  MbufPool b;
+  MBuf* m = a.GetCluster();
+  MBuf* first = m;
+  uint8_t* cluster = m->data;
+  a.Free(m);
+  m = b.GetCluster();
+  EXPECT_EQ(first, m);
+  EXPECT_EQ(cluster, m->data);
+  EXPECT_EQ(0u, a.mbufs_out());
+  EXPECT_EQ(0u, a.clusters_out());
+  EXPECT_EQ(1u, b.mbufs_out());
+  EXPECT_EQ(1u, b.clusters_out());
+  // A cluster shared into another pool's chain is still counted, and given
+  // back, by the pool that handed it out.
+  m->len = m->pkt_len = 100;
+  MBuf* copy = a.CopyChain(m, 0, MbufPool::kCopyAll);
+  ASSERT_EQ(m->ext, copy->ext);
+  b.Free(m);
+  EXPECT_EQ(1u, a.mbufs_out());
+  EXPECT_EQ(0u, a.clusters_out());
+  EXPECT_EQ(0u, b.mbufs_out());
+  EXPECT_EQ(1u, b.clusters_out());
+  a.Free(copy);
+  EXPECT_EQ(0u, a.mbufs_out());
+  EXPECT_EQ(0u, b.clusters_out());
+}
+
 // A touch through a stale pointer lands on poisoned cache storage: still an
 // AddressSanitizer report although the bytes never went back to malloc.
 TEST(MbufDeathTest, TouchAfterFreeIsAnAsanReport) {
