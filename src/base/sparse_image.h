@@ -3,11 +3,12 @@
 //
 // A store on ZeroPages (src/base/zero_pages.h) reads as zero wherever it was
 // never written, but finding that out by reading costs a fault per page.  So
-// the store's owner records every write it makes in a PageSet (one bit per
-// 4 KB page), and hands out a SparseImage: the bytes, the size and the set.
-// A copy through the image touches only the written pages.  The set is a
-// superset of the non-zero pages exactly when every change to the store goes
-// through the owner, so an owner hands out its bytes read-only.
+// the store records every write its owner makes through it in a PageSet (one
+// bit per 4 KB page), and hands out a SparseImage: the bytes, the size and
+// the set.  A copy through the image touches only the written pages, and a
+// released store zeroes only those pages before it is parked for reuse.
+// The set is a superset of the non-zero pages exactly when every change to
+// the store goes through it, so an owner hands out its bytes read-only.
 
 #ifndef OSKIT_SRC_BASE_SPARSE_IMAGE_H_
 #define OSKIT_SRC_BASE_SPARSE_IMAGE_H_
@@ -16,21 +17,44 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/panic.h"
+
 namespace oskit {
 
 class PageSet {
  public:
   static constexpr size_t kPageSize = 4096;
 
-  explicit PageSet(size_t bytes) : words_((bytes + kPageSize * 64 - 1) / (kPageSize * 64)) {}
+  PageSet() = default;
+  explicit PageSet(size_t bytes) { Resize(bytes); }
 
-  // Marks every page that [offset, offset+len) touches.
+  // Covers [0, bytes): grown pages start unmarked, and pages cut off are
+  // forgotten.
+  void Resize(size_t bytes) {
+    const size_t pages = (bytes + kPageSize - 1) / kPageSize;
+    words_.resize((pages + 63) / 64);
+    if (pages % 64 != 0) {
+      words_.back() &= (uint64_t{1} << (pages % 64)) - 1;
+    }
+  }
+
+  // Marks every page that [offset, offset+len) touches; the range must lie
+  // inside the bytes the set covers.
   void Mark(size_t offset, size_t len) {
     if (len == 0) {
       return;
     }
-    for (size_t p = offset / kPageSize; p <= (offset + len - 1) / kPageSize; ++p) {
+    const size_t last = (offset + len - 1) / kPageSize;
+    OSKIT_ASSERT_MSG(last / 64 < words_.size(), "mark past the end of the page set");
+    for (size_t p = offset / kPageSize; p <= last; ++p) {
       words_[p / 64] |= uint64_t{1} << (p % 64);
+    }
+  }
+
+  // Unmarks every page `other` marks.
+  void Remove(const PageSet& other) {
+    for (size_t w = 0; w < words_.size() && w < other.words_.size(); ++w) {
+      words_[w] &= ~other.words_[w];
     }
   }
 

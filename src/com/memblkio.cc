@@ -17,7 +17,7 @@ ComPtr<MemBlkIo> MemBlkIo::CreateFrom(const void* data, size_t size,
                                       uint32_t block_size) {
   auto io = Create(size, block_size);
   if (size != 0) {
-    std::memcpy(io->data(), data, size);
+    std::memcpy(io->store_.MarkWritten(0, size), data, size);
   }
   return io;
 }
@@ -27,7 +27,7 @@ ComPtr<MemBlkIo> MemBlkIo::CreateFrom(const SparseImage& image, size_t size,
   OSKIT_ASSERT_MSG(size <= image.size(), "copy past the end of the image");
   auto io = Create(size, block_size);
   image.written().ForEachRun(size, [&](size_t offset, size_t len) {
-    std::memcpy(io->data() + offset, image.data() + offset, len);
+    std::memcpy(io->store_.MarkWritten(offset, len), image.data() + offset, len);
   });
   return io;
 }
@@ -39,7 +39,7 @@ Error MemBlkIo::Read(void* buf, off_t64 offset, size_t amount, size_t* out_actua
     return err;
   }
   if (amount != 0) {  // a size-0 object has no mapping: never copy through null
-    std::memcpy(buf, data() + offset, amount);
+    std::memcpy(buf, store_.data() + offset, amount);
   }
   *out_actual = amount;
   return Error::kOk;
@@ -53,7 +53,7 @@ Error MemBlkIo::Write(const void* buf, off_t64 offset, size_t amount,
     return err;
   }
   if (amount != 0) {
-    std::memcpy(data() + offset, buf, amount);
+    std::memcpy(store_.MarkWritten(offset, amount), buf, amount);
   }
   *out_actual = amount;
   return Error::kOk;
@@ -78,7 +78,7 @@ Error MemBlkIo::Map(void** out_addr, off_t64 offset, size_t amount) {
     return err;
   }
   ++maps_outstanding_;
-  *out_addr = data() + offset;
+  *out_addr = store_.MarkWritten(offset, amount);
   return Error::kOk;
 }
 

@@ -5,11 +5,16 @@
 // extended BufIo interface where a raw disk driver supports only BlkIo), and
 // is the workhorse storage object in tests.
 //
-// The bytes live on zero-on-demand pages (src/base/zero_pages.h): creating
-// an object of any size is one mapping, resizing is one mremap, and a page
-// costs host memory only once written.  CreateFrom a SparseImage copies
-// only the pages its source wrote — how a post-crash disk image becomes a
-// MemBlkIo without a pass over the whole platter.
+// The bytes live on zero-on-demand pages (src/base/zero_pages.h): resizing
+// is one mremap, and a page costs host memory only once written.  Write,
+// Map (the whole window, as the caller may store through it), CreateFrom
+// and SetSize keep the store's written-page set, so a released object
+// zeroes just those pages and parks its mapping, and the next object of the
+// same page span on the thread takes it with no mmap and no first-touch
+// fault.  Taking the mutable data() opts out: the store cannot follow
+// those stores, so the mapping is unmapped on release.  CreateFrom a
+// SparseImage copies only the pages its source wrote — how a post-crash
+// disk image becomes a MemBlkIo without a pass over the whole platter.
 
 #ifndef OSKIT_SRC_COM_MEMBLKIO_H_
 #define OSKIT_SRC_COM_MEMBLKIO_H_
@@ -54,8 +59,9 @@ class MemBlkIo final
   // BlkIoBarrier: RAM is "durable" the moment a Write returns.
   Error Flush() override { return Error::kOk; }
 
-  // Direct access for owners (open implementation, §4.6).
-  uint8_t* data() { return store_.data(); }
+  // Direct access for owners (open implementation, §4.6).  The object is
+  // unmapped, not parked, once its mutable bytes were taken.
+  uint8_t* data() { return store_.untracked_data(); }
   size_t size() const { return store_.size(); }
 
  private:

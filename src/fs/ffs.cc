@@ -293,7 +293,7 @@ Error Offs::Mount(BlkIo* device, const MountOptions& options, FileSystem** out_f
   auto* fs = new Offs(ComPtr<BlkIo>::Retain(device), sb, options.trace);
   if (sb.journal_blocks >= kMinJournalBlocks) {
     fs->journal_ = std::make_unique<JournalWriter>(fs->device_, sb.journal_start,
-                                                   sb.journal_blocks);
+                                                   sb.journal_blocks, options.trace);
     err = fs->journal_->Load();
     if (!Ok(err)) {
       fs->Release();

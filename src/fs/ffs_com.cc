@@ -111,7 +111,12 @@ class FileVec final : public ComObject<FileVec, BufIoVec, BufIo, BlkIo> {
     if (static_cast<size_t>(last_fb - first_fb) + 1 > cap) {
       return Error::kNotImpl;  // range needs more pieces than the caller holds
     }
-    Pin pin{offset, amount, {}};
+    // The pin stays local until it is complete: a cache miss below blocks
+    // this fiber, and another may unmap a view of this object meanwhile.
+    Pin pin{offset, amount, /*live=*/true, {}};
+    if (Pin* spare = Spare()) {
+      pin.blocks.swap(spare->blocks);
+    }
     size_t produced = 0;
     uint64_t cur = offset;
     size_t remaining = amount;
@@ -146,18 +151,23 @@ class FileVec final : public ComObject<FileVec, BufIoVec, BufIo, BlkIo> {
         return err;
       }
     }
-    pins_.push_back(std::move(pin));
+    if (Pin* spare = Spare()) {
+      *spare = std::move(pin);
+    } else {
+      pins_.push_back(std::move(pin));
+    }
     *out_count = produced;
     return Error::kOk;
   }
 
   Error UnmapVectors(off_t64 offset, size_t amount) override {
-    for (auto it = pins_.begin(); it != pins_.end(); ++it) {
-      if (it->offset == offset && it->amount == amount) {
-        for (uint32_t block : it->blocks) {
+    for (Pin& pin : pins_) {
+      if (pin.live && pin.offset == offset && pin.amount == amount) {
+        for (uint32_t block : pin.blocks) {
           fs_->cache().PutRef(block);
         }
-        pins_.erase(it);
+        pin.blocks.clear();
+        pin.live = false;
         return Error::kOk;
       }
     }
@@ -175,11 +185,24 @@ class FileVec final : public ComObject<FileVec, BufIoVec, BufIo, BlkIo> {
     }
   }
 
+  // A view, or once unmapped (not live, no blocks) a slot whose block list
+  // keeps its capacity for the next view: a warm Vectors/UnmapVectors pair
+  // does not allocate.
   struct Pin {
     off_t64 offset;
     size_t amount;
+    bool live;
     std::vector<uint32_t> blocks;
   };
+
+  Pin* Spare() {
+    for (Pin& pin : pins_) {
+      if (!pin.live) {
+        return &pin;
+      }
+    }
+    return nullptr;
+  }
 
   ComPtr<Offs> fs_;
   uint64_t ino_;

@@ -216,14 +216,14 @@ Error JournalReplay(BlkIo* device, const SuperBlock& sb, bool apply,
 }
 
 JournalWriter::JournalWriter(ComPtr<BlkIo> device, uint32_t journal_start,
-                             uint32_t journal_blocks)
+                             uint32_t journal_blocks, trace::TraceEnv* trace)
     : device_(std::move(device)), start_(journal_start), region_(journal_blocks) {
   OSKIT_ASSERT(region_ >= kMinJournalBlocks);
   barrier_ = ComPtr<BlkIoBarrier>::FromQuery(device_.get());
   ring_ = ComPtr<BlkIoRing>::FromQuery(device_.get());
   if (!ring_) {
     ring_ = ComPtr<BlkIoRing>::FromQuery(
-        aio::SyncRingAdapter::Wrap(device_.get()).get());
+        aio::SyncRingAdapter::Wrap(device_.get(), trace).get());
   }
 }
 

@@ -35,6 +35,7 @@
 #include "src/com/aio.h"
 #include "src/com/blkio.h"
 #include "src/fs/format.h"
+#include "src/trace/trace.h"
 
 namespace oskit::fs {
 
@@ -106,8 +107,11 @@ Error JournalReplay(BlkIo* device, const SuperBlock& sb, bool apply,
 // The mounted filesystem's append side.
 class JournalWriter {
  public:
+  // `trace` is the mount's environment: the ring adapter made for a device
+  // without a BlkIoRing binds its aio.ring.* counters there (null: the
+  // process default).
   JournalWriter(ComPtr<BlkIo> device, uint32_t journal_start,
-                uint32_t journal_blocks);
+                uint32_t journal_blocks, trace::TraceEnv* trace);
 
   // Reads and validates the on-disk checkpoint.
   Error Load();

@@ -74,15 +74,14 @@ void DiskHw::SubmitWrite(uint64_t lba, uint32_t sectors, const uint8_t* buf) {
   pending_ = clock_->ScheduleAfter(
       EffectiveDelay(TransferDelay(sectors)),
       [this, lba, sectors, offset, bytes, buf] {
-        uint8_t* dst = store_.data() + offset;
         if (wcache_enabled_) {
+          const uint8_t* old = store_.data() + offset;
           wcache_.push_back({lba, sectors, undo_arena_.size()});
           undo_arena_.insert(undo_arena_.end(), buf, buf + bytes);
-          undo_arena_.insert(undo_arena_.end(), dst, dst + bytes);
+          undo_arena_.insert(undo_arena_.end(), old, old + bytes);
           ++wcache_writes_;
         }
-        std::memcpy(dst, buf, bytes);
-        written_.Mark(offset, bytes);
+        std::memcpy(store_.MarkWritten(offset, bytes), buf, bytes);
         ++writes_completed_;
         write_log_.push_back({lba, sectors});
         if (cut_armed_ && writes_completed_ >= cut_at_writes_) {
@@ -133,8 +132,7 @@ void DiskHw::EnableWriteCache(bool on) {
 void DiskHw::Apply(uint64_t lba, const uint8_t* bytes, uint32_t sectors) {
   size_t offset = lba * kSectorSize;
   size_t n = static_cast<size_t>(sectors) * kSectorSize;
-  std::memcpy(store_.data() + offset, bytes, n);
-  written_.Mark(offset, n);
+  std::memcpy(store_.MarkWritten(offset, n), bytes, n);
 }
 
 void DiskHw::DropUndoLog() {

@@ -5,9 +5,11 @@
 // it after a simulated seek+transfer delay and raises IRQ 14.  The backing
 // store is zero-on-demand host memory (src/base/zero_pages.h), so a fresh
 // disk reads as zeros and costs only the sectors written to it; the host
-// can read it directly to capture images.  The disk records which 4 KB
-// pages of the store it ever wrote (a PageSet), so raw() is a SparseImage
-// and an image capture copies only those pages.
+// can read it directly to capture images.  Every write lands through
+// ZeroPages::MarkWritten, so the store knows which 4 KB pages the disk ever
+// wrote: raw() is a SparseImage and an image capture copies only those
+// pages.  A destroyed disk zeroes just those pages and parks its platter,
+// and the next disk of the same size on the thread takes it over.
 //
 // Volatile write cache (the durability model): with EnableWriteCache(true)
 // the disk behaves like real drives of the era — a completed write is
@@ -81,8 +83,7 @@ class DiskHw {
 
   DiskHw(SimClock* clock, Pic* pic, uint64_t sector_count, int irq = kDefaultIrq)
       : clock_(clock), pic_(pic), irq_(irq),
-        store_(sector_count * kSectorSize), written_(sector_count * kSectorSize),
-        sector_count_(sector_count) {}
+        store_(sector_count * kSectorSize), sector_count_(sector_count) {}
 
   uint64_t sector_count() const { return sector_count_; }
   int irq() const { return irq_; }
@@ -146,7 +147,7 @@ class DiskHw {
   // After a PowerCut this IS the post-crash image.  Converts to the bare
   // byte pointer; MemBlkIo::CreateFrom(raw(), ...) copies only the pages
   // the disk ever wrote.
-  SparseImage raw() const { return SparseImage(store_.data(), store_.size(), &written_); }
+  SparseImage raw() const { return store_.image(); }
   size_t raw_size() const { return store_.size(); }
 
   uint64_t reads_completed() const { return reads_completed_; }
@@ -195,8 +196,7 @@ class DiskHw {
   SimClock* clock_;
   Pic* pic_;
   int irq_;
-  ZeroPages store_;
-  PageSet written_;  // every page of store_ a completion or PowerCut wrote
+  ZeroPages store_;  // written only by write completion and PowerCut
   uint64_t sector_count_;
   bool busy_ = false;
   bool done_ = false;

@@ -8,7 +8,9 @@
 //
 // The arena's pages are zero-on-demand (src/base/zero_pages.h): every
 // byte reads as zero until written, and a machine costs host memory only
-// for the pages its kernel and devices actually touch.
+// for the pages its kernel and devices actually touch.  The kernel stores
+// through raw pointers the arena cannot follow, so it is unmapped, never
+// parked for reuse, when the machine goes.
 
 #ifndef OSKIT_SRC_MACHINE_PHYSMEM_H_
 #define OSKIT_SRC_MACHINE_PHYSMEM_H_
@@ -36,7 +38,7 @@ class PhysMem {
   // The arena is page-aligned so that "physical" offsets and host pointers
   // agree about page boundaries (page tables, DMA and the LMM's AllocPage
   // all rely on this).
-  explicit PhysMem(size_t size) : arena_(size), base_(arena_.data()), size_(size) {
+  explicit PhysMem(size_t size) : arena_(size), base_(arena_.untracked_data()), size_(size) {
     OSKIT_ASSERT_MSG(size >= 2 * 1024 * 1024, "machine needs at least 2 MB");
   }
 

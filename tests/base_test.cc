@@ -1,15 +1,19 @@
 // Foundation-library tests: the Internet checksum (including the
 // odd-boundary chaining the mbuf walkers rely on), the integrity digest,
 // byte-order helpers, the
-// intrusive list, the deterministic RNG, the written-page set, error names,
-// and panic plumbing.
+// intrusive list, the deterministic RNG, the written-page set, parked
+// zero-on-demand stores, error names, and panic plumbing.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "src/base/panic.h"
 #include "src/base/random.h"
 #include "src/base/sparse_image.h"
+#include "src/base/zero_pages.h"
 
 namespace oskit {
 namespace {
@@ -362,6 +367,138 @@ TEST(PageSetTest, RunsAreMaximalAscendingAndClipped) {
   // A limit inside a run clips it; runs past the limit are left out.
   collect(63 * kPage + 100);
   EXPECT_EQ((std::vector<std::pair<size_t, size_t>>{{62 * kPage, kPage + 100}}), runs);
+}
+
+TEST(PageSetTest, ResizeForgetsPagesCutOffAndGrowsUnmarked) {
+  constexpr size_t kPage = PageSet::kPageSize;
+  PageSet set(70 * kPage);
+  set.Mark(0, 70 * kPage);
+  set.Resize(65 * kPage + 1);  // keeps pages 0-65, across a word boundary
+  EXPECT_TRUE(set.Contains(65));
+  EXPECT_FALSE(set.Contains(66));
+  set.Resize(200 * kPage);
+  set.Mark(199 * kPage, 1);
+  std::vector<std::pair<size_t, size_t>> runs;
+  set.ForEachRun(200 * kPage, [&](size_t at, size_t len) { runs.emplace_back(at, len); });
+  EXPECT_EQ((std::vector<std::pair<size_t, size_t>>{{0, 66 * kPage}, {199 * kPage, kPage}}),
+            runs);
+}
+
+// Runs `fn` on a thread of its own, which starts with no parked mappings.
+template <typename Fn>
+void OnFreshThread(Fn fn) {
+  std::thread(fn).join();
+}
+
+bool AllZero(const uint8_t* bytes, size_t len) {
+  return std::all_of(bytes, bytes + len, [](uint8_t b) { return b == 0; });
+}
+
+TEST(ZeroPagesTest, ReleasedStoreIsRetakenWithItsPagesZeroed) {
+  OnFreshThread([] {
+    constexpr size_t kSize = 40 * 4096 + 100;
+    const uint8_t* first = nullptr;
+    {
+      ZeroPages store(kSize);
+      first = store.data();
+      std::memset(store.MarkWritten(4096 - 3, 10), 0xab, 10);  // straddles pages 0-1
+      std::memset(store.MarkWritten(kSize - 5, 5), 0xcd, 5);
+      store.MarkWritten(kSize, 0);  // empty, at the end: marks nothing
+    }
+    EXPECT_EQ(1u, ZeroPages::parked());
+    ZeroPages other(2 * kSize);  // another page span: a mapping of its own
+    EXPECT_NE(first, other.data());
+    EXPECT_EQ(1u, ZeroPages::parked());
+    ZeroPages again(kSize - 50);  // the same page span
+    EXPECT_EQ(0u, ZeroPages::parked());
+    EXPECT_EQ(first, again.data());
+    EXPECT_TRUE(AllZero(again.data(), again.size()));
+    size_t runs = 0;
+    again.image().written().ForEachRun(again.size(), [&](size_t, size_t) { ++runs; });
+    EXPECT_EQ(0u, runs);
+    // Resizing to 0 releases the mapping as destruction does.
+    ASSERT_TRUE(again.Resize(0));
+    EXPECT_EQ(nullptr, again.data());
+    ASSERT_TRUE(again.Resize(kSize));
+    EXPECT_EQ(first, again.data());
+  });
+}
+
+// A parked mapping keeps resident only the pages its last owner wrote:
+// those an earlier owner wrote and the last one did not go back to the host.
+TEST(ZeroPagesTest, ParkedMappingHoldsOnlyItsLastOwnersPages) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  if (page != PageSet::kPageSize) {
+    GTEST_SKIP() << "the written set counts 4 KB pages; this host's are " << page;
+  }
+  OnFreshThread([page] {
+    constexpr size_t kPages = 8;
+    auto owner = [&](size_t first, size_t last) {  // writes pages [first, last)
+      ZeroPages store(kPages * page);
+      std::memset(store.MarkWritten(first * page, (last - first) * page), 0x11,
+                  (last - first) * page);
+      return store.data();
+    };
+    const uint8_t* first = owner(0, 4);
+    ASSERT_EQ(first, owner(2, 6));
+    ZeroPages third(kPages * page);
+    ASSERT_EQ(first, third.data());
+    unsigned char resident[kPages] = {};
+    ASSERT_EQ(0, mincore(const_cast<uint8_t*>(third.data()), kPages * page, resident));
+    for (size_t p = 0; p < kPages; ++p) {
+      EXPECT_EQ(p >= 2 && p < 6, (resident[p] & 1) != 0) << "page " << p;
+    }
+    EXPECT_TRUE(AllZero(third.data(), third.size()));
+  });
+}
+
+TEST(ZeroPagesTest, EscapedStoreIsUnmappedNotParked) {
+  OnFreshThread([] {
+    {
+      ZeroPages store(8 * 4096);
+      store.untracked_data()[5] = 1;  // a store the written set never sees
+    }
+    EXPECT_EQ(0u, ZeroPages::parked());
+    ZeroPages fresh(8 * 4096);
+    EXPECT_TRUE(AllZero(fresh.data(), fresh.size()));
+  });
+}
+
+TEST(ZeroPagesTest, ParkedCacheHoldsAtMostItsConstant) {
+  OnFreshThread([] {
+    std::vector<std::unique_ptr<ZeroPages>> stores;
+    std::vector<const uint8_t*> mappings;
+    for (size_t i = 0; i < ZeroPages::kParkedMax + 3; ++i) {
+      stores.push_back(std::make_unique<ZeroPages>(4096));
+      mappings.push_back(stores.back()->data());
+    }
+    for (size_t i = 0; i < stores.size(); ++i) {
+      stores[i].reset();
+      EXPECT_EQ(std::min(i + 1, ZeroPages::kParkedMax), ZeroPages::parked());
+    }
+    // The oldest were unmapped to make room; the newest comes back first.
+    ZeroPages taken(4096);
+    EXPECT_EQ(mappings.back(), taken.data());
+    EXPECT_EQ(ZeroPages::kParkedMax - 1, ZeroPages::parked());
+  });
+}
+
+TEST(ZeroPagesDeathTest, ReadThroughAParkedStoreIsAnAsanReport) {
+#if defined(OSKIT_ASAN)
+  EXPECT_DEATH(OnFreshThread([] {
+                 const uint8_t* stale = nullptr;
+                 {
+                   ZeroPages store(2 * 4096);
+                   std::memset(store.MarkWritten(0, 8), 1, 8);
+                   stale = store.data();
+                 }
+                 EXPECT_EQ(1u, ZeroPages::parked());
+                 (void)*static_cast<const volatile uint8_t*>(stale + 4096);
+               }),
+               "use-after-poison");
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
 }
 
 TEST(ErrorTest, NamesAreStable) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -188,6 +189,92 @@ TEST(MemBlkIoTest, SizeZeroObject) {
   EXPECT_EQ('x', io->data()[4095]);
   ASSERT_EQ(Error::kOk, io->SetSize(0));
   EXPECT_EQ(nullptr, io->data());
+}
+
+// An object's mapping, read without taking its mutable bytes (data() would
+// keep the mapping from being parked).
+const void* MappingOf(MemBlkIo* io) {
+  void* addr = nullptr;
+  EXPECT_EQ(Error::kOk, io->Map(&addr, 0, 0));
+  EXPECT_EQ(Error::kOk, io->Unmap(addr, 0, 0));
+  return addr;
+}
+
+void ExpectReadsZero(MemBlkIo* io) {
+  std::vector<uint8_t> bytes(io->size(), 1);
+  size_t actual = 0;
+  ASSERT_EQ(Error::kOk, io->Read(bytes.data(), 0, bytes.size(), &actual));
+  ASSERT_EQ(bytes.size(), actual);
+  EXPECT_TRUE(std::all_of(bytes.begin(), bytes.end(), [](uint8_t b) { return b == 0; }));
+}
+
+// A released object parks its mapping: the next object of its page span
+// takes the same mapping back, reading zero, however its bytes were written.
+TEST(MemBlkIoTest, ReleasedObjectIsRetakenZeroed) {
+  constexpr size_t kSize = 24 * 4096 + 300;
+  std::vector<uint8_t> pattern(kSize);
+  for (size_t i = 0; i < kSize; ++i) {
+    pattern[i] = static_cast<uint8_t>(i % 251 + 1);
+  }
+  PageSet written(kSize);
+  written.Mark(5000, 9000);
+  written.Mark(kSize - 1, 1);
+  enum class Way { kWrite, kMap, kCreateFrom, kCreateFromImage };
+  for (Way way : {Way::kWrite, Way::kMap, Way::kCreateFrom, Way::kCreateFromImage}) {
+    SCOPED_TRACE(static_cast<int>(way));
+    const void* first = nullptr;
+    {
+      ComPtr<MemBlkIo> io;
+      size_t actual = 0;
+      void* addr = nullptr;
+      switch (way) {
+        case Way::kWrite:
+          io = MemBlkIo::Create(kSize, 512);
+          ASSERT_EQ(Error::kOk, io->Write(pattern.data(), 100, 5000, &actual));
+          ASSERT_EQ(Error::kOk, io->Write(pattern.data(), kSize - 1, 1, &actual));
+          break;
+        case Way::kMap:
+          // The caller may store anywhere in the window, so all of it counts.
+          io = MemBlkIo::Create(kSize, 512);
+          ASSERT_EQ(Error::kOk, io->Map(&addr, 8190, 3 * 4096));
+          std::memcpy(addr, pattern.data(), 3 * 4096);
+          ASSERT_EQ(Error::kOk, io->Unmap(addr, 8190, 3 * 4096));
+          break;
+        case Way::kCreateFrom:
+          io = MemBlkIo::CreateFrom(pattern.data(), kSize, 512);
+          break;
+        case Way::kCreateFromImage:
+          io = MemBlkIo::CreateFrom(SparseImage(pattern.data(), kSize, &written), kSize, 512);
+          break;
+      }
+      first = MappingOf(io.get());
+    }
+    auto again = MemBlkIo::Create(kSize - 200, 512);  // the same page span
+    EXPECT_EQ(first, MappingOf(again.get()));
+    ExpectReadsZero(again.get());
+  }
+}
+
+// SetSize carries the written set with the bytes: pages written after a
+// grow are recorded, so they too read zero when the mapping is retaken.
+TEST(MemBlkIoTest, SetSizeKeepsTheWrittenSetSized) {
+  constexpr size_t kBig = 300 * 4096;  // past the set's first words
+  auto io = MemBlkIo::Create(0, 512);
+  size_t actual = 0;
+  ASSERT_EQ(Error::kOk, io->SetSize(kBig));
+  ASSERT_EQ(Error::kOk, io->Write("abc", kBig - 3, 3, &actual));
+  ASSERT_EQ(Error::kOk, io->SetSize(2 * 4096 + 7));
+  ASSERT_EQ(Error::kOk, io->Write("d", 2 * 4096 + 6, 1, &actual));
+  ASSERT_EQ(Error::kOk, io->SetSize(kBig));  // the given-up pages come back zero
+  std::vector<uint8_t> tail(kBig - (2 * 4096 + 7), 1);
+  ASSERT_EQ(Error::kOk, io->Read(tail.data(), 2 * 4096 + 7, tail.size(), &actual));
+  EXPECT_TRUE(std::all_of(tail.begin(), tail.end(), [](uint8_t b) { return b == 0; }));
+  ASSERT_EQ(Error::kOk, io->Write("efg", 299 * 4096 + 17, 3, &actual));
+  const void* first = MappingOf(io.get());
+  io.Reset();
+  auto again = MemBlkIo::Create(kBig, 512);
+  EXPECT_EQ(first, MappingOf(again.get()));
+  ExpectReadsZero(again.get());
 }
 
 TEST(MemBlkIoTest, HugeSetSizeFailsCleanly) {

@@ -6,8 +6,10 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/random.h"
@@ -17,6 +19,9 @@
 #include "src/fs/fsck.h"
 #include "src/secure/wrap.h"
 #include "tests/bounds_abuse.h"
+
+// Calls to the global operator new in this test binary (tests/new_counter.cc).
+size_t GlobalNewCalls();
 
 namespace oskit::fs {
 namespace {
@@ -140,6 +145,127 @@ TEST_F(FsTest, FileBoundsAbuse) {
   vec.Reset();
   f.Reset();
   ExpectFsckClean();
+}
+
+// A view's pins keep their storage between calls, so a warm Vectors/
+// UnmapVectors pair allocates nothing; views unmapped out of order each
+// drop exactly their own cache references.
+TEST_F(FsTest, WarmVectorsPairDoesNotAllocate) {
+  ComPtr<File> f;
+  ASSERT_EQ(Error::kOk, root_->Create("sendfile", 0644, f.Receive()));
+  std::vector<uint8_t> data(4 * kBlockSize);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i / kBlockSize + 1);
+  }
+  size_t actual = 0;
+  ASSERT_EQ(Error::kOk, f->Write(data.data(), 0, data.size(), &actual));
+  auto vec = ComPtr<BufIoVec>::FromQuery(f.get());
+  ASSERT_TRUE(vec);
+  BufIoSegment front[4];
+  BufIoSegment back[4];
+  size_t count = 0;
+  auto views = [&] {
+    // Blocks 0-1 and 2-3 as two views, unmapped in the order they were not made.
+    ASSERT_EQ(Error::kOk, vec->Vectors(front, 4, 100, 2 * kBlockSize - 100, &count));
+    ASSERT_EQ(2u, count);
+    ASSERT_EQ(Error::kOk, vec->Vectors(back, 4, 2 * kBlockSize, 2 * kBlockSize, &count));
+    ASSERT_EQ(2u, count);
+    EXPECT_EQ(1, front[0].data[0]);
+    EXPECT_EQ(kBlockSize - 100, front[0].len);
+    EXPECT_EQ(4, back[1].data[kBlockSize - 1]);
+    ASSERT_EQ(Error::kOk, vec->UnmapVectors(2 * kBlockSize, 2 * kBlockSize));
+    ASSERT_EQ(Error::kOk, vec->UnmapVectors(100, 2 * kBlockSize - 100));
+    EXPECT_EQ(Error::kInval, vec->UnmapVectors(100, 2 * kBlockSize - 100));
+  };
+  views();  // the first pair sizes the pin lists
+  size_t before = GlobalNewCalls();
+  views();
+  EXPECT_EQ(before, GlobalNewCalls());
+  vec.Reset();
+  f.Reset();
+  ExpectFsckClean();
+}
+
+// Forwards to a MemBlkIo, and runs `on_read` once, before the next read:
+// another fiber running while a cache miss waits on the disk.
+class ReadHookBlkIo final : public ComObject<ReadHookBlkIo, BlkIo> {
+ public:
+  explicit ReadHookBlkIo(ComPtr<MemBlkIo> inner) : inner_(std::move(inner)) {}
+
+  uint32_t GetBlockSize() override { return inner_->GetBlockSize(); }
+  Error Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) override {
+    if (on_read) {
+      std::exchange(on_read, nullptr)();
+    }
+    return inner_->Read(buf, offset, amount, out_actual);
+  }
+  Error Write(const void* buf, off_t64 offset, size_t amount,
+              size_t* out_actual) override {
+    return inner_->Write(buf, offset, amount, out_actual);
+  }
+  Error GetSize(off_t64* out_size) override { return inner_->GetSize(out_size); }
+
+  std::function<void()> on_read;
+
+ private:
+  friend class RefCounted<ReadHookBlkIo>;
+  ~ReadHookBlkIo() = default;
+
+  ComPtr<MemBlkIo> inner_;
+};
+
+// A view whose cache miss waits on the disk keeps exactly its own pins when
+// another view of the same file is unmapped meanwhile.
+TEST(FileVecTest, UnmapDuringAnotherViewsCacheMissUnpinsExactly) {
+  constexpr size_t kDiskBytes = 4 * 1024 * 1024;
+  ComPtr<ReadHookBlkIo> dev(new ReadHookBlkIo(MemBlkIo::Create(kDiskBytes, 512)));
+  ASSERT_EQ(Error::kOk, Mkfs(dev.get()));
+  auto mount = [&](ComPtr<FileSystem>* fs, ComPtr<Dir>* root) {
+    FileSystem* raw = nullptr;
+    ASSERT_EQ(Error::kOk, Offs::Mount(dev.get(), &raw));
+    *fs = ComPtr<FileSystem>(raw);
+    ASSERT_EQ(Error::kOk, (*fs)->GetRoot(root->Receive()));
+  };
+  ComPtr<FileSystem> fs;
+  ComPtr<Dir> root;
+  ComPtr<File> f;
+  mount(&fs, &root);
+  std::vector<uint8_t> data(4 * kBlockSize);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i / kBlockSize + 1);
+  }
+  size_t actual = 0;
+  ASSERT_EQ(Error::kOk, root->Create("f", 0644, f.Receive()));
+  ASSERT_EQ(Error::kOk, f->Write(data.data(), 0, data.size(), &actual));
+  f.Reset();
+  root.Reset();
+  ASSERT_EQ(Error::kOk, fs->Unmount());
+  mount(&fs, &root);  // a cold cache: every view below misses
+  ASSERT_EQ(Error::kOk, root->Lookup("f", f.Receive()));
+
+  auto vec = ComPtr<BufIoVec>::FromQuery(f.get());
+  ASSERT_TRUE(vec);
+  BufIoSegment front[2];
+  BufIoSegment back[2];
+  size_t count = 0;
+  ASSERT_EQ(Error::kOk, vec->Vectors(front, 2, 0, 2 * kBlockSize, &count));
+  dev->on_read = [&] { EXPECT_EQ(Error::kOk, vec->UnmapVectors(0, 2 * kBlockSize)); };
+  ASSERT_EQ(Error::kOk, vec->Vectors(back, 2, 2 * kBlockSize, 2 * kBlockSize, &count));
+  EXPECT_FALSE(dev->on_read);  // the front view went while the back one waited
+  EXPECT_EQ(3, back[0].data[0]);
+  EXPECT_EQ(4, back[1].data[kBlockSize - 1]);
+  ASSERT_EQ(Error::kOk, vec->UnmapVectors(2 * kBlockSize, 2 * kBlockSize));
+
+  // Nothing is left pinned: once clean, every cached block can be dropped.
+  ASSERT_EQ(Error::kOk, fs->Sync());
+  BlockCache& cache = static_cast<Offs*>(fs.get())->cache();
+  for (uint32_t block = 0; block < kDiskBytes / kBlockSize; ++block) {
+    ASSERT_EQ(Error::kOk, cache.Invalidate(block)) << "block " << block;
+  }
+  vec.Reset();
+  f.Reset();
+  root.Reset();
+  ASSERT_EQ(Error::kOk, fs->Unmount());
 }
 
 TEST_F(FsTest, CreateWriteReadPersistsAcrossRemount) {

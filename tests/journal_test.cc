@@ -83,7 +83,8 @@ class JournalWriterTest : public ::testing::Test {
     ASSERT_EQ(Error::kOk, Mkfs(disk_.get(), options));
     sb_ = ReadSuper(disk_.get());
     writer_ = std::make_unique<JournalWriter>(
-        ComPtr<BlkIo>::Retain(disk_.get()), sb_.journal_start, sb_.journal_blocks);
+        ComPtr<BlkIo>::Retain(disk_.get()), sb_.journal_start, sb_.journal_blocks,
+        nullptr);
     ASSERT_EQ(Error::kOk, writer_->Load());
   }
 
@@ -390,7 +391,7 @@ TEST_F(JournalWriterTest, RinglessDeviceSeesImagesInJournalOrder) {
   ComPtr<WriteLoggingBlkIo> logging(new WriteLoggingBlkIo(disk_));
   ASSERT_FALSE(ComPtr<BlkIoRing>::FromQuery(logging.get()));
   JournalWriter writer(ComPtr<BlkIo>::FromQuery(logging.get()), sb_.journal_start,
-                       sb_.journal_blocks);
+                       sb_.journal_blocks, nullptr);
   ASSERT_EQ(Error::kOk, writer.Load());
 
   // Targets out of order: the journal lays images out in target-list order.
@@ -419,6 +420,34 @@ TEST_F(JournalWriterTest, RinglessDeviceSeesImagesInJournalOrder) {
   }
 }
 
+// The adapter wrapped around a ring-less device counts into the mount's
+// trace environment, next to the journal's own counters, not into the
+// process default.
+TEST(JournalMountTest, RinglessDeviceCountsSyncSqesInTheMountsRegistry) {
+  auto disk = MemBlkIo::Create(4 * 1024 * 1024, 512);
+  ASSERT_FALSE(ComPtr<BlkIoRing>::FromQuery(disk.get()));
+  ASSERT_EQ(Error::kOk, Mkfs(disk.get()));
+  trace::CounterRegistry& global = trace::DefaultTraceEnv()->registry;
+  const uint64_t global_before = global.Value("aio.ring.sync_sqes");
+  trace::TraceEnv tenv;
+  MountOptions options;
+  options.trace = &tenv;
+  FileSystem* raw = nullptr;
+  ASSERT_EQ(Error::kOk, Offs::Mount(disk.get(), options, &raw));
+  ComPtr<FileSystem> fs(raw);
+  ComPtr<Dir> root;
+  ASSERT_EQ(Error::kOk, fs->GetRoot(root.Receive()));
+  ComPtr<File> f;
+  ASSERT_EQ(Error::kOk, root->Create("f", 0644, f.Receive()));
+  ASSERT_EQ(Error::kOk, fs->Sync());
+  EXPECT_GT(tenv.registry.Value("fs.journal.commits"), 0u);
+  EXPECT_GT(tenv.registry.Value("aio.ring.sync_sqes"), 0u);
+  EXPECT_EQ(global_before, global.Value("aio.ring.sync_sqes"));
+  f.Reset();
+  root.Reset();
+  ASSERT_EQ(Error::kOk, fs->Unmount());
+}
+
 // A failed image fails its own commit only: the batch's other completions,
 // failed ones among them, are reaped with it rather than left in the ring
 // for the next commit to take as its own.
@@ -428,7 +457,7 @@ TEST_F(JournalWriterTest, FailedImageFailsOnlyItsOwnCommit) {
   Format(options);
   ComPtr<WriteLoggingBlkIo> logging(new WriteLoggingBlkIo(disk_));
   JournalWriter writer(ComPtr<BlkIo>::FromQuery(logging.get()), sb_.journal_start,
-                       sb_.journal_blocks);
+                       sb_.journal_blocks, nullptr);
   ASSERT_EQ(Error::kOk, writer.Load());
   auto fill = [](uint32_t target, uint8_t* out) {
     std::memset(out, static_cast<int>(target), kBlockSize);
@@ -517,7 +546,7 @@ TEST_F(JournalWriterTest, ExactFitTransactionParksCheckpointAtRegionEnd) {
 
   // A fresh writer accepts it too, and its next commit wraps back to pos 1.
   JournalWriter reopened(ComPtr<BlkIo>::Retain(disk_.get()), sb_.journal_start,
-                         sb_.journal_blocks);
+                         sb_.journal_blocks, nullptr);
   ASSERT_EQ(Error::kOk, reopened.Load());
   uint32_t target = sb_.data_start + 7;
   ASSERT_EQ(Error::kOk, reopened.Commit({target}, [](uint32_t, uint8_t* out) {

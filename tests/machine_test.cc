@@ -1570,6 +1570,40 @@ TEST(DiskTest, WrittenPagesAreExactlyThePagesWritten) {
   EXPECT_EQ(2u, runs.size());
 }
 
+// A destroyed disk parks its platter: the next disk of its size takes the
+// same mapping back, reading zero, whatever its last power cut left there.
+TEST(DiskTest, ReleasedPlatterIsRetakenZeroed) {
+  constexpr uint64_t kSectors = 232;  // 29 pages of 4 KB
+  std::vector<uint8_t> buf(4 * DiskHw::kSectorSize);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i | 1);
+  }
+  for (DiskHw::CutPolicy policy :
+       {DiskHw::CutPolicy::kDropAll, DiskHw::CutPolicy::kDropSubset,
+        DiskHw::CutPolicy::kReorder, DiskHw::CutPolicy::kTear}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    const uint8_t* first = nullptr;
+    {
+      DiskRig rig(kSectors);
+      ASSERT_EQ(Error::kOk, rig.Write(3, 4, buf.data()));  // durable
+      rig.disk->EnableWriteCache(true);
+      ASSERT_EQ(Error::kOk, rig.Write(40, 4, buf.data()));
+      ASSERT_EQ(Error::kOk, rig.Write(kSectors - 4, 4, buf.data()));
+      ASSERT_EQ(Error::kOk, rig.Write(3, 2, buf.data() + 7));
+      rig.disk->PowerCut(policy, 7);
+      first = rig.disk->raw().data();
+    }
+    DiskRig again(kSectors);
+    SparseImage raw = again.disk->raw();
+    EXPECT_EQ(first, raw.data());
+    EXPECT_TRUE(std::all_of(raw.data(), raw.data() + raw.size(),
+                            [](uint8_t b) { return b == 0; }));
+    size_t runs = 0;
+    raw.written().ForEachRun(raw.size(), [&](size_t, size_t) { ++runs; });
+    EXPECT_EQ(0u, runs);
+  }
+}
+
 TEST(DiskTest, SparseImageCopyMatchesDenseCopy) {
   constexpr uint64_t kSectors = 192;  // 24 pages of 4 KB
   constexpr uint32_t kMaxRun = 20;    // runs up to 2.5 pages straddle pages

@@ -1,5 +1,5 @@
-// The replaced global operator new/delete that machine_test and driver_test
-// count allocations with.  They live in a translation unit of their own:
+// The replaced global operator new/delete that machine_test, driver_test and
+// fs_test count allocations with.  They live in a translation unit of their own:
 // where a caller could inline the replaced delete, gcc sees std::free run on
 // a pointer from operator new and warns (-Wmismatched-new-delete).  The
 // nothrow form is replaced too (std::stable_sort's buffer takes it), so
