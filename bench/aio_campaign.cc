@@ -72,8 +72,9 @@ uint8_t PatternByte(uint64_t salt, size_t i) {
   return static_cast<uint8_t>((salt + g_seed_base) * 131 + i * 29 + (i >> 9));
 }
 
-uint64_t Ambient(const char* name) {
-  return trace::ResolveTraceEnv(nullptr)->registry.Value(name);
+// The kernel's registry: its IDE glue reports there.
+uint64_t Ambient(KernelEnv& kernel, const char* name) {
+  return kernel.trace().registry.Value(name);
 }
 
 // ---------------------------------------------------------------------------
@@ -207,8 +208,8 @@ JournalRing RunJournalRing() {
   ComPtr<BlkIo> blkio = ComPtr<BlkIo>::FromQuery(device.get());
 
   trace::TraceEnv tenv;
-  uint64_t sqes_before = Ambient("glue.ide.ring.sqes");
-  uint64_t merges_before = Ambient("glue.ide.ring.merges");
+  uint64_t sqes_before = Ambient(*kernel, "glue.ide.ring.sqes");
+  uint64_t merges_before = Ambient(*kernel, "glue.ide.ring.merges");
   bool done = false;
   sim.Spawn("journal", [&] {
     if (!Ok(fs::Mkfs(blkio.get()))) {
@@ -261,8 +262,8 @@ JournalRing RunJournalRing() {
     return result;
   }
 
-  result.ring_sqes = Ambient("glue.ide.ring.sqes") - sqes_before;
-  result.ring_merges = Ambient("glue.ide.ring.merges") - merges_before;
+  result.ring_sqes = Ambient(*kernel, "glue.ide.ring.sqes") - sqes_before;
+  result.ring_merges = Ambient(*kernel, "glue.ide.ring.merges") - merges_before;
   if (result.commits == 0) {
     Fail("journal_ring", "workload committed no journal transactions");
   }

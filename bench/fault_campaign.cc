@@ -246,8 +246,9 @@ void RunTcpPhase(uint64_t seed, Aggregate* agg) {
 // ---------------------------------------------------------------------------
 
 void RunDiskPhase(uint64_t seed, Aggregate* agg) {
-  fault::FaultEnv fenv(seed ^ 0xd15c);
   trace::TraceEnv tenv;
+  fault::FaultEnv fenv(seed ^ 0xd15c);
+  fenv.BindTrace(&tenv);  // a handed env is bound by its owner, not the kernel
   Simulation sim;
   Machine machine(&sim, Machine::Config{});
   machine.AddDisk(16 * 1024 * 1024 / 512);
@@ -275,7 +276,7 @@ void RunDiskPhase(uint64_t seed, Aggregate* agg) {
       return;
     }
     FileSystem* raw = nullptr;
-    if (!Ok(fs::Offs::Mount(blkio.get(), &raw))) {
+    if (!Ok(fs::Offs::Mount(blkio.get(), {.trace = &tenv}, &raw))) {
       Fail(seed, "mount failed on a clean disk");
       phase_error = true;
       return;

@@ -757,10 +757,8 @@ void RunSecurePhase(uint64_t seed, SecureResult* out) {
   world.sim().Spawn("www/httpd", [&] {
     auto disk = MemBlkIo::Create(2 * 1024 * 1024, 512);
     OSKIT_ASSERT(Ok(fs::Mkfs(disk.get())));
-    fs::MountOptions mo;
-    mo.trace = &server.trace;
     ComPtr<FileSystem> ffs;
-    OSKIT_ASSERT(Ok(fs::Offs::Mount(disk.get(), mo, ffs.Receive())));
+    OSKIT_ASSERT(Ok(fs::Offs::Mount(disk.get(), {.trace = &server.trace}, ffs.Receive())));
     ComPtr<Dir> root;
     OSKIT_ASSERT(Ok(ffs->GetRoot(root.Receive())));
     ComPtr<File> f;

@@ -165,7 +165,7 @@ void RunCampaign(bool enforce, uint64_t seed, const Options& opt,
     std::abort();
   }
   ComPtr<FileSystem> raw_fs;
-  if (!Ok(fs::Offs::Mount(disk.get(), raw_fs.Receive()))) {
+  if (!Ok(fs::Offs::Mount(disk.get(), {.trace = &trace}, raw_fs.Receive()))) {
     std::abort();
   }
   secure::InstallJournalAdmission(static_cast<fs::Offs*>(raw_fs.get()),

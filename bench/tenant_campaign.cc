@@ -123,7 +123,7 @@ void RunCampaign(Mode mode, uint64_t seed, const Options& opt,
     std::abort();
   }
   ComPtr<FileSystem> raw_fs;
-  if (!Ok(fs::Offs::Mount(disk.get(), raw_fs.Receive()))) {
+  if (!Ok(fs::Offs::Mount(disk.get(), {.trace = &a.trace}, raw_fs.Receive()))) {
     std::fprintf(stderr, "mount failed\n");
     std::abort();
   }

@@ -110,7 +110,7 @@ int main() {
     ComPtr<BlkIo> part = MakePartitionView(hda.get(), found[0]);
     OSKIT_ASSERT(Ok(fs::Mkfs(part.get())));
     FileSystem* raw_fs = nullptr;
-    OSKIT_ASSERT(Ok(fs::Offs::Mount(part.get(), &raw_fs)));
+    OSKIT_ASSERT(Ok(fs::Offs::Mount(part.get(), {.trace = &server.trace}, &raw_fs)));
     ComPtr<FileSystem> filesystem(raw_fs);
     ComPtr<Dir> root;
     filesystem->GetRoot(root.Receive());

@@ -14,7 +14,7 @@ namespace oskit::aio {
 SyncRingAdapter::SyncRingAdapter(ComPtr<BlkIo> below, trace::TraceEnv* trace)
     : below_(std::move(below)) {
   barrier_ = ComPtr<BlkIoBarrier>::FromQuery(below_.get());
-  trace::TraceEnv* tenv = trace::ResolveTraceEnv(trace);
+  trace::TraceEnv* tenv = trace::Required(trace);
   trace_binding_.Bind(&tenv->registry, {{"aio.ring.sync_sqes", &sqes_}});
 }
 
@@ -90,7 +90,7 @@ StripeBlkIo::StripeBlkIo(std::vector<ComPtr<BlkIo>> children,
     barriers_.push_back(ComPtr<BlkIoBarrier>::FromQuery(child.get()));
   }
   size_ = (min_child / stripe_unit_) * stripe_unit_ * children_.size();
-  trace::TraceEnv* tenv = trace::ResolveTraceEnv(trace);
+  trace::TraceEnv* tenv = trace::Required(trace);
   trace_binding_.Bind(&tenv->registry, {{"aio.stripe.reads", &reads_},
                                         {"aio.stripe.writes", &writes_},
                                         {"aio.stripe.flushes", &flushes_}});
@@ -191,7 +191,7 @@ ChecksumBlkIo::ChecksumBlkIo(ComPtr<BlkIo> below, trace::TraceEnv* trace)
     : below_(std::move(below)), granule_(below_->GetBlockSize()) {
   OSKIT_ASSERT(granule_ > 0);
   barrier_ = ComPtr<BlkIoBarrier>::FromQuery(below_.get());
-  trace::TraceEnv* tenv = trace::ResolveTraceEnv(trace);
+  trace::TraceEnv* tenv = trace::Required(trace);
   trace_binding_.Bind(&tenv->registry,
                       {{"aio.checksum.updates", &updates_},
                        {"aio.checksum.verified", &verified_},

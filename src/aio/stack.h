@@ -54,8 +54,7 @@ class SyncRingAdapter final
 
   // Takes a reference on `below`; the adapter also passes plain BlkIo and
   // barrier calls through, so it can sit in a stack like any other layer.
-  static ComPtr<SyncRingAdapter> Wrap(BlkIo* below,
-                                      trace::TraceEnv* trace = nullptr);
+  static ComPtr<SyncRingAdapter> Wrap(BlkIo* below, trace::TraceEnv* trace);
 
   uint32_t GetBlockSize() override { return below_->GetBlockSize(); }
   Error Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) override {
@@ -97,8 +96,7 @@ class StripeBlkIo final : public ComObject<StripeBlkIo, BlkIo, BlkIoBarrier> {
   // block size.  Capacity is the smallest child's, rounded down to whole
   // units, times the child count — RAID0.
   static ComPtr<StripeBlkIo> Create(std::vector<ComPtr<BlkIo>> children,
-                                    uint32_t stripe_unit,
-                                    trace::TraceEnv* trace = nullptr);
+                                    uint32_t stripe_unit, trace::TraceEnv* trace);
 
   uint32_t GetBlockSize() override { return block_size_; }
   Error Read(void* buf, off_t64 offset, size_t amount, size_t* out_actual) override;
@@ -141,8 +139,7 @@ class StripeBlkIo final : public ComObject<StripeBlkIo, BlkIo, BlkIoBarrier> {
 class ChecksumBlkIo final
     : public ComObject<ChecksumBlkIo, BlkIo, BlkIoBarrier> {
  public:
-  static ComPtr<ChecksumBlkIo> Create(BlkIo* below,
-                                      trace::TraceEnv* trace = nullptr);
+  static ComPtr<ChecksumBlkIo> Create(BlkIo* below, trace::TraceEnv* trace);
 
   uint32_t GetBlockSize() override { return granule_; }
   // Reads verify every fully covered granule against the recorded digest

@@ -70,7 +70,7 @@ Error Amm::Modify(uint64_t addr, uint64_t size, uint32_t flags) {
 
 Error Amm::Allocate(uint64_t* inout_addr, uint64_t size, uint32_t flags,
                     unsigned align_bits, uint64_t upper_bound) {
-  if (fault_->ShouldFail("amm.alloc")) {
+  if (fault::ShouldFail(fault_, "amm.alloc")) {
     return Error::kNoSpace;
   }
   uint64_t addr = *inout_addr;

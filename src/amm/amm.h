@@ -80,7 +80,7 @@ class Amm {
 
   // Fault injection: with "amm.alloc" armed, Allocate() fails with
   // kNoSpace on fired calls — the same error a genuinely full map returns.
-  void SetFaultEnv(fault::FaultEnv* env) { fault_ = fault::ResolveFaultEnv(env); }
+  void SetFaultEnv(fault::FaultEnv* env) { fault_ = env; }
 
  private:
   struct Entry {
@@ -97,7 +97,7 @@ class Amm {
   uint64_t hi_;
   uint32_t free_flags_;
   std::map<uint64_t, Entry> entries_;  // keyed by start address
-  fault::FaultEnv* fault_ = fault::DefaultFaultEnv();
+  fault::FaultEnv* fault_ = nullptr;  // null: nothing armed
 };
 
 }  // namespace oskit

@@ -12,7 +12,9 @@ namespace {
   std::abort();
 }
 
-PanicHandler g_panic_handler = &DefaultPanicHandler;
+// Per host thread, like every other piece of kit state: a world running on
+// one thread never sees another thread's handler or observers.
+thread_local PanicHandler g_panic_handler = &DefaultPanicHandler;
 
 struct ObserverEntry {
   PanicObserver observer;
@@ -20,9 +22,9 @@ struct ObserverEntry {
 };
 
 constexpr int kMaxPanicObservers = 8;
-ObserverEntry g_observers[kMaxPanicObservers];
-int g_observer_count = 0;
-bool g_in_panic = false;
+thread_local ObserverEntry g_observers[kMaxPanicObservers];
+thread_local int g_observer_count = 0;
+thread_local bool g_in_panic = false;
 
 }  // namespace
 

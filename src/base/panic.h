@@ -10,6 +10,7 @@
 namespace oskit {
 
 // Handler invoked by Panic(); must not return.  Returns the previous handler.
+// The handler and the observers below belong to the calling host thread.
 using PanicHandler = void (*)(const char* message);
 PanicHandler SetPanicHandler(PanicHandler handler);
 

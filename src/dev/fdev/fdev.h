@@ -47,19 +47,18 @@ struct FdevEnv {
   // Blocking: the one primitive (§4.7.6).
   SleepEnv* sleep_env = nullptr;
 
-  // Observability environment the glue reports into (src/trace); null binds
-  // the process-global default, like every other entry's fallback.
+  // Observability environment the glue reports into (src/trace); required.
   trace::TraceEnv* trace = nullptr;
 
-  // Fault-injection environment the glue probes (src/fault); null binds the
-  // process-global default, which has nothing armed.
+  // Fault-injection environment the glue probes (src/fault); null: nothing
+  // armed.
   fault::FaultEnv* fault = nullptr;
 
   void* ctx = nullptr;
 };
 
 // The default environment: LMM memory, KernelEnv IRQ routing, the machine
-// clock, and the kernel's sleep environment.
+// clock, and the kernel's sleep, trace and fault environments.
 FdevEnv DefaultFdevEnv(KernelEnv* kernel);
 
 class DeviceRegistry {

@@ -20,8 +20,8 @@ void ReleaseRxBuffer(void* ctx, uint8_t* /*buf*/, size_t /*size*/) {
 
 BsdEtherDriver::BsdEtherDriver(const FdevEnv& env, NicHw* hw, net::NetStack* stack)
     : env_(env), hw_(hw), stack_(stack),
-      fault_(fault::ResolveFaultEnv(env.fault)) {
-  trace::TraceEnv* tenv = trace::ResolveTraceEnv(env_.trace);
+      fault_(env.fault) {
+  trace::TraceEnv* tenv = trace::Required(env_.trace);
   trace_binding_.Bind(&tenv->registry,
                       {{"bsd.tx.linearized", &tx_linearized_},
                        {"bsd.rx.alloc_drops", &rx_alloc_drops_},
@@ -89,7 +89,7 @@ void BsdEtherDriver::Output(net::MBuf* frame) {
 void BsdEtherDriver::Interrupt() {
   while (hw_->RxPending()) {
     NicHw::RxBufferPtr rx = hw_->RxTake();
-    if (fault_->ShouldFail("mbuf.rx_alloc")) {
+    if (fault::ShouldFail(fault_, "mbuf.rx_alloc")) {
       // Receive-buffer exhaustion: the frame goes back to the NIC's free
       // list (the ring has advanced) and the drop is counted; TCP above
       // retransmits.

@@ -98,7 +98,7 @@ class LinuxSendNetIo final : public ComObject<LinuxSendNetIo, NetIo> {
 }  // namespace
 
 LinuxEtherDev::LinuxEtherDev(const FdevEnv& env, NicHw* hw, std::string name)
-    : env_(env), name_(std::move(name)), trace_(trace::ResolveTraceEnv(env.trace)) {
+    : env_(env), name_(std::move(name)), trace_(trace::Required(env.trace)) {
   trace_binding_.Bind(&trace_->registry,
                       {{"glue.send.native_passthrough", &counters_.native_passthrough},
                        {"glue.send.fake_skbuff", &counters_.fake_skbuff},

@@ -130,7 +130,7 @@ LinuxIdeDev::LinuxIdeDev(const FdevEnv& env, DiskHw* hw, std::string name)
     drive_.benv.sleep_on_timeout = &GlueSleepOnTimeout;
   }
   drive_.benv.ctx = this;
-  trace::TraceEnv* tenv = trace::ResolveTraceEnv(env_.trace);
+  trace::TraceEnv* tenv = trace::Required(env_.trace);
   trace_binding_.Bind(&tenv->registry,
                       {{"glue.ide.retries", &drive_.retries},
                        {"glue.ide.watchdog_resets", &drive_.watchdog_resets},

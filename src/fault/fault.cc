@@ -49,9 +49,6 @@ bool FaultEnv::armed(const std::string& site_name) const {
 }
 
 bool FaultEnv::ShouldFail(const char* site_name) {
-  if (armed_count_ == 0) {
-    return false;  // the production fast path
-  }
   auto it = sites_.find(site_name);
   if (it == sites_.end() || !it->second.armed) {
     return false;
@@ -97,9 +94,11 @@ uint64_t FaultEnv::fires(const std::string& site_name) const {
 
 void FaultEnv::BindTrace(trace::TraceEnv* env) {
   UnregisterAll();
-  trace_ = trace::ResolveTraceEnv(env);
-  for (auto& [name, site] : sites_) {
-    RegisterSite(name, &site);
+  trace_ = env;
+  if (trace_ != nullptr) {
+    for (auto& [name, site] : sites_) {
+      RegisterSite(name, &site);
+    }
   }
 }
 
@@ -127,13 +126,6 @@ void FaultEnv::UnregisterAll() {
       site.registered = false;
     }
   }
-}
-
-FaultEnv* DefaultFaultEnv() {
-  // Never destroyed: components may probe it during static teardown, the
-  // same lifetime contract as the default trace environment.
-  static FaultEnv* env = new FaultEnv(1);
-  return env;
 }
 
 }  // namespace oskit::fault

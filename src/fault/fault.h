@@ -12,13 +12,13 @@
 // failure (error status, dropped frame, flipped byte, stuck completion,
 // nullptr return).
 //
-// Like the trace environment it mirrors (src/trace/trace.h), the fault
-// environment is client-overridable: components accept a FaultEnv* and
-// fall back to a process-global default that has nothing armed, so
-// production configurations pay one pointer test per probe.  All
-// randomness comes from the environment's own seeded Rng — a campaign
-// seed reproduces the exact fault schedule, byte corruption choices
-// included.  Every fire bumps a "fault.<site>" counter in the bound trace
+// The owner rule is the trace environment's (src/trace/trace.h): the
+// kernel (KernelEnv) owns a FaultEnv unless its client hands it one, and
+// binds its devices to it.  A component whose FaultEnv nobody bound holds
+// null, which means nothing is armed; every probe goes through ShouldFail
+// below, so an unarmed or unbound site costs one test.  All randomness
+// comes from the environment's own seeded Rng — a campaign seed reproduces
+// the exact fault schedule, byte corruption choices included.  Every fire bumps a "fault.<site>" counter in the bound trace
 // registry and drops a kMark event in the flight recorder, so recovery
 // counters can be correlated against injected causes in one snapshot.
 
@@ -62,8 +62,10 @@ class FaultEnv {
   void DisarmAll();
   bool armed(const std::string& site) const;
 
-  // The hot-path probe: counts the call and reports whether the site's
-  // trigger fired.  Unarmed (or never-armed) sites cost one integer test.
+  // Whether any site is armed: the probe's fast-path test.
+  bool any_armed() const { return armed_count_ != 0; }
+  // Counts the call and reports whether the site's trigger fired.
+  // Components probe through fault::ShouldFail below.
   bool ShouldFail(const char* site);
 
   // The armed spec's site parameter (0 when not armed).
@@ -78,8 +80,8 @@ class FaultEnv {
   Rng& rng() { return rng_; }
 
   // Reports fires into `env`'s registry (as "fault.<site>") and flight
-  // recorder (kMark events tagged with the site name).  Null binds the
-  // process-global default trace environment.
+  // recorder (kMark events tagged with the site name).  Null unbinds:
+  // fires are then counted only here.
   void BindTrace(trace::TraceEnv* env);
 
   // Deterministic (name-sorted) iteration over every site ever armed.
@@ -110,12 +112,17 @@ class FaultEnv {
   trace::TraceEnv* trace_ = nullptr;
 };
 
-// The process-global default environment: never destroyed, nothing armed
-// unless a test arms it.
-FaultEnv* DefaultFaultEnv();
+// The hot-path probe: whether `site` fires in `env`.  A null env (nobody
+// bound one) and an env with nothing armed both answer false at once.
+inline bool ShouldFail(FaultEnv* env, const char* site) {
+  return env != nullptr && env->any_armed() && env->ShouldFail(site);
+}
 
-inline FaultEnv* ResolveFaultEnv(FaultEnv* env) {
-  return env != nullptr ? env : DefaultFaultEnv();
+// Binds `env`, when there is one, to `trace` (null `trace` unbinds it).
+inline void BindTrace(FaultEnv* env, trace::TraceEnv* trace) {
+  if (env != nullptr) {
+    env->BindTrace(trace);
+  }
 }
 
 }  // namespace oskit::fault

@@ -36,27 +36,27 @@ void ScribbleInjector::Attempt(PhysAddr addr, size_t max_len,
 }
 
 void ScribbleInjector::Tick() {
-  if (env_->ShouldFail(kScribbleRandomSite)) {
+  if (ShouldFail(env_, kScribbleRandomSite)) {
     if (const Target* t = PickTarget(kernel_targets_)) {
       size_t offset = env_->rng().Below(t->len);
       Attempt(t->addr + offset, t->len - offset, &stats_.random,
               /*dma=*/false);
     }
   }
-  if (env_->ShouldFail(kScribbleTargetedSite)) {
+  if (ShouldFail(env_, kScribbleTargetedSite)) {
     // The "I know where it lives" attack: the structure's first word.
     if (const Target* t = PickTarget(kernel_targets_)) {
       Attempt(t->addr, t->len, &stats_.targeted, /*dma=*/false);
     }
   }
-  if (env_->ShouldFail(kScribblePteSite)) {
+  if (ShouldFail(env_, kScribblePteSite)) {
     if (const Target* t = PickTarget(pte_targets_)) {
       // Aim at an aligned entry inside the table, like a real PTE flip.
       size_t slot = env_->rng().Below(t->len / 4) * 4;
       Attempt(t->addr + slot, 4, &stats_.pte, /*dma=*/false);
     }
   }
-  if (env_->ShouldFail(kScribbleDmaSite)) {
+  if (ShouldFail(env_, kScribbleDmaSite)) {
     if (const Target* t = PickTarget(kernel_targets_)) {
       size_t offset = env_->rng().Below(t->len);
       Attempt(t->addr + offset, t->len - offset, &stats_.dma, /*dma=*/true);

@@ -59,7 +59,7 @@ class ScribbleInjector {
   // DMA path.  The env's rng drives offset and payload choices so a seed
   // replays the exact scribble schedule.
   ScribbleInjector(FaultEnv* env, PhysMem* phys, MemDomain* domain)
-      : env_(ResolveFaultEnv(env)), phys_(phys), domain_(domain) {}
+      : env_(env), phys_(phys), domain_(domain) {}
 
   // Kernel-state ranges the random/targeted/dma sites aim at.
   void AddKernelTarget(PhysAddr addr, size_t len) {

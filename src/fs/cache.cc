@@ -12,7 +12,7 @@ BlockCache::BlockCache(ComPtr<BlkIo> device, uint32_t block_size, size_t capacit
     : device_(std::move(device)),
       block_size_(block_size),
       capacity_(capacity),
-      trace_(trace::ResolveTraceEnv(trace)) {
+      trace_(trace::Required(trace)) {
   OSKIT_ASSERT(capacity_ >= 8);
   // Discover the barrier extension the §4.4.2 way: ask, don't assume.  A
   // device without one (plain memory block device) gets free barriers.

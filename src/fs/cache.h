@@ -34,9 +34,9 @@ class BlockCache {
   };
 
   // `capacity` is the number of cached blocks before LRU eviction.  `trace`
-  // is the observability environment to report into; null binds the default.
-  BlockCache(ComPtr<BlkIo> device, uint32_t block_size, size_t capacity = 256,
-             trace::TraceEnv* trace = nullptr);
+  // is the observability environment to report into.
+  BlockCache(ComPtr<BlkIo> device, uint32_t block_size, size_t capacity,
+             trace::TraceEnv* trace);
   ~BlockCache();
 
   BlockCache(const BlockCache&) = delete;
@@ -129,8 +129,7 @@ class BlockCache {
 class CacheBlkIo final : public ComObject<CacheBlkIo, BlkIo, BlkIoBarrier> {
  public:
   static ComPtr<CacheBlkIo> Create(BlkIo* below, uint32_t block_size,
-                                   size_t capacity = 256,
-                                   trace::TraceEnv* trace = nullptr);
+                                   size_t capacity, trace::TraceEnv* trace);
 
   uint32_t GetBlockSize() override { return cache_.block_size(); }
   Error Read(void* buf, off_t64 offset, size_t amount,

@@ -254,7 +254,7 @@ Offs::Offs(ComPtr<BlkIo> device, const SuperBlock& sb, trace::TraceEnv* trace)
     : device_(std::move(device)), sb_(sb) {
   cache_ = std::make_unique<BlockCache>(device_, kBlockSize, 256, trace);
   alloc_cursor_ = sb_.data_start;
-  trace::TraceEnv* tenv = trace::ResolveTraceEnv(trace);
+  trace::TraceEnv* tenv = trace::Required(trace);
   jcounters_binding_.Bind(&tenv->registry,
                           {{"fs.journal.commits", &jcounters_.commits},
                            {"fs.journal.blocks_logged", &jcounters_.blocks_logged},
@@ -266,10 +266,6 @@ Offs::Offs(ComPtr<BlkIo> device, const SuperBlock& sb, trace::TraceEnv* trace)
 }
 
 Offs::~Offs() = default;
-
-Error Offs::Mount(BlkIo* device, FileSystem** out_fs) {
-  return Mount(device, MountOptions{}, out_fs);
-}
 
 Error Offs::Mount(BlkIo* device, const MountOptions& options, FileSystem** out_fs) {
   *out_fs = nullptr;

@@ -93,8 +93,7 @@ bool MapFileBlock(const DiskInode& inode, uint64_t fb, ReadTable&& table,
 }
 
 struct MountOptions {
-  // Observability environment for the cache and journal counters; null
-  // binds the process-global default.
+  // Observability environment for the cache and journal counters; required.
   trace::TraceEnv* trace = nullptr;
   // Replay the journal's commit chain before exposing the volume.  Off only
   // for tests that want to inspect the unreplayed image.
@@ -106,7 +105,6 @@ class Offs final : public ComObject<Offs, FileSystem> {
   // Mounts the filesystem; fails with kCorrupt when the superblock does not
   // validate.  Replays the metadata journal first (crash recovery), then
   // clears the clean flag on disk until Unmount.
-  static Error Mount(BlkIo* device, FileSystem** out_fs);
   static Error Mount(BlkIo* device, const MountOptions& options,
                      FileSystem** out_fs);
 

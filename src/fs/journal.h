@@ -108,8 +108,7 @@ Error JournalReplay(BlkIo* device, const SuperBlock& sb, bool apply,
 class JournalWriter {
  public:
   // `trace` is the mount's environment: the ring adapter made for a device
-  // without a BlkIoRing binds its aio.ring.* counters there (null: the
-  // process default).
+  // without a BlkIoRing binds its aio.ring.* counters there.
   JournalWriter(ComPtr<BlkIo> device, uint32_t journal_start,
                 uint32_t journal_blocks, trace::TraceEnv* trace);
 

@@ -367,18 +367,18 @@ const char* StatusReason(int status) {
   }
 }
 
-std::string FormatResponseHead(int status, size_t content_length,
-                               const char* content_type, bool keep_alive) {
+void AppendResponseHead(std::string* out, int status, size_t content_length,
+                        const char* content_type, bool keep_alive) {
   char head[256];
-  std::snprintf(head, sizeof(head),
-                "HTTP/1.1 %d %s\r\n"
-                "Content-Type: %s\r\n"
-                "Content-Length: %zu\r\n"
-                "Connection: %s\r\n"
-                "\r\n",
-                status, StatusReason(status), content_type, content_length,
-                keep_alive ? "keep-alive" : "close");
-  return std::string(head);
+  int n = std::snprintf(head, sizeof(head),
+                        "HTTP/1.1 %d %s\r\n"
+                        "Content-Type: %s\r\n"
+                        "Content-Length: %zu\r\n"
+                        "Connection: %s\r\n"
+                        "\r\n",
+                        status, StatusReason(status), content_type, content_length,
+                        keep_alive ? "keep-alive" : "close");
+  out->append(head, std::min(static_cast<size_t>(n), sizeof(head) - 1));
 }
 
 }  // namespace oskit::http

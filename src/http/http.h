@@ -155,11 +155,11 @@ class ResponseParser : private internal::Framer<Response> {
   Response TakeResponse() { return TakeMessage(); }
 };
 
-// Serializes a response head (status line with the canonical reason + the
-// standard header block + blank line).  The caller appends the body itself
-// — the server streams file bodies in after the head.
-std::string FormatResponseHead(int status, size_t content_length,
-                               const char* content_type, bool keep_alive);
+// Appends a response head (status line with the canonical reason + the
+// standard header block + blank line) to `out`.  The caller appends the body
+// itself — the server streams file bodies in after the head.
+void AppendResponseHead(std::string* out, int status, size_t content_length,
+                        const char* content_type, bool keep_alive);
 
 // Canonical reason phrase for the status codes the server emits.
 const char* StatusReason(int status);

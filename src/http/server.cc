@@ -33,7 +33,7 @@ Server::Server(ComPtr<SocketFactory> factory, ComPtr<NetSelector> selector,
       selector_(std::move(selector)),
       root_(std::move(root)),
       config_(config),
-      trace_(trace::ResolveTraceEnv(config.trace)),
+      trace_(trace::Required(config.trace)),
       span_wait_(trace_, "http.span.wait"),
       span_accept_(trace_, "http.span.accept"),
       span_fs_read_(trace_, "http.span.fs_read"),
@@ -380,12 +380,10 @@ void Server::HandleRequest(Conn* conn, const Request& req) {
                   start_ns);
   } else if (head_only) {
     // HEAD: full Content-Length, no body bytes.
-    StageBytes(conn, FormatResponseHead(200, st.size, ContentTypeFor(path),
-                                        req.keep_alive));
+    StageHead(conn, 200, st.size, ContentTypeFor(path), req.keep_alive, {});
     FinishResponse(conn, start_ns);
   } else if (vec) {
-    StageBytes(conn, FormatResponseHead(200, st.size, ContentTypeFor(path),
-                                        req.keep_alive));
+    StageHead(conn, 200, st.size, ContentTypeFor(path), req.keep_alive, {});
     OutChunk chunk;
     chunk.file = std::move(vec);
     chunk.file_off = 0;
@@ -403,22 +401,20 @@ void Server::HandleRequest(Conn* conn, const Request& req) {
   }
 }
 
-void Server::StageBytes(Conn* conn, std::string bytes) {
-  if (bytes.empty()) {
-    return;
+// Formats a response head, then `body`, straight into the tail chunk.  The
+// tail is extended when it is literal bytes too: keeps pipelined small
+// responses in one Send call instead of one per header/body piece.
+void Server::StageHead(Conn* conn, int status, size_t content_length,
+                       const char* content_type, bool keep_alive,
+                       std::string_view body) {
+  if (conn->outq.empty() || conn->outq.back().file) {
+    conn->outq.emplace_back();
   }
-  conn->out_pending += bytes.size();
-  // Extend the tail chunk when it is also literal bytes: keeps pipelined
-  // small responses in one Send call instead of one per header/body piece.
-  if (!conn->outq.empty() && !conn->outq.back().file) {
-    conn->outq.back().bytes += bytes;
-    conn->outq.back().len = conn->outq.back().bytes.size();
-    return;
-  }
-  OutChunk chunk;
-  chunk.len = bytes.size();
-  chunk.bytes = std::move(bytes);
-  conn->outq.push_back(std::move(chunk));
+  OutChunk& tail = conn->outq.back();
+  AppendResponseHead(&tail.bytes, status, content_length, content_type, keep_alive);
+  tail.bytes += body;
+  conn->out_pending += tail.bytes.size() - tail.len;
+  tail.len = tail.bytes.size();
 }
 
 void Server::FinishResponse(Conn* conn, uint64_t start_ns) {
@@ -430,12 +426,8 @@ void Server::FinishResponse(Conn* conn, uint64_t start_ns) {
 void Server::StageResponse(Conn* conn, int status, const std::string& body,
                            const char* content_type, bool keep_alive,
                            bool head_only, uint64_t start_ns) {
-  std::string staged = FormatResponseHead(status, body.size(), content_type,
-                                          keep_alive);
-  if (!head_only) {
-    staged += body;
-  }
-  StageBytes(conn, std::move(staged));
+  StageHead(conn, status, body.size(), content_type, keep_alive,
+            head_only ? std::string_view() : std::string_view(body));
   FinishResponse(conn, start_ns);
 }
 

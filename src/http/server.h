@@ -55,7 +55,7 @@ class Server {
     // socket grants SocketZeroCopy (sendfile).  Off = the counted read+send
     // ablation: every body byte is copied through the staging buffer.
     bool sendfile = true;
-    trace::TraceEnv* trace = nullptr;  // null = process default
+    trace::TraceEnv* trace = nullptr;  // required: where counters report
     // Simulated-time source for per-request latency spans; spans record 0 ns
     // when unset.
     std::function<uint64_t()> now;
@@ -133,7 +133,8 @@ class Server {
   void StageResponse(Conn* conn, int status, const std::string& body,
                      const char* content_type, bool keep_alive, bool head_only,
                      uint64_t start_ns);
-  void StageBytes(Conn* conn, std::string bytes);
+  void StageHead(Conn* conn, int status, size_t content_length,
+                 const char* content_type, bool keep_alive, std::string_view body);
   void FinishResponse(Conn* conn, uint64_t start_ns);
   void Flush(Conn* conn);
   void UpdateInterest(Conn* conn);

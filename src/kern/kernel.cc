@@ -10,8 +10,8 @@ KernelEnv::KernelEnv(Machine* machine, const MultiBootInfo& info, SleepMode slee
     : machine_(machine),
       info_(info),
       console_(&machine->sim(), &machine->console_uart()),
-      trace_(trace::ResolveTraceEnv(trace)),
-      fault_(fault::ResolveFaultEnv(fault)) {
+      trace_(trace != nullptr ? trace : &own_trace_.emplace()),
+      fault_(fault != nullptr ? fault : &own_fault_) {
   if (sleep_mode == SleepMode::kFiber) {
     sleep_env_ = std::make_unique<FiberSleepEnv>(&machine->sim());
   } else {
@@ -35,35 +35,29 @@ KernelEnv::KernelEnv(Machine* machine, const MultiBootInfo& info, SleepMode slee
   // Thread the fault environment through this kernel's machine: the fault
   // campaign arms one env and every simulated device on the machine sees it.
   lmm_.BindFault(fault_);
-  fault_->BindTrace(trace_);
+  own_fault_.BindTrace(trace_);
   pit.SetFaultEnv(fault_);
   for (const auto& nic : machine_->nics()) {
     nic->SetFaultEnv(fault_);
     // Per-NIC interrupt-coalescing counters; with several NICs the registry
     // reports the sum, like every other multi-instance binding.
-    auto block = std::make_unique<trace::CounterBlock>();
-    block->Bind(&trace_->registry,
-                {{"nic.rx.coalesce.frames", &nic->rx_coalesce_frames_counter()},
-                 {"nic.rx.coalesce.irqs", &nic->rx_coalesce_irqs_counter()},
-                 {"nic.rx.coalesce.threshold_fires",
-                  &nic->rx_coalesce_threshold_counter()},
-                 {"nic.rx.coalesce.holdoff_fires",
-                  &nic->rx_coalesce_holdoff_counter()},
-                 {"nic.rx.coalesce.ring_fallback_fires",
-                  &nic->rx_coalesce_ring_counter()}});
-    nic_counters_.push_back(std::move(block));
+    nic_counters_.emplace_back().Bind(
+        &trace_->registry,
+        {{"nic.rx.coalesce.frames", &nic->rx_coalesce_frames_counter()},
+         {"nic.rx.coalesce.irqs", &nic->rx_coalesce_irqs_counter()},
+         {"nic.rx.coalesce.threshold_fires", &nic->rx_coalesce_threshold_counter()},
+         {"nic.rx.coalesce.holdoff_fires", &nic->rx_coalesce_holdoff_counter()},
+         {"nic.rx.coalesce.ring_fallback_fires", &nic->rx_coalesce_ring_counter()}});
   }
   for (const auto& disk : machine_->disks()) {
     disk->SetFaultEnv(fault_);
     // Per-disk durability counters; with several disks the registry reports
     // the sum, like every other multi-instance binding.
-    auto block = std::make_unique<trace::CounterBlock>();
-    block->Bind(&trace_->registry,
-                {{"disk.wcache.writes", &disk->wcache_writes_counter()},
-                 {"disk.wcache.flushes", &disk->wcache_flushes_counter()},
-                 {"disk.wcache.dropped", &disk->wcache_dropped_counter()},
-                 {"disk.wcache.torn", &disk->wcache_torn_counter()}});
-    disk_counters_.push_back(std::move(block));
+    disk_counters_.emplace_back().Bind(
+        &trace_->registry, {{"disk.wcache.writes", &disk->wcache_writes_counter()},
+                            {"disk.wcache.flushes", &disk->wcache_flushes_counter()},
+                            {"disk.wcache.dropped", &disk->wcache_dropped_counter()},
+                            {"disk.wcache.torn", &disk->wcache_torn_counter()}});
   }
   InstallDefaultHandlers();
   SetupMemory();
@@ -72,12 +66,8 @@ KernelEnv::KernelEnv(Machine* machine, const MultiBootInfo& info, SleepMode slee
 KernelEnv::~KernelEnv() {
   machine_->cpu().SetTraceRecorder(nullptr);
   // The time source captured this machine's clock; don't leave it dangling
-  // in a shared (default) environment.
+  // in a handed environment that outlives this kernel.
   trace_->recorder.SetTimeSource(nullptr);
-  // The fault environment may outlive this kernel's trace registry (a
-  // campaign sweeps many worlds with one env); move its reporting back to
-  // the process-global default while the registry is still alive.
-  fault_->BindTrace(nullptr);
   memmon_.reset();  // detaches itself from PhysMem
   if (memmon_map_ != nullptr) {
     MemFree(memmon_map_, memmon_map_bytes_);

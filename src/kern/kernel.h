@@ -21,7 +21,9 @@
 #define OSKIT_SRC_KERN_KERNEL_H_
 
 #include <functional>
+#include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,11 +48,13 @@ class KernelEnv {
     kSpin,   // single-threaded example kernel: spin on the sleep record
   };
 
-  // `trace` is the observability environment (src/trace) this kernel's
-  // components report into; null binds the process-global default.  The
-  // testbed gives every simulated machine its own.  `fault` is the fault
-  // environment (src/fault) wired through this kernel's machine and LMM —
-  // null binds the process-global default, which has nothing armed.
+  // The kernel is the one owner that decides which environment its
+  // components report into.  `trace` is the observability environment
+  // (src/trace) and `fault` the fault-injection environment (src/fault)
+  // wired through this kernel's machine and LMM.  Given null, the kernel
+  // makes its own, apart from every other kernel's; its own FaultEnv has
+  // nothing armed and reports fires into `trace`.  A handed FaultEnv is
+  // bound to a trace environment by whoever handed it.
   KernelEnv(Machine* machine, const MultiBootInfo& info,
             SleepMode sleep_mode = SleepMode::kFiber,
             trace::TraceEnv* trace = nullptr,
@@ -119,11 +123,13 @@ class KernelEnv {
   MultiBootInfo info_;
   BaseConsole console_;
   std::unique_ptr<SleepEnv> sleep_env_;
+  std::optional<trace::TraceEnv> own_trace_;  // made only when handed none
   trace::TraceEnv* trace_;
+  fault::FaultEnv own_fault_;  // probed only when handed none
   fault::FaultEnv* fault_;
   trace::CounterBlock cpu_counters_;
-  std::vector<std::unique_ptr<trace::CounterBlock>> disk_counters_;
-  std::vector<std::unique_ptr<trace::CounterBlock>> nic_counters_;
+  std::list<trace::CounterBlock> disk_counters_;  // one per disk
+  std::list<trace::CounterBlock> nic_counters_;   // one per NIC
   Lmm lmm_;
   LmmRegion region_low_;    // < 1 MB
   LmmRegion region_dma_;    // 1..16 MB

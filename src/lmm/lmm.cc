@@ -25,7 +25,7 @@ FreeBlock* BlockAt(uintptr_t addr) { return reinterpret_cast<FreeBlock*>(addr); 
 }  // namespace
 
 void Lmm::BindTrace(trace::TraceEnv* env) {
-  env = trace::ResolveTraceEnv(env);
+  env = trace::Required(env);
   trace_binding_.Unbind();
   trace_binding_.Bind(&env->registry,
                       {{"lmm.alloc_calls", &counters_.alloc_calls},
@@ -169,7 +169,7 @@ void* Lmm::AllocGen(size_t size, uint32_t flags, unsigned align_bits,
   size = RoundUp(size);
   uintptr_t bounds_max = bounds_size == 0 ? ~uintptr_t{0} : bounds_min + bounds_size;
 
-  if (fault_->ShouldFail("lmm.alloc")) {
+  if (fault::ShouldFail(fault_, "lmm.alloc")) {
     return nullptr;  // simulated exhaustion: same contract as the real miss
   }
 

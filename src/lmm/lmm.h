@@ -127,7 +127,7 @@ class Lmm {
 
   // Fault injection: when the bound environment arms "lmm.alloc", AllocGen
   // fails (returns nullptr) on fired calls, exactly as exhaustion would.
-  void BindFault(fault::FaultEnv* env) { fault_ = fault::ResolveFaultEnv(env); }
+  void BindFault(fault::FaultEnv* env) { fault_ = env; }
 
  private:
   void AddFreeToRegion(LmmRegion* region, uintptr_t min, uintptr_t max);
@@ -136,7 +136,7 @@ class Lmm {
   Counters counters_;
   trace::CounterBlock trace_binding_;
   trace::FlightRecorder* recorder_ = nullptr;
-  fault::FaultEnv* fault_ = fault::DefaultFaultEnv();
+  fault::FaultEnv* fault_ = nullptr;  // null: nothing armed
 };
 
 }  // namespace oskit

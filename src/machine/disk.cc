@@ -10,7 +10,7 @@
 namespace oskit {
 
 SimTime DiskHw::EffectiveDelay(SimTime delay) {
-  if (fault_->ShouldFail("disk.slow")) {
+  if (fault::ShouldFail(fault_, "disk.slow")) {
     uint64_t mult = fault_->SiteArg("disk.slow");
     delay *= mult != 0 ? mult : 10;
   }
@@ -20,7 +20,7 @@ SimTime DiskHw::EffectiveDelay(SimTime delay) {
 bool DiskHw::Admit(uint64_t lba, uint32_t sectors, const char* site, SimTime delay) {
   OSKIT_ASSERT_MSG(!busy_, "request submitted while disk busy");
   busy_ = true;
-  if (!powered_off_ && fault_->ShouldFail("disk.stuck")) {
+  if (!powered_off_ && fault::ShouldFail(fault_, "disk.stuck")) {
     return false;  // controller hang: no completion until Reset()
   }
   Error early = powered_off_                    ? Error::kIo
@@ -30,7 +30,7 @@ bool DiskHw::Admit(uint64_t lba, uint32_t sectors, const char* site, SimTime del
     pending_ = clock_->ScheduleAfter(kSeekNs, [this, early] { Complete(early); });
     return false;
   }
-  if (fault_->ShouldFail(site)) {
+  if (fault::ShouldFail(fault_, site)) {
     pending_ = clock_->ScheduleAfter(EffectiveDelay(delay),
                                      [this] { Complete(Error::kIo); });
     return false;

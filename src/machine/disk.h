@@ -87,7 +87,7 @@ class DiskHw {
 
   uint64_t sector_count() const { return sector_count_; }
   int irq() const { return irq_; }
-  void SetFaultEnv(fault::FaultEnv* env) { fault_ = fault::ResolveFaultEnv(env); }
+  void SetFaultEnv(fault::FaultEnv* env) { fault_ = env; }
 
   // IOMMU hookup for the memory monitor (src/machine/memmon.h): when set,
   // read completions whose target buffer lies inside the physical arena
@@ -206,7 +206,7 @@ class DiskHw {
   uint64_t flushes_completed_ = 0;
   uint64_t resets_ = 0;
   SimClock::EventId pending_ = SimClock::kInvalidEvent;
-  fault::FaultEnv* fault_ = fault::DefaultFaultEnv();
+  fault::FaultEnv* fault_ = nullptr;  // null: nothing armed
   PhysMem* dma_phys_ = nullptr;  // monitor-checked DMA when set
   uint64_t dma_rejected_ = 0;
 

@@ -45,7 +45,7 @@ const char* MemAccessName(MemAccess access) {
 }
 
 MemMonitor::MemMonitor(PhysMem* phys, Cpu* cpu, trace::TraceEnv* trace)
-    : phys_(phys), cpu_(cpu), trace_(trace::ResolveTraceEnv(trace)) {
+    : phys_(phys), cpu_(cpu), trace_(trace::Required(trace)) {
   pages_ = (phys_->size() + kPage - 1) / kPage;
   binding_.Bind(&trace_->registry,
                 {{"mon.violation.store", &counters_.store_violations},

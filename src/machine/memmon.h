@@ -92,8 +92,7 @@ class MemMonitor {
     PageProt prot = PageProt::kComponentWritable;  // the page that refused
   };
 
-  // Counters register as mon.* in `trace`'s registry (null = the
-  // process-global default environment).
+  // Counters register as mon.* in `trace`'s registry.
   MemMonitor(PhysMem* phys, Cpu* cpu, trace::TraceEnv* trace);
   ~MemMonitor();
   MemMonitor(const MemMonitor&) = delete;

@@ -39,10 +39,10 @@ size_t NicHw::RxDequeue(uint8_t* buf) {
 
 bool NicHw::TxGate() {
   ++tx_frames_;
-  if (fault_->ShouldFail("nic.irq.spurious")) {
+  if (fault::ShouldFail(fault_, "nic.irq.spurious")) {
     pic_->RaiseIrq(irq_);  // causeless interrupt: drivers must tolerate it
   }
-  if (fault_->ShouldFail("nic.tx.drop")) {
+  if (fault::ShouldFail(fault_, "nic.tx.drop")) {
     ++tx_dropped_;
     return false;  // the transceiver ate the frame; TCP's timers must notice
   }
@@ -82,7 +82,7 @@ void NicHw::FrameArrived(const uint8_t* frame, size_t len) {
   RxBufferPtr rx(new RxBuffer);
   std::memcpy(rx->bytes, frame, len);
   rx->len = static_cast<uint32_t>(len);
-  if (len > kEtherHeaderSize && fault_->ShouldFail("nic.rx.corrupt")) {
+  if (len > kEtherHeaderSize && fault::ShouldFail(fault_, "nic.rx.corrupt")) {
     // Flip one payload byte past the header so the frame still reaches the
     // stack and the protocol checksums have to catch it.
     size_t at = kEtherHeaderSize + fault_->rng().Below(len - kEtherHeaderSize);
@@ -118,7 +118,7 @@ void NicHw::FrameArrived(const uint8_t* frame, size_t len) {
 void NicHw::RaiseRxIrq() {
   unannounced_ = 0;
   CancelHoldoff();
-  if (fault_->ShouldFail("nic.rx.miss_irq")) {
+  if (fault::ShouldFail(fault_, "nic.rx.miss_irq")) {
     // The announcement is consumed but the line never asserts: every frame
     // batched behind it strands until software notices (the RX watchdog).
     ++rx_irqs_missed_;

@@ -92,7 +92,7 @@ class NicHw final : public WireEndpoint {
   int irq() const { return irq_; }
 
   void EnableRxInterrupt(bool on) { rx_interrupt_enabled_ = on; }
-  void SetFaultEnv(fault::FaultEnv* env) { fault_ = fault::ResolveFaultEnv(env); }
+  void SetFaultEnv(fault::FaultEnv* env) { fault_ = env; }
 
   void SetRxMitigation(const RxMitigation& mit);
   const RxMitigation& rx_mitigation() const { return mit_; }
@@ -176,7 +176,7 @@ class NicHw final : public WireEndpoint {
   trace::Counter rx_coalesce_threshold_;
   trace::Counter rx_coalesce_holdoff_;
   trace::Counter rx_coalesce_ring_;
-  fault::FaultEnv* fault_ = fault::DefaultFaultEnv();
+  fault::FaultEnv* fault_ = nullptr;  // null: nothing armed
 };
 
 }  // namespace oskit

@@ -27,7 +27,7 @@ void Pit::Tick() {
   }
   ++ticks_;
   SimTime period = period_ns_;
-  if (fault_->ShouldFail("pit.skew")) {
+  if (fault::ShouldFail(fault_, "pit.skew")) {
     // Oscillator wander: this tick's successor lands early or late by
     // arg% (default 20%) of the nominal period.
     uint64_t pct = fault_->SiteArg("pit.skew");

@@ -29,7 +29,7 @@ class Pit {
   void Start(uint32_t hz);
   void Stop();
 
-  void SetFaultEnv(fault::FaultEnv* env) { fault_ = fault::ResolveFaultEnv(env); }
+  void SetFaultEnv(fault::FaultEnv* env) { fault_ = env; }
 
   bool running() const { return running_; }
   uint32_t hz() const { return hz_; }
@@ -53,7 +53,7 @@ class Pit {
   SimClock::EventId pending_event_ = SimClock::kInvalidEvent;
   trace::Counter skew_events_;
   trace::Counter skew_compensations_;
-  fault::FaultEnv* fault_ = fault::DefaultFaultEnv();
+  fault::FaultEnv* fault_ = nullptr;  // null: nothing armed
 };
 
 }  // namespace oskit

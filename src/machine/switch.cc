@@ -33,7 +33,7 @@ constexpr size_t kHeaderBytes = 14;  // dst + src + ethertype
 VirtualSwitch::VirtualSwitch(SimClock* clock, const Config& config,
                              trace::TraceEnv* trace)
     : clock_(clock), config_(config), rng_(config.fault_seed) {
-  trace::TraceEnv* env = trace::ResolveTraceEnv(trace);
+  trace::TraceEnv* env = trace::Required(trace);
   trace_binding_.Bind(&env->registry,
                       {{"switch.frames.in", &frames_in_},
                        {"switch.frames.unicast", &frames_unicast_},

@@ -81,12 +81,11 @@ class VirtualSwitch final {
   };
 
   // A learning switch.  `trace` is the observability environment the
-  // switch.* counters bind to; null binds the process-global default.
-  VirtualSwitch(SimClock* clock, const Config& config,
-                trace::TraceEnv* trace = nullptr);
+  // switch.* counters bind to.
+  VirtualSwitch(SimClock* clock, const Config& config, trace::TraceEnv* trace);
   // A hub: the shared segment, every port on `config`'s link.
   VirtualSwitch(SimClock* clock, const EthernetWire::Config& config,
-                trace::TraceEnv* trace = nullptr);
+                trace::TraceEnv* trace);
 
   // Attaching creates the next port (port index = attach order).
   void Attach(WireEndpoint* endpoint);

@@ -68,7 +68,7 @@ LinuxNetStack::LinuxNetStack(SleepEnv* sleep_env, SimClock* clock, linux_device*
       clock_(clock),
       dev_(dev),
       sleep_(sleep_env),
-      trace_(trace::ResolveTraceEnv(trace)) {
+      trace_(trace::Required(trace)) {
   trace_binding_.Bind(&trace_->registry,
                       {{"linux.ip.in", &counters_.ip_in},
                        {"linux.ip.out", &counters_.ip_out},

@@ -123,9 +123,9 @@ class LinuxNetStack {
 
   // Binds directly to the Linux-idiom driver core: stack and driver share
   // skbuffs natively, as in the real Linux kernel.  `trace` is the
-  // observability environment to report into; null binds the default.
+  // observability environment to report into.
   LinuxNetStack(SleepEnv* sleep_env, SimClock* clock, linux_device* dev,
-                trace::TraceEnv* trace = nullptr);
+                trace::TraceEnv* trace);
   ~LinuxNetStack();
 
   Error IfConfig(InetAddr addr, InetAddr netmask);

@@ -75,7 +75,7 @@ void BsdSleepWakeup::Wakeup(const void* chan) {
 NetStack::NetStack(SleepEnv* sleep_env, SimClock* clock, trace::TraceEnv* trace)
     : sleep_env_(sleep_env),
       clock_(clock),
-      trace_(trace::ResolveTraceEnv(trace)),
+      trace_(trace::Required(trace)),
       sleep_wakeup_(sleep_env, &trace_->recorder),
       epoch_(clock->Now()) {
   trace_binding_.Bind(
@@ -271,7 +271,7 @@ class StackRecvNetIo final
 
   Error Push(BufIo* packet, size_t size) override {
     // Import the foreign packet: zero-copy when it maps (§4.7.3).
-    if (stack_->fault_->ShouldFail("mbuf.rx_alloc")) {
+    if (fault::ShouldFail(stack_->fault_, "mbuf.rx_alloc")) {
       // Injected mbuf exhaustion at the import boundary: refuse the frame
       // cleanly — the driver keeps ownership and TCP above retransmits.
       ++stack_->mutable_counters().rx_alloc_drops;

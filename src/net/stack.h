@@ -414,10 +414,9 @@ class NetStack {
     trace::Counter select_registered;     // gauge: live registrations
   };
 
-  // `trace` is the observability environment to report into; null binds the
-  // process-global default (the testbed supplies a per-host one).
-  NetStack(SleepEnv* sleep_env, SimClock* clock,
-           trace::TraceEnv* trace = nullptr);
+  // `trace` is the observability environment to report into (the testbed
+  // supplies its host kernel's).
+  NetStack(SleepEnv* sleep_env, SimClock* clock, trace::TraceEnv* trace);
   ~NetStack();
 
   NetStack(const NetStack&) = delete;
@@ -470,9 +469,9 @@ class NetStack {
   // that holdoff needs a deeper window to keep the wire full.
   void SetDefaultSockBuf(size_t bytes) { default_sock_buf_ = bytes; }
 
-  // Fault-injection environment: null rebinds the process-global default.
+  // Fault-injection environment (the kernel's); null: nothing armed.
   // Probed at the RX mbuf-import boundary ("mbuf.rx_alloc").
-  void SetFaultEnv(fault::FaultEnv* env) { fault_ = fault::ResolveFaultEnv(env); }
+  void SetFaultEnv(fault::FaultEnv* env) { fault_ = env; }
 
   // Per-principal accounting hooks (src/secure).  Null (the default) makes
   // every admission/charge a no-op.  The accountant must outlive the stack's
@@ -756,7 +755,7 @@ class NetStack {
 
   SoAccounting* accounting_ = nullptr;
   size_t default_sock_buf_ = kDefaultBufSize;
-  fault::FaultEnv* fault_ = fault::DefaultFaultEnv();
+  fault::FaultEnv* fault_ = nullptr;  // null: nothing armed
   SimClock::EventId wheel_timer_ = SimClock::kInvalidEvent;
   bool shutting_down_ = false;
 };

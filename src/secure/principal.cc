@@ -76,7 +76,7 @@ Principal::Principal(uint32_t id, std::string name, const Budget& budget,
       {Names().denied[7].c_str(), &denied_[7]},
   };
   static_assert(kResourceCount == 8, "update the counter item list");
-  binding_.Bind(&trace::ResolveTraceEnv(trace)->registry, items);
+  binding_.Bind(&trace::Required(trace)->registry, items);
 }
 
 Principal::~Principal() = default;
@@ -114,7 +114,7 @@ uint64_t Principal::denied_total() const {
 }
 
 PrincipalRegistry::PrincipalRegistry(trace::TraceEnv* trace)
-    : trace_(trace::ResolveTraceEnv(trace)) {}
+    : trace_(trace::Required(trace)) {}
 
 PrincipalRegistry::~PrincipalRegistry() = default;
 

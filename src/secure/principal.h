@@ -156,9 +156,8 @@ class Principal {
 // call cannot block (true for MemBlkIo-backed filesystems).
 class PrincipalRegistry {
  public:
-  // `trace` is where per-principal counters register; null binds the
-  // process-global default environment.
-  explicit PrincipalRegistry(trace::TraceEnv* trace = nullptr);
+  // `trace` is where per-principal counters register.
+  explicit PrincipalRegistry(trace::TraceEnv* trace);
   ~PrincipalRegistry();
   PrincipalRegistry(const PrincipalRegistry&) = delete;
   PrincipalRegistry& operator=(const PrincipalRegistry&) = delete;

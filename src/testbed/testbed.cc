@@ -15,14 +15,17 @@ ComPtr<Socket> Host::MakeSocket(SockType type) {
 }
 
 World::World(const EthernetWire::Config& wire_config, fault::FaultEnv* fault)
-    : fabric_(&sim_.clock(), wire_config, &trace_),
-      fault_(fault::ResolveFaultEnv(fault)) {}
+    : fabric_(&sim_.clock(), wire_config, &trace_), fault_(fault) {
+  fault::BindTrace(fault_, &trace_);
+}
 
 World::World(const VirtualSwitch::Config& switch_config, fault::FaultEnv* fault)
-    : fabric_(&sim_.clock(), switch_config, &trace_),
-      fault_(fault::ResolveFaultEnv(fault)) {}
+    : fabric_(&sim_.clock(), switch_config, &trace_), fault_(fault) {
+  fault::BindTrace(fault_, &trace_);
+}
 
 World::~World() {
+  fault::BindTrace(fault_, nullptr);  // the env outlives this world's trace()
   // Stacks reference machines/kernels; tear down in reverse order.
   for (auto it = hosts_.rbegin(); it != hosts_.rend(); ++it) {
     Host& host = **it;
@@ -54,16 +57,18 @@ Host& World::AddHost(const std::string& name, NetConfig config) {
   host->fdev = DefaultFdevEnv(host->kernel.get());
 
   InetAddr netmask = MakeInetAddr(255, 255, 255, 0);
+  if (config != NetConfig::kNativeLinux) {
+    host->stack = std::make_unique<net::NetStack>(&host->kernel->sleep_env(),
+                                                  &sim_.clock(), &host->trace);
+    host->stack->SetFaultEnv(&host->kernel->fault());
+  }
 
   switch (config) {
     case NetConfig::kOskit:
     case NetConfig::kOskitNapi: {
-      // §5 initialization sequence: init Linux ethernet drivers, probe,
-      // init the FreeBSD stack, bind, ifconfig.
+      // §5 initialization sequence, the FreeBSD stack already up: init Linux
+      // ethernet drivers, probe, bind, ifconfig.
       linuxdev::InitLinuxEthernet(host->fdev, host->machine.get(), &host->registry);
-      host->stack = std::make_unique<net::NetStack>(&host->kernel->sleep_env(),
-                                                    &sim_.clock(), &host->trace);
-      host->stack->SetFaultEnv(fault_);
       auto devices = host->registry.LookupByInterface(EtherDev::kIid);
       OSKIT_ASSERT_MSG(!devices.empty(), "no ethernet devices probed");
       host->ether_dev = static_cast<linuxdev::LinuxEtherDev*>(devices[0].get());
@@ -91,9 +96,6 @@ Host& World::AddHost(const std::string& name, NetConfig config) {
       break;
     }
     case NetConfig::kNativeBsd: {
-      host->stack = std::make_unique<net::NetStack>(&host->kernel->sleep_env(),
-                                                    &sim_.clock(), &host->trace);
-      host->stack->SetFaultEnv(fault_);
       host->bsd_driver = std::make_unique<freebsddev::BsdEtherDriver>(
           host->fdev, nic, host->stack.get());
       Error err = host->bsd_driver->Attach();

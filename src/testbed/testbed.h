@@ -43,9 +43,10 @@ enum class NetConfig {
 
 // One simulated PC with a kernel environment and a bound network stack.
 struct Host {
-  // Per-host observability environment: every component on this host reports
-  // into this registry/recorder, so benchmarks can read per-sender counters.
-  // First member so it outlives everything that registers with it.
+  // Per-host observability environment, handed to the host's kernel: every
+  // component on this host reports into this registry/recorder, so
+  // benchmarks can read per-sender counters.  First member so it outlives
+  // everything that registers with it.
   trace::TraceEnv trace;
   std::unique_ptr<Machine> machine;
   std::unique_ptr<KernelEnv> kernel;
@@ -73,10 +74,10 @@ struct Host {
 class World {
  public:
   // The paper's shared segment: every AddHost NIC attaches to a hub, one
-  // collision domain (src/machine/switch.h).  `fault` is the
-  // fault-injection environment every host's kernel, devices and stack bind
-  // to; null binds the process-global default.  A campaign passes one
-  // per-seed env and arms sites on it before/while running.
+  // collision domain (src/machine/switch.h).  `fault` is handed to every
+  // host's kernel, whose devices and stack bind it; its fault.* counters
+  // report into trace().  A campaign passes one per-seed env and arms sites
+  // on it before/while running.  Given null, each host's kernel owns one.
   explicit World(const EthernetWire::Config& wire_config = {},
                  fault::FaultEnv* fault = nullptr);
   // Switched fabric: every AddHost NIC gets its own port on a learning
@@ -88,8 +89,9 @@ class World {
   Simulation& sim() { return sim_; }
   // The fabric hosts attach to, hub or switch.
   VirtualSwitch& fabric() { return fabric_; }
-  // The fabric's own observability environment: its switch.* counters
-  // report here, apart from every host and from other worlds.
+  // The fabric's own observability environment: its switch.* counters (and
+  // a handed FaultEnv's fault.* counters) report here, apart from every host
+  // and from other worlds.
   trace::TraceEnv& trace() { return trace_; }
 
   // Adds a host with one NIC attached to the segment, books it through the
@@ -108,7 +110,7 @@ class World {
   Simulation sim_;
   trace::TraceEnv trace_;  // outlives the fabric's counter binding
   VirtualSwitch fabric_;
-  fault::FaultEnv* fault_;
+  fault::FaultEnv* fault_;  // as handed; may be null
   std::vector<std::unique_ptr<Host>> hosts_;
 };
 

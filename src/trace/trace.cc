@@ -275,7 +275,7 @@ void FlightRecorder::PanicObserverThunk(void* ctx, const char* message) {
 // ---------------------------------------------------------------------------
 
 SpanSite::SpanSite(TraceEnv* env, const char* name) : name_(name) {
-  TraceEnv* resolved = ResolveTraceEnv(env);
+  TraceEnv* resolved = Required(env);
   tracker_ = &resolved->spans;
   // Site names are short static strings; build the three dotted names once.
   std::string base(name_);
@@ -431,17 +431,6 @@ void SpanTracker::PanicObserverThunk(void* ctx, const char* message) {
       sink(sink_ctx, line);
     });
   }
-}
-
-// ---------------------------------------------------------------------------
-// Default environment
-// ---------------------------------------------------------------------------
-
-TraceEnv* DefaultTraceEnv() {
-  // Deliberately leaked: components unbinding during static destruction
-  // must still find a live registry.
-  static TraceEnv* env = new TraceEnv;
-  return env;
 }
 
 }  // namespace oskit::trace

@@ -9,13 +9,15 @@
 // enter/exit, packet rx/tx, buffer map/copy, sleep/wakeup, alloc/free)
 // cheap enough to leave compiled in.
 //
-// Like every other OSKit component the trace environment is
-// client-overridable: components accept a TraceEnv* and fall back to a
-// process-global default, so a client kernel can give each simulated
-// machine its own registry/recorder (the testbed does exactly that) while
-// simple programs need to wire nothing.  The COM faces (CounterSet,
-// TraceLog — src/com/trace.h, src/trace/trace_com.h) let client kernels
-// pick the instrumentation up like any other component.
+// The owner rule: a component reaches its TraceEnv only through its client,
+// as every OSKit component reaches its environment (§4).  The kernel
+// (KernelEnv) is the one owner that decides which environment its
+// components report into: it uses the one it is handed or makes its own.
+// Every other component takes a non-null TraceEnv* and checks it once at
+// construction (Required below), so no two worlds share a registry and
+// nothing reports into an environment nobody handed it.  The COM faces
+// (CounterSet, TraceLog — src/com/trace.h, src/trace/trace_com.h) let
+// client kernels pick the instrumentation up like any other component.
 
 #ifndef OSKIT_SRC_TRACE_TRACE_H_
 #define OSKIT_SRC_TRACE_TRACE_H_
@@ -28,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/panic.h"
 #include "src/trace/counters.h"
 
 namespace oskit::trace {
@@ -47,8 +50,8 @@ CounterSnapshot DiffSnapshots(const CounterSnapshot& before,
 // Indexes counters owned by components under hierarchical dotted names.
 // Registration is non-owning: the component keeps the Counter (its hot path
 // touches a plain word), the registry only reads through the pointer.  The
-// same name may be registered by several instances (two NetStacks sharing
-// the default environment); the registry reports their sum.
+// same name may be registered by several instances (two NetStacks on one
+// host's environment); the registry reports their sum.
 class CounterRegistry {
  public:
   CounterRegistry() = default;
@@ -246,7 +249,7 @@ class SpanTracker;
 class SpanSite {
  public:
   // `name` must be a static string (it is reported by pointer, like
-  // TraceEvent::tag).  Null `env` binds the process-global default.
+  // TraceEvent::tag).
   SpanSite(TraceEnv* env, const char* name);
   ~SpanSite();
   SpanSite(const SpanSite&) = delete;
@@ -363,13 +366,10 @@ struct TraceEnv {
   SpanTracker spans;
 };
 
-// The process-global fallback used when a component is handed no
-// environment.  Never destroyed (components may unregister during static
-// teardown).
-TraceEnv* DefaultTraceEnv();
-
-inline TraceEnv* ResolveTraceEnv(TraceEnv* env) {
-  return env != nullptr ? env : DefaultTraceEnv();
+// A component's one check of the environment its client handed it.
+inline TraceEnv* Required(TraceEnv* env) {
+  OSKIT_ASSERT_MSG(env != nullptr, "component handed no trace environment");
+  return env;
 }
 
 }  // namespace oskit::trace

@@ -15,9 +15,8 @@ namespace oskit::trace {
 class TraceComponent final
     : public ComObject<TraceComponent, CounterSet, TraceLog> {
  public:
-  // The environment must outlive the component (the testbed's per-host
-  // TraceEnv and the process-global default both do).
-  explicit TraceComponent(TraceEnv* env) : env_(ResolveTraceEnv(env)) {}
+  // The environment must outlive the component.
+  explicit TraceComponent(TraceEnv* env) : env_(Required(env)) {}
 
   // CounterSet
   Error GetCount(size_t* out_count) override;

@@ -37,22 +37,12 @@ ComPtr<BlkIo> AsBlkIo(const ComPtr<MemBlkIo>& io) {
   return ComPtr<BlkIo>::FromQuery(io.get());
 }
 
-uint64_t AmbientCounter(const char* name) {
-  uint64_t out = 0;
-  trace::ResolveTraceEnv(nullptr)->registry.ForEach(
-      [&](const char* n, uint64_t value, bool) {
-        if (std::strcmp(n, name) == 0) {
-          out = value;
-        }
-      });
-  return out;
-}
-
 // ---- Sync-over-async adapter ----
 
 TEST(SyncRingAdapterTest, ExecutesSqesAndPreservesTags) {
+  trace::TraceEnv tenv;
   auto mem = MemBlkIo::Create(64 * 1024, 512);
-  auto ring = aio::SyncRingAdapter::Wrap(mem.get());
+  auto ring = aio::SyncRingAdapter::Wrap(mem.get(), &tenv);
 
   auto a = Pattern(512, 1);
   auto b = Pattern(512, 2);
@@ -84,8 +74,9 @@ TEST(SyncRingAdapterTest, ExecutesSqesAndPreservesTags) {
 }
 
 TEST(SyncRingAdapterTest, BackpressuresAtRingDepth) {
+  trace::TraceEnv tenv;
   auto mem = MemBlkIo::Create(64 * 1024, 512);
-  auto ring = aio::SyncRingAdapter::Wrap(mem.get());
+  auto ring = aio::SyncRingAdapter::Wrap(mem.get(), &tenv);
 
   uint8_t buf[16];
   std::vector<AioSqe> sqes(aio::SyncRingAdapter::kRingDepth + 10,
@@ -107,8 +98,9 @@ TEST(SyncRingAdapterTest, BackpressuresAtRingDepth) {
 }
 
 TEST(SyncRingAdapterTest, PerSqeFailuresLandInCqeStatus) {
+  trace::TraceEnv tenv;
   auto mem = MemBlkIo::Create(8 * 1024, 512);
-  auto ring = aio::SyncRingAdapter::Wrap(mem.get());
+  auto ring = aio::SyncRingAdapter::Wrap(mem.get(), &tenv);
 
   uint8_t buf[16];
   AioSqe sqes[2] = {
@@ -130,13 +122,14 @@ TEST(SyncRingAdapterTest, PerSqeFailuresLandInCqeStatus) {
 // ---- Striping layer ----
 
 TEST(StripeBlkIoTest, GeometryAndInterleave) {
+  trace::TraceEnv tenv;
   std::vector<ComPtr<BlkIo>> children;
   for (int i = 0; i < 3; ++i) {
     children.push_back(AsBlkIo(MemBlkIo::Create(8 * 1024, 512)));
   }
   std::vector<BlkIo*> raw = {children[0].get(), children[1].get(),
                              children[2].get()};
-  auto stripe = aio::StripeBlkIo::Create(std::move(children), 1024);
+  auto stripe = aio::StripeBlkIo::Create(std::move(children), 1024, &tenv);
 
   off_t64 size = 0;
   ASSERT_EQ(Error::kOk, stripe->GetSize(&size));
@@ -167,10 +160,11 @@ TEST(StripeBlkIoTest, GeometryAndInterleave) {
 }
 
 TEST(StripeBlkIoTest, BoundsAbuse) {
+  trace::TraceEnv tenv;
   std::vector<ComPtr<BlkIo>> children;
   children.push_back(AsBlkIo(MemBlkIo::Create(8 * 1024, 512)));
   children.push_back(AsBlkIo(MemBlkIo::Create(8 * 1024, 512)));
-  auto stripe = aio::StripeBlkIo::Create(std::move(children), 512);
+  auto stripe = aio::StripeBlkIo::Create(std::move(children), 512, &tenv);
   off_t64 size = 0;
   ASSERT_EQ(Error::kOk, stripe->GetSize(&size));
   testing::AbuseReadBounds(stripe.get(), size);
@@ -180,8 +174,9 @@ TEST(StripeBlkIoTest, BoundsAbuse) {
 // ---- Checksum layer ----
 
 TEST(ChecksumBlkIoTest, DetectsScribbledSector) {
+  trace::TraceEnv tenv;
   auto mem = MemBlkIo::Create(16 * 512, 512);
-  auto sums = aio::ChecksumBlkIo::Create(mem.get());
+  auto sums = aio::ChecksumBlkIo::Create(mem.get(), &tenv);
 
   auto block = Pattern(512, 9);
   size_t actual = 0;
@@ -205,8 +200,9 @@ TEST(ChecksumBlkIoTest, DetectsScribbledSector) {
 }
 
 TEST(ChecksumBlkIoTest, PartialWriteInvalidatesEdgeGranule) {
+  trace::TraceEnv tenv;
   auto mem = MemBlkIo::Create(16 * 512, 512);
-  auto sums = aio::ChecksumBlkIo::Create(mem.get());
+  auto sums = aio::ChecksumBlkIo::Create(mem.get(), &tenv);
 
   auto block = Pattern(512, 3);
   size_t actual = 0;
@@ -223,9 +219,10 @@ TEST(ChecksumBlkIoTest, PartialWriteInvalidatesEdgeGranule) {
 // The strict Read/Write suites over a MemBlkIo, plus writes past the end:
 // a refused or out-of-range request records nothing and grows no table.
 TEST(ChecksumBlkIoTest, BoundsAbuse) {
+  trace::TraceEnv tenv;
   constexpr uint64_t kSize = 16 * 512;
   auto mem = MemBlkIo::Create(kSize, 512);
-  auto sums = aio::ChecksumBlkIo::Create(mem.get());
+  auto sums = aio::ChecksumBlkIo::Create(mem.get(), &tenv);
   testing::AbuseReadBounds(sums.get(), kSize);
   testing::AbuseWriteBounds(sums.get(), kSize);
   // Only the suites' one valid write, a byte at offset 0, reached the table.
@@ -263,8 +260,9 @@ TEST(ChecksumBlkIoTest, BoundsAbuse) {
 // ---- The block cache as a layer ----
 
 TEST(CacheBlkIoTest, CachesReadsAndWritesBackOnFlush) {
+  trace::TraceEnv tenv;
   auto mem = MemBlkIo::Create(64 * 512, 512);
-  auto cache = fs::CacheBlkIo::Create(mem.get(), 512, 16);
+  auto cache = fs::CacheBlkIo::Create(mem.get(), 512, 16, &tenv);
 
   auto data = Pattern(2048, 5);
   size_t actual = 0;
@@ -285,8 +283,9 @@ TEST(CacheBlkIoTest, CachesReadsAndWritesBackOnFlush) {
 }
 
 TEST(CacheBlkIoTest, BoundsAbuse) {
+  trace::TraceEnv tenv;
   auto mem = MemBlkIo::Create(64 * 512, 512);
-  auto cache = fs::CacheBlkIo::Create(mem.get(), 512, 16);
+  auto cache = fs::CacheBlkIo::Create(mem.get(), 512, 16, &tenv);
   off_t64 size = 0;
   ASSERT_EQ(Error::kOk, cache->GetSize(&size));
   testing::AbuseReadBounds(cache.get(), size);
@@ -294,12 +293,13 @@ TEST(CacheBlkIoTest, BoundsAbuse) {
 }
 
 TEST(BlockCacheTest, GetRefPinsAgainstEvictionAndInvalidate) {
+  trace::TraceEnv tenv;
   auto mem = MemBlkIo::Create(256 * 512, 512);
   auto seeded = Pattern(512, 42);
   size_t actual = 0;
   ASSERT_EQ(Error::kOk, mem->Write(seeded.data(), 0, seeded.size(), &actual));
 
-  fs::BlockCache cache(ComPtr<BlkIo>::Retain(mem.get()), 512, /*capacity=*/8);
+  fs::BlockCache cache(ComPtr<BlkIo>::Retain(mem.get()), 512, /*capacity=*/8, &tenv);
   const uint8_t* pinned = nullptr;
   ASSERT_EQ(Error::kOk, cache.GetRef(0, &pinned));
   ASSERT_NE(nullptr, pinned);
@@ -329,15 +329,16 @@ TEST(BlockCacheTest, GetRefPinsAgainstEvictionAndInvalidate) {
 // ---- Full compositions ----
 
 TEST(StackCompositionTest, CacheOverChecksumOverStripeRoundTrips) {
+  trace::TraceEnv tenv;
   std::vector<ComPtr<BlkIo>> children;
   std::vector<BlkIo*> raw;
   for (int i = 0; i < 2; ++i) {
     children.push_back(AsBlkIo(MemBlkIo::Create(32 * 1024, 512)));
     raw.push_back(children.back().get());
   }
-  auto stripe = aio::StripeBlkIo::Create(std::move(children), 1024);
-  auto sums = aio::ChecksumBlkIo::Create(stripe.get());
-  auto cache = fs::CacheBlkIo::Create(sums.get(), 1024, 16);
+  auto stripe = aio::StripeBlkIo::Create(std::move(children), 1024, &tenv);
+  auto sums = aio::ChecksumBlkIo::Create(stripe.get(), &tenv);
+  auto cache = fs::CacheBlkIo::Create(sums.get(), 1024, 16, &tenv);
 
   off_t64 size = 0;
   ASSERT_EQ(Error::kOk, cache->GetSize(&size));
@@ -350,7 +351,7 @@ TEST(StackCompositionTest, CacheOverChecksumOverStripeRoundTrips) {
 
   // Read back through a FRESH path (cold cache) to prove the bytes landed
   // below, and that the checksum layer verifies them clean.
-  auto cold = fs::CacheBlkIo::Create(sums.get(), 1024, 16);
+  auto cold = fs::CacheBlkIo::Create(sums.get(), 1024, 16, &tenv);
   std::vector<uint8_t> readback(data.size());
   ASSERT_EQ(Error::kOk, cold->Read(readback.data(), 0, readback.size(), &actual));
   EXPECT_EQ(data, readback);
@@ -370,6 +371,11 @@ class AioIdeTest : public ::testing::Test {
     kernel_ = std::make_unique<KernelEnv>(machine_.get(), MultiBootInfo{});
     machine_->cpu().EnableInterrupts();
     fdev_ = DefaultFdevEnv(kernel_.get());
+  }
+
+  // The kernel's registry: its IDE glue reports there.
+  uint64_t KernelCounter(const char* name) {
+    return kernel_->trace().registry.Value(name);
   }
 
   Simulation sim_;
@@ -431,8 +437,8 @@ TEST_F(AioIdeTest, NativeRingMergesAdjacentRuns) {
   });
   ASSERT_EQ(Simulation::RunResult::kAllDone, sim_.Run());
   EXPECT_TRUE(done);
-  EXPECT_GE(AmbientCounter("glue.ide.ring.merges"), 2u);
-  EXPECT_GE(AmbientCounter("glue.ide.ring.merged_sqes"), 2 * kDepth);
+  EXPECT_GE(KernelCounter("glue.ide.ring.merges"), 2u);
+  EXPECT_GE(KernelCounter("glue.ide.ring.merged_sqes"), 2 * kDepth);
 }
 
 TEST_F(AioIdeTest, FlushSqeDrainsWriteCache) {
@@ -493,9 +499,9 @@ TEST_F(AioIdeTest, StackedFlushReachesEveryDiskHw) {
 
   bool done = false;
   sim_.Spawn("stack", [&] {
-    auto stripe = aio::StripeBlkIo::Create(std::move(children), 1024);
-    auto sums = aio::ChecksumBlkIo::Create(stripe.get());
-    auto cache = fs::CacheBlkIo::Create(sums.get(), 1024, 16);
+    auto stripe = aio::StripeBlkIo::Create(std::move(children), 1024, &kernel_->trace());
+    auto sums = aio::ChecksumBlkIo::Create(stripe.get(), &kernel_->trace());
+    auto cache = fs::CacheBlkIo::Create(sums.get(), 1024, 16, &kernel_->trace());
     ComPtr<BlkIoBarrier> barrier = ComPtr<BlkIoBarrier>::FromQuery(cache.get());
     ASSERT_TRUE(barrier);
 

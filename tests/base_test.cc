@@ -529,5 +529,22 @@ TEST(PanicTest, AssertMacroFiresOnFalse) {
   SetPanicHandler(old);
 }
 
+// The handler belongs to the thread that installed it: another thread still
+// sees its own (the default), and installing one there leaves this one be.
+TEST(PanicTest, HandlerIsPerThread) {
+  PanicHandler mine = +[](const char*) { throw 3; };
+  PanicHandler old = SetPanicHandler(mine);
+  PanicHandler seen_there = nullptr;
+  std::thread other([&seen_there] {
+    PanicHandler there = +[](const char*) { throw 4; };
+    seen_there = SetPanicHandler(there);
+    SetPanicHandler(seen_there);
+  });
+  other.join();
+  EXPECT_NE(mine, seen_there);
+  EXPECT_EQ(old, seen_there);  // both threads started from the default
+  EXPECT_EQ(mine, SetPanicHandler(old));
+}
+
 }  // namespace
 }  // namespace oskit

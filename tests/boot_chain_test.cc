@@ -27,6 +27,7 @@ namespace oskit {
 namespace {
 
 TEST(BootChainTest, DiskToRunningProgram) {
+  trace::TraceEnv tenv;
   Simulation sim;
   Machine machine(&sim, Machine::Config{.name = "bootpc"});
   machine.AddDisk(16 * 1024 * 1024 / 512);
@@ -59,7 +60,7 @@ TEST(BootChainTest, DiskToRunningProgram) {
     ASSERT_EQ(Error::kOk, fs::Mkfs(part.get()));
     {
       FileSystem* raw = nullptr;
-      ASSERT_EQ(Error::kOk, fs::Offs::Mount(part.get(), &raw));
+      ASSERT_EQ(Error::kOk, fs::Offs::Mount(part.get(), {.trace = &tenv}, &raw));
       ComPtr<FileSystem> filesystem(raw);
       ComPtr<Dir> root;
       filesystem->GetRoot(root.Receive());
@@ -128,10 +129,11 @@ TEST(BootChainTest, DiskToRunningProgram) {
 
 TEST(BootChainTest, CorruptKernelImageIsRejectedBeforeRunning) {
   // Same flow, but a bit flip on disk must be caught by the SXF checksum.
+  trace::TraceEnv tenv;
   auto disk = MemBlkIo::Create(8 * 1024 * 1024, 512);
   ASSERT_EQ(Error::kOk, fs::Mkfs(disk.get()));
   FileSystem* raw = nullptr;
-  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), &raw));
+  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), {.trace = &tenv}, &raw));
   ComPtr<FileSystem> filesystem(raw);
   ComPtr<Dir> root;
   filesystem->GetRoot(root.Receive());

@@ -226,6 +226,7 @@ TEST(ComConformanceTest, StackSocketSurfaces) {
 // ---------------------------------------------------------------------------
 
 TEST(ComConformanceTest, StorageAndFsSurfaces) {
+  trace::TraceEnv tenv;
   ComPtr<MemBlkIo> disk = MemBlkIo::Create(4 * 1024 * 1024, 512);
   SweepCommon(disk.get());
   ExpectQueryRoundTrip<BlkIo>(disk.get());
@@ -235,7 +236,7 @@ TEST(ComConformanceTest, StorageAndFsSurfaces) {
 
   ASSERT_EQ(Error::kOk, fs::Mkfs(disk.get()));
   ComPtr<FileSystem> fs;
-  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), fs.Receive()));
+  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), {.trace = &tenv}, fs.Receive()));
   SweepCommon(fs.get());
   ExpectQueryRoundTrip<FileSystem>(fs.get());
   ExpectNoInterface<Dir>(fs.get());
@@ -308,7 +309,8 @@ TEST(ComConformanceTest, SecureNetWrapperSurfaces) {
 }
 
 TEST(ComConformanceTest, SecureStorageWrapperDoesNotForwardUnknownGuids) {
-  PrincipalRegistry principals;
+  trace::TraceEnv tenv;
+  PrincipalRegistry principals(&tenv);
   Principal* tenant = principals.Create("tenant");
 
   ComPtr<MemBlkIo> disk = MemBlkIo::Create(1024 * 1024, 512);
@@ -324,7 +326,7 @@ TEST(ComConformanceTest, SecureStorageWrapperDoesNotForwardUnknownGuids) {
 
   ASSERT_EQ(Error::kOk, fs::Mkfs(disk.get()));
   ComPtr<FileSystem> fs;
-  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), fs.Receive()));
+  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), {.trace = &tenv}, fs.Receive()));
   ComPtr<FileSystem> tfs = secure::MakeSecureFs(fs, tenant, &principals);
   SweepCommon(tfs.get());
   ExpectQueryRoundTrip<FileSystem>(tfs.get());
@@ -354,14 +356,15 @@ TEST(ComConformanceTest, SecureStorageWrapperDoesNotForwardUnknownGuids) {
 // and a Rename between two of its directories reaching the inner
 // filesystem with the inner destination.
 TEST(ComConformanceTest, SecureFsWrapperWithUnixIdentity) {
-  PrincipalRegistry principals;
+  trace::TraceEnv tenv;
+  PrincipalRegistry principals(&tenv);
   Principal* user = principals.Create(
       "user", {}, {}, {.uid = 1000, .gid = 1000, .superuser = false});
 
   ComPtr<MemBlkIo> disk = MemBlkIo::Create(4 * 1024 * 1024, 512);
   ASSERT_EQ(Error::kOk, fs::Mkfs(disk.get()));
   ComPtr<FileSystem> fs;
-  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), fs.Receive()));
+  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), {.trace = &tenv}, fs.Receive()));
   {
     // Populated as uid 0: two directories the user may write into.
     ComPtr<Dir> raw_root;
@@ -469,8 +472,9 @@ struct DriverRig {
     machine.cpu().EnableInterrupts();
   }
 
+  trace::TraceEnv tenv;
   Simulation sim;
-  VirtualSwitch wire{&sim.clock(), EthernetWire::Config{}};
+  VirtualSwitch wire{&sim.clock(), EthernetWire::Config{}, &tenv};
   Machine machine{&sim, Machine::Config{}};
   KernelEnv kernel{&machine, MultiBootInfo{}};
   FdevEnv fdev = DefaultFdevEnv(&kernel);
@@ -527,7 +531,7 @@ TEST(ComConformanceTest, DriverGoldens) {
   // ordinary interface bind.
   ComPtr<CapturingEtherDev> capture(
       new CapturingEtherDev(ComPtr<EtherDev>::FromQuery(ethers[0].get())));
-  net::NetStack stack(&rig.kernel.sleep_env(), &rig.sim.clock());
+  net::NetStack stack(&rig.kernel.sleep_env(), &rig.sim.clock(), &rig.kernel.trace());
   int ifindex = -1;
   ASSERT_EQ(Error::kOk, stack.OpenEtherIf(capture.get(), &ifindex));
   ASSERT_TRUE(capture->recv_side);
@@ -553,20 +557,21 @@ TEST(ComConformanceTest, TraceGoldens) {
 }
 
 TEST(ComConformanceTest, BlockStackGoldens) {
+  trace::TraceEnv tenv;
   ComPtr<MemBlkIo> disk = MemBlkIo::Create(1024 * 1024, 512);
   ExpectInterfaces(disk.get(), {"BlkIo", "BufIo", "BlkIoBarrier"});
   BlkIo* below = static_cast<BufIo*>(disk.get());
 
-  ExpectInterfaces(fs::CacheBlkIo::Create(below, 512).get(),
+  ExpectInterfaces(fs::CacheBlkIo::Create(below, 512, 256, &tenv).get(),
                    {"BlkIo", "BlkIoBarrier"});
-  ExpectInterfaces(aio::SyncRingAdapter::Wrap(below).get(),
+  ExpectInterfaces(aio::SyncRingAdapter::Wrap(below, &tenv).get(),
                    {"BlkIo", "BlkIoBarrier", "BlkIoRing"});
-  ExpectInterfaces(aio::ChecksumBlkIo::Create(below).get(),
+  ExpectInterfaces(aio::ChecksumBlkIo::Create(below, &tenv).get(),
                    {"BlkIo", "BlkIoBarrier"});
   std::vector<ComPtr<BlkIo>> children;
   children.push_back(ComPtr<BlkIo>::Retain(below));
   children.push_back(ComPtr<BlkIo>::Retain(below));
-  ExpectInterfaces(aio::StripeBlkIo::Create(std::move(children), 4096).get(),
+  ExpectInterfaces(aio::StripeBlkIo::Create(std::move(children), 4096, &tenv).get(),
                    {"BlkIo", "BlkIoBarrier"});
 
   // A partition view grants a barrier only over a disk that has one.
@@ -575,17 +580,18 @@ TEST(ComConformanceTest, BlockStackGoldens) {
   part.sector_count = 128;
   ExpectInterfaces(MakePartitionView(below, part).get(),
                    {"BlkIo", "BlkIoBarrier"});
-  PrincipalRegistry principals;
+  PrincipalRegistry principals(&tenv);
   ComPtr<BlkIo> no_barrier = secure::MakeSecureBufIo(
       ComPtr<BlkIo>::Retain(below), principals.Create("tenant"));
   ExpectInterfaces(MakePartitionView(no_barrier.get(), part).get(), {"BlkIo"});
 }
 
 TEST(ComConformanceTest, FsGoldens) {
+  trace::TraceEnv tenv;
   ComPtr<MemBlkIo> disk = MemBlkIo::Create(4 * 1024 * 1024, 512);
   ASSERT_EQ(Error::kOk, fs::Mkfs(disk.get()));
   ComPtr<FileSystem> fs;
-  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), fs.Receive()));
+  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), {.trace = &tenv}, fs.Receive()));
   ExpectInterfaces(fs.get(), {"FileSystem"});
   ComPtr<Dir> root;
   ASSERT_EQ(Error::kOk, fs->GetRoot(root.Receive()));

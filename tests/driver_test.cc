@@ -32,7 +32,7 @@ namespace {
 class DriverTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    wire_ = std::make_unique<VirtualSwitch>(&sim_.clock(), EthernetWire::Config{});
+    wire_ = std::make_unique<VirtualSwitch>(&sim_.clock(), EthernetWire::Config{}, &tenv_);
     machine_ = std::make_unique<Machine>(&sim_, Machine::Config{});
     kernel_ = std::make_unique<KernelEnv>(machine_.get(), MultiBootInfo{});
     machine_->cpu().EnableInterrupts();
@@ -52,6 +52,7 @@ class DriverTest : public ::testing::Test {
     return kenv;
   }
 
+  trace::TraceEnv tenv_;  // the fabric's
   Simulation sim_;
   std::unique_ptr<VirtualSwitch> wire_;
   std::unique_ptr<Machine> machine_;
@@ -343,7 +344,7 @@ TEST_F(DriverTest, FilesystemRunsOnTheIdeDriver) {
   sim_.Spawn("fs", [&] {
     ASSERT_EQ(Error::kOk, fs::Mkfs(blkio.get()));
     FileSystem* raw = nullptr;
-    ASSERT_EQ(Error::kOk, fs::Offs::Mount(blkio.get(), &raw));
+    ASSERT_EQ(Error::kOk, fs::Offs::Mount(blkio.get(), {.trace = &kernel_->trace()}, &raw));
     ComPtr<FileSystem> fs(raw);
     ComPtr<Dir> root;
     ASSERT_EQ(Error::kOk, fs->GetRoot(root.Receive()));
@@ -402,7 +403,7 @@ TEST_F(DriverTest, BlockCacheSyncWritesBlocksInAscendingOrder) {
   ASSERT_TRUE(blkio);
 
   sim_.Spawn("sync-order", [&] {
-    fs::BlockCache cache(blkio, fs::kBlockSize, 64);
+    fs::BlockCache cache(blkio, fs::kBlockSize, 64, &kernel_->trace());
     std::vector<uint8_t> block(fs::kBlockSize, 0xcd);
     for (uint32_t b : {50u, 3u, 27u, 9u, 40u, 12u}) {
       ASSERT_EQ(Error::kOk, cache.WriteBlock(b, block.data()));

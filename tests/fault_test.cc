@@ -310,5 +310,38 @@ TEST(KmonFaultTest, ArmsListsAndReseedsSites) {
   EXPECT_EQ(7u, fenv.seed());
 }
 
+// Each host's kernel owns its fault environment: a site armed from one
+// host's monitor fires there and is unarmed on every other host.
+TEST(KmonFaultTest, ArmOnOneHostLeavesAnotherHostUnarmed) {
+  testbed::World world;
+  testbed::Host& a = world.AddHost("a", testbed::NetConfig::kNativeBsd);
+  testbed::Host& b = world.AddHost("b", testbed::NetConfig::kNativeBsd);
+  KernelMonitor kmon(a.kernel.get(), &a.kernel->console());
+  for (const std::string line : {"fault arm nic.irq.spurious 100", "c"}) {
+    a.machine->console_uart().InjectRx(line.data(), line.size());
+    a.machine->console_uart().InjectRx("\r", 1);
+  }
+  world.sim().Spawn("kmon", [&] {
+    TrapFrame frame;
+    frame.trapno = kTrapBreakpoint;
+    kmon.Enter(frame);
+  });
+  world.RunToCompletion();
+  ASSERT_TRUE(a.kernel->fault().armed("nic.irq.spurious"));
+  EXPECT_FALSE(b.kernel->fault().armed("nic.irq.spurious"));
+
+  world.sim().Spawn("ping", [&] {
+    SimTime rtt = 0;
+    EXPECT_EQ(Error::kOk, a.stack->Ping(b.addr, kNsPerSec, &rtt));
+    EXPECT_EQ(Error::kOk, b.stack->Ping(a.addr, kNsPerSec, &rtt));
+  });
+  world.RunToCompletion();
+  EXPECT_GT(a.kernel->fault().fires("nic.irq.spurious"), 0u);
+  EXPECT_EQ(a.kernel->fault().fires("nic.irq.spurious"),
+            a.trace.registry.Value("fault.nic.irq.spurious"));
+  EXPECT_EQ(0u, b.kernel->fault().total_fires());
+  EXPECT_FALSE(b.trace.registry.Has("fault.nic.irq.spurious"));
+}
+
 }  // namespace
 }  // namespace oskit

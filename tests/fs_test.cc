@@ -32,7 +32,7 @@ class FsTest : public ::testing::Test {
     disk_ = MemBlkIo::Create(16 * 1024 * 1024, 512);
     ASSERT_EQ(Error::kOk, Mkfs(disk_.get()));
     FileSystem* raw = nullptr;
-    ASSERT_EQ(Error::kOk, Offs::Mount(disk_.get(), &raw));
+    ASSERT_EQ(Error::kOk, Offs::Mount(disk_.get(), {.trace = &tenv_}, &raw));
     fs_ = ComPtr<FileSystem>(raw);
     ASSERT_EQ(Error::kOk, fs_->GetRoot(root_.Receive()));
   }
@@ -42,7 +42,7 @@ class FsTest : public ::testing::Test {
     ASSERT_EQ(Error::kOk, fs_->Unmount());
     fs_.Reset();
     FileSystem* raw = nullptr;
-    ASSERT_EQ(Error::kOk, Offs::Mount(disk_.get(), &raw));
+    ASSERT_EQ(Error::kOk, Offs::Mount(disk_.get(), {.trace = &tenv_}, &raw));
     fs_ = ComPtr<FileSystem>(raw);
     ASSERT_EQ(Error::kOk, fs_->GetRoot(root_.Receive()));
   }
@@ -58,19 +58,21 @@ class FsTest : public ::testing::Test {
     }
     fs_.Reset();
     FileSystem* raw = nullptr;
-    ASSERT_EQ(Error::kOk, Offs::Mount(disk_.get(), &raw));
+    ASSERT_EQ(Error::kOk, Offs::Mount(disk_.get(), {.trace = &tenv_}, &raw));
     fs_ = ComPtr<FileSystem>(raw);
     ASSERT_EQ(Error::kOk, fs_->GetRoot(root_.Receive()));
   }
 
+  trace::TraceEnv tenv_;  // outlives every mount below
   ComPtr<MemBlkIo> disk_;
   ComPtr<FileSystem> fs_;
   ComPtr<Dir> root_;
 };
 
 TEST(BlockCacheTest, InvalidateRefusesDirtyButDropDirtyDiscards) {
+  trace::TraceEnv tenv;
   auto disk = MemBlkIo::Create(1024 * 1024, 512);
-  BlockCache cache(ComPtr<BlkIo>::Retain(disk.get()), kBlockSize, 8);
+  BlockCache cache(ComPtr<BlkIo>::Retain(disk.get()), kBlockSize, 8, &tenv);
 
   std::vector<uint8_t> data(kBlockSize, 0xab);
   ASSERT_EQ(Error::kOk, cache.WriteBlock(5, data.data()));
@@ -100,8 +102,9 @@ TEST(BlockCacheTest, InvalidateRefusesDirtyButDropDirtyDiscards) {
 }
 
 TEST(BlockCacheTest, EvictionPinKeepsDirtyBlocksCached) {
+  trace::TraceEnv tenv;
   auto disk = MemBlkIo::Create(1024 * 1024, 512);
-  BlockCache cache(ComPtr<BlkIo>::Retain(disk.get()), kBlockSize, 8);
+  BlockCache cache(ComPtr<BlkIo>::Retain(disk.get()), kBlockSize, 8, &tenv);
   cache.SetEvictionPin([](uint32_t block) { return block < 4; });
 
   std::vector<uint8_t> data(kBlockSize, 0x5a);
@@ -119,7 +122,7 @@ TEST(BlockCacheTest, EvictionPinKeepsDirtyBlocksCached) {
   }
   // With every slot pinned dirty and no clean block to evict, a miss
   // surfaces kBusy instead of writing a pinned block home.
-  BlockCache tight(ComPtr<BlkIo>::Retain(disk.get()), kBlockSize, 8);
+  BlockCache tight(ComPtr<BlkIo>::Retain(disk.get()), kBlockSize, 8, &tenv);
   tight.SetEvictionPin([](uint32_t) { return true; });
   for (uint32_t b = 0; b < 8; ++b) {
     ASSERT_EQ(Error::kOk, tight.WriteBlock(b, data.data()));
@@ -217,12 +220,13 @@ class ReadHookBlkIo final : public ComObject<ReadHookBlkIo, BlkIo> {
 // A view whose cache miss waits on the disk keeps exactly its own pins when
 // another view of the same file is unmapped meanwhile.
 TEST(FileVecTest, UnmapDuringAnotherViewsCacheMissUnpinsExactly) {
+  trace::TraceEnv tenv;
   constexpr size_t kDiskBytes = 4 * 1024 * 1024;
   ComPtr<ReadHookBlkIo> dev(new ReadHookBlkIo(MemBlkIo::Create(kDiskBytes, 512)));
   ASSERT_EQ(Error::kOk, Mkfs(dev.get()));
   auto mount = [&](ComPtr<FileSystem>* fs, ComPtr<Dir>* root) {
     FileSystem* raw = nullptr;
-    ASSERT_EQ(Error::kOk, Offs::Mount(dev.get(), &raw));
+    ASSERT_EQ(Error::kOk, Offs::Mount(dev.get(), {.trace = &tenv}, &raw));
     *fs = ComPtr<FileSystem>(raw);
     ASSERT_EQ(Error::kOk, (*fs)->GetRoot(root->Receive()));
   };
@@ -457,7 +461,7 @@ TEST_F(FsTest, SyncMakesCrashConsistent) {
                                          ? ""
                                          : report.problems[0]);
   FileSystem* raw = nullptr;
-  ASSERT_EQ(Error::kOk, Offs::Mount(disk_.get(), &raw));
+  ASSERT_EQ(Error::kOk, Offs::Mount(disk_.get(), {.trace = &tenv_}, &raw));
   ComPtr<FileSystem> fs2(raw);
   ComPtr<Dir> root2;
   ASSERT_EQ(Error::kOk, fs2->GetRoot(root2.Receive()));
@@ -491,7 +495,8 @@ TEST_F(FsTest, OutOfSpaceIsReportedNotCorrupting) {
 // The secure fileserver experiment (§3.8): per-component permission checks,
 // by the filesystem wrapper under principals that carry Unix identities.
 TEST_F(FsTest, SecurityWrapperEnforcesPermissions) {
-  secure::PrincipalRegistry principals;
+  trace::TraceEnv tenv;
+  secure::PrincipalRegistry principals(&tenv);
   // Root creates a world-readable file and a private one.
   ComPtr<File> pub;
   ASSERT_EQ(Error::kOk, root_->Create("public", 0644, pub.Receive()));
@@ -539,7 +544,8 @@ TEST_F(FsTest, SecurityWrapperEnforcesPermissions) {
 // view of the same root) is refused as a rename destination with kXDev —
 // checked, never downcast.
 TEST_F(FsTest, RenameIntoForeignDirIsCrossDevice) {
-  secure::PrincipalRegistry principals;
+  trace::TraceEnv tenv;
+  secure::PrincipalRegistry principals(&tenv);
   ComPtr<File> f;
   ASSERT_EQ(Error::kOk, root_->Create("src", 0644, f.Receive()));
   ComPtr<FileSystem> wrapped =
@@ -612,10 +618,11 @@ TEST_F(FsTest, ReadDirEnumeratesEntries) {
 class FsPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FsPropertyTest, RandomOpsMatchModelAndFsck) {
+  trace::TraceEnv tenv;
   auto disk = MemBlkIo::Create(8 * 1024 * 1024, 512);
   ASSERT_EQ(Error::kOk, Mkfs(disk.get()));
   FileSystem* raw = nullptr;
-  ASSERT_EQ(Error::kOk, Offs::Mount(disk.get(), &raw));
+  ASSERT_EQ(Error::kOk, Offs::Mount(disk.get(), {.trace = &tenv}, &raw));
   ComPtr<FileSystem> fs(raw);
   ComPtr<Dir> root;
   ASSERT_EQ(Error::kOk, fs->GetRoot(root.Receive()));
@@ -1000,6 +1007,7 @@ class FsckBoundsTest : public ::testing::Test {
     std::memcpy(Block(table) + slot * 4, &block, 4);
   }
 
+  trace::TraceEnv tenv_;
   ComPtr<MemBlkIo> disk_;
   SuperBlock sb_;
   DiskInode root_;
@@ -1051,9 +1059,10 @@ TEST_F(FsckBoundsTest, DirectoryMappingMoreBlocksThanItHoldsIsReported) {
 
 // The same mutated roots through the mounted filesystem: a directory walk is
 // bounded by the inode's block map and held blocks, not by its size field.
-Offs* MountForWalk(MemBlkIo* disk, ComPtr<FileSystem>* fs, ComPtr<Dir>* root) {
+Offs* MountForWalk(MemBlkIo* disk, trace::TraceEnv* trace, ComPtr<FileSystem>* fs,
+                   ComPtr<Dir>* root) {
   FileSystem* raw = nullptr;
-  EXPECT_EQ(Error::kOk, Offs::Mount(disk, &raw));
+  EXPECT_EQ(Error::kOk, Offs::Mount(disk, {.trace = trace}, &raw));
   *fs = ComPtr<FileSystem>(raw);
   EXPECT_EQ(Error::kOk, (*fs)->GetRoot(root->Receive()));
   return static_cast<Offs*>(raw);
@@ -1064,7 +1073,7 @@ TEST_F(FsckBoundsTest, LookupInDirectoryOfTwoToTheFortyBytesIsCorrupt) {
   StoreRoot();
   ComPtr<FileSystem> fs;
   ComPtr<Dir> root;
-  Offs* offs = MountForWalk(disk_.get(), &fs, &root);
+  Offs* offs = MountForWalk(disk_.get(), &tenv_, &fs, &root);
   uint64_t before = offs->cache().hits() + offs->cache().misses();
   ComPtr<File> file;
   EXPECT_EQ(Error::kCorrupt, root->Lookup("missing", file.Receive()));
@@ -1083,7 +1092,7 @@ TEST_F(FsckBoundsTest, WalkSkipsUnmappedRangesAndStopsAfterHeldBlocks) {
   {
     ComPtr<FileSystem> fs;
     ComPtr<Dir> root;
-    Offs* offs = MountForWalk(disk_.get(), &fs, &root);
+    Offs* offs = MountForWalk(disk_.get(), &tenv_, &fs, &root);
     uint64_t before = offs->cache().hits() + offs->cache().misses();
     ComPtr<File> file;
     EXPECT_EQ(Error::kNoEnt, root->Lookup("missing", file.Receive()));
@@ -1101,7 +1110,7 @@ TEST_F(FsckBoundsTest, WalkSkipsUnmappedRangesAndStopsAfterHeldBlocks) {
   StoreRoot();
   ComPtr<FileSystem> fs;
   ComPtr<Dir> root;
-  Offs* offs = MountForWalk(disk_.get(), &fs, &root);
+  Offs* offs = MountForWalk(disk_.get(), &tenv_, &fs, &root);
   uint64_t before = offs->cache().hits() + offs->cache().misses();
   ComPtr<File> file;
   EXPECT_EQ(Error::kNoEnt, root->Lookup("missing", file.Receive()));
@@ -1120,10 +1129,11 @@ struct Scribble {
 };
 
 FsckReport FsckScribbledImage(const std::vector<Scribble>& scribbles) {
+  trace::TraceEnv tenv;
   auto disk = MemBlkIo::Create(4 * 1024 * 1024, 512);
   EXPECT_EQ(Error::kOk, Mkfs(disk.get()));
   FileSystem* raw = nullptr;
-  EXPECT_EQ(Error::kOk, Offs::Mount(disk.get(), &raw));
+  EXPECT_EQ(Error::kOk, Offs::Mount(disk.get(), {.trace = &tenv}, &raw));
   ComPtr<FileSystem> fs(raw);
   ComPtr<Dir> root;
   EXPECT_EQ(Error::kOk, fs->GetRoot(root.Receive()));

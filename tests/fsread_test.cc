@@ -16,10 +16,11 @@ namespace {
 class FsReadTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    trace::TraceEnv tenv;
     disk_ = MemBlkIo::Create(8 * 1024 * 1024, 512);
     ASSERT_EQ(Error::kOk, fs::Mkfs(disk_.get()));
     FileSystem* raw = nullptr;
-    ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk_.get(), &raw));
+    ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk_.get(), {.trace = &tenv}, &raw));
     ComPtr<FileSystem> fs(raw);
     ComPtr<Dir> root;
     ASSERT_EQ(Error::kOk, fs->GetRoot(root.Receive()));

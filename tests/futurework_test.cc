@@ -186,7 +186,7 @@ TEST_F(KmonTest, TranslatesThroughPageDirectory) {
 }
 
 TEST_F(KmonTest, ProgramsNicMitigationAndRejectsWrappedInput) {
-  VirtualSwitch wire(&sim_.clock(), EthernetWire::Config{});
+  VirtualSwitch wire(&sim_.clock(), EthernetWire::Config{}, &kernel_->trace());
   NicHw* nic0 = machine_->AddNic(&wire, EtherAddr{{2, 0, 0, 0, 0, 1}}, 11);
   NicHw* nic1 = machine_->AddNic(&wire, EtherAddr{{2, 0, 0, 0, 0, 2}}, 12);
   const NicHw::RxMitigation before = nic0->rx_mitigation();

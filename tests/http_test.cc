@@ -211,9 +211,18 @@ TEST(RequestParserTest, LimitsAreEnforced) {
 // ResponseParser + head formatting
 // ---------------------------------------------------------------------------
 
+// Builds a wire the way the server stages one: each head formatted straight
+// onto the bytes before it, then its body.
+void AppendResponse(std::string* wire, int status, const std::string& body,
+                    const char* content_type, bool keep_alive) {
+  AppendResponseHead(wire, status, body.size(), content_type, keep_alive);
+  *wire += body;
+}
+
 TEST(ResponseParserTest, ParsesPipelinedResponses) {
-  std::string wire = FormatResponseHead(200, 5, "text/plain", true) + "hello" +
-                     FormatResponseHead(404, 3, "text/plain", false) + "gon";
+  std::string wire;
+  AppendResponse(&wire, 200, "hello", "text/plain", true);
+  AppendResponse(&wire, 404, "gon", "text/plain", false);
   ResponseParser parser;
   EXPECT_EQ(ParseStatus::kRequest, parser.Feed(wire.data(), wire.size()));
   Response first = parser.TakeResponse();
@@ -274,11 +283,10 @@ void FeedInReads(Parser& parser, const std::string& wire) {
 TEST(ParserRetentionTest, ResponseParserDropsLargeBodiesOnceTaken) {
   std::string wire;
   for (int i = 0; i < 8; ++i) {
-    wire += FormatResponseHead(200, 64 * 1024, "application/x", true) +
-            std::string(64 * 1024, static_cast<char>('a' + i));
+    AppendResponse(&wire, 200, std::string(64 * 1024, static_cast<char>('a' + i)),
+                   "application/x", true);
   }
-  wire += FormatResponseHead(200, 100, "text/plain", true) +
-          std::string(100, 'z');
+  AppendResponse(&wire, 200, std::string(100, 'z'), "text/plain", true);
   size_t taken = 0;
   long retained = RetainedBeyondFresh<ResponseParser>(
       [&](ResponseParser& parser) {

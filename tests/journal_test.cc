@@ -84,7 +84,7 @@ class JournalWriterTest : public ::testing::Test {
     sb_ = ReadSuper(disk_.get());
     writer_ = std::make_unique<JournalWriter>(
         ComPtr<BlkIo>::Retain(disk_.get()), sb_.journal_start, sb_.journal_blocks,
-        nullptr);
+        &tenv_);
     ASSERT_EQ(Error::kOk, writer_->Load());
   }
 
@@ -97,6 +97,7 @@ class JournalWriterTest : public ::testing::Test {
               }));
   }
 
+  trace::TraceEnv tenv_;
   ComPtr<MemBlkIo> disk_;
   SuperBlock sb_;
   std::unique_ptr<JournalWriter> writer_;
@@ -245,6 +246,7 @@ TEST_F(JournalWriterTest, VersionOneJournalIsRefused) {
     EXPECT_EQ(Error::kCorrupt, JournalReplay(disk_.get(), sb_, /*apply=*/false, &stats));
     for (bool replay : {true, false}) {
       MountOptions options;
+      options.trace = &tenv_;
       options.replay_journal = replay;
       FileSystem* fs = nullptr;
       EXPECT_EQ(Error::kCorrupt, Offs::Mount(disk_.get(), options, &fs));
@@ -391,7 +393,7 @@ TEST_F(JournalWriterTest, RinglessDeviceSeesImagesInJournalOrder) {
   ComPtr<WriteLoggingBlkIo> logging(new WriteLoggingBlkIo(disk_));
   ASSERT_FALSE(ComPtr<BlkIoRing>::FromQuery(logging.get()));
   JournalWriter writer(ComPtr<BlkIo>::FromQuery(logging.get()), sb_.journal_start,
-                       sb_.journal_blocks, nullptr);
+                       sb_.journal_blocks, &tenv_);
   ASSERT_EQ(Error::kOk, writer.Load());
 
   // Targets out of order: the journal lays images out in target-list order.
@@ -421,14 +423,11 @@ TEST_F(JournalWriterTest, RinglessDeviceSeesImagesInJournalOrder) {
 }
 
 // The adapter wrapped around a ring-less device counts into the mount's
-// trace environment, next to the journal's own counters, not into the
-// process default.
+// trace environment, next to the journal's own counters.
 TEST(JournalMountTest, RinglessDeviceCountsSyncSqesInTheMountsRegistry) {
   auto disk = MemBlkIo::Create(4 * 1024 * 1024, 512);
   ASSERT_FALSE(ComPtr<BlkIoRing>::FromQuery(disk.get()));
   ASSERT_EQ(Error::kOk, Mkfs(disk.get()));
-  trace::CounterRegistry& global = trace::DefaultTraceEnv()->registry;
-  const uint64_t global_before = global.Value("aio.ring.sync_sqes");
   trace::TraceEnv tenv;
   MountOptions options;
   options.trace = &tenv;
@@ -442,7 +441,6 @@ TEST(JournalMountTest, RinglessDeviceCountsSyncSqesInTheMountsRegistry) {
   ASSERT_EQ(Error::kOk, fs->Sync());
   EXPECT_GT(tenv.registry.Value("fs.journal.commits"), 0u);
   EXPECT_GT(tenv.registry.Value("aio.ring.sync_sqes"), 0u);
-  EXPECT_EQ(global_before, global.Value("aio.ring.sync_sqes"));
   f.Reset();
   root.Reset();
   ASSERT_EQ(Error::kOk, fs->Unmount());
@@ -457,7 +455,7 @@ TEST_F(JournalWriterTest, FailedImageFailsOnlyItsOwnCommit) {
   Format(options);
   ComPtr<WriteLoggingBlkIo> logging(new WriteLoggingBlkIo(disk_));
   JournalWriter writer(ComPtr<BlkIo>::FromQuery(logging.get()), sb_.journal_start,
-                       sb_.journal_blocks, nullptr);
+                       sb_.journal_blocks, &tenv_);
   ASSERT_EQ(Error::kOk, writer.Load());
   auto fill = [](uint32_t target, uint8_t* out) {
     std::memset(out, static_cast<int>(target), kBlockSize);
@@ -546,7 +544,7 @@ TEST_F(JournalWriterTest, ExactFitTransactionParksCheckpointAtRegionEnd) {
 
   // A fresh writer accepts it too, and its next commit wraps back to pos 1.
   JournalWriter reopened(ComPtr<BlkIo>::Retain(disk_.get()), sb_.journal_start,
-                         sb_.journal_blocks, nullptr);
+                         sb_.journal_blocks, &tenv_);
   ASSERT_EQ(Error::kOk, reopened.Load());
   uint32_t target = sb_.data_start + 7;
   ASSERT_EQ(Error::kOk, reopened.Commit({target}, [](uint32_t, uint8_t* out) {
@@ -593,7 +591,7 @@ CrashRun RunCutWorkload(bool journaled, uint64_t arm_writes,
     ASSERT_EQ(Error::kOk, Mkfs(blkio.get(), mkfs));
     disk->EnableWriteCache(true);
     FileSystem* raw = nullptr;
-    ASSERT_EQ(Error::kOk, Offs::Mount(blkio.get(), &raw));
+    ASSERT_EQ(Error::kOk, Offs::Mount(blkio.get(), {.trace = &kernel.trace()}, &raw));
     ComPtr<FileSystem> fs(raw);
     ComPtr<Dir> root;
     ASSERT_EQ(Error::kOk, fs->GetRoot(root.Receive()));
@@ -630,6 +628,7 @@ CrashRun RunCutWorkload(bool journaled, uint64_t arm_writes,
 }
 
 TEST(CrashRecoveryTest, PowerCutThenReplayPreservesAckedData) {
+  trace::TraceEnv tenv;
   const DiskHw::CutPolicy policies[] = {
       DiskHw::CutPolicy::kDropAll, DiskHw::CutPolicy::kDropSubset,
       DiskHw::CutPolicy::kReorder, DiskHw::CutPolicy::kTear};
@@ -653,7 +652,7 @@ TEST(CrashRecoveryTest, PowerCutThenReplayPreservesAckedData) {
       }
       // Every byte acknowledged by the pre-cut Sync must still be there.
       FileSystem* raw = nullptr;
-      ASSERT_EQ(Error::kOk, Offs::Mount(post.get(), &raw));
+      ASSERT_EQ(Error::kOk, Offs::Mount(post.get(), {.trace = &tenv}, &raw));
       ComPtr<FileSystem> fs(raw);
       ComPtr<Dir> root;
       ASSERT_EQ(Error::kOk, fs->GetRoot(root.Receive()));

@@ -588,8 +588,9 @@ class WireFixture : public ::testing::Test {
 };
 
 TEST_F(WireFixture, DeliversToAllOtherEndpoints) {
+  trace::TraceEnv tenv;
   SimClock clock;
-  VirtualSwitch hub(&clock, EthernetWire::Config{});
+  VirtualSwitch hub(&clock, EthernetWire::Config{}, &tenv);
   Sink a;
   Sink b;
   Sink c;
@@ -607,10 +608,11 @@ TEST_F(WireFixture, DeliversToAllOtherEndpoints) {
 }
 
 TEST_F(WireFixture, BandwidthSerializesFrames) {
+  trace::TraceEnv tenv;
   SimClock clock;
   EthernetWire::Config config;
   config.bits_per_second = 100 * 1000 * 1000;  // 100 Mbps
-  VirtualSwitch hub(&clock, config);
+  VirtualSwitch hub(&clock, config, &tenv);
   Sink rx;
   Sink tx;
   hub.Attach(&tx);
@@ -625,11 +627,12 @@ TEST_F(WireFixture, BandwidthSerializesFrames) {
 }
 
 TEST_F(WireFixture, LossDropsDeterministically) {
+  trace::TraceEnv tenv;
   SimClock clock;
   EthernetWire::Config config;
   config.loss_percent = 50;
   config.fault_seed = 99;
-  VirtualSwitch hub(&clock, config);
+  VirtualSwitch hub(&clock, config, &tenv);
   Sink tx;
   Sink rx;
   hub.Attach(&tx);
@@ -650,6 +653,7 @@ TEST_F(WireFixture, LossDropsDeterministically) {
 // serialization time after the first.  A switch gives every port its own
 // egress, and both frames land together.
 TEST_F(WireFixture, SimultaneousSendersTakeTurnsOnTheHubOnly) {
+  trace::TraceEnv tenv;
   EthernetWire::Config hub_config;
   hub_config.bits_per_second = 100 * 1000 * 1000;
   hub_config.propagation_ns = kPropagationNs;
@@ -664,8 +668,8 @@ TEST_F(WireFixture, SimultaneousSendersTakeTurnsOnTheHubOnly) {
     SCOPED_TRACE(hub ? "hub" : "switch");
     SimClock clock;
     std::unique_ptr<VirtualSwitch> fabric =
-        hub ? std::make_unique<VirtualSwitch>(&clock, hub_config)
-            : std::make_unique<VirtualSwitch>(&clock, switch_config);
+        hub ? std::make_unique<VirtualSwitch>(&clock, hub_config, &tenv)
+            : std::make_unique<VirtualSwitch>(&clock, switch_config, &tenv);
     Sink a;
     Sink b;
     a.clock = &clock;
@@ -688,13 +692,14 @@ TEST_F(WireFixture, SimultaneousSendersTakeTurnsOnTheHubOnly) {
 // A frame the fault model drops has still used the medium: frame i lands one
 // serialization time after frame i - 1 left, whether or not that one arrived.
 TEST_F(WireFixture, LostFrameStillHoldsTheMedium) {
+  trace::TraceEnv tenv;
   EthernetWire::Config config;
   config.bits_per_second = 100 * 1000 * 1000;
   config.propagation_ns = kPropagationNs;
   config.loss_percent = 50;
   config.fault_seed = 99;
   SimClock clock;
-  VirtualSwitch hub(&clock, config);
+  VirtualSwitch hub(&clock, config, &tenv);
   Sink tx;
   Sink rx;
   rx.clock = &clock;
@@ -720,9 +725,10 @@ TEST_F(WireFixture, LostFrameStillHoldsTheMedium) {
 }
 
 TEST(NicTest, FiltersByDestinationMac) {
+  trace::TraceEnv tenv;
   SimClock clock;
   Simulation sim;
-  VirtualSwitch hub(&sim.clock(), EthernetWire::Config{});
+  VirtualSwitch hub(&sim.clock(), EthernetWire::Config{}, &tenv);
   Cpu cpu;
   Pic pic(&cpu);
   EtherAddr mac_a{{2, 0, 0, 0, 0, 1}};
@@ -755,8 +761,9 @@ TEST(NicTest, FiltersByDestinationMac) {
 }
 
 TEST(NicTest, RxMitigationThresholdHoldoffAndRingFallback) {
+  trace::TraceEnv tenv;
   Simulation sim;
-  VirtualSwitch hub(&sim.clock(), EthernetWire::Config{});
+  VirtualSwitch hub(&sim.clock(), EthernetWire::Config{}, &tenv);
   Cpu cpu;
   Pic pic(&cpu);
   EtherAddr mac_a{{2, 0, 0, 0, 0, 1}};
@@ -848,9 +855,10 @@ TEST(NicTest, RxMitigationThresholdHoldoffAndRingFallback) {
 }
 
 TEST(NicTest, GatherTransmitMatchesFlat) {
+  trace::TraceEnv tenv;
   SimClock clock;
   Simulation sim;
-  VirtualSwitch hub(&sim.clock(), EthernetWire::Config{});
+  VirtualSwitch hub(&sim.clock(), EthernetWire::Config{}, &tenv);
   Cpu cpu;
   Pic pic(&cpu);
   NicHw tx(&hub, &pic, &sim.clock(), EtherAddr{{2, 0, 0, 0, 0, 1}});
@@ -891,6 +899,7 @@ std::vector<uint8_t> BroadcastFrame(size_t len) {
 }
 
 TEST_F(WireFixture, SwitchFrameSharedWithACorruptingNicArrivesIntactElsewhere) {
+  trace::TraceEnv tenv;
   fault::FaultEnv fenv(7);
   fault::FaultSpec always;
   always.probability_percent = 100;
@@ -898,7 +907,7 @@ TEST_F(WireFixture, SwitchFrameSharedWithACorruptingNicArrivesIntactElsewhere) {
   Simulation sim;
   VirtualSwitch::Config config;
   config.port.duplicate_percent = 100;
-  VirtualSwitch sw(&sim.clock(), config);
+  VirtualSwitch sw(&sim.clock(), config, &tenv);
   Cpu cpu;
   Pic pic(&cpu);
   Sink sender;
@@ -943,12 +952,13 @@ TEST_F(WireFixture, SwitchFrameSharedWithACorruptingNicArrivesIntactElsewhere) {
 TEST_F(WireFixture, SwitchDestroyedWithDeliveriesPendingFreesEachFrameOnce) {
   // Under ASan this is the check: no leak and no double free, whether the
   // switch or the clock holding its deliveries goes first.
+  trace::TraceEnv tenv;
   for (bool switch_first : {true, false}) {
     auto clock = std::make_unique<SimClock>();
     VirtualSwitch::Config config;
     config.port.duplicate_percent = 50;
     config.port.propagation_ns = 10 * kNsPerUs;
-    auto sw = std::make_unique<VirtualSwitch>(clock.get(), config);
+    auto sw = std::make_unique<VirtualSwitch>(clock.get(), config, &tenv);
     Sink a;
     Sink b;
     Sink c;
@@ -970,6 +980,7 @@ TEST_F(WireFixture, SwitchDestroyedWithDeliveriesPendingFreesEachFrameOnce) {
 }
 
 TEST_F(WireFixture, SwitchForwardsWithoutAllocatingOnceWarm) {
+  trace::TraceEnv tenv;
   struct Counter : WireEndpoint {
     size_t bytes = 0;
     void FrameArrived(const uint8_t* /*frame*/, size_t len) override { bytes += len; }
@@ -977,7 +988,7 @@ TEST_F(WireFixture, SwitchForwardsWithoutAllocatingOnceWarm) {
   Simulation sim;
   VirtualSwitch::Config config;
   config.port.duplicate_percent = 100;  // every round schedules alike
-  VirtualSwitch sw(&sim.clock(), config);
+  VirtualSwitch sw(&sim.clock(), config, &tenv);
   Counter a;
   Counter b;
   Counter c;
@@ -1010,8 +1021,9 @@ TEST_F(WireFixture, SwitchForwardsWithoutAllocatingOnceWarm) {
 }
 
 TEST_F(WireFixture, SwitchFloodsForAStationItsFullTableCannotLearn) {
+  trace::TraceEnv tenv;
   SimClock clock;
-  VirtualSwitch sw(&clock, VirtualSwitch::Config{});
+  VirtualSwitch sw(&clock, VirtualSwitch::Config{}, &tenv);
   Sink stations;  // one port, every source MAC behind it
   Sink probe;
   Sink bystander;
@@ -1062,8 +1074,9 @@ std::vector<uint8_t> UnicastTo(uint8_t station) {
 }
 
 TEST_F(WireFixture, SwitchMovesAStationThatAppearsOnAnotherPort) {
+  trace::TraceEnv tenv;
   SimClock clock;
-  VirtualSwitch sw(&clock, VirtualSwitch::Config{});
+  VirtualSwitch sw(&clock, VirtualSwitch::Config{}, &tenv);
   Sink old_port;
   Sink new_port;
   Sink peer;
@@ -1092,8 +1105,9 @@ TEST_F(WireFixture, SwitchMovesAStationThatAppearsOnAnotherPort) {
 }
 
 TEST_F(WireFixture, SwitchFiltersAFrameForItsOwnIngressSegment) {
+  trace::TraceEnv tenv;
   SimClock clock;
-  VirtualSwitch sw(&clock, VirtualSwitch::Config{});
+  VirtualSwitch sw(&clock, VirtualSwitch::Config{}, &tenv);
   Sink segment;  // stations 1 and 9 both sit behind this port
   Sink b;
   Sink c;

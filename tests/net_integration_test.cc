@@ -158,7 +158,7 @@ TEST(NetIntegrationTest, OskitForcedFlattenReproducesTable1SendCopy) {
 TEST(NetIntegrationTest, EachWorldCountsItsOwnFabric) {
   // Two worlds alive at once, a hub and a switch, carrying different
   // traffic: each fabric's switch.* counters report into its own world's
-  // trace environment, and none reach the process-global registry.
+  // trace environment.
   World hub_world;
   World switch_world{VirtualSwitch::Config{}};
   auto ping = [](World& world, int count) {
@@ -180,8 +180,6 @@ TEST(NetIntegrationTest, EachWorldCountsItsOwnFabric) {
               world->trace().registry.Value("switch.frames.in"));
   }
   EXPECT_NE(hub_world.fabric().frames_in(), switch_world.fabric().frames_in());
-  EXPECT_EQ(0u, trace::DefaultTraceEnv()->registry.Snapshot().count(
-                    "switch.frames.in"));
 }
 
 TEST(NetIntegrationTest, PingMeasuresRoundTrip) {

@@ -428,7 +428,8 @@ TEST(SecureQuotaTest, UdpRxShedDropsOverBudgetDatagramsAndBalances) {
 // ---------------------------------------------------------------------------
 
 TEST(SecureQuotaTest, DiskFillerDeniedAtBlockBudgetAndUnlinkCredits) {
-  PrincipalRegistry principals;
+  trace::TraceEnv tenv;
+  PrincipalRegistry principals(&tenv);
   // 64 st_blocks units = 32 KB of owned disk.
   Principal* tenant =
       principals.Create("tenant", Budget{}.Set(Resource::kFsBlocks, 64));
@@ -436,7 +437,7 @@ TEST(SecureQuotaTest, DiskFillerDeniedAtBlockBudgetAndUnlinkCredits) {
   ComPtr<MemBlkIo> disk = MemBlkIo::Create(8 * 1024 * 1024, 512);
   ASSERT_EQ(Error::kOk, fs::Mkfs(disk.get()));
   ComPtr<FileSystem> inner;
-  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), inner.Receive()));
+  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), {.trace = &tenv}, inner.Receive()));
   ComPtr<FileSystem> tfs = secure::MakeSecureFs(inner, tenant, &principals);
 
   ComPtr<Dir> root;
@@ -471,7 +472,8 @@ TEST(SecureQuotaTest, DiskFillerDeniedAtBlockBudgetAndUnlinkCredits) {
 }
 
 TEST(SecureQuotaTest, JournalTxnAdmissionBillsCurrentPrincipal) {
-  PrincipalRegistry principals;
+  trace::TraceEnv tenv;
+  PrincipalRegistry principals(&tenv);
   Principal* blocked =
       principals.Create("blocked", Budget{}.Set(Resource::kJournalTxns, 0));
   Principal* open = principals.Create("open");
@@ -479,7 +481,7 @@ TEST(SecureQuotaTest, JournalTxnAdmissionBillsCurrentPrincipal) {
   ComPtr<MemBlkIo> disk = MemBlkIo::Create(8 * 1024 * 1024, 512);
   ASSERT_EQ(Error::kOk, fs::Mkfs(disk.get()));
   ComPtr<FileSystem> inner;
-  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), inner.Receive()));
+  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), {.trace = &tenv}, inner.Receive()));
   auto* offs = static_cast<fs::Offs*>(inner.get());
   ASSERT_TRUE(offs->journaled());
   secure::InstallJournalAdmission(offs, &principals);
@@ -527,7 +529,8 @@ TEST(SecureQuotaTest, JournalTxnAdmissionBillsCurrentPrincipal) {
 // ---------------------------------------------------------------------------
 
 TEST(SecureQuotaTest, AllocatorWrappersChargeAndDeny) {
-  PrincipalRegistry principals;
+  trace::TraceEnv tenv;
+  PrincipalRegistry principals(&tenv);
   Principal* tenant =
       principals.Create("tenant", Budget{}.Set(Resource::kMemBytes, 4096));
 
@@ -562,7 +565,8 @@ TEST(SecureQuotaTest, AllocatorWrappersChargeAndDeny) {
 }
 
 TEST(SecureQuotaTest, BufIoWrapperGatesWritesAndChargesMappings) {
-  PrincipalRegistry principals;
+  trace::TraceEnv tenv;
+  PrincipalRegistry principals(&tenv);
   Acl readonly;
   readonly.allow_blkio_write = false;
   Principal* reader = principals.Create(
@@ -593,6 +597,7 @@ TEST(SecureQuotaTest, BufIoWrapperGatesWritesAndChargesMappings) {
 }
 
 TEST(SecureQuotaTest, AclRefusalsReturnAccessNotQuota) {
+  trace::TraceEnv tenv;
   World world;
   Host& a = world.AddHost("a", NetConfig::kNativeBsd);
 
@@ -615,7 +620,7 @@ TEST(SecureQuotaTest, AclRefusalsReturnAccessNotQuota) {
   ComPtr<MemBlkIo> disk = MemBlkIo::Create(4 * 1024 * 1024, 512);
   ASSERT_EQ(Error::kOk, fs::Mkfs(disk.get()));
   ComPtr<FileSystem> inner;
-  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), inner.Receive()));
+  ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), {.trace = &tenv}, inner.Receive()));
   ComPtr<FileSystem> tfs = secure::MakeSecureFs(inner, ro, &principals);
   ComPtr<Dir> root;
   ASSERT_EQ(Error::kOk, tfs->GetRoot(root.Receive()));
@@ -757,6 +762,7 @@ TEST(SecureQuotaTest, KmonTenantsCommandDumpsRegistry) {
 // per seed: whatever the op mix does, after releasing every object the
 // books must read zero — every charge found its credit.
 TEST(SecureBalancePropertyTest, MixedWorkloadBooksDrainToZero) {
+  trace::TraceEnv tenv;
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(seed * 7919);
@@ -783,7 +789,7 @@ TEST(SecureBalancePropertyTest, MixedWorkloadBooksDrainToZero) {
     ComPtr<MemBlkIo> disk = MemBlkIo::Create(8 * 1024 * 1024, 512);
     ASSERT_EQ(Error::kOk, fs::Mkfs(disk.get()));
     ComPtr<FileSystem> inner_fs;
-    ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), inner_fs.Receive()));
+    ASSERT_EQ(Error::kOk, fs::Offs::Mount(disk.get(), {.trace = &tenv}, inner_fs.Receive()));
     secure::InstallJournalAdmission(static_cast<fs::Offs*>(inner_fs.get()),
                                     &principals);
     ComPtr<FileSystem> tfs =

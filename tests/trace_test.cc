@@ -39,7 +39,7 @@ TEST(CounterRegistryTest, RegisterLookupUnregister) {
 }
 
 TEST(CounterRegistryTest, DuplicateNamesSumAcrossInstances) {
-  // Two stacks sharing the default environment each register the same name;
+  // Two stacks sharing one environment each register the same name;
   // the registry reports the aggregate.
   CounterRegistry registry;
   Counter first;
