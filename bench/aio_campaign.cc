@@ -27,12 +27,14 @@
 //                 the detector has teeth.
 //
 //   sendfile      the HTTP server serves a 64 KiB static file 16 times over
-//                 one keep-alive connection, once with sendfile on and once
-//                 with the copied read+send ablation.  Header bytes are
-//                 identical in both runs, so copied-bytes-per-body-byte is
-//                 computed exactly: it must be 0.000 with sendfile on
-//                 (every body byte reached the wire through BufIoVec
-//                 segments, counter-verified) and 1.000 in the ablation.
+//                 one keep-alive connection, once on the stack's own
+//                 sockets (sendfile) and once through the §3.8 secure
+//                 wrappers, whose sockets grant no SocketZeroCopy (the
+//                 copied read+send path).  Header bytes are identical in
+//                 both runs, so copied-bytes-per-body-byte is computed
+//                 exactly: it must be 0.000 with sendfile (every body byte
+//                 reached the wire through BufIoVec segments,
+//                 counter-verified) and 1.000 on the copy path.
 
 #include <algorithm>
 #include <cstdio>
@@ -53,6 +55,7 @@
 #include "src/fs/fsck.h"
 #include "src/http/http.h"
 #include "src/http/server.h"
+#include "src/secure/wrap.h"
 #include "src/testbed/testbed.h"
 
 using namespace oskit;
@@ -66,10 +69,6 @@ uint64_t g_seed_base = 0;  // shifts deterministic patterns onto another stream
 void Fail(const char* leg, const char* what) {
   std::printf("FAIL: %s: %s\n", leg, what);
   ++g_failures[leg];
-}
-
-uint8_t PatternByte(uint64_t salt, size_t i) {
-  return static_cast<uint8_t>((salt + g_seed_base) * 131 + i * 29 + (i >> 9));
 }
 
 // The kernel's registry: its IDE glue reports there.
@@ -114,7 +113,7 @@ DepthPoint RunDepth(size_t depth) {
 
   std::vector<uint8_t> data(kSweepBlocks * 512);
   for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = PatternByte(depth, i);
+    data[i] = bench::PatternByte(depth + g_seed_base, i);
   }
 
   uint64_t issued_before = 0;
@@ -235,7 +234,7 @@ JournalRing RunJournalRing() {
       }
       std::string content(2048, '\0');
       for (size_t j = 0; j < content.size(); ++j) {
-        content[j] = static_cast<char>(PatternByte(i, j));
+        content[j] = static_cast<char>(bench::PatternByte(i + g_seed_base, j));
       }
       size_t n = 0;
       if (!Ok(f->Write(content.data(), 0, content.size(), &n)) ||
@@ -316,7 +315,8 @@ void RunMatrixComposition(const std::string& spec, MatrixTotals* totals) {
           }
           std::string content(1024 + i * 97, '\0');
           for (size_t j = 0; j < content.size(); ++j) {
-            content[j] = static_cast<char>(PatternByte(i, j));
+            content[j] =
+                static_cast<char>(bench::PatternByte(i + g_seed_base, j));
           }
           size_t n = 0;
           ok = Ok(f->Write(content.data(), 0, content.size(), &n)) &&
@@ -360,7 +360,7 @@ void RunMatrixComposition(const std::string& spec, MatrixTotals* totals) {
     bool ok = true;
     for (size_t off = 0; ok && off < kSpan; off += kChunk) {
       for (size_t j = 0; j < kChunk; ++j) {
-        chunk[j] = PatternByte(7, off + j);
+        chunk[j] = bench::PatternByte(7 + g_seed_base, off + j);
       }
       size_t n = 0;
       ok = Ok(top->Write(chunk.data(), off, kChunk, &n)) && n == kChunk;
@@ -391,7 +391,7 @@ void RunMatrixComposition(const std::string& spec, MatrixTotals* totals) {
         continue;
       }
       for (size_t j = 0; j < kChunk; ++j) {
-        if (chunk[j] != PatternByte(7, off + j)) {
+        if (chunk[j] != bench::PatternByte(7 + g_seed_base, off + j)) {
           ++silent;
           break;
         }
@@ -417,7 +417,7 @@ void RunMatrixComposition(const std::string& spec, MatrixTotals* totals) {
 }
 
 // ---------------------------------------------------------------------------
-// Leg 4: sendfile vs the counted read+send ablation.
+// Leg 4: sendfile vs the copy path of a secure-wrapped server.
 // ---------------------------------------------------------------------------
 
 constexpr uint16_t kPort = 8080;
@@ -458,7 +458,9 @@ bool Exchange(const ComPtr<Socket>& sock, const std::string& wire,
   return true;
 }
 
-HttpRun RunHttp(bool sendfile) {
+// `wrapped` serves through the secure wrappers under an unlimited budget:
+// the copy path every wrapped server takes.
+HttpRun RunHttp(bool wrapped) {
   HttpRun result;
   VirtualSwitch::Config sw;
   sw.port.bits_per_second = 100ull * 1000 * 1000;
@@ -466,10 +468,13 @@ HttpRun RunHttp(bool sendfile) {
   World world(sw);
   Host& server = world.AddHost("www", NetConfig::kOskit);
   Host& client = world.AddHost("client", NetConfig::kNativeBsd);
+  secure::PrincipalRegistry principals(&server.trace);
+  secure::NetGuard guard(&principals);
+  secure::Principal* www = principals.Create("www");
 
   std::string body(kBodyBytes, '\0');
   for (size_t i = 0; i < body.size(); ++i) {
-    body[i] = static_cast<char>(PatternByte(3, i));
+    body[i] = static_cast<char>(bench::PatternByte(3 + g_seed_base, i));
   }
 
   bool listening = false;
@@ -499,10 +504,14 @@ HttpRun RunHttp(bool sendfile) {
     http::Server::Config cfg;
     cfg.bind = SockAddr{kInetAny, kPort};
     cfg.trace = &server.trace;
-    cfg.sendfile = sendfile;
     cfg.now = [&world] { return world.sim().clock().Now(); };
-    httpd = std::make_unique<http::Server>(
-        server.socket_factory, server.stack->CreateSelector(), root, cfg);
+    ComPtr<SocketFactory> factory = server.socket_factory;
+    ComPtr<NetSelector> selector = server.stack->CreateSelector();
+    if (wrapped) {
+      factory = secure::MakeSecureSocketFactory(factory, www, &guard);
+      selector = secure::MakeSecureSelector(selector, www);
+    }
+    httpd = std::make_unique<http::Server>(factory, selector, root, cfg);
     if (!Ok(httpd->Start())) {
       return;
     }
@@ -542,7 +551,7 @@ HttpRun RunHttp(bool sendfile) {
 
   world.RunToCompletion();
   if (!client_ok) {
-    Fail(sendfile ? "sendfile" : "sendfile-ablation",
+    Fail(wrapped ? "sendfile-copy" : "sendfile",
          "client did not complete its transfers intact");
     return result;
   }
@@ -596,16 +605,16 @@ int main(int argc, char** argv) {
   }
 
   // Leg 4.
-  HttpRun on = RunHttp(/*sendfile=*/true);
-  HttpRun off = RunHttp(/*sendfile=*/false);
+  HttpRun on = RunHttp(/*wrapped=*/false);
+  HttpRun off = RunHttp(/*wrapped=*/true);
   const uint64_t body_total = static_cast<uint64_t>(kGets) * kBodyBytes;
   double copied_per_body_byte = 0;
   double ablation_copied_per_body_byte = 0;
   if (on.ok && off.ok) {
-    // Both runs stage identical header (and quit-body) bytes, so the
-    // ablation run prices the overhead exactly.
+    // Both runs stage identical header (and quit-body) bytes, so the copy
+    // run prices the overhead exactly.
     if (off.copied < body_total) {
-      Fail("sendfile", "ablation run copied fewer bytes than the bodies");
+      Fail("sendfile", "copy run copied fewer bytes than the bodies");
     } else {
       uint64_t overhead = off.copied - body_total;
       copied_per_body_byte =
@@ -628,7 +637,7 @@ int main(int argc, char** argv) {
       Fail("sendfile", "not every static response used sendfile");
     }
     if (off.sendfile_bytes != 0 || off.sendfile_responses != 0) {
-      Fail("sendfile", "the ablation run still used sendfile");
+      Fail("sendfile", "the secure-wrapped run used sendfile");
     }
   }
 
@@ -658,8 +667,8 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(matrix.detecting_stacks),
                static_cast<unsigned long long>(matrix.silent_stacks));
   report.Check("sendfile",
-               g_failures["sendfile"] + g_failures["sendfile-ablation"] == 0,
-               "%.3f copied bytes per body byte (ablation %.3f), %llu "
+               g_failures["sendfile"] + g_failures["sendfile-copy"] == 0,
+               "%.3f copied bytes per body byte (copy path %.3f), %llu "
                "zero-copy bytes",
                copied_per_body_byte, ablation_copied_per_body_byte,
                static_cast<unsigned long long>(on.sendfile_bytes));

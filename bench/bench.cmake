@@ -19,7 +19,6 @@ oskit_bench(fig_footprint)
 target_compile_definitions(fig_footprint PRIVATE
   OSKIT_BUILD_DIR="${CMAKE_BINARY_DIR}")
 oskit_bench(fig_javapc)
-oskit_bench(napi_rx)
 oskit_bench(c10k)
 oskit_bench(ablation_alloc)
 oskit_bench(ablation_bufio)
@@ -29,7 +28,8 @@ target_link_libraries(fault_campaign PRIVATE oskit_fault oskit_amm
 oskit_bench(crash_campaign)
 target_link_libraries(crash_campaign PRIVATE oskit_fault oskit_aio)
 oskit_bench(aio_campaign)
-target_link_libraries(aio_campaign PRIVATE oskit_fault oskit_aio oskit_http)
+target_link_libraries(aio_campaign PRIVATE oskit_fault oskit_aio oskit_http
+  oskit_secure)
 oskit_bench(tenant_campaign)
 target_link_libraries(tenant_campaign PRIVATE oskit_secure)
 oskit_bench(http_campaign)

@@ -77,14 +77,10 @@ void MergeSnapshot(const trace::CounterSnapshot& snap, Aggregate* agg) {
   }
 }
 
-uint8_t PatternByte(uint64_t salt, size_t i) {
-  return static_cast<uint8_t>(salt * 131 + i * 29 + (i >> 9));
-}
-
 std::string PatternContent(uint64_t salt, size_t bytes) {
   std::string content(bytes, '\0');
   for (size_t i = 0; i < bytes; ++i) {
-    content[i] = static_cast<char>(PatternByte(salt, i));
+    content[i] = static_cast<char>(bench::PatternByte(salt, i));
   }
   return content;
 }
@@ -438,7 +434,7 @@ void RunTcpCase(uint64_t run_id, uint64_t arm_at, DiskHw::CutPolicy policy,
         chunk = kStreamBytes - done;
       }
       for (size_t i = 0; i < chunk; ++i) {
-        buf[i] = PatternByte(seed, done + i);
+        buf[i] = bench::PatternByte(seed, done + i);
       }
       size_t n = 0;
       if (!Ok(conn->Send(buf, chunk, &n))) {
@@ -500,7 +496,7 @@ void RunTcpCase(uint64_t run_id, uint64_t arm_at, DiskHw::CutPolicy policy,
            actual == content.size();
     }
     for (size_t i = 0; ok && i < content.size(); ++i) {
-      if (static_cast<uint8_t>(content[i]) != PatternByte(seed, i)) {
+      if (static_cast<uint8_t>(content[i]) != bench::PatternByte(seed, i)) {
         ok = false;
       }
     }

@@ -85,10 +85,6 @@ fault::FaultSpec Prob(uint32_t pct, uint64_t arg = 0) {
   return spec;
 }
 
-uint8_t PatternByte(uint64_t seed, size_t i) {
-  return static_cast<uint8_t>(seed * 131 + i * 29 + (i >> 9));
-}
-
 // ---------------------------------------------------------------------------
 // TCP phase
 // ---------------------------------------------------------------------------
@@ -175,7 +171,7 @@ void RunTcpPhase(uint64_t seed, Aggregate* agg) {
         chunk = kTransferBytes - done;
       }
       for (size_t i = 0; i < chunk; ++i) {
-        buf[i] = PatternByte(seed, done + i);
+        buf[i] = bench::PatternByte(seed, done + i);
       }
       size_t n = 0;
       if (!Ok(conn->Send(buf, chunk, &n))) {
@@ -213,7 +209,7 @@ void RunTcpPhase(uint64_t seed, Aggregate* agg) {
       Fail(seed, "tcp transfer truncated without an error");
     }
     for (size_t i = 0; intact && i < got.size(); ++i) {
-      if (got[i] != PatternByte(seed, i)) {
+      if (got[i] != bench::PatternByte(seed, i)) {
         Fail(seed, "SILENT CORRUPTION: tcp payload mismatch");
         intact = false;
       }
@@ -307,7 +303,7 @@ void RunDiskPhase(uint64_t seed, Aggregate* agg) {
       std::snprintf(name, sizeof(name), "file%d", f);
       auto* data = static_cast<uint8_t*>(md.Alloc(kFileBytes, "campaign.file"));
       for (size_t i = 0; i < kFileBytes; ++i) {
-        data[i] = PatternByte(seed + f, i);
+        data[i] = bench::PatternByte(seed + f, i);
       }
       ComPtr<File> file;
       if (!Ok(root->Create(name, 0644, file.Receive()))) {
@@ -341,7 +337,7 @@ void RunDiskPhase(uint64_t seed, Aggregate* agg) {
         Fail(seed, "readback of a committed file failed after disarm");
       } else {
         for (size_t i = 0; i < kFileBytes; ++i) {
-          if (back[i] != PatternByte(seed + f, i)) {
+          if (back[i] != bench::PatternByte(seed + f, i)) {
             Fail(seed, "SILENT CORRUPTION: file payload mismatch");
             break;
           }

@@ -42,6 +42,12 @@ inline double Percentile(const std::vector<double>& sorted, double p) {
   return sorted[idx];
 }
 
+// Byte `i` of the deterministic data pattern named by `salt`: what the
+// campaigns write and then check end to end.
+inline uint8_t PatternByte(uint64_t salt, size_t i) {
+  return static_cast<uint8_t>(salt * 131 + i * 29 + (i >> 9));
+}
+
 // The socket's SocketExt interface (a new reference), or null if it has
 // none.
 inline SocketExt* QueryExt(Socket* s) {

@@ -55,7 +55,6 @@ run_bench() {
 # The baselines in bench/baselines/ were taken at these sizes.
 run_bench table1_bandwidth 2048 --json "$BENCH_DIR/BENCH_sg.json"
 run_bench table2_latency   4000
-run_bench napi_rx          2048 --json "$BENCH_DIR/BENCH_napi.json"
 run_bench c10k             --hosts 4 --per-host 150 --json "$BENCH_DIR/BENCH_c10k.json"
 run_bench table3_sizes   --json "$BENCH_DIR/BENCH_size.json"
 run_bench fig_footprint

@@ -23,10 +23,6 @@ void DefaultIrqDetach(void* ctx, int irq) {
   static_cast<KernelEnv*>(ctx)->IrqUnregister(irq);
 }
 
-uint64_t DefaultNowNs(void* ctx) {
-  return static_cast<KernelEnv*>(ctx)->machine().clock().Now();
-}
-
 // Timer tokens are simulation event ids; kInvalidEvent is 0, so a null
 // token can never collide with a live timer.
 void* DefaultTimerStart(void* ctx, uint64_t ns, std::function<void()> fn) {
@@ -49,7 +45,6 @@ FdevEnv DefaultFdevEnv(KernelEnv* kernel) {
   env.mem_free = &DefaultMemFree;
   env.irq_attach = &DefaultIrqAttach;
   env.irq_detach = &DefaultIrqDetach;
-  env.now_ns = &DefaultNowNs;
   env.timer_start = &DefaultTimerStart;
   env.timer_cancel = &DefaultTimerCancel;
   env.sleep_env = &kernel->sleep_env();

@@ -3,11 +3,14 @@
 //
 // FdevEnv is the "osenv": the set of services an encapsulated driver's glue
 // code may ask of the client OS — memory typed for DMA, interrupt
-// attachment, time, and sleep records.  Every entry has a default
+// attachment, timers, and sleep records.  Every entry has a default
 // implementation bound to the kernel support library, and every entry can be
 // overridden by the client (§4.2.1's f_devmemalloc pattern: "A default
 // implementation of this function is provided ... but this default can
-// easily be overridden by the client OS").
+// easily be overridden by the client OS").  The services are required, not
+// optional: an env starts as DefaultFdevEnv, a client replaces entries but
+// never clears one, and a driver checks the ones it uses once at
+// construction.
 //
 // DeviceRegistry is fdev_probe / fdev_device_lookup: drivers register the
 // devices they find; clients look them up by the COM interface they need.
@@ -18,6 +21,7 @@
 #include <functional>
 #include <vector>
 
+#include "src/base/panic.h"
 #include "src/com/device.h"
 #include "src/kern/kernel.h"
 #include "src/sleep/sleep.h"
@@ -34,9 +38,6 @@ struct FdevEnv {
   // Interrupt management.  The handler runs at interrupt level.
   void (*irq_attach)(void* ctx, int irq, std::function<void()> handler) = nullptr;
   void (*irq_detach)(void* ctx, int irq) = nullptr;
-
-  // Time.
-  uint64_t (*now_ns)(void* ctx) = nullptr;
 
   // One-shot timers, for driver watchdogs: `fn` runs at interrupt level
   // after `ns`.  timer_start returns a token for timer_cancel; cancelling
@@ -60,6 +61,13 @@ struct FdevEnv {
 // The default environment: LMM memory, KernelEnv IRQ routing, the machine
 // clock, and the kernel's sleep, trace and fault environments.
 FdevEnv DefaultFdevEnv(KernelEnv* kernel);
+
+// A driver's one check of the timer services it arms watchdogs and polls
+// with, as trace::Required is for the trace environment.
+inline const FdevEnv& RequireTimers(const FdevEnv& env) {
+  OSKIT_ASSERT_MSG(env.timer_start && env.timer_cancel, "no timer service");
+  return env;
+}
 
 class DeviceRegistry {
  public:

@@ -19,7 +19,7 @@ void ReleaseRxBuffer(void* ctx, uint8_t* /*buf*/, size_t /*size*/) {
 }  // namespace
 
 BsdEtherDriver::BsdEtherDriver(const FdevEnv& env, NicHw* hw, net::NetStack* stack)
-    : env_(env), hw_(hw), stack_(stack),
+    : env_(RequireTimers(env)), hw_(hw), stack_(stack),
       fault_(env.fault) {
   trace::TraceEnv* tenv = trace::Required(env_.trace);
   trace_binding_.Bind(&tenv->registry,
@@ -108,9 +108,6 @@ void BsdEtherDriver::Interrupt() {
 }
 
 void BsdEtherDriver::ArmRxWatchdog() {
-  if (env_.timer_start == nullptr) {
-    return;
-  }
   watchdog_token_ =
       env_.timer_start(env_.ctx, kRxWatchdogNs, [this] { RxWatchdogTick(); });
 }
@@ -128,7 +125,7 @@ void BsdEtherDriver::RxWatchdogTick() {
 }
 
 void BsdEtherDriver::CancelRxWatchdog() {
-  if (watchdog_token_ != nullptr && env_.timer_cancel != nullptr) {
+  if (watchdog_token_ != nullptr) {
     env_.timer_cancel(env_.ctx, watchdog_token_);
     watchdog_token_ = nullptr;
   }

@@ -98,7 +98,8 @@ class LinuxSendNetIo final : public ComObject<LinuxSendNetIo, NetIo> {
 }  // namespace
 
 LinuxEtherDev::LinuxEtherDev(const FdevEnv& env, NicHw* hw, std::string name)
-    : env_(env), name_(std::move(name)), trace_(trace::Required(env.trace)) {
+    : env_(RequireTimers(env)), name_(std::move(name)),
+      trace_(trace::Required(env.trace)) {
   trace_binding_.Bind(&trace_->registry,
                       {{"glue.send.native_passthrough", &counters_.native_passthrough},
                        {"glue.send.fake_skbuff", &counters_.fake_skbuff},
@@ -167,9 +168,6 @@ void LinuxEtherDev::SyncRxStats() {
 }
 
 void LinuxEtherDev::ArmRxWatchdog() {
-  if (env_.timer_start == nullptr) {
-    return;
-  }
   watchdog_token_ =
       env_.timer_start(env_.ctx, kRxWatchdogNs, [this] { RxWatchdogTick(); });
 }
@@ -200,7 +198,7 @@ void LinuxEtherDev::RxWatchdogTick() {
 }
 
 void LinuxEtherDev::CancelRxWatchdog() {
-  if (watchdog_token_ != nullptr && env_.timer_cancel != nullptr) {
+  if (watchdog_token_ != nullptr) {
     env_.timer_cancel(env_.ctx, watchdog_token_);
     watchdog_token_ = nullptr;
   }
@@ -273,11 +271,6 @@ void LinuxEtherDev::RxReenable() {
 }
 
 void LinuxEtherDev::CancelRxPollEvents() {
-  if (env_.timer_cancel == nullptr) {
-    poll_token_ = nullptr;
-    reenable_token_ = nullptr;
-    return;
-  }
   if (poll_token_ != nullptr) {
     env_.timer_cancel(env_.ctx, poll_token_);
     poll_token_ = nullptr;

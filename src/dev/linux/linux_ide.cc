@@ -43,15 +43,11 @@ Error ide_issue_and_wait(ide_drive* drive, ide_cmd cmd, uint64_t lba,
     // watched over by a timeout that doubles on every retry (the backoff).
     bool timed_out = false;
     while (!drive->done) {
-      if (drive->benv.sleep_on_timeout != nullptr) {
-        bool expired = drive->benv.sleep_on_timeout(
-            drive->benv.ctx, drive, kIdeTimeoutNs << attempt);
-        if (expired && !drive->done) {
-          timed_out = true;
-          break;
-        }
-      } else {
-        drive->benv.sleep_on(drive->benv.ctx, drive);
+      bool expired = drive->benv.sleep_on_timeout(drive->benv.ctx, drive,
+                                                   kIdeTimeoutNs << attempt);
+      if (expired && !drive->done) {
+        timed_out = true;
+        break;
       }
     }
     if (timed_out) {
@@ -105,30 +101,23 @@ void ide_interrupt(ide_drive* drive) {
 
 namespace {
 
-void GlueSleepOn(void* ctx, void* /*chan*/) {
-  auto* dev = static_cast<LinuxIdeDev*>(ctx);
-  // Single-channel device: the sleep record IS the wait queue.
-  dev->SleepOnCompletion();
-}
-
+// Single-channel device: the sleep record IS the wait queue.
 void GlueWakeUp(void* ctx, void* /*chan*/) {
   static_cast<LinuxIdeDev*>(ctx)->WakeCompletion();
 }
 
-bool GlueSleepOnTimeout(void* ctx, void* /*chan*/, uint64_t ns) {
-  return static_cast<LinuxIdeDev*>(ctx)->SleepOnCompletionTimeout(ns);
+bool GlueSleepTimeout(void* ctx, void* /*chan*/, uint64_t ns) {
+  return static_cast<LinuxIdeDev*>(ctx)->SleepCompletionTimeout(ns);
 }
 
 }  // namespace
 
 LinuxIdeDev::LinuxIdeDev(const FdevEnv& env, DiskHw* hw, std::string name)
-    : env_(env), name_(std::move(name)), completion_(env.sleep_env) {
+    : env_(RequireTimers(env)), name_(std::move(name)),
+      completion_(env.sleep_env) {
   drive_.hw = hw;
-  drive_.benv.sleep_on = &GlueSleepOn;
   drive_.benv.wake_up = &GlueWakeUp;
-  if (env_.timer_start != nullptr) {
-    drive_.benv.sleep_on_timeout = &GlueSleepOnTimeout;
-  }
+  drive_.benv.sleep_on_timeout = &GlueSleepTimeout;
   drive_.benv.ctx = this;
   trace::TraceEnv* tenv = trace::Required(env_.trace);
   trace_binding_.Bind(&tenv->registry,
@@ -141,11 +130,7 @@ LinuxIdeDev::LinuxIdeDev(const FdevEnv& env, DiskHw* hw, std::string name)
   env_.irq_attach(env_.ctx, hw->irq(), [this] { ide_interrupt(&drive_); });
 }
 
-bool LinuxIdeDev::SleepOnCompletionTimeout(uint64_t ns) {
-  if (env_.timer_start == nullptr) {
-    completion_.Sleep();
-    return false;
-  }
+bool LinuxIdeDev::SleepCompletionTimeout(uint64_t ns) {
   void* token = env_.timer_start(env_.ctx, ns, [this] { WakeCompletion(); });
   completion_.Sleep();
   // Cancel failing means the watchdog event already ran: the wake that

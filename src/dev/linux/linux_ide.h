@@ -4,8 +4,9 @@
 // request, and sleep_on/wake_up blocking — the Linux half of §4.7.6's
 // "the interrupt handler in a device driver uses [sleep/wakeup] to wake up
 // a blocked read or write request after it has completed".  The glue binds
-// sleep_on/wake_up to OSKit sleep records and exports the drive as COM
-// Device + BlkIo, so any filesystem can be bound to it at run time (§4.2.2).
+// sleep_on_timeout/wake_up to OSKit sleep records and exports the drive as
+// COM Device + BlkIo, so any filesystem can be bound to it at run time
+// (§4.2.2).
 //
 // Robustness: like its ancestor, the driver defends against misbehaving
 // hardware.  A request that reports a media error is retried with
@@ -34,12 +35,11 @@
 namespace oskit::linuxdev {
 
 // The Linux-ish blocking services the imported block driver expects.
+// Both services are required: every request sleeps under the watchdog.
 struct LinuxBlockEnv {
-  void (*sleep_on)(void* ctx, void* chan) = nullptr;
   void (*wake_up)(void* ctx, void* chan) = nullptr;
   // Bounded sleep for the request watchdog: returns true when `ns` elapsed
-  // with no wake_up.  Optional; without it requests block forever, the
-  // original Linux 2.0 behaviour.
+  // with no wake_up.
   bool (*sleep_on_timeout)(void* ctx, void* chan, uint64_t ns) = nullptr;
   void* ctx = nullptr;
 };
@@ -117,12 +117,12 @@ class LinuxIdeDev final
 
   const ide_drive& drive() const { return drive_; }
 
-  // Sleep-record plumbing the emulated sleep_on/wake_up binds to (§4.7.6).
-  void SleepOnCompletion() { completion_.Sleep(); }
+  // Sleep-record plumbing the emulated sleep_on_timeout/wake_up bind to
+  // (§4.7.6).
   void WakeCompletion() { completion_.Wakeup(); }
   // Bounded sleep via the fdev timer service; true when the watchdog fired
   // first.
-  bool SleepOnCompletionTimeout(uint64_t ns);
+  bool SleepCompletionTimeout(uint64_t ns);
 
  private:
   friend class RefCounted<LinuxIdeDev>;

@@ -354,12 +354,11 @@ void Server::HandleRequest(Conn* conn, const Request& req) {
       // Sendfile: when the socket can pull bytes (SocketZeroCopy) and the
       // file can publish them (BufIoVec), stage a window into the file and
       // skip the body read entirely — Flush streams it cache-to-wire.
-      if (config_.sendfile && conn->zc && st.size > 0) {
+      if (conn->zc && st.size > 0) {
         vec = ComPtr<BufIoVec>::FromQuery(file.get());
       }
       if (!vec && st.size > 0) {
-        // Copied path (and the read+send ablation): read the whole body
-        // through the staging buffer.
+        // Copied path: read the whole body through the staging buffer.
         body.resize(st.size);
         uint64_t off = 0;
         while (Ok(err) && off < st.size) {

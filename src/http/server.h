@@ -51,10 +51,6 @@ class Server {
   struct Config {
     SockAddr bind;  // port required; addr may be kInetAny
     int backlog = 128;
-    // Serve static bodies zero-copy when the file grants BufIoVec and the
-    // socket grants SocketZeroCopy (sendfile).  Off = the counted read+send
-    // ablation: every body byte is copied through the staging buffer.
-    bool sendfile = true;
     trace::TraceEnv* trace = nullptr;  // required: where counters report
     // Simulated-time source for per-request latency spans; spans record 0 ns
     // when unset.
@@ -68,7 +64,9 @@ class Server {
 
   // `root` may be null (static requests answer 404).  The factory must hand
   // out sockets implementing SocketExt, and the selector must accept them —
-  // both the native stack surface and the secure wrappers qualify.
+  // both the native stack surface and the secure wrappers qualify.  A static
+  // body goes zero-copy (sendfile) when the socket grants SocketZeroCopy and
+  // the file grants BufIoVec; otherwise it is copied through staging.
   Server(ComPtr<SocketFactory> factory, ComPtr<NetSelector> selector,
          ComPtr<Dir> root, const Config& config);
   ~Server();

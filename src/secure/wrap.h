@@ -93,8 +93,9 @@ ComPtr<NetSelector> MakeSecureSelector(ComPtr<NetSelector> inner,
 ComPtr<FileSystem> MakeSecureFs(ComPtr<FileSystem> inner, Principal* p,
                                 PrincipalRegistry* registry);
 
-// BlkIo/BufIo wrapper: ACL-gates writes (allow_blkio_write), and charges
-// Resource::kMemBytes for BufIo mappings (credited at Unmap/teardown).
+// BlkIo/BufIo wrapper: ACL-gates writes and BufIo mappings (a mapping is
+// writable) on allow_blkio_write, and charges Resource::kMemBytes for
+// mappings (credited at Unmap/teardown).
 // The returned object exposes BufIo via Query iff the inner object does.
 ComPtr<BlkIo> MakeSecureBufIo(ComPtr<BlkIo> inner, Principal* p);
 

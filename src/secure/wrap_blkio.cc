@@ -2,7 +2,8 @@
 // grants it (the §4.4.2 discovery idiom survives wrapping — the wrapper
 // probes once and mirrors the answer, it never forwards unknown GUIDs).
 //
-// Writes are ACL-gated (allow_blkio_write); BufIo mappings charge
+// Writes are ACL-gated (allow_blkio_write), and so are BufIo mappings,
+// which hand out a writable pointer into the device; mappings charge
 // Resource::kMemBytes per pinned byte, credited at Unmap — and any
 // mapping the client leaks is credited at the wrapper's last Release so
 // the books still balance.
@@ -36,26 +37,20 @@ class SecureBufIo final : public Interposer<SecureBufIo, BlkIo, BufIo> {
   }
   Error Write(const void* buf, off_t64 offset, size_t amount,
               size_t* out_actual) override {
-    if (!principal_->acl().allow_blkio_write) {
-      principal_->CountDenial(Resource::kMemBytes);
-      return Error::kAccess;
-    }
-    return inner()->Write(buf, offset, amount, out_actual);
+    return MayWrite() ? inner()->Write(buf, offset, amount, out_actual)
+                      : Error::kAccess;
   }
   Error GetSize(off_t64* out_size) override { return inner()->GetSize(out_size); }
   Error SetSize(off_t64 new_size) override {
-    if (!principal_->acl().allow_blkio_write) {
-      principal_->CountDenial(Resource::kMemBytes);
-      return Error::kAccess;
-    }
-    return inner()->SetSize(new_size);
+    return MayWrite() ? inner()->SetSize(new_size) : Error::kAccess;
   }
 
-  // BufIo (reachable via Query only when the inner object has it)
+  // BufIo, reachable via Query only when the inner object has it (so buf()
+  // is never null here).  A mapping is writable, so it needs write access.
   Error Map(void** out_addr, off_t64 offset, size_t amount) override {
     *out_addr = nullptr;
-    if (buf() == nullptr) {
-      return Error::kNotImpl;
+    if (!MayWrite()) {
+      return Error::kAccess;
     }
     Error err = principal_->Charge(Resource::kMemBytes, amount);
     if (!Ok(err)) {
@@ -71,9 +66,6 @@ class SecureBufIo final : public Interposer<SecureBufIo, BlkIo, BufIo> {
   }
 
   Error Unmap(void* addr, off_t64 offset, size_t amount) override {
-    if (buf() == nullptr) {
-      return Error::kNotImpl;
-    }
     Error err = buf()->Unmap(addr, offset, amount);
     if (Ok(err)) {
       size_t n = amount < map_charged_ ? amount : map_charged_;
@@ -83,11 +75,19 @@ class SecureBufIo final : public Interposer<SecureBufIo, BlkIo, BufIo> {
     return err;
   }
 
-  Error Wire() override { return buf() ? buf()->Wire() : Error::kNotImpl; }
-  Error Unwire() override { return buf() ? buf()->Unwire() : Error::kNotImpl; }
+  Error Wire() override { return buf()->Wire(); }
+  Error Unwire() override { return buf()->Unwire(); }
 
  private:
   BufIo* buf() const { return ext<BufIo>(); }
+
+  // True when the principal may write the device; a refusal is counted.
+  bool MayWrite() {
+    if (!principal_->acl().allow_blkio_write) {
+      principal_->CountDenial(Resource::kMemBytes);
+    }
+    return principal_->acl().allow_blkio_write;
+  }
 
   Principal* principal_;
   size_t map_charged_ = 0;  // bytes currently pinned through this wrapper

@@ -15,6 +15,7 @@
 
 #include "src/com/memblkio.h"
 #include "src/dev/freebsd/freebsd_char.h"
+#include "src/dev/freebsd/freebsd_ether.h"
 #include "src/dev/linux/linux_glue.h"
 #include "src/dev/linux/linux_ide.h"
 #include "src/fs/ffs.h"
@@ -108,6 +109,20 @@ class RecorderNetIo final : public ComObject<RecorderNetIo, NetIo> {
   friend class RefCounted<RecorderNetIo>;
   ~RecorderNetIo() = default;
 };
+
+// Timer services are required: each driver checks them once, at
+// construction, rather than finding them missing at its first watchdog.
+TEST_F(DriverTest, DriversRefuseAnEnvWithoutTimers) {
+  NicHw* nic = machine_->AddNic(wire_.get(), EtherAddr{{2, 0, 0, 0, 0, 1}}, 11);
+  DiskHw* disk = machine_->AddDisk(256);
+  FdevEnv no_timers = fdev_;
+  no_timers.timer_cancel = nullptr;
+  PanicHandler old = SetPanicHandler(+[](const char*) { throw 1; });
+  EXPECT_THROW((void)new linuxdev::LinuxEtherDev(no_timers, nic, "eth0"), int);
+  EXPECT_THROW((void)new linuxdev::LinuxIdeDev(no_timers, disk, "hda"), int);
+  EXPECT_THROW(freebsddev::BsdEtherDriver(no_timers, nic, nullptr), int);
+  SetPanicHandler(old);
+}
 
 TEST_F(DriverTest, LinuxEtherRoundTripAndXmitPaths) {
   NicHw* nic_a = machine_->AddNic(wire_.get(), EtherAddr{{2, 0, 0, 0, 0, 1}}, 11);

@@ -678,6 +678,12 @@ TEST(HttpServerWorldTest, ServesStaticDynamicAndDrainsOnQuit) {
   Host& client = world.AddHost("client", NetConfig::kNativeBsd);
 
   const std::string hello(1000, 'h');
+  // A sparse file: three whole blocks of hole, then data written past them.
+  const size_t hole = 3 * fs::kBlockSize;
+  std::string sparse(hole, '\0');
+  for (size_t i = 0; i < 5000; ++i) {
+    sparse.push_back(static_cast<char>('a' + i % 26));
+  }
   bool listening = false;
   bool client_done = false;
   std::unique_ptr<Server> httpd;
@@ -695,6 +701,10 @@ TEST(HttpServerWorldTest, ServesStaticDynamicAndDrainsOnQuit) {
     ASSERT_TRUE(Ok(root->Create("hello.txt", 0644, f.Receive())));
     size_t n = 0;
     ASSERT_TRUE(Ok(f->Write(hello.data(), 0, hello.size(), &n)));
+    ComPtr<File> holes;
+    ASSERT_TRUE(Ok(root->Create("sparse.bin", 0644, holes.Receive())));
+    ASSERT_TRUE(Ok(holes->Write(sparse.data() + hole, hole,
+                                sparse.size() - hole, &n)));
 
     Server::Config cfg;
     cfg.bind = SockAddr{kInetAny, kPort};
@@ -736,6 +746,13 @@ TEST(HttpServerWorldTest, ServesStaticDynamicAndDrainsOnQuit) {
     EXPECT_EQ(404, responses[1].status);
     EXPECT_EQ(200, responses[2].status);
     EXPECT_EQ("GET /echo?x=7", responses[2].body);
+
+    // The sparse file arrives byte-exact: zeros for the holes, then data.
+    std::vector<Response> sparse_responses;
+    ASSERT_TRUE(Exchange(sock, "GET /sparse.bin HTTP/1.1\r\n\r\n", 1,
+                         &sparse_responses));
+    EXPECT_EQ(200, sparse_responses[0].status);
+    EXPECT_TRUE(sparse_responses[0].body == sparse);
 
     // HEAD on its own close-delimited connection: the head must announce
     // the full Content-Length with zero body bytes after the blank line.
@@ -787,27 +804,28 @@ TEST(HttpServerWorldTest, ServesStaticDynamicAndDrainsOnQuit) {
   ASSERT_TRUE(client_done);
 
   // The malformed stream never parses into a request, but its 400 is a
-  // response: 5 parsed requests, 6 responses.
-  EXPECT_EQ(5u, httpd->requests());
-  EXPECT_EQ(6u, httpd->responses());
+  // response: 6 parsed requests, 7 responses.
+  EXPECT_EQ(6u, httpd->requests());
+  EXPECT_EQ(7u, httpd->responses());
   EXPECT_EQ(0u, httpd->open_conns());
   EXPECT_TRUE(httpd->stopping());
 
   // The attribution spans registered in the host's environment and closed
   // one request span per response; the pipelined burst was counted.
-  EXPECT_EQ(6u, server.trace.registry.Value("http.span.request.count"));
+  EXPECT_EQ(7u, server.trace.registry.Value("http.span.request.count"));
   EXPECT_GE(server.trace.registry.Value("http.span.fs_read.count"), 2u);
   EXPECT_EQ(1u, server.trace.registry.Value("http.span.dyn.count"));
   EXPECT_GE(server.trace.registry.Value("http.requests.pipelined"), 1u);
   EXPECT_EQ(1u, server.trace.registry.Value("http.errors.bad_request"));
   EXPECT_EQ(1u, server.trace.registry.Value("http.errors.not_found"));
 
-  // The static body went out zero-copy: the one full GET of /hello.txt was
-  // staged as a sendfile chunk, every body byte was queued straight from the
-  // file's cached blocks (net.tx.sendfile_bytes), and none of them fell back
-  // to the copy path.
-  EXPECT_EQ(1u, server.trace.registry.Value("http.sendfile_responses"));
-  EXPECT_EQ(hello.size(),
+  // The static bodies went out zero-copy: the full GETs of /hello.txt and
+  // /sparse.bin were staged as sendfile chunks, every body byte was queued
+  // straight from the file's cached blocks or, for a hole, the shared zero
+  // block (net.tx.sendfile_bytes), and none of them fell back to the copy
+  // path.
+  EXPECT_EQ(2u, server.trace.registry.Value("http.sendfile_responses"));
+  EXPECT_EQ(hello.size() + sparse.size(),
             server.trace.registry.Value("net.tx.sendfile_bytes"));
   EXPECT_EQ(0u, server.trace.registry.Value("net.tx.sendfile_fallback_bytes"));
   httpd.reset();

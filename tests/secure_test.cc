@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -569,28 +570,66 @@ TEST(SecureQuotaTest, BufIoWrapperGatesWritesAndChargesMappings) {
   PrincipalRegistry principals(&tenv);
   Acl readonly;
   readonly.allow_blkio_write = false;
-  Principal* reader = principals.Create(
-      "reader", Budget{}.Set(Resource::kMemBytes, 1024), readonly);
+  Principal* reader = principals.Create("reader", Budget{}, readonly);
+  Principal* writer = principals.Create(
+      "writer", Budget{}.Set(Resource::kMemBytes, 1024));
 
   ComPtr<MemBlkIo> disk = MemBlkIo::Create(64 * 1024, 512);
-  ComPtr<BlkIo> wrapped =
+  ComPtr<BlkIo> read_only =
       secure::MakeSecureBufIo(ComPtr<BlkIo>::Retain(disk.get()), reader);
 
   char buf[512] = {};
   size_t n = 0;
-  EXPECT_EQ(Error::kOk, wrapped->Read(buf, 0, sizeof(buf), &n));
-  EXPECT_EQ(Error::kAccess, wrapped->Write(buf, 0, sizeof(buf), &n));
+  EXPECT_EQ(Error::kOk, read_only->Read(buf, 0, sizeof(buf), &n));
+  EXPECT_EQ(Error::kAccess, read_only->Write(buf, 0, sizeof(buf), &n));
   EXPECT_GT(reader->denied_total(), 0u);
+  read_only.Reset();
 
+  ComPtr<BlkIo> wrapped =
+      secure::MakeSecureBufIo(ComPtr<BlkIo>::Retain(disk.get()), writer);
   BufIo* bufio = nullptr;
   ASSERT_EQ(Error::kOk, QueryFor(wrapped.get(), &bufio));
   void* mapped = nullptr;
   ASSERT_EQ(Error::kOk, bufio->Map(&mapped, 0, 512));
-  EXPECT_EQ(512u, reader->charged(Resource::kMemBytes));
+  EXPECT_EQ(512u, writer->charged(Resource::kMemBytes));
   void* mapped2 = nullptr;
   EXPECT_EQ(Error::kQuotaExceeded, bufio->Map(&mapped2, 0, 1024));
   ASSERT_EQ(Error::kOk, bufio->Unmap(mapped, 0, 512));
-  EXPECT_EQ(0u, reader->charged(Resource::kMemBytes));
+  EXPECT_EQ(0u, writer->charged(Resource::kMemBytes));
+  bufio->Release();
+  wrapped.Reset();
+  ExpectAllBooksZero(principals);
+}
+
+// A mapping is a writable window into the device, so a principal that may
+// not write may not map: otherwise it stores through the pointer and every
+// later Read sees its bytes.
+TEST(SecureQuotaTest, ReadOnlyPrincipalCannotWriteThroughAMapping) {
+  trace::TraceEnv tenv;
+  PrincipalRegistry principals(&tenv);
+  Acl readonly;
+  readonly.allow_blkio_write = false;
+  Principal* reader = principals.Create("reader", Budget{}, readonly);
+
+  ComPtr<MemBlkIo> disk = MemBlkIo::Create(64 * 1024, 512);
+  ComPtr<BlkIo> wrapped =
+      secure::MakeSecureBufIo(ComPtr<BlkIo>::Retain(disk.get()), reader);
+  BufIo* bufio = nullptr;
+  ASSERT_EQ(Error::kOk, QueryFor(wrapped.get(), &bufio));
+  void* mapped = nullptr;
+  Error err = bufio->Map(&mapped, 0, 512);
+  if (Ok(err)) {
+    std::memset(mapped, 0xa5, 512);
+    bufio->Unmap(mapped, 0, 512);
+  }
+  EXPECT_EQ(Error::kAccess, err);
+  EXPECT_EQ(nullptr, mapped);
+  EXPECT_GT(reader->denied(Resource::kMemBytes), 0u);
+
+  char buf[512];
+  size_t n = 0;
+  ASSERT_EQ(Error::kOk, wrapped->Read(buf, 0, sizeof(buf), &n));
+  EXPECT_EQ(std::string(sizeof(buf), '\0'), std::string(buf, sizeof(buf)));
   bufio->Release();
   wrapped.Reset();
   ExpectAllBooksZero(principals);

@@ -152,6 +152,28 @@ TEST(VmTest, ComparisonsAndGlobals) {
   EXPECT_EQ(0, vm->global(2));
 }
 
+TEST(VmTest, BitwiseShiftsAndOrderings) {
+  TestSys sys;
+  RunProgram(
+      "push 12\npush 10\nand\nsys 2\n"    // 8
+      "push 12\npush 10\nor\nsys 2\n"     // 14
+      "push 12\npush 10\nxor\nsys 2\n"    // 6
+      "push 1\npush 4\nshl\nsys 2\n"      // 16
+      "push 1\npush 68\nshl\nsys 2\n"     // count & 63 = 4: 16
+      "push 256\npush 4\nshr\nsys 2\n"    // 16
+      "push -1\npush 60\nshr\nsys 2\n"    // logical: 15
+      "push 256\npush 72\nshr\nsys 2\n"   // count & 63 = 8: 1
+      "push 3\npush 4\nne\nsys 2\n"       // 1
+      "push 4\npush 4\nne\nsys 2\n"       // 0
+      "push 4\npush 4\nle\nsys 2\n"       // 1
+      "push 5\npush 4\nle\nsys 2\n"       // 0
+      "push -5\npush 4\nle\nsys 2\n"      // 1
+      "halt\n",
+      &sys);
+  EXPECT_EQ((std::vector<int64_t>{8, 14, 6, 16, 16, 16, 15, 1, 1, 0, 1, 0, 1}),
+            sys.ints);
+}
+
 TEST(VmTest, HostSpawnedThreadsBothRun) {
   TestSys sys;
   std::vector<uint8_t> code;
