@@ -36,7 +36,7 @@ class NetIo : public IUnknown {
 // per-packet behaviour, unchanged.
 class NetIoBatch : public NetIo {
  public:
-  static constexpr Guid kIid = MakeGuid(0x4aa7dfed, 0x7c74, 0x11cf, 0xb5, 0x00, 0x08,
+  static constexpr Guid kIid = MakeGuid(0x4aa7dfee, 0x7c74, 0x11cf, 0xb5, 0x00, 0x08,
                                         0x00, 0x09, 0x53, 0xad, 0xc2);
 
   virtual void BeginBatch() = 0;
