@@ -60,7 +60,7 @@ class BufIoVec : public BufIo {
 
   // Fills out_segs[0..*out_count) with the contiguous pieces covering bytes
   // [offset, offset+amount).  Returns kNotImpl when the range would need
-  // more than `cap` segments (caller may Coalesce or fall back to Read).
+  // more than `cap` segments (the caller falls back to Read).
   virtual Error Vectors(BufIoSegment* out_segs, size_t cap, off_t64 offset,
                         size_t amount, size_t* out_count) = 0;
 

@@ -35,14 +35,6 @@ void BlockCache::Touch(Entry& entry) {
   lru_.splice(lru_.begin(), lru_, entry.lru_pos);
 }
 
-void BlockCache::Remove(uint32_t block) {
-  auto it = entries_.find(block);
-  if (it != entries_.end()) {
-    lru_.erase(it->second.lru_pos);
-    entries_.erase(it);
-  }
-}
-
 Error BlockCache::WriteBack(uint32_t block, Entry& entry) {
   size_t actual = 0;
   Error err = device_->Write(entry.data.data(),
@@ -133,32 +125,6 @@ void BlockCache::MarkDirty(uint32_t block) {
   it->second.dirty = true;
 }
 
-bool BlockCache::IsDirty(uint32_t block) const {
-  auto it = entries_.find(block);
-  return it != entries_.end() && it->second.dirty;
-}
-
-Error BlockCache::ReadBlock(uint32_t block, void* out) {
-  uint8_t* data = nullptr;
-  Error err = Get(block, &data);
-  if (!Ok(err)) {
-    return err;
-  }
-  std::memcpy(out, data, block_size_);
-  return Error::kOk;
-}
-
-Error BlockCache::WriteBlock(uint32_t block, const void* data) {
-  uint8_t* slot = nullptr;
-  Error err = Get(block, &slot);
-  if (!Ok(err)) {
-    return err;
-  }
-  std::memcpy(slot, data, block_size_);
-  MarkDirty(block);
-  return Error::kOk;
-}
-
 Error BlockCache::ZeroBlock(uint32_t block) {
   uint8_t* slot = nullptr;
   Error err = Get(block, &slot);
@@ -213,39 +179,6 @@ Error BlockCache::Barrier() {
   return err;
 }
 
-Error BlockCache::Invalidate(uint32_t block) {
-  auto it = entries_.find(block);
-  if (it == entries_.end()) {
-    return Error::kOk;
-  }
-  if (it->second.dirty) {
-    // Refuse to silently lose a pending write; callers that mean it use
-    // DropDirty.
-    return Error::kBusy;
-  }
-  if (it->second.refs > 0) {
-    return Error::kBusy;  // a GetRef pointer still aliases the storage
-  }
-  Remove(block);
-  return Error::kOk;
-}
-
-void BlockCache::DropDirty(uint32_t block) {
-  auto it = entries_.find(block);
-  if (it == entries_.end()) {
-    return;
-  }
-  if (it->second.refs > 0) {
-    // A zero-copy reader still holds the bytes.  Keep the entry (clean) so
-    // the exported pointer stays valid; the block is dead to the filesystem
-    // either way, and readers observing stale bytes is the documented
-    // sendfile race, not a safety problem.
-    it->second.dirty = false;
-    return;
-  }
-  Remove(block);
-}
-
 Error BlockCache::GetRef(uint32_t block, const uint8_t** out_data) {
   uint8_t* data = nullptr;
   Error err = Get(block, &data);
@@ -256,7 +189,7 @@ Error BlockCache::GetRef(uint32_t block, const uint8_t** out_data) {
   OSKIT_ASSERT(it != entries_.end());
   ++it->second.refs;
   // The pointer is pin-stable: Entry.data's heap buffer never moves on map
-  // rehash, and EvictOne/DropDirty skip entries with refs > 0.
+  // rehash, and EvictOne skips entries with refs > 0.
   *out_data = data;
   return Error::kOk;
 }

@@ -50,11 +50,8 @@ class BlockCache {
 
   // Marks a block dirty (bdwrite).
   void MarkDirty(uint32_t block);
-  bool IsDirty(uint32_t block) const;
 
-  // Convenience: whole-block read/write through the cache.
-  Error ReadBlock(uint32_t block, void* out);
-  Error WriteBlock(uint32_t block, const void* data);
+  // Zero-fills a block through the cache and marks it dirty.
   Error ZeroBlock(uint32_t block);
 
   // Writes all dirty blocks back in ascending block order (sync).  Does NOT
@@ -70,14 +67,6 @@ class BlockCache {
   // Durability point: everything written back before this call survives a
   // power cut.  kOk trivially when the device exports no BlkIoBarrier.
   Error Barrier();
-
-  // Drops a CLEAN block; refuses (kBusy) to silently discard dirty data.
-  // Dropping a block that is not cached is a harmless no-op.
-  Error Invalidate(uint32_t block);
-
-  // The intentional-data-loss spelling: drops the block even when dirty
-  // (simulated power cut, block freed before ever reaching the device).
-  void DropDirty(uint32_t block);
 
   // Blocks for which `pin` returns true are never evicted while dirty —
   // the journal pins an open transaction's metadata so no home-location
@@ -107,7 +96,6 @@ class BlockCache {
   Error EvictOne();
   Error WriteBack(uint32_t block, Entry& entry);
   void Touch(Entry& entry);
-  void Remove(uint32_t block);
 
   ComPtr<BlkIo> device_;
   ComPtr<BlkIoBarrier> barrier_;  // null when the device has none

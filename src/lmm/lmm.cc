@@ -90,13 +90,13 @@ void Lmm::AddFreeToRegion(LmmRegion* region, uintptr_t min, uintptr_t max) {
     OSKIT_ASSERT_MSG(max <= AddrOf(*link), "freeing overlapping range");
   }
 
-  // Coalesce with the following block.
+  // Merge with the following block.
   FreeBlock* next = *link;
   if (next != nullptr && AddrOf(next) == max) {
     size += next->size;
     next = next->next;
   }
-  // Coalesce with the preceding block (link points into it if adjacent).
+  // Merge with the preceding block (link points into it if adjacent).
   if (link != &region->free_list) {
     // Recover the predecessor: link is &pred->next.
     FreeBlock* pred = reinterpret_cast<FreeBlock*>(

@@ -157,13 +157,4 @@ void FiberScheduler::Unblock(Fiber* fiber) {
   }
 }
 
-void FiberScheduler::YieldCurrent() {
-  Fiber* self = current_;
-  OSKIT_ASSERT_MSG(self != nullptr, "YieldCurrent outside any fiber");
-  self->state_ = Fiber::State::kRunnable;
-  run_queue_.push_back(self);
-  SwitchOut(self);
-  OSKIT_ASSERT(self->state_ == Fiber::State::kRunning);
-}
-
 }  // namespace oskit

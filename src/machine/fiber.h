@@ -89,9 +89,6 @@ class FiberScheduler {
   // (i.e., from scheduler context) or from other fibers.
   void Unblock(Fiber* fiber);
 
-  // Cooperative yield: requeues the caller and runs other runnable fibers.
-  void YieldCurrent();
-
   Fiber* current() const { return current_; }
   size_t live_count() const { return live_count_; }
 

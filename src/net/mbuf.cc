@@ -171,33 +171,6 @@ MBuf* MbufPool::FromData(const void* src, size_t len) {
   return head;
 }
 
-void MbufPool::Append(MBuf* m, const void* src, size_t len) {
-  const auto* in = static_cast<const uint8_t*>(src);
-  MBuf* tail = m;
-  while (tail->next != nullptr) {
-    tail = tail->next;
-  }
-  // Fill the tail's remaining space when it is privately writable.
-  if ((tail->ext == nullptr || tail->ext->refs == 1) && len > 0) {
-    size_t n = tail->trailing_space();
-    if (n > len) {
-      n = len;
-    }
-    if (n > 0) {
-      std::memcpy(tail->data + tail->len, in, n);
-      tail->len += static_cast<uint32_t>(n);
-      m->pkt_len += static_cast<uint32_t>(n);
-      in += n;
-      len -= n;
-    }
-  }
-  if (len > 0) {
-    tail->next = FromData(in, len);
-    tail->next->pkt_len = 0;  // pkt_len lives on the head only
-    m->pkt_len += static_cast<uint32_t>(len);
-  }
-}
-
 MBuf* MbufPool::Pullup(MBuf* m, size_t len) {
   if (m->len >= len) {
     return m;
@@ -263,20 +236,6 @@ void MbufPool::TrimTo(MBuf* m, size_t len) {
   }
 }
 
-MBuf* MbufPool::Piece(const MBuf* m, size_t offset, size_t len) {
-  MBuf* piece = Get();
-  if (m->ext != nullptr) {
-    // Reference the same external storage, no copy.
-    piece->ext = m->ext;
-    ++m->ext->refs;
-    piece->data = m->data + offset;
-  } else {
-    std::memcpy(piece->data, m->data + offset, len);
-  }
-  piece->len = static_cast<uint32_t>(len);
-  return piece;
-}
-
 MBuf* MbufPool::CopyChain(const MBuf* m, size_t offset, size_t len) {
   // Socket buffers splice chains together without maintaining pkt_len, so
   // bounds-check against the actual chain length.
@@ -303,7 +262,15 @@ MBuf* MbufPool::CopyChain(const MBuf* m, size_t offset, size_t len) {
     if (n > len) {
       n = len;
     }
-    MBuf* piece = Piece(m, offset, n);
+    MBuf* piece = Get();
+    if (m->ext != nullptr) {
+      piece->ext = m->ext;
+      ++m->ext->refs;
+      piece->data = m->data + offset;
+    } else {
+      std::memcpy(piece->data, m->data + offset, n);
+    }
+    piece->len = static_cast<uint32_t>(n);
     if (head == nullptr) {
       head = piece;
     } else {
@@ -318,133 +285,10 @@ MBuf* MbufPool::CopyChain(const MBuf* m, size_t offset, size_t len) {
   return head;
 }
 
-MBuf* MbufPool::AppendChain(MBuf* a, MBuf* b) {
-  if (a == nullptr) {
-    return b;
-  }
-  if (b == nullptr) {
-    return a;
-  }
-  MBuf* tail = a;
-  while (tail->next != nullptr) {
-    tail = tail->next;
-  }
-  tail->next = b;
-  a->pkt_len += b->pkt_len;
-  b->pkt_len = 0;  // pkt_len lives on the head only
-  return a;
-}
-
-MBuf* MbufPool::Split(MBuf* m, size_t offset) {
-  if (offset >= m->pkt_len) {
-    return nullptr;
-  }
-  uint32_t head_len = static_cast<uint32_t>(offset);
-  uint32_t tail_len = m->pkt_len - head_len;
-  // Walk to the mbuf containing byte `offset`.
-  MBuf* prev = nullptr;
-  MBuf* cur = m;
-  size_t off = offset;
-  while (cur != nullptr && off >= cur->len) {
-    off -= cur->len;
-    prev = cur;
-    cur = cur->next;
-  }
-  OSKIT_ASSERT(cur != nullptr);
-  MBuf* rest;
-  if (off == 0 && prev != nullptr) {
-    // Clean break between mbufs.
-    rest = cur;
-    prev->next = nullptr;
-  } else {
-    // Mid-mbuf split (or a split at byte 0, where `m` must stay the head):
-    // the tail's first piece shares cluster/external storage; internal
-    // bytes are copied out.
-    MBuf* piece = Piece(cur, off, cur->len - off);
-    piece->next = cur->next;
-    cur->len = static_cast<uint32_t>(off);
-    cur->next = nullptr;
-    rest = piece;
-  }
-  m->pkt_len = head_len;
-  rest->pkt_len = tail_len;
-  return rest;
-}
-
-MBuf* MbufPool::Coalesce(MBuf* m, size_t max_count) {
-  OSKIT_ASSERT(max_count >= 1);
-  if (ChainCount(m) <= max_count) {
-    return m;
-  }
-  // Keep the longest (header-bearing) prefix such that prefix mbufs plus
-  // the flattened suffix — packed into clusters — fit under max_count.
-  // Only the suffix bytes are copied, never the headers up front.
-  size_t total = ChainLength(m);
-  size_t keep = max_count - 1;  // mbufs of prefix to preserve
-  size_t prefix_len = 0;
-  size_t prefix_count = 0;
-  for (const MBuf* c = m; c != nullptr && prefix_count < keep; c = c->next) {
-    prefix_len += c->len;
-    ++prefix_count;
-  }
-  size_t suffix_len = total - prefix_len;
-  auto clusters_for = [](size_t n) {
-    return n == 0 ? size_t{0} : (n + kClusterSize - 1) / kClusterSize;
-  };
-  while (prefix_count > 0 &&
-         prefix_count + clusters_for(suffix_len) > max_count) {
-    // Fold the last kept mbuf into the suffix and retry.
-    const MBuf* c = m;
-    for (size_t i = 1; i < prefix_count; ++i) {
-      c = c->next;
-    }
-    prefix_len -= c->len;
-    suffix_len += c->len;
-    --prefix_count;
-  }
-  if (prefix_count + clusters_for(suffix_len) > max_count) {
-    // Even ceil(len / cluster) clusters exceed max_count: the chain is
-    // already minimal; the caller must fall back to its own bounce buffer.
-    return m;
-  }
-  // Build the packed suffix from a deep copy, then splice it in.  A
-  // zero-length packet made of empty mbufs collapses to one empty mbuf.
-  MBuf* suffix = nullptr;
-  if (suffix_len > 0 || prefix_count == 0) {
-    suffix = FromData(nullptr, suffix_len);
-    size_t off = prefix_len;
-    for (MBuf* fresh = suffix; fresh != nullptr; fresh = fresh->next) {
-      CopyData(m, off, fresh->len, fresh->data);
-      off += fresh->len;
-    }
-    suffix->pkt_len = 0;
-  }
-  if (prefix_count == 0) {
-    suffix->pkt_len = m->pkt_len;
-    FreeChain(m);
-    return suffix;
-  }
-  MBuf* last_kept = m;
-  for (size_t i = 1; i < prefix_count; ++i) {
-    last_kept = last_kept->next;
-  }
-  FreeChain(last_kept->next);
-  last_kept->next = suffix;
-  return m;
-}
-
 size_t MbufPool::ChainLength(const MBuf* m) {
   size_t n = 0;
   for (; m != nullptr; m = m->next) {
     n += m->len;
-  }
-  return n;
-}
-
-size_t MbufPool::ChainCount(const MBuf* m) {
-  size_t n = 0;
-  for (; m != nullptr; m = m->next) {
-    ++n;
   }
   return n;
 }

@@ -52,11 +52,8 @@ struct MBuf {
   }
   const uint8_t* buf_start() const { return ext != nullptr ? ext->buf : internal; }
 
-  // Headroom before `data` / tailroom after `data+len`.
+  // Headroom before `data`.
   size_t leading_space() const { return static_cast<size_t>(data - buf_start()); }
-  size_t trailing_space() const {
-    return buf_size() - leading_space() - len;
-  }
 };
 
 // Pool/statistics holder.  One per stack instance (per machine), so each
@@ -110,10 +107,6 @@ class MbufPool {
   // Builds a chain holding a copy of [src, src+len).
   MBuf* FromData(const void* src, size_t len);
 
-  // Appends a copy of [src, src+len) to packet `m` (walks to the tail,
-  // fills tailroom, then adds clusters).
-  void Append(MBuf* m, const void* src, size_t len);
-
   // Ensures the first `len` bytes of the packet are contiguous in the head
   // mbuf (BSD m_pullup).  Returns the new head, or nullptr on failure (the
   // chain is freed in that case, BSD style).
@@ -130,30 +123,8 @@ class MbufPool {
   static constexpr size_t kCopyAll = ~size_t{0};
   MBuf* CopyChain(const MBuf* m, size_t offset, size_t len);
 
-  // Concatenates packet `b` onto packet `a` (BSD m_cat): links b's mbufs
-  // after a's tail and folds b's length into a->pkt_len.  Zero-length mbufs
-  // are kept; Coalesce cleans them up.  Returns `a` (or `b` if `a` null).
-  MBuf* AppendChain(MBuf* a, MBuf* b);
-
-  // Splits packet `m` at byte `offset` (BSD m_split): `m` keeps bytes
-  // [0, offset), the returned packet holds [offset, end).  A split falling
-  // inside a cluster/external mbuf shares the storage (refs++); one inside
-  // an internal mbuf copies the tail bytes.  Returns nullptr (leaving `m`
-  // untouched) if offset >= pkt_len or allocation fails.
-  MBuf* Split(MBuf* m, size_t offset);
-
-  // Coalesce-threshold (the gather-DMA escape hatch): if the chain has more
-  // than `max_count` mbufs, merges neighbours into fresh clusters until it
-  // fits.  Unlike a full flatten this copies only the merged suffix bytes.
-  // Returns the (possibly new) head; on allocation failure returns the
-  // original chain unchanged (caller still owns it).
-  MBuf* Coalesce(MBuf* m, size_t max_count);
-
   // Recomputes and returns the chain's total length.
   static size_t ChainLength(const MBuf* m);
-
-  // Number of mbufs in the chain (diagnostics / tests).
-  static size_t ChainCount(const MBuf* m);
 
   // ---- Statistics (exposed implementation, §4.6) ----
   uint64_t mbufs_out() const { return mbufs_live_; }
@@ -164,9 +135,6 @@ class MbufPool {
   static constexpr size_t kCacheMax = 512;
 
  private:
-  // A fresh mbuf holding bytes [offset, offset+len) of `m`'s data: sharing
-  // its external storage, or a copy of its internal bytes.
-  MBuf* Piece(const MBuf* m, size_t offset, size_t len);
   MExt* GetClusterExt();
   static void FreeClusterStorage(void* ctx, uint8_t* buf, size_t size);
 

@@ -30,8 +30,8 @@ Error MbufBufIo::Write(const void* buf, off_t64 offset, size_t amount,
   if (!Ok(err)) {
     return err;
   }
-  // The chain invariant forbids writing through shared storage (Split /
-  // CopyChain create refs>1 aliases); a write that would scribble another
+  // The chain invariant forbids writing through shared storage (CopyChain
+  // creates refs>1 aliases); a write that would scribble another
   // packet's bytes is refused whole rather than applied partially.
   off_t64 off = offset;
   const MBuf* m = chain_;
@@ -83,8 +83,8 @@ Error MbufBufIo::Map(void** out_addr, off_t64 offset, size_t amount) {
   // call will only succeed if the implementor of the bufio object happens to
   // store the requested range of data in contiguous local memory").  That
   // includes ranges spanning ADJACENT mbufs whose windows abut in storage —
-  // e.g. the two sides of a Split inside one shared cluster — not just a
-  // single mbuf.
+  // e.g. two CopyChain pieces of one shared cluster — not just a single
+  // mbuf.
   Error err = CheckWindow(chain_->pkt_len, offset, amount);
   if (!Ok(err)) {
     return err;
@@ -139,8 +139,8 @@ Error MbufBufIo::Vectors(BufIoSegment* out_segs, size_t cap, off_t64 offset,
     }
     if (n > 0) {
       if (count == cap) {
-        // More pieces than the consumer's gather descriptors; it may
-        // Coalesce the chain or fall back to Read().
+        // More pieces than the consumer's gather descriptors; it falls
+        // back to Read().
         *out_count = 0;
         return Error::kNotImpl;
       }

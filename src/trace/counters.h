@@ -4,10 +4,9 @@
 // component that owns it increments a plain machine word on its hot path
 // (cheap enough to leave compiled in, per the flight-recorder design goal),
 // and the CounterRegistry (src/trace/trace.h) indexes registered counters by
-// hierarchical dotted name for snapshot/diff/reset and for the COM
-// CounterSet export.  This header is dependency-free so that low-level
-// components (lmm, machine) can embed counters without pulling in the rest
-// of the trace library.
+// hierarchical dotted name for snapshots, kmon and the bench reports.  This
+// header is dependency-free so that low-level components (lmm, machine) can
+// embed counters without pulling in the rest of the trace library.
 
 #ifndef OSKIT_SRC_TRACE_COUNTERS_H_
 #define OSKIT_SRC_TRACE_COUNTERS_H_

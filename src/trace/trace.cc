@@ -50,10 +50,6 @@ void CounterRegistry::Unregister(const std::string& name, Counter* counter) {
   }
 }
 
-bool CounterRegistry::Has(const std::string& name) const {
-  return entries_.find(name) != entries_.end();
-}
-
 uint64_t CounterRegistry::Value(const std::string& name) const {
   auto it = entries_.find(name);
   if (it == entries_.end()) {
@@ -76,14 +72,6 @@ CounterSnapshot CounterRegistry::Snapshot() const {
     snap[name] = sum;
   }
   return snap;
-}
-
-void CounterRegistry::ResetAll() {
-  for (auto& [name, entry] : entries_) {
-    for (Counter* counter : entry.instances) {
-      counter->Reset();
-    }
-  }
 }
 
 void CounterRegistry::ForEach(

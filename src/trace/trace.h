@@ -15,9 +15,7 @@
 // components report into: it uses the one it is handed or makes its own.
 // Every other component takes a non-null TraceEnv* and checks it once at
 // construction (Required below), so no two worlds share a registry and
-// nothing reports into an environment nobody handed it.  The COM faces
-// (CounterSet, TraceLog — src/com/trace.h, src/trace/trace_com.h) let
-// client kernels pick the instrumentation up like any other component.
+// nothing reports into an environment nobody handed it.
 
 #ifndef OSKIT_SRC_TRACE_TRACE_H_
 #define OSKIT_SRC_TRACE_TRACE_H_
@@ -61,16 +59,12 @@ class CounterRegistry {
   void Register(const std::string& name, Counter* counter, bool gauge = false);
   void Unregister(const std::string& name, Counter* counter);
 
-  bool Has(const std::string& name) const;
   // Sum across registered instances; 0 when the name is unknown.
   uint64_t Value(const std::string& name) const;
 
   size_t size() const { return entries_.size(); }
 
   CounterSnapshot Snapshot() const;
-
-  // Zeroes every registered counter (gauges included).
-  void ResetAll();
 
   // Deterministic (name-sorted) iteration, optionally restricted to names
   // starting with `prefix`.  The name pointer is valid while the entry
@@ -228,9 +222,9 @@ class FlightRecorder {
 // overlapping totals: summed across sites, self_ns partitions the
 // instrumented time exactly once, so "61% of request time is in flush" is a
 // statement that adds up.  The counters register under the site name in the
-// environment's registry, so kmon `counters`, the COM CounterSet and the
-// bench JSON reports all read them like any other instrumentation; kmon
-// `hot` renders the sorted table.
+// environment's registry, so kmon `counters` and the bench JSON reports
+// read them like any other instrumentation; kmon `hot` renders the sorted
+// table.
 //
 // Two usage styles:
 //   * ScopedSpan brackets a synchronous section of one thread of control

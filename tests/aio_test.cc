@@ -292,7 +292,7 @@ TEST(CacheBlkIoTest, BoundsAbuse) {
   testing::AbuseWriteBounds(cache.get(), size);
 }
 
-TEST(BlockCacheTest, GetRefPinsAgainstEvictionAndInvalidate) {
+TEST(BlockCacheTest, GetRefPinsAgainstEviction) {
   trace::TraceEnv tenv;
   auto mem = MemBlkIo::Create(256 * 512, 512);
   auto seeded = Pattern(512, 42);
@@ -307,23 +307,33 @@ TEST(BlockCacheTest, GetRefPinsAgainstEvictionAndInvalidate) {
 
   // Thrash far past capacity: block 0 must survive (the exported pointer
   // stays valid), everything else cycles.
-  uint8_t scratch[512];
-  for (uint32_t b = 1; b < 64; ++b) {
-    ASSERT_EQ(Error::kOk, cache.ReadBlock(b, scratch));
-  }
+  uint8_t* data = nullptr;
+  auto thrash = [&] {
+    for (uint32_t b = 1; b < 64; ++b) {
+      ASSERT_EQ(Error::kOk, cache.Get(b, &data));
+    }
+  };
+  thrash();
   // Same storage, not a reload: a write through the cache is visible via
-  // the pinned pointer.
+  // the pinned pointer, and a write-back keeps it there.
+  uint64_t misses = cache.misses();
+  ASSERT_EQ(Error::kOk, cache.Get(0, &data));
+  EXPECT_EQ(misses, cache.misses());
   auto updated = Pattern(512, 43);
-  ASSERT_EQ(Error::kOk, cache.WriteBlock(0, updated.data()));
+  memcpy(data, updated.data(), 512);
+  cache.MarkDirty(0);
   EXPECT_EQ(0, memcmp(pinned, updated.data(), 512));
-
   ASSERT_EQ(Error::kOk, cache.Sync());
-  EXPECT_EQ(Error::kBusy, cache.Invalidate(0));  // pointer outstanding
-  cache.DropDirty(0);  // must keep the entry alive while pinned
+  thrash();
   EXPECT_EQ(0, memcmp(pinned, updated.data(), 512));
 
+  // Unpinned, block 0 is evictable again: the next thrash pushes it out.
   cache.PutRef(0);
-  EXPECT_EQ(Error::kOk, cache.Invalidate(0));  // unpinned: evictable again
+  thrash();
+  misses = cache.misses();
+  ASSERT_EQ(Error::kOk, cache.Get(0, &data));
+  EXPECT_EQ(misses + 1, cache.misses());
+  EXPECT_EQ(0, memcmp(data, updated.data(), 512));
 }
 
 // ---- Full compositions ----

@@ -419,9 +419,8 @@ TEST_F(DriverTest, BlockCacheSyncWritesBlocksInAscendingOrder) {
 
   sim_.Spawn("sync-order", [&] {
     fs::BlockCache cache(blkio, fs::kBlockSize, 64, &kernel_->trace());
-    std::vector<uint8_t> block(fs::kBlockSize, 0xcd);
     for (uint32_t b : {50u, 3u, 27u, 9u, 40u, 12u}) {
-      ASSERT_EQ(Error::kOk, cache.WriteBlock(b, block.data()));
+      ASSERT_EQ(Error::kOk, cache.ZeroBlock(b));
     }
     disk->ClearWriteLog();
     ASSERT_EQ(Error::kOk, cache.Sync());

@@ -69,65 +69,33 @@ class FsTest : public ::testing::Test {
   ComPtr<Dir> root_;
 };
 
-TEST(BlockCacheTest, InvalidateRefusesDirtyButDropDirtyDiscards) {
-  trace::TraceEnv tenv;
-  auto disk = MemBlkIo::Create(1024 * 1024, 512);
-  BlockCache cache(ComPtr<BlkIo>::Retain(disk.get()), kBlockSize, 8, &tenv);
-
-  std::vector<uint8_t> data(kBlockSize, 0xab);
-  ASSERT_EQ(Error::kOk, cache.WriteBlock(5, data.data()));
-  ASSERT_TRUE(cache.IsDirty(5));
-
-  // A dirty block holds a pending write: Invalidate must refuse to lose it.
-  EXPECT_EQ(Error::kBusy, cache.Invalidate(5));
-  EXPECT_TRUE(cache.IsDirty(5));
-
-  // DropDirty is the deliberate spelling — the write never reaches the
-  // device, so a re-read sees the old (zero) contents.
-  cache.DropDirty(5);
-  EXPECT_FALSE(cache.IsDirty(5));
-  std::vector<uint8_t> readback(kBlockSize, 0xff);
-  ASSERT_EQ(Error::kOk, cache.ReadBlock(5, readback.data()));
-  EXPECT_EQ(std::vector<uint8_t>(kBlockSize, 0), readback);
-
-  // Clean and absent blocks invalidate without complaint.
-  EXPECT_EQ(Error::kOk, cache.Invalidate(5));
-  EXPECT_EQ(Error::kOk, cache.Invalidate(123));
-
-  // After a writeback the block is clean again and evictable.
-  ASSERT_EQ(Error::kOk, cache.WriteBlock(6, data.data()));
-  ASSERT_EQ(Error::kOk, cache.Sync());
-  EXPECT_FALSE(cache.IsDirty(6));
-  EXPECT_EQ(Error::kOk, cache.Invalidate(6));
-}
-
 TEST(BlockCacheTest, EvictionPinKeepsDirtyBlocksCached) {
   trace::TraceEnv tenv;
   auto disk = MemBlkIo::Create(1024 * 1024, 512);
   BlockCache cache(ComPtr<BlkIo>::Retain(disk.get()), kBlockSize, 8, &tenv);
   cache.SetEvictionPin([](uint32_t block) { return block < 4; });
 
-  std::vector<uint8_t> data(kBlockSize, 0x5a);
+  uint8_t* data = nullptr;
   for (uint32_t b = 0; b < 4; ++b) {
-    ASSERT_EQ(Error::kOk, cache.WriteBlock(b, data.data()));
+    ASSERT_EQ(Error::kOk, cache.Get(b, &data));
+    data[0] = 0x5a;
+    cache.MarkDirty(b);
   }
   // Stream enough unpinned blocks through to force evictions: the LRU
   // victims must be the clean read blocks, never the pinned dirty ones.
-  std::vector<uint8_t> buf(kBlockSize);
   for (uint32_t b = 100; b < 110; ++b) {
-    ASSERT_EQ(Error::kOk, cache.ReadBlock(b, buf.data()));
+    ASSERT_EQ(Error::kOk, cache.Get(b, &data));
   }
-  for (uint32_t b = 0; b < 4; ++b) {
-    EXPECT_TRUE(cache.IsDirty(b)) << "pinned block " << b << " was evicted";
-  }
+  EXPECT_EQ((std::vector<uint32_t>{0, 1, 2, 3}), cache.CollectDirty());
   // With every slot pinned dirty and no clean block to evict, a miss
   // surfaces kBusy instead of writing a pinned block home.
   BlockCache tight(ComPtr<BlkIo>::Retain(disk.get()), kBlockSize, 8, &tenv);
   tight.SetEvictionPin([](uint32_t) { return true; });
   for (uint32_t b = 0; b < 8; ++b) {
-    ASSERT_EQ(Error::kOk, tight.WriteBlock(b, data.data()));
+    ASSERT_EQ(Error::kOk, tight.Get(b, &data));
+    tight.MarkDirty(b);
   }
-  EXPECT_EQ(Error::kBusy, tight.ReadBlock(50, buf.data()));
+  EXPECT_EQ(Error::kBusy, tight.Get(50, &data));
 }
 
 TEST_F(FsTest, FreshFilesystemPassesFsck) { ExpectFsckClean(); }
@@ -260,12 +228,20 @@ TEST(FileVecTest, UnmapDuringAnotherViewsCacheMissUnpinsExactly) {
   EXPECT_EQ(4, back[1].data[kBlockSize - 1]);
   ASSERT_EQ(Error::kOk, vec->UnmapVectors(2 * kBlockSize, 2 * kBlockSize));
 
-  // Nothing is left pinned: once clean, every cached block can be dropped.
+  // Nothing is left pinned: once clean, every cached block can be evicted.
+  // Sweeping the whole disk (more blocks than the cache holds) twice, the
+  // second sweep finds none of them still cached.
   ASSERT_EQ(Error::kOk, fs->Sync());
   BlockCache& cache = static_cast<Offs*>(fs.get())->cache();
-  for (uint32_t block = 0; block < kDiskBytes / kBlockSize; ++block) {
-    ASSERT_EQ(Error::kOk, cache.Invalidate(block)) << "block " << block;
+  uint8_t* block_data = nullptr;
+  uint64_t hits = 0;
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    hits = cache.hits();
+    for (uint32_t block = 0; block < kDiskBytes / kBlockSize; ++block) {
+      ASSERT_EQ(Error::kOk, cache.Get(block, &block_data)) << "block " << block;
+    }
   }
+  EXPECT_EQ(hits, cache.hits());
   vec.Reset();
   f.Reset();
   root.Reset();

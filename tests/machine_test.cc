@@ -254,7 +254,7 @@ TEST(FiberTest, ManyFibersInterleaveDeterministically) {
     sim.Spawn("f", [&, i] {
       for (int k = 0; k < 3; ++k) {
         trace.push_back(static_cast<char>('a' + i));
-        sim.scheduler().YieldCurrent();
+        sim.SleepFor(1);
       }
     });
   }

@@ -23,6 +23,14 @@ std::vector<uint8_t> Pattern(size_t n, uint8_t seed = 1) {
   return v;
 }
 
+size_t Mbufs(const MBuf* m) {
+  size_t n = 0;
+  for (; m != nullptr; m = m->next) {
+    ++n;
+  }
+  return n;
+}
+
 std::vector<uint8_t> Flatten(MbufPool& pool, const MBuf* m) {
   std::vector<uint8_t> out(MbufPool::ChainLength(m));
   pool.CopyData(m, 0, out.size(), out.data());
@@ -34,7 +42,7 @@ TEST(MbufTest, FromDataSplitsAcrossClusters) {
   auto data = Pattern(5000);
   MBuf* m = pool.FromData(data.data(), data.size());
   EXPECT_EQ(5000u, m->pkt_len);
-  EXPECT_GE(MbufPool::ChainCount(m), 3u);  // needs multiple clusters
+  EXPECT_GE(Mbufs(m), 3u);  // needs multiple clusters
   EXPECT_EQ(data, Flatten(pool, m));
   pool.FreeChain(m);
   EXPECT_EQ(0u, pool.mbufs_out());
@@ -44,9 +52,9 @@ TEST(MbufTest, FromDataSplitsAcrossClusters) {
 TEST(MbufTest, PrependUsesHeadroomThenAllocates) {
   MbufPool pool;
   MBuf* m = pool.GetHeaderAligned(20);
-  size_t before = MbufPool::ChainCount(m);
+  size_t before = Mbufs(m);
   m = pool.Prepend(m, 14);  // fits in the aligned head's leading space
-  EXPECT_EQ(before, MbufPool::ChainCount(m));
+  EXPECT_EQ(before, Mbufs(m));
   EXPECT_EQ(34u, m->pkt_len);
 
   // A head with no room forces a new mbuf.
@@ -54,22 +62,9 @@ TEST(MbufTest, PrependUsesHeadroomThenAllocates) {
   tight->len = 10;
   tight->pkt_len = 10;
   MBuf* grown = pool.Prepend(tight, 14);
-  EXPECT_EQ(2u, MbufPool::ChainCount(grown));
+  EXPECT_EQ(2u, Mbufs(grown));
   pool.FreeChain(m);
   pool.FreeChain(grown);
-}
-
-TEST(MbufTest, AppendFillsTailThenChains) {
-  MbufPool pool;
-  auto first = Pattern(100, 1);
-  MBuf* m = pool.FromData(first.data(), first.size());
-  auto second = Pattern(3000, 9);
-  pool.Append(m, second.data(), second.size());
-  EXPECT_EQ(3100u, m->pkt_len);
-  auto flat = Flatten(pool, m);
-  EXPECT_EQ(0, memcmp(flat.data(), first.data(), first.size()));
-  EXPECT_EQ(0, memcmp(flat.data() + 100, second.data(), second.size()));
-  pool.FreeChain(m);
 }
 
 TEST(MbufTest, PullupMakesHeaderContiguous) {
@@ -225,7 +220,7 @@ TEST(MbufBufIoTest, MapRequiresPhysicallyContiguousStorage) {
   MbufPool pool;
   auto data = Pattern(3000);
   MBuf* chain = pool.FromData(data.data(), data.size());
-  ASSERT_GE(MbufPool::ChainCount(chain), 2u);
+  ASSERT_GE(Mbufs(chain), 2u);
   size_t first_len = chain->len;
   auto io = MbufBufIo::Wrap(&pool, chain);
 
@@ -246,18 +241,21 @@ TEST(MbufBufIoTest, MapRequiresPhysicallyContiguousStorage) {
 
 TEST(MbufBufIoTest, MapSpansAdjacentSplitWindows) {
   MbufPool pool;
-  // Regression for the documented multi-mbuf Map limitation: a mid-cluster
-  // Split leaves two mbufs whose windows abut inside one shared cluster, and
-  // a range crossing that boundary IS contiguous local memory.
+  // Regression for the documented multi-mbuf Map limitation: two CopyChain
+  // pieces of one cluster, linked into one packet, are two mbufs whose
+  // windows abut inside the shared cluster, and a range crossing that
+  // boundary IS contiguous local memory.
   auto data = Pattern(1000);
-  MBuf* head = pool.FromData(data.data(), data.size());
-  ASSERT_EQ(1u, MbufPool::ChainCount(head));
-  ASSERT_NE(nullptr, head->ext);
-  MBuf* tail = pool.Split(head, 400);
-  ASSERT_NE(nullptr, tail);
+  MBuf* whole = pool.FromData(data.data(), data.size());
+  ASSERT_EQ(1u, Mbufs(whole));
+  ASSERT_NE(nullptr, whole->ext);
+  MBuf* head = pool.CopyChain(whole, 0, 400);
+  MBuf* tail = pool.CopyChain(whole, 400, 600);
+  pool.FreeChain(whole);
   ASSERT_EQ(tail->data, head->data + head->len);  // abutting windows
-  head->next = tail;  // re-link into one packet
+  head->next = tail;  // link into one packet
   head->pkt_len = static_cast<uint32_t>(data.size());
+  tail->pkt_len = 0;
   auto io = MbufBufIo::Wrap(&pool, head);
 
   void* addr = nullptr;
@@ -272,7 +270,7 @@ TEST(MbufBufIoTest, WriteSpansChainSegments) {
   // in the chain, including ranges spanning segment boundaries.
   auto data = Pattern(3000);
   MBuf* chain = pool.FromData(data.data(), data.size());
-  ASSERT_GE(MbufPool::ChainCount(chain), 2u);
+  ASSERT_GE(Mbufs(chain), 2u);
   size_t first_len = chain->len;
   auto io = MbufBufIo::Wrap(&pool, chain);
 
@@ -314,7 +312,7 @@ TEST(MbufBufIoTest, ImportMapsContiguousForeignBuffers) {
   auto foreign = MemBlkIo::CreateFrom(data.data(), data.size());
   MBuf* imported = MbufFromBufIo(&pool, foreign.get(), data.size());
   ASSERT_NE(nullptr, imported);
-  EXPECT_EQ(1u, MbufPool::ChainCount(imported));
+  EXPECT_EQ(1u, Mbufs(imported));
   EXPECT_EQ(0u, pool.clusters_out());  // external reference, not a copy
   EXPECT_EQ(2u, foreign->ref_count()); // the chain holds the foreign object
   auto flat = Flatten(pool, imported);
@@ -347,13 +345,22 @@ TEST_P(MbufPropertyTest, ChainOpsMatchShadow) {
   auto initial = Pattern(rng.Range(200, 2000));
   std::vector<uint8_t> shadow = initial;
   MBuf* m = pool.FromData(initial.data(), initial.size());
+  // Links a fresh chain holding `bytes` after the packet's last mbuf.
+  auto append = [&](const std::vector<uint8_t>& bytes) {
+    MBuf* last = m;
+    while (last->next != nullptr) {
+      last = last->next;
+    }
+    last->next = pool.FromData(bytes.data(), bytes.size());
+    last->next->pkt_len = 0;
+    m->pkt_len += static_cast<uint32_t>(bytes.size());
+    shadow.insert(shadow.end(), bytes.begin(), bytes.end());
+  };
 
   for (int step = 0; step < 100; ++step) {
     switch (rng.Below(4)) {
       case 0: {  // append
-        auto extra = Pattern(rng.Range(1, 500), static_cast<uint8_t>(rng.Next()));
-        pool.Append(m, extra.data(), extra.size());
-        shadow.insert(shadow.end(), extra.begin(), extra.end());
+        append(Pattern(rng.Range(1, 500), static_cast<uint8_t>(rng.Next())));
         break;
       }
       case 1: {  // trim front
@@ -371,9 +378,7 @@ TEST_P(MbufPropertyTest, ChainOpsMatchShadow) {
         shadow.resize(n);
         if (shadow.empty()) {
           // Re-seed so the test keeps going.
-          auto fresh = Pattern(64, static_cast<uint8_t>(step));
-          pool.Append(m, fresh.data(), fresh.size());
-          shadow.insert(shadow.end(), fresh.begin(), fresh.end());
+          append(Pattern(64, static_cast<uint8_t>(step)));
         }
         break;
       }

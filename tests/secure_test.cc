@@ -55,6 +55,7 @@ void ExpectAllBooksZero(PrincipalRegistry& principals) {
 TEST(SecureQuotaTest, QuotaDenialDistinctFromPortExhaustion) {
   World world;
   Host& a = world.AddHost("a", NetConfig::kNativeBsd);
+  Host& b = world.AddHost("b", NetConfig::kNativeBsd);
 
   PrincipalRegistry principals(&a.trace);
   Principal* tenant =
@@ -88,6 +89,34 @@ TEST(SecureQuotaTest, QuotaDenialDistinctFromPortExhaustion) {
   EXPECT_STRNE(ErrorName(Error::kQuotaExceeded), ErrorName(Error::kAddrNotAvail));
   EXPECT_STRNE(ErrorName(Error::kQuotaExceeded), ErrorName(Error::kNoBufs));
 
+  // SendTo is gated the same way: the unbound socket's first datagram
+  // would bind an ephemeral port, so at the budget it is refused with
+  // nothing on the wire, and once a port is free it charges that one.
+  const char dgram[] = "datagram";
+  const SockAddr to{b.addr, 7004};
+  world.sim().Spawn("sendto", [&] {
+    size_t sent = 0;
+    EXPECT_EQ(Error::kQuotaExceeded,
+              socks[2]->SendTo(dgram, sizeof(dgram), to, &sent));
+    EXPECT_EQ(0u, a.stack->counters().udp_out.value());
+    EXPECT_EQ(2u, tenant->denied(Resource::kPorts));
+    EXPECT_EQ(2u, a.trace.registry.Value("sec.quota.denied.ports"));
+
+    socks[1].Reset();  // closing a bound socket credits its port
+    EXPECT_EQ(1u, tenant->charged(Resource::kPorts));
+    for (int i = 0; i < 2; ++i) {  // one charge, however many datagrams
+      ASSERT_EQ(Error::kOk, socks[2]->SendTo(dgram, sizeof(dgram), to, &sent));
+      EXPECT_EQ(sizeof(dgram), sent);
+      EXPECT_EQ(2u, tenant->charged(Resource::kPorts));
+      world.sim().SleepFor(10 * kNsPerMs);  // resolve and deliver
+    }
+  });
+  world.RunToCompletion();
+  EXPECT_EQ(2u, b.stack->counters().udp_in.value());
+  EXPECT_EQ(2u, tenant->denied(Resource::kPorts));
+
+  socks[2].Reset();  // closing the sender credits the port its datagram took
+  EXPECT_EQ(1u, tenant->charged(Resource::kPorts));
   socks.clear();
   ExpectAllBooksZero(principals);
 }

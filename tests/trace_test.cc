@@ -1,6 +1,6 @@
-// Trace component tests: counter registry snapshot/diff/reset, flight
-// recorder ring wrap-around, event ordering under fiber preemption,
-// dump-on-panic, and the COM CounterSet/TraceLog faces.
+// Trace component tests: counter registry snapshot/diff, flight recorder
+// ring wrap-around, event ordering under fiber preemption, and
+// dump-on-panic.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "src/base/panic.h"
 #include "src/machine/machine.h"
 #include "src/trace/trace.h"
-#include "src/trace/trace_com.h"
 
 namespace oskit::trace {
 namespace {
@@ -23,19 +22,18 @@ namespace {
 TEST(CounterRegistryTest, RegisterLookupUnregister) {
   CounterRegistry registry;
   Counter a;
-  EXPECT_FALSE(registry.Has("net.tcp.out"));
+  EXPECT_EQ(0u, registry.size());
   EXPECT_EQ(0u, registry.Value("net.tcp.out"));
 
   registry.Register("net.tcp.out", &a);
   ++a;
   a += 4;
-  EXPECT_TRUE(registry.Has("net.tcp.out"));
   EXPECT_EQ(5u, registry.Value("net.tcp.out"));
   EXPECT_EQ(1u, registry.size());
 
   registry.Unregister("net.tcp.out", &a);
-  EXPECT_FALSE(registry.Has("net.tcp.out"));
   EXPECT_EQ(0u, registry.size());
+  EXPECT_EQ(0u, registry.Snapshot().count("net.tcp.out"));
 }
 
 TEST(CounterRegistryTest, DuplicateNamesSumAcrossInstances) {
@@ -55,7 +53,7 @@ TEST(CounterRegistryTest, DuplicateNamesSumAcrossInstances) {
   EXPECT_EQ(4u, registry.Value("net.ip.in"));
 }
 
-TEST(CounterRegistryTest, SnapshotDiffAndReset) {
+TEST(CounterRegistryTest, SnapshotAndDiff) {
   CounterRegistry registry;
   Counter sent;
   Counter received;
@@ -73,10 +71,6 @@ TEST(CounterRegistryTest, SnapshotDiffAndReset) {
   CounterSnapshot delta = DiffSnapshots(before, after);
   EXPECT_EQ(5u, delta.at("tx"));
   EXPECT_EQ(2u, delta.at("rx"));
-
-  registry.ResetAll();
-  EXPECT_EQ(0u, registry.Value("tx"));
-  EXPECT_EQ(0u, static_cast<uint64_t>(sent));  // resets the owner's word
 }
 
 TEST(CounterRegistryTest, ForEachIsSortedAndPrefixFiltered) {
@@ -112,11 +106,9 @@ TEST(CounterRegistryTest, CounterBlockUnbindsOnDestruction) {
   {
     CounterBlock block;
     block.Bind(&registry, {{"one", &a}, {"two", &b, /*gauge=*/true}});
-    EXPECT_TRUE(registry.Has("one"));
-    EXPECT_TRUE(registry.Has("two"));
+    EXPECT_EQ(2u, registry.size());
   }
-  EXPECT_FALSE(registry.Has("one"));
-  EXPECT_FALSE(registry.Has("two"));
+  EXPECT_EQ(0u, registry.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -219,84 +211,6 @@ TEST(FlightRecorderTest, DumpOnPanicWritesBufferedEvents) {
   EXPECT_NE(std::string::npos, lines[1].find("2 recorded"));
   EXPECT_NE(std::string::npos, lines[2].find("irq-enter"));
   EXPECT_NE(std::string::npos, lines[3].find("alloc"));
-}
-
-// ---------------------------------------------------------------------------
-// COM faces
-// ---------------------------------------------------------------------------
-
-TEST(TraceComTest, QueryMovesBetweenFaces) {
-  TraceEnv env;
-  ComPtr<TraceComponent> component(CreateTraceComponent(&env));
-
-  void* raw = nullptr;
-  ASSERT_EQ(Error::kOk, component->Query(CounterSet::kIid, &raw));
-  ComPtr<CounterSet> counters;
-  *counters.Receive() = static_cast<CounterSet*>(raw);
-
-  ASSERT_EQ(Error::kOk, counters->Query(TraceLog::kIid, &raw));
-  ComPtr<TraceLog> log;
-  *log.Receive() = static_cast<TraceLog*>(raw);
-
-  Guid bogus = MakeGuid(0xdeadbeef, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0);
-  EXPECT_EQ(Error::kNoInterface, component->Query(bogus, &raw));
-}
-
-TEST(TraceComTest, CounterSetReadsTheRegistry) {
-  TraceEnv env;
-  Counter retransmits;
-  Counter in_use;
-  env.registry.Register("net.tcp.retransmits", &retransmits);
-  env.registry.Register("lmm.blocks_in_use", &in_use, /*gauge=*/true);
-  retransmits += 9;
-
-  ComPtr<TraceComponent> component(CreateTraceComponent(&env));
-  size_t count = 0;
-  ASSERT_EQ(Error::kOk, component->GetCount(&count));
-  EXPECT_EQ(2u, count);
-
-  CounterInfo info;
-  ASSERT_EQ(Error::kOk, component->GetCounter(0, &info));
-  EXPECT_STREQ("lmm.blocks_in_use", info.name);  // name order
-  EXPECT_TRUE(info.gauge);
-  EXPECT_EQ(Error::kInval, component->GetCounter(2, &info));
-
-  uint64_t value = 0;
-  ASSERT_EQ(Error::kOk, component->Lookup("net.tcp.retransmits", &value));
-  EXPECT_EQ(9u, value);
-  EXPECT_EQ(Error::kNoEnt, component->Lookup("no.such.counter", &value));
-
-  ASSERT_EQ(Error::kOk, component->Reset());
-  EXPECT_EQ(0u, static_cast<uint64_t>(retransmits));
-
-  env.registry.Unregister("net.tcp.retransmits", &retransmits);
-  env.registry.Unregister("lmm.blocks_in_use", &in_use);
-}
-
-TEST(TraceComTest, TraceLogReadsTheRing) {
-  TraceEnv env;
-  env.recorder.Record(EventType::kPacketTx, "ether", 0, 60);
-  env.recorder.Record(EventType::kSleep, "net", 0x77);
-
-  ComPtr<TraceComponent> component(CreateTraceComponent(&env));
-  size_t count = 0;
-  ASSERT_EQ(Error::kOk, component->GetEventCount(&count));
-  EXPECT_EQ(2u, count);
-
-  TraceRecord record;
-  ASSERT_EQ(Error::kOk, component->Read(0, &record));
-  EXPECT_EQ(static_cast<uint32_t>(EventType::kPacketTx), record.type);
-  EXPECT_STREQ("packet-tx", record.type_name);
-  EXPECT_EQ(60u, record.arg1);
-  EXPECT_EQ(Error::kInval, component->Read(2, &record));
-
-  uint64_t total = 0;
-  ASSERT_EQ(Error::kOk, component->GetTotalRecorded(&total));
-  EXPECT_EQ(2u, total);
-
-  ASSERT_EQ(Error::kOk, component->Clear());
-  ASSERT_EQ(Error::kOk, component->GetEventCount(&count));
-  EXPECT_EQ(0u, count);
 }
 
 // ---------------------------------------------------------------------------
